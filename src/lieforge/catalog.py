@@ -12,8 +12,8 @@ from fractions import Fraction
 
 from .expr_core import func
 from .hierarchy import REAL_JET
+from .reduce import ODE_JET
 from .symmetry import UnknownFunctionConstraint, VectorField
-from .systems import JetSpec
 
 __all__ = [
     "ODE_JET", "fields_member2", "fields_member3", "fields_member3_scaling",
@@ -22,9 +22,6 @@ __all__ = [
     "family_member3", "transport_family_examples", "printed_table_member2",
     "printed_table_member3",
 ]
-
-ODE_JET = JetSpec(("s",), ("f", "g"), constants=("c",))
-
 
 def _pde(xi=None, eta=None, name=""):
     jet = REAL_JET

@@ -9,8 +9,8 @@ are only attached when --timings is passed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -18,7 +18,7 @@ from . import catalog, reduce as red
 from .expr_core import Expr, sym
 from .hierarchy import (REAL_JET, audit_member, catalogue_member, complex_split,
                         hierarchy_member)
-from .liealg import algebra_signature, jacobi_check, structure_constants
+from .liealg import _combo_text, algebra_signature, jacobi_check, structure_constants
 from .parser import expr_text, parse_expr
 from .symmetry import (UnknownFunctionConstraint, VectorField, ansatz_dictionary,
                        determining_system, discover_symmetries, field_text,
@@ -34,16 +34,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-
-
-def _field_json(X: VectorField) -> dict:
-    out = {}
-    for kind, var, coeff in X.coeff_vector_atoms():
-        if not coeff.is_zero():
-            out[f"{kind}_{var}"] = expr_text(coeff)
-    if X.name:
-        out["name"] = X.name
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +181,7 @@ def cmd_brackets(args) -> int:
         printed = catalog.printed_table_member2() if args.member == 2 \
             else catalog.printed_table_member3()
         out["printed_table_disagreements"] = _printed_disagreements(table, printed)
-    out["signature"] = _signature_json(algebra_signature(table)) \
+    out["signature"] = dataclasses.asdict(algebra_signature(table)) \
         if table.closed else None
     _emit(out)
     return 0
@@ -201,15 +191,19 @@ def _printed_disagreements(table, printed_entries) -> list[str]:
     names = {F.name: k for k, F in enumerate(table.basis)}
     out = []
     for a, b, combo in printed_entries:
+        missing = [n for n in dict.fromkeys((a, b, *combo)) if n not in names]
+        if missing:
+            out.append(f"[{a},{b}]: printed {_combo_dict_text(combo)}, "
+                       f"not in the computed basis: {', '.join(missing)}")
+            continue
         i, j = names[a], names[b]
         computed = table.constants[(i, j)] if (i, j) in table.constants else \
             [-q for q in table.constants[(j, i)]]
         claimed = [Expr.rational(combo.get(F.name, Fraction(0)))
                    for F in table.basis]
         if any(not (x - y).is_zero() for x, y in zip(computed, claimed)):
-            comp_txt = _combo_text_local(computed, table.basis)
             out.append(f"[{a},{b}]: printed {_combo_dict_text(combo)}, "
-                       f"computed {comp_txt}")
+                       f"computed {_combo_text(computed, table.basis)}")
     return out
 
 
@@ -223,31 +217,13 @@ def _combo_dict_text(combo: dict) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _combo_text_local(vec, basis) -> str:
-    from .liealg import _combo_text
-    return _combo_text(vec, basis)
-
-
-def _signature_json(sig) -> dict:
-    return {
-        "dimension": sig.dimension,
-        "derived_series": sig.derived_series,
-        "lower_central_series": sig.lower_central_series,
-        "center_dim": sig.center_dim,
-        "abelian": sig.abelian,
-        "nilpotent": sig.nilpotent,
-        "solvable": sig.solvable,
-        "abelian_complement_dim": sig.abelian_complement_dim,
-    }
-
-
 def cmd_classify(args) -> int:
     basis = _named_basis(args.member, args.reduced)
     table = structure_constants(basis)
     out = {"schema": SCHEMA, "member": args.member, "reduced": bool(args.reduced),
            "closed": table.closed}
     out["jacobi"] = jacobi_check(table) if table.closed else None
-    out["signature"] = _signature_json(algebra_signature(table)) \
+    out["signature"] = dataclasses.asdict(algebra_signature(table)) \
         if table.closed else None
     _emit(out)
     return 0 if table.closed else 2
@@ -454,17 +430,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    seed = os.environ.get("LIEFORGE_SEED")
-    if seed is not None:
-        import random
-        random.seed(int(seed))
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, ArithmeticError) as exc:
         sys.stderr.write(f"lieforge: error: {exc}\n")
         return 1
 

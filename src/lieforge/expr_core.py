@@ -36,7 +36,7 @@ __all__ = [
     "ZeroStatus", "sym", "root", "jet", "func", "I", "rational", "integer",
     "sin_e", "cos_e", "tan_e", "exp_e", "recip_e", "sqrt_e",
     "derive", "substitute", "eval_numeric", "equals_zero", "to_canonical",
-    "collect_terms", "atoms_of", "random_rational",
+    "collect_terms", "coefficient_vector", "atoms_of", "random_rational",
 ]
 
 
@@ -907,24 +907,19 @@ def collect_terms(e: Expr, family: Iterable[Expr]) -> dict[Expr, Expr]:
         classes[mono] = cl
         for atom, _ in mono:
             class_atoms.add(atom)
-    out: dict[Expr, Expr] = {cl: Expr.zero() for cl in classes.values()}
+    parts: dict[Monomial, dict[Monomial, Fraction]] = {mono: {} for mono in classes}
     for m, q in e._terms.items():
-        proj = tuple((a, k) for a, k in m if a in class_atoms)
-        rest = tuple((a, k) for a, k in m if a not in class_atoms)
-        cl = classes.get(proj)
-        if cl is None:
+        part = parts.get(tuple((a, k) for a, k in m if a in class_atoms))
+        if part is None:
             raise DomainError(f"term {Expr({m: q})!r} not covered by the class family")
-        out[cl] = out[cl] + Expr({rest: q})
-    return out
+        # a canonical monomial is determined by its class and rest parts,
+        # so no two terms land on the same cofactor monomial
+        part[tuple((a, k) for a, k in m if a not in class_atoms)] = q
+    return {classes[mono]: Expr(part) for mono, part in parts.items()}
 
 
-def split_by_content(e: Expr, classify) -> dict[Monomial, Expr]:
-    """Group terms by the sub-monomial of atoms selected by `classify`;
-    returns {class monomial: cofactor expression}."""
-    out: dict[Monomial, dict[Monomial, Fraction]] = {}
-    for m, q in e._terms.items():
-        proj = tuple((a, k) for a, k in m if classify(a))
-        rest = tuple((a, k) for a, k in m if not classify(a))
-        out.setdefault(proj, {})[rest] = out.get(proj, {}).get(rest, Fraction(0)) + q
-    return {proj: Expr({m: q for m, q in terms.items() if q})
-            for proj, terms in out.items()}
+def coefficient_vector(parts: Iterable[tuple[object, Expr]]) -> dict[tuple, Fraction]:
+    """Sparse rational vector of keyed expressions over the monomial basis:
+    {(key, monomial key): coefficient} for every term of every part.  Keys
+    sort deterministically, so these vectors feed `linalg` directly."""
+    return {(key, _mono_key(m)): q for key, e in parts for m, q in e._terms.items()}

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr_core import (
-    DomainError, Expr, I, Jet, atoms_of, exp_e, jet, split_by_content,
+    DomainError, Expr, I, Jet, atoms_of, collect_terms, exp_e, jet, substitute,
 )
 from .systems import JetSpec, PDESystem, total_derivative
 
@@ -72,14 +72,8 @@ def complex_split(rhs: Expr) -> tuple[Expr, Expr]:
             bindings[atom] = jet("v", atom.idx).as_expr() + iv * jet("w", atom.idx).as_expr()
         elif isinstance(atom, Jet) and atom.dep == "ub":
             bindings[atom] = jet("v", atom.idx).as_expr() - iv * jet("w", atom.idx).as_expr()
-    from .expr_core import substitute
-    mixed = substitute(rhs, bindings)
-    parts = split_by_content(mixed, lambda a: a is I)
-    real = parts.get((), Expr.zero())
-    imag = parts.get(((I, 1),), Expr.zero())
-    if len(parts) > len([p for p in ((), ((I, 1),)) if p in parts]):
-        raise DomainError("residual i-power above 1 after canonicalisation")
-    return real, imag
+    parts = collect_terms(substitute(rhs, bindings), [Expr.one(), iv])
+    return parts[Expr.one()], parts[iv]
 
 
 _CATALOGUE = {

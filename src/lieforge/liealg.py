@@ -17,9 +17,9 @@ from itertools import combinations
 from .expr_core import (
     DomainError, Expr, Root, Sym, atoms_of, derive, jet, substitute, sym,
 )
-from .linalg import nullspace, rref, solve_exact
+from .linalg import nullspace, rank, rref, solve_exact, transpose
 from .parser import expr_text
-from .symmetry import VectorField
+from .symmetry import VectorField, field_vector
 
 __all__ = ["lie_bracket", "StructureTable", "structure_constants",
            "jacobi_check", "AlgebraSignature", "algebra_signature"]
@@ -100,16 +100,6 @@ def _const_dictionary(params, span: int = 2) -> list[Expr]:
     return uniq
 
 
-def _field_rows(F: VectorField, const: Expr):
-    """Sparse row of (slot, monomial) -> coefficient for const * F."""
-    row = {}
-    for kind, var, coeff in F.coeff_vector_atoms():
-        e = coeff * const
-        for m, q in e._terms.items():
-            row[((kind, var), tuple((a.key, k) for a, k in m))] = q
-    return row
-
-
 def in_span(target: VectorField, basis: list[VectorField], params=None):
     """Exact membership: target = sum_k alpha_k basis_k with alpha_k constant
     expressions over the parameter dictionary.  Returns the list of alpha_k
@@ -117,19 +107,9 @@ def in_span(target: VectorField, basis: list[VectorField], params=None):
     if params is None:
         params = _param_atoms(basis + [target])
     consts = _const_dictionary(params)
-    cols = []
-    labels = []
-    for k, F in enumerate(basis):
-        for c in consts:
-            cols.append(_field_rows(F, c))
-            labels.append((k, c))
-    tgt = _field_rows(target, Expr.one())
-    # re-index rows densely
-    row_ids = sorted({r for col in cols for r in col} | set(tgt))
-    idx = {r: i for i, r in enumerate(row_ids)}
-    cols_i = [{idx[r]: q for r, q in col.items()} for col in cols]
-    tgt_i = {idx[r]: q for r, q in tgt.items()}
-    sol = solve_exact(cols_i, tgt_i)
+    labels = [(k, c) for k in range(len(basis)) for c in consts]
+    sol = solve_exact([field_vector(basis[k], c) for k, c in labels],
+                      field_vector(target))
     if sol is None:
         return None
     alphas = [Expr.zero() for _ in basis]
@@ -141,15 +121,7 @@ def in_span(target: VectorField, basis: list[VectorField], params=None):
 
 def basis_independent(basis: list[VectorField]) -> bool:
     """Exact linear independence over rational constants."""
-    cols = [_field_rows(F, Expr.one()) for F in basis]
-    row_ids = sorted({r for col in cols for r in col})
-    idx = {r: i for i, r in enumerate(row_ids)}
-    rows_t = [dict() for _ in row_ids]
-    for k, col in enumerate(cols):
-        for r, q in col.items():
-            rows_t[idx[r]][k] = q
-    _, pivots = rref([r for r in rows_t if r], len(basis))
-    return len(pivots) == len(basis)
+    return rank([field_vector(F) for F in basis]) == len(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -173,21 +145,6 @@ class StructureTable:
         if (i, j) in self.constants:
             return self.constants[(i, j)][k]
         return -self.constants[(j, i)][k]
-
-    def bracket_in_basis(self, vi: list[Expr], vj: list[Expr]) -> list[Expr]:
-        """Bilinear extension of the table to coordinate vectors."""
-        out = [Expr.zero() for _ in range(self.dim)]
-        for i in range(self.dim):
-            if vi[i].is_zero():
-                continue
-            for j in range(self.dim):
-                if vj[j].is_zero() or i == j:
-                    continue
-                for k in range(self.dim):
-                    ck = self.c(i, j, k)
-                    if not ck.is_zero():
-                        out[k] = out[k] + vi[i] * vj[j] * ck
-        return out
 
     def nonzero_entries(self) -> list[tuple[int, int, str]]:
         rows = []
@@ -281,12 +238,6 @@ def _specialize(q: Expr, point) -> Fraction:
     return e.as_rational()
 
 
-def _span_rank(vectors: list[list[Fraction]], dim: int) -> list[dict[int, Fraction]]:
-    rows = [{i: v for i, v in enumerate(vec) if v} for vec in vectors]
-    pivot_rows, _ = rref([r for r in rows if r], dim)
-    return pivot_rows
-
-
 def algebra_signature(table: StructureTable) -> AlgebraSignature:
     """Derived/lower-central series via exact rank computations.  Parameter
     symbols are specialised at exact rational square points (c = 4 and
@@ -330,11 +281,9 @@ def _signature_at(table: StructureTable, point) -> AlgebraSignature:
                         out[k] += u[i] * v[j] * cij[k]
         return out
 
-    def subspace_dim(rows) -> int:
-        return len(_span_rank(rows, n))
-
-    def basis_of(rows):
-        pivot_rows = _span_rank(rows, n)
+    def basis_of(vecs):
+        pivot_rows, _ = rref([{i: v for i, v in enumerate(vec) if v}
+                              for vec in vecs], n)
         return [[r.get(i, Fraction(0)) for i in range(n)] for r in pivot_rows]
 
     full = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -367,26 +316,17 @@ def _signature_at(table: StructureTable, point) -> AlgebraSignature:
         cur = nxt
     lcs_series = lcs[1:]
 
-    # center: vectors u with [u, e_j] = 0 for all j
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            row = {}
-            for i in range(n):
-                val = c[i][j][k]
-                if val:
-                    row[i] = val
-            if row:
-                rows.append(row)
-    center = len(nullspace(rows, n))
+    # center: vectors u with [u, e_j] = 0 for all j; column i holds the
+    # coefficients of [e_i, e_j] on e_k, keyed by (j, k)
+    rows = transpose({(j, k): c[i][j][k] for j in range(n) for k in range(n)
+                      if c[i][j][k]} for i in range(n))
+    cen_basis = nullspace(list(rows.values()), n)
+    center = len(cen_basis)
 
     # abelian direct-sum complement: central directions outside [g, g]
-    der_basis = bracket_span(full, full)
-    der_rows = [{i: v for i, v in enumerate(vec) if v} for vec in der_basis]
-    cen_basis = nullspace(rows, n)
-    joint = der_rows + cen_basis
-    dim_sum = len(_span_rank(
-        [[r.get(i, Fraction(0)) for i in range(n)] for r in joint], n))
+    der_rows = [{i: v for i, v in enumerate(vec) if v}
+                for vec in bracket_span(full, full)]
+    dim_sum = rank(der_rows + cen_basis, n)
     center_in_derived = len(der_rows) + center - dim_sum
     abelian_complement = center - center_in_derived
 

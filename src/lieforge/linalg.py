@@ -1,15 +1,17 @@
 """Exact rational linear algebra on sparse rows.
 
-Rows are dicts {column index: Fraction}.  Reduction is Gauss-Jordan with
-pivots chosen in declared column order and normalised to 1, so echelon forms,
+Rows are dicts {column key: Fraction}; column keys are column indices, or
+for `rref`/`rank` any mutually comparable keys.  Reduction is Gauss-Jordan
+with pivots chosen in column order and normalised to 1, so echelon forms,
 nullspace bases, and solve results are deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
-__all__ = ["rref", "nullspace", "rank", "solve_exact"]
+__all__ = ["rref", "nullspace", "rank", "solve_exact", "transpose"]
 
 
 def _scale(row: dict[int, Fraction], q: Fraction) -> dict[int, Fraction]:
@@ -25,10 +27,11 @@ def _axpy(dst: dict[int, Fraction], src: dict[int, Fraction], q: Fraction) -> No
             dst.pop(c, None)
 
 
-def rref(rows: list[dict[int, Fraction]], ncols: int):
+def rref(rows: list[dict], ncols: int | None = None):
     """Reduced row-echelon form.  Returns (pivot_rows, pivots) where
     pivot_rows[i] has a 1 in column pivots[i] and zeros in other pivot
-    columns."""
+    columns.  The elimination reads columns from the rows themselves, so
+    `ncols` may be omitted."""
     pivot_rows: list[dict[int, Fraction]] = []
     pivots: list[int] = []
 
@@ -67,7 +70,7 @@ def rref(rows: list[dict[int, Fraction]], ncols: int):
     return [pivot_rows[i] for i in order], [pivots[i] for i in order]
 
 
-def rank(rows: list[dict[int, Fraction]], ncols: int) -> int:
+def rank(rows: list[dict], ncols: int | None = None) -> int:
     return len(rref(rows, ncols)[1])
 
 
@@ -89,23 +92,26 @@ def nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, Fra
     return basis
 
 
-def solve_exact(cols: list[dict[int, Fraction]], target: dict[int, Fraction]):
+def transpose(cols: Iterable[dict]) -> dict:
+    """Rows {row key: {column index: value}} of sparse column vectors, built
+    in one pass over their entries; each column may be dropped once read."""
+    rows: dict = {}
+    for k, col in enumerate(cols):
+        for r, q in col.items():
+            rows.setdefault(r, {})[k] = q
+    return rows
+
+
+def solve_exact(cols: list[dict], target: dict):
     """Solve sum_k x_k * cols[k] = target exactly.
 
-    Column vectors and target are sparse over an arbitrary row index set.
-    Returns the coefficient list, or None when the target is outside the
-    span.  The solution with free variables set to zero is returned."""
+    Column vectors and target are sparse over any set of mutually comparable
+    row keys.  Returns the coefficient list, or None when the target is
+    outside the span.  The solution with free variables set to zero is
+    returned."""
     nc = len(cols)
-    rows_idx: set[int] = set(target)
-    for col in cols:
-        rows_idx.update(col)
-    system = []
-    for r in sorted(rows_idx):
-        row = {k: col[r] for k, col in enumerate(cols) if r in col}
-        row[nc] = -target.get(r, Fraction(0))
-        if row:
-            system.append(row)
-    pivot_rows, pivots = rref(system, nc + 1)
+    rows = transpose(cols + [{r: -q for r, q in target.items()}])
+    pivot_rows, pivots = rref([rows[r] for r in sorted(rows)], nc + 1)
     if nc in pivots:
         return None  # inconsistent
     x = [Fraction(0)] * nc

@@ -1,12 +1,11 @@
 """Numeric workhorses: Jacobi elliptic sn via the descending Landen/AGM
 recursion, the complete elliptic integral from the same AGM, and a classical
-fixed-step RK4 integrator with pole detection that splits trajectories into
-finite segments."""
+fixed-step RK4 integrator that stops at a blow-up."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["jacobi_sn", "elliptic_K", "Trajectory", "integrate_rk4"]
 
@@ -48,18 +47,13 @@ def elliptic_K(k: float) -> float:
 
 @dataclass
 class Trajectory:
-    """Integration output: strictly increasing grid, per-dependent complex
-    values, split into pole-free segments."""
+    """Integration output: strictly increasing grid and per-dependent complex
+    values, ending at the last step before any blow-up."""
 
     grid: list[float]
     values: dict[str, list[complex]]
     step: float
     method: str = "rk4"
-    segments: list[tuple[int, int]] = field(default_factory=list)
-
-    def segment_slices(self):
-        return [(self.grid[a:b], {d: v[a:b] for d, v in self.values.items()})
-                for a, b in self.segments]
 
 
 def integrate_rk4(rhs, state0: dict[str, complex], s_range: tuple[float, float],
@@ -67,8 +61,9 @@ def integrate_rk4(rhs, state0: dict[str, complex], s_range: tuple[float, float],
     """Classical fourth-order Runge-Kutta on an explicit first-order system.
 
     `rhs(s, state) -> dict` returns the derivative of every dependent.  When
-    the state magnitude exceeds `guard` the current segment is closed and
-    integration restarts after the blow-up point.
+    the state magnitude exceeds `guard` (or becomes NaN) integration stops
+    and the trajectory ends at the previous step; nothing is integrated past
+    the blow-up point.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
@@ -93,11 +88,9 @@ def integrate_rk4(rhs, state0: dict[str, complex], s_range: tuple[float, float],
         state = {d: state[d] + (h / 6) * (k1[d] + 2 * k2[d] + 2 * k3[d] + k4[d])
                  for d in deps}
         if any(abs(state[d]) > guard or state[d] != state[d] for d in deps):
-            # blow-up: close the segment here; continuation past a pole
-            # is the caller's concern (closed-form sampling splits instead)
+            # continuation past a pole is the caller's concern
             break
         grid.append(s + h)
         for d in deps:
             values[d].append(state[d])
-    return Trajectory(grid=grid, values=values, step=h,
-                      segments=[(0, len(grid))])
+    return Trajectory(grid=grid, values=values, step=h)

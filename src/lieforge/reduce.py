@@ -11,12 +11,12 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .expr_core import (
-    DomainError, Expr, I, Jet, PoleError, Sym, atoms_of, collect_terms, cos_e,
-    derive, eval_numeric, exp_e, jet, recip_e, sin_e, sqrt_e, substitute, sym,
-    tan_e,
+    DomainError, Expr, I, Jet, PoleError, Sym, _mono_key, atoms_of, collect_terms,
+    cos_e, derive, eval_numeric, exp_e, jet, recip_e, sin_e, sqrt_e, substitute,
+    sym, tan_e,
 )
 from .numerics import Trajectory, integrate_rk4, jacobi_sn
-from .parser import expr_text
+from .linalg import solve_exact
 from .symmetry import VectorField
 from .systems import JetSpec, ODESystem, PDESystem
 
@@ -55,14 +55,6 @@ class SimilarityMap:
     speed: Expr
     drift: dict[str, Expr]
     steady: bool = False  # xi1 == 0: s = x is absent, s = t instead
-
-    def describe(self) -> str:
-        c = expr_text(self.speed)
-        parts = [f"s = x - ({c})*t" if not self.steady else "s = x"]
-        for dep, k in self.drift.items():
-            if not k.is_zero():
-                parts.append(f"{dep} = {dep}(s) + ({expr_text(k)})*t")
-        return ", ".join(parts)
 
 
 def invariants_of_translation(X: VectorField) -> SimilarityMap:
@@ -322,17 +314,8 @@ def _normalize_equation(E: Expr) -> Expr:
     content = Fraction(num, 1) / den if num else Fraction(1)
     E = E * Expr.rational(1 / content)
     lead = _leading_jet(E)
-    sign = None
-    best_key = None
-    for m, q in E._terms.items():
-        if any(a is lead for a, _ in m):
-            key = tuple((a.key, k) for a, k in m)
-            if best_key is None or key < best_key:
-                best_key = key
-                sign = q
-    if sign is not None and sign < 0:
-        E = -E
-    return E
+    first = min((m for m in E._terms if any(a is lead for a, _ in m)), key=_mono_key)
+    return -E if E._terms[first] < 0 else E
 
 
 def printed_second_order(c="c") -> Expr:
@@ -354,11 +337,10 @@ def equal_up_to_factor(e1: Expr, e2: Expr):
         return Fraction(1)
     if e1.is_zero() or e2.is_zero():
         return None
-    m2, q2 = min(e2._terms.items(), key=lambda t: tuple((a.key, k) for a, k in t[0]))
-    q1 = e1._terms.get(m2)
+    q1 = e1._terms.get(e2._lead_mono())
     if q1 is None:
         return None
-    lam = q1 / q2
+    lam = q1 / e2._lead_coeff()
     return lam if (e1 - e2 * Expr.rational(lam)).is_zero() else None
 
 
@@ -511,17 +493,22 @@ class VerifyReport:
         return all(s == "Zero" for s in self.statuses)
 
 
+def _need_order(S: ODESystem) -> dict[str, int]:
+    """Highest s-order of every dependent the equations use."""
+    need: dict[str, int] = {}
+    for dep, (m, rhs) in S.leads.items():
+        need[dep] = max(need.get(dep, 0), m)
+        for a in atoms_of(rhs):
+            if isinstance(a, Jet):
+                need[a.dep] = max(need.get(a.dep, 0), a.order)
+    return need
+
+
 def _candidate_jet_values(S: ODESystem, cand: SolutionCandidate) -> dict[Jet, Expr]:
     """Symbolic values for every jet coordinate the equations use."""
     svar = S.svar
-    need_order = {}
-    for dep, (m, rhs) in S.leads.items():
-        need_order[dep] = max(need_order.get(dep, 0), m)
-        for a in atoms_of(rhs):
-            if isinstance(a, Jet):
-                need_order[a.dep] = max(need_order.get(a.dep, 0), a.order)
     out = {}
-    for dep, mx in need_order.items():
+    for dep, mx in _need_order(S).items():
         if dep not in cand.exprs:
             continue
         cur = cand.exprs[dep]
@@ -530,21 +517,6 @@ def _candidate_jet_values(S: ODESystem, cand: SolutionCandidate) -> dict[Jet, Ex
             cur = derive(cur, sym(svar))
             out[jet(dep, (svar,) * k)] = cur
     return out
-
-
-def _reduce_mod_constraints(R: Expr, constraints: list[Expr]) -> Expr:
-    for P in constraints:
-        if R.is_zero():
-            break
-        m2, q2 = min(P._terms.items(),
-                     key=lambda t: tuple((a.key, k) for a, k in t[0]))
-        q1 = R._terms.get(m2)
-        if q1 is None:
-            continue
-        cand = R - P * Expr.rational(q1 / q2)
-        if cand.is_zero():
-            R = cand
-    return R
 
 
 def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic",
@@ -563,28 +535,25 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
         for lead, rhs in S.equations():
             E = lead.as_expr() - rhs
             R = substitute(E, vals)
-            R = _reduce_mod_constraints(R, cand.constraints)
-            statuses.append("Zero" if R.is_zero() else "Nonzero")
+            # a residual that is a rational multiple of a parameter
+            # constraint vanishes wherever the constraint holds
+            zero = R.is_zero() or any(equal_up_to_factor(R, P) is not None
+                                      for P in cand.constraints)
+            statuses.append("Zero" if zero else "Nonzero")
         return VerifyReport(cand.name, S.label, "symbolic", statuses,
                             notes=list(cand.notes))
 
     params = dict(cand.params)
     params.update(param_values or {})
     bind_syms = {sym(k): complex(v) for k, v in params.items()}
-    from .expr_core import Root, root as root_atom
+    from .expr_core import root as root_atom
     if "c" in params:
         cval = complex(params["c"])
         bind_syms[root_atom("c")] = cval ** 0.5
 
     svar = S.svar
     sym_vals = _candidate_jet_values(S, cand)
-    # orders needed for callable dependents
-    need_order = {}
-    for dep, (m, rhs) in S.leads.items():
-        need_order[dep] = max(need_order.get(dep, 0), m)
-        for a in atoms_of(rhs):
-            if isinstance(a, Jet):
-                need_order[a.dep] = max(need_order.get(a.dep, 0), a.order)
+    need_order = _need_order(S)
 
     lo, hi = s_range
     worst = 0.0
@@ -634,22 +603,12 @@ def fd_weights(offsets: list[int], order: int) -> list[Fraction]:
     n = len(offsets)
     if order >= n:
         raise DomainError("not enough stencil points for the derivative order")
-    from .linalg import rref
-    rows = []
-    fact = math.factorial(order)
-    for m in range(n):
-        row = {j: Fraction(offsets[j]) ** m for j in range(n)
-               if Fraction(offsets[j]) ** m != 0}
-        row[n] = Fraction(-fact) if m == order else Fraction(0)
-        if row.get(n) == 0:
-            row.pop(n)
-        if row:
-            rows.append(row)
-    pivot_rows, pivots = rref(rows, n + 1)
-    w = [Fraction(0)] * n
-    for prow, pc in zip(pivot_rows, pivots):
-        if pc < n:
-            w[pc] = -prow.get(n, Fraction(0))
+    # column j holds the moments offsets[j]^m, m < n: the weights give
+    # order! on moment `order` and zero on every other moment
+    cols = [{m: Fraction(o) ** m for m in range(n) if o or not m} for o in offsets]
+    w = solve_exact(cols, {order: Fraction(math.factorial(order))})
+    if w is None:
+        raise DomainError("stencil offsets admit no finite-difference weights")
     _FD_CACHE[key] = w
     return w
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .expr_core import (
-    DomainError, Expr, Jet, atoms_of, derive, jet, sym,
+    DomainError, Expr, Jet, atoms_of, coefficient_vector, derive, jet, sym,
 )
-from .linalg import nullspace, solve_exact
+from .linalg import nullspace, solve_exact, transpose
 from .parser import expr_text
 from .systems import JetSpec, PDESystem, Reducer, total_derivative
 
@@ -24,8 +24,8 @@ __all__ = [
     "VectorField", "UnknownFunctionConstraint", "AnsatzBasis",
     "DeterminingSystem", "VerificationReport", "prolong_generator",
     "symmetry_residual", "determining_system", "discover_symmetries",
-    "verify_generator", "ansatz_dictionary", "field_text", "project_onto_ansatz",
-    "span_membership",
+    "verify_generator", "ansatz_dictionary", "field_text", "field_vector",
+    "project_onto_ansatz", "span_membership",
 ]
 
 
@@ -114,6 +114,13 @@ def field_text(X: VectorField) -> str:
     return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+def field_vector(X: VectorField, const: Expr | None = None) -> dict[tuple, Fraction]:
+    """Coefficients of X (times `const`) over ((kind, var), monomial key)."""
+    return coefficient_vector(
+        ((kind, var), coeff if const is None else coeff * const)
+        for kind, var, coeff in X.coeff_vector_atoms())
+
+
 # ---------------------------------------------------------------------------
 # prolongation
 # ---------------------------------------------------------------------------
@@ -152,9 +159,9 @@ def _reducer_with_unknowns(system, X: VectorField) -> Reducer:
     r = system.reducer()
     for uc in X.unknowns:
         if len(uc.args) == 2:
-            r.add_pde_rule(uc.name, uc.args[0], uc.args[1], uc.rhs, args=uc.args)
+            r.add_pde_rule(uc.name, uc.args[0], uc.args[1], uc.rhs)
         else:
-            r.add_ode_rule(uc.name, uc.args[0], uc.lead_order, uc.rhs, args=uc.args)
+            r.add_ode_rule(uc.name, uc.args[0], uc.lead_order, uc.rhs)
     return r
 
 
@@ -236,9 +243,6 @@ class AnsatzBasis:
             for k, e in enumerate(self.slots[key]):
                 cols.append((key, k, e))
         return cols
-
-    def size(self) -> int:
-        return sum(len(v) for v in self.slots.values())
 
 
 def ansatz_dictionary(jet_spec: JetSpec, degree: int, trig_order: int = 0,
@@ -322,14 +326,9 @@ def determining_system(system, basis: AnsatzBasis) -> DeterminingSystem:
     residual map is linear in the generator, so each dictionary entry is
     processed independently."""
     cols = basis.columns()
-    rowmap: dict[tuple[int, tuple], dict[int, Fraction]] = {}
-    for col_idx, (key, _, e) in enumerate(cols):
-        X = _unit_field(basis.jet, key, e)
-        res = symmetry_residual(system, X, eliminate=True)
-        for eq_i, r in enumerate(res):
-            for mono, q in r._terms.items():
-                rk = (eq_i, tuple((a.key, k) for a, k in mono))
-                rowmap.setdefault(rk, {})[col_idx] = q
+    residuals = (symmetry_residual(system, _unit_field(basis.jet, key, e))
+                 for key, _, e in cols)
+    rowmap = transpose(coefficient_vector(enumerate(res)) for res in residuals)
     prov = sorted(rowmap)
     rows = [rowmap[k] for k in prov]
     return DeterminingSystem(system_label=getattr(system, "label", ""),
@@ -365,20 +364,18 @@ def discover_symmetries(system, basis: AnsatzBasis,
 def project_onto_ansatz(X: VectorField, basis: AnsatzBasis):
     """Coefficient vector of X over the dictionary, or None when a slot
     expression leaves the dictionary."""
-    index: dict[tuple[tuple[str, str], tuple], int] = {}
+    index: dict[tuple, int] = {}
     for col_idx, (key, _, e) in enumerate(basis.columns()):
-        mono, q = next(iter(e._terms.items())) if e._terms else ((), Fraction(0))
-        if q != 1 or len(e._terms) != 1:
+        entry = coefficient_vector([(key, e)])
+        if list(entry.values()) != [1]:
             raise DomainError("ansatz dictionary entries must be unit monomials")
-        index[(key, tuple((a.key, k) for a, k in mono))] = col_idx
+        index[next(iter(entry))] = col_idx
     vec: dict[int, Fraction] = {}
-    for kind, var, coeff in X.coeff_vector_atoms():
-        for mono, q in coeff._terms.items():
-            key = ((kind, var), tuple((a.key, k) for a, k in mono))
-            col = index.get(key)
-            if col is None:
-                return None
-            vec[col] = q
+    for key, q in field_vector(X).items():
+        col = index.get(key)
+        if col is None:
+            return None
+        vec[col] = q
     return vec
 
 

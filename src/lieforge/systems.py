@@ -160,7 +160,6 @@ class Reducer:
     def __init__(self):
         self._pde_rules: dict[str, tuple[str, str, Expr]] = {}
         self._ode_rules: dict[str, tuple[str, int, Expr]] = {}
-        self._func_args: dict[str, tuple[str, ...]] = {}
         self._memo: dict[tuple, Expr] = {}
 
     @staticmethod
@@ -177,22 +176,11 @@ class Reducer:
             r.add_ode_rule(dep, system.svar, m, rhs)
         return r
 
-    def add_pde_rule(self, name: str, tvar: str, xvar: str, rhs: Expr,
-                     args: tuple[str, ...] | None = None):
+    def add_pde_rule(self, name: str, tvar: str, xvar: str, rhs: Expr):
         self._pde_rules[name] = (tvar, xvar, rhs)
-        if args is not None:
-            self._func_args[name] = args
 
-    def add_ode_rule(self, name: str, svar: str, m: int, rhs: Expr,
-                     args: tuple[str, ...] | None = None):
+    def add_ode_rule(self, name: str, svar: str, m: int, rhs: Expr):
         self._ode_rules[name] = (svar, m, rhs)
-        if args is not None:
-            self._func_args[name] = args
-
-    def _make_atom(self, name: str, idx: tuple[str, ...]) -> Atom:
-        if name in self._func_args:
-            return func(name, self._func_args[name], idx)
-        return jet(name, idx)
 
     def _reducible(self, atom: Atom) -> bool:
         name = atom.dep if isinstance(atom, Jet) else \

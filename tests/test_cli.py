@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, JSON shape, determinism."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from lieforge.cli import main
 
@@ -118,3 +121,40 @@ def test_json_byte_determinism(capsys):
     _, b1 = run(capsys, "brackets", "--member", "3", "--reduced")
     _, b2 = run(capsys, "brackets", "--member", "3", "--reduced")
     assert b1 == b2
+
+
+README_STDOUT = json.loads(
+    (Path(__file__).parent / "data" / "readme_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(README_STDOUT))
+def test_readme_command_stdout_pinned(capsys, command):
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    assert out == README_STDOUT[command]
+
+
+def test_brackets_member3_reports_printed_field_outside_basis(capsys):
+    code, out = run(capsys, "brackets", "--member", "3")
+    doc = json.loads(out)
+    assert code == 0 and doc["closed"] and doc["jacobi"]
+    assert "G2b*: t*d_t + 1/3*x*d_x" in doc["basis"]
+    # the printed G2b entry cannot be compared; the others are compared
+    # as before: [G1b,G3b] disagrees, the G5b/G6b/G7b entries agree
+    assert doc["printed_table_disagreements"] == [
+        "[G1b,G3b]: printed G1b, computed 0",
+        "[G2b,G3b]: printed (1/3)*G2b, not in the computed basis: G2b",
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--member", "2", "--c", "1/0"],
+    ["fig1", "--c", "0"],
+    ["verify-solution", "--system", "3.3", "--solution", "s11", "--c", "0"],
+], ids=["reduce-c-1/0", "fig1-c-0", "verify-solution-s11-c-0"])
+def test_arithmetic_errors_exit_1(capsys, argv):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("lieforge: error: ")
+    assert "Traceback" not in err

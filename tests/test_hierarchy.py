@@ -7,7 +7,7 @@ from lieforge.hierarchy import (
     COMPLEX_JET, apply_operator_L, apply_operator_P, audit_member,
     catalogue_member, complex_split, hierarchy_member,
 )
-from lieforge.parser import parse_expr
+from lieforge.parser import expr_text, parse_expr
 from lieforge.systems import JetSpec
 
 REAL = JetSpec(("t", "x"), ("v", "w"), constants=None)
@@ -80,6 +80,33 @@ class TestSplit:
             v_rhs, w_rhs = complex_split(hierarchy_member(n))
             for e in (v_rhs, w_rhs):
                 assert I not in {a for m in e._terms for a, _ in m}
+
+
+    def test_split_member5_pinned(self):
+        v_rhs, w_rhs = complex_split(hierarchy_member(5))
+        assert expr_text(v_rhs) == _SPLIT5_V
+        assert expr_text(w_rhs) == _SPLIT5_W
+
+
+_SPLIT5_V = (
+    '-180*v_x*v_xx*w_x*w_xx - 60*v_x*v_xx*w_x^3 - 60*v_x*v_xx*w_xxx - 60*v_'
+    'x*v_xxx*w_x^2 - 60*v_x*v_xxx*w_xx - 30*v_x*v_xxxx*w_x - 6*v_x*v_xxxxx '
+    '+ 45*v_x^2*v_xx^2 - 60*v_x^2*w_x*w_xxx - 90*v_x^2*w_x^2*w_xx - 15*v_x^'
+    '2*w_x^4 - 45*v_x^2*w_xx^2 - 15*v_x^2*w_xxxx + 60*v_x^3*v_xx*w_x + 20*v'
+    '_x^3*v_xxx + 15*v_x^4*w_x^2 + 15*v_x^4*w_xx - v_x^6 - 60*v_xx*v_xxx*w_'
+    'x - 15*v_xx*v_xxxx - 45*v_xx^2*w_x^2 - 45*v_xx^2*w_xx - 10*v_xxx^2 + 6'
+    '0*w_x*w_xx*w_xxx + 6*w_x*w_xxxxx + 45*w_x^2*w_xx^2 + 15*w_x^2*w_xxxx +'
+    ' 20*w_x^3*w_xxx + 15*w_x^4*w_xx + w_x^6 + 15*w_xx*w_xxxx + 15*w_xx^3 +'
+    ' 10*w_xxx^2 + w_xxxxxx')
+_SPLIT5_W = (
+    '60*v_x*v_xx*v_xxx + 90*v_x*v_xx^2*w_x - 90*v_x*w_x*w_xx^2 - 30*v_x*w_x'
+    '*w_xxxx - 60*v_x*w_x^2*w_xxx - 60*v_x*w_x^3*w_xx - 6*v_x*w_x^5 - 60*v_'
+    'x*w_xx*w_xxx - 6*v_x*w_xxxxx + 90*v_x^2*v_xx*w_x^2 + 90*v_x^2*v_xx*w_x'
+    'x + 60*v_x^2*v_xxx*w_x + 15*v_x^2*v_xxxx + 60*v_x^3*w_x*w_xx + 20*v_x^'
+    '3*w_x^3 + 20*v_x^3*w_xxx - 15*v_x^4*v_xx - 6*v_x^5*w_x - 60*v_xx*w_x*w'
+    '_xxx - 90*v_xx*w_x^2*w_xx - 15*v_xx*w_x^4 - 45*v_xx*w_xx^2 - 15*v_xx*w'
+    '_xxxx + 15*v_xx^3 - 60*v_xxx*w_x*w_xx - 20*v_xxx*w_x^3 - 20*v_xxx*w_xx'
+    'x - 15*v_xxxx*w_x^2 - 15*v_xxxx*w_xx - 6*v_xxxxx*w_x - v_xxxxxx')
 
 
 class TestCatalogue:

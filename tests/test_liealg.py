@@ -109,6 +109,11 @@ class TestStructureTable:
         with pytest.raises(DomainError):
             structure_constants(fields + [fields[0].scale(2)])
 
+    def test_zero_field_rejected(self):
+        fields = catalog.fields_member2()
+        with pytest.raises(DomainError):
+            structure_constants(fields + [VectorField(REAL_JET, name="Z")])
+
     def test_non_closing_flagged(self):
         # {d_t, t^2 d_t} does not close (bracket gives 2t d_t)
         t = sym("t").as_expr()

@@ -70,7 +70,6 @@ class TestRK4:
         traj = integrate_rk4(lambda s, st: {"y": st["y"] ** 2}, {"y": 1.0},
                              (0.0, 2.0), 1e-3, guard=1e6)
         assert traj.grid[-1] < 1.01  # pole of 1/(1-s) at s = 1
-        assert traj.segments == [(0, len(traj.grid))]
 
 
 class TestFDWeights:
@@ -79,6 +78,16 @@ class TestFDWeights:
         w = fd_weights([-2, -1, 0, 1, 2], 1)
         assert w == [Fraction(1, 12), Fraction(-2, 3), Fraction(0),
                      Fraction(2, 3), Fraction(-1, 12)]
+
+    def test_higher_order_weights(self):
+        from fractions import Fraction as Q
+        assert fd_weights([-3, -2, -1, 0, 1, 2, 3], 2) == [
+            Q(1, 90), Q(-3, 20), Q(3, 2), Q(-49, 18), Q(3, 2), Q(-3, 20), Q(1, 90)]
+        assert fd_weights([-3, -2, -1, 0, 1, 2, 3], 3) == [
+            Q(1, 8), Q(-1), Q(13, 8), Q(0), Q(-13, 8), Q(1), Q(-1, 8)]
+        assert fd_weights([-4, -3, -2, -1, 0, 1, 2, 3, 4], 4) == [
+            Q(7, 240), Q(-2, 5), Q(169, 60), Q(-122, 15), Q(91, 8),
+            Q(-122, 15), Q(169, 60), Q(-2, 5), Q(7, 240)]
 
     def test_weights_reproduce_polynomial_derivatives(self):
         # exact on polynomials up to the stencil order

@@ -156,6 +156,14 @@ class TestDiscovery:
         for X in catalog.fields_member2():
             assert span_membership(X, fields, basis) is not None, X.name
 
+    def test_span_membership_none_when_basis_field_leaves_dictionary(
+            self, discovery2):
+        basis, _, fields = discovery2
+        X = catalog.fields_member2()[0]
+        outside = VectorField(REAL_JET, xi={"t": R("t^3")})
+        assert span_membership(X, fields + [outside], basis) is None
+        assert span_membership(outside, fields, basis) is None
+
     def test_member3_contains_trig_field(self, member3):
         basis = ansatz_dictionary(REAL_JET, degree=1, trig_order=2)
         fields = discover_symmetries(member3, basis)
