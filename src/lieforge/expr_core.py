@@ -21,10 +21,17 @@ tan is kept opaque with derivative 1 + tan^2 and is never rewritten into
 sin/cos.  Reciprocal atoms make closed-form solution candidates expressible;
 expressions containing them are outside the decidable class and fall back to
 randomised numeric zero testing.
+
+Numeric evaluation compiles expressions once into a `NumericPlan` over a
+positional list of input atoms: one slot per derived atom (I, sin/cos/tan, exp,
+reciprocal), shared by all outputs and nested arguments and filled in dependency
+order, and coefficients converted to complex once.  Sums keep term and factor
+order, so a value does not depend on which plan computed it.
 """
 
 from __future__ import annotations
 
+import cmath
 import random
 import threading
 from fractions import Fraction
@@ -35,8 +42,9 @@ __all__ = [
     "Expr", "DomainError", "PoleError", "UnboundAtomError", "CyclicBindingError",
     "ZeroStatus", "sym", "root", "jet", "func", "I", "rational", "integer",
     "sin_e", "cos_e", "tan_e", "exp_e", "recip_e", "sqrt_e",
-    "derive", "substitute", "eval_numeric", "equals_zero", "to_canonical",
-    "collect_terms", "coefficient_vector", "atoms_of", "random_rational",
+    "derive", "substitute", "NumericPlan", "eval_numeric", "equals_zero",
+    "to_canonical", "collect_terms", "coefficient_vector", "atoms_of",
+    "random_rational",
 ]
 
 
@@ -781,41 +789,76 @@ def _check_acyclic(bindings: Mapping[Atom, Expr]) -> None:
 _POLE_TOL = 1e-13
 
 
-def eval_numeric(e: Expr, point: Mapping[Atom, complex]) -> complex:
-    """Floating evaluation; raises UnboundAtomError / PoleError."""
-    import cmath
+def _tan(z: complex) -> complex:
+    c = cmath.cos(z)
+    if abs(c) < _POLE_TOL:
+        raise PoleError(f"tan pole at argument {z}")
+    return cmath.sin(z) / c
 
-    def atom_val(atom: Atom) -> complex:
-        if atom in point:
-            return complex(point[atom])
-        if isinstance(atom, IUnit):
-            return 1j
-        if isinstance(atom, Trig):
-            z = eval_numeric(atom.arg, point)
-            if atom.fn == "sin":
-                return cmath.sin(z)
-            if atom.fn == "cos":
-                return cmath.cos(z)
-            c = cmath.cos(z)
-            if abs(c) < _POLE_TOL:
-                raise PoleError(f"tan pole at argument {z}")
-            return cmath.sin(z) / c
-        if isinstance(atom, ExpAtom):
-            return cmath.exp(eval_numeric(atom.arg, point))
-        if isinstance(atom, Recip):
-            d = eval_numeric(atom.arg, point)
-            if abs(d) < _POLE_TOL:
-                raise PoleError("reciprocal pole")
-            return 1.0 / d
-        raise UnboundAtomError(f"unbound atom {atom!r}")
 
+def _recip(d: complex) -> complex:
+    if abs(d) < _POLE_TOL:
+        raise PoleError("reciprocal pole")
+    return 1.0 / d
+
+
+def _eval_sum(terms: list, v: list[complex]) -> complex:
     total = 0j
-    for m, q in e._terms.items():
-        val = complex(q)
-        for atom, k in m:
-            val *= atom_val(atom) ** k
+    for q, factors in terms:
+        val = q
+        for i, k in factors:
+            val *= v[i] ** k
         total += val
     return total
+
+
+class NumericPlan:
+    """`NumericPlan(exprs, inputs)(values)`: one complex per expression, with
+    `values` in the order of `inputs`.  Compiling raises UnboundAtomError,
+    calling raises PoleError."""
+
+    def __init__(self, exprs: Iterable[Expr], inputs: Iterable[Atom]):
+        inputs = list(inputs)
+        self._slot = {a: i for i, a in enumerate(inputs)}
+        self._n_inputs = len(inputs)
+        self._steps: list[tuple[Callable, list]] = []
+        self._outputs = [self._compile(e) for e in exprs]
+
+    def _compile(self, e: Expr) -> list:
+        return [(complex(q), [(self._resolve(a), k) for a, k in m])
+                for m, q in e._terms.items()]
+
+    def _resolve(self, atom: Atom) -> int:
+        got = self._slot.get(atom)
+        if got is not None:
+            return got
+        if isinstance(atom, IUnit):
+            # the one-term sum 1j, passed through unchanged
+            step = (complex, [(1j, [])])
+        elif isinstance(atom, Trig):
+            fn = {"sin": cmath.sin, "cos": cmath.cos, "tan": _tan}[atom.fn]
+            step = (fn, self._compile(atom.arg))
+        elif isinstance(atom, ExpAtom):
+            step = (cmath.exp, self._compile(atom.arg))
+        elif isinstance(atom, Recip):
+            step = (_recip, self._compile(atom.arg))
+        else:
+            raise UnboundAtomError(f"unbound atom {atom!r}")
+        self._steps.append(step)
+        got = self._slot[atom] = self._n_inputs + len(self._steps) - 1
+        return got
+
+    def __call__(self, values: Iterable) -> list[complex]:
+        v = [complex(x) for x in values]
+        for fn, terms in self._steps:
+            v.append(fn(_eval_sum(terms, v)))
+        return [_eval_sum(terms, v) for terms in self._outputs]
+
+
+def eval_numeric(e: Expr, point: Mapping[Atom, complex]) -> complex:
+    """Floating evaluation at one point; raises UnboundAtomError / PoleError.
+    Callers that evaluate at many points compile one `NumericPlan` instead."""
+    return NumericPlan([e], point)(point.values())[0]
 
 
 class ZeroStatus:
@@ -830,22 +873,21 @@ def random_rational(rng: random.Random, lo=-2, hi=2, den_max=7) -> Fraction:
     return Fraction(num, den)
 
 
-def _sample_point(e: Expr, rng: random.Random) -> dict[Atom, complex]:
-    point: dict[Atom, complex] = {}
-    roots = [a for a in atoms_of(e) if isinstance(a, Root)]
-    for r in roots:
+def _sample_values(n_roots: int, n_free: int, rng: random.Random) -> list[complex]:
+    """Rational values: (r, r^2) for each root atom and its symbol, then one
+    per free atom."""
+    vals = []
+    for _ in range(n_roots):
         q = random_rational(rng, 0, 2)
         if q == 0:
             q = Fraction(1, 2)
-        point[r] = complex(q)
-        point[sym(r.of)] = complex(q * q)
-    for a in atoms_of(e):
-        if isinstance(a, (Sym, Jet, Func)) and a not in point:
-            q = random_rational(rng)
-            if q == 0:
-                q = Fraction(1, 3)
-            point[a] = complex(q)
-    return point
+        vals += [complex(q), complex(q * q)]
+    for _ in range(n_free):
+        q = random_rational(rng)
+        if q == 0:
+            q = Fraction(1, 3)
+        vals.append(complex(q))
+    return vals
 
 
 def _is_decidable(e: Expr) -> bool:
@@ -860,6 +902,13 @@ def equals_zero(e: Expr, samples: int = 200, tol: float = 1e-10,
         return ZeroStatus.ZERO
     if _is_decidable(e):
         return ZeroStatus.NONZERO
+    atoms = atoms_of(e)
+    roots = [a for a in atoms if isinstance(a, Root)]
+    root_syms = [sym(r.of) for r in roots]
+    free = [a for a in atoms if isinstance(a, (Sym, Jet, Func)) and a not in root_syms]
+    # one output per term, so that the scale sums the terms' magnitudes
+    terms = NumericPlan([Expr({m: q}) for m, q in e._terms.items()],
+                        [x for pair in zip(roots, root_syms) for x in pair] + free)
     rng = random.Random(seed)
     done = 0
     attempts = 0
@@ -867,12 +916,11 @@ def equals_zero(e: Expr, samples: int = 200, tol: float = 1e-10,
         attempts += 1
         if attempts > samples * 5:
             raise PoleError("all sampled points hit poles")
-        point = _sample_point(e, rng)
+        values = _sample_values(len(roots), len(free), rng)
         try:
             scale = 0.0
             total = 0j
-            for m, q in e._terms.items():
-                val = eval_numeric(Expr({m: q}), point)
+            for val in terms(values):
                 total += val
                 scale += abs(val)
             if abs(total) > tol * max(1.0, scale):

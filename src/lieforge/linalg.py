@@ -43,14 +43,17 @@ def rref(rows: list[dict], ncols: int | None = None):
                 _axpy(row, prow, -v)
         return row
 
-    # dedupe incoming rows, smallest support first for cheaper elimination
+    # dedupe incoming rows, smallest support first for cheaper elimination;
+    # explicit zeros are dropped (a zero pivot entry cannot be normalised)
     seen = set()
     todo = []
     for row in rows:
-        key = tuple(sorted((c, v.numerator, v.denominator) for c, v in row.items()))
+        key = tuple(sorted((c, v.numerator, v.denominator)
+                           for c, v in row.items() if v))
         if key and key not in seen:
             seen.add(key)
-            todo.append(row)
+            todo.append(row if len(key) == len(row) else
+                        {c: v for c, v in row.items() if v})
     todo.sort(key=len)
 
     for row in todo:

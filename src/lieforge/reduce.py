@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .expr_core import (
     DomainError, Expr, I, Jet, PoleError, Sym, _mono_key, atoms_of, collect_terms,
-    cos_e, derive, eval_numeric, exp_e, jet, recip_e, sin_e, sqrt_e, substitute,
+    NumericPlan, cos_e, derive, exp_e, jet, recip_e, sin_e, sqrt_e, substitute,
     sym, tan_e,
 )
 from .numerics import Trajectory, integrate_rk4, jacobi_sn
@@ -552,8 +552,16 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
         bind_syms[root_atom("c")] = cval ** 0.5
 
     svar = S.svar
+    point = {**bind_syms, sym(svar): 0.0}
     sym_vals = _candidate_jet_values(S, cand)
     need_order = _need_order(S)
+    fd_jets = [(jet(dep, (svar,) * k), fn, k) for dep, fn in cand.callables.items()
+               for k in range(need_order.get(dep, 0) + 1)]
+    n_poles = len(cand.pole_denoms)
+    profile = NumericPlan([*cand.pole_denoms, *sym_vals.values()], point)
+    residuals = NumericPlan(
+        [lead.as_expr() - rhs for lead, rhs in S.equations()],
+        [*point, *dict.fromkeys([*sym_vals, *(J for J, _, _ in fd_jets)])])
 
     lo, hi = s_range
     worst = 0.0
@@ -566,20 +574,17 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
         else:
             sval = lo + (hi - lo) * ((idx * 0.6180339887498949) % 1.0)
         idx += 1
-        point = dict(bind_syms)
         point[sym(svar)] = sval
         try:
-            if any(abs(eval_numeric(d, point)) < pole_tol for d in cand.pole_denoms):
+            vals = profile(point.values())
+            if any(abs(d) < pole_tol for d in vals[:n_poles]):
                 continue
-            for J, expr_val in sym_vals.items():
-                point[J] = eval_numeric(expr_val, point)
-            for dep, fn in cand.callables.items():
-                for k in range(need_order.get(dep, 0) + 1):
-                    point[jet(dep, (svar,) * k)] = _fd_derivative(fn, sval, k, fd_step)
+            jet_vals = dict(zip(sym_vals, vals[n_poles:]))
+            for J, fn, k in fd_jets:
+                jet_vals[J] = _fd_derivative(fn, sval, k, fd_step)
             res = 0.0
-            for lead, rhs in S.equations():
-                E = lead.as_expr() - rhs
-                res = max(res, abs(eval_numeric(E, point)))
+            for r in residuals([*point.values(), *jet_vals.values()]):
+                res = max(res, abs(r))
             worst = max(worst, res)
             good += 1
         except PoleError:
@@ -633,13 +638,12 @@ def rk4_from_system(S: ODESystem, params: dict, state0: dict, s_range, h,
     svar = S.svar
     bind = {sym(k): complex(v) for k, v in params.items()}
     eqs = {dep: rhs for dep, (m, rhs) in S.leads.items()}
+    # integrate_rk4 keeps every state in sorted dependent order
+    plan = NumericPlan(eqs.values(), [*bind, sym(svar), *map(jet, sorted(state0))])
+    bind_vals = list(bind.values())
 
     def rhs_fn(s, state):
-        point = dict(bind)
-        point[sym(svar)] = s
-        for d, v in state.items():
-            point[jet(d)] = v
-        return {d: eval_numeric(e, point) for d, e in eqs.items()}
+        return dict(zip(eqs, plan([*bind_vals, s, *state.values()])))
 
     return integrate_rk4(rhs_fn, state0, s_range, h, guard=guard)
 
@@ -655,6 +659,11 @@ def lift_and_check(S: PDESystem, profiles: dict, c: float,
     the max PDE residual by fourth-order finite differences."""
     tvar, xvar = S.jet.independents
     order = S.order
+    deps = S.jet.dependents
+    # per dependent: value, x-derivatives up to the order, t-derivative
+    idxs = [(xvar,) * k for k in range(order + 1)] + [(tvar,)]
+    rhs = NumericPlan([S.rhs[dep] for dep in deps],
+                      [sym(tvar), sym(xvar), *(jet(d, i) for d in deps for i in idxs)])
     worst = 0.0
     t0, t1 = t_range
     x0, x1 = x_range
@@ -662,18 +671,18 @@ def lift_and_check(S: PDESystem, profiles: dict, c: float,
         t = t0 + (t1 - t0) * i / (n - 1)
         for j in range(n):
             x = x0 + (x1 - x0) * j / (n - 1)
-            point = {sym(tvar): t, sym(xvar): x}
-            for dep in S.jet.dependents:
+            vals, u_t = [t, x], []
+            for dep in deps:
                 fn = profiles.get(dep) or profiles[_DEP_MAP[dep]]
-                point[jet(dep)] = fn(x - c * t)
+                vals.append(fn(x - c * t))
                 for k in range(1, order + 1):
-                    point[jet(dep, (xvar,) * k)] = _fd_derivative(
-                        lambda xx, fn=fn, t=t: fn(xx - c * t), x, k, h)
-                point[jet(dep, (tvar,))] = _fd_derivative(
-                    lambda tt, fn=fn, x=x: fn(x - c * tt), t, 1, h)
-            for dep in S.jet.dependents:
-                res = point[jet(dep, (tvar,))] - eval_numeric(S.rhs[dep], point)
-                worst = max(worst, abs(res))
+                    vals.append(_fd_derivative(
+                        lambda xx, fn=fn, t=t: fn(xx - c * t), x, k, h))
+                u_t.append(_fd_derivative(
+                    lambda tt, fn=fn, x=x: fn(x - c * tt), t, 1, h))
+                vals.append(u_t[-1])
+            for ut, r in zip(u_t, rhs(vals)):
+                worst = max(worst, abs(ut - r))
     return worst
 
 
@@ -694,21 +703,21 @@ def emit_series_csv(rows: list[tuple], path) -> None:
                                _fmt(G.real), _fmt(G.imag)]) + "\n")
 
 
+_S11_INPUTS = [sym("c"), sym("F0"), sym("F1"), sym("s")]
+
+
 def fig1_rows(c: float, F1: float, F0: float = 1.0, s_range=(0.0, 10.0),
               n: int = 1000) -> list[tuple]:
     """(s, F, G) samples of the printed closed form for the wave-profile
     figure."""
     cand = s11_solution()
-    Fe, Ge = cand.exprs["F"], cand.exprs["G"]
-    base = {sym("c"): complex(c), sym("F0"): complex(F0), sym("F1"): complex(F1)}
+    FG = NumericPlan([cand.exprs["F"], cand.exprs["G"]], _S11_INPUTS)
     lo, hi = s_range
     rows = []
     for i in range(n):
         s = lo + (hi - lo) * i / (n - 1)
-        point = dict(base)
-        point[sym("s")] = s
         try:
-            rows.append((s, eval_numeric(Fe, point), eval_numeric(Ge, point)))
+            rows.append((s, *FG([c, F0, F1, s])))
         except PoleError:
             continue
     return rows
@@ -721,13 +730,11 @@ def fig1_features(c: float, F1: float, F0: float = 1.0, n: int = 2048,
     period."""
     period = 2 * math.pi / c
     cand = s11_solution()
-    Fe, Ge = cand.exprs["F"], cand.exprs["G"]
-    base = {sym("c"): complex(c), sym("F0"): complex(F0), sym("F1"): complex(F1)}
+    # F and G apart: a pole of G alone must not stop the F samples
+    Fe, Ge = (NumericPlan([e], _S11_INPUTS) for e in (cand.exprs["F"], cand.exprs["G"]))
 
-    def at(e, s):
-        point = dict(base)
-        point[sym("s")] = s
-        return eval_numeric(e, point)
+    def at(plan, s):
+        return plan([c, F0, F1, s])[0]
 
     per_err = 0.0
     for i in range(25):

@@ -231,3 +231,87 @@ def test_rational_sampling_deterministic():
     vals1 = [random_rational(rng1) for _ in range(10)]
     vals2 = [random_rational(rng2) for _ in range(10)]
     assert vals1 == vals2
+
+
+def _bits(z: complex):
+    return z.real.hex(), z.imag.hex()
+
+
+class TestNumericPlan:
+    INPUTS = [sym("t"), sym("x"), jet("v"), jet("w"),
+              jet("v", ("x",)), jet("w", ("x",))]
+
+    @staticmethod
+    def _cases(n=120, points=4):
+        from exprgen import kernel_point, random_point, random_tree, tree_to_expr
+        rng = random.Random(20261017)
+        exprs = [tree_to_expr(random_tree(rng)) for _ in range(n)]
+        # rationals only: values are exact, so poles and overflow stay rare
+        pts = [list(kernel_point(random_point(rng)).values()) for _ in range(points)]
+        return exprs, pts
+
+    def test_joint_plan_matches_single_plans(self):
+        from lieforge.expr_core import NumericPlan
+        exprs, pts = self._cases()
+        joint = NumericPlan(exprs, self.INPUTS)
+        singles = [NumericPlan([e], self.INPUTS) for e in exprs]
+        checked = 0
+        for vals in pts:
+            try:
+                want = [_bits(p(vals)[0]) for p in singles]
+            except (PoleError, OverflowError):
+                with pytest.raises((PoleError, OverflowError)):
+                    joint(vals)
+                continue
+            assert [_bits(z) for z in joint(vals)] == want
+            checked += 1
+        assert checked
+
+    def test_term_outputs_sum_to_whole(self):
+        from lieforge.expr_core import NumericPlan
+        exprs, pts = self._cases(n=60, points=2)
+        for e in exprs:
+            whole = NumericPlan([e], self.INPUTS)
+            terms = NumericPlan([Expr({m: q}) for m, q in e._terms.items()],
+                                self.INPUTS)
+            for vals in pts:
+                try:
+                    want = whole(vals)[0]
+                except (PoleError, OverflowError):
+                    continue
+                total = 0j
+                for val in terms(vals):
+                    total += val
+                assert _bits(total) == _bits(want)
+
+    def test_s11_one_slot_per_derived_atom(self):
+        from lieforge.expr_core import ExpAtom, IUnit, NumericPlan, Recip, Trig
+        from lieforge.reduce import s11_solution
+        F, G = s11_solution().exprs["F"], s11_solution().exprs["G"]
+        plan = NumericPlan([F, G], [sym("c"), sym("F0"), sym("F1"), sym("s")])
+        derived = {a for a in atoms_of(F) | atoms_of(G)
+                   if isinstance(a, (IUnit, Trig, ExpAtom, Recip))}
+        assert len(plan._steps) == len(derived)
+
+    def test_tan_pole_in_nested_argument(self):
+        from lieforge.expr_core import NumericPlan
+        s = sym("s").as_expr()
+        plan = NumericPlan([recip_e(exp_e(s) + tan_e(s))], [sym("s")])
+        with pytest.raises(PoleError, match="tan pole"):
+            plan([math.pi / 2])
+
+    def test_unbound_atom_at_compile_time(self):
+        from lieforge.expr_core import NumericPlan, UnboundAtomError
+        with pytest.raises(UnboundAtomError):
+            NumericPlan([P("t + 1"), sin_e(P("v_x"))], [sym("t")])
+
+    @pytest.mark.parametrize("text, want", [
+        # c and sqrt(c) together: c must be drawn as the square of sqrt(c)
+        ("1/(sqrt(c) + x)*(c - x^2) - sqrt(c) + x", ZeroStatus.PROBABLY_ZERO),
+        ("1/(sqrt(c) + v)*(sqrt(c) + v) - 1", ZeroStatus.PROBABLY_ZERO),
+        ("1/(sqrt(c) + v)*(sqrt(c) + 2*v) - 1", ZeroStatus.NONZERO),
+        ("1/(c + x)*sqrt(c)^2 - 1/(1 + x/c)", ZeroStatus.PROBABLY_ZERO),
+    ])
+    def test_equals_zero_with_root_atoms(self, text, want):
+        ctx = JetSpec(("t", "x"), ("v", "w"), constants=("c",))
+        assert equals_zero(parse_expr(text, ctx)) == want

@@ -57,3 +57,11 @@ def test_solve_exact_inconsistent():
 def test_duplicate_rows_deduped():
     rows = rows_of([[1, 1], [1, 1], [1, 1]])
     assert rank(rows, 2) == 1
+
+
+def test_explicit_zero_entries_dropped():
+    # the zero in column 1 survives elimination of the second row; it must
+    # neither become a pivot nor keep the row apart from its duplicate
+    rows = [{0: F(1), 1: F(0)}, {0: F(1)}]
+    assert rref(rows, 2) == ([{0: F(1)}], [0])
+    assert nullspace(rows, 2) == [{1: F(1)}]
