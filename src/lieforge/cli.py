@@ -111,11 +111,15 @@ def _parse_field_file(path: str) -> VectorField:
         if line.startswith("unknown "):
             head, rule = line[len("unknown "):].split(":", 1)
             name = head.split("(", 1)[0].strip()
-            lhs, rhs = rule.split("=", 1)
-            lhs = lhs.strip()
-            order = len(lhs.split("_", 1)[1]) if "_" in lhs else 1
-            unknowns.append(UnknownFunctionConstraint(
-                name, functions[name], order, parse_expr(rhs.strip(), ctx)))
+            lhs, rhs = (side.strip() for side in rule.split("=", 1))
+            order = len(lhs.split("_", 1)[1]) if "_" in lhs else 0
+            uc = UnknownFunctionConstraint(name, functions[name], order,
+                                           parse_expr(rhs, ctx))
+            if not order or parse_expr(lhs, ctx) != uc.lead.as_expr():
+                v = functions[name][0]
+                raise ValueError(f"unknown {name}: lhs {lhs!r} is not "
+                                 f"{name}_{v}, {name}_{v}{v}, ...")
+            unknowns.append(uc)
             continue
         lhs, rhs = line.split("=", 1)
         lhs = lhs.strip()

@@ -233,22 +233,22 @@ def _recip_atom(arg: "Expr") -> tuple[Fraction, Atom]:
     return 1 / lead, atom
 
 
-def sin_e(arg: "Expr") -> "Expr":
-    _check_transc_arg(arg, "sin", allow_i=False)
-    q, a = _trig_atom("sin", arg)
+def _trig_e(fn: str, arg: "Expr") -> "Expr":
+    _check_transc_arg(arg, fn, allow_i=False)
+    q, a = _trig_atom(fn, arg)
     return Expr._single(a, 1, q) if a is not None else Expr.rational(q)
+
+
+def sin_e(arg: "Expr") -> "Expr":
+    return _trig_e("sin", arg)
 
 
 def cos_e(arg: "Expr") -> "Expr":
-    _check_transc_arg(arg, "cos", allow_i=False)
-    q, a = _trig_atom("cos", arg)
-    return Expr._single(a, 1, q) if a is not None else Expr.rational(q)
+    return _trig_e("cos", arg)
 
 
 def tan_e(arg: "Expr") -> "Expr":
-    _check_transc_arg(arg, "tan", allow_i=False)
-    q, a = _trig_atom("tan", arg)
-    return Expr._single(a, 1, q) if a is not None else Expr.rational(q)
+    return _trig_e("tan", arg)
 
 
 def exp_e(arg: "Expr") -> "Expr":
@@ -394,14 +394,7 @@ class Expr:
             return other
         if not other._terms:
             return self
-        out = dict(self._terms)
-        for m, q in other._terms.items():
-            s = out.get(m, Fraction(0)) + q
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Expr(out)
+        return Expr(_add_into(dict(self._terms), other._terms.items()))
 
     __radd__ = __add__
 
@@ -471,6 +464,19 @@ class Expr:
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self._terms.items(), key=lambda t: _mono_key(t[0]))
+
+
+def _add_into(out: dict[Monomial, Fraction],
+              terms: Iterable[tuple[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
+    """Add terms into `out` in place, dropping monomials that cancel; a new
+    monomial goes last and an existing one keeps its place."""
+    for m, q in terms:
+        s = out.get(m, Fraction(0)) + q
+        if s:
+            out[m] = s
+        else:
+            out.pop(m, None)
+    return out
 
 
 def _coerce(x) -> Expr:
@@ -736,8 +742,7 @@ def substitute(e: Expr, bindings: Mapping[Atom, Expr]) -> Expr:
             return got
         if isinstance(atom, Trig):
             narg = substitute(atom.arg, bindings)
-            val = atom.as_expr() if narg == atom.arg else \
-                {"sin": sin_e, "cos": cos_e, "tan": tan_e}[atom.fn](narg)
+            val = atom.as_expr() if narg == atom.arg else _trig_e(atom.fn, narg)
         elif isinstance(atom, ExpAtom):
             narg = substitute(atom.arg, bindings)
             val = atom.as_expr() if narg == atom.arg else exp_e(narg)
@@ -749,13 +754,13 @@ def substitute(e: Expr, bindings: Mapping[Atom, Expr]) -> Expr:
         cache[atom] = val
         return val
 
-    out = Expr.zero()
+    out: dict[Monomial, Fraction] = {}
     for m, q in e._terms.items():
         term = Expr.rational(q)
         for atom, k in m:
             term = term * atom_value(atom) ** k
-        out = out + term
-    return out
+        _add_into(out, term._terms.items())
+    return Expr(out)
 
 
 def _check_acyclic(bindings: Mapping[Atom, Expr]) -> None:

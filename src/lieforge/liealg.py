@@ -15,7 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .expr_core import (
-    DomainError, Expr, Root, Sym, atoms_of, derive, jet, substitute, sym,
+    DomainError, Expr, Root, Sym, _add_into, atoms_of, derive, jet, substitute,
+    sym,
 )
 from .linalg import nullspace, rank, rref, solve_exact, transpose
 from .parser import expr_text
@@ -27,20 +28,12 @@ __all__ = ["lie_bracket", "StructureTable", "structure_constants",
 
 def _apply_field(X: VectorField, f: Expr) -> Expr:
     """X acting as a first-order operator on a coefficient function."""
-    out = Expr.zero()
-    for indep in X.jet.independents:
-        c = X.xi_of(indep)
+    out: dict = {}
+    for kind, var, c in X.coeff_vector_atoms():
         if not c.is_zero():
-            d = derive(f, sym(indep))
-            if not d.is_zero():
-                out = out + c * d
-    for dep in X.jet.dependents:
-        c = X.eta_of(dep)
-        if not c.is_zero():
-            d = derive(f, jet(dep))
-            if not d.is_zero():
-                out = out + c * d
-    return out
+            d = derive(f, sym(var) if kind == "xi" else jet(var))
+            _add_into(out, (c * d)._terms.items())
+    return Expr(out)
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
@@ -207,12 +200,12 @@ def jacobi_check(table: StructureTable) -> bool:
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 for l in range(n):
-                    total = Expr.zero()
+                    total: dict = {}
                     for m in range(n):
-                        total = total + table.c(i, j, m) * table.c(m, k, l)
-                        total = total + table.c(j, k, m) * table.c(m, i, l)
-                        total = total + table.c(k, i, m) * table.c(m, j, l)
-                    if not total.is_zero():
+                        for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+                            cc = table.c(a, b, m) * table.c(m, e, l)
+                            _add_into(total, cc._terms.items())
+                    if total:
                         return False
     return True
 

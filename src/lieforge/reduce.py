@@ -153,6 +153,8 @@ def _solve_leads(equations: list[Expr], jet_out: JetSpec, label: str,
                  parameters=()) -> ODESystem:
     leads: dict[str, tuple[int, Expr]] = {}
     for E in equations:
+        if E.is_zero():  # identically satisfied, e.g. at a characteristic speed
+            continue
         lead = _leading_jet(E)
         cls = collect_terms(E, [Expr.one(), lead.as_expr()])
         coeff = cls[lead.as_expr()]
@@ -596,15 +598,21 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
                         samples=good, notes=list(cand.notes))
 
 
-_FD_CACHE: dict[tuple, list[Fraction]] = {}
+# (offsets, order) -> exact weights and the same weights as floats
+_FD_CACHE: dict[tuple, tuple[list[Fraction], list[float]]] = {}
 
 
 def fd_weights(offsets: list[int], order: int) -> list[Fraction]:
     """Exact finite-difference weights on integer offsets for the given
     derivative order (solve the moment system over rationals)."""
+    return _fd_stencil(offsets, order)[0]
+
+
+def _fd_stencil(offsets: list[int], order: int) -> tuple[list[Fraction], list[float]]:
     key = (tuple(offsets), order)
-    if key in _FD_CACHE:
-        return _FD_CACHE[key]
+    got = _FD_CACHE.get(key)
+    if got is not None:
+        return got
     n = len(offsets)
     if order >= n:
         raise DomainError("not enough stencil points for the derivative order")
@@ -614,16 +622,16 @@ def fd_weights(offsets: list[int], order: int) -> list[Fraction]:
     w = solve_exact(cols, {order: Fraction(math.factorial(order))})
     if w is None:
         raise DomainError("stencil offsets admit no finite-difference weights")
-    _FD_CACHE[key] = w
-    return w
+    got = _FD_CACHE[key] = (w, [float(q) for q in w])
+    return got
 
 
 def _fd_derivative(fn, s: float, order: int, h: float):
     if order == 0:
         return fn(s)
     offsets = list(range(-(order // 2 + 2), order // 2 + 3))
-    w = fd_weights(offsets, order)
-    return sum(float(wj) * fn(s + oj * h) for wj, oj in zip(w, offsets)) / h ** order
+    w = _fd_stencil(offsets, order)[1]
+    return sum(wj * fn(s + oj * h) for wj, oj in zip(w, offsets)) / h ** order
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .expr_core import (
-    DomainError, Expr, Jet, atoms_of, coefficient_vector, derive, jet, sym,
+    DomainError, Expr, Func, Jet, _add_into, atoms_of, coefficient_vector,
+    derive, func, jet, sym,
 )
 from .linalg import nullspace, solve_exact, transpose
 from .parser import expr_text
-from .systems import JetSpec, PDESystem, Reducer, total_derivative
+from .systems import JetSpec, Reducer, total_derivative
 
 __all__ = [
     "VectorField", "UnknownFunctionConstraint", "AnsatzBasis",
@@ -31,16 +32,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UnknownFunctionConstraint:
-    """Constraint PDE/ODE for an unknown function carried by a generator.
-
-    For functions of (t, x): rule is the right-hand side of name_t = rhs.
-    For functions of (s,): rule is (order m, rhs of name^(m) = rhs).
-    """
+    """Constraint on an unknown function carried by a generator: the rule
+    lead = rhs, whose lead is the function differentiated `lead_order` times
+    by its first argument (a_t = b_xx, a_tt = -a_x, a_ssss = a for a(s)).
+    It joins the system's own rules in the on-shell `Reducer`."""
 
     name: str
     args: tuple[str, ...]
     lead_order: int
     rhs: Expr
+
+    @property
+    def lead(self) -> Func:
+        return func(self.name, self.args, (self.args[0],) * self.lead_order)
 
 
 @dataclass
@@ -85,16 +89,22 @@ class VectorField:
                            self.unknowns, self.name)
 
     def add(self, other: "VectorField") -> "VectorField":
-        xi = dict(self.xi)
-        for k, v in other.xi.items():
-            xi[k] = xi.get(k, Expr.zero()) + v
-        eta = dict(self.eta)
-        for k, v in other.eta.items():
-            eta[k] = eta.get(k, Expr.zero()) + v
-        return VectorField(self.jet, xi, eta, self.unknowns + other.unknowns)
+        return VectorField(self.jet,
+                           _slot_sums([*self.xi.items(), *other.xi.items()]),
+                           _slot_sums([*self.eta.items(), *other.eta.items()]),
+                           self.unknowns + other.unknowns)
 
     def __repr__(self):
         return field_text(self)
+
+
+def _slot_sums(parts) -> dict:
+    """Sum of the expressions of each slot in (slot, expression) pairs, with
+    slots in first-seen order."""
+    acc: dict = {}
+    for var, e in parts:
+        _add_into(acc.setdefault(var, {}), e._terms.items())
+    return {var: Expr(terms) for var, terms in acc.items()}
 
 
 def field_text(X: VectorField) -> str:
@@ -155,42 +165,28 @@ def prolong_generator(X: VectorField, needed) -> dict[Jet, Expr]:
 # residuals
 # ---------------------------------------------------------------------------
 
-def _reducer_with_unknowns(system, X: VectorField) -> Reducer:
-    r = system.reducer()
-    for uc in X.unknowns:
-        if len(uc.args) == 2:
-            r.add_pde_rule(uc.name, uc.args[0], uc.args[1], uc.rhs)
-        else:
-            r.add_ode_rule(uc.name, uc.args[0], uc.lead_order, uc.rhs)
-    return r
-
-
 def symmetry_residual(system, X: VectorField, eliminate: bool = True) -> list[Expr]:
     """Apply the prolonged generator to each equation H^A = lead - rhs and
     substitute the equations (and their differential consequences) so the
     result lives on solutions.  A generator is a symmetry iff every entry is
     zero."""
-    is_pde = isinstance(system, PDESystem)
-    reducer = _reducer_with_unknowns(system, X) if eliminate else None
+    equations = system.equations()
+    if eliminate:
+        reducer = Reducer(equations + [(uc.lead, uc.rhs) for uc in X.unknowns])
+    needed = {lead for lead, _ in equations}
+    for _, rhs in equations:
+        needed.update(a for a in atoms_of(rhs) if isinstance(a, Jet))
+    coeffs = prolong_generator(X, needed)
     residuals = []
-    for lead, rhs in system.equations():
-        needed = {lead}
-        rhs_jets = [a for a in atoms_of(rhs) if isinstance(a, Jet)]
-        needed.update(a for a in rhs_jets if a.order >= 1)
-        coeffs = prolong_generator(X, needed)
+    for lead, rhs in equations:
         r = coeffs[lead]
         for indep in system.jet.independents:
             xi_c = X.xi_of(indep)
             if not xi_c.is_zero():
-                d = derive(rhs, sym(indep))
-                if not d.is_zero():
-                    r = r - xi_c * d
-        for a in rhs_jets:
-            d = derive(rhs, a)
-            if d.is_zero():
-                continue
-            co = coeffs[a] if a.order >= 1 else X.eta_of(a.dep)
-            r = r - co * d
+                r = r - xi_c * derive(rhs, sym(indep))
+        for a in atoms_of(rhs):
+            if isinstance(a, Jet):
+                r = r - coeffs[a] * derive(rhs, a)
         # unknown-function content of rhs is not acted on: generators carry
         # unknown functions only in their own coefficients
         if eliminate:
@@ -345,15 +341,11 @@ def discover_symmetries(system, basis: AnsatzBasis,
     null = nullspace(det.rows, det.n_unknowns)
     fields = []
     for vec in null:
-        xi: dict[str, Expr] = {}
-        eta: dict[str, Expr] = {}
-        for col_idx, q in sorted(vec.items()):
-            (kind, var), _, e = det.columns[col_idx]
-            tgt = xi if kind == "xi" else eta
-            tgt[var] = tgt.get(var, Expr.zero()) + Expr.rational(q) * e
-        fields.append(VectorField(basis.jet,
-                                  {k: v for k, v in xi.items() if not v.is_zero()},
-                                  {k: v for k, v in eta.items() if not v.is_zero()}))
+        parts = [(det.columns[col], q) for col, q in sorted(vec.items())]
+        slots = _slot_sums((key, Expr.rational(q) * e) for (key, _, e), q in parts)
+        xi, eta = ({var: v for (k, var), v in slots.items()
+                    if k == kind and not v.is_zero()} for kind in ("xi", "eta"))
+        fields.append(VectorField(basis.jet, xi, eta))
     return fields
 
 

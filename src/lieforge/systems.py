@@ -1,20 +1,23 @@
 """Jet contexts, evolution systems, total derivatives, and on-solution
 normal-form reduction.
 
-A PDE system is kept in evolution form u^A_t = Phi^A with every Phi free of
-t-derivatives; an ODE system is kept solved for its highest s-derivatives
-u^A^(m) = rhs.  The Reducer rewrites any derivative reachable from those
-leading ones (mixed t-derivatives, higher s-derivatives, and derivatives of
-constrained unknown functions) down to the free coordinates, which is what
-"evaluate on solutions" means throughout.
+Every equation is a rule lead = rhs whose lead is a dependent differentiated
+m >= 1 times by one variable: a PDE system is kept in evolution form
+u^A_t = Phi^A with every Phi free of t-derivatives, an ODE system is solved
+for its highest s-derivatives u^A^(m) = rhs.  The Reducer takes such rules,
+from a system and from the constraints on the unknown functions a generator
+carries (a_t = b_xx), and rewrites every derivative reachable from a lead
+(mixed t-derivatives, higher s-derivatives) down to the free coordinates,
+which is what "evaluate on solutions" means throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .expr_core import (
-    Atom, DomainError, Expr, Func, Jet, atoms_of, derive, jet, func,
+    Atom, DomainError, Expr, Func, Jet, _add_into, atoms_of, derive, jet, func,
     substitute, sym,
 )
 from .parser import parse_expr
@@ -50,8 +53,7 @@ class JetSpec:
 def total_derivative(e: Expr, indep: str) -> Expr:
     """Total derivative D_indep: chain rule through every jet coordinate and
     unknown-function atom, raising derivative multisets."""
-    x = sym(indep)
-    out = derive(e, x)
+    out = dict(derive(e, sym(indep))._terms)
     for atom in atoms_of(e):
         if isinstance(atom, Jet):
             raised = jet(atom.dep, atom.idx + (indep,))
@@ -61,10 +63,8 @@ def total_derivative(e: Expr, indep: str) -> Expr:
             raised = func(atom.name, atom.args, atom.idx + (indep,))
         else:
             continue
-        d = derive(e, atom)
-        if not d.is_zero():
-            out = out + d * raised.as_expr()
-    return out
+        _add_into(out, (derive(e, atom) * raised.as_expr())._terms.items())
+    return Expr(out)
 
 
 @dataclass
@@ -93,10 +93,6 @@ class PDESystem:
         return self.jet.independents[0]
 
     @property
-    def space_var(self) -> str:
-        return self.jet.independents[1]
-
-    @property
     def order(self) -> int:
         return max((a.order for phi in self.rhs.values()
                     for a in atoms_of(phi) if isinstance(a, Jet)), default=1)
@@ -106,7 +102,7 @@ class PDESystem:
         return [(jet(dep, (t,)), self.rhs[dep]) for dep in self.jet.dependents]
 
     def reducer(self) -> "Reducer":
-        return Reducer.for_pde(self)
+        return Reducer(self.equations())
 
 
 @dataclass
@@ -132,7 +128,7 @@ class ODESystem:
 
     @property
     def order(self) -> int:
-        return max(m for m, _ in self.leads.values())
+        return max((m for m, _ in self.leads.values()), default=0)
 
     def equations(self) -> list[tuple[Jet, Expr]]:
         s = self.svar
@@ -144,94 +140,57 @@ class ODESystem:
         return [lead.as_expr() - rhs for lead, rhs in self.equations()]
 
     def reducer(self) -> "Reducer":
-        return Reducer.for_ode(self)
+        return Reducer(self.equations())
 
 
 class Reducer:
     """Rewrites reducible jet/function atoms down to free coordinates.
 
-    Rules:
-      * PDE dependents: any derivative containing t reduces through
-        u_t = Phi and its total-derivative consequences.
-      * ODE dependents: any s-order >= m reduces through the lead equation.
-      * constrained unknown functions: same, per their constraint rule.
+    Every rule reads lead = rhs, where the lead is a jet coordinate or an
+    unknown function differentiated m >= 1 times by one variable.  A rule
+    reduces every atom of its name that carries that variable at least m
+    times, through the rule and its total-derivative consequences.  The rhs
+    may not hold an atom its own rule reduces.
     """
 
-    def __init__(self):
-        self._pde_rules: dict[str, tuple[str, str, Expr]] = {}
-        self._ode_rules: dict[str, tuple[str, int, Expr]] = {}
-        self._memo: dict[tuple, Expr] = {}
+    def __init__(self, rules: Iterable[tuple[Atom, Expr]]):
+        self._rules: dict[str, tuple[str, int, Expr]] = {}
+        self._memo: dict[tuple[str, tuple[str, ...]], Expr] = {}
+        for lead, rhs in rules:
+            self.add_rule(lead, rhs)
 
-    @staticmethod
-    def for_pde(system: PDESystem) -> "Reducer":
-        r = Reducer()
-        for dep, phi in system.rhs.items():
-            r.add_pde_rule(dep, system.time_var, system.space_var, phi)
-        return r
-
-    @staticmethod
-    def for_ode(system: ODESystem) -> "Reducer":
-        r = Reducer()
-        for dep, (m, rhs) in system.leads.items():
-            r.add_ode_rule(dep, system.svar, m, rhs)
-        return r
-
-    def add_pde_rule(self, name: str, tvar: str, xvar: str, rhs: Expr):
-        self._pde_rules[name] = (tvar, xvar, rhs)
-
-    def add_ode_rule(self, name: str, svar: str, m: int, rhs: Expr):
-        self._ode_rules[name] = (svar, m, rhs)
+    def add_rule(self, lead: Atom, rhs: Expr) -> None:
+        idx = lead.idx if isinstance(lead, (Jet, Func)) else ()
+        if not idx or len(set(idx)) != 1:
+            raise DomainError(f"rule lead {lead!r} is not a pure derivative")
+        name, var, m = _name(lead), idx[0], len(idx)
+        for atom in atoms_of(rhs):
+            if isinstance(atom, (Jet, Func)) and _name(atom) == name \
+                    and atom.idx.count(var) >= m:
+                raise DomainError(f"rhs of {lead!r} holds {atom!r}, "
+                                  f"which the rule reduces")
+        self._rules[name] = (var, m, rhs)
 
     def _reducible(self, atom: Atom) -> bool:
-        name = atom.dep if isinstance(atom, Jet) else \
-            atom.name if isinstance(atom, Func) else None
-        if name is None:
-            return False
-        if name in self._pde_rules:
-            tvar = self._pde_rules[name][0]
-            return tvar in atom.idx
-        if name in self._ode_rules:
-            svar, m, _ = self._ode_rules[name]
-            return atom.idx.count(svar) >= m
-        return False
+        rule = self._rules.get(_name(atom))
+        return rule is not None and atom.idx.count(rule[0]) >= rule[1]
 
-    def value_of(self, atom: Atom) -> Expr:
-        """Normal-form value of a reducible atom."""
-        name = atom.dep if isinstance(atom, Jet) else atom.name
-        if name in self._pde_rules:
-            tvar, xvar, _ = self._pde_rules[name]
-            return self._pde_value(name, atom.idx.count(tvar), atom.idx.count(xvar))
-        svar, m, _ = self._ode_rules[name]
-        return self._ode_value(name, atom.idx.count(svar))
-
-    def _pde_value(self, name: str, a: int, b: int) -> Expr:
-        key = ("pde", name, a, b)
+    def _value(self, name: str, idx: tuple[str, ...]) -> Expr:
+        """Normal-form value of the atom `name` differentiated by `idx`: peel
+        a surplus lead variable first, then any other index, down to the rhs."""
+        key = (name, idx)
         got = self._memo.get(key)
         if got is not None:
             return got
-        tvar, xvar, phi = self._pde_rules[name]
-        if a == 1:
-            val = phi
-            for _ in range(b):
-                val = total_derivative(val, xvar)
-            val = self.reduce(val)
-        else:
-            val = total_derivative(self._pde_value(name, a - 1, b), tvar)
-            val = self.reduce(val)
-        self._memo[key] = val
-        return val
-
-    def _ode_value(self, name: str, k: int) -> Expr:
-        key = ("ode", name, k)
-        got = self._memo.get(key)
-        if got is not None:
-            return got
-        svar, m, rhs = self._ode_rules[name]
-        if k == m:
+        var, m, rhs = self._rules[name]
+        if len(idx) == m:
             val = self.reduce(rhs)
         else:
-            val = total_derivative(self._ode_value(name, k - 1), svar)
-            val = self.reduce(val)
+            i = var if idx.count(var) > m else \
+                next(v for v in reversed(idx) if v != var)
+            k = idx.index(i)
+            val = self.reduce(total_derivative(
+                self._value(name, idx[:k] + idx[k + 1:]), i))
         self._memo[key] = val
         return val
 
@@ -241,8 +200,12 @@ class Reducer:
             bindings = {}
             for atom in atoms_of(e, recurse=False):
                 if isinstance(atom, (Jet, Func)) and self._reducible(atom):
-                    bindings[atom] = self.value_of(atom)
+                    bindings[atom] = self._value(_name(atom), atom.idx)
             if not bindings:
                 return e
             e = substitute(e, bindings)
         raise DomainError("substitution closure not reached")
+
+
+def _name(atom: Jet | Func) -> str:
+    return atom.dep if isinstance(atom, Jet) else atom.name

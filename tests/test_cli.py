@@ -158,3 +158,31 @@ def test_arithmetic_errors_exit_1(capsys, argv):
     assert code == 1
     assert err.startswith("lieforge: error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rule, code, remainder", [
+    ("a_tt = -a_x", 2, ["a_t + a_x", "0"]),
+    ("a = -a_x", 1, None),
+    ("a_x = -a_t", 1, None),
+], ids=["second-order-lead", "underived-lhs", "lhs-by-second-argument"])
+def test_field_file_unknown_rule_lead(tmp_path, capsys, rule, code, remainder):
+    field = tmp_path / "field.txt"
+    field.write_text(f"eta_v = a\nunknown a(t,x): {rule}\n")
+    got = main(["symmetries", "verify", "--member", "1", "--field", str(field)])
+    captured = capsys.readouterr()
+    assert got == code
+    if remainder is None:
+        assert captured.err.startswith("lieforge: error: ")
+        assert "Traceback" not in captured.err
+    else:
+        doc = json.loads(captured.out)
+        assert doc["status"] == "Nonzero" and doc["remainder"] == remainder
+
+
+@pytest.mark.parametrize("extra", [[], ["--order-reduce"]],
+                         ids=["plain", "order-reduce"])
+def test_reduce_at_characteristic_speed(capsys, extra):
+    # at c = 1 both transport equations reduce to 0 = 0
+    code, out = run(capsys, "reduce", "--member", "1", "--c", "1", *extra)
+    assert code == 0
+    assert json.loads(out)["equations"] == []

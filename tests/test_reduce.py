@@ -91,6 +91,11 @@ class TestReductions:
         got = {expr_text(e) for e in S.equations_zero()}
         assert got == {"f'", "g'"}
 
+    def test_member1_characteristic_speed(self):
+        # at c = 1 the transport pair reduces to 0 = 0: no equation is left
+        S = reduced_system(1, 1)
+        assert S.leads == {} and S.equations_zero() == [] and S.order == 0
+
     def test_drift_reduction(self):
         # d_t + c d_x + k d_v: v = f(s) + k t shifts only the f-equation
         S2 = catalogue_member(2)

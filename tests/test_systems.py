@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from lieforge.expr_core import DomainError, eval_numeric, jet, sym
+from lieforge.expr_core import DomainError, eval_numeric, func, jet, sym
 from lieforge.parser import parse_expr
-from lieforge.systems import JetSpec, ODESystem, PDESystem, total_derivative
+from lieforge.symmetry import UnknownFunctionConstraint
+from lieforge.systems import (JetSpec, ODESystem, PDESystem, Reducer,
+                              total_derivative)
 
 PDE = JetSpec(("t", "x"), ("v", "w"), constants=None)
 
@@ -78,3 +80,37 @@ class TestODESystem:
     def test_needs_single_independent(self):
         with pytest.raises(DomainError):
             ODESystem(jet=PDE, leads={})
+
+
+def a_deriv(*idx):
+    """a(t, x) differentiated by idx."""
+    return func("a", ("t", "x"), idx).as_expr()
+
+
+class TestReducerRules:
+    def test_second_order_unknown_lead(self):
+        r = Reducer([(func("a", ("t", "x"), ("t", "t")), -a_deriv("x"))])
+        assert r.reduce(a_deriv("t")) == a_deriv("t")
+        assert r.reduce(a_deriv("t", "t", "x")) == -a_deriv("x", "x")
+        assert r.reduce(a_deriv("t", "t", "t")) == -a_deriv("t", "x")
+        assert r.reduce(a_deriv("t", "t", "t", "t")) == a_deriv("x", "x")
+
+    def test_one_argument_unknown_rule(self):
+        ctx = JetSpec(("s",), ("f",), constants=None)
+        S = ODESystem(jet=ctx, leads={"f": (2, parse_expr("-f", ctx))})
+        a = func("a", ("s",)).as_expr()
+        uc = UnknownFunctionConstraint("a", ("s",), 2, -a)
+        r = S.reducer()
+        r.add_rule(uc.lead, uc.rhs)
+        got = r.reduce(func("a", ("s",), ("s",) * 4).as_expr()
+                       + jet("f", ("s",) * 3).as_expr())
+        assert got == a - jet("f", ("s",)).as_expr()
+
+    def test_rhs_holding_its_own_reducible_atom(self):
+        with pytest.raises(DomainError):
+            Reducer([(func("a", ("t", "x"), ("t",)), a_deriv("t", "x"))])
+
+    @pytest.mark.parametrize("idx", [("t", "x"), ()], ids=["mixed", "underived"])
+    def test_lead_not_a_pure_derivative(self, idx):
+        with pytest.raises(DomainError):
+            Reducer([(func("a", ("t", "x"), idx), a_deriv("x", "x"))])
