@@ -102,8 +102,9 @@ def _parse_field_file(path: str) -> VectorField:
             head, rule = line[len("unknown "):].split(":", 1)
             name, argpart = head.split("(", 1)
             name = name.strip()
-            fargs = tuple(a.strip() for a in argpart.rstrip(") ").split(","))
-            functions[name] = fargs
+            if name in functions:
+                raise ValueError(f"unknown {name} declared twice")
+            functions[name] = tuple(a.strip() for a in argpart.rstrip(") ").split(","))
     ctx = REAL_JET.with_functions(functions) if functions else \
         REAL_JET.with_constants(())
     ctx = ctx.with_constants(("c",))

@@ -20,7 +20,13 @@ the class of expressions the toolkit manipulates:
 tan is kept opaque with derivative 1 + tan^2 and is never rewritten into
 sin/cos.  Reciprocal atoms make closed-form solution candidates expressible;
 expressions containing them are outside the decidable class and fall back to
-randomised numeric zero testing.
+randomised numeric zero testing.  Products of symbols, jets and unknown
+functions alone skip every rewriting pass.
+
+Partial and total derivatives share one derivation loop: a single sweep over
+the terms, fixed by its values on symbols, jets and functions, with one chain
+rule through trig/exp/reciprocal arguments.  Substitution rebuilds only the
+terms holding a changed atom and keeps the term order of a factor-wise product.
 
 Numeric evaluation compiles expressions once into a `NumericPlan` over a
 positional list of input atoms: one slot per derived atom (I, sin/cos/tan, exp,
@@ -195,6 +201,7 @@ def func(name: str, args: Iterable[str], idx: Iterable[str] = ()) -> Func:
 
 
 I: IUnit = IUnit._make((4,), lambda a: None)
+_PLAIN = frozenset((Sym, Jet, Func))  # atoms canonicalisation never rewrites
 
 
 def _check_transc_arg(arg: "Expr", fn: str, allow_i: bool) -> None:
@@ -531,92 +538,95 @@ def _accumulate(out: dict[Monomial, Fraction], factors: list[tuple[Atom, int]],
         if not q:
             continue
         powers: dict[Atom, int] = {}
+        plain = True
         for atom, k in fl:
             powers[atom] = powers.get(atom, 0) + k
-
-        # imaginary unit: reduce exponent mod 4
-        ik = powers.pop(I, 0)
-        if ik:
-            ik %= 4
-            if ik >= 2:
-                q = -q
-                ik -= 2
+            if plain and atom.__class__ not in _PLAIN:
+                plain = False
+        if not plain:
+            # imaginary unit: reduce exponent mod 4
+            ik = powers.pop(I, 0)
             if ik:
-                powers[I] = 1
+                ik %= 4
+                if ik >= 2:
+                    q = -q
+                    ik -= 2
+                if ik:
+                    powers[I] = 1
 
-        # root symbols: r^k -> Sym(of)^((k - k%2)/2) * r^(k%2)
-        for atom in [a for a in powers if isinstance(a, Root)]:
-            k = powers.pop(atom)
-            rem = k & 1
-            shift = (k - rem) // 2
-            if shift:
-                base = sym(atom.of)
-                powers[base] = powers.get(base, 0) + shift
-                if powers[base] == 0:
-                    del powers[base]
-            if rem:
-                powers[atom] = rem
+            # root symbols: r^k -> Sym(of)^((k - k%2)/2) * r^(k%2)
+            for atom in [a for a in powers if isinstance(a, Root)]:
+                k = powers.pop(atom)
+                rem = k & 1
+                shift = (k - rem) // 2
+                if shift:
+                    base = sym(atom.of)
+                    powers[base] = powers.get(base, 0) + shift
+                    if powers[base] == 0:
+                        del powers[base]
+                if rem:
+                    powers[atom] = rem
 
-        # merge exponentials
-        exps = [(a, k) for a, k in powers.items() if isinstance(a, ExpAtom)]
-        if exps:
-            total = Expr.zero()
-            for a, k in exps:
-                del powers[a]
-                total = total + a.arg * Expr.integer(k)
-            na = _exp_atom(total)
-            if na is not None:
-                powers[na] = powers.get(na, 0) + 1
+            # merge exponentials
+            exps = [(a, k) for a, k in powers.items() if isinstance(a, ExpAtom)]
+            if exps:
+                total = Expr.zero()
+                for a, k in exps:
+                    del powers[a]
+                    total = total + a.arg * Expr.integer(k)
+                na = _exp_atom(total)
+                if na is not None:
+                    powers[na] = powers.get(na, 0) + 1
 
-        # reciprocals that became invertible (e.g. after substitution)
-        for atom in [a for a in powers if isinstance(a, Recip)]:
-            k = powers[atom]
-            if k < 0:
-                raise DomainError("negative reciprocal power")
-            inv = _invert_single(atom.arg)
-            if inv is not None:
-                del powers[atom]
-                mono, iq = next(iter(inv._terms.items()))
-                q *= iq ** k
-                for a2, k2 in mono:
-                    powers[a2] = powers.get(a2, 0) + k2 * k
-            elif not atom.arg._terms:
-                raise ZeroDivisionError("reciprocal of zero expression")
+            # reciprocals that became invertible (e.g. after substitution)
+            for atom in [a for a in powers if isinstance(a, Recip)]:
+                k = powers[atom]
+                if k < 0:
+                    raise DomainError("negative reciprocal power")
+                inv = _invert_single(atom.arg)
+                if inv is not None:
+                    del powers[atom]
+                    mono, iq = next(iter(inv._terms.items()))
+                    q *= iq ** k
+                    for a2, k2 in mono:
+                        powers[a2] = powers.get(a2, 0) + k2 * k
+                elif not atom.arg._terms:
+                    raise ZeroDivisionError("reciprocal of zero expression")
 
-        # trig bookkeeping
-        trig_sc: list[Trig] = []
-        bad = False
-        for atom in [a for a in powers if isinstance(a, Trig)]:
-            k = powers[atom]
-            if k < 0:
-                raise DomainError("negative power of a trig factor")
-            if not atom.arg._terms:
-                # stale atom (argument collapsed to zero after substitution)
-                del powers[atom]
-                if atom.fn in ("sin", "tan"):
-                    bad = True
+            # trig bookkeeping
+            trig_sc: list[Trig] = []
+            bad = False
+            for atom in [a for a in powers if isinstance(a, Trig)]:
+                k = powers[atom]
+                if k < 0:
+                    raise DomainError("negative power of a trig factor")
+                if not atom.arg._terms:
+                    # stale atom (argument collapsed to zero after substitution)
+                    del powers[atom]
+                    if atom.fn in ("sin", "tan"):
+                        bad = True
+                    continue
+                if atom.fn in ("sin", "cos"):
+                    trig_sc.extend([atom] * k)
+                    del powers[atom]
+            if bad:
                 continue
-            if atom.fn in ("sin", "cos"):
-                trig_sc.extend([atom] * k)
-                del powers[atom]
-        if bad:
-            continue
 
-        if len(trig_sc) >= 2:
-            a1, a2 = trig_sc[0], trig_sc[1]
-            rest = [(a, 1) for a in trig_sc[2:]]
-            others = [(a, k) for a, k in powers.items()]
-            for fn, arg, w in _product_to_sum(a1, a2):
-                wq = q * w
-                flip, atom = _trig_atom(fn, arg)
-                wq *= flip
-                nl = others + rest + ([(atom, 1)] if atom is not None else [])
-                stack.append((nl, wq))
-            continue
+            if len(trig_sc) >= 2:
+                a1, a2 = trig_sc[0], trig_sc[1]
+                rest = [(a, 1) for a in trig_sc[2:]]
+                others = [(a, k) for a, k in powers.items()]
+                for fn, arg, w in _product_to_sum(a1, a2):
+                    wq = q * w
+                    flip, atom = _trig_atom(fn, arg)
+                    wq *= flip
+                    nl = others + rest + ([(atom, 1)] if atom is not None else [])
+                    stack.append((nl, wq))
+                continue
 
-        # single leftover sin/cos
-        for atom in trig_sc:
-            powers[atom] = powers.get(atom, 0) + 1
+            # single leftover sin/cos
+            for atom in trig_sc:
+                powers[atom] = powers.get(atom, 0) + 1
 
         mono = tuple(sorted(((a, k) for a, k in powers.items() if k != 0),
                             key=lambda t: t[0].key))
@@ -680,13 +690,25 @@ def atoms_of(e: Expr, recurse: bool = True) -> set[Atom]:
 
 def derive(e: Expr, a: Atom) -> Expr:
     """Partial derivative treating all other atoms as independent; chain rule
-    through transcendental factors."""
+    through transcendental factors.  Term order follows the terms of `e`,
+    then their factors, then the terms of each factor's derivative."""
     if not isinstance(a, (Sym, Jet, Func, Root)):
         raise DomainError("derivative only with respect to symbols, jets, or functions")
+    return _derivation(e, lambda atom: Expr.one() if atom is a else None)
+
+
+def _derivation(e: Expr, delta: Callable[[Atom], Expr | None]) -> Expr:
+    """The derivation D with D(atom) = delta(atom) (None for zero) on every
+    atom but trig, exp and reciprocal ones, which take the chain rule through
+    their arguments: one sweep adding q*k*atom^(k-1)*D(atom)*rest for every
+    factor atom^k of every term q*rest*atom^k."""
+    dvals: dict[Atom, Expr | None] = {}
     out: dict[Monomial, Fraction] = {}
     for m, q in e._terms.items():
         for i, (atom, k) in enumerate(m):
-            d = _datom(atom, a)
+            d = dvals.get(atom, dvals)
+            if d is dvals:  # not looked up yet
+                d = dvals[atom] = _datom(atom, delta)
             if d is None:
                 continue
             rest = list(m[:i]) + list(m[i + 1:])
@@ -697,31 +719,23 @@ def derive(e: Expr, a: Atom) -> Expr:
     return Expr(out)
 
 
-def _datom(atom: Atom, a: Atom) -> Expr | None:
-    if atom is a:
-        return Expr.one()
-    if isinstance(atom, Trig):
-        darg = derive(atom.arg, a)
-        if not darg._terms:
-            return None
-        if atom.fn == "sin":
-            return cos_e(atom.arg) * darg
-        if atom.fn == "cos":
-            return -sin_e(atom.arg) * darg
-        t = tan_e(atom.arg)
-        return (Expr.one() + t * t) * darg
+def _datom(atom: Atom, delta: Callable[[Atom], Expr | None]) -> Expr | None:
+    if not isinstance(atom, (Trig, ExpAtom, Recip)):
+        return delta(atom)
+    darg = _derivation(atom.arg, delta)
+    if not darg._terms:
+        return None
     if isinstance(atom, ExpAtom):
-        darg = derive(atom.arg, a)
-        if not darg._terms:
-            return None
         return atom.as_expr() * darg
     if isinstance(atom, Recip):
-        darg = derive(atom.arg, a)
-        if not darg._terms:
-            return None
         r = atom.as_expr()
         return -darg * r * r
-    return None
+    if atom.fn == "sin":
+        return cos_e(atom.arg) * darg
+    if atom.fn == "cos":
+        return -sin_e(atom.arg) * darg
+    t = tan_e(atom.arg)
+    return (Expr.one() + t * t) * darg
 
 
 # ---------------------------------------------------------------------------
@@ -729,37 +743,54 @@ def _datom(atom: Atom, a: Atom) -> Expr | None:
 # ---------------------------------------------------------------------------
 
 def substitute(e: Expr, bindings: Mapping[Atom, Expr]) -> Expr:
-    """Simultaneous substitution of atoms by expressions, then renormalise."""
+    """Simultaneous substitution of atoms by expressions, then renormalise.
+    Only terms with a changed atom are rebuilt: the product of their changed
+    and non-plain factors, then their unchanged Sym/Jet/Func factors, which
+    map monomials one-to-one in order, so terms keep the factor-wise order."""
     _check_acyclic(bindings)
-    cache: dict[Atom, Expr] = {}
+    cache: dict[Atom, Expr | None] = {}
 
-    def atom_value(atom: Atom) -> Expr:
+    def atom_value(atom: Atom) -> Expr | None:
         got = bindings.get(atom)
         if got is not None:
             return got
-        got = cache.get(atom)
-        if got is not None:
-            return got
-        if isinstance(atom, Trig):
-            narg = substitute(atom.arg, bindings)
-            val = atom.as_expr() if narg == atom.arg else _trig_e(atom.fn, narg)
-        elif isinstance(atom, ExpAtom):
-            narg = substitute(atom.arg, bindings)
-            val = atom.as_expr() if narg == atom.arg else exp_e(narg)
-        elif isinstance(atom, Recip):
-            narg = substitute(atom.arg, bindings)
-            val = atom.as_expr() if narg == atom.arg else recip_e(narg)
-        else:
-            val = atom.as_expr()
-        cache[atom] = val
-        return val
+        if atom not in cache:
+            val = None
+            if isinstance(atom, (Trig, ExpAtom, Recip)):
+                narg = substitute(atom.arg, bindings)
+                if narg != atom.arg:
+                    val = (recip_e(narg) if isinstance(atom, Recip) else
+                           exp_e(narg) if isinstance(atom, ExpAtom) else
+                           _trig_e(atom.fn, narg))
+            cache[atom] = val
+        return cache[atom]
 
+    powers: dict[tuple[Atom, int], Expr] = {}
     out: dict[Monomial, Fraction] = {}
     for m, q in e._terms.items():
+        vals = [atom_value(atom) for atom, _ in m]
+        if all(v is None for v in vals):
+            _add_into(out, ((m, q),))
+            continue
         term = Expr.rational(q)
-        for atom, k in m:
-            term = term * atom_value(atom) ** k
-        _add_into(out, term._terms.items())
+        kept = []
+        for (atom, k), val in zip(m, vals):
+            if val is None:
+                if atom.__class__ in _PLAIN:
+                    kept.append((atom, k))
+                    continue
+                val = atom.as_expr()
+            if k != 1:
+                got = powers.get((atom, k))
+                if got is None:
+                    got = powers[(atom, k)] = val ** k
+                val = got
+            term = term * val
+        if not kept:
+            _add_into(out, term._terms.items())
+            continue
+        for pm, pq in term._terms.items():
+            _accumulate(out, list(pm) + kept, pq)
     return Expr(out)
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .expr_core import (
-    Atom, DomainError, Expr, Func, Jet, _add_into, atoms_of, derive, jet, func,
-    substitute, sym,
+    Atom, DomainError, Expr, Func, Jet, _add_into, _derivation, atoms_of,
+    derive, jet, func, substitute, sym,
 )
 from .parser import parse_expr
 
@@ -51,20 +51,18 @@ class JetSpec:
 
 
 def total_derivative(e: Expr, indep: str) -> Expr:
-    """Total derivative D_indep: chain rule through every jet coordinate and
-    unknown-function atom, raising derivative multisets."""
-    out = dict(derive(e, sym(indep))._terms)
-    for atom in atoms_of(e):
+    """Total derivative D_indep: the partial derivative by indep, plus one
+    sweep of the kernel's derivation sending every jet and every unknown
+    function of indep to its raised derivative (chain rule included)."""
+    def raise_atom(atom: Atom) -> Expr | None:
         if isinstance(atom, Jet):
-            raised = jet(atom.dep, atom.idx + (indep,))
-        elif isinstance(atom, Func):
-            if indep not in atom.args:
-                continue
-            raised = func(atom.name, atom.args, atom.idx + (indep,))
-        else:
-            continue
-        _add_into(out, (derive(e, atom) * raised.as_expr())._terms.items())
-    return Expr(out)
+            return jet(atom.dep, atom.idx + (indep,)).as_expr()
+        if isinstance(atom, Func) and indep in atom.args:
+            return func(atom.name, atom.args, atom.idx + (indep,)).as_expr()
+        return None
+
+    out = dict(derive(e, sym(indep))._terms)
+    return Expr(_add_into(out, _derivation(e, raise_atom)._terms.items()))
 
 
 @dataclass
@@ -155,7 +153,8 @@ class Reducer:
 
     def __init__(self, rules: Iterable[tuple[Atom, Expr]]):
         self._rules: dict[str, tuple[str, int, Expr]] = {}
-        self._memo: dict[tuple[str, tuple[str, ...]], Expr] = {}
+        # None marks a value in progress, so that cyclic rules raise
+        self._memo: dict[tuple[str, tuple[str, ...]], Expr | None] = {}
         for lead, rhs in rules:
             self.add_rule(lead, rhs)
 
@@ -182,6 +181,10 @@ class Reducer:
         got = self._memo.get(key)
         if got is not None:
             return got
+        if key in self._memo:
+            raise DomainError(f"cyclic rules: {name} differentiated by "
+                              f"{''.join(idx)} reduces through itself")
+        self._memo[key] = None
         var, m, rhs = self._rules[name]
         if len(idx) == m:
             val = self.reduce(rhs)

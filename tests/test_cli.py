@@ -186,3 +186,19 @@ def test_reduce_at_characteristic_speed(capsys, extra):
     code, out = run(capsys, "reduce", "--member", "1", "--c", "1", *extra)
     assert code == 0
     assert json.loads(out)["equations"] == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("eta_v = a + b\nunknown a(t,x): a_t = b_t\nunknown b(t,x): b_t = a_t\n",
+     "cyclic rules"),
+    ("eta_v = a\nunknown a(t,x): a_t = a_xx\nunknown a(t,x): a_t = -a_xx\n",
+     "unknown a declared twice"),
+], ids=["cyclic-rules", "declared-twice"])
+def test_field_file_inconsistent_unknowns_exit_1(tmp_path, capsys, text, message):
+    field = tmp_path / "field.txt"
+    field.write_text(text)
+    got = main(["symmetries", "verify", "--member", "2", "--field", str(field)])
+    err = capsys.readouterr().err
+    assert got == 1
+    assert err.startswith("lieforge: error: ") and message in err
+    assert "Traceback" not in err

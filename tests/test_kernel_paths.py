@@ -1,0 +1,196 @@
+"""The kernel's calculus and substitution against straightforward reference
+implementations kept here: the total derivative as one partial derivative
+per atom, `derive` and `substitute` as term-by-term products (term order
+included, because numeric sums follow it), and the canonicalisation of plain
+monomials against the general path."""
+
+import random
+from fractions import Fraction
+
+from lieforge.expr_core import (
+    I, Expr, Func, Jet, _accumulate, atoms_of, cos_e, derive, exp_e, func,
+    jet, recip_e, root, sin_e, substitute, sym, tan_e, Trig, ExpAtom, Recip,
+)
+from lieforge.systems import total_derivative
+
+from exprgen import BASE_ATOMS, _atom_expr, random_tree, tree_to_expr
+
+N_EXPRS = 300
+SEED = 20261018
+
+A = func("a", ("t", "x"))
+A_X = func("a", ("t", "x"), ("x",))
+B = func("b", ("x",))
+
+
+def _e(atom):
+    return atom.as_expr()
+
+
+def _special_exprs():
+    """Unknown functions, reciprocals, roots and transcendental arguments
+    holding them, which the seeded generator does not draw."""
+    v, vx, x, t = (_atom_expr(n) for n in ("v", "v_x", "x", "t"))
+    a, ax, b = _e(A), _e(A_X), _e(B)
+    r = _e(root("c"))
+    return [
+        a * vx + ax ** 2 * b,
+        sin_e(a + x) * vx + cos_e(ax - v) * b,
+        exp_e(a + I.as_expr() * x) * tan_e(b + t),
+        recip_e(v + x) * vx + recip_e(a * b + 1) ** 2,
+        recip_e(vx ** 2 + t) * sin_e(v) + r * a - r * recip_e(r + v),
+        a ** 3 * recip_e(b - v) * exp_e(vx) + Expr.rational(Fraction(3, 7)),
+        tan_e(ax + b) ** 2 * a - ax * recip_e(a + ax),
+    ]
+
+
+def _exprs():
+    rng = random.Random(SEED)
+    return [tree_to_expr(random_tree(rng)) for _ in range(N_EXPRS)] + _special_exprs()
+
+
+def _raised(atom, indep):
+    if isinstance(atom, Jet):
+        return jet(atom.dep, atom.idx + (indep,))
+    if isinstance(atom, Func) and indep in atom.args:
+        return func(atom.name, atom.args, atom.idx + (indep,))
+    return None
+
+
+def _atomwise_total_derivative(e, indep):
+    out = derive(e, sym(indep))
+    for atom in atoms_of(e):
+        raised = _raised(atom, indep)
+        if raised is not None:
+            out = out + derive(e, atom) * _e(raised)
+    return out
+
+
+def _termwise_derive(e, a):
+    out = {}
+    for m, q in e._terms.items():
+        for i, (atom, k) in enumerate(m):
+            d = _termwise_datom(atom, a)
+            if d is None:
+                continue
+            rest = list(m[:i]) + list(m[i + 1:])
+            if k != 1:
+                rest.append((atom, k - 1))
+            for dm, dq in d._terms.items():
+                _accumulate(out, rest + list(dm), q * k * dq)
+    return Expr(out)
+
+
+def _termwise_datom(atom, a):
+    if atom is a:
+        return Expr.one()
+    if not isinstance(atom, (Trig, ExpAtom, Recip)):
+        return None
+    darg = _termwise_derive(atom.arg, a)
+    if not darg._terms:
+        return None
+    if isinstance(atom, ExpAtom):
+        return _e(atom) * darg
+    if isinstance(atom, Recip):
+        return -darg * _e(atom) * _e(atom)
+    if atom.fn == "sin":
+        return cos_e(atom.arg) * darg
+    if atom.fn == "cos":
+        return -sin_e(atom.arg) * darg
+    t = tan_e(atom.arg)
+    return (Expr.one() + t * t) * darg
+
+
+def _termwise_substitute(e, bindings):
+    def value(atom):
+        if atom in bindings:
+            return bindings[atom]
+        if not isinstance(atom, (Trig, ExpAtom, Recip)):
+            return _e(atom)
+        narg = _termwise_substitute(atom.arg, bindings)
+        if narg == atom.arg:
+            return _e(atom)
+        if isinstance(atom, Recip):
+            return recip_e(narg)
+        if isinstance(atom, ExpAtom):
+            return exp_e(narg)
+        return {"sin": sin_e, "cos": cos_e, "tan": tan_e}[atom.fn](narg)
+
+    out = Expr.zero()
+    for m, q in e._terms.items():
+        term = Expr.rational(q)
+        for atom, k in m:
+            term = term * value(atom) ** k
+        out = out + term
+    return out
+
+
+def _outcome(fn, *args):
+    """Term list with order, or the exception type."""
+    try:
+        return list(fn(*args)._terms.items())
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+def _polynomial(rng, names):
+    """A polynomial value for a binding: no I and no transcendental factor,
+    so it may enter any trig or exp argument."""
+    out = Expr.zero()
+    for _ in range(rng.randint(0, 3)):
+        term = Expr.rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        for name in rng.sample(names, rng.randint(0, 2)):
+            term = term * _atom_expr(name)
+        out = out + term
+    return out
+
+
+def test_total_derivative_matches_atomwise_formula():
+    for e in _exprs():
+        for indep in ("t", "x"):
+            assert total_derivative(e, indep) == _atomwise_total_derivative(e, indep)
+
+
+def test_derive_term_order_matches_termwise_product():
+    rng = random.Random(SEED + 1)
+    specials = [sym("t"), sym("x"), jet("v"), jet("w", ("x",)), A, A_X, B, root("c")]
+    for e in _exprs():
+        atoms = sorted(a for a in atoms_of(e) if isinstance(a, (Jet, Func)))
+        for a in atoms[:2] + [rng.choice(specials)]:
+            assert _outcome(derive, e, a) == _outcome(_termwise_derive, e, a)
+
+
+def test_substitute_term_order_matches_termwise_product():
+    rng = random.Random(SEED + 2)
+    base = {n: next(iter(_atom_expr(n)._terms))[0][0] for n in BASE_ATOMS}
+    targets = list(base.values()) + [A, A_X, B]
+    changed = 0
+    for e in _exprs():
+        present = [a for a in targets if a in atoms_of(e)] or targets
+        bound = rng.sample(present, min(len(present), rng.randint(1, 2)))
+        values = [_polynomial(rng, BASE_ATOMS), _e(A) + _e(B), Expr.zero(),
+                  -_e(sym("x")), I.as_expr()]
+        # one bound atom, or two whose values hold no bound atom (no cycles)
+        bindings = {bound[0]: rng.choice(values)}
+        if len(bound) == 2 and bound[1] not in atoms_of(bindings[bound[0]]):
+            bindings[bound[1]] = _polynomial(
+                rng, [n for n in BASE_ATOMS if base[n] not in bound])
+        got = _outcome(substitute, e, bindings)
+        assert got == _outcome(_termwise_substitute, e, bindings)
+        changed += got != list(e._terms.items())
+    assert changed > N_EXPRS // 2
+
+
+def test_accumulate_plain_matches_general_path():
+    rng = random.Random(SEED + 3)
+    plain = [sym("t"), sym("x"), jet("v"), jet("v", ("x",)), jet("w", ("x", "x")), A, A_X, B]
+    fast: dict = {}
+    general: dict = {}
+    for _ in range(N_EXPRS):
+        factors = [(rng.choice(plain), rng.randint(-2, 3)) for _ in range(rng.randint(0, 5))]
+        q = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        _accumulate(fast, factors, q)
+        # I^0 changes nothing but sends the list through every rewriting pass
+        _accumulate(general, factors + [(I, 0)], q)
+        assert list(fast.items()) == list(general.items())
+    assert fast
