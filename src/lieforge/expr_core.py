@@ -1,7 +1,8 @@
 """Exact symbolic expression kernel.
 
 Expressions are finite sums  sum_m  q_m * m  where every q_m is a nonzero
-``Fraction`` and every monomial m is a product of atom powers.  Atoms are
+``int`` or non-integral ``Fraction`` and every monomial m is a product of
+atom powers; `terms()` and `as_rational()` hand out ``Fraction``s.  Atoms are
 base symbols, jet coordinates (a dependent together with a multiset of
 derivative indices), unknown functions with their own derivative multisets,
 the imaginary unit, and opaque transcendental factors sin/cos/tan/exp of
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import cmath
 import random
-import threading
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -75,38 +75,26 @@ class CyclicBindingError(ValueError):
 # ---------------------------------------------------------------------------
 
 _INTERN: dict[tuple, "Atom"] = {}
-_INTERN_LOCK = threading.Lock()
 
 
 class Atom:
-    __slots__ = ("key", "_hash")
+    """An atom is made once per structural key and interned in `_INTERN`, so
+    atoms compare and hash by identity; `key` orders them."""
+
+    __slots__ = ("key",)
 
     def __new__(cls, *args):
         raise TypeError("use the atom constructor helpers")
 
     @classmethod
     def _make(cls, key: tuple, init: Callable[["Atom"], None]) -> "Atom":
-        # equality falls back to structural keys, so a lost interning race
-        # would still be correct; the lock keeps the table single-copy
         got = _INTERN.get(key)
-        if got is not None:
-            return got
-        with _INTERN_LOCK:
-            got = _INTERN.get(key)
-            if got is not None:
-                return got
-            self = object.__new__(cls)
-            self.key = key
-            self._hash = hash(key)
-            init(self)
-            _INTERN[key] = self
-            return self
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, Atom) and self.key == other.key)
+        if got is None:
+            got = object.__new__(cls)
+            got.key = key
+            init(got)
+            _INTERN[key] = got
+        return got
 
     def __lt__(self, other):
         return self.key < other.key
@@ -116,7 +104,7 @@ class Atom:
         return atom_text(self)
 
     def as_expr(self) -> "Expr":
-        return Expr._single(self, 1, Fraction(1))
+        return Expr._single(self, 1, 1)
 
 
 class Sym(Atom):
@@ -213,15 +201,15 @@ def _check_transc_arg(arg: "Expr", fn: str, allow_i: bool) -> None:
                 raise DomainError(f"{fn} argument may not contain I")
 
 
-def _trig_atom(fn: str, arg: "Expr") -> tuple[Fraction, Atom | None]:
+def _trig_atom(fn: str, arg: "Expr") -> tuple[int, Atom | None]:
     """Normalised trig factor: returns (coefficient multiplier, atom or None)."""
     if not arg._terms:
-        return (Fraction(0), None) if fn in ("sin", "tan") else (Fraction(1), None)
+        return (0, None) if fn in ("sin", "tan") else (1, None)
     if arg._lead_coeff() < 0:
-        flip = Fraction(-1) if fn in ("sin", "tan") else Fraction(1)
+        flip = -1 if fn in ("sin", "tan") else 1
         arg = -arg
     else:
-        flip = Fraction(1)
+        flip = 1
     atom = Trig._make((6, fn, arg._key()), lambda a: (setattr(a, "fn", fn),
                                                       setattr(a, "arg", arg)))
     return flip, atom
@@ -234,10 +222,10 @@ def _exp_atom(arg: "Expr") -> Atom | None:
 
 
 def _recip_atom(arg: "Expr") -> tuple[Fraction, Atom]:
-    lead = arg._lead_coeff()
-    scaled = arg * Expr.rational(1 / lead)
+    inv = Fraction(1) / arg._lead_coeff()
+    scaled = arg * Expr.rational(inv)
     atom = Recip._make((7, scaled._key()), lambda a: setattr(a, "arg", scaled))
-    return 1 / lead, atom
+    return inv, atom
 
 
 def _trig_e(fn: str, arg: "Expr") -> "Expr":
@@ -299,7 +287,7 @@ def sqrt_e(arg: "Expr") -> "Expr":
         raise DomainError("sqrt of a non-square rational")
     out = Expr.rational(Fraction(rn, rd))
     for atom, k in out_atoms:
-        out = out * Expr._single(atom, k, Fraction(1))
+        out = out * Expr._single(atom, k, 1)
     return out
 
 
@@ -316,6 +304,7 @@ def _isqrt_exact(n: int) -> int | None:
 # ---------------------------------------------------------------------------
 
 Monomial = tuple  # tuple[tuple[Atom, int], ...] sorted by atom key
+Coeff = int | Fraction  # a stored coefficient: int, or Fraction with denominator > 1
 
 _ONE_M: Monomial = ()
 
@@ -328,7 +317,7 @@ class Expr:
     __slots__ = ("_terms", "_cached_key", "_cached_hash")
 
     def __init__(self, terms: dict | None = None):
-        self._terms: dict[Monomial, Fraction] = terms if terms is not None else {}
+        self._terms: dict[Monomial, Coeff] = terms if terms is not None else {}
         self._cached_key = None
         self._cached_hash = None
 
@@ -340,26 +329,30 @@ class Expr:
 
     @staticmethod
     def one() -> "Expr":
-        return Expr({_ONE_M: Fraction(1)})
+        return Expr({_ONE_M: 1})
 
     @staticmethod
     def rational(q) -> "Expr":
-        q = Fraction(q)
+        if isinstance(q, (float, complex)):
+            raise DomainError(f"inexact coefficient {q!r}")
+        if q.__class__ is not int:
+            q = Fraction(q)
+            q = q.numerator if q.denominator == 1 else q
         return Expr({_ONE_M: q}) if q else Expr({})
 
     @staticmethod
     def integer(n: int) -> "Expr":
-        return Expr.rational(Fraction(n))
+        return Expr.rational(n)
 
     @staticmethod
-    def _single(atom: Atom, k: int, q: Fraction) -> "Expr":
-        out: dict[Monomial, Fraction] = {}
+    def _single(atom: Atom, k: int, q: Coeff) -> "Expr":
+        out: dict[Monomial, Coeff] = {}
         _accumulate(out, [(atom, k)], q)
         return Expr(out)
 
     @staticmethod
-    def from_terms(pairs: Iterable[tuple[Monomial, Fraction]]) -> "Expr":
-        out: dict[Monomial, Fraction] = {}
+    def from_terms(pairs: Iterable[tuple[Monomial, Coeff]]) -> "Expr":
+        out: dict[Monomial, Coeff] = {}
         for m, q in pairs:
             _accumulate(out, list(m), q)
         return Expr(out)
@@ -390,7 +383,7 @@ class Expr:
     def _lead_mono(self) -> Monomial:
         return min(self._terms, key=_mono_key)
 
-    def _lead_coeff(self) -> Fraction:
+    def _lead_coeff(self) -> Coeff:
         return self._terms[self._lead_mono()]
 
     # -- arithmetic ---------------------------------------------------------
@@ -418,7 +411,7 @@ class Expr:
         other = _coerce(other)
         if not self._terms or not other._terms:
             return Expr.zero()
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coeff] = {}
         for m1, q1 in self._terms.items():
             for m2, q2 in other._terms.items():
                 _accumulate(out, list(m1) + list(m2), q1 * q2)
@@ -466,21 +459,22 @@ class Expr:
         if not self._terms:
             return Fraction(0)
         if len(self._terms) == 1 and _ONE_M in self._terms:
-            return self._terms[_ONE_M]
+            return Fraction(self._terms[_ONE_M])
         raise DomainError("expression is not a rational constant")
 
     def terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self._terms.items(), key=lambda t: _mono_key(t[0]))
+        return sorted(((m, Fraction(q)) for m, q in self._terms.items()),
+                      key=lambda t: _mono_key(t[0]))
 
 
-def _add_into(out: dict[Monomial, Fraction],
-              terms: Iterable[tuple[Monomial, Fraction]]) -> dict[Monomial, Fraction]:
+def _add_into(out: dict[Monomial, Coeff],
+              terms: Iterable[tuple[Monomial, Coeff]]) -> dict[Monomial, Coeff]:
     """Add terms into `out` in place, dropping monomials that cancel; a new
     monomial goes last and an existing one keeps its place."""
     for m, q in terms:
-        s = out.get(m, Fraction(0)) + q
+        s = out.get(m, 0) + q
         if s:
-            out[m] = s
+            out[m] = s if s.__class__ is int or s.denominator != 1 else s.numerator
         else:
             out.pop(m, None)
     return out
@@ -490,7 +484,7 @@ def _coerce(x) -> Expr:
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
-        return Expr.rational(Fraction(x))
+        return Expr.rational(x)
     raise TypeError(f"cannot coerce {type(x)!r} to Expr")
 
 
@@ -508,19 +502,19 @@ def _invert_single(e: Expr) -> Expr | None:
         return None
     mono, q = next(iter(e._terms.items()))
     factors: list[tuple[Atom, int]] = []
-    coeff = 1 / q
+    coeff = Fraction(1) / q
     for atom, k in mono:
         if isinstance(atom, (Sym, Root, Jet, Func)):
             factors.append((atom, -k))
         elif isinstance(atom, IUnit):
             # i^-1 = -i
-            coeff *= Fraction(-1) ** k
+            coeff *= (-1) ** k
             factors.append((atom, k))
         elif isinstance(atom, ExpAtom):
             factors.append((atom, -k))
         else:
             return None
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coeff] = {}
     _accumulate(out, factors, coeff)
     return Expr(out)
 
@@ -529,9 +523,10 @@ def _invert_single(e: Expr) -> Expr | None:
 # monomial canonicalisation
 # ---------------------------------------------------------------------------
 
-def _accumulate(out: dict[Monomial, Fraction], factors: list[tuple[Atom, int]],
-                coeff: Fraction) -> None:
-    """Normalise a factor list and add the resulting terms into `out`."""
+def _accumulate(out: dict[Monomial, Coeff], factors: list[tuple[Atom, int]],
+                coeff: Coeff) -> None:
+    """Normalise a factor list and add the resulting terms into `out`; an
+    integral sum is stored as an `int`."""
     stack = [(factors, coeff)]
     while stack:
         fl, q = stack.pop()
@@ -630,9 +625,9 @@ def _accumulate(out: dict[Monomial, Fraction], factors: list[tuple[Atom, int]],
 
         mono = tuple(sorted(((a, k) for a, k in powers.items() if k != 0),
                             key=lambda t: t[0].key))
-        s = out.get(mono, Fraction(0)) + q
+        s = out.get(mono, 0) + q
         if s:
-            out[mono] = s
+            out[mono] = s if s.__class__ is int or s.denominator != 1 else s.numerator
         else:
             out.pop(mono, None)
 
@@ -657,7 +652,7 @@ def _product_to_sum(a1: Trig, a2: Trig):
 
 def to_canonical(e: Expr) -> Expr:
     """Re-normalise an expression (idempotent on canonical input)."""
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coeff] = {}
     for m, q in e._terms.items():
         _accumulate(out, list(m), q)
     return Expr(out)
@@ -703,7 +698,7 @@ def _derivation(e: Expr, delta: Callable[[Atom], Expr | None]) -> Expr:
     their arguments: one sweep adding q*k*atom^(k-1)*D(atom)*rest for every
     factor atom^k of every term q*rest*atom^k."""
     dvals: dict[Atom, Expr | None] = {}
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coeff] = {}
     for m, q in e._terms.items():
         for i, (atom, k) in enumerate(m):
             d = dvals.get(atom, dvals)
@@ -766,7 +761,7 @@ def substitute(e: Expr, bindings: Mapping[Atom, Expr]) -> Expr:
         return cache[atom]
 
     powers: dict[tuple[Atom, int], Expr] = {}
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, Coeff] = {}
     for m, q in e._terms.items():
         vals = [atom_value(atom) for atom, _ in m]
         if all(v is None for v in vals):
@@ -938,7 +933,7 @@ def equals_zero(e: Expr, samples: int = 200, tol: float = 1e-10,
         return ZeroStatus.ZERO
     if _is_decidable(e):
         return ZeroStatus.NONZERO
-    atoms = atoms_of(e)
+    atoms = sorted(atoms_of(e), key=lambda a: a.key)  # not set order
     roots = [a for a in atoms if isinstance(a, Root)]
     root_syms = [sym(r.of) for r in roots]
     free = [a for a in atoms if isinstance(a, (Sym, Jet, Func)) and a not in root_syms]
@@ -991,7 +986,7 @@ def collect_terms(e: Expr, family: Iterable[Expr]) -> dict[Expr, Expr]:
         classes[mono] = cl
         for atom, _ in mono:
             class_atoms.add(atom)
-    parts: dict[Monomial, dict[Monomial, Fraction]] = {mono: {} for mono in classes}
+    parts: dict[Monomial, dict[Monomial, Coeff]] = {mono: {} for mono in classes}
     for m, q in e._terms.items():
         part = parts.get(tuple((a, k) for a, k in m if a in class_atoms))
         if part is None:
@@ -1002,7 +997,7 @@ def collect_terms(e: Expr, family: Iterable[Expr]) -> dict[Expr, Expr]:
     return {classes[mono]: Expr(part) for mono, part in parts.items()}
 
 
-def coefficient_vector(parts: Iterable[tuple[object, Expr]]) -> dict[tuple, Fraction]:
+def coefficient_vector(parts: Iterable[tuple[object, Expr]]) -> dict[tuple, Coeff]:
     """Sparse rational vector of keyed expressions over the monomial basis:
     {(key, monomial key): coefficient} for every term of every part.  Keys
     sort deterministically, so these vectors feed `linalg` directly."""

@@ -1,9 +1,10 @@
 """Exact rational linear algebra on sparse rows.
 
-Rows are dicts {column key: Fraction}; column keys are column indices, or
-for `rref`/`rank` any mutually comparable keys.  Reduction is Gauss-Jordan
-with pivots chosen in column order and normalised to 1, so echelon forms,
-nullspace bases, and solve results are deterministic.
+Rows are dicts {column key: int or Fraction}; column keys are column
+indices, or for `rref`/`rank` any mutually comparable keys.  Reduction is
+Gauss-Jordan with pivots chosen in column order and normalised to 1, so
+echelon forms, nullspace bases, and solve results are deterministic; they
+hold Fractions whatever the input rows hold.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ def _scale(row: dict[int, Fraction], q: Fraction) -> dict[int, Fraction]:
 
 def _axpy(dst: dict[int, Fraction], src: dict[int, Fraction], q: Fraction) -> None:
     for c, v in src.items():
-        s = dst.get(c, Fraction(0)) + q * v
+        s = dst.get(c, 0) + q * v
         if s:
             dst[c] = s
         else:
@@ -61,7 +62,7 @@ def rref(rows: list[dict], ncols: int | None = None):
         if not row:
             continue
         pc = min(row)
-        row = _scale(row, 1 / row[pc])
+        row = _scale(row, Fraction(1) / row[pc])
         for prow in pivot_rows:
             v = prow.get(pc)
             if v:

@@ -73,7 +73,7 @@ def invariants_of_translation(X: VectorField) -> SimilarityMap:
     if xi1.is_zero():
         return SimilarityMap(speed=Expr.zero(), drift={}, steady=True)
     inv1 = recip_e(xi1) if not xi1.is_rational() else \
-        Expr.rational(1 / xi1.as_rational())
+        Expr.rational(Fraction(1) / xi1.as_rational())
     speed = xi2 * inv1
     drift = {dep: X.eta_of(dep) * inv1 for dep in X.jet.dependents
              if not X.eta_of(dep).is_zero()}
@@ -342,7 +342,7 @@ def equal_up_to_factor(e1: Expr, e2: Expr):
     q1 = e1._terms.get(e2._lead_mono())
     if q1 is None:
         return None
-    lam = q1 / e2._lead_coeff()
+    lam = Fraction(q1) / e2._lead_coeff()
     return lam if (e1 - e2 * Expr.rational(lam)).is_zero() else None
 
 

@@ -241,14 +241,28 @@ class AnsatzBasis:
         return cols
 
 
+# Largest dictionary `ansatz_dictionary` builds, in unknowns (columns of the
+# determining system); degree 40 on a two-component system has 3444.
+MAX_ANSATZ_UNKNOWNS = 4000
+
+
 def ansatz_dictionary(jet_spec: JetSpec, degree: int, trig_order: int = 0,
                       exp_range: int = 0, trig_dep: str | None = None,
                       exp_dep: str | None = None) -> AnsatzBasis:
     """Dictionary {prod of independents^a, total degree <= D} on every slot;
     eta slots are additionally multiplied by {1, sin(m dep0), cos(m dep0)}
-    (m <= trig_order) and {exp(k dep1)} (|k| <= exp_range)."""
+    (m <= trig_order) and {exp(k dep1)} (|k| <= exp_range).  Raises
+    DomainError on a negative size or above MAX_ANSATZ_UNKNOWNS columns."""
     indeps = jet_spec.independents
-    polys = []
+    if min(degree, trig_order, exp_range) < 0:
+        raise DomainError(f"negative ansatz size: degree {degree}, trig "
+                          f"{trig_order}, expw {exp_range}")
+    n_poly = degree + 1 if len(indeps) == 1 else (degree + 1) * (degree + 2) // 2
+    n_cols = n_poly * (len(indeps) + len(jet_spec.dependents)
+                       * (2 * trig_order + 1) * (2 * exp_range + 1))
+    if n_cols > MAX_ANSATZ_UNKNOWNS:
+        raise DomainError(f"ansatz dictionary of {n_cols} unknowns exceeds "
+                          f"the budget of {MAX_ANSATZ_UNKNOWNS}")
     if len(indeps) == 1:
         s = sym(indeps[0]).as_expr()
         polys = [s ** a for a in range(degree + 1)]

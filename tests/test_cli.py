@@ -202,3 +202,16 @@ def test_field_file_inconsistent_unknowns_exit_1(tmp_path, capsys, text, message
     assert got == 1
     assert err.startswith("lieforge: error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--degree", "-1"], "negative ansatz size"),
+    (["--expw", "-2"], "negative ansatz size"),
+    (["--trig", "-3"], "negative ansatz size"),
+    (["--degree", "120"], "29524 unknowns exceeds the budget"),
+], ids=["degree-negative", "expw-negative", "trig-negative", "degree-120"])
+def test_symmetries_find_rejects_bad_dictionary(capsys, flags, message):
+    got = main(["symmetries", "find", "--member", "2", *flags])
+    captured = capsys.readouterr()
+    assert got == 1 and captured.out == ""
+    assert captured.err.startswith("lieforge: error: ") and message in captured.err
