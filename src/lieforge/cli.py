@@ -29,7 +29,7 @@ SCHEMA = 1
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"lieforge: error: {message}\n")
 
 
 def _emit(obj) -> None:
@@ -281,6 +281,8 @@ def _solution(name: str, args) -> red.SolutionCandidate:
 
 
 def cmd_verify_solution(args) -> int:
+    if not args.tol > 0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
     mode = args.mode
     c = float(Fraction(args.c)) if args.c != "c" else None
     # symbolic verification holds for symbolic c; numeric mode specialises

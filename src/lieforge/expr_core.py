@@ -39,6 +39,7 @@ order, so a value does not depend on which plan computed it.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
@@ -292,11 +293,8 @@ def sqrt_e(arg: "Expr") -> "Expr":
 
 
 def _isqrt_exact(n: int) -> int | None:
-    r = int(n ** 0.5)
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand * cand == n:
-            return cand
-    return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +560,10 @@ def _accumulate(out: dict[Monomial, Coeff], factors: list[tuple[Atom, int]],
                 if rem:
                     powers[atom] = rem
 
-            # merge exponentials
+            # merge exponentials; a lone exp(arg) stays, its argument is
+            # canonical and nonzero (only _exp_atom makes the atom)
             exps = [(a, k) for a, k in powers.items() if isinstance(a, ExpAtom)]
-            if exps:
+            if len(exps) > 1 or (exps and exps[0][1] != 1):
                 total = Expr.zero()
                 for a, k in exps:
                     del powers[a]

@@ -11,6 +11,10 @@ __all__ = ["jacobi_sn", "elliptic_K", "Trajectory", "integrate_rk4"]
 
 _AGM_TOL = 1e-15
 
+# Most steps `integrate_rk4` takes: 100 times the 2000 of the README's
+# `integrate` command and of the benchmark's RK4 jobs.
+MAX_RK4_STEPS = 200_000
+
 
 def _agm_chain(k: float):
     a, b, c = 1.0, math.sqrt(1.0 - k * k), k
@@ -63,15 +67,19 @@ def integrate_rk4(rhs, state0: dict[str, complex], s_range: tuple[float, float],
     `rhs(s, state) -> dict` returns the derivative of every dependent.  When
     the state magnitude exceeds `guard` (or becomes NaN) integration stops
     and the trajectory ends at the previous step; nothing is integrated past
-    the blow-up point.
+    the blow-up point.  Raises ValueError above MAX_RK4_STEPS steps.
     """
     if h <= 0:
         raise ValueError("step size must be positive")
     s0, s1 = s_range
     if s1 <= s0:
         raise ValueError("empty integration range")
+    steps = (s1 - s0) / h
+    if not steps <= MAX_RK4_STEPS:
+        raise ValueError(f"RK4 step count {steps:g} exceeds the budget of "
+                         f"{MAX_RK4_STEPS}")
     deps = sorted(state0)
-    n_steps = int(round((s1 - s0) / h))
+    n_steps = int(round(steps))
     grid = [s0]
     values = {d: [complex(state0[d])] for d in deps}
     state = {d: complex(state0[d]) for d in deps}

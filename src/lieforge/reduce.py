@@ -714,10 +714,17 @@ def emit_series_csv(rows: list[tuple], path) -> None:
 _S11_INPUTS = [sym("c"), sym("F0"), sym("F1"), sym("s")]
 
 
+# Most samples `fig1_rows` takes: 100 times the README's default of 1000.
+MAX_FIG1_SAMPLES = 100_000
+
+
 def fig1_rows(c: float, F1: float, F0: float = 1.0, s_range=(0.0, 10.0),
               n: int = 1000) -> list[tuple]:
     """(s, F, G) samples of the printed closed form for the wave-profile
-    figure."""
+    figure, at n >= 2 evenly spaced points; raises DomainError outside
+    2..MAX_FIG1_SAMPLES."""
+    if not 2 <= n <= MAX_FIG1_SAMPLES:
+        raise DomainError(f"fig1 sample count {n} outside 2..{MAX_FIG1_SAMPLES}")
     cand = s11_solution()
     FG = NumericPlan([cand.exprs["F"], cand.exprs["G"]], _S11_INPUTS)
     lo, hi = s_range

@@ -6,6 +6,13 @@ carry constrained unknown functions.
 The same pipeline serves evolution PDE systems (independents t, x) and
 reduced ODE systems (single independent s); for the latter the time slot is
 simply absent.
+
+Residuals come from one residual map per call.  Built once per system: the
+on-shell Reducer with its memo of D^k Phi, the needed jets and the reduced
+partials of each rhs.  Built once per dictionary entry: the prolongation of
+an eta-only entry, shared by every dependent that carries it.  The map is
+local to `symmetry_residual` or `determining_system`; nothing outlives the
+call.
 """
 
 from __future__ import annotations
@@ -141,8 +148,8 @@ def prolong_generator(X: VectorField, needed) -> dict[Jet, Expr]:
     memo: dict[Jet, Expr] = {}
     for dep in X.jet.dependents:
         memo[jet(dep, ())] = X.eta_of(dep)
-    dxi = {(j, i): total_derivative(X.xi_of(j), i)
-           for j in X.jet.independents for i in X.jet.independents}
+    dxi = {(j, i): total_derivative(X.xi_of(j), i) for j in X.jet.independents
+           if not X.xi_of(j).is_zero() for i in X.jet.independents}
 
     def get(J: Jet) -> Expr:
         got = memo.get(J)
@@ -152,8 +159,8 @@ def prolong_generator(X: VectorField, needed) -> dict[Jet, Expr]:
         i = J.idx[-1]
         val = total_derivative(get(jet(J.dep, base)), i)
         for j in X.jet.independents:
-            d = dxi[(j, i)]
-            if not d.is_zero():
+            d = dxi.get((j, i))
+            if d is not None and not d.is_zero():
                 val = val - d * jet(J.dep, base + (j,)).as_expr()
         memo[J] = val
         return val
@@ -165,34 +172,65 @@ def prolong_generator(X: VectorField, needed) -> dict[Jet, Expr]:
 # residuals
 # ---------------------------------------------------------------------------
 
+class _ResidualMap:
+    """The on-shell residual map X -> [pr X(lead - rhs) on solutions] of one
+    system, for generators carrying the unknown functions `unknowns`.  An
+    eta-only generator of one slot, eta^A = e, has prolongation D_J(e) on A
+    whatever A is, so one reduced table per entry e serves every dependent.
+    Reduction is a ring homomorphism, so residuals are assembled from
+    reduced factors."""
+
+    def __init__(self, system, unknowns=(), eliminate: bool = True):
+        equations = system.equations()
+        self.independents = system.jet.independents
+        self.reduce = (lambda e: e) if not eliminate else Reducer(
+            equations + [(uc.lead, uc.rhs) for uc in unknowns]).reduce
+        self.needed = {lead for lead, _ in equations}
+        for _, rhs in equations:
+            self.needed.update(a for a in atoms_of(rhs) if isinstance(a, Jet))
+        # unknown-function content of rhs is not acted on: generators carry
+        # unknown functions only in their own coefficients
+        self.parts = [(lead, [self.reduce(-derive(rhs, sym(i)))
+                              for i in self.independents],
+                       [(a, self.reduce(-derive(rhs, a)))
+                        for a in atoms_of(rhs) if isinstance(a, Jet)])
+                      for lead, rhs in equations]
+        self.tables: dict[Expr, dict[tuple, Expr]] = {}
+
+    def coefficients(self, X: VectorField) -> dict[Jet, Expr]:
+        """Reduced prolonged coefficients of X on the needed jets."""
+        eta = [(dep, e) for dep, e in X.eta.items() if not e.is_zero()]
+        if len(eta) != 1 or any(not c.is_zero() for c in X.xi.values()):
+            return {J: self.reduce(v)
+                    for J, v in prolong_generator(X, self.needed).items()}
+        (dep, e), = eta
+        table = self.tables.get(e)
+        if table is None:
+            dep0 = X.jet.dependents[0]
+            table = self.tables[e] = {
+                J.idx: self.reduce(v) for J, v in prolong_generator(
+                    VectorField(X.jet, eta={dep0: e}),
+                    {jet(dep0, J.idx) for J in self.needed}).items()}
+        return {J: table[J.idx] if J.dep == dep else Expr.zero() for J in self.needed}
+
+    def __call__(self, X: VectorField) -> list[Expr]:
+        coeffs = self.coefficients(X)
+        xi = [self.reduce(X.xi_of(i)) for i in self.independents]
+        residuals = []
+        for lead, dxi, djet in self.parts:
+            out = dict(coeffs[lead]._terms)
+            for c, d in [*zip(xi, dxi), *((coeffs[a], d) for a, d in djet)]:
+                _add_into(out, (c * d)._terms.items())
+            residuals.append(Expr(out))
+        return residuals
+
+
 def symmetry_residual(system, X: VectorField, eliminate: bool = True) -> list[Expr]:
     """Apply the prolonged generator to each equation H^A = lead - rhs and
     substitute the equations (and their differential consequences) so the
     result lives on solutions.  A generator is a symmetry iff every entry is
     zero."""
-    equations = system.equations()
-    if eliminate:
-        reducer = Reducer(equations + [(uc.lead, uc.rhs) for uc in X.unknowns])
-    needed = {lead for lead, _ in equations}
-    for _, rhs in equations:
-        needed.update(a for a in atoms_of(rhs) if isinstance(a, Jet))
-    coeffs = prolong_generator(X, needed)
-    residuals = []
-    for lead, rhs in equations:
-        r = coeffs[lead]
-        for indep in system.jet.independents:
-            xi_c = X.xi_of(indep)
-            if not xi_c.is_zero():
-                r = r - xi_c * derive(rhs, sym(indep))
-        for a in atoms_of(rhs):
-            if isinstance(a, Jet):
-                r = r - coeffs[a] * derive(rhs, a)
-        # unknown-function content of rhs is not acted on: generators carry
-        # unknown functions only in their own coefficients
-        if eliminate:
-            r = reducer.reduce(r)
-        residuals.append(r)
-    return residuals
+    return _ResidualMap(system, X.unknowns, eliminate)(X)
 
 
 @dataclass
@@ -334,10 +372,13 @@ def _unit_field(jet_spec: JetSpec, key: tuple[str, str], e: Expr) -> VectorField
 def determining_system(system, basis: AnsatzBasis) -> DeterminingSystem:
     """Rows: residual coefficients per (equation, monomial class); the
     residual map is linear in the generator, so each dictionary entry is
-    processed independently."""
+    processed independently.  One residual map serves every column: the
+    system half (Reducer, needed jets, reduced partials) is built once, each
+    eta entry is prolonged once for all dependents, and the map is dropped
+    when the call returns."""
     cols = basis.columns()
-    residuals = (symmetry_residual(system, _unit_field(basis.jet, key, e))
-                 for key, _, e in cols)
+    residual = _ResidualMap(system)
+    residuals = (residual(_unit_field(basis.jet, key, e)) for key, _, e in cols)
     rowmap = transpose(coefficient_vector(enumerate(res)) for res in residuals)
     prov = sorted(rowmap)
     rows = [rowmap[k] for k in prov]

@@ -198,7 +198,11 @@ class Reducer:
         return val
 
     def reduce(self, e: Expr) -> Expr:
-        """Substitute every reducible atom by its normal-form value."""
+        """Substitute every reducible atom by its normal-form value.  Atoms
+        map to fixed values and results are canonical, so this is a ring
+        homomorphism: reduce(a + b) = reduce(a) + reduce(b) and
+        reduce(a * b) = reduce(a) * reduce(b), and a sum of products may be
+        assembled from factors reduced beforehand."""
         for _ in range(64):
             bindings = {}
             for atom in atoms_of(e, recurse=False):

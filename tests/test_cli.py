@@ -215,3 +215,33 @@ def test_symmetries_find_rejects_bad_dictionary(capsys, flags, message):
     captured = capsys.readouterr()
     assert got == 1 and captured.out == ""
     assert captured.err.startswith("lieforge: error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["integrate", "--system", "3.3", "--c", "1", "--from", "tan", "--h", "1e-9"],
+     "RK4 step count 2e+09 exceeds the budget of 200000"),
+    (["integrate", "--system", "3.3", "--c", "1", "--from", "tan", "--h", "nan"],
+     "RK4 step count nan"),
+    (["integrate", "--system", "3.3", "--c", "1", "--from", "tan",
+      "--range", "0:inf"], "RK4 step count inf"),
+    (["fig1", "--n", "10000000"], "fig1 sample count 10000000 outside 2..100000"),
+    (["fig1", "--n", "1"], "fig1 sample count 1 outside"),
+    (["fig1", "--n", "0"], "fig1 sample count 0 outside"),
+    (["fig1", "--n", "-5"], "fig1 sample count -5 outside"),
+    (["verify-solution", "--system", "3.3", "--solution", "tan", "--tol", "-1"],
+     "--tol must be positive"),
+    (["verify-solution", "--system", "3.3", "--solution", "tan", "--tol", "nan"],
+     "--tol must be positive"),
+], ids=["rk4-h-1e-9", "rk4-h-nan", "rk4-range-inf", "fig1-n-1e7", "fig1-n-1",
+        "fig1-n-0", "fig1-n-negative", "tol-negative", "tol-nan"])
+def test_numeric_inputs_checked_before_work(capsys, argv, message):
+    got = main(argv)
+    captured = capsys.readouterr()
+    assert got == 1 and captured.out == ""
+    assert captured.err.startswith("lieforge: error: ") and message in captured.err
+
+
+def test_subcommand_usage_errors_name_lieforge(capsys):
+    assert main(["symmetries", "find", "--member", "2", "--degree", "x"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lieforge: error: argument --degree: invalid int value")

@@ -315,3 +315,12 @@ class TestNumericPlan:
     def test_equals_zero_with_root_atoms(self, text, want):
         ctx = JetSpec(("t", "x"), ("v", "w"), constants=("c",))
         assert equals_zero(parse_expr(text, ctx)) == want
+
+
+@pytest.mark.parametrize("root", [3 ** 40, 10 ** 200 + 7, Fraction(3 ** 40, 10 ** 200 + 7)],
+                         ids=["3^40", "10^200+7", "ratio"])
+def test_sqrt_of_large_exact_squares(root):
+    # far beyond float range: the root is decided in integers
+    assert sqrt_e(Expr.rational(root) ** 2) == Expr.rational(root)
+    with pytest.raises(DomainError, match="non-square rational"):
+        sqrt_e(Expr.rational(root) ** 2 + Expr.one())

@@ -1,0 +1,201 @@
+"""Parity of the per-system residual map with the plain residual formula.
+
+The reference below is the formula the map replaces, built from public
+pieces only: prolong the whole generator, subtract the products of the
+prolonged coefficients with the partials of each rhs, then reduce the sum on
+solutions.  The map builds the system half once, shares one prolongation per
+dictionary entry between the dependents, and assembles each residual from
+factors reduced beforehand; every residual it gives must equal the reference
+as an expression, column by column, for every system kind it serves.
+"""
+
+import inspect
+import random
+from fractions import Fraction
+
+import pytest
+
+from lieforge import catalog
+from lieforge.expr_core import (
+    Expr, Jet, atoms_of, coefficient_vector, derive, func, random_rational,
+    sym,
+)
+from lieforge.hierarchy import (REAL_JET, catalogue_member, complex_split,
+                                hierarchy_member)
+from lieforge.linalg import transpose
+from lieforge.reduce import reduced_system
+from lieforge.symmetry import (
+    UnknownFunctionConstraint, VectorField, _ResidualMap, _unit_field,
+    ansatz_dictionary, determining_system, prolong_generator,
+    symmetry_residual,
+)
+from lieforge.systems import PDESystem, Reducer
+
+
+def reference_residual(system, X, eliminate=True):
+    equations = system.equations()
+    reducer = Reducer(equations + [(uc.lead, uc.rhs) for uc in X.unknowns])
+    needed = {lead for lead, _ in equations}
+    for _, rhs in equations:
+        needed.update(a for a in atoms_of(rhs) if isinstance(a, Jet))
+    coeffs = prolong_generator(X, needed)
+    out = []
+    for lead, rhs in equations:
+        r = coeffs[lead]
+        for indep in system.jet.independents:
+            r = r - X.xi_of(indep) * derive(rhs, sym(indep))
+        for a in atoms_of(rhs):
+            if isinstance(a, Jet):
+                r = r - coeffs[a] * derive(rhs, a)
+        out.append(reducer.reduce(r) if eliminate else r)
+    return out
+
+
+def _member5():
+    v_rhs, w_rhs = complex_split(hierarchy_member(4))
+    return PDESystem(jet=REAL_JET, rhs={"v": v_rhs, "w": w_rhs},
+                     label="member 5 (generated)")
+
+
+def _scaled(S, lam):
+    q = Expr.rational(lam)
+    return PDESystem(jet=S.jet, rhs={dep: q * e for dep, e in S.rhs.items()},
+                     label=f"{S.label}, time scaled by {lam}")
+
+
+def _systems():
+    rng = random.Random(20261018)
+    out = {f"member {k}": catalogue_member(k) for k in (1, 2, 3, 4)}
+    out["member 5"] = _member5()
+    for k in (2, 3):
+        lam = Fraction(rng.choice((-1, 1)) * rng.randint(2, 12), rng.randint(1, 12))
+        out[f"member {k} scaled"] = _scaled(catalogue_member(k), lam)
+    for k in (2, 3):
+        out[f"reduced {k}"] = reduced_system(k)
+    return out
+
+
+SYSTEMS = _systems()
+
+
+def _dictionary(name, seed):
+    """A small seeded dictionary with trig and exp entries."""
+    rng = random.Random(seed)
+    S = SYSTEMS[name]
+    degree = 1 if name == "member 5" else rng.randint(1, 2)
+    return S, ansatz_dictionary(S.jet, degree, 1, 1)
+
+
+def _combination(rng, basis):
+    """A random field of several slots: a rational combination of columns."""
+    cols = basis.columns()
+    picks = rng.sample(cols, min(3, len(cols)))
+    X = _unit_field(basis.jet, picks[0][0], picks[0][2])
+    for key, _, e in picks[1:]:
+        q = random_rational(rng, -3, 3, 5) or 1
+        X = X.add(_unit_field(basis.jet, key, e).scale(q))
+    return X
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_map_matches_reference_on_every_column(name):
+    S, basis = _dictionary(name, seed=len(name))
+    rmap = _ResidualMap(S)
+    columns = basis.columns()
+    kinds = {key[0] for key, _, _ in columns}
+    assert kinds == {"xi", "eta"}
+    for key, _, e in columns:
+        X = _unit_field(basis.jet, key, e)
+        assert rmap(X) == reference_residual(S, X), (name, key, e)
+    rng = random.Random(7)
+    for _ in range(3):
+        X = _combination(rng, basis)
+        assert rmap(X) == reference_residual(S, X), (name, X)
+
+
+@pytest.mark.parametrize("name", ["member 2", "member 3 scaled", "reduced 2"])
+def test_determining_rows_match_reference(name):
+    S, basis = _dictionary(name, seed=3)
+    det = determining_system(S, basis)
+    residuals = (reference_residual(S, _unit_field(basis.jet, key, e))
+                 for key, _, e in basis.columns())
+    rowmap = transpose(coefficient_vector(enumerate(r)) for r in residuals)
+    assert det.provenance == sorted(rowmap)
+    assert det.rows == [rowmap[k] for k in det.provenance]
+
+
+@pytest.mark.parametrize("name", ["member 2", "member 4", "reduced 3"])
+def test_map_matches_reference_without_elimination(name):
+    S, basis = _dictionary(name, seed=11)
+    rmap = _ResidualMap(S, eliminate=False)
+    for key, _, e in basis.columns():
+        X = _unit_field(basis.jet, key, e)
+        assert rmap(X) == reference_residual(S, X, eliminate=False), (name, key, e)
+
+
+# system -> catalogue functions whose fields act on it
+CATALOGUE = {
+    "member 1": ["transport_family_examples"],
+    "member 2": ["fields_member2", "family_member2", "family_member2_printed",
+                 "family_member2_partial"],
+    "member 3": ["fields_member3", "fields_member3_scaling", "family_member3",
+                 "family_member3_partial"],
+    "member 4": ["fields_member4"],
+    "reduced 2": ["fields_reduced2", "fields_reduced2_printed_variants"],
+    "reduced 3": ["fields_reduced3"],
+}
+
+
+def _catalogue_fields():
+    for name, makers in CATALOGUE.items():
+        for maker in makers:
+            fields = getattr(catalog, maker)()
+            for X in fields if isinstance(fields, list) else [fields]:
+                yield name, maker, X
+
+
+def test_catalogue_table_covers_every_field_maker():
+    makers = {n for n, f in inspect.getmembers(catalog, inspect.isfunction)
+              if f.__module__ == catalog.__name__ and not n.startswith("_")
+              and not n.startswith("printed_table")}
+    assert makers == {m for ms in CATALOGUE.values() for m in ms}
+
+
+@pytest.mark.parametrize("eliminate", [True, False], ids=["on-shell", "off-shell"])
+def test_catalogue_fields_and_families_match_reference(eliminate):
+    n_unknowns = 0
+    for name, maker, X in _catalogue_fields():
+        S = SYSTEMS[name]
+        n_unknowns += bool(X.unknowns)
+        assert symmetry_residual(S, X, eliminate) == \
+            reference_residual(S, X, eliminate), (name, maker, X.name)
+    assert n_unknowns >= 4  # the unknown-function families are covered
+
+
+def _heat_fields():
+    """Generators whose coefficients hold a_t under the rule a_t = a_xx: in
+    an xi slot, and alone in one eta slot."""
+    ctx = REAL_JET.with_functions({"a": ("t", "x")})
+    heat = (UnknownFunctionConstraint(
+        "a", ("t", "x"), 1, func("a", ("t", "x"), ("x", "x")).as_expr()),)
+    return [
+        VectorField(ctx, xi={"x": ctx.parse("a_t")},
+                    eta={"v": ctx.parse("a_x*exp(-w)")}, unknowns=heat),
+        VectorField(ctx, eta={"w": ctx.parse("a_t*cos(v) + t*a")}, unknowns=heat),
+    ]
+
+
+def _explicit_x(S):
+    """S with x*u_x added to every rhs, so xi^x meets a nonzero partial."""
+    return PDESystem(jet=S.jet, rhs={dep: e + S.jet.parse(f"x*{dep}_x")
+                                     for dep, e in S.rhs.items()},
+                     label=f"{S.label} + x u_x")
+
+
+@pytest.mark.parametrize("name", ["member 2", "member 3 scaled"])
+@pytest.mark.parametrize("eliminate", [True, False], ids=["on-shell", "off-shell"])
+def test_reducible_unknowns_in_coefficients_match_reference(name, eliminate):
+    S = _explicit_x(SYSTEMS[name])
+    for X in _heat_fields():
+        assert symmetry_residual(S, X, eliminate) == \
+            reference_residual(S, X, eliminate), (name, X)
