@@ -202,8 +202,7 @@ def _printed_disagreements(table, printed_entries) -> list[str]:
                        f"not in the computed basis: {', '.join(missing)}")
             continue
         i, j = names[a], names[b]
-        computed = table.constants[(i, j)] if (i, j) in table.constants else \
-            [-q for q in table.constants[(j, i)]]
+        computed = [table.c(i, j, k) for k in range(table.dim)]
         claimed = [Expr.rational(combo.get(F.name, Fraction(0)))
                    for F in table.basis]
         if any(not (x - y).is_zero() for x, y in zip(computed, claimed)):
@@ -332,9 +331,18 @@ def cmd_integrate(args) -> int:
     return 0
 
 
+# Most `--F1` values `fig1` takes: each one samples `--n` points for its
+# series and about 2,100 more for its features.
+MAX_FIG1_SERIES = 100
+
+
 def cmd_fig1(args) -> int:
     c = float(Fraction(args.c))
-    f1_values = [float(Fraction(x)) for x in args.F1.split(",")]
+    f1_texts = args.F1.split(",")
+    if len(f1_texts) > MAX_FIG1_SERIES:
+        raise ValueError(f"fig1 takes at most {MAX_FIG1_SERIES} --F1 values, "
+                         f"got {len(f1_texts)}")
+    f1_values = [float(Fraction(x)) for x in f1_texts]
     reports = []
     for f1 in f1_values:
         rows = red.fig1_rows(c, f1, n=args.n)

@@ -421,10 +421,7 @@ class Expr:
         if not isinstance(n, int):
             raise DomainError("exponent must be an integer")
         if n < 0:
-            inv = _invert_single(self) if len(self._terms) == 1 else None
-            if inv is None:
-                inv = recip_e(self)
-            return inv ** (-n)
+            return recip_e(self) ** (-n)
         out = Expr.one()
         base = self
         while n:
@@ -439,10 +436,7 @@ class Expr:
         other = _coerce(other)
         if not other._terms:
             raise ZeroDivisionError("division by zero expression")
-        inv = _invert_single(other)
-        if inv is None:
-            inv = recip_e(other)
-        return self * inv
+        return self * recip_e(other)
 
     def __rtruediv__(self, other) -> "Expr":
         return _coerce(other) / self

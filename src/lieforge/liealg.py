@@ -5,7 +5,8 @@ Structure constants are expressions in the declared parameter symbols (most
 tables are purely rational; the reduced third-member algebra needs sqrt(c)).
 Membership of a bracket in the span of a basis is decided by matching
 coefficients over the shared functional basis of monomials and solving
-exactly, never by sampling points.
+exactly, never by sampling points; one elimination answers every bracket of
+a table.
 """
 
 from __future__ import annotations
@@ -93,23 +94,25 @@ def _const_dictionary(params, span: int = 2) -> list[Expr]:
     return uniq
 
 
-def in_span(target: VectorField, basis: list[VectorField], params=None):
+def in_span(targets: list[VectorField], basis: list[VectorField], params=None):
     """Exact membership: target = sum_k alpha_k basis_k with alpha_k constant
-    expressions over the parameter dictionary.  Returns the list of alpha_k
-    Exprs or None."""
+    expressions over the parameter dictionary.  One elimination answers every
+    target; returns one list of alpha_k Exprs, or None, per target."""
     if params is None:
-        params = _param_atoms(basis + [target])
+        params = _param_atoms(basis + targets)
     consts = _const_dictionary(params)
     labels = [(k, c) for k in range(len(basis)) for c in consts]
-    sol = solve_exact([field_vector(basis[k], c) for k, c in labels],
-                      field_vector(target))
-    if sol is None:
-        return None
-    alphas = [Expr.zero() for _ in basis]
-    for (k, c), q in zip(labels, sol):
-        if q:
-            alphas[k] = alphas[k] + Expr.rational(q) * c
-    return alphas
+    sols = solve_exact([field_vector(basis[k], c) for k, c in labels],
+                       [field_vector(T) for T in targets])
+
+    def alphas(sol):
+        out = [Expr.zero() for _ in basis]
+        for (k, c), q in zip(labels, sol):
+            if q:
+                out[k] = out[k] + Expr.rational(q) * c
+        return out
+
+    return [None if sol is None else alphas(sol) for sol in sols]
 
 
 def basis_independent(basis: list[VectorField]) -> bool:
@@ -174,21 +177,18 @@ def structure_constants(basis: list[VectorField]) -> StructureTable:
     non-closing pairs are flagged with their residual field."""
     if not basis_independent(basis):
         raise DomainError("basis fields are linearly dependent")
-    params = _param_atoms(basis)
+    pairs = list(combinations(range(len(basis)), 2))
+    brackets = [lie_bracket(basis[i], basis[j]) for i, j in pairs]
     constants = {}
     non_closing = {}
-    closed = True
-    for i, j in combinations(range(len(basis)), 2):
-        br = lie_bracket(basis[i], basis[j])
-        alphas = in_span(br, basis, params)
+    for (i, j), br, alphas in zip(pairs, brackets,
+                                  in_span(brackets, basis, _param_atoms(basis))):
         if alphas is None:
-            closed = False
             non_closing[(i, j)] = br
-            constants[(i, j)] = [Expr.zero()] * len(basis)
-        else:
-            constants[(i, j)] = alphas
-    return StructureTable(basis=basis, constants=constants, closed=closed,
-                          non_closing=non_closing)
+            alphas = [Expr.zero()] * len(basis)
+        constants[(i, j)] = alphas
+    return StructureTable(basis=basis, constants=constants,
+                          closed=not non_closing, non_closing=non_closing)
 
 
 def jacobi_check(table: StructureTable) -> bool:
@@ -257,82 +257,56 @@ def algebra_signature(table: StructureTable) -> AlgebraSignature:
 
 def _signature_at(table: StructureTable, point) -> AlgebraSignature:
     n = table.dim
-    c = [[[_specialize(table.c(i, j, k), point) for k in range(n)]
-          for j in range(n)] for i in range(n)]
+    # [e_i, e_j] as a sparse row {k: c_ij^k}; absent for i == j
+    br = {}
+    for (i, j), vec in table.constants.items():
+        row = {k: q for k, q in enumerate(_specialize(e, point) for e in vec) if q}
+        br[(i, j)], br[(j, i)] = row, {k: -q for k, q in row.items()}
 
-    def bracket_vec(u, v):
-        out = [Fraction(0)] * n
-        for i in range(n):
-            if not u[i]:
-                continue
-            for j in range(n):
-                if not v[j] or i == j:
-                    continue
-                cij = c[i][j]
-                for k in range(n):
-                    if cij[k]:
-                        out[k] += u[i] * v[j] * cij[k]
-        return out
-
-    def basis_of(vecs):
-        pivot_rows, _ = rref([{i: v for i, v in enumerate(vec) if v}
-                              for vec in vecs], n)
-        return [[r.get(i, Fraction(0)) for i in range(n)] for r in pivot_rows]
-
-    full = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    def bracket(u, v):
+        out: dict[int, Fraction] = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                for k, q in br.get((i, j), {}).items():
+                    out[k] = out.get(k, 0) + a * b * q
+        return {k: q for k, q in out.items() if q}
 
     def bracket_span(A, B):
-        vecs = [bracket_vec(u, v) for u in A for v in B]
-        return basis_of(vecs)
+        return rref([bracket(u, v) for u in A for v in B])[0]
 
-    derived = [n]
-    cur = full
-    while True:
-        nxt = bracket_span(cur, cur)
-        d = len(nxt)
-        if d == derived[-1] or d == 0:
-            derived.append(d)
-            break
-        derived.append(d)
-        cur = nxt
-    derived_series = derived[1:]
+    full = [{i: Fraction(1)} for i in range(n)]
 
-    lcs = [n]
-    cur = full
-    while True:
-        nxt = bracket_span(full, cur)
-        d = len(nxt)
-        if d == lcs[-1] or d == 0:
-            lcs.append(d)
-            break
-        lcs.append(d)
-        cur = nxt
-    lcs_series = lcs[1:]
+    def series(step):
+        """Spans A_1, A_2, ... with A_{m+1} = step(A_m) from A_0 = g, up to
+        the first zero or repeated dimension."""
+        spans = [full]
+        while True:
+            spans.append(step(spans[-1]))
+            if not spans[-1] or len(spans[-1]) == len(spans[-2]):
+                return spans[1:]
+
+    derived = series(lambda A: bracket_span(A, A))
+    lower_central = series(lambda A: bracket_span(full, A))
+    derived_series = [len(A) for A in derived]
+    lcs_series = [len(A) for A in lower_central]
 
     # center: vectors u with [u, e_j] = 0 for all j; column i holds the
     # coefficients of [e_i, e_j] on e_k, keyed by (j, k)
-    rows = transpose({(j, k): c[i][j][k] for j in range(n) for k in range(n)
-                      if c[i][j][k]} for i in range(n))
+    rows = transpose({(j, k): q for j in range(n)
+                      for k, q in br.get((i, j), {}).items()} for i in range(n))
     cen_basis = nullspace(list(rows.values()), n)
-    center = len(cen_basis)
 
-    # abelian direct-sum complement: central directions outside [g, g]
-    der_rows = [{i: v for i, v in enumerate(vec) if v}
-                for vec in bracket_span(full, full)]
-    dim_sum = rank(der_rows + cen_basis, n)
-    center_in_derived = len(der_rows) + center - dim_sum
-    abelian_complement = center - center_in_derived
+    # abelian direct-sum complement: central directions outside [g, g],
+    # dim(Z + [g, g]) - dim [g, g]
+    abelian_complement = rank(derived[0] + cen_basis) - derived_series[0]
 
-    abelian = derived_series[0] == 0
-    nilpotent = lcs_series[-1] == 0
-    solvable = derived_series[-1] == 0
     return AlgebraSignature(
         dimension=n,
         derived_series=derived_series,
         lower_central_series=lcs_series,
-        center_dim=center,
-        abelian=abelian,
-        nilpotent=nilpotent,
-        solvable=solvable,
+        center_dim=len(cen_basis),
+        abelian=derived_series[0] == 0,
+        nilpotent=lcs_series[-1] == 0,
+        solvable=derived_series[-1] == 0,
         abelian_complement_dim=abelian_complement,
     )

@@ -106,19 +106,27 @@ def transpose(cols: Iterable[dict]) -> dict:
     return rows
 
 
-def solve_exact(cols: list[dict], target: dict):
-    """Solve sum_k x_k * cols[k] = target exactly.
+def solve_exact(cols: list[dict], targets: list[dict]) -> list:
+    """Solve sum_k x_k * cols[k] = target exactly, for every target at once.
 
-    Column vectors and target are sparse over any set of mutually comparable
-    row keys.  Returns the coefficient list, or None when the target is
-    outside the span.  The solution with free variables set to zero is
-    returned."""
+    Column vectors and targets are sparse over any set of mutually comparable
+    row keys.  One RREF of [cols | -targets] answers all targets: a target is
+    outside the span iff a pivot row whose pivot lies in the target block
+    (such a row has no basis entries) touches its column.  Returns one
+    coefficient list per target, the solution with free variables set to
+    zero, or None for a target outside the span."""
     nc = len(cols)
-    rows = transpose(cols + [{r: -q for r, q in target.items()}])
-    pivot_rows, pivots = rref([rows[r] for r in sorted(rows)], nc + 1)
-    if nc in pivots:
-        return None  # inconsistent
-    x = [Fraction(0)] * nc
-    for prow, pc in zip(pivot_rows, pivots):
-        x[pc] = -prow.get(nc, Fraction(0))
-    return x
+    rows = transpose(cols + [{r: -q for r, q in t.items()} for t in targets])
+    pivot_rows, pivots = rref([rows[r] for r in sorted(rows)])
+    outside = {c for prow, pc in zip(pivot_rows, pivots) if pc >= nc for c in prow}
+    out = []
+    for t in range(nc, nc + len(targets)):
+        if t in outside:
+            out.append(None)
+            continue
+        x = [Fraction(0)] * nc
+        for prow, pc in zip(pivot_rows, pivots):
+            if pc < nc:
+                x[pc] = -prow.get(t, Fraction(0))
+        out.append(x)
+    return out

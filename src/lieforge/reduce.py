@@ -619,7 +619,7 @@ def _fd_stencil(offsets: list[int], order: int) -> tuple[list[Fraction], list[fl
     # column j holds the moments offsets[j]^m, m < n: the weights give
     # order! on moment `order` and zero on every other moment
     cols = [{m: Fraction(o) ** m for m in range(n) if o or not m} for o in offsets]
-    w = solve_exact(cols, {order: Fraction(math.factorial(order))})
+    w, = solve_exact(cols, [{order: Fraction(math.factorial(order))}])
     if w is None:
         raise DomainError("stencil offsets admit no finite-difference weights")
     got = _FD_CACHE[key] = (w, [float(q) for q in w])

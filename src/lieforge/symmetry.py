@@ -24,7 +24,7 @@ from .expr_core import (
     DomainError, Expr, Func, Jet, _add_into, atoms_of, coefficient_vector,
     derive, func, jet, sym,
 )
-from .linalg import nullspace, solve_exact, transpose
+from .linalg import nullspace, transpose
 from .parser import expr_text
 from .systems import JetSpec, Reducer, total_derivative
 
@@ -33,7 +33,6 @@ __all__ = [
     "DeterminingSystem", "VerificationReport", "prolong_generator",
     "symmetry_residual", "determining_system", "discover_symmetries",
     "verify_generator", "ansatz_dictionary", "field_text", "field_vector",
-    "project_onto_ansatz", "span_membership",
 ]
 
 
@@ -402,41 +401,3 @@ def discover_symmetries(system, basis: AnsatzBasis,
                     if k == kind and not v.is_zero()} for kind in ("xi", "eta"))
         fields.append(VectorField(basis.jet, xi, eta))
     return fields
-
-
-# ---------------------------------------------------------------------------
-# exact span membership
-# ---------------------------------------------------------------------------
-
-def project_onto_ansatz(X: VectorField, basis: AnsatzBasis):
-    """Coefficient vector of X over the dictionary, or None when a slot
-    expression leaves the dictionary."""
-    index: dict[tuple, int] = {}
-    for col_idx, (key, _, e) in enumerate(basis.columns()):
-        entry = coefficient_vector([(key, e)])
-        if list(entry.values()) != [1]:
-            raise DomainError("ansatz dictionary entries must be unit monomials")
-        index[next(iter(entry))] = col_idx
-    vec: dict[int, Fraction] = {}
-    for key, q in field_vector(X).items():
-        col = index.get(key)
-        if col is None:
-            return None
-        vec[col] = q
-    return vec
-
-
-def span_membership(X: VectorField, fields: list[VectorField],
-                    basis: AnsatzBasis):
-    """Exact coordinates of X in span{fields} (all projected onto the
-    dictionary), or None."""
-    target = project_onto_ansatz(X, basis)
-    if target is None:
-        return None
-    cols = []
-    for F in fields:
-        vec = project_onto_ansatz(F, basis)
-        if vec is None:
-            return None
-        cols.append(vec)
-    return solve_exact(cols, target)

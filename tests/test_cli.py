@@ -228,12 +228,14 @@ def test_symmetries_find_rejects_bad_dictionary(capsys, flags, message):
     (["fig1", "--n", "1"], "fig1 sample count 1 outside"),
     (["fig1", "--n", "0"], "fig1 sample count 0 outside"),
     (["fig1", "--n", "-5"], "fig1 sample count -5 outside"),
+    (["fig1", "--n", "2", "--F1", ",".join(map(str, range(2001)))],
+     "fig1 takes at most 100 --F1 values, got 2001"),
     (["verify-solution", "--system", "3.3", "--solution", "tan", "--tol", "-1"],
      "--tol must be positive"),
     (["verify-solution", "--system", "3.3", "--solution", "tan", "--tol", "nan"],
      "--tol must be positive"),
 ], ids=["rk4-h-1e-9", "rk4-h-nan", "rk4-range-inf", "fig1-n-1e7", "fig1-n-1",
-        "fig1-n-0", "fig1-n-negative", "tol-negative", "tol-nan"])
+        "fig1-n-0", "fig1-n-negative", "fig1-F1-2001", "tol-negative", "tol-nan"])
 def test_numeric_inputs_checked_before_work(capsys, argv, message):
     got = main(argv)
     captured = capsys.readouterr()

@@ -106,6 +106,6 @@ def test_linalg_on_int_rows_equals_fraction_rows():
         assert ci == cf and _typed(pi) == _typed(pf)
         assert _typed(nullspace(ints, n_cols)) == _typed(nullspace(fracs, n_cols))
         target = {r: rng.randint(-2, 2) for r in range(n_cols)}
-        xi = solve_exact(ints, target)
-        xf = solve_exact(fracs, {r: Fraction(q) for r, q in target.items()})
+        xi, = solve_exact(ints, [target])
+        xf, = solve_exact(fracs, [{r: Fraction(q) for r, q in target.items()}])
         assert xi == xf and (xi is None or all(type(q) is Fraction for q in xi))

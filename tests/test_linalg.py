@@ -44,14 +44,14 @@ def test_nullspace_exactness():
 def test_solve_exact_consistent():
     cols = [{0: F(1), 1: F(2)}, {0: F(0), 1: F(1)}]
     target = {0: F(3), 1: F(8)}
-    x = solve_exact(cols, target)
+    x, = solve_exact(cols, [target])
     assert x == [F(3), F(2)]
 
 
 def test_solve_exact_inconsistent():
     cols = [{0: F(1)}]
     target = {1: F(1)}
-    assert solve_exact(cols, target) is None
+    assert solve_exact(cols, [target]) == [None]
 
 
 def test_duplicate_rows_deduped():
