@@ -21,8 +21,10 @@ the class of expressions the toolkit manipulates:
 tan is kept opaque with derivative 1 + tan^2 and is never rewritten into
 sin/cos.  Reciprocal atoms make closed-form solution candidates expressible;
 expressions containing them are outside the decidable class and fall back to
-randomised numeric zero testing.  Products of symbols, jets and unknown
-functions alone skip every rewriting pass.
+randomised numeric zero testing.  One product kernel multiplies term dicts
+straight into an accumulator; a monomial product with a plain side (symbols,
+jets and unknown functions alone) is a merge of exponents, so it skips every
+rewriting pass.
 
 Partial and total derivatives share one derivation loop: a single sweep over
 the terms, fixed by its values on symbols, jets and functions, with one chain
@@ -406,14 +408,7 @@ class Expr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "Expr":
-        other = _coerce(other)
-        if not self._terms or not other._terms:
-            return Expr.zero()
-        out: dict[Monomial, Coeff] = {}
-        for m1, q1 in self._terms.items():
-            for m2, q2 in other._terms.items():
-                _accumulate(out, list(m1) + list(m2), q1 * q2)
-        return Expr(out)
+        return Expr(_mul_into({}, self._terms, _coerce(other)._terms))
 
     __rmul__ = __mul__
 
@@ -464,12 +459,63 @@ def _add_into(out: dict[Monomial, Coeff],
     """Add terms into `out` in place, dropping monomials that cancel; a new
     monomial goes last and an existing one keeps its place."""
     for m, q in terms:
-        s = out.get(m, 0) + q
-        if s:
-            out[m] = s if s.__class__ is int or s.denominator != 1 else s.numerator
-        else:
-            out.pop(m, None)
+        _put(out, m, q)
     return out
+
+
+def _put(out: dict[Monomial, Coeff], m: Monomial, q: Coeff) -> None:
+    """Add q*m into `out`: a new monomial takes q as it is, a sum that cancels
+    is dropped, and an integral sum is stored as an `int`."""
+    s = out.get(m)
+    s = q if s is None else s + q
+    if s:
+        out[m] = s if s.__class__ is int or s.denominator != 1 else s.numerator
+    else:
+        del out[m]
+
+
+def _is_plain(m: Monomial) -> bool:
+    for a, _ in m:
+        if a.__class__ not in _PLAIN:
+            return False
+    return True
+
+
+def _mul_into(out: dict[Monomial, Coeff], A: Mapping[Monomial, Coeff],
+              B: Mapping[Monomial, Coeff]) -> dict[Monomial, Coeff]:
+    """Add the product of the canonical term dicts A and B into `out` in
+    place, term by term in the order of A, then of B.  Canonicalisation never
+    rewrites a plain atom, so a canonical monomial times a plain one is
+    canonical once the shared exponents are added and zeros dropped: such a
+    product is that merge and skips every rewriting pass."""
+    bs = [(m2, q2, _is_plain(m2)) for m2, q2 in B.items()]
+    for m1, q1 in A.items():
+        p1 = _is_plain(m1)
+        for m2, q2, p2 in bs:
+            if p1 or p2:
+                _put(out, _merge(m1, m2), q1 * q2)
+            else:
+                _accumulate(out, [*m1, *m2], q1 * q2)
+    return out
+
+
+def _merge(m1: Monomial, m2: Monomial) -> Monomial:
+    """Product of two key-sorted monomials in one pass: shared exponents
+    added, zeros dropped, key order kept."""
+    if len(m1) < len(m2):
+        m1, m2 = m2, m1
+    merged, i, n1 = [], 0, len(m1)
+    for a, k in m2:
+        key = a.key
+        while i < n1 and m1[i][0].key < key:
+            merged.append(m1[i])
+            i += 1
+        if i < n1 and m1[i][0] is a:
+            k += m1[i][1]
+            i += 1
+        if k:
+            merged.append((a, k))
+    return tuple(merged) + m1[i:]
 
 
 def _coerce(x) -> Expr:
@@ -518,111 +564,104 @@ def _invert_single(e: Expr) -> Expr | None:
 def _accumulate(out: dict[Monomial, Coeff], factors: list[tuple[Atom, int]],
                 coeff: Coeff) -> None:
     """Normalise a factor list and add the resulting terms into `out`; an
-    integral sum is stored as an `int`."""
+    integral sum is stored as an `int`.  Products with a plain side do not
+    come here: `_mul_into` merges them."""
     stack = [(factors, coeff)]
     while stack:
         fl, q = stack.pop()
         if not q:
             continue
         powers: dict[Atom, int] = {}
-        plain = True
         for atom, k in fl:
             powers[atom] = powers.get(atom, 0) + k
-            if plain and atom.__class__ not in _PLAIN:
-                plain = False
-        if not plain:
-            # imaginary unit: reduce exponent mod 4
-            ik = powers.pop(I, 0)
+        # imaginary unit: reduce exponent mod 4
+        ik = powers.pop(I, 0)
+        if ik:
+            ik %= 4
+            if ik >= 2:
+                q = -q
+                ik -= 2
             if ik:
-                ik %= 4
-                if ik >= 2:
-                    q = -q
-                    ik -= 2
-                if ik:
-                    powers[I] = 1
+                powers[I] = 1
 
-            # root symbols: r^k -> Sym(of)^((k - k%2)/2) * r^(k%2)
-            for atom in [a for a in powers if isinstance(a, Root)]:
-                k = powers.pop(atom)
-                rem = k & 1
-                shift = (k - rem) // 2
-                if shift:
-                    base = sym(atom.of)
-                    powers[base] = powers.get(base, 0) + shift
-                    if powers[base] == 0:
-                        del powers[base]
-                if rem:
-                    powers[atom] = rem
+        # root symbols: r^k -> Sym(of)^((k - k%2)/2) * r^(k%2)
+        for atom in [a for a in powers if isinstance(a, Root)]:
+            k = powers.pop(atom)
+            rem = k & 1
+            shift = (k - rem) // 2
+            if shift:
+                base = sym(atom.of)
+                powers[base] = powers.get(base, 0) + shift
+                if powers[base] == 0:
+                    del powers[base]
+            if rem:
+                powers[atom] = rem
 
-            # merge exponentials; a lone exp(arg) stays, its argument is
-            # canonical and nonzero (only _exp_atom makes the atom)
-            exps = [(a, k) for a, k in powers.items() if isinstance(a, ExpAtom)]
-            if len(exps) > 1 or (exps and exps[0][1] != 1):
-                total = Expr.zero()
-                for a, k in exps:
-                    del powers[a]
-                    total = total + a.arg * Expr.integer(k)
-                na = _exp_atom(total)
-                if na is not None:
-                    powers[na] = powers.get(na, 0) + 1
+        # merge exponentials; a lone exp(arg) stays, its argument is
+        # canonical and nonzero (only _exp_atom makes the atom)
+        exps = [(a, k) for a, k in powers.items() if isinstance(a, ExpAtom)]
+        if len(exps) > 1 or (exps and exps[0][1] != 1):
+            total = Expr.zero()
+            for a, k in exps:
+                del powers[a]
+                total = total + a.arg * Expr.integer(k)
+            na = _exp_atom(total)
+            if na is not None:
+                powers[na] = powers.get(na, 0) + 1
 
-            # reciprocals that became invertible (e.g. after substitution)
-            for atom in [a for a in powers if isinstance(a, Recip)]:
-                k = powers[atom]
-                if k < 0:
-                    raise DomainError("negative reciprocal power")
-                inv = _invert_single(atom.arg)
-                if inv is not None:
-                    del powers[atom]
-                    mono, iq = next(iter(inv._terms.items()))
-                    q *= iq ** k
-                    for a2, k2 in mono:
-                        powers[a2] = powers.get(a2, 0) + k2 * k
-                elif not atom.arg._terms:
-                    raise ZeroDivisionError("reciprocal of zero expression")
+        # reciprocals that became invertible (e.g. after substitution)
+        for atom in [a for a in powers if isinstance(a, Recip)]:
+            k = powers[atom]
+            if k < 0:
+                raise DomainError("negative reciprocal power")
+            inv = _invert_single(atom.arg)
+            if inv is not None:
+                del powers[atom]
+                mono, iq = next(iter(inv._terms.items()))
+                q *= iq ** k
+                for a2, k2 in mono:
+                    powers[a2] = powers.get(a2, 0) + k2 * k
+            elif not atom.arg._terms:
+                raise ZeroDivisionError("reciprocal of zero expression")
 
-            # trig bookkeeping
-            trig_sc: list[Trig] = []
-            bad = False
-            for atom in [a for a in powers if isinstance(a, Trig)]:
-                k = powers[atom]
-                if k < 0:
-                    raise DomainError("negative power of a trig factor")
-                if not atom.arg._terms:
-                    # stale atom (argument collapsed to zero after substitution)
-                    del powers[atom]
-                    if atom.fn in ("sin", "tan"):
-                        bad = True
-                    continue
-                if atom.fn in ("sin", "cos"):
-                    trig_sc.extend([atom] * k)
-                    del powers[atom]
-            if bad:
+        # trig bookkeeping
+        trig_sc: list[Trig] = []
+        bad = False
+        for atom in [a for a in powers if isinstance(a, Trig)]:
+            k = powers[atom]
+            if k < 0:
+                raise DomainError("negative power of a trig factor")
+            if not atom.arg._terms:
+                # stale atom (argument collapsed to zero after substitution)
+                del powers[atom]
+                if atom.fn in ("sin", "tan"):
+                    bad = True
                 continue
+            if atom.fn in ("sin", "cos"):
+                trig_sc.extend([atom] * k)
+                del powers[atom]
+        if bad:
+            continue
 
-            if len(trig_sc) >= 2:
-                a1, a2 = trig_sc[0], trig_sc[1]
-                rest = [(a, 1) for a in trig_sc[2:]]
-                others = [(a, k) for a, k in powers.items()]
-                for fn, arg, w in _product_to_sum(a1, a2):
-                    wq = q * w
-                    flip, atom = _trig_atom(fn, arg)
-                    wq *= flip
-                    nl = others + rest + ([(atom, 1)] if atom is not None else [])
-                    stack.append((nl, wq))
-                continue
+        if len(trig_sc) >= 2:
+            a1, a2 = trig_sc[0], trig_sc[1]
+            rest = [(a, 1) for a in trig_sc[2:]]
+            others = [(a, k) for a, k in powers.items()]
+            for fn, arg, w in _product_to_sum(a1, a2):
+                wq = q * w
+                flip, atom = _trig_atom(fn, arg)
+                wq *= flip
+                nl = others + rest + ([(atom, 1)] if atom is not None else [])
+                stack.append((nl, wq))
+            continue
 
-            # single leftover sin/cos
-            for atom in trig_sc:
-                powers[atom] = powers.get(atom, 0) + 1
+        # single leftover sin/cos
+        for atom in trig_sc:
+            powers[atom] = powers.get(atom, 0) + 1
 
         mono = tuple(sorted(((a, k) for a, k in powers.items() if k != 0),
                             key=lambda t: t[0].key))
-        s = out.get(mono, 0) + q
-        if s:
-            out[mono] = s if s.__class__ is int or s.denominator != 1 else s.numerator
-        else:
-            out.pop(mono, None)
+        _put(out, mono, q)
 
 
 def _product_to_sum(a1: Trig, a2: Trig):
@@ -699,11 +738,8 @@ def _derivation(e: Expr, delta: Callable[[Atom], Expr | None]) -> Expr:
                 d = dvals[atom] = _datom(atom, delta)
             if d is None:
                 continue
-            rest = list(m[:i]) + list(m[i + 1:])
-            if k != 1:
-                rest.append((atom, k - 1))
-            for dm, dq in d._terms.items():
-                _accumulate(out, rest + list(dm), q * k * dq)
+            rest = m[:i] + ((atom, k - 1),) + m[i + 1:] if k != 1 else m[:i] + m[i + 1:]
+            _mul_into(out, {rest: q * k}, d._terms)
     return Expr(out)
 
 
@@ -733,8 +769,9 @@ def _datom(atom: Atom, delta: Callable[[Atom], Expr | None]) -> Expr | None:
 def substitute(e: Expr, bindings: Mapping[Atom, Expr]) -> Expr:
     """Simultaneous substitution of atoms by expressions, then renormalise.
     Only terms with a changed atom are rebuilt: the product of their changed
-    and non-plain factors, then their unchanged Sym/Jet/Func factors, which
-    map monomials one-to-one in order, so terms keep the factor-wise order."""
+    and non-plain factors, merged with their unchanged Sym/Jet/Func factors,
+    which map monomials one-to-one in order, so terms keep the factor-wise
+    order."""
     _check_acyclic(bindings)
     cache: dict[Atom, Expr | None] = {}
 
@@ -774,11 +811,7 @@ def substitute(e: Expr, bindings: Mapping[Atom, Expr]) -> Expr:
                     got = powers[(atom, k)] = val ** k
                 val = got
             term = term * val
-        if not kept:
-            _add_into(out, term._terms.items())
-            continue
-        for pm, pq in term._terms.items():
-            _accumulate(out, list(pm) + kept, pq)
+        _mul_into(out, term._terms, {tuple(kept): 1})
     return Expr(out)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .expr_core import (
-    DomainError, Expr, Root, Sym, _add_into, atoms_of, derive, jet, substitute,
+    DomainError, Expr, Root, Sym, _mul_into, atoms_of, derive, jet, substitute,
     sym,
 )
 from .linalg import nullspace, rank, rref, solve_exact, transpose
@@ -33,7 +33,7 @@ def _apply_field(X: VectorField, f: Expr) -> Expr:
     for kind, var, c in X.coeff_vector_atoms():
         if not c.is_zero():
             d = derive(f, sym(var) if kind == "xi" else jet(var))
-            _add_into(out, (c * d)._terms.items())
+            _mul_into(out, c._terms, d._terms)
     return Expr(out)
 
 
@@ -192,21 +192,24 @@ def structure_constants(basis: list[VectorField]) -> StructureTable:
 
 
 def jacobi_check(table: StructureTable) -> bool:
-    """Exact Jacobi identity on the structure constants."""
+    """Exact Jacobi identity on the structure constants, summing products of
+    nonzero constants only."""
     if not table.closed:
         raise DomainError("Jacobi check needs a closed table")
-    n = table.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                for l in range(n):
-                    total: dict = {}
-                    for m in range(n):
-                        for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
-                            cc = table.c(a, b, m) * table.c(m, e, l)
-                            _add_into(total, cc._terms.items())
-                    if total:
-                        return False
+    # [e_a, e_b] as a sparse row {m: c_ab^m}, for every ordered pair a != b
+    nz: dict[tuple[int, int], dict[int, Expr]] = {}
+    for (i, j), vec in table.constants.items():
+        row = {m: q for m, q in enumerate(vec) if not q.is_zero()}
+        nz[(i, j)], nz[(j, i)] = row, {m: -q for m, q in row.items()}
+    for i, j, k in combinations(range(table.dim), 3):
+        # sum over cyclic (a, b, e) of c_ab^m c_me^l, for every l at once
+        totals: dict[int, dict] = {}
+        for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+            for m, cab in nz.get((a, b), {}).items():
+                for l, cme in nz.get((m, e), {}).items():
+                    _mul_into(totals.setdefault(l, {}), cab._terms, cme._terms)
+        if any(totals.values()):
+            return False
     return True
 
 

@@ -21,18 +21,18 @@ def _scale(row: dict[int, Fraction], q: Fraction) -> dict[int, Fraction]:
 
 def _axpy(dst: dict[int, Fraction], src: dict[int, Fraction], q: Fraction) -> None:
     for c, v in src.items():
-        s = dst.get(c, 0) + q * v
+        s = dst.get(c)
+        s = q * v if s is None else s + q * v
         if s:
             dst[c] = s
         else:
-            dst.pop(c, None)
+            del dst[c]
 
 
-def rref(rows: list[dict], ncols: int | None = None):
+def rref(rows: list[dict]):
     """Reduced row-echelon form.  Returns (pivot_rows, pivots) where
     pivot_rows[i] has a 1 in column pivots[i] and zeros in other pivot
-    columns.  The elimination reads columns from the rows themselves, so
-    `ncols` may be omitted."""
+    columns; the columns are read from the rows themselves."""
     pivot_rows: list[dict[int, Fraction]] = []
     pivots: list[int] = []
 
@@ -74,14 +74,14 @@ def rref(rows: list[dict], ncols: int | None = None):
     return [pivot_rows[i] for i in order], [pivots[i] for i in order]
 
 
-def rank(rows: list[dict], ncols: int | None = None) -> int:
-    return len(rref(rows, ncols)[1])
+def rank(rows: list[dict]) -> int:
+    return len(rref(rows)[1])
 
 
 def nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
     """Canonical nullspace basis: one vector per free column, with a 1 in the
     free column and pivot columns filled in; ordered by free column index."""
-    pivot_rows, pivots = rref(rows, ncols)
+    pivot_rows, pivots = rref(rows)
     pivot_set = set(pivots)
     basis = []
     for j in range(ncols):

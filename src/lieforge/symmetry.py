@@ -21,8 +21,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .expr_core import (
-    DomainError, Expr, Func, Jet, _add_into, atoms_of, coefficient_vector,
-    derive, func, jet, sym,
+    DomainError, Expr, Func, Jet, _add_into, _mul_into, atoms_of,
+    coefficient_vector, derive, func, jet, sym,
 )
 from .linalg import nullspace, transpose
 from .parser import expr_text
@@ -177,7 +177,8 @@ class _ResidualMap:
     eta-only generator of one slot, eta^A = e, has prolongation D_J(e) on A
     whatever A is, so one reduced table per entry e serves every dependent.
     Reduction is a ring homomorphism, so residuals are assembled from
-    reduced factors."""
+    reduced factors, each product added term by term into its residual with
+    no intermediate product expression."""
 
     def __init__(self, system, unknowns=(), eliminate: bool = True):
         equations = system.equations()
@@ -219,7 +220,7 @@ class _ResidualMap:
         for lead, dxi, djet in self.parts:
             out = dict(coeffs[lead]._terms)
             for c, d in [*zip(xi, dxi), *((coeffs[a], d) for a, d in djet)]:
-                _add_into(out, (c * d)._terms.items())
+                _mul_into(out, c._terms, d._terms)
             residuals.append(Expr(out))
         return residuals
 
@@ -355,7 +356,7 @@ class DeterminingSystem:
 
     def rank(self) -> int:
         from .linalg import rank as _rank
-        return _rank(self.rows, self.n_unknowns)
+        return _rank(self.rows)
 
     def nullity(self) -> int:
         return self.n_unknowns - self.rank()

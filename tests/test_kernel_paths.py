@@ -1,16 +1,18 @@
 """The kernel's calculus and substitution against straightforward reference
 implementations kept here: the total derivative as one partial derivative
 per atom, `derive` and `substitute` as term-by-term products (term order
-included, because numeric sums follow it), and the canonicalisation of plain
-monomials against the general path."""
+included, because numeric sums follow it), and the product kernel's merge of
+monomials with a plain side against canonicalising every product."""
 
 import random
 from fractions import Fraction
 
 from lieforge.expr_core import (
-    I, Expr, Func, Jet, _accumulate, atoms_of, cos_e, derive, exp_e, func,
-    jet, recip_e, root, sin_e, substitute, sym, tan_e, Trig, ExpAtom, Recip,
+    I, Expr, Func, Jet, _accumulate, _mul_into, atoms_of, cos_e, derive, exp_e,
+    func, jet, recip_e, root, sin_e, substitute, sym, tan_e, Trig, ExpAtom,
+    Recip,
 )
+from lieforge.liealg import StructureTable, jacobi_check
 from lieforge.systems import total_derivative
 
 from exprgen import BASE_ATOMS, _atom_expr, random_tree, tree_to_expr
@@ -181,16 +183,63 @@ def test_substitute_term_order_matches_termwise_product():
     assert changed > N_EXPRS // 2
 
 
-def test_accumulate_plain_matches_general_path():
-    rng = random.Random(SEED + 3)
-    plain = [sym("t"), sym("x"), jet("v"), jet("v", ("x",)), jet("w", ("x", "x")), A, A_X, B]
-    fast: dict = {}
-    general: dict = {}
-    for _ in range(N_EXPRS):
-        factors = [(rng.choice(plain), rng.randint(-2, 3)) for _ in range(rng.randint(0, 5))]
-        q = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
-        _accumulate(fast, factors, q)
-        # I^0 changes nothing but sends the list through every rewriting pass
-        _accumulate(general, factors + [(I, 0)], q)
-        assert list(fast.items()) == list(general.items())
-    assert fast
+def _hand_picked_terms():
+    """Canonical terms the merge must leave alone or combine exactly: I, a
+    root with its symbol, exp, sin/cos/tan, a reciprocal, negative plain
+    powers, plain powers that cancel, the empty monomial, and Fraction
+    coefficients whose products are integral."""
+    x, t, v, vx = (_atom_expr(n) for n in ("x", "t", "v", "v_x"))
+    c, r, a = _e(sym("c")), _e(root("c")), _e(A)
+    exprs = [
+        I.as_expr(), I.as_expr() * x, r, r * c, r * c ** -1 * v,
+        exp_e(x + v), exp_e(I.as_expr() * t) * vx, sin_e(v), cos_e(2 * v) * x,
+        tan_e(x - v) ** 2 * a, recip_e(v + x) * vx, recip_e(a + t) ** 2,
+        x ** -2 * v ** 3, x ** 2 * v ** -3, vx ** -1 * a ** -2, a ** 2 * vx,
+        Expr.one(), Expr.rational(Fraction(2, 3)), Expr.rational(Fraction(3, 2)),
+        Expr.rational(Fraction(-3, 4)) * x, Expr.rational(Fraction(4, 3)) * x ** -1,
+        Expr.rational(Fraction(7, 6)) * sin_e(x),
+    ]
+    return [term for e in exprs for term in e._terms.items()]
+
+
+def _typed(out):
+    return [(m, q, type(q)) for m, q in out.items()]
+
+
+def test_mul_into_matches_general_path():
+    rng = random.Random(SEED + 4)
+    special = _hand_picked_terms()
+    pool = [term for e in _exprs() for term in e._terms.items()] + special
+    seen = {"integral": 0, "shared": 0, "dropped": 0}
+    for n in range(2 * N_EXPRS):
+        # every other pair is drawn from the hand-picked terms alone
+        src = special if n % 2 else pool
+        A_, B_ = (dict(rng.sample(src, rng.randint(1, 4))) for _ in range(2))
+        start = dict(rng.sample(src, rng.randint(0, 3)))
+        got = _mul_into(dict(start), A_, B_)
+        ref = dict(start)
+        for m1, q1 in A_.items():
+            for m2, q2 in B_.items():
+                _accumulate(ref, list(m1) + list(m2), q1 * q2)
+        assert _typed(got) == _typed(ref)
+        assert all(q.__class__ is int or q.denominator > 1 for q in got.values())
+        for m1, q1 in A_.items():
+            for m2, q2 in B_.items():
+                seen["integral"] += (q1 * q2).denominator == 1 != q1.denominator
+                seen["shared"] += len(dict(m1 + m2)) < len(m1) + len(m2)
+                seen["dropped"] += any(k1 + k2 == 0 for a1, k1 in m1
+                                       for a2, k2 in m2 if a1 is a2)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_jacobi_check_rejects_hand_made_table():
+    # [e0, e1] = e0, [e1, e2] = e1, [e0, e2] = 0: the cyclic sum on
+    # (e0, e1, e2) is [e0, e2] + [e1, e0] = -e0
+    one, zero = Expr.one(), Expr.zero()
+    constants = {(0, 1): [one, zero, zero], (1, 2): [zero, one, zero],
+                 (0, 2): [zero, zero, zero]}
+    assert not jacobi_check(StructureTable(basis=[None] * 3, constants=constants,
+                                           closed=True))
+    constants[(1, 2)] = [zero, zero, zero]
+    assert jacobi_check(StructureTable(basis=[None] * 3, constants=constants,
+                                       closed=True))

@@ -13,7 +13,7 @@ def rows_of(mat):
 
 def test_rref_pivots_normalised():
     rows = rows_of([[2, 4, 0], [1, 2, 1]])
-    pivot_rows, pivots = rref(rows, 3)
+    pivot_rows, pivots = rref(rows)
     assert pivots == [0, 2]
     for prow, pc in zip(pivot_rows, pivots):
         assert prow[pc] == 1
@@ -21,7 +21,7 @@ def test_rref_pivots_normalised():
 
 def test_rank_and_nullspace():
     rows = rows_of([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-    assert rank(rows, 3) == 2
+    assert rank(rows) == 2
     null = nullspace(rows, 3)
     assert len(null) == 1
     vec = null[0]
@@ -56,12 +56,12 @@ def test_solve_exact_inconsistent():
 
 def test_duplicate_rows_deduped():
     rows = rows_of([[1, 1], [1, 1], [1, 1]])
-    assert rank(rows, 2) == 1
+    assert rank(rows) == 1
 
 
 def test_explicit_zero_entries_dropped():
     # the zero in column 1 survives elimination of the second row; it must
     # neither become a pivot nor keep the row apart from its duplicate
     rows = [{0: F(1), 1: F(0)}, {0: F(1)}]
-    assert rref(rows, 2) == ([{0: F(1)}], [0])
+    assert rref(rows) == ([{0: F(1)}], [0])
     assert nullspace(rows, 2) == [{1: F(1)}]

@@ -35,7 +35,7 @@ def reference_solve(cols, target):
     column holds a pivot."""
     nc = len(cols)
     rows = transpose(cols + [{r: -q for r, q in target.items()}])
-    pivot_rows, pivots = rref([rows[r] for r in sorted(rows)], nc + 1)
+    pivot_rows, pivots = rref([rows[r] for r in sorted(rows)])
     if nc in pivots:
         return None
     x = [Fraction(0)] * nc
