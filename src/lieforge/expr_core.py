@@ -24,7 +24,8 @@ expressions containing them are outside the decidable class and fall back to
 randomised numeric zero testing.  One product kernel multiplies term dicts
 straight into an accumulator; a monomial product with a plain side (symbols,
 jets and unknown functions alone) is a merge of exponents, so it skips every
-rewriting pass.
+rewriting pass.  The rewriting passes run only for the atom classes present,
+and merge exp arguments and build product-to-sum arguments on term dicts.
 
 Partial and total derivatives share one derivation loop: a single sweep over
 the terms, fixed by its values on symbols, jets and functions, with one chain
@@ -44,7 +45,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, KeysView, Mapping
 
 __all__ = [
     "Atom", "Sym", "Root", "Jet", "Func", "IUnit", "Trig", "ExpAtom", "Recip",
@@ -574,6 +575,8 @@ def _accumulate(out: dict[Monomial, Coeff], factors: list[tuple[Atom, int]],
         powers: dict[Atom, int] = {}
         for atom, k in fl:
             powers[atom] = powers.get(atom, 0) + k
+        # the passes below add no atom of a class a later pass rewrites
+        kinds = {a.__class__ for a in powers}
         # imaginary unit: reduce exponent mod 4
         ik = powers.pop(I, 0)
         if ik:
@@ -585,7 +588,7 @@ def _accumulate(out: dict[Monomial, Coeff], factors: list[tuple[Atom, int]],
                 powers[I] = 1
 
         # root symbols: r^k -> Sym(of)^((k - k%2)/2) * r^(k%2)
-        for atom in [a for a in powers if isinstance(a, Root)]:
+        for atom in [a for a in powers if a.__class__ is Root] if Root in kinds else ():
             k = powers.pop(atom)
             rem = k & 1
             shift = (k - rem) // 2
@@ -599,18 +602,20 @@ def _accumulate(out: dict[Monomial, Coeff], factors: list[tuple[Atom, int]],
 
         # merge exponentials; a lone exp(arg) stays, its argument is
         # canonical and nonzero (only _exp_atom makes the atom)
-        exps = [(a, k) for a, k in powers.items() if isinstance(a, ExpAtom)]
-        if len(exps) > 1 or (exps and exps[0][1] != 1):
-            total = Expr.zero()
-            for a, k in exps:
-                del powers[a]
-                total = total + a.arg * Expr.integer(k)
-            na = _exp_atom(total)
-            if na is not None:
-                powers[na] = powers.get(na, 0) + 1
+        if ExpAtom in kinds:
+            exps = [(a, k) for a, k in powers.items() if a.__class__ is ExpAtom]
+            if len(exps) > 1 or exps[0][1] != 1:
+                total: dict[Monomial, Coeff] = {}
+                for a, k in exps:
+                    del powers[a]
+                    for m, aq in a.arg._terms.items() if k else ():
+                        _put(total, m, aq * k)
+                na = _exp_atom(Expr(total))
+                if na is not None:
+                    powers[na] = powers.get(na, 0) + 1
 
         # reciprocals that became invertible (e.g. after substitution)
-        for atom in [a for a in powers if isinstance(a, Recip)]:
+        for atom in [a for a in powers if a.__class__ is Recip] if Recip in kinds else ():
             k = powers[atom]
             if k < 0:
                 raise DomainError("negative reciprocal power")
@@ -627,7 +632,7 @@ def _accumulate(out: dict[Monomial, Coeff], factors: list[tuple[Atom, int]],
         # trig bookkeeping
         trig_sc: list[Trig] = []
         bad = False
-        for atom in [a for a in powers if isinstance(a, Trig)]:
+        for atom in [a for a in powers if a.__class__ is Trig] if Trig in kinds else ():
             k = powers[atom]
             if k < 0:
                 raise DomainError("negative power of a trig factor")
@@ -650,7 +655,8 @@ def _accumulate(out: dict[Monomial, Coeff], factors: list[tuple[Atom, int]],
             for fn, arg, w in _product_to_sum(a1, a2):
                 wq = q * w
                 flip, atom = _trig_atom(fn, arg)
-                wq *= flip
+                if flip != 1:  # 0 for sin(0): a multiplication, not a negation
+                    wq *= flip
                 nl = others + rest + ([(atom, 1)] if atom is not None else [])
                 stack.append((nl, wq))
             continue
@@ -664,22 +670,26 @@ def _accumulate(out: dict[Monomial, Coeff], factors: list[tuple[Atom, int]],
         _put(out, mono, q)
 
 
-def _product_to_sum(a1: Trig, a2: Trig):
-    """sin/cos product rewriting; yields (fn, arg, weight)."""
+_HALF = Fraction(1, 2)
+
+
+def _product_to_sum(a1: Trig, a2: Trig) -> list[tuple[str, Expr, Fraction]]:
+    """sin/cos product rewriting into (fn, arg, weight) triples.  Arguments
+    are summed on term dicts, in the term order of A + B and of A - B (of
+    B - A for cos * sin)."""
     A, B = a1.arg, a2.arg
-    half = Fraction(1, 2)
+    minuend, subtrahend = (B, A) if (a1.fn, a2.fn) == ("cos", "sin") else (A, B)
+    plus, minus = dict(A._terms), dict(minuend._terms)
+    for m, q in B._terms.items():
+        _put(plus, m, q)
+    for m, q in subtrahend._terms.items():
+        _put(minus, m, -q)
+    plus, minus = Expr(plus), Expr(minus)
     if a1.fn == "sin" and a2.fn == "sin":
-        yield ("cos", A - B, half)
-        yield ("cos", A + B, -half)
-    elif a1.fn == "cos" and a2.fn == "cos":
-        yield ("cos", A - B, half)
-        yield ("cos", A + B, half)
-    elif a1.fn == "sin" and a2.fn == "cos":
-        yield ("sin", A + B, half)
-        yield ("sin", A - B, half)
-    else:  # cos * sin
-        yield ("sin", A + B, half)
-        yield ("sin", B - A, half)
+        return [("cos", minus, _HALF), ("cos", plus, -_HALF)]
+    if a1.fn == "cos" and a2.fn == "cos":
+        return [("cos", minus, _HALF), ("cos", plus, _HALF)]
+    return [("sin", plus, _HALF), ("sin", minus, _HALF)]
 
 
 def to_canonical(e: Expr) -> Expr:
@@ -694,10 +704,11 @@ def to_canonical(e: Expr) -> Expr:
 # structural queries
 # ---------------------------------------------------------------------------
 
-def atoms_of(e: Expr, recurse: bool = True) -> set[Atom]:
+def atoms_of(e: Expr, recurse: bool = True) -> KeysView[Atom]:
     """All atoms of an expression, by default descending into trig/exp/recip
-    arguments."""
-    seen: set[Atom] = set()
+    arguments, as a set-like view in order of first occurrence: atoms hash by
+    identity, so a set of them would iterate in order of memory address."""
+    seen: dict[Atom, None] = {}
     stack = [e]
     while stack:
         cur = stack.pop()
@@ -705,10 +716,10 @@ def atoms_of(e: Expr, recurse: bool = True) -> set[Atom]:
             for atom, _ in m:
                 if atom in seen:
                     continue
-                seen.add(atom)
+                seen[atom] = None
                 if recurse and isinstance(atom, (Trig, ExpAtom, Recip)):
                     stack.append(atom.arg)
-    return seen
+    return seen.keys()
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ and Jacobi checks, and a structural signature of the resulting algebra.
 
 Structure constants are expressions in the declared parameter symbols (most
 tables are purely rational; the reduced third-member algebra needs sqrt(c)).
+A table differentiates each basis field once: one Jacobian per field, held
+for the call, serves all of its brackets.
 Membership of a bracket in the span of a basis is decided by matching
 coefficients over the shared functional basis of monomials and solving
 exactly, never by sampling points; one elimination answers every bracket of
@@ -27,34 +29,42 @@ __all__ = ["lie_bracket", "StructureTable", "structure_constants",
            "jacobi_check", "AlgebraSignature", "algebra_signature"]
 
 
-def _apply_field(X: VectorField, f: Expr) -> Expr:
-    """X acting as a first-order operator on a coefficient function."""
+def _jacobian(F: VectorField) -> list[list[Expr]]:
+    """d F^i / d z^j for every component F^i and coordinate z^j, both in
+    `coeff_vector_atoms` order: each component is differentiated once."""
+    slots = list(F.coeff_vector_atoms())
+    coords = [sym(var) if kind == "xi" else jet(var) for kind, var, _ in slots]
+    return [[derive(c, z) for z in coords] for _, _, c in slots]
+
+
+def _apply_field(coeffs: list[Expr], grad: list[Expr]) -> Expr:
+    """X, with coefficients `coeffs`, applied to a function with gradient `grad`."""
     out: dict = {}
-    for kind, var, c in X.coeff_vector_atoms():
+    for c, d in zip(coeffs, grad):
         if not c.is_zero():
-            d = derive(f, sym(var) if kind == "xi" else jet(var))
             _mul_into(out, c._terms, d._terms)
     return Expr(out)
 
 
-def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """[X, Y]^i = X(Y^i) - Y(X^i), componentwise."""
+def _bracket(X: VectorField, JX, Y: VectorField, JY) -> VectorField:
+    """[X, Y] from the Jacobians JX and JY of X and Y."""
     if X.jet.independents != Y.jet.independents or \
             X.jet.dependents != Y.jet.dependents:
         raise DomainError("mismatched jet spaces in lie_bracket")
     if not (X.is_concrete() and Y.is_concrete()):
         raise DomainError("lie_bracket needs concrete coefficients")
-    xi = {}
-    for indep in X.jet.independents:
-        c = _apply_field(X, Y.xi_of(indep)) - _apply_field(Y, X.xi_of(indep))
+    cx, cy = ([c for _, _, c in F.coeff_vector_atoms()] for F in (X, Y))
+    xi, eta = {}, {}
+    for (kind, var, _), gx, gy in zip(X.coeff_vector_atoms(), JX, JY):
+        c = _apply_field(cx, gy) - _apply_field(cy, gx)
         if not c.is_zero():
-            xi[indep] = c
-    eta = {}
-    for dep in X.jet.dependents:
-        c = _apply_field(X, Y.eta_of(dep)) - _apply_field(Y, X.eta_of(dep))
-        if not c.is_zero():
-            eta[dep] = c
+            (xi if kind == "xi" else eta)[var] = c
     return VectorField(X.jet, xi, eta)
+
+
+def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
+    """[X, Y]^i = X(Y^i) - Y(X^i), componentwise."""
+    return _bracket(X, _jacobian(X), Y, _jacobian(Y))
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +188,8 @@ def structure_constants(basis: list[VectorField]) -> StructureTable:
     if not basis_independent(basis):
         raise DomainError("basis fields are linearly dependent")
     pairs = list(combinations(range(len(basis)), 2))
-    brackets = [lie_bracket(basis[i], basis[j]) for i, j in pairs]
+    jac = [_jacobian(F) for F in basis]
+    brackets = [_bracket(basis[i], jac[i], basis[j], jac[j]) for i, j in pairs]
     constants = {}
     non_closing = {}
     for (i, j), br, alphas in zip(pairs, brackets,

@@ -1,13 +1,15 @@
 """Numeric workhorses: Jacobi elliptic sn via the descending Landen/AGM
-recursion, the complete elliptic integral from the same AGM, and a classical
-fixed-step RK4 integrator that stops at a blow-up."""
+recursion over one AGM chain per modulus, the complete elliptic integral from
+the same AGM, and a classical fixed-step RK4 integrator that stops at a
+blow-up."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-__all__ = ["jacobi_sn", "elliptic_K", "Trajectory", "integrate_rk4"]
+__all__ = ["jacobi_sn", "sn_function", "elliptic_K", "Trajectory", "integrate_rk4"]
 
 _AGM_TOL = 1e-15
 
@@ -27,18 +29,30 @@ def _agm_chain(k: float):
     return aa, bb, cc
 
 
-def jacobi_sn(u: float, k: float) -> float:
-    """Jacobi sine amplitude sn(u, k), modulus k in [0, 1)."""
+def sn_function(k: float) -> Callable[[float], float]:
+    """The function u -> sn(u, k) over one AGM chain of the modulus k in
+    [0, 1): callers that evaluate one modulus many times build it once."""
     if not 0.0 <= k < 1.0:
         raise ValueError("modulus k must lie in [0, 1)")
     if k == 0.0:
-        return math.sin(u)
+        return math.sin
     aa, _, cc = _agm_chain(k)
     n = len(aa) - 1
-    phi = (2.0 ** n) * aa[n] * u
-    for i in range(n, 0, -1):
-        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, cc[i] / aa[i] * math.sin(phi)))))
-    return math.sin(phi)
+    scale = (2.0 ** n) * aa[n]
+    ratios = [cc[i] / aa[i] for i in range(n, 0, -1)]
+
+    def sn(u: float) -> float:
+        phi = scale * u
+        for r in ratios:
+            phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, r * math.sin(phi)))))
+        return math.sin(phi)
+
+    return sn
+
+
+def jacobi_sn(u: float, k: float) -> float:
+    """Jacobi sine amplitude sn(u, k), modulus k in [0, 1)."""
+    return sn_function(k)(u)
 
 
 def elliptic_K(k: float) -> float:

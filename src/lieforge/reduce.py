@@ -15,7 +15,7 @@ from .expr_core import (
     NumericPlan, cos_e, derive, exp_e, jet, recip_e, sin_e, sqrt_e, substitute,
     sym, tan_e,
 )
-from .numerics import Trajectory, integrate_rk4, jacobi_sn
+from .numerics import Trajectory, integrate_rk4, sn_function
 from .linalg import solve_exact
 from .symmetry import VectorField
 from .systems import JetSpec, ODESystem, PDESystem
@@ -452,9 +452,10 @@ def sn_solution(k: float, printed_system: bool = True) -> SolutionCandidate:
     (c = +(1 + k^2) on the computed branch)."""
     F0 = math.sqrt(2.0) * k
     c = -(1.0 + k * k) if printed_system else (1.0 + k * k)
+    sn = sn_function(k)
 
     def F_fn(s):
-        return F0 * jacobi_sn(s, k)
+        return F0 * sn(s)
 
     return SolutionCandidate(
         name="sn", callables={"F": F_fn}, exprs={"G": Expr.zero()},

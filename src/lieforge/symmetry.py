@@ -185,9 +185,10 @@ class _ResidualMap:
         self.independents = system.jet.independents
         self.reduce = (lambda e: e) if not eliminate else Reducer(
             equations + [(uc.lead, uc.rhs) for uc in unknowns]).reduce
-        self.needed = {lead for lead, _ in equations}
-        for _, rhs in equations:
-            self.needed.update(a for a in atoms_of(rhs) if isinstance(a, Jet))
+        # a dict, not a set: jets in order of first occurrence, not of address
+        self.needed = dict.fromkeys(
+            [lead for lead, _ in equations] +
+            [a for _, rhs in equations for a in atoms_of(rhs) if isinstance(a, Jet)])
         # unknown-function content of rhs is not acted on: generators carry
         # unknown functions only in their own coefficients
         self.parts = [(lead, [self.reduce(-derive(rhs, sym(i)))
@@ -210,7 +211,7 @@ class _ResidualMap:
             table = self.tables[e] = {
                 J.idx: self.reduce(v) for J, v in prolong_generator(
                     VectorField(X.jet, eta={dep0: e}),
-                    {jet(dep0, J.idx) for J in self.needed}).items()}
+                    [jet(dep0, J.idx) for J in self.needed]).items()}
         return {J: table[J.idx] if J.dep == dep else Expr.zero() for J in self.needed}
 
     def __call__(self, X: VectorField) -> list[Expr]:

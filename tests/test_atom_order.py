@@ -2,7 +2,9 @@
 hash by identity, so that order follows the memory addresses at which they
 were interned, not PYTHONHASHSEED: one test interns a seeded, shuffled
 batch of atoms between padding allocations before the golden tests run,
-another reverses what `atoms_of` yields to `equals_zero`."""
+another reverses what `atoms_of` yields to `equals_zero`, and a third
+requires the same term order of reduced expressions in two processes with
+different hash seeds and allocation padding."""
 
 import json
 import os
@@ -50,12 +52,41 @@ if len(sys.argv) > 2:
 """
 
 
-def _primed(seed, *pytest_args):
+# argv: padding seed; prints a hash of the term lists of the reduced rhs
+# partials and the needed jets of member 2's residual map
+PARTS = """
+import hashlib, random, sys
+rng = random.Random(int(sys.argv[1]))
+padding = [[0] * rng.randint(0, 6) for _ in range(rng.randint(0, 400))]
+from lieforge.expr_core import sym
+for name in rng.sample([f"p{i}" for i in range(40)], 40):
+    padding.append([0] * rng.randint(0, 5))
+    sym(name)
+from lieforge.hierarchy import catalogue_member
+from lieforge.symmetry import _ResidualMap
+rmap = _ResidualMap(catalogue_member(2))
+
+def terms(e):
+    return [(tuple((a.key, k) for a, k in m), str(q)) for m, q in e._terms.items()]
+
+parts = [(lead.key, [terms(e) for e in dxi], [(a.key, terms(e)) for a, e in djet])
+         for lead, dxi, djet in rmap.parts]
+print(hashlib.sha256(repr((parts, [J.key for J in rmap.needed])).encode()).hexdigest())
+"""
+
+
+def _run(script, seed, *args, hash_seed=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-c", PRIME, seed, *pytest_args],
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
+    return subprocess.run([sys.executable, "-c", script, seed, *args],
                           cwd=ROOT, env=env, capture_output=True, text=True)
+
+
+def _primed(seed, *pytest_args):
+    return _run(PRIME, seed, *pytest_args)
 
 
 def test_goldens_do_not_follow_atom_allocation_order():
@@ -68,6 +99,13 @@ def test_goldens_do_not_follow_atom_allocation_order():
     # the same atoms, iterated in another order: the priming took effect
     assert sorted(map(str, plain_order)) == sorted(map(str, shuffled_order))
     assert plain_order != shuffled_order
+
+
+def test_reduced_term_order_is_reproducible():
+    runs = [_run(PARTS, "1", hash_seed="0"), _run(PARTS, "2", hash_seed="3")]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_equals_zero_samples_do_not_follow_set_order(monkeypatch):

@@ -1,16 +1,20 @@
 """The kernel's calculus and substitution against straightforward reference
 implementations kept here: the total derivative as one partial derivative
 per atom, `derive` and `substitute` as term-by-term products (term order
-included, because numeric sums follow it), and the product kernel's merge of
-monomials with a plain side against canonicalising every product."""
+included, because numeric sums follow it), the product kernel's merge of
+monomials with a plain side against canonicalising every product, and
+canonicalisation on term dicts against its form in `Expr` arithmetic."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from lieforge.expr_core import (
-    I, Expr, Func, Jet, _accumulate, _mul_into, atoms_of, cos_e, derive, exp_e,
-    func, jet, recip_e, root, sin_e, substitute, sym, tan_e, Trig, ExpAtom,
-    Recip,
+    I, DomainError, Expr, Func, Jet, Root, _accumulate, _exp_atom,
+    _invert_single, _mul_into, _product_to_sum, _put, _trig_atom, atoms_of,
+    cos_e, derive, exp_e, func, jet, recip_e, root, sin_e, substitute, sym,
+    tan_e, Trig, ExpAtom, Recip,
 )
 from lieforge.liealg import StructureTable, jacobi_check
 from lieforge.systems import total_derivative
@@ -243,3 +247,159 @@ def test_jacobi_check_rejects_hand_made_table():
     constants[(1, 2)] = [zero, zero, zero]
     assert jacobi_check(StructureTable(basis=[None] * 3, constants=constants,
                                        closed=True))
+
+
+def _expr_product_to_sum(a1, a2):
+    """sin/cos product-to-sum with its arguments built in Expr arithmetic."""
+    A, B = a1.arg, a2.arg
+    half = Fraction(1, 2)
+    if a1.fn == "sin" and a2.fn == "sin":
+        return [("cos", A - B, half), ("cos", A + B, -half)]
+    if a1.fn == "cos" and a2.fn == "cos":
+        return [("cos", A - B, half), ("cos", A + B, half)]
+    if a1.fn == "sin" and a2.fn == "cos":
+        return [("sin", A + B, half), ("sin", A - B, half)]
+    return [("sin", A + B, half), ("sin", B - A, half)]
+
+
+def _expr_accumulate(out, factors, coeff, seen):
+    """Canonicalisation with exponential merging and product-to-sum
+    arguments in Expr arithmetic, every pass run on every factor list;
+    `seen` counts the cases the comparison must reach."""
+    stack = [(factors, coeff)]
+    while stack:
+        fl, q = stack.pop()
+        if not q:
+            continue
+        powers = {}
+        for atom, k in fl:
+            powers[atom] = powers.get(atom, 0) + k
+        ik = powers.pop(I, 0)
+        if ik:
+            ik %= 4
+            if ik >= 2:
+                q = -q
+                ik -= 2
+            if ik:
+                powers[I] = 1
+        for atom in [a for a in powers if isinstance(a, Root)]:
+            k = powers.pop(atom)
+            rem = k & 1
+            shift = (k - rem) // 2
+            if shift:
+                base = sym(atom.of)
+                powers[base] = powers.get(base, 0) + shift
+                if powers[base] == 0:
+                    del powers[base]
+            if rem:
+                powers[atom] = rem
+        exps = [(a, k) for a, k in powers.items() if isinstance(a, ExpAtom)]
+        if len(exps) > 1 or (exps and exps[0][1] != 1):
+            total = Expr.zero()
+            for a, k in exps:
+                del powers[a]
+                total = total + a.arg * Expr.integer(k)
+            na = _exp_atom(total)
+            seen["exp cancels"] += na is None
+            if na is not None:
+                powers[na] = powers.get(na, 0) + 1
+        for atom in [a for a in powers if isinstance(a, Recip)]:
+            k = powers[atom]
+            if k < 0:
+                raise DomainError("negative reciprocal power")
+            inv = _invert_single(atom.arg)
+            if inv is not None:
+                del powers[atom]
+                mono, iq = next(iter(inv._terms.items()))
+                q *= iq ** k
+                for a2, k2 in mono:
+                    powers[a2] = powers.get(a2, 0) + k2 * k
+        trig_sc = []
+        for atom in [a for a in powers if isinstance(a, Trig)]:
+            if atom.fn in ("sin", "cos"):
+                trig_sc.extend([atom] * powers.pop(atom))
+        if len(trig_sc) >= 2:
+            seen["three or more sin/cos"] += len(trig_sc) >= 3
+            others = list(powers.items())
+            rest = [(a, 1) for a in trig_sc[2:]]
+            for fn, arg, w in _expr_product_to_sum(trig_sc[0], trig_sc[1]):
+                flip, atom = _trig_atom(fn, arg)
+                seen["sin(0)"] += flip == 0
+                seen["negative lead"] += bool(arg._terms) and arg._lead_coeff() < 0
+                stack.append((others + rest + ([(atom, 1)] if atom else []), q * w * flip))
+            continue
+        for atom in trig_sc:
+            powers[atom] = powers.get(atom, 0) + 1
+        mono = tuple(sorted(((a, k) for a, k in powers.items() if k != 0),
+                            key=lambda t: t[0].key))
+        _put(out, mono, q)
+
+
+def _trig_exp_terms():
+    """Canonical terms carrying sin/cos/tan, exp, I, sqrt(c), reciprocals
+    and plain atoms, with arguments whose sums and differences cancel, lead
+    with a negative coefficient, or carry I."""
+    x, t, v, w = (_atom_expr(n) for n in ("x", "t", "v", "w"))
+    i, r, c = I.as_expr(), _e(root("c")), _e(sym("c"))
+    half = Expr.rational(Fraction(1, 2))
+    args = [v, 2 * v, x - v, v - x, c * t - w, half * x + t, w, -w + x]
+    exprs = [Expr.one(), x, v * w, i, r, r * c, recip_e(v + x), i * r * x]
+    for a in args:
+        exprs += [sin_e(a), cos_e(a), exp_e(a), exp_e(-a), exp_e(i * a),
+                  tan_e(a) * v, sin_e(a) * exp_e(-a) * r,
+                  cos_e(a) * exp_e(a) * recip_e(v + t)]
+    return [term for e in exprs for term in e._terms.items()]
+
+
+def test_accumulate_matches_expr_arithmetic():
+    rng = random.Random(SEED + 5)
+    pool = _trig_exp_terms()
+    seen = dict.fromkeys(["exp cancels", "sin(0)", "negative lead",
+                          "three or more sin/cos"], 0)
+    for _ in range(3 * N_EXPRS):
+        terms = rng.sample(pool, rng.randint(2, 4))
+        factors = [f for m, _ in terms for f in m]
+        coeff = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+        start = dict(rng.sample(pool, rng.randint(0, 3)))
+        got, ref = dict(start), dict(start)
+        _accumulate(got, list(factors), coeff)
+        _expr_accumulate(ref, list(factors), coeff, seen)
+        assert _typed(got) == _typed(ref)
+    assert min(seen.values()) >= 10, seen
+    recip = next(iter(recip_e(_atom_expr("v") + _atom_expr("x"))._terms))[0][0]
+    for canonicalise in (_accumulate, lambda out, fl, q: _expr_accumulate(out, fl, q, seen)):
+        with pytest.raises(DomainError, match="negative reciprocal power"):
+            canonicalise({}, [(recip, -1), (sym("x"), 1)], 1)
+
+
+def test_merged_exp_argument_keeps_sum_order():
+    # symbols fresh to each product, so that the merged atom, and the term
+    # order of its argument, is made by the call under test
+    rng = random.Random(SEED + 6)
+    for n in range(100):
+        names = [_e(sym(f"m{n}_{j}")) for j in range(4)]
+        exps = []
+        for _ in range(rng.randint(2, 3)):
+            arg = Expr.zero()
+            for a in rng.sample(names, rng.randint(1, 3)):
+                arg = arg + Expr.rational(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 2))) * a
+            exps.append((next(iter(exp_e(arg)._terms))[0][0], rng.choice([-2, -1, 1, 2])))
+        out = {}
+        _accumulate(out, list(exps), 1)
+        total = Expr.zero()
+        for a, k in exps:
+            total = total + a.arg * Expr.integer(k)
+        got = [a for m in out for a, _ in m if isinstance(a, ExpAtom)]
+        assert [list(a.arg._terms.items()) for a in got] == \
+            ([list(total._terms.items())] if total._terms else [])
+
+
+def test_product_to_sum_matches_expr_arithmetic():
+    atoms = [a for m, _ in _trig_exp_terms() for a, _ in m
+             if isinstance(a, Trig) and a.fn in ("sin", "cos")]
+    for a1 in atoms:
+        for a2 in atoms:
+            got = [(fn, list(arg._terms.items()), w) for fn, arg, w in _product_to_sum(a1, a2)]
+            ref = [(fn, list(arg._terms.items()), w)
+                   for fn, arg, w in _expr_product_to_sum(a1, a2)]
+            assert got == ref

@@ -1,12 +1,16 @@
 """Brackets, structure tables, Jacobi identity, structural signature."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
-from lieforge import catalog
-from lieforge.expr_core import DomainError, Expr, sym
+from lieforge import catalog, liealg
+from lieforge.expr_core import DomainError, Expr, _mul_into, derive, jet, sym
 from lieforge.hierarchy import REAL_JET
 from lieforge.liealg import (
-    algebra_signature, in_span, jacobi_check, lie_bracket, structure_constants,
+    _param_atoms, algebra_signature, in_span, jacobi_check, lie_bracket,
+    structure_constants,
 )
 from lieforge.parser import parse_expr
 from lieforge.symmetry import VectorField, field_text
@@ -194,3 +198,64 @@ class TestSpan:
         X = VectorField(REAL_JET, xi={"t": Expr.one()})
         t2 = VectorField(REAL_JET, xi={"t": sym("t").as_expr() ** 3})
         assert in_span([t2], [X]) == [None]
+
+
+def _formula_apply(X, f):
+    """X(f), differentiating f once for each nonzero coefficient of X."""
+    out = {}
+    for kind, var, c in X.coeff_vector_atoms():
+        if not c.is_zero():
+            d = derive(f, sym(var) if kind == "xi" else jet(var))
+            _mul_into(out, c._terms, d._terms)
+    return Expr(out)
+
+
+def _formula_bracket(X, Y):
+    """[X, Y]^i = X(Y^i) - Y(X^i) with both fields differentiated anew."""
+    xi, eta = {}, {}
+    for indep in X.jet.independents:
+        c = _formula_apply(X, Y.xi_of(indep)) - _formula_apply(Y, X.xi_of(indep))
+        if not c.is_zero():
+            xi[indep] = c
+    for dep in X.jet.dependents:
+        c = _formula_apply(X, Y.eta_of(dep)) - _formula_apply(Y, X.eta_of(dep))
+        if not c.is_zero():
+            eta[dep] = c
+    return VectorField(X.jet, xi, eta)
+
+
+def _slots(F):
+    """Components with their term order, which later sums follow."""
+    return [(kind, var, list(c._terms.items())) for kind, var, c in F.coeff_vector_atoms()]
+
+
+def _bases():
+    r2 = catalog.fields_reduced2()
+    # a change of basis, as tables are built from in practice
+    changed = [r2[0].add(r2[3].scale(Fraction(2, 3))), r2[1].add(r2[0].scale(-1))] + r2[2:]
+    return [catalog.fields_member2(), catalog.fields_member3(), catalog.fields_member4(),
+            r2, changed, catalog.fields_reduced3()]
+
+
+class TestBracketTables:
+    def test_tables_match_bracket_formula(self):
+        for basis in _bases():
+            pairs = list(combinations(range(len(basis)), 2))
+            ref = [_formula_bracket(basis[i], basis[j]) for i, j in pairs]
+            ref_alphas = in_span(ref, basis, _param_atoms(basis))
+            table = structure_constants(basis)
+            for (i, j), Z, alphas in zip(pairs, ref, ref_alphas):
+                assert _slots(lie_bracket(basis[i], basis[j])) == _slots(Z)
+                if alphas is None:
+                    assert _slots(table.non_closing[(i, j)]) == _slots(Z)
+                    alphas = [Expr.zero()] * len(basis)
+                got = table.constants[(i, j)]
+                assert [list(q._terms.items()) for q in got] == \
+                    [list(q._terms.items()) for q in alphas]
+
+    def test_table_differentiates_each_field_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(liealg, "derive", lambda e, a: calls.append(a) or derive(e, a))
+        structure_constants(catalog.fields_reduced2())
+        # one derivative per (field, component, coordinate): 12 x 3 x 3
+        assert len(calls) <= 108

@@ -1,11 +1,25 @@
 """Elliptic function and integrator self-consistency."""
 
 import math
+import random
 
 import pytest
 
-from lieforge.numerics import elliptic_K, integrate_rk4, jacobi_sn
-from lieforge.reduce import fd_weights
+from lieforge.numerics import _agm_chain, elliptic_K, integrate_rk4, jacobi_sn, sn_function
+from lieforge.reduce import fd_weights, sn_solution
+
+
+def _sn_per_call(u, k):
+    """sn(u, k) recomputing the AGM chain, operation by operation as the
+    chain-once form must reproduce."""
+    if k == 0.0:
+        return math.sin(u)
+    aa, _, cc = _agm_chain(k)
+    n = len(aa) - 1
+    phi = (2.0 ** n) * aa[n] * u
+    for i in range(n, 0, -1):
+        phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, cc[i] / aa[i] * math.sin(phi)))))
+    return math.sin(phi)
 
 
 class TestJacobiSn:
@@ -43,6 +57,18 @@ class TestJacobiSn:
         for k in (0.4, 0.8):
             for u in (0.3, 1.1, 2.0):
                 assert jacobi_sn(-u, k) == pytest.approx(-jacobi_sn(u, k), abs=1e-12)
+
+    def test_chain_once_is_bit_identical(self):
+        rng = random.Random(20261018)
+        for k in [0.0, 0.3, 0.9, 0.999] + [rng.random() for _ in range(20)]:
+            sn = sn_function(k)
+            F = sn_solution(k).callables["F"]
+            for u in [0.0, -2.5] + [rng.uniform(-20.0, 20.0) for _ in range(20)]:
+                ref = _sn_per_call(u, k)
+                assert jacobi_sn(u, k).hex() == sn(u).hex() == ref.hex()
+                assert F(u).hex() == (math.sqrt(2.0) * k * ref).hex()
+        with pytest.raises(ValueError):
+            sn_function(1.0)
 
     def test_K_degenerate(self):
         assert elliptic_K(0.0) == pytest.approx(math.pi / 2, abs=1e-14)
