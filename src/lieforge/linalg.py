@@ -110,23 +110,19 @@ def solve_exact(cols: list[dict], targets: list[dict]) -> list:
     """Solve sum_k x_k * cols[k] = target exactly, for every target at once.
 
     Column vectors and targets are sparse over any set of mutually comparable
-    row keys.  One RREF of [cols | -targets] answers all targets: a target is
-    outside the span iff a pivot row whose pivot lies in the target block
-    (such a row has no basis entries) touches its column.  Returns one
-    coefficient list per target, the solution with free variables set to
-    zero, or None for a target outside the span."""
+    row keys.  One RREF of [cols | targets] answers all: a target is outside
+    the span iff a pivot row with its pivot in the target block (a row with
+    no basis entries) touches its column; else x[pc] is its entry in the row
+    of pivot pc.  Returns one coefficient list per target, free variables
+    set to zero, or None for a target outside the span."""
     nc = len(cols)
-    rows = transpose(cols + [{r: -q for r, q in t.items()} for t in targets])
+    rows = transpose(cols + targets)
     pivot_rows, pivots = rref([rows[r] for r in sorted(rows)])
     outside = {c for prow, pc in zip(pivot_rows, pivots) if pc >= nc for c in prow}
-    out = []
-    for t in range(nc, nc + len(targets)):
-        if t in outside:
-            out.append(None)
-            continue
-        x = [Fraction(0)] * nc
-        for prow, pc in zip(pivot_rows, pivots):
-            if pc < nc:
-                x[pc] = -prow.get(t, Fraction(0))
-        out.append(x)
+    out = [None if t in outside else [Fraction(0)] * nc
+           for t in range(nc, nc + len(targets))]
+    for prow, pc in zip(pivot_rows, pivots):
+        for c, v in prow.items():
+            if c >= nc and out[c - nc] is not None:
+                out[c - nc][pc] = v
     return out

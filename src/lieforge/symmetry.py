@@ -7,22 +7,22 @@ The same pipeline serves evolution PDE systems (independents t, x) and
 reduced ODE systems (single independent s); for the latter the time slot is
 simply absent.
 
-Residuals come from one residual map per call.  Built once per system: the
-on-shell Reducer with its memo of D^k Phi, the needed jets and the reduced
-partials of each rhs.  Built once per dictionary entry: the prolongation of
-an eta-only entry, shared by every dependent that carries it.  The map is
-local to `symmetry_residual` or `determining_system`; nothing outlives the
-call.
+Residuals come from one residual map per call, local to `symmetry_residual`
+or `determining_system`: the on-shell Reducer, the needed jets and the
+reduced partials of each rhs are built once per system, the prolongation of
+each trig/exp factor once, and each dictionary column is merged from pieces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import combinations, product
+from math import comb, perm, prod
 
 from .expr_core import (
-    DomainError, Expr, Func, Jet, _add_into, _mul_into, atoms_of,
-    coefficient_vector, derive, func, jet, sym,
+    DomainError, Expr, Func, Jet, _add_into, _merge, _mul_into, _put,
+    atoms_of, coefficient_vector, derive, func, jet, sym,
 )
 from .linalg import nullspace, transpose
 from .parser import expr_text
@@ -173,15 +173,24 @@ def prolong_generator(X: VectorField, needed) -> dict[Jet, Expr]:
 
 class _ResidualMap:
     """The on-shell residual map X -> [pr X(lead - rhs) on solutions] of one
-    system, for generators carrying the unknown functions `unknowns`.  An
-    eta-only generator of one slot, eta^A = e, has prolongation D_J(e) on A
-    whatever A is, so one reduced table per entry e serves every dependent.
-    Reduction is a ring homomorphism, so residuals are assembled from
-    reduced factors, each product added term by term into its residual with
-    no intermediate product expression."""
+    system, for generators carrying the unknown functions `unknowns`.
+    Reduction is a ring homomorphism, so residuals are assembled from reduced
+    factors, each product added term by term with no intermediate product.
+    `column` splits a dictionary entry as p*Y: p a monomial in the
+    independents, Y = d_j or g(dependents) d_A, of characteristic Q_Y = -u_j
+    or g on A.  Leibniz's rule on D_J(p Q_Y), and pr X(H) = pr X_Q(H) +
+    xi^j D_j H with D_j H = 0 on solutions, give there pr(pY)(H) =
+    sum_{|K| <= deg p} d_K p * R_{Y,K}, each term a merge of monomials, with
+    R_{Y,K} = reduce(sum_{A, J >= K} C(J,K) D_{J-K}(Q_Y^A) dH/du^A_J) and
+    R_{Y,()} the residual of Y; one table of D_L(g) per factor g serves every
+    dependent.  Off shell, and for entries that do not split so (several
+    terms, an independent inside a non-plain atom, an unknown function, an
+    xi entry holding more than independents), `column` is the residual of
+    the entry itself."""
 
     def __init__(self, system, unknowns=(), eliminate: bool = True):
         equations = system.equations()
+        self.jet, self.eliminate = system.jet, eliminate
         self.independents = system.jet.independents
         self.reduce = (lambda e: e) if not eliminate else Reducer(
             equations + [(uc.lead, uc.rhs) for uc in unknowns]).reduce
@@ -196,26 +205,15 @@ class _ResidualMap:
                        [(a, self.reduce(-derive(rhs, a)))
                         for a in atoms_of(rhs) if isinstance(a, Jet)])
                       for lead, rhs in equations]
-        self.tables: dict[Expr, dict[tuple, Expr]] = {}
-
-    def coefficients(self, X: VectorField) -> dict[Jet, Expr]:
-        """Reduced prolonged coefficients of X on the needed jets."""
-        eta = [(dep, e) for dep, e in X.eta.items() if not e.is_zero()]
-        if len(eta) != 1 or any(not c.is_zero() for c in X.xi.values()):
-            return {J: self.reduce(v)
-                    for J, v in prolong_generator(X, self.needed).items()}
-        (dep, e), = eta
-        table = self.tables.get(e)
-        if table is None:
-            dep0 = X.jet.dependents[0]
-            table = self.tables[e] = {
-                J.idx: self.reduce(v) for J, v in prolong_generator(
-                    VectorField(X.jet, eta={dep0: e}),
-                    [jet(dep0, J.idx) for J in self.needed]).items()}
-        return {J: table[J.idx] if J.dep == dep else Expr.zero() for J in self.needed}
+        self.syms = [sym(i) for i in self.independents]
+        self.zero = (0,) * len(self.syms)  # K = () as counts per independent
+        self.tables, self.splits, self.pieces = {}, {}, {  # D_L g; C(J,K), J-K; R_{Y,K}
+            ("xi", i, (), self.zero): [dxi[k] for _, dxi, _ in self.parts]
+            for k, i in enumerate(self.independents)}
 
     def __call__(self, X: VectorField) -> list[Expr]:
-        coeffs = self.coefficients(X)
+        coeffs = {J: self.reduce(v)
+                  for J, v in prolong_generator(X, self.needed).items()}
         xi = [self.reduce(X.xi_of(i)) for i in self.independents]
         residuals = []
         for lead, dxi, djet in self.parts:
@@ -224,6 +222,62 @@ class _ResidualMap:
                 _mul_into(out, c._terms, d._terms)
             residuals.append(Expr(out))
         return residuals
+
+    def piece(self, kind: str, var: str, g: tuple, K: tuple) -> list[Expr]:
+        """R_{Y,K} per equation: Y = d_var or g d_var, K counted per independent."""
+        key, eta, indeps = (kind, var, g, K), kind == "eta", self.independents
+        if key in self.pieces:
+            return self.pieces[key]
+        if eta and g not in self.tables:  # reduced D_L(g) on every L below a needed jet
+            dep0 = self.jet.dependents[0]
+            below = dict.fromkeys(L for J in self.needed for r in range(J.order + 1)
+                                  for L in combinations(J.idx, r))
+            self.tables[g] = {J.idx: self.reduce(v) for J, v in prolong_generator(
+                VectorField(self.jet, eta={dep0: Expr({g: 1})}),
+                [jet(dep0, L) for L in below]).items()}
+        pieces = self.pieces[key] = []
+        for lead, _, djet in self.parts:
+            out: dict = {}
+            for J, h in [(lead, None), *djet]:
+                if (J, K) not in self.splits:  # (C(J, K), J - K); C = 0 unless K <= J
+                    n = [J.idx.count(i) for i in indeps]
+                    self.splits[J, K] = (prod(map(comb, n, K)), tuple(sorted(
+                        i for i, a, k in zip(indeps, n, K) for _ in range(a - k))))
+                c, L = self.splits[J, K]
+                if not c or eta and J.dep != var:
+                    continue
+                if eta:
+                    f = self.tables[g][L]._terms
+                    f = f if c == 1 else {m: q * c for m, q in f.items()}
+                else:  # -C(J, K) u^A_{(J-K) var}, reduced in one pass
+                    f = self.reduce(Expr({((jet(J.dep, L + (var,)), 1),): -c}))._terms
+                if h is None:  # the lead comes first, and dH/d(lead) = 1
+                    out.update(f)
+                else:
+                    _mul_into(out, f, h._terms)
+            pieces.append(Expr(out))
+        return pieces
+
+    def column(self, key: tuple[str, str], e: Expr) -> list[Expr]:
+        """Residuals of the one-slot field e d_var of slot key = (kind, var)."""
+        (kind, var), syms = key, self.syms
+        (m, q), = e._terms.items() if len(e._terms) == 1 else [((), 0)]
+        p = tuple(f for f in m if f[0] in syms)
+        g = tuple(f for f in m if f not in p)
+        if not q or not self.eliminate or kind == "xi" and g or any(
+                a.__class__ is Func or a in syms for a in atoms_of(Expr({g: 1}))):
+            return self(VectorField(self.jet, **{kind: {var: e}}))
+        if q == 1 and not p:  # the piece R_{Y,()} as it is, no copy
+            return self.piece(kind, var, g, self.zero)
+        outs: list[dict] = [{} for _ in self.parts]
+        for ks in product(*(range(k + 1) for _, k in p)):  # d_K p = c * mono
+            c = q * prod(perm(k, j) for (_, k), j in zip(p, ks))
+            mono = tuple((a, k - j) for (a, k), j in zip(p, ks) if k != j)
+            K = tuple(dict(zip((a for a, _ in p), ks)).get(s, 0) for s in syms)
+            for out, r in zip(outs, self.piece(kind, var, g, K)):
+                for m2, q2 in r._terms.items():
+                    _put(out, _merge(m2, mono), q2 * c)
+        return [Expr(out) for out in outs]
 
 
 def symmetry_residual(system, X: VectorField, eliminate: bool = True) -> list[Expr]:
@@ -363,29 +417,19 @@ class DeterminingSystem:
         return self.n_unknowns - self.rank()
 
 
-def _unit_field(jet_spec: JetSpec, key: tuple[str, str], e: Expr) -> VectorField:
-    kind, var = key
-    if kind == "xi":
-        return VectorField(jet_spec, xi={var: e})
-    return VectorField(jet_spec, eta={var: e})
-
-
 def determining_system(system, basis: AnsatzBasis) -> DeterminingSystem:
-    """Rows: residual coefficients per (equation, monomial class); the
-    residual map is linear in the generator, so each dictionary entry is
-    processed independently.  One residual map serves every column: the
-    system half (Reducer, needed jets, reduced partials) is built once, each
-    eta entry is prolonged once for all dependents, and the map is dropped
-    when the call returns."""
-    cols = basis.columns()
-    residual = _ResidualMap(system)
-    residuals = (residual(_unit_field(basis.jet, key, e)) for key, _, e in cols)
-    rowmap = transpose(coefficient_vector(enumerate(res)) for res in residuals)
+    """Rows: residual coefficients per (equation, monomial class) of each
+    column p*Y, pr(pY)(H) = sum_K d_K p * R_{Y,K} on solutions (D_j H = 0),
+    from pieces of the base field Y; entries with several terms, an
+    independent in a non-plain atom, an unknown function, or a non-constant
+    xi factor take their own residual.  Map and pieces die with the call."""
+    cols, residual = basis.columns(), _ResidualMap(system)
+    rowmap = transpose(coefficient_vector(enumerate(residual.column(key, e)))
+                       for key, _, e in cols)
     prov = sorted(rowmap)
-    rows = [rowmap[k] for k in prov]
     return DeterminingSystem(system_label=getattr(system, "label", ""),
-                             basis=basis, columns=cols, rows=rows,
-                             provenance=prov)
+                             basis=basis, columns=cols, provenance=prov,
+                             rows=[rowmap[k] for k in prov])
 
 
 def discover_symmetries(system, basis: AnsatzBasis,

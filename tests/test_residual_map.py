@@ -3,12 +3,16 @@
 The reference below is the formula the map replaces, built from public
 pieces only: prolong the whole generator, subtract the products of the
 prolonged coefficients with the partials of each rhs, then reduce the sum on
-solutions.  The map builds the system half once, shares one prolongation per
-dictionary entry between the dependents, and assembles each residual from
-factors reduced beforehand; every residual it gives must equal the reference
-as an expression, column by column, for every system kind it serves.
+solutions.  The map builds the system half once and assembles each residual
+from factors reduced beforehand.  Its dictionary columns p*Y are merged from
+the Leibniz pieces R_{Y,K} of the base field Y, with one table per trig/exp
+factor shared between the dependents; entries that do not split so, and
+every off-shell column, take the residual of the entry itself.  Every
+residual the map gives must equal the reference as an expression, column by
+column, for every system kind it serves.
 """
 
+import functools
 import inspect
 import random
 from fractions import Fraction
@@ -23,13 +27,20 @@ from lieforge.expr_core import (
 from lieforge.hierarchy import (REAL_JET, catalogue_member, complex_split,
                                 hierarchy_member)
 from lieforge.linalg import transpose
+from lieforge.parser import expr_text
 from lieforge.reduce import reduced_system
 from lieforge.symmetry import (
-    UnknownFunctionConstraint, VectorField, _ResidualMap, _unit_field,
+    AnsatzBasis, UnknownFunctionConstraint, VectorField, _ResidualMap,
     ansatz_dictionary, determining_system, prolong_generator,
     symmetry_residual,
 )
 from lieforge.systems import PDESystem, Reducer
+
+
+def _unit_field(jet_spec, key, e):
+    """The field e d_var of the slot key = (kind, var) of a dictionary."""
+    kind, var = key
+    return VectorField(jet_spec, **{kind: {var: e}})
 
 
 def reference_residual(system, X, eliminate=True):
@@ -86,6 +97,26 @@ def _dictionary(name, seed):
     return S, ansatz_dictionary(S.jet, degree, 1, 1)
 
 
+# dictionaries of degree 0-3 whose columns are checked on every system:
+# (degree, trig, expw), so Leibniz terms d_K p run up to |K| = 3
+DEGREES = [(0, 1, 1), (1, 1, 1), (2, 1, 1), (3, 0, 1)]
+
+
+@functools.cache
+def _reference_columns(name, size):
+    """The basis of size (degree, trig, expw) on SYSTEMS[name] and the
+    reference residual of each of its columns."""
+    S = SYSTEMS[name]
+    basis = ansatz_dictionary(S.jet, *size)
+    return basis, [reference_residual(S, _unit_field(basis.jet, key, e))
+                   for key, _, e in basis.columns()]
+
+
+def _reference_rows(residuals):
+    rowmap = transpose(coefficient_vector(enumerate(r)) for r in residuals)
+    return sorted(rowmap), rowmap
+
+
 def _combination(rng, basis):
     """A random field of several slots: a rational combination of columns."""
     cols = basis.columns()
@@ -99,38 +130,80 @@ def _combination(rng, basis):
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_map_matches_reference_on_every_column(name):
-    S, basis = _dictionary(name, seed=len(name))
-    rmap = _ResidualMap(S)
-    columns = basis.columns()
-    kinds = {key[0] for key, _, _ in columns}
-    assert kinds == {"xi", "eta"}
-    for key, _, e in columns:
-        X = _unit_field(basis.jet, key, e)
-        assert rmap(X) == reference_residual(S, X), (name, key, e)
-    rng = random.Random(7)
+    S = SYSTEMS[name]
+    for size in DEGREES:
+        basis, refs = _reference_columns(name, size)
+        rmap = _ResidualMap(S)
+        columns = basis.columns()
+        kinds = {key[0] for key, _, _ in columns}
+        assert kinds == {"xi", "eta"}
+        for (key, _, e), ref in zip(columns, refs):
+            assert rmap.column(key, e) == ref, (name, size, key, e)
+    basis, refs = _reference_columns(name, DEGREES[1])
+    for (key, _, e), ref in zip(basis.columns(), refs):
+        assert rmap(_unit_field(basis.jet, key, e)) == ref, (name, key, e)
+    rng = random.Random(len(name))
     for _ in range(3):
         X = _combination(rng, basis)
         assert rmap(X) == reference_residual(S, X), (name, X)
 
 
-@pytest.mark.parametrize("name", ["member 2", "member 3 scaled", "reduced 2"])
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_determining_rows_match_reference(name):
-    S, basis = _dictionary(name, seed=3)
+    basis, refs = _reference_columns(name, DEGREES[2])
+    det = determining_system(SYSTEMS[name], basis)
+    prov, rowmap = _reference_rows(refs)
+    assert det.provenance == prov
+    assert det.rows == [rowmap[k] for k in prov]
+
+
+def _unsplit_basis(S):
+    """Entries that are no monomial p(t, x) times a factor g of dependents,
+    beside ones that are: several terms, an independent inside exp, an
+    unknown function, an xi entry holding a dependent."""
+    parse = S.jet.with_functions({"a": ("t", "x")}).parse
+    return AnsatzBasis(S.jet, {
+        ("xi", "t"): [parse("1"), parse("v")],
+        ("xi", "x"): [parse("x"), parse("t*v")],
+        ("eta", "v"): [parse("t + sin(v)"), parse("x*exp(t)"), parse("t*x*cos(v)")],
+        ("eta", "w"): [parse("x*a*sin(v)"), parse("x^2*exp(-w)")]})
+
+
+UNSPLIT = {"t + sin(v)", "x*exp(t)", "x*a*sin(v)", "v", "t*v"}
+
+
+@pytest.mark.parametrize("name", ["member 2", "member 3 scaled", "member 4"])
+def test_unsplit_entries_take_the_entry_residual(name, monkeypatch):
+    S = SYSTEMS[name]
+    basis = _unsplit_basis(S)
+    refs = [reference_residual(S, _unit_field(basis.jet, key, e))
+            for key, _, e in basis.columns()]
+    piece, used = _ResidualMap.piece, []
+    monkeypatch.setattr(_ResidualMap, "piece",
+                        lambda self, *args: used.append(args) or piece(self, *args))
+    rmap = _ResidualMap(S)
+    for (key, _, e), ref in zip(basis.columns(), refs):
+        used.clear()
+        assert rmap.column(key, e) == ref, (name, key, e)
+        assert bool(used) == (expr_text(e) not in UNSPLIT), (name, key, e)
     det = determining_system(S, basis)
-    residuals = (reference_residual(S, _unit_field(basis.jet, key, e))
-                 for key, _, e in basis.columns())
-    rowmap = transpose(coefficient_vector(enumerate(r)) for r in residuals)
-    assert det.provenance == sorted(rowmap)
-    assert det.rows == [rowmap[k] for k in det.provenance]
+    prov, rowmap = _reference_rows(refs)
+    assert det.provenance == prov
+    assert det.rows == [rowmap[k] for k in prov]
 
 
 @pytest.mark.parametrize("name", ["member 2", "member 4", "reduced 3"])
 def test_map_matches_reference_without_elimination(name):
+    """Off shell D_j H = 0 fails, so every column is the entry's residual."""
     S, basis = _dictionary(name, seed=11)
     rmap = _ResidualMap(S, eliminate=False)
+    pieces = dict(rmap.pieces)
     for key, _, e in basis.columns():
         X = _unit_field(basis.jet, key, e)
-        assert rmap(X) == reference_residual(S, X, eliminate=False), (name, key, e)
+        ref = reference_residual(S, X, eliminate=False)
+        assert rmap(X) == ref, (name, key, e)
+        assert rmap.column(key, e) == ref, (name, key, e)
+    assert rmap.pieces == pieces and not rmap.tables
 
 
 # system -> catalogue functions whose fields act on it
