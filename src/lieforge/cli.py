@@ -291,9 +291,8 @@ def cmd_verify_solution(args) -> int:
     params = dict(cand.params)
     if c is not None:
         params["c"] = c
-    if args.solution == "sn":
-        kk = args.k
-        params["c"] = -(1 + kk * kk) if "printed" in args.system else (1 + kk * kk)
+    if args.solution == "sn":  # the profile fixes c
+        params["c"] = cand.params["c"]
         S = _SYSTEMS[args.system](Fraction(params["c"]).limit_denominator(10 ** 9))
     rep = red.verify_solution(S, cand, mode=mode,
                               param_values=params if mode == "numeric" else None)
@@ -314,7 +313,6 @@ def cmd_integrate(args) -> int:
     c = float(Fraction(args.c))
     S = _SYSTEMS[args.system](Fraction(args.c))
     if args.init_from == "tan":
-        cand = red.tan_solution()
         import math
         F0 = 0.5 * c
         G0 = -0.5 * c * math.tan(0.5 * c * (lo - args.s0))

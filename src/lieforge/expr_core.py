@@ -351,13 +351,6 @@ class Expr:
         _accumulate(out, [(atom, k)], q)
         return Expr(out)
 
-    @staticmethod
-    def from_terms(pairs: Iterable[tuple[Monomial, Coeff]]) -> "Expr":
-        out: dict[Monomial, Coeff] = {}
-        for m, q in pairs:
-            _accumulate(out, list(m), q)
-        return Expr(out)
-
     # -- identity ----------------------------------------------------------
 
     def _key(self):

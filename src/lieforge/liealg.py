@@ -83,15 +83,15 @@ def _param_atoms(fields) -> list:
     return sorted(params, key=lambda a: a.key)
 
 
-def _const_dictionary(params, span: int = 2) -> list[Expr]:
-    """Candidate constant monomials: Laurent powers of parameter symbols times
-    at most one root factor."""
+def _const_dictionary(params) -> list[Expr]:
+    """Candidate constant monomials: Laurent powers -2..2 of parameter symbols
+    times at most one root factor."""
     syms = [a for a in params if isinstance(a, Sym)]
     roots = [a for a in params if isinstance(a, Root)]
     consts = [Expr.one()]
     for a in syms:
         cur = list(consts)
-        for k in list(range(-span, 0)) + list(range(1, span + 1)):
+        for k in (-2, -1, 1, 2):
             consts += [c * a.as_expr() ** k for c in cur]
     out = list(consts)
     for r in roots:

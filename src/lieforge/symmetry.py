@@ -7,10 +7,13 @@ The same pipeline serves evolution PDE systems (independents t, x) and
 reduced ODE systems (single independent s); for the latter the time slot is
 simply absent.
 
-Residuals come from one residual map per call, local to `symmetry_residual`
-or `determining_system`: the on-shell Reducer, the needed jets and the
-reduced partials of each rhs are built once per system, the prolongation of
-each trig/exp factor once, and each dictionary column is merged from pieces.
+Residuals come from one on-shell residual map per call, local to
+`symmetry_residual` or `determining_system`: the Reducer, the needed jets
+and the reduced partials of each rhs are built once per system.  A whole
+field X takes R_{X,()} = pr X(H) on solutions.  A dictionary column has one
+rule: each term of its entry splits as p*Y, p the plain independent factors,
+and is merged from the Leibniz pieces R_{Y,K} of its base field Y, whose
+prolongation is built once.
 """
 
 from __future__ import annotations
@@ -176,24 +179,20 @@ class _ResidualMap:
     system, for generators carrying the unknown functions `unknowns`.
     Reduction is a ring homomorphism, so residuals are assembled from reduced
     factors, each product added term by term with no intermediate product.
-    `column` splits a dictionary entry as p*Y: p a monomial in the
-    independents, Y = d_j or g(dependents) d_A, of characteristic Q_Y = -u_j
-    or g on A.  Leibniz's rule on D_J(p Q_Y), and pr X(H) = pr X_Q(H) +
-    xi^j D_j H with D_j H = 0 on solutions, give there pr(pY)(H) =
-    sum_{|K| <= deg p} d_K p * R_{Y,K}, each term a merge of monomials, with
-    R_{Y,K} = reduce(sum_{A, J >= K} C(J,K) D_{J-K}(Q_Y^A) dH/du^A_J) and
-    R_{Y,()} the residual of Y; one table of D_L(g) per factor g serves every
-    dependent.  Off shell, and for entries that do not split so (several
-    terms, an independent inside a non-plain atom, an unknown function, an
-    xi entry holding more than independents), `column` is the residual of
-    the entry itself."""
+    Calling the map gives R_{X,()} = pr X(H) for a whole field.  `column`
+    has one rule for a dictionary entry: each term is q*p*Y, p its plain
+    independent factors and Y = g d_var with g everything else, of
+    characteristic Q_Y = g on var (eta) or -g u^A_var on every A (xi).
+    Leibniz's rule on D_J(p Q_Y), and pr X(H) = pr X_Q(H) + xi^j D_j H with
+    D_j H = 0 on solutions, give pr(pY)(H) = sum_{|K| <= deg p} d_K p *
+    R_{Y,K}, each term a merge of monomials, with R_{Y,K} =
+    reduce(sum_{A, J >= K} C(J,K) D_{J-K}(Q_Y^A) dH/du^A_J) and R_{Y,()} =
+    pr Y(H); the entry's residual is the sum over its terms."""
 
-    def __init__(self, system, unknowns=(), eliminate: bool = True):
+    def __init__(self, system, unknowns=()):
         equations = system.equations()
-        self.jet, self.eliminate = system.jet, eliminate
-        self.independents = system.jet.independents
-        self.reduce = (lambda e: e) if not eliminate else Reducer(
-            equations + [(uc.lead, uc.rhs) for uc in unknowns]).reduce
+        self.jet, self.independents = system.jet, system.jet.independents
+        self.reduce = Reducer(equations + [(uc.lead, uc.rhs) for uc in unknowns]).reduce
         # a dict, not a set: jets in order of first occurrence, not of address
         self.needed = dict.fromkeys(
             [lead for lead, _ in equations] +
@@ -207,7 +206,8 @@ class _ResidualMap:
                       for lead, rhs in equations]
         self.syms = [sym(i) for i in self.independents]
         self.zero = (0,) * len(self.syms)  # K = () as counts per independent
-        self.tables, self.splits, self.pieces = {}, {}, {  # D_L g; C(J,K), J-K; R_{Y,K}
+        # D_L(Q_Y); (C(J,K), J-K); R_{Y,K}, seeded with R_{d_j,()} = dH/dx_j
+        self.tables, self.splits, self.pieces = {}, {}, {
             ("xi", i, (), self.zero): [dxi[k] for _, dxi, _ in self.parts]
             for k, i in enumerate(self.independents)}
 
@@ -219,22 +219,42 @@ class _ResidualMap:
         for lead, dxi, djet in self.parts:
             out = dict(coeffs[lead]._terms)
             for c, d in [*zip(xi, dxi), *((coeffs[a], d) for a, d in djet)]:
-                _mul_into(out, c._terms, d._terms)
+                if c._terms:
+                    _mul_into(out, c._terms, d._terms)
             residuals.append(Expr(out))
         return residuals
 
+    def table(self, kind: str, var: str, g: tuple) -> dict[tuple, dict]:
+        """Reduced D_L(Q_Y^A) of Y = g d_var as terms, keyed (A, L), for every
+        u^A_L below a needed jet, from one prolongation of Y: D_L(g) for an
+        eta field, kept on the first dependent and shared by the others;
+        pr Y^{A,L} - g u^A_{L var} for an xi field, where pr d_var = 0."""
+        eta = kind == "eta"
+        key = (kind, None if eta else var, g)
+        if key in self.tables:
+            return self.tables[key]
+        dep0, ge = self.jet.dependents[0], Expr({g: 1})
+        # d_var prolongs to 0 and asks no L = J, as R_{d_var,()} is seeded
+        plain = not (eta or g)
+        below = dict.fromkeys(jet(dep0 if eta else J.dep, L) for J in self.needed
+                              for r in range(J.order + 1 - plain)
+                              for L in combinations(J.idx, r))
+        pr = {} if plain else prolong_generator(
+            VectorField(self.jet, **{kind: {dep0 if eta else var: ge}}), below)
+        table = self.tables[key] = {}
+        for A in below:
+            v = pr.get(A, Expr.zero())
+            if not eta:
+                v = v - ge * jet(A.dep, A.idx + (var,)).as_expr()
+            table[A.dep, A.idx] = self.reduce(v)._terms
+        return table
+
     def piece(self, kind: str, var: str, g: tuple, K: tuple) -> list[Expr]:
-        """R_{Y,K} per equation: Y = d_var or g d_var, K counted per independent."""
+        """R_{Y,K} per equation: Y = g d_var, K counted per independent."""
         key, eta, indeps = (kind, var, g, K), kind == "eta", self.independents
         if key in self.pieces:
             return self.pieces[key]
-        if eta and g not in self.tables:  # reduced D_L(g) on every L below a needed jet
-            dep0 = self.jet.dependents[0]
-            below = dict.fromkeys(L for J in self.needed for r in range(J.order + 1)
-                                  for L in combinations(J.idx, r))
-            self.tables[g] = {J.idx: self.reduce(v) for J, v in prolong_generator(
-                VectorField(self.jet, eta={dep0: Expr({g: 1})}),
-                [jet(dep0, L) for L in below]).items()}
+        table, dep0 = self.table(kind, var, g), self.jet.dependents[0]
         pieces = self.pieces[key] = []
         for lead, _, djet in self.parts:
             out: dict = {}
@@ -246,46 +266,41 @@ class _ResidualMap:
                 c, L = self.splits[J, K]
                 if not c or eta and J.dep != var:
                     continue
-                if eta:
-                    f = self.tables[g][L]._terms
-                    f = f if c == 1 else {m: q * c for m, q in f.items()}
-                else:  # -C(J, K) u^A_{(J-K) var}, reduced in one pass
-                    f = self.reduce(Expr({((jet(J.dep, L + (var,)), 1),): -c}))._terms
+                f = table[dep0 if eta else J.dep, L]
+                f = f if c == 1 else {m: q * c for m, q in f.items()}
                 if h is None:  # the lead comes first, and dH/d(lead) = 1
                     out.update(f)
-                else:
+                elif f:
                     _mul_into(out, f, h._terms)
             pieces.append(Expr(out))
         return pieces
 
     def column(self, key: tuple[str, str], e: Expr) -> list[Expr]:
-        """Residuals of the one-slot field e d_var of slot key = (kind, var)."""
+        """Residuals of the one-slot field e d_var of slot key = (kind, var):
+        the sum over the terms q*p*g of e of sum_K q d_K p * R_{g d_var, K}."""
         (kind, var), syms = key, self.syms
-        (m, q), = e._terms.items() if len(e._terms) == 1 else [((), 0)]
-        p = tuple(f for f in m if f[0] in syms)
-        g = tuple(f for f in m if f not in p)
-        if not q or not self.eliminate or kind == "xi" and g or any(
-                a.__class__ is Func or a in syms for a in atoms_of(Expr({g: 1}))):
-            return self(VectorField(self.jet, **{kind: {var: e}}))
-        if q == 1 and not p:  # the piece R_{Y,()} as it is, no copy
-            return self.piece(kind, var, g, self.zero)
         outs: list[dict] = [{} for _ in self.parts]
-        for ks in product(*(range(k + 1) for _, k in p)):  # d_K p = c * mono
-            c = q * prod(perm(k, j) for (_, k), j in zip(p, ks))
-            mono = tuple((a, k - j) for (a, k), j in zip(p, ks) if k != j)
-            K = tuple(dict(zip((a for a, _ in p), ks)).get(s, 0) for s in syms)
-            for out, r in zip(outs, self.piece(kind, var, g, K)):
-                for m2, q2 in r._terms.items():
-                    _put(out, _merge(m2, mono), q2 * c)
+        for m, q in e._terms.items():
+            p = tuple(f for f in m if f[0] in syms)
+            g = tuple(f for f in m if f not in p)
+            if q == 1 and not p and len(e._terms) == 1:  # R_{Y,()} as it is, no copy
+                return self.piece(kind, var, g, self.zero)
+            for ks in product(*(range(k + 1) for _, k in p)):  # d_K p = c * mono
+                c = q * prod(perm(k, j) for (_, k), j in zip(p, ks))
+                mono = tuple((a, k - j) for (a, k), j in zip(p, ks) if k != j)
+                K = tuple(dict(zip((a for a, _ in p), ks)).get(s, 0) for s in syms)
+                for out, r in zip(outs, self.piece(kind, var, g, K)):
+                    for m2, q2 in r._terms.items():
+                        _put(out, _merge(m2, mono), q2 * c)
         return [Expr(out) for out in outs]
 
 
-def symmetry_residual(system, X: VectorField, eliminate: bool = True) -> list[Expr]:
+def symmetry_residual(system, X: VectorField) -> list[Expr]:
     """Apply the prolonged generator to each equation H^A = lead - rhs and
     substitute the equations (and their differential consequences) so the
     result lives on solutions.  A generator is a symmetry iff every entry is
     zero."""
-    return _ResidualMap(system, X.unknowns, eliminate)(X)
+    return _ResidualMap(system, X.unknowns)(X)
 
 
 @dataclass
@@ -306,7 +321,7 @@ class VerificationReport:
 def verify_generator(system, X: VectorField) -> VerificationReport:
     """Residual check with unknown-function derivatives reduced modulo their
     constraint equations."""
-    res = symmetry_residual(system, X, eliminate=True)
+    res = symmetry_residual(system, X)
     zero = all(r.is_zero() for r in res)
     notes = []
     if not zero:
@@ -340,11 +355,11 @@ MAX_ANSATZ_UNKNOWNS = 4000
 
 
 def ansatz_dictionary(jet_spec: JetSpec, degree: int, trig_order: int = 0,
-                      exp_range: int = 0, trig_dep: str | None = None,
-                      exp_dep: str | None = None) -> AnsatzBasis:
+                      exp_range: int = 0) -> AnsatzBasis:
     """Dictionary {prod of independents^a, total degree <= D} on every slot;
     eta slots are additionally multiplied by {1, sin(m dep0), cos(m dep0)}
-    (m <= trig_order) and {exp(k dep1)} (|k| <= exp_range).  Raises
+    (m <= trig_order) and {exp(k dep_last)} (|k| <= exp_range), dep0 and
+    dep_last the first and the last dependent.  Raises
     DomainError on a negative size or above MAX_ANSATZ_UNKNOWNS columns."""
     indeps = jet_spec.independents
     if min(degree, trig_order, exp_range) < 0:
@@ -363,9 +378,7 @@ def ansatz_dictionary(jet_spec: JetSpec, degree: int, trig_order: int = 0,
         t, x = (sym(i).as_expr() for i in indeps)
         polys = [t ** a * x ** b
                  for a in range(degree + 1) for b in range(degree + 1 - a)]
-    trig_dep = trig_dep or jet_spec.dependents[0]
-    exp_dep = exp_dep or (jet_spec.dependents[1] if len(jet_spec.dependents) > 1
-                          else jet_spec.dependents[0])
+    trig_dep, exp_dep = jet_spec.dependents[0], jet_spec.dependents[-1]
     from .expr_core import cos_e, exp_e, sin_e
     trig_parts = [Expr.one()]
     for m in range(1, trig_order + 1):
@@ -419,10 +432,9 @@ class DeterminingSystem:
 
 def determining_system(system, basis: AnsatzBasis) -> DeterminingSystem:
     """Rows: residual coefficients per (equation, monomial class) of each
-    column p*Y, pr(pY)(H) = sum_K d_K p * R_{Y,K} on solutions (D_j H = 0),
-    from pieces of the base field Y; entries with several terms, an
-    independent in a non-plain atom, an unknown function, or a non-constant
-    xi factor take their own residual.  Map and pieces die with the call."""
+    column, summed over the terms p*Y of its entry, pr(pY)(H) = sum_K d_K p *
+    R_{Y,K} on solutions (D_j H = 0), from pieces of the base field Y, with
+    R_{Y,()} = pr Y(H).  Map and pieces die with the call."""
     cols, residual = basis.columns(), _ResidualMap(system)
     rowmap = transpose(coefficient_vector(enumerate(residual.column(key, e)))
                        for key, _, e in cols)

@@ -88,6 +88,15 @@ def test_verify_solution_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("system", ["3.22-F", "3.22-F-printed"])
+def test_verify_solution_sn_takes_c_from_the_profile(capsys, system):
+    code, out = run(capsys, "verify-solution", "--system", system,
+                    "--solution", "sn")
+    doc = json.loads(out)
+    assert code == 0 and doc["status"] == ["sampled"]
+    assert doc["max_residual"] < 1e-6
+
+
 def test_integrate_and_csv(tmp_path, capsys):
     csv = tmp_path / "traj.csv"
     code, out = run(capsys, "integrate", "--system", "3.3", "--c", "1",

@@ -4,12 +4,11 @@ The reference below is the formula the map replaces, built from public
 pieces only: prolong the whole generator, subtract the products of the
 prolonged coefficients with the partials of each rhs, then reduce the sum on
 solutions.  The map builds the system half once and assembles each residual
-from factors reduced beforehand.  Its dictionary columns p*Y are merged from
-the Leibniz pieces R_{Y,K} of the base field Y, with one table per trig/exp
-factor shared between the dependents; entries that do not split so, and
-every off-shell column, take the residual of the entry itself.  Every
-residual the map gives must equal the reference as an expression, column by
-column, for every system kind it serves.
+from factors reduced beforehand.  Each term q*p*g of a dictionary entry is
+merged from the Leibniz pieces R_{Y,K} of its base field Y = g d_var, with
+one table of D_L(Q_Y) per base field (an eta table shared between the
+dependents).  Every residual the map gives must equal the reference as an
+expression, column by column, for every system kind it serves.
 """
 
 import functools
@@ -19,7 +18,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieforge import catalog
+from lieforge import catalog, symmetry
 from lieforge.expr_core import (
     Expr, Jet, atoms_of, coefficient_vector, derive, func, random_rational,
     sym,
@@ -27,12 +26,11 @@ from lieforge.expr_core import (
 from lieforge.hierarchy import (REAL_JET, catalogue_member, complex_split,
                                 hierarchy_member)
 from lieforge.linalg import transpose
-from lieforge.parser import expr_text
 from lieforge.reduce import reduced_system
 from lieforge.symmetry import (
     AnsatzBasis, UnknownFunctionConstraint, VectorField, _ResidualMap,
     ansatz_dictionary, determining_system, prolong_generator,
-    symmetry_residual,
+    symmetry_residual, verify_generator,
 )
 from lieforge.systems import PDESystem, Reducer
 
@@ -43,7 +41,7 @@ def _unit_field(jet_spec, key, e):
     return VectorField(jet_spec, **{kind: {var: e}})
 
 
-def reference_residual(system, X, eliminate=True):
+def reference_residual(system, X):
     equations = system.equations()
     reducer = Reducer(equations + [(uc.lead, uc.rhs) for uc in X.unknowns])
     needed = {lead for lead, _ in equations}
@@ -58,7 +56,7 @@ def reference_residual(system, X, eliminate=True):
         for a in atoms_of(rhs):
             if isinstance(a, Jet):
                 r = r - coeffs[a] * derive(rhs, a)
-        out.append(reducer.reduce(r) if eliminate else r)
+        out.append(reducer.reduce(r))
     return out
 
 
@@ -87,14 +85,6 @@ def _systems():
 
 
 SYSTEMS = _systems()
-
-
-def _dictionary(name, seed):
-    """A small seeded dictionary with trig and exp entries."""
-    rng = random.Random(seed)
-    S = SYSTEMS[name]
-    degree = 1 if name == "member 5" else rng.randint(1, 2)
-    return S, ansatz_dictionary(S.jet, degree, 1, 1)
 
 
 # dictionaries of degree 0-3 whose columns are checked on every system:
@@ -160,7 +150,8 @@ def test_determining_rows_match_reference(name):
 def _unsplit_basis(S):
     """Entries that are no monomial p(t, x) times a factor g of dependents,
     beside ones that are: several terms, an independent inside exp, an
-    unknown function, an xi entry holding a dependent."""
+    unknown function, an xi entry holding a dependent.  Each term still
+    splits as p*g, g holding everything that is not a plain independent."""
     parse = S.jet.with_functions({"a": ("t", "x")}).parse
     return AnsatzBasis(S.jet, {
         ("xi", "t"): [parse("1"), parse("v")],
@@ -169,11 +160,10 @@ def _unsplit_basis(S):
         ("eta", "w"): [parse("x*a*sin(v)"), parse("x^2*exp(-w)")]})
 
 
-UNSPLIT = {"t + sin(v)", "x*exp(t)", "x*a*sin(v)", "v", "t*v"}
-
-
 @pytest.mark.parametrize("name", ["member 2", "member 3 scaled", "member 4"])
 def test_unsplit_entries_take_the_entry_residual(name, monkeypatch):
+    """Every entry goes through the pieces of the base fields of its terms,
+    and its column is the entry's residual."""
     S = SYSTEMS[name]
     basis = _unsplit_basis(S)
     refs = [reference_residual(S, _unit_field(basis.jet, key, e))
@@ -185,25 +175,13 @@ def test_unsplit_entries_take_the_entry_residual(name, monkeypatch):
     for (key, _, e), ref in zip(basis.columns(), refs):
         used.clear()
         assert rmap.column(key, e) == ref, (name, key, e)
-        assert bool(used) == (expr_text(e) not in UNSPLIT), (name, key, e)
+        assert {g for _, _, g, _ in used} == {
+            tuple(f for f in m if f[0] not in rmap.syms) for m in e._terms}, \
+            (name, key, e)
     det = determining_system(S, basis)
     prov, rowmap = _reference_rows(refs)
     assert det.provenance == prov
     assert det.rows == [rowmap[k] for k in prov]
-
-
-@pytest.mark.parametrize("name", ["member 2", "member 4", "reduced 3"])
-def test_map_matches_reference_without_elimination(name):
-    """Off shell D_j H = 0 fails, so every column is the entry's residual."""
-    S, basis = _dictionary(name, seed=11)
-    rmap = _ResidualMap(S, eliminate=False)
-    pieces = dict(rmap.pieces)
-    for key, _, e in basis.columns():
-        X = _unit_field(basis.jet, key, e)
-        ref = reference_residual(S, X, eliminate=False)
-        assert rmap(X) == ref, (name, key, e)
-        assert rmap.column(key, e) == ref, (name, key, e)
-    assert rmap.pieces == pieces and not rmap.tables
 
 
 # system -> catalogue functions whose fields act on it
@@ -234,15 +212,27 @@ def test_catalogue_table_covers_every_field_maker():
     assert makers == {m for ms in CATALOGUE.values() for m in ms}
 
 
-@pytest.mark.parametrize("eliminate", [True, False], ids=["on-shell", "off-shell"])
-def test_catalogue_fields_and_families_match_reference(eliminate):
+def test_catalogue_fields_and_families_match_reference():
     n_unknowns = 0
     for name, maker, X in _catalogue_fields():
         S = SYSTEMS[name]
         n_unknowns += bool(X.unknowns)
-        assert symmetry_residual(S, X, eliminate) == \
-            reference_residual(S, X, eliminate), (name, maker, X.name)
+        assert symmetry_residual(S, X) == reference_residual(S, X), \
+            (name, maker, X.name)
     assert n_unknowns >= 4  # the unknown-function families are covered
+
+
+def test_verifying_a_field_multiplies_no_zero_coefficient(monkeypatch):
+    """A zero prolonged coefficient adds nothing to a residual, so the map
+    makes no product with it: the member-4 fields, most of whose prolonged
+    coefficients are zero, make no product with an empty side."""
+    calls = []
+    mul_into = symmetry._mul_into
+    monkeypatch.setattr(symmetry, "_mul_into",
+                        lambda out, A, B: calls.append(A) or mul_into(out, A, B))
+    for X in catalog.fields_member4():
+        assert verify_generator(SYSTEMS["member 4"], X).zero, X.name
+    assert calls and not [A for A in calls if not A]
 
 
 def _heat_fields():
@@ -266,9 +256,7 @@ def _explicit_x(S):
 
 
 @pytest.mark.parametrize("name", ["member 2", "member 3 scaled"])
-@pytest.mark.parametrize("eliminate", [True, False], ids=["on-shell", "off-shell"])
-def test_reducible_unknowns_in_coefficients_match_reference(name, eliminate):
+def test_reducible_unknowns_in_coefficients_match_reference(name):
     S = _explicit_x(SYSTEMS[name])
     for X in _heat_fields():
-        assert symmetry_residual(S, X, eliminate) == \
-            reference_residual(S, X, eliminate), (name, X)
+        assert symmetry_residual(S, X) == reference_residual(S, X), (name, X)

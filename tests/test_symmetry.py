@@ -3,7 +3,9 @@
 import pytest
 
 from lieforge import catalog
-from lieforge.expr_core import DomainError, Expr, eval_numeric, jet, sym
+from lieforge.expr_core import (
+    DomainError, Expr, Jet, atoms_of, derive, eval_numeric, jet, sym,
+)
 from lieforge.hierarchy import REAL_JET, catalogue_member
 from lieforge.liealg import in_span
 from lieforge.parser import parse_expr
@@ -61,7 +63,19 @@ class TestResiduals:
         # derivatives, vanishes to rounding error
         import math
         X = catalog.fields_member2()[1]  # G2a
-        res = symmetry_residual(member2, X, eliminate=False)
+        # pr X(lead - rhs) = eta^{lead} - xi^i d_i rhs - sum_J eta^J d rhs/du_J
+        equations = member2.equations()
+        jets = dict.fromkeys(a for _, rhs in equations for a in atoms_of(rhs)
+                             if isinstance(a, Jet))
+        coeffs = prolong_generator(X, [*(lead for lead, _ in equations), *jets])
+        res = []
+        for lead, rhs in equations:
+            r = coeffs[lead]
+            for i in REAL_JET.independents:
+                r = r - X.xi_of(i) * derive(rhs, sym(i))
+            for a in jets:
+                r = r - coeffs[a] * derive(rhs, a)
+            res.append(r)
         c, half = 1.0, 0.5
 
         def profile(s):
