@@ -11,11 +11,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import catalog, reduce as red
-from .expr_core import Expr, sym
+from .expr_core import Expr
 from .hierarchy import (REAL_JET, audit_member, catalogue_member, complex_split,
                         hierarchy_member)
 from .liealg import _combo_text, algebra_signature, jacobi_check, structure_constants
@@ -238,17 +239,15 @@ def cmd_reduce(args) -> int:
     S = red.reduced_system(args.member, c)
     if args.order_reduce:
         S = red.order_reduce(S)
-    _emit({"schema": SCHEMA, "member": args.member,
-           "c": expr_text(c) if isinstance(c, Expr) else str(c),
+    _emit({"schema": SCHEMA, "member": args.member, "c": str(c),
            "order_reduced": bool(args.order_reduce),
            "equations": [expr_text(e) + " = 0" for e in S.equations_zero()]})
     return 0
 
 
 def _c_arg(text: str):
-    if text == "c":
-        return sym("c").as_expr()
-    return Expr.rational(Fraction(text))
+    """The wave speed of `--c`: the symbol name "c" or a rational."""
+    return "c" if text == "c" else Fraction(text)
 
 
 _SYSTEMS = {
@@ -263,39 +262,31 @@ _SYSTEMS = {
 }
 
 
-def _solution(name: str, args) -> red.SolutionCandidate:
-    if name == "tan":
-        return red.tan_solution()
-    if name == "s11":
-        return red.s11_solution()
-    if name == "rational-trig":
-        return red.rational_trig_solution()
-    if name == "rational-trig-printed":
-        return red.rational_trig_solution(printed=True)
-    if name == "sn":
-        return red.sn_solution(args.k, printed_system="printed" in args.system)
-    if name == "linear4":
-        return red.linear_solution_member4()
-    raise ValueError(f"unknown solution {name!r}")
+_SOLUTIONS = {
+    "tan": lambda args: red.tan_solution(),
+    "s11": lambda args: red.s11_solution(),
+    "rational-trig": lambda args: red.rational_trig_solution(),
+    "rational-trig-printed": lambda args: red.rational_trig_solution(printed=True),
+    "sn": lambda args: red.sn_solution(args.k, printed_system="printed" in args.system),
+    "linear4": lambda args: red.linear_solution_member4(),
+}
 
 
 def cmd_verify_solution(args) -> int:
     if not args.tol > 0:
         raise ValueError(f"--tol must be positive, got {args.tol}")
     mode = args.mode
-    c = float(Fraction(args.c)) if args.c != "c" else None
-    # symbolic verification holds for symbolic c; numeric mode specialises
-    S = _SYSTEMS[args.system]("c" if (c is None or mode == "symbolic")
-                              else Fraction(args.c))
-    cand = _solution(args.solution, args)
-    params = dict(cand.params)
-    if c is not None:
-        params["c"] = c
+    cand = _SOLUTIONS[args.solution](args)
+    c = _c_arg(args.c)
     if args.solution == "sn":  # the profile fixes c
-        params["c"] = cand.params["c"]
-        S = _SYSTEMS[args.system](Fraction(params["c"]).limit_denominator(10 ** 9))
-    rep = red.verify_solution(S, cand, mode=mode,
-                              param_values=params if mode == "numeric" else None)
+        if args.c != "c":
+            raise ValueError(f"--c does not apply to --solution sn: the profile "
+                             f"fixes c = {cand.params['c']:g}")
+        c = Fraction(cand.params["c"]).limit_denominator(10 ** 9)
+    # symbolic verification holds for symbolic c; numeric mode specialises
+    S = _SYSTEMS[args.system](c if mode == "numeric" else "c")
+    params = {"c": float(c)} if mode == "numeric" and args.c != "c" else None
+    rep = red.verify_solution(S, cand, mode=mode, param_values=params)
     out = {"schema": SCHEMA, "system": S.label, "solution": cand.name,
            "mode": mode, "status": rep.statuses}
     if rep.max_residual is not None:
@@ -310,15 +301,11 @@ def cmd_verify_solution(args) -> int:
 
 def cmd_integrate(args) -> int:
     lo, hi = (float(x) for x in args.range.split(":"))
-    c = float(Fraction(args.c))
-    S = _SYSTEMS[args.system](Fraction(args.c))
-    if args.init_from == "tan":
-        import math
-        F0 = 0.5 * c
-        G0 = -0.5 * c * math.tan(0.5 * c * (lo - args.s0))
-        state0 = {"F": F0, "G": G0}
-    else:
-        raise ValueError(f"unknown init {args.init_from!r}")
+    c = _c_arg(args.c)
+    half_c = 0.5 * float(c)
+    S = _SYSTEMS[args.system](c)
+    # --from tan: F = c/2, G = -(c/2) tan((c/2)(s - s0)) at s = lo
+    state0 = {"F": half_c, "G": -half_c * math.tan(half_c * (lo - args.s0))}
     traj = red.rk4_from_system(S, {}, state0, (lo, hi), args.h)
     rows = [(s, traj.values["F"][i], traj.values["G"][i])
             for i, s in enumerate(traj.grid)]
@@ -335,7 +322,7 @@ MAX_FIG1_SERIES = 100
 
 
 def cmd_fig1(args) -> int:
-    c = float(Fraction(args.c))
+    c = float(_c_arg(args.c))
     f1_texts = args.F1.split(",")
     if len(f1_texts) > MAX_FIG1_SERIES:
         raise ValueError(f"fig1 takes at most {MAX_FIG1_SERIES} --F1 values, "
@@ -416,7 +403,7 @@ def build_parser() -> _Parser:
     vs = sub.add_parser("verify-solution", help="check a closed form against a "
                                                 "reduced system")
     vs.add_argument("--system", required=True, choices=sorted(_SYSTEMS))
-    vs.add_argument("--solution", required=True)
+    vs.add_argument("--solution", required=True, choices=sorted(_SOLUTIONS))
     vs.add_argument("--c", default="c")
     vs.add_argument("--mode", choices=("symbolic", "numeric"), default="numeric")
     vs.add_argument("--k", type=float, default=0.9, help="elliptic modulus")
@@ -426,7 +413,7 @@ def build_parser() -> _Parser:
     it = sub.add_parser("integrate", help="RK4 integration of a reduced system")
     it.add_argument("--system", required=True, choices=sorted(_SYSTEMS))
     it.add_argument("--c", required=True)
-    it.add_argument("--from", dest="init_from", required=True)
+    it.add_argument("--from", dest="init_from", required=True, choices=("tan",))
     it.add_argument("--s0", type=float, default=0.0)
     it.add_argument("--h", type=float, default=1e-3)
     it.add_argument("--range", default="0:2")

@@ -624,22 +624,13 @@ def _accumulate(out: dict[Monomial, Coeff], factors: list[tuple[Atom, int]],
 
         # trig bookkeeping
         trig_sc: list[Trig] = []
-        bad = False
         for atom in [a for a in powers if a.__class__ is Trig] if Trig in kinds else ():
             k = powers[atom]
             if k < 0:
                 raise DomainError("negative power of a trig factor")
-            if not atom.arg._terms:
-                # stale atom (argument collapsed to zero after substitution)
-                del powers[atom]
-                if atom.fn in ("sin", "tan"):
-                    bad = True
-                continue
             if atom.fn in ("sin", "cos"):
                 trig_sc.extend([atom] * k)
                 del powers[atom]
-        if bad:
-            continue
 
         if len(trig_sc) >= 2:
             a1, a2 = trig_sc[0], trig_sc[1]

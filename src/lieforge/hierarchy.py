@@ -26,10 +26,8 @@ __all__ = [
 
 MAX_MEMBER_N = 6
 
-COMPLEX_JET = JetSpec(independents=("t", "x"), dependents=("u", "ub"),
-                      constants=(), max_order=MAX_MEMBER_N + 2)
-REAL_JET = JetSpec(independents=("t", "x"), dependents=("v", "w"),
-                   constants=(), max_order=MAX_MEMBER_N + 2)
+COMPLEX_JET = JetSpec(independents=("t", "x"), dependents=("u", "ub"), constants=())
+REAL_JET = JetSpec(independents=("t", "x"), dependents=("v", "w"), constants=())
 
 
 def _check_complex(e: Expr, op: str) -> None:

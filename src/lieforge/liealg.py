@@ -93,15 +93,7 @@ def _const_dictionary(params) -> list[Expr]:
         cur = list(consts)
         for k in (-2, -1, 1, 2):
             consts += [c * a.as_expr() ** k for c in cur]
-    out = list(consts)
-    for r in roots:
-        out += [c * r.as_expr() for c in consts]
-    seen, uniq = set(), []
-    for c in out:
-        if c not in seen:
-            seen.add(c)
-            uniq.append(c)
-    return uniq
+    return consts + [c * r.as_expr() for r in roots for c in consts]
 
 
 def in_span(targets: list[VectorField], basis: list[VectorField], params=None):

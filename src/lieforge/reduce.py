@@ -83,13 +83,13 @@ def invariants_of_translation(X: VectorField) -> SimilarityMap:
 _DEP_MAP = {"v": "f", "w": "g"}
 
 
-def travelling_wave_reduce(S: PDESystem, c, drift: dict[str, Expr] | None = None,
-                           jet_out: JetSpec = ODE_JET) -> ODESystem:
+def travelling_wave_reduce(S: PDESystem, c,
+                           drift: dict[str, Expr] | None = None) -> ODESystem:
     """Substitute v(t,x) = f(s) (+ drift t), w(t,x) = g(s), s = x - c t and
     solve the reduced equations for their highest derivatives."""
-    c = c if isinstance(c, Expr) else Expr.rational(c)
+    c = _c_expr(c)
     drift = drift or {}
-    svar = jet_out.independents[0]
+    svar = ODE_JET.independents[0]
     bindings = {}
     for phi in S.rhs.values():
         for a in atoms_of(phi):
@@ -116,7 +116,7 @@ def travelling_wave_reduce(S: PDESystem, c, drift: dict[str, Expr] | None = None
             if isinstance(a, Sym) and a.name in (t_var, x_var):
                 raise DomainError("reduction left explicit (t, x) dependence")
         equations.append(_contract_common_jet(E))
-    return _solve_leads(equations, jet_out, label=f"TW reduction of {S.label}",
+    return _solve_leads(equations, ODE_JET, label=f"TW reduction of {S.label}",
                         parameters=_params_of(c))
 
 
@@ -201,6 +201,7 @@ def order_reduce(S: ODESystem) -> ODESystem:
 # ---------------------------------------------------------------------------
 
 def _c_expr(c) -> Expr:
+    """The wave speed as an expression: an Expr, a symbol name or a rational."""
     if isinstance(c, Expr):
         return c
     if isinstance(c, str):
@@ -210,7 +211,7 @@ def _c_expr(c) -> Expr:
 
 def reduced_system(member: int, c="c") -> ODESystem:
     from .hierarchy import catalogue_member
-    return travelling_wave_reduce(catalogue_member(member), _c_expr(c))
+    return travelling_wave_reduce(catalogue_member(member), c)
 
 
 def system_33(c="c") -> ODESystem:
@@ -233,16 +234,17 @@ def system_322_printed(c="c") -> ODESystem:
     third-order reduction but kept for comparison and for the elliptic
     branch as stated."""
     ce = _c_expr(c)
-    ctx = ODE_JET_FG.with_constants(("q",) + _params_of(ce))
-    P = ctx.parse
     leads = {
-        "F": (2, substitute(P("q*F + F^3 - 3*F*G^2 - 3*G*F' - 3*F*G'"),
-                            {sym("q"): ce})),
-        "G": (2, substitute(P("q*G + 3*F^2*G - G^3 + 3*F*F' - 3*G*G'"),
-                            {sym("q"): ce})),
+        "F": (2, _parse_at_c(ODE_JET_FG, "c*F + F^3 - 3*F*G^2 - 3*G*F' - 3*F*G'", ce)),
+        "G": (2, _parse_at_c(ODE_JET_FG, "c*G + 3*F^2*G - G^3 + 3*F*F' - 3*G*G'", ce)),
     }
     return ODESystem(jet=ODE_JET_FG, leads=leads, label="(3.22) as printed",
                      parameters=_params_of(ce))
+
+
+def _parse_at_c(jet_spec: JetSpec, text: str, c) -> Expr:
+    """Parse text, written in the symbol c, and set c to the given speed."""
+    return substitute(jet_spec.parse(text), {sym("c"): _c_expr(c)})
 
 
 def f_branch_322(c="c") -> ODESystem:
@@ -323,10 +325,8 @@ def _normalize_equation(E: Expr) -> Expr:
 def printed_second_order(c="c") -> Expr:
     """The printed wave-profile equation multiplied through by (2F - c):
     (2F - c) F'' + 3 F'^2 - F (F - c)(2F - c)^2."""
-    ce = _c_expr(c)
-    ctx = ODE_JET_F.with_constants(("q",) + _params_of(ce))
-    e = ctx.parse("(2*F - q)*F'' + 3*F'^2 - F*(F - q)*(2*F - q)^2")
-    return _normalize_equation(substitute(e, {sym("q"): ce}))
+    return _normalize_equation(_parse_at_c(
+        ODE_JET_F, "(2*F - c)*F'' + 3*F'^2 - F*(F - c)*(2*F - c)^2", c))
 
 
 def computed_second_order(c="c") -> Expr:
@@ -367,16 +367,14 @@ class SolutionCandidate:
     notes: list[str] = dc_field(default_factory=list)
 
 
-def tan_solution(c="c", s0="s0") -> SolutionCandidate:
+def tan_solution() -> SolutionCandidate:
     """F = c/2, G = -(c/2) tan((c/2)(s - s0)); exact on the first-order pair."""
-    ce = _c_expr(c)
-    s0e = sym(s0).as_expr() if isinstance(s0, str) else Expr.rational(s0)
-    s = sym("s").as_expr()
+    c, s0, s = (sym(n).as_expr() for n in ("c", "s0", "s"))
     half = Expr.rational(Fraction(1, 2))
-    arg = half * ce * (s - s0e)
+    arg = half * c * (s - s0)
     return SolutionCandidate(
         name="tan",
-        exprs={"F": half * ce, "G": -half * ce * tan_e(arg)},
+        exprs={"F": half * c, "G": -half * c * tan_e(arg)},
         pole_denoms=[cos_e(arg)],
         params={"c": 1.0, "s0": 0.0},
     )

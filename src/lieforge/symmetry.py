@@ -389,15 +389,7 @@ def ansatz_dictionary(jet_spec: JetSpec, degree: int, trig_order: int = 0,
     slots: dict[tuple[str, str], list[Expr]] = {}
     for indep in indeps:
         slots[("xi", indep)] = list(polys)
-    eta_dict = []
-    seen = set()
-    for p in polys:
-        for tr in trig_parts:
-            for ex in exp_parts:
-                e = p * tr * ex
-                if e not in seen:
-                    seen.add(e)
-                    eta_dict.append(e)
+    eta_dict = [p * tr * ex for p in polys for tr in trig_parts for ex in exp_parts]
     for dep in jet_spec.dependents:
         slots[("eta", dep)] = list(eta_dict)
     return AnsatzBasis(jet=jet_spec, slots=slots)

@@ -24,6 +24,9 @@ from .parser import parse_expr
 
 __all__ = ["JetSpec", "PDESystem", "ODESystem", "total_derivative", "Reducer"]
 
+# Highest jet order a PDE right-hand side may carry; member n has order n + 1.
+MAX_JET_ORDER = 8
+
 
 @dataclass(frozen=True)
 class JetSpec:
@@ -34,20 +37,18 @@ class JetSpec:
     dependents: tuple[str, ...]
     constants: tuple[str, ...] | None = ()
     functions: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    max_order: int = 8
 
     def parse(self, text: str) -> Expr:
         return parse_expr(text, self)
 
     def with_functions(self, funcs: dict[str, tuple[str, ...]]) -> "JetSpec":
         return JetSpec(self.independents, self.dependents, self.constants,
-                       tuple(sorted(funcs.items())), self.max_order)
+                       tuple(sorted(funcs.items())))
 
     def with_constants(self, names) -> "JetSpec":
         extra = tuple(n for n in names if n not in (self.constants or ()))
         consts = None if self.constants is None else self.constants + extra
-        return JetSpec(self.independents, self.dependents, consts,
-                       self.functions, self.max_order)
+        return JetSpec(self.independents, self.dependents, consts, self.functions)
 
 
 def total_derivative(e: Expr, indep: str) -> Expr:
@@ -83,8 +84,8 @@ class PDESystem:
                 if isinstance(atom, Jet) and t in atom.idx:
                     raise DomainError(
                         f"rhs of {dep}_t contains a {t}-derivative: {atom!r}")
-                if isinstance(atom, Jet) and atom.order > self.jet.max_order:
-                    raise DomainError(f"jet order beyond max_order: {atom!r}")
+                if isinstance(atom, Jet) and atom.order > MAX_JET_ORDER:
+                    raise DomainError(f"jet order beyond {MAX_JET_ORDER}: {atom!r}")
 
     @property
     def time_var(self) -> str:

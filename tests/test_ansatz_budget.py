@@ -7,8 +7,9 @@ from itertools import product
 import pytest
 
 from lieforge import symmetry
-from lieforge.expr_core import DomainError
+from lieforge.expr_core import DomainError, Sym, root, sym
 from lieforge.hierarchy import REAL_JET
+from lieforge.liealg import _const_dictionary
 from lieforge.reduce import ODE_JET, ODE_JET_F
 from lieforge.symmetry import MAX_ANSATZ_UNKNOWNS, ansatz_dictionary
 
@@ -35,6 +36,28 @@ def test_budget_counts_the_columns_built(monkeypatch, jet_spec):
         with pytest.raises(DomainError, match=f"of {n} unknowns"):
             ansatz_dictionary(jet_spec, *size)
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("jet_spec", [REAL_JET, ODE_JET, ODE_JET_F],
+                         ids=["pde", "ode-fg", "ode-F"])
+def test_dictionary_entries_are_distinct(jet_spec):
+    n_indeps, n_deps = len(jet_spec.independents), len(jet_spec.dependents)
+    for degree, trig, expw in product(range(4), range(3), range(3)):
+        basis = ansatz_dictionary(jet_spec, degree, trig, expw)
+        for entries in basis.slots.values():
+            assert len(set(entries)) == len(entries)
+        n_poly = degree + 1 if n_indeps == 1 else (degree + 1) * (degree + 2) // 2
+        assert len(basis.columns()) == n_poly * (
+            n_indeps + n_deps * (2 * trig + 1) * (2 * expw + 1))
+
+
+@pytest.mark.parametrize("names", [[], ["c"], ["c", "k"], ["c", "sqrt c"],
+                                   ["c", "k", "sqrt c", "sqrt k"]], ids=str)
+def test_constant_dictionary_entries_are_distinct(names):
+    params = [root(n[5:]) if n.startswith("sqrt ") else sym(n) for n in names]
+    consts = _const_dictionary(params)
+    n_syms = sum(isinstance(a, Sym) for a in params)
+    assert len(set(consts)) == len(consts) == 5 ** n_syms * (len(params) - n_syms + 1)
 
 
 @pytest.mark.parametrize("size", [(-1, 0, 0), (2, -3, 0), (2, 0, -2),

@@ -97,6 +97,35 @@ def test_verify_solution_sn_takes_c_from_the_profile(capsys, system):
     assert doc["max_residual"] < 1e-6
 
 
+def test_verify_solution_sn_rejects_c(capsys):
+    code = main(["verify-solution", "--system", "3.22-F", "--solution", "sn",
+                 "--c", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err.startswith("lieforge: error: --c ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-solution", "--system", "3.3", "--solution", "cosh"],
+    ["integrate", "--system", "3.3", "--c", "1", "--from", "sin"],
+], ids=["solution", "from"])
+def test_unknown_choice_exits_1(capsys, argv):
+    code = main(argv)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("lieforge: error: ")
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+@pytest.mark.parametrize("system, solution, want", [
+    ("3.22", "rational-trig-printed", 2),
+    ("4.3", "linear4", 0),
+], ids=["rational-trig-printed", "linear4"])
+def test_verify_solution_verdict_in_both_modes(capsys, mode, system, solution, want):
+    code, out = run(capsys, "verify-solution", "--system", system,
+                    "--solution", solution, "--mode", mode)
+    assert code == want and json.loads(out)["mode"] == mode
+
+
 def test_integrate_and_csv(tmp_path, capsys):
     csv = tmp_path / "traj.csv"
     code, out = run(capsys, "integrate", "--system", "3.3", "--c", "1",

@@ -403,3 +403,12 @@ def test_product_to_sum_matches_expr_arithmetic():
             ref = [(fn, list(arg._terms.items()), w)
                    for fn, arg, w in _expr_product_to_sum(a1, a2)]
             assert got == ref
+
+
+def test_substituting_zero_into_a_trig_argument():
+    # sin(0) = tan(0) = 0 and cos(0) = 1 are decided when the atom is rebuilt
+    v, w = _atom_expr("v"), _atom_expr("w")
+    zero = {jet("v"): Expr.zero()}
+    assert substitute(sin_e(v) * w, zero) == Expr.zero()
+    assert substitute(cos_e(v) * w, zero) == w
+    assert substitute(tan_e(v) + sin_e(v) ** 2, zero) == Expr.zero()

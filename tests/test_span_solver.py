@@ -1,7 +1,7 @@
 """One exact elimination answers every span question.
 
 `solve_exact(cols, targets)` solves all targets from one RREF of
-`[cols | -targets]`; each answer must equal the single-target solve kept
+`[cols | targets]`; each answer must equal the single-target solve kept
 here as `reference_solve`, on seeded int and Fraction systems with targets
 outside the span, sums of an outside target and a span vector, duplicates,
 zero targets and no targets at all.  `structure_constants` asks `in_span`

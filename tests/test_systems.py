@@ -54,6 +54,11 @@ class TestPDESystem:
         with pytest.raises(DomainError):
             PDESystem(jet=PDE, rhs={"v": P("v_x")})
 
+    def test_jet_order_guard(self):
+        PDESystem(jet=PDE, rhs={"v": P("v_xxxxxxxx"), "w": P("0")})
+        with pytest.raises(DomainError, match="jet order beyond 8"):
+            PDESystem(jet=PDE, rhs={"v": P("v_xxxxxxxxx"), "w": P("0")})
+
     def test_reducer_eliminates_t(self):
         S = PDESystem(jet=PDE, rhs={"v": P("v_xx"), "w": P("w_xx")})
         r = S.reducer()
