@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .expr_core import func
 from .hierarchy import REAL_JET
 from .reduce import ODE_JET
-from .symmetry import UnknownFunctionConstraint, VectorField
+from .symmetry import VectorField, parse_field
 
 __all__ = [
     "ODE_JET", "fields_member2", "fields_member3", "fields_member3_scaling",
@@ -142,67 +141,44 @@ def fields_reduced3() -> list[VectorField]:
 # infinite families carried by unknown functions
 # ---------------------------------------------------------------------------
 
-def _member2_family_field(constraints) -> VectorField:
-    ctx = REAL_JET.with_functions({"a": ("t", "x"), "b": ("t", "x")})
-    eta_w = ctx.parse("exp(-w)*(a*cos(v) - b*sin(v))")
-    eta_v = ctx.parse("-exp(-w)*(b*cos(v) + a*sin(v))")
-    return VectorField(ctx, eta={"v": eta_v, "w": eta_w},
-                       unknowns=constraints, name="member2-family")
+# eta blocks of the two families, in the field-file grammar of parse_field
+_MEMBER2_ETA = ("\neta_v = -exp(-w)*(b*cos(v) + a*sin(v))"
+                "\neta_w = exp(-w)*(a*cos(v) - b*sin(v))")
+_MEMBER3_ETA = ("\neta_v = -exp(-w)*(c*cos(v) + d*sin(v))"
+                "\neta_w = -exp(-w)*(-d*cos(v) + c*sin(v))")
 
 
 def family_member2() -> VectorField:
     """Unknown-function part of the generic second-member symmetry with the
     coupled constraints a_t = b_xx, b_t = -a_xx that make it verify (direct
     substitution; the separately printed heat constraints do not)."""
-    bxx = func("b", ("t", "x"), ("x", "x")).as_expr()
-    axx = func("a", ("t", "x"), ("x", "x")).as_expr()
-    return _member2_family_field((
-        UnknownFunctionConstraint("a", ("t", "x"), 1, bxx),
-        UnknownFunctionConstraint("b", ("t", "x"), 1, -axx),
-    ))
+    return parse_field("unknown a(t,x): a_t = b_xx\nunknown b(t,x): b_t = -a_xx"
+                       + _MEMBER2_ETA, REAL_JET, "member2-family")
 
 
 def family_member2_printed() -> VectorField:
     """Same coefficients with the separate heat constraints as printed
     (a_t = a_xx, b_t = b_xx); verification flags a nonzero remainder."""
-    axx = func("a", ("t", "x"), ("x", "x")).as_expr()
-    bxx = func("b", ("t", "x"), ("x", "x")).as_expr()
-    return _member2_family_field((
-        UnknownFunctionConstraint("a", ("t", "x"), 1, axx),
-        UnknownFunctionConstraint("b", ("t", "x"), 1, bxx),
-    ))
+    return parse_field("unknown a(t,x): a_t = a_xx\nunknown b(t,x): b_t = b_xx"
+                       + _MEMBER2_ETA, REAL_JET, "member2-family")
 
 
 def family_member2_partial() -> VectorField:
     """Negative control: one constraint dropped."""
-    bxx = func("b", ("t", "x"), ("x", "x")).as_expr()
-    return _member2_family_field((
-        UnknownFunctionConstraint("a", ("t", "x"), 1, bxx),
-    ))
+    return parse_field("unknown a(t,x): a_t = b_xx\nunknown b(t,x)" + _MEMBER2_ETA,
+                       REAL_JET, "member2-family")
 
 
 def family_member3() -> VectorField:
     """c,d-family of the third member with the printed third-order
     constraints c_t = c_xxx, d_t = d_xxx (verifies as printed)."""
-    ctx = REAL_JET.with_functions({"c": ("t", "x"), "d": ("t", "x")})
-    eta_w = ctx.parse("-exp(-w)*(-d*cos(v) + c*sin(v))")
-    eta_v = ctx.parse("-exp(-w)*(c*cos(v) + d*sin(v))")
-    cxxx = func("c", ("t", "x"), ("x", "x", "x")).as_expr()
-    dxxx = func("d", ("t", "x"), ("x", "x", "x")).as_expr()
-    return VectorField(ctx, eta={"v": eta_v, "w": eta_w}, unknowns=(
-        UnknownFunctionConstraint("c", ("t", "x"), 1, cxxx),
-        UnknownFunctionConstraint("d", ("t", "x"), 1, dxxx),
-    ), name="member3-family")
+    return parse_field("unknown c(t,x): c_t = c_xxx\nunknown d(t,x): d_t = d_xxx"
+                       + _MEMBER3_ETA, REAL_JET, "member3-family")
 
 
 def family_member3_partial() -> VectorField:
-    ctx = REAL_JET.with_functions({"c": ("t", "x"), "d": ("t", "x")})
-    eta_w = ctx.parse("-exp(-w)*(-d*cos(v) + c*sin(v))")
-    eta_v = ctx.parse("-exp(-w)*(c*cos(v) + d*sin(v))")
-    cxxx = func("c", ("t", "x"), ("x", "x", "x")).as_expr()
-    return VectorField(ctx, eta={"v": eta_v, "w": eta_w}, unknowns=(
-        UnknownFunctionConstraint("c", ("t", "x"), 1, cxxx),
-    ), name="member3-family-partial")
+    return parse_field("unknown c(t,x): c_t = c_xxx\nunknown d(t,x)" + _MEMBER3_ETA,
+                       REAL_JET, "member3-family-partial")
 
 
 def transport_family_examples() -> list[VectorField]:

@@ -19,11 +19,10 @@ from . import catalog, reduce as red
 from .expr_core import Expr
 from .hierarchy import (REAL_JET, audit_member, catalogue_member, complex_split,
                         hierarchy_member)
-from .liealg import _combo_text, algebra_signature, jacobi_check, structure_constants
-from .parser import expr_text, parse_expr
-from .symmetry import (UnknownFunctionConstraint, VectorField, ansatz_dictionary,
-                       determining_system, discover_symmetries, field_text,
-                       verify_generator)
+from .liealg import algebra_signature, jacobi_check, structure_constants
+from .parser import combo_text, expr_text
+from .symmetry import (ansatz_dictionary, determining_system, discover_symmetries,
+                       field_text, parse_field, verify_generator)
 
 SCHEMA = 1
 
@@ -87,57 +86,10 @@ def cmd_symmetries_find(args) -> int:
     return 0
 
 
-def _parse_field_file(path: str) -> VectorField:
-    xi: dict[str, Expr] = {}
-    eta: dict[str, Expr] = {}
-    unknowns = []
-    functions: dict[str, tuple[str, ...]] = {}
-    lines = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                lines.append(line)
-    for line in lines:
-        if line.startswith("unknown "):
-            head, rule = line[len("unknown "):].split(":", 1)
-            name, argpart = head.split("(", 1)
-            name = name.strip()
-            if name in functions:
-                raise ValueError(f"unknown {name} declared twice")
-            functions[name] = tuple(a.strip() for a in argpart.rstrip(") ").split(","))
-    ctx = REAL_JET.with_functions(functions) if functions else \
-        REAL_JET.with_constants(())
-    ctx = ctx.with_constants(("c",))
-    for line in lines:
-        if line.startswith("unknown "):
-            head, rule = line[len("unknown "):].split(":", 1)
-            name = head.split("(", 1)[0].strip()
-            lhs, rhs = (side.strip() for side in rule.split("=", 1))
-            order = len(lhs.split("_", 1)[1]) if "_" in lhs else 0
-            uc = UnknownFunctionConstraint(name, functions[name], order,
-                                           parse_expr(rhs, ctx))
-            if not order or parse_expr(lhs, ctx) != uc.lead.as_expr():
-                v = functions[name][0]
-                raise ValueError(f"unknown {name}: lhs {lhs!r} is not "
-                                 f"{name}_{v}, {name}_{v}{v}, ...")
-            unknowns.append(uc)
-            continue
-        lhs, rhs = line.split("=", 1)
-        lhs = lhs.strip()
-        e = parse_expr(rhs.strip(), ctx)
-        if lhs.startswith("xi_"):
-            xi[lhs[3:]] = e
-        elif lhs.startswith("eta_"):
-            eta[lhs[4:]] = e
-        else:
-            raise ValueError(f"unrecognised slot {lhs!r}")
-    return VectorField(ctx, xi, eta, tuple(unknowns))
-
-
 def cmd_symmetries_verify(args) -> int:
     S = catalogue_member(args.member)
-    X = _parse_field_file(args.field)
+    with open(args.field, encoding="utf-8") as fh:
+        X = parse_field(fh.read(), REAL_JET.with_constants(("c",)))
     rep = verify_generator(S, X)
     _emit({"schema": SCHEMA, "member": args.member, "status": rep.status,
            "remainder": rep.remainders()})
@@ -194,7 +146,7 @@ def cmd_brackets(args) -> int:
 
 
 def _printed_disagreements(table, printed_entries) -> list[str]:
-    names = {F.name: k for k, F in enumerate(table.basis)}
+    names = {n: k for k, n in enumerate(table.names)}
     out = []
     for a, b, combo in printed_entries:
         missing = [n for n in dict.fromkeys((a, b, *combo)) if n not in names]
@@ -204,11 +156,10 @@ def _printed_disagreements(table, printed_entries) -> list[str]:
             continue
         i, j = names[a], names[b]
         computed = [table.c(i, j, k) for k in range(table.dim)]
-        claimed = [Expr.rational(combo.get(F.name, Fraction(0)))
-                   for F in table.basis]
+        claimed = [Expr.rational(combo.get(n, 0)) for n in table.names]
         if any(not (x - y).is_zero() for x, y in zip(computed, claimed)):
             out.append(f"[{a},{b}]: printed {_combo_dict_text(combo)}, "
-                       f"computed {_combo_text(computed, table.basis)}")
+                       f"computed {combo_text(zip(computed, table.names))}")
     return out
 
 
@@ -283,8 +234,9 @@ def cmd_verify_solution(args) -> int:
             raise ValueError(f"--c does not apply to --solution sn: the profile "
                              f"fixes c = {cand.params['c']:g}")
         c = Fraction(cand.params["c"]).limit_denominator(10 ** 9)
-    # symbolic verification holds for symbolic c; numeric mode specialises
-    S = _SYSTEMS[args.system](c if mode == "numeric" else "c")
+    S = _SYSTEMS[args.system](c)
+    if mode == "symbolic":
+        cand = red.candidate_at(cand, c)
     params = {"c": float(c)} if mode == "numeric" and args.c != "c" else None
     rep = red.verify_solution(S, cand, mode=mode, param_values=params)
     out = {"schema": SCHEMA, "system": S.label, "solution": cand.name,

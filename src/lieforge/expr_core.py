@@ -946,8 +946,11 @@ def _is_decidable(e: Expr) -> bool:
     return not any(isinstance(a, Recip) for a in atoms_of(e, recurse=False))
 
 
-def equals_zero(e: Expr, samples: int = 200, tol: float = 1e-10,
-                seed: int = 42) -> str:
+# points, relative tolerance and seed of the sampled zero test
+_ZERO_SAMPLES, _ZERO_TOL, _ZERO_SEED = 200, 1e-10, 42
+
+
+def equals_zero(e: Expr) -> str:
     """Decide zero: canonical-empty -> Zero; decidable class -> Nonzero;
     otherwise randomised evaluation at rational points -> ProbablyZero/Nonzero."""
     if not e._terms:
@@ -961,12 +964,12 @@ def equals_zero(e: Expr, samples: int = 200, tol: float = 1e-10,
     # one output per term, so that the scale sums the terms' magnitudes
     terms = NumericPlan([Expr({m: q}) for m, q in e._terms.items()],
                         [x for pair in zip(roots, root_syms) for x in pair] + free)
-    rng = random.Random(seed)
+    rng = random.Random(_ZERO_SEED)
     done = 0
     attempts = 0
-    while done < samples:
+    while done < _ZERO_SAMPLES:
         attempts += 1
-        if attempts > samples * 5:
+        if attempts > _ZERO_SAMPLES * 5:
             raise PoleError("all sampled points hit poles")
         values = _sample_values(len(roots), len(free), rng)
         try:
@@ -975,7 +978,7 @@ def equals_zero(e: Expr, samples: int = 200, tol: float = 1e-10,
             for val in terms(values):
                 total += val
                 scale += abs(val)
-            if abs(total) > tol * max(1.0, scale):
+            if abs(total) > _ZERO_TOL * max(1.0, scale):
                 return ZeroStatus.NONZERO
             done += 1
         except PoleError:

@@ -22,7 +22,7 @@ from .expr_core import (
     sym,
 )
 from .linalg import nullspace, rank, rref, solve_exact, transpose
-from .parser import expr_text
+from .parser import combo_text
 from .symmetry import VectorField, field_vector
 
 __all__ = ["lie_bracket", "StructureTable", "structure_constants",
@@ -144,34 +144,17 @@ class StructureTable:
             return self.constants[(i, j)][k]
         return -self.constants[(j, i)][k]
 
+    @property
+    def names(self) -> list[str]:
+        return [F.name or f"X{k + 1}" for k, F in enumerate(self.basis)]
+
     def nonzero_entries(self) -> list[tuple[int, int, str]]:
-        rows = []
+        rows, names = [], self.names
         for (i, j), vec in sorted(self.constants.items()):
-            txt = _combo_text(vec, self.basis)
+            txt = combo_text(zip(vec, names))
             if txt != "0":
                 rows.append((i, j, txt))
         return rows
-
-
-def _combo_text(vec: list[Expr], basis: list[VectorField]) -> str:
-    parts = []
-    for k, q in enumerate(vec):
-        if q.is_zero():
-            continue
-        name = basis[k].name or f"X{k + 1}"
-        qt = expr_text(q)
-        if qt == "1":
-            parts.append(f"+ {name}")
-        elif qt == "-1":
-            parts.append(f"- {name}")
-        elif qt.startswith("-"):
-            parts.append(f"- ({qt[1:]})*{name}" if " " in qt else f"- {qt[1:]}*{name}")
-        else:
-            parts.append(f"+ ({qt})*{name}" if " " in qt else f"+ {qt}*{name}")
-    if not parts:
-        return "0"
-    out = " ".join(parts)
-    return out[2:] if out.startswith("+ ") else "-" + out[2:] if out.startswith("- ") else out
 
 
 def structure_constants(basis: list[VectorField]) -> StructureTable:

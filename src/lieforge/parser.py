@@ -20,7 +20,7 @@ from .expr_core import (
 )
 
 __all__ = ["ParseError", "UnknownIdentifierError", "parse_expr", "expr_text",
-           "atom_text"]
+           "atom_text", "combo_text"]
 
 _FUNCS = {"sin": sin_e, "cos": cos_e, "tan": tan_e, "exp": exp_e, "sqrt": sqrt_e}
 
@@ -280,3 +280,19 @@ def expr_text(e: Expr) -> str:
     for sign, body in parts[1:]:
         out += f" {sign} {body}"
     return out
+
+
+def combo_text(pairs) -> str:
+    """Sum of named terms from (coefficient, name) pairs: zeros skipped, a
+    unit coefficient left out, a coefficient with several terms in
+    parentheses."""
+    parts = []
+    for q, name in pairs:
+        if q.is_zero():
+            continue
+        txt = expr_text(q)
+        if txt in ("1", "-1"):
+            parts.append(name if txt == "1" else "-" + name)
+        else:
+            parts.append(f"({txt})*{name}" if " " in txt else f"{txt}*{name}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"

@@ -7,13 +7,13 @@ and CSV emission for wave-profile series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 from .expr_core import (
     DomainError, Expr, I, Jet, PoleError, Sym, _mono_key, atoms_of, collect_terms,
-    NumericPlan, cos_e, derive, exp_e, jet, recip_e, sin_e, sqrt_e, substitute,
-    sym, tan_e,
+    NumericPlan, cos_e, derive, exp_e, jet, recip_e, root, sin_e, sqrt_e,
+    substitute, sym, tan_e,
 )
 from .numerics import Trajectory, integrate_rk4, sn_function
 from .linalg import solve_exact
@@ -26,7 +26,8 @@ __all__ = [
     "system_322", "system_322_printed", "f_branch_322", "f_branch_322_printed",
     "eliminate_to_second_order", "printed_second_order", "computed_second_order",
     "equal_up_to_factor",
-    "SolutionCandidate", "VerifyReport", "verify_solution", "tan_solution",
+    "SolutionCandidate", "candidate_at", "VerifyReport", "verify_solution",
+    "tan_solution",
     "tan_antiderivatives", "s11_solution", "rational_trig_solution", "sn_solution",
     "linear_solution_member4", "reconstruct_G", "rk4_from_system",
     "lift_and_check", "emit_series_csv", "fig1_rows", "fig1_features",
@@ -367,6 +368,20 @@ class SolutionCandidate:
     notes: list[str] = dc_field(default_factory=list)
 
 
+def candidate_at(cand: SolutionCandidate, c) -> SolutionCandidate:
+    """The candidate at wave speed c: c, and sqrt(c) where the profile holds
+    it, substituted into its expressions, constraints and pole denominators."""
+    ce = _c_expr(c)
+    bind = {sym("c"): ce}
+    if any(root("c") in atoms_of(e) for e in
+           [*cand.exprs.values(), *cand.constraints, *cand.pole_denoms]):
+        bind[root("c")] = sqrt_e(ce)
+    return replace(
+        cand, exprs={k: substitute(e, bind) for k, e in cand.exprs.items()},
+        constraints=[substitute(e, bind) for e in cand.constraints],
+        pole_denoms=[substitute(e, bind) for e in cand.pole_denoms])
+
+
 def tan_solution() -> SolutionCandidate:
     """F = c/2, G = -(c/2) tan((c/2)(s - s0)); exact on the first-order pair."""
     c, s0, s = (sym(n).as_expr() for n in ("c", "s0", "s"))
@@ -547,10 +562,8 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
     params = dict(cand.params)
     params.update(param_values or {})
     bind_syms = {sym(k): complex(v) for k, v in params.items()}
-    from .expr_core import root as root_atom
     if "c" in params:
-        cval = complex(params["c"])
-        bind_syms[root_atom("c")] = cval ** 0.5
+        bind_syms[root("c")] = complex(params["c"]) ** 0.5
 
     svar = S.svar
     point = {**bind_syms, sym(svar): 0.0}

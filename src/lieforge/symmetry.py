@@ -1,7 +1,7 @@
-"""Point-symmetry machinery: prolongation of generators, symmetry residuals,
-determining systems from finite ansatz dictionaries, exact nullspace
-discovery, and verification of concrete generators including families that
-carry constrained unknown functions.
+"""Point-symmetry machinery: generators read from field-file text,
+prolongation, symmetry residuals, determining systems from finite ansatz
+dictionaries, exact nullspace discovery, and verification of concrete
+generators including families that carry constrained unknown functions.
 
 The same pipeline serves evolution PDE systems (independents t, x) and
 reduced ODE systems (single independent s); for the latter the time slot is
@@ -28,14 +28,15 @@ from .expr_core import (
     atoms_of, coefficient_vector, derive, func, jet, sym,
 )
 from .linalg import nullspace, transpose
-from .parser import expr_text
+from .parser import combo_text, expr_text, parse_expr
 from .systems import JetSpec, Reducer, total_derivative
 
 __all__ = [
     "VectorField", "UnknownFunctionConstraint", "AnsatzBasis",
     "DeterminingSystem", "VerificationReport", "prolong_generator",
     "symmetry_residual", "determining_system", "discover_symmetries",
-    "verify_generator", "ansatz_dictionary", "field_text", "field_vector",
+    "verify_generator", "ansatz_dictionary", "field_text", "parse_field",
+    "field_vector",
 ]
 
 
@@ -117,20 +118,47 @@ def _slot_sums(parts) -> dict:
 
 
 def field_text(X: VectorField) -> str:
-    parts = []
-    for kind, var, coeff in X.coeff_vector_atoms():
-        if coeff.is_zero():
+    return combo_text((coeff, f"d_{var}") for _, var, coeff in X.coeff_vector_atoms())
+
+
+def parse_field(text: str, jet_spec: JetSpec, name: str = "") -> VectorField:
+    """Generator from field-file text, one statement per line, `#` starting
+    a comment: slots `xi_t = expr` and `eta_v = expr`, and unknown functions
+    `unknown a(t,x)`, each with an optional rule `unknown a(t,x): a_t = expr`
+    whose lead is a_t, a_tt, ...: a pure derivative by the first argument."""
+    functions: dict[str, tuple[str, ...]] = {}
+    rules, slots = [], []
+    for line in filter(None, (ln.split("#", 1)[0].strip() for ln in text.splitlines())):
+        if not line.startswith("unknown "):
+            slots.append(line.partition("="))
             continue
-        txt = expr_text(coeff)
-        if txt == "1":
-            parts.append(f"d_{var}")
-        elif txt == "-1":
-            parts.append(f"-d_{var}")
-        elif " " in txt:
-            parts.append(f"({txt})*d_{var}")
-        else:
-            parts.append(f"{txt}*d_{var}")
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+        head, colon, rule = line[len("unknown "):].partition(":")
+        fname, paren, args = (part.strip() for part in head.partition("("))
+        if not paren or not args.endswith(")"):
+            raise ValueError(f"unknown {head.strip()!r} is not name(args)")
+        if fname in functions:
+            raise ValueError(f"unknown {fname} declared twice")
+        functions[fname] = tuple(a.strip() for a in args[:-1].split(","))
+        if colon:
+            rules.append((fname, rule))
+    ctx = jet_spec.with_functions(functions) if functions else jet_spec
+    unknowns = []
+    for fname, rule in rules:
+        lhs, eq, rhs = rule.partition("=")
+        order, v = len(lhs.strip()) - len(fname) - 1, functions[fname][0]
+        uc = UnknownFunctionConstraint(fname, functions[fname], order,
+                                       parse_expr(rhs, ctx) if eq else None)
+        if not eq or order < 1 or parse_expr(lhs, ctx) != uc.lead.as_expr():
+            raise ValueError(f"unknown {fname}: rule {rule.strip()!r} is not "
+                             f"{fname}_{v} = ..., {fname}_{v}{v} = ..., ...")
+        unknowns.append(uc)
+    xi, eta = {}, {}
+    for slot, _, rhs in slots:
+        kind, _, var = slot.strip().partition("_")
+        if var not in {"xi": ctx.independents, "eta": ctx.dependents}.get(kind, ()):
+            raise ValueError(f"unrecognised slot {slot.strip()!r}")
+        (xi if kind == "xi" else eta)[var] = parse_expr(rhs, ctx)
+    return VectorField(ctx, xi, eta, tuple(unknowns), name)
 
 
 def field_vector(X: VectorField, const: Expr | None = None) -> dict[tuple, Fraction]:

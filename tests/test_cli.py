@@ -126,6 +126,24 @@ def test_verify_solution_verdict_in_both_modes(capsys, mode, system, solution, w
     assert code == want and json.loads(out)["mode"] == mode
 
 
+@pytest.mark.parametrize("system, solution, c, code", [
+    ("3.3", "tan", "7", 0),
+    ("3.22", "rational-trig", "4", 0),
+    ("4.3", "linear4", "3", 0),
+    ("3.22", "rational-trig", "2", 1),
+], ids=["tan-7", "rational-trig-4", "linear4-3", "rational-trig-2"])
+def test_verify_solution_symbolic_at_c(capsys, system, solution, c, code):
+    # the profile and the system both at --c; sqrt(2) is outside the kernel
+    got = main(["verify-solution", "--system", system, "--solution", solution,
+                "--c", c, "--mode", "symbolic"])
+    captured = capsys.readouterr()
+    assert got == code
+    if code == 0:
+        assert json.loads(captured.out)["status"] == ["Zero", "Zero"]
+    else:
+        assert captured.err.startswith("lieforge: error: ") and not captured.out
+
+
 def test_integrate_and_csv(tmp_path, capsys):
     csv = tmp_path / "traj.csv"
     code, out = run(capsys, "integrate", "--system", "3.3", "--c", "1",
@@ -202,7 +220,8 @@ def test_arithmetic_errors_exit_1(capsys, argv):
     ("a_tt = -a_x", 2, ["a_t + a_x", "0"]),
     ("a = -a_x", 1, None),
     ("a_x = -a_t", 1, None),
-], ids=["second-order-lead", "underived-lhs", "lhs-by-second-argument"])
+    ("", 1, None),
+], ids=["second-order-lead", "underived-lhs", "lhs-by-second-argument", "empty-rule"])
 def test_field_file_unknown_rule_lead(tmp_path, capsys, rule, code, remainder):
     field = tmp_path / "field.txt"
     field.write_text(f"eta_v = a\nunknown a(t,x): {rule}\n")

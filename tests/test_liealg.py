@@ -1,5 +1,6 @@
 """Brackets, structure tables, Jacobi identity, structural signature."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,7 +13,8 @@ from lieforge.liealg import (
     _param_atoms, algebra_signature, in_span, jacobi_check, lie_bracket,
     structure_constants,
 )
-from lieforge.parser import parse_expr
+from lieforge.parser import combo_text, parse_expr
+from lieforge.reduce import ODE_JET
 from lieforge.symmetry import VectorField, field_text
 
 
@@ -259,3 +261,16 @@ class TestBracketTables:
         structure_constants(catalog.fields_reduced2())
         # one derivative per (field, component, coordinate): 12 x 3 x 3
         assert len(calls) <= 108
+
+
+def test_printed_sums_keep_the_sign_of_each_coefficient():
+    """A coefficient -a + b prints in parentheses as it is, never as -(a + b)."""
+    basis = catalog.fields_reduced3()
+    basis[4] = dataclasses.replace(basis[4].add(basis[2]), name="Y")  # G5f + G3f
+    entries = {(basis[i].name, basis[j].name): txt
+               for i, j, txt in structure_constants(basis).nonzero_entries()}
+    assert entries[("G4f", "Y")] == "(-c^-1*sqrt(c) + sqrt(c))*G3f + c^-1*sqrt(c)*Y"
+    pairs = [(parse_expr(q, ODE_JET), name)
+             for q, name in [("c - 1", "X"), ("1 - c", "Y"), ("-2", "Z")]]
+    assert combo_text(pairs) == "(-1 + c)*X + (1 - c)*Y - 2*Z"
+    assert combo_text(pairs[::-1]) == "-2*Z + (1 - c)*Y + (-1 + c)*X"

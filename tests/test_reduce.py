@@ -11,7 +11,7 @@ from lieforge.expr_core import Expr, jet, sym
 from lieforge.hierarchy import REAL_JET, catalogue_member
 from lieforge.parser import expr_text, parse_expr
 from lieforge.reduce import (
-    ODE_JET, PivotDegenerateError, computed_second_order,
+    ODE_JET, PivotDegenerateError, candidate_at, computed_second_order,
     emit_series_csv, equal_up_to_factor,
     f_branch_322, f_branch_322_printed, fig1_features, fig1_rows,
     invariants_of_translation, lift_and_check, linear_solution_member4,
@@ -218,6 +218,17 @@ class TestSolutions:
     def test_tan_symbolic(self):
         rep = verify_solution(system_33(), tan_solution(), mode="symbolic")
         assert rep.zero
+
+    def test_candidate_at_a_speed(self):
+        # the profile at symbolic c fails the system at c = 7; at c = 7 it holds
+        assert not verify_solution(system_33(7), tan_solution(), mode="symbolic").zero
+        cand = candidate_at(tan_solution(), 7)
+        assert cand.exprs["F"] == E("7/2")
+        assert verify_solution(system_33(7), cand, mode="symbolic").zero
+        trig = candidate_at(rational_trig_solution(), 4)
+        assert trig.exprs["G"] == E("2*(G0*cos(2*s) - sin(2*s))*"
+                                    "(G0*sin(2*s) + cos(2*s) + G1)^-1", ("G0", "G1"))
+        assert trig.pole_denoms == [E("G0*sin(2*s) + cos(2*s) + G1", ("G0", "G1"))]
 
     def test_tan_numeric(self):
         rep = verify_solution(system_33(1), tan_solution(), mode="numeric",

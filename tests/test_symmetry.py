@@ -4,14 +4,14 @@ import pytest
 
 from lieforge import catalog
 from lieforge.expr_core import (
-    DomainError, Expr, Jet, atoms_of, derive, eval_numeric, jet, sym,
+    DomainError, Expr, Jet, atoms_of, derive, eval_numeric, func, jet, sym,
 )
 from lieforge.hierarchy import REAL_JET, catalogue_member
 from lieforge.liealg import in_span
 from lieforge.parser import parse_expr
 from lieforge.symmetry import (
-    VectorField, ansatz_dictionary, determining_system, discover_symmetries,
-    field_text, prolong_generator,
+    UnknownFunctionConstraint, VectorField, ansatz_dictionary, determining_system,
+    discover_symmetries, field_text, parse_field, prolong_generator,
     symmetry_residual, verify_generator,
 )
 
@@ -143,6 +143,55 @@ class TestFamilies:
 
     def test_member3_family_negative_control(self, member3):
         assert not verify_generator(member3, catalog.family_member3_partial()).zero
+
+
+def _family(functions, eta_v, eta_w, rules, name):
+    """A family built by hand; each rule (f, sign, g, idx) reads f_t = sign*g_idx."""
+    args = ("t", "x")
+    ctx = REAL_JET.with_functions({f: args for f in functions})
+    unknowns = tuple(
+        UnknownFunctionConstraint(f, args, 1, Expr.integer(sign) * func(g, args, idx).as_expr())
+        for f, sign, g, idx in rules)
+    return VectorField(ctx, eta={"v": ctx.parse(eta_v), "w": ctx.parse(eta_w)},
+                       unknowns=unknowns, name=name)
+
+
+_ETA2 = ("-exp(-w)*(b*cos(v) + a*sin(v))", "exp(-w)*(a*cos(v) - b*sin(v))")
+_ETA3 = ("-exp(-w)*(c*cos(v) + d*sin(v))", "-exp(-w)*(-d*cos(v) + c*sin(v))")
+
+
+@pytest.mark.parametrize("maker, reference", [
+    ("family_member2", _family("ab", *_ETA2, [("a", 1, "b", "xx"), ("b", -1, "a", "xx")],
+                               "member2-family")),
+    ("family_member2_printed", _family("ab", *_ETA2, [("a", 1, "a", "xx"),
+                                                      ("b", 1, "b", "xx")],
+                                       "member2-family")),
+    ("family_member2_partial", _family("ab", *_ETA2, [("a", 1, "b", "xx")],
+                                       "member2-family")),
+    ("family_member3", _family("cd", *_ETA3, [("c", 1, "c", "xxx"), ("d", 1, "d", "xxx")],
+                               "member3-family")),
+    ("family_member3_partial", _family("cd", *_ETA3, [("c", 1, "c", "xxx")],
+                                       "member3-family-partial")),
+])
+def test_catalogue_families_read_as_built_by_hand(maker, reference):
+    assert getattr(catalog, maker)() == reference
+
+
+class TestParseField:
+    def test_unknown_without_rule_is_declared_unconstrained(self):
+        X = parse_field("unknown b(t,x)  # no rule\neta_v = b_x", REAL_JET, "X")
+        assert X.jet.functions == (("b", ("t", "x")),) and X.unknowns == ()
+        assert X.eta_of("v") == func("b", ("t", "x"), ("x",)).as_expr()
+        assert X.name == "X" and field_text(X) == "b_x*d_v"
+
+    @pytest.mark.parametrize("text", [
+        "unknown a(t,x):\neta_v = a", "unknown a(t,x): a_x = a\neta_v = a",
+        "unknown a\neta_v = a", "zeta_v = 1", "xi_y = 1", "eta_x = 1",
+    ], ids=["empty-rule", "lead-by-second-argument", "no-arguments", "bad-slot",
+            "xi-of-no-independent", "eta-of-no-dependent"])
+    def test_malformed_text_raises(self, text):
+        with pytest.raises(ValueError):
+            parse_field(text, REAL_JET)
 
 
 class TestDiscovery:
