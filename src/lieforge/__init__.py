@@ -4,8 +4,8 @@ reduction toolkit for complex Burgers-type evolution systems."""
 from .expr_core import (
     Atom, CyclicBindingError, DomainError, Expr, I, NumericPlan, PoleError,
     UnboundAtomError, ZeroStatus, atoms_of, collect_terms, cos_e, derive,
-    equals_zero, eval_numeric, exp_e, func, integer, jet, rational, recip_e, root,
-    sin_e, sqrt_e, substitute, sym, tan_e, to_canonical,
+    equals_zero, eval_numeric, exp_e, func, jet, recip_e, root, sin_e, sqrt_e,
+    substitute, sym, tan_e, to_canonical,
 )
 from .parser import ParseError, UnknownIdentifierError, expr_text, parse_expr
 from .systems import JetSpec, ODESystem, PDESystem, Reducer, total_derivative

@@ -11,11 +11,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .hierarchy import REAL_JET
-from .reduce import ODE_JET
+from . import reduce as red
 from .symmetry import VectorField, parse_field
 
 __all__ = [
-    "ODE_JET", "fields_member2", "fields_member3", "fields_member3_scaling",
+    "fields_member2", "fields_member3", "fields_member3_scaling",
     "fields_member4", "fields_reduced2", "fields_reduced2_printed_variants",
     "fields_reduced3", "family_member2", "family_member2_printed",
     "family_member3", "transport_family_examples", "printed_table_member2",
@@ -30,7 +30,7 @@ def _pde(xi=None, eta=None, name=""):
 
 
 def _ode(xi=None, eta=None, name=""):
-    jet = ODE_JET
+    jet = red.ODE_JET
     xi = {"s": jet.parse(xi)} if xi else {}
     eta = {k: jet.parse(v) for k, v in (eta or {}).items()}
     return VectorField(jet, xi, eta, name=name)

@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, reduce as red
-from .expr_core import Expr
+from .expr_core import DomainError, Expr
 from .hierarchy import (REAL_JET, audit_member, catalogue_member, complex_split,
                         hierarchy_member)
 from .liealg import algebra_signature, jacobi_check, structure_constants
@@ -102,11 +102,8 @@ def _named_basis(member: int, reduced: bool):
         if member not in fams:
             raise ValueError("reduced bracket tables exist for members 2 and 3")
         return fams[member]()
-    fams = {2: catalog.fields_member2, 3: catalog.fields_member3,
-            4: catalog.fields_member4}
-    if member not in fams:
-        raise ValueError("bracket tables exist for members 2, 3, 4")
-    fields = fams[member]()
+    fields = {2: catalog.fields_member2, 3: catalog.fields_member3,
+              4: catalog.fields_member4}[member]()
     if member == 3:
         # printed G2b is not a symmetry; the scaling field is
         fields = [f if f.name != "G2b" else catalog.fields_member3_scaling()
@@ -198,7 +195,10 @@ def cmd_reduce(args) -> int:
 
 def _c_arg(text: str):
     """The wave speed of `--c`: the symbol name "c" or a rational."""
-    return "c" if text == "c" else Fraction(text)
+    try:
+        return "c" if text == "c" else Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"--c must be 'c' or a rational, got {text!r}") from None
 
 
 _SYSTEMS = {
@@ -236,7 +236,11 @@ def cmd_verify_solution(args) -> int:
         c = Fraction(cand.params["c"]).limit_denominator(10 ** 9)
     S = _SYSTEMS[args.system](c)
     if mode == "symbolic":
-        cand = red.candidate_at(cand, c)
+        try:
+            cand = red.candidate_at(cand, c)
+        except DomainError:  # sqrt(c) of a profile that holds it
+            raise ValueError(f"--c must be the square of a rational for "
+                             f"--solution {args.solution}, got {args.c}") from None
     params = {"c": float(c)} if mode == "numeric" and args.c != "c" else None
     rep = red.verify_solution(S, cand, mode=mode, param_values=params)
     out = {"schema": SCHEMA, "system": S.label, "solution": cand.name,
@@ -275,6 +279,8 @@ MAX_FIG1_SERIES = 100
 
 def cmd_fig1(args) -> int:
     c = float(_c_arg(args.c))
+    if c == 0:
+        raise ValueError("--c must be nonzero for fig1: the period is 2 pi / c")
     f1_texts = args.F1.split(",")
     if len(f1_texts) > MAX_FIG1_SERIES:
         raise ValueError(f"fig1 takes at most {MAX_FIG1_SERIES} --F1 values, "

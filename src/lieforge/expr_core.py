@@ -50,11 +50,10 @@ from typing import Callable, Iterable, KeysView, Mapping
 __all__ = [
     "Atom", "Sym", "Root", "Jet", "Func", "IUnit", "Trig", "ExpAtom", "Recip",
     "Expr", "DomainError", "PoleError", "UnboundAtomError", "CyclicBindingError",
-    "ZeroStatus", "sym", "root", "jet", "func", "I", "rational", "integer",
-    "sin_e", "cos_e", "tan_e", "exp_e", "recip_e", "sqrt_e",
-    "derive", "substitute", "NumericPlan", "eval_numeric", "equals_zero",
-    "to_canonical", "collect_terms", "coefficient_vector", "atoms_of",
-    "random_rational",
+    "ZeroStatus", "sym", "root", "jet", "func", "I", "sin_e", "cos_e", "tan_e",
+    "exp_e", "recip_e", "sqrt_e", "derive", "substitute", "NumericPlan",
+    "eval_numeric", "equals_zero", "to_canonical", "collect_terms",
+    "coefficient_vector", "atoms_of", "random_rational",
 ]
 
 
@@ -225,13 +224,6 @@ def _exp_atom(arg: "Expr") -> Atom | None:
     return ExpAtom._make((5, arg._key()), lambda a: setattr(a, "arg", arg))
 
 
-def _recip_atom(arg: "Expr") -> tuple[Fraction, Atom]:
-    inv = Fraction(1) / arg._lead_coeff()
-    scaled = arg * Expr.rational(inv)
-    atom = Recip._make((7, scaled._key()), lambda a: setattr(a, "arg", scaled))
-    return inv, atom
-
-
 def _trig_e(fn: str, arg: "Expr") -> "Expr":
     _check_transc_arg(arg, fn, allow_i=False)
     q, a = _trig_atom(fn, arg)
@@ -262,8 +254,10 @@ def recip_e(arg: "Expr") -> "Expr":
     inv = _invert_single(arg)
     if inv is not None:
         return inv
-    q, a = _recip_atom(arg)
-    return Expr._single(a, 1, q)
+    q = Fraction(1) / arg._lead_coeff()
+    scaled = arg * Expr.rational(q)
+    atom = Recip._make((7, scaled._key()), lambda a: setattr(a, "arg", scaled))
+    return Expr._single(atom, 1, q)
 
 
 def sqrt_e(arg: "Expr") -> "Expr":
@@ -340,10 +334,6 @@ class Expr:
             q = Fraction(q)
             q = q.numerator if q.denominator == 1 else q
         return Expr({_ONE_M: q}) if q else Expr({})
-
-    @staticmethod
-    def integer(n: int) -> "Expr":
-        return Expr.rational(n)
 
     @staticmethod
     def _single(atom: Atom, k: int, q: Coeff) -> "Expr":
@@ -520,14 +510,6 @@ def _coerce(x) -> Expr:
     raise TypeError(f"cannot coerce {type(x)!r} to Expr")
 
 
-def rational(q) -> Expr:
-    return Expr.rational(q)
-
-
-def integer(n: int) -> Expr:
-    return Expr.integer(n)
-
-
 def _invert_single(e: Expr) -> Expr | None:
     """Exact reciprocal of a single-term expression, or None."""
     if len(e._terms) != 1:
@@ -607,20 +589,11 @@ def _accumulate(out: dict[Monomial, Coeff], factors: list[tuple[Atom, int]],
                 if na is not None:
                     powers[na] = powers.get(na, 0) + 1
 
-        # reciprocals that became invertible (e.g. after substitution)
-        for atom in [a for a in powers if a.__class__ is Recip] if Recip in kinds else ():
-            k = powers[atom]
-            if k < 0:
-                raise DomainError("negative reciprocal power")
-            inv = _invert_single(atom.arg)
-            if inv is not None:
-                del powers[atom]
-                mono, iq = next(iter(inv._terms.items()))
-                q *= iq ** k
-                for a2, k2 in mono:
-                    powers[a2] = powers.get(a2, 0) + k2 * k
-            elif not atom.arg._terms:
-                raise ZeroDivisionError("reciprocal of zero expression")
+        # a reciprocal atom stays: only recip_e makes one, of a nonzero
+        # argument it could not invert, and that argument never changes
+        if Recip in kinds and any(k < 0 for a, k in powers.items()
+                                  if a.__class__ is Recip):
+            raise DomainError("negative reciprocal power")
 
         # trig bookkeeping
         trig_sc: list[Trig] = []

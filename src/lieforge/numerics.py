@@ -71,7 +71,6 @@ class Trajectory:
     grid: list[float]
     values: dict[str, list[complex]]
     step: float
-    method: str = "rk4"
 
 
 def integrate_rk4(rhs, state0: dict[str, complex], s_range: tuple[float, float],

@@ -208,9 +208,7 @@ class _Parser:
             return jet(name, deriv).as_expr()
         if deriv:
             raise UnknownIdentifierError(f"unknown jet base {name!r}", pos)
-        if name in ctx.independents:
-            return sym(name).as_expr()
-        if ctx.constants is None or name in ctx.constants:
+        if name in ctx.independents or name in ctx.constants:
             return sym(name).as_expr()
         raise UnknownIdentifierError(f"unknown identifier {name!r}", pos)
 

@@ -162,24 +162,18 @@ def _solve_leads(equations: list[Expr], jet_out: JetSpec, label: str,
         rest = cls[Expr.one()]
         if not coeff.is_rational():
             raise DomainError(f"lead {lead!r} has non-constant coefficient")
-        q = coeff.as_rational()
-        if q == 0:
-            raise DomainError("vanishing lead coefficient")
         if lead.dep in leads:
             raise DomainError(f"two equations solve for {lead.dep}")
-        leads[lead.dep] = (lead.order, rest * Expr.rational(Fraction(-1) / q))
+        leads[lead.dep] = (lead.order, rest * Expr.rational(-1 / coeff.as_rational()))
     return ODESystem(jet=jet_out, leads=leads, label=label,
                      parameters=tuple(parameters))
 
 
 def order_reduce(S: ODESystem) -> ODESystem:
-    """Autonomous order reduction: rename f' -> F, g' -> G, drop one order.
-    Fails when an undifferentiated dependent is present."""
-    rename = {"f": "F", "g": "G"}
+    """Autonomous order reduction: rename every dependent to upper case
+    (f' -> F, g' -> G) and drop one order.  Fails when an undifferentiated
+    dependent is present."""
     svar = S.svar
-    new_jet = ODE_JET_FG if set(S.jet.dependents) == {"f", "g"} else JetSpec(
-        (svar,), tuple(rename.get(d, d.upper()) for d in S.jet.dependents),
-        S.jet.constants)
     bindings = {}
     for dep, (m, rhs) in S.leads.items():
         for a in atoms_of(rhs) | {jet(dep, (svar,) * m)}:
@@ -187,12 +181,11 @@ def order_reduce(S: ODESystem) -> ODESystem:
                 if a.order == 0:
                     raise DomainError(
                         f"undifferentiated dependent {a.dep} blocks order reduction")
-                nd = rename.get(a.dep, a.dep.upper())
-                bindings[a] = jet(nd, (svar,) * (a.order - 1)).as_expr()
-    leads = {}
-    for dep, (m, rhs) in S.leads.items():
-        nd = rename.get(dep, dep.upper())
-        leads[nd] = (m - 1, substitute(rhs, bindings))
+                bindings[a] = jet(a.dep.upper(), (svar,) * (a.order - 1)).as_expr()
+    leads = {dep.upper(): (m - 1, substitute(rhs, bindings))
+             for dep, (m, rhs) in S.leads.items()}
+    new_jet = JetSpec((svar,), tuple(d.upper() for d in S.jet.dependents),
+                      S.jet.constants)
     return ODESystem(jet=new_jet, leads=leads,
                      label=f"order-reduced {S.label}", parameters=S.parameters)
 
@@ -234,34 +227,32 @@ def system_322_printed(c="c") -> ODESystem:
     """The pair exactly as printed, with -cF and -cG; inconsistent with the
     third-order reduction but kept for comparison and for the elliptic
     branch as stated."""
+    return _second_order(ODE_JET_FG, "(3.22) as printed", c,
+                         F="c*F + F^3 - 3*F*G^2 - 3*G*F' - 3*F*G'",
+                         G="c*G + 3*F^2*G - G^3 + 3*F*F' - 3*G*G'")
+
+
+def f_branch_322(c="c") -> ODESystem:
+    """G = 0 branch of the computed (3.22): F'' = F^3 - c F."""
+    return _second_order(ODE_JET_F, "(3.22) F-branch", c, F="F^3 - c*F")
+
+
+def f_branch_322_printed(c="c") -> ODESystem:
+    """G = 0 branch of the printed (3.22): F'' = c F + F^3."""
+    return _second_order(ODE_JET_F, "(3.22) F-branch as printed", c, F="c*F + F^3")
+
+
+def _second_order(jet_spec: JetSpec, label: str, c, **rhs: str) -> ODESystem:
+    """The system u'' = rhs_u, each rhs written in the symbol c, at speed c."""
     ce = _c_expr(c)
-    leads = {
-        "F": (2, _parse_at_c(ODE_JET_FG, "c*F + F^3 - 3*F*G^2 - 3*G*F' - 3*F*G'", ce)),
-        "G": (2, _parse_at_c(ODE_JET_FG, "c*G + 3*F^2*G - G^3 + 3*F*F' - 3*G*G'", ce)),
-    }
-    return ODESystem(jet=ODE_JET_FG, leads=leads, label="(3.22) as printed",
-                     parameters=_params_of(ce))
+    return ODESystem(jet=jet_spec, label=label, parameters=_params_of(ce),
+                     leads={u: (2, _parse_at_c(jet_spec, text, ce))
+                            for u, text in rhs.items()})
 
 
 def _parse_at_c(jet_spec: JetSpec, text: str, c) -> Expr:
     """Parse text, written in the symbol c, and set c to the given speed."""
     return substitute(jet_spec.parse(text), {sym("c"): _c_expr(c)})
-
-
-def f_branch_322(c="c") -> ODESystem:
-    """G = 0 branch of the computed (3.22): F'' = F^3 - c F."""
-    ce = _c_expr(c)
-    rhs = jet("F").as_expr() ** 3 - ce * jet("F").as_expr()
-    return ODESystem(jet=ODE_JET_F, leads={"F": (2, rhs)},
-                     label="(3.22) F-branch", parameters=_params_of(ce))
-
-
-def f_branch_322_printed(c="c") -> ODESystem:
-    """G = 0 branch of the printed (3.22): F'' = c F + F^3."""
-    ce = _c_expr(c)
-    rhs = ce * jet("F").as_expr() + jet("F").as_expr() ** 3
-    return ODESystem(jet=ODE_JET_F, leads={"F": (2, rhs)},
-                     label="(3.22) F-branch as printed", parameters=_params_of(ce))
 
 
 # ---------------------------------------------------------------------------
@@ -418,10 +409,10 @@ def s11_solution() -> SolutionCandidate:
     F0 = sym("F0").as_expr()
     F1 = sym("F1").as_expr()
     s = sym("s").as_expr()
-    q2 = exp_e(Expr.integer(-2) * I.as_expr() * c * s)
-    q1 = exp_e(Expr.integer(-1) * I.as_expr() * c * s)
-    D = F0 * (q2 - F1 * c) ** 2 - Expr.integer(16) * c * c
-    N = D - Expr.integer(8) * c * F0 * q1
+    q2 = exp_e(Expr.rational(-2) * I.as_expr() * c * s)
+    q1 = exp_e(Expr.rational(-1) * I.as_expr() * c * s)
+    D = F0 * (q2 - F1 * c) ** 2 - Expr.rational(16) * c * c
+    N = D - Expr.rational(8) * c * F0 * q1
     F = Expr.rational(Fraction(1, 2)) * c * N / D
     G = reconstruct_G(F, c)
     return SolutionCandidate(
@@ -433,7 +424,7 @@ def s11_solution() -> SolutionCandidate:
 
 def reconstruct_G(F: Expr, c: Expr) -> Expr:
     """G = -F'/(2F - c); raises PivotDegenerateError on the F = c/2 branch."""
-    pivot = Expr.integer(2) * F - c
+    pivot = Expr.rational(2) * F - c
     if pivot.is_zero():
         raise PivotDegenerateError("2F - c vanishes identically for this profile")
     return -derive(F, sym("s")) / pivot

@@ -410,9 +410,9 @@ def ansatz_dictionary(jet_spec: JetSpec, degree: int, trig_order: int = 0,
     from .expr_core import cos_e, exp_e, sin_e
     trig_parts = [Expr.one()]
     for m in range(1, trig_order + 1):
-        arg = Expr.integer(m) * jet(trig_dep).as_expr()
+        arg = Expr.rational(m) * jet(trig_dep).as_expr()
         trig_parts += [sin_e(arg), cos_e(arg)]
-    exp_parts = [exp_e(Expr.integer(k) * jet(exp_dep).as_expr())
+    exp_parts = [exp_e(Expr.rational(k) * jet(exp_dep).as_expr())
                  for k in range(-exp_range, exp_range + 1)]
     slots: dict[tuple[str, str], list[Expr]] = {}
     for indep in indeps:

@@ -35,7 +35,7 @@ class JetSpec:
 
     independents: tuple[str, ...]
     dependents: tuple[str, ...]
-    constants: tuple[str, ...] | None = ()
+    constants: tuple[str, ...] = ()
     functions: tuple[tuple[str, tuple[str, ...]], ...] = ()
 
     def parse(self, text: str) -> Expr:
@@ -46,9 +46,9 @@ class JetSpec:
                        tuple(sorted(funcs.items())))
 
     def with_constants(self, names) -> "JetSpec":
-        extra = tuple(n for n in names if n not in (self.constants or ()))
-        consts = None if self.constants is None else self.constants + extra
-        return JetSpec(self.independents, self.dependents, consts, self.functions)
+        extra = tuple(n for n in names if n not in self.constants)
+        return JetSpec(self.independents, self.dependents, self.constants + extra,
+                       self.functions)
 
 
 def total_derivative(e: Expr, indep: str) -> Expr:
@@ -100,9 +100,6 @@ class PDESystem:
         t = self.time_var
         return [(jet(dep, (t,)), self.rhs[dep]) for dep in self.jet.dependents]
 
-    def reducer(self) -> "Reducer":
-        return Reducer(self.equations())
-
 
 @dataclass
 class ODESystem:
@@ -137,9 +134,6 @@ class ODESystem:
     def equations_zero(self) -> list[Expr]:
         """lead - rhs = 0 form (the leading derivative carries +1)."""
         return [lead.as_expr() - rhs for lead, rhs in self.equations()]
-
-    def reducer(self) -> "Reducer":
-        return Reducer(self.equations())
 
 
 class Reducer:
@@ -199,20 +193,16 @@ class Reducer:
         return val
 
     def reduce(self, e: Expr) -> Expr:
-        """Substitute every reducible atom by its normal-form value.  Atoms
-        map to fixed values and results are canonical, so this is a ring
+        """Substitute every reducible atom, inside trig/exp/reciprocal
+        arguments too, by its normal-form value; the values hold no reducible
+        atom, so one substitution reaches the normal form.  Atoms map to
+        fixed values and results are canonical, so this is a ring
         homomorphism: reduce(a + b) = reduce(a) + reduce(b) and
         reduce(a * b) = reduce(a) * reduce(b), and a sum of products may be
         assembled from factors reduced beforehand."""
-        for _ in range(64):
-            bindings = {}
-            for atom in atoms_of(e, recurse=False):
-                if isinstance(atom, (Jet, Func)) and self._reducible(atom):
-                    bindings[atom] = self._value(_name(atom), atom.idx)
-            if not bindings:
-                return e
-            e = substitute(e, bindings)
-        raise DomainError("substitution closure not reached")
+        bindings = {atom: self._value(_name(atom), atom.idx) for atom in atoms_of(e)
+                    if isinstance(atom, (Jet, Func)) and self._reducible(atom)}
+        return substitute(e, bindings) if bindings else e
 
 
 def _name(atom: Jet | Func) -> str:

@@ -39,6 +39,28 @@ def test_symmetries_find_member4_dimension(capsys):
     assert doc["dimension"] == 4
 
 
+def test_symmetries_find_timings_adds_only_timings(capsys):
+    code, plain = run(capsys, "symmetries", "find", "--member", "1")
+    assert code == 0
+    code, timed = run(capsys, "symmetries", "find", "--member", "1", "--timings")
+    assert code == 0
+    doc, timed_doc = json.loads(plain), json.loads(timed)
+    assert list(timed_doc.pop("timings")) == ["seconds"]
+    assert timed_doc == doc
+
+
+@pytest.mark.parametrize("eta_v", ["a_t - b_xx", "sin(a_t) - sin(b_xx)"],
+                         ids=["polynomial", "inside-sin"])
+def test_symmetries_verify_reduces_unknowns_everywhere(tmp_path, capsys, eta_v):
+    # a_t = b_xx on solutions, also inside a sin argument
+    field = tmp_path / "field.txt"
+    field.write_text("unknown a(t,x): a_t = b_xx\nunknown b(t,x): b_t = -a_xx\n"
+                     f"eta_v = {eta_v}\n")
+    code, out = run(capsys, "symmetries", "verify", "--member", "2",
+                    "--field", str(field))
+    assert code == 0 and json.loads(out)["status"] == "Zero"
+
+
 def test_symmetries_verify_exit_codes(tmp_path, capsys):
     good = tmp_path / "good.txt"
     good.write_text("xi_t = t\nxi_x = x/3\n")
@@ -141,7 +163,9 @@ def test_verify_solution_symbolic_at_c(capsys, system, solution, c, code):
     if code == 0:
         assert json.loads(captured.out)["status"] == ["Zero", "Zero"]
     else:
-        assert captured.err.startswith("lieforge: error: ") and not captured.out
+        assert captured.err == ("lieforge: error: --c must be the square of a "
+                                "rational for --solution rational-trig, got 2\n")
+        assert not captured.out
 
 
 def test_integrate_and_csv(tmp_path, capsys):
@@ -203,16 +227,18 @@ def test_brackets_member3_reports_printed_field_outside_basis(capsys):
     ]
 
 
-@pytest.mark.parametrize("argv", [
-    ["reduce", "--member", "2", "--c", "1/0"],
-    ["fig1", "--c", "0"],
-    ["verify-solution", "--system", "3.3", "--solution", "s11", "--c", "0"],
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "--member", "2", "--c", "1/0"],
+     "--c must be 'c' or a rational, got '1/0'"),
+    (["fig1", "--c", "0"], "--c must be nonzero for fig1"),
+    (["verify-solution", "--system", "3.3", "--solution", "s11", "--c", "0"],
+     "all samples in excluded domain"),
 ], ids=["reduce-c-1/0", "fig1-c-0", "verify-solution-s11-c-0"])
-def test_arithmetic_errors_exit_1(capsys, argv):
+def test_arithmetic_errors_exit_1(capsys, argv, message):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 1
-    assert err.startswith("lieforge: error: ")
+    assert err.startswith(f"lieforge: error: {message}")
     assert "Traceback" not in err
 
 

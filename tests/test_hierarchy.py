@@ -10,7 +10,7 @@ from lieforge.hierarchy import (
 from lieforge.parser import expr_text, parse_expr
 from lieforge.systems import JetSpec
 
-REAL = JetSpec(("t", "x"), ("v", "w"), constants=None)
+REAL = JetSpec(("t", "x"), ("v", "w"))
 
 
 def C(text):
@@ -71,6 +71,10 @@ class TestSplit:
         v_rhs, w_rhs = complex_split(C("-u_x^2 - I*u_xx"))
         assert v_rhs == R("-v_x^2 + w_x^2 + w_xx")
         assert w_rhs == R("-2*v_x*w_x - v_xx")
+
+    def test_split_phase_free_product(self):
+        # u_x ub_x = |u_x|^2: the ub branch of the split, real part only
+        assert complex_split(C("u_x*ub_x")) == (R("v_x^2 + w_x^2"), Expr.zero())
 
     def test_split_zero(self):
         assert complex_split(Expr.zero()) == (Expr.zero(), Expr.zero())

@@ -298,7 +298,7 @@ def _expr_accumulate(out, factors, coeff, seen):
             total = Expr.zero()
             for a, k in exps:
                 del powers[a]
-                total = total + a.arg * Expr.integer(k)
+                total = total + a.arg * Expr.rational(k)
             na = _exp_atom(total)
             seen["exp cancels"] += na is None
             if na is not None:
@@ -388,7 +388,7 @@ def test_merged_exp_argument_keeps_sum_order():
         _accumulate(out, list(exps), 1)
         total = Expr.zero()
         for a, k in exps:
-            total = total + a.arg * Expr.integer(k)
+            total = total + a.arg * Expr.rational(k)
         got = [a for m in out for a, _ in m if isinstance(a, ExpAtom)]
         assert [list(a.arg._terms.items()) for a in got] == \
             ([list(total._terms.items())] if total._terms else [])

@@ -2,7 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -56,7 +56,7 @@ class TestBracket:
 
     def test_mismatched_spaces(self):
         X = VectorField(REAL_JET, xi={"t": Expr.one()})
-        Y = VectorField(catalog.ODE_JET, xi={"s": Expr.one()})
+        Y = VectorField(ODE_JET, xi={"s": Expr.one()})
         with pytest.raises(DomainError):
             lie_bracket(X, Y)
 
@@ -71,6 +71,15 @@ class TestStructureTable:
         assert entries["[G1a,G2a]"] == "G1a"
         assert entries["[G2a,G3a]"] == "G3a"
         assert entries["[G1a,G5a]"] == "G4a"
+
+    def test_entries_antisymmetric(self):
+        # the table stores i < j; c(j, i, k) = -c(i, j, k) and c(i, i, k) = 0
+        table = structure_constants(catalog.fields_member2())
+        for i, j, k in product(range(table.dim), repeat=3):
+            assert table.c(j, i, k) == -table.c(i, j, k)
+            if i == j:
+                assert table.c(i, j, k).is_zero()
+        assert table.c(1, 0, 0) == Expr.rational(-1)  # [G2a,G1a] = -G1a
 
     def test_4A1_all_zero(self):
         table = structure_constants(catalog.fields_member4())

@@ -34,7 +34,7 @@ def test_prime_needs_single_independent():
 def test_rationals_and_precedence():
     assert parse_expr("3/4*x", PDE) == Expr.rational("3/4") * sym("x").as_expr()
     assert parse_expr("-v_x^2", PDE) == -(jet("v", ("x",)).as_expr() ** 2)
-    assert parse_expr("2^3", PDE) == Expr.integer(8)
+    assert parse_expr("2^3", PDE) == Expr.rational(8)
     assert parse_expr("x^-1*x", PDE) == Expr.one()
 
 
@@ -99,6 +99,6 @@ def test_print_empty():
 
 
 def test_sqrt_of_square():
-    assert parse_expr("sqrt(4)", PDE) == Expr.integer(2)
+    assert parse_expr("sqrt(4)", PDE) == Expr.rational(2)
     assert parse_expr("sqrt(9/4)", PDE) == Expr.rational("3/2")
     assert parse_expr("sqrt(c^2)", PDE) == sym("c").as_expr()

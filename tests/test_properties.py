@@ -13,7 +13,7 @@ from lieforge.systems import JetSpec
 from exprgen import (kernel_point, random_point, random_tree, tree_eval,
                      tree_to_expr)
 
-CTX = JetSpec(("t", "x"), ("v", "w"), constants=None)
+CTX = JetSpec(("t", "x"), ("v", "w"))
 N_EXPRS = 300
 SEED = 20240811
 

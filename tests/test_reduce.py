@@ -131,8 +131,8 @@ class TestReductions:
                 d = ec - ep
                 if len(d._terms) == 1:
                     deltas.append(d)
-        want = {expr_text(Expr.integer(2) * c * jet("F").as_expr()),
-                expr_text(Expr.integer(2) * c * jet("G").as_expr())}
+        want = {expr_text(Expr.rational(2) * c * jet("F").as_expr()),
+                expr_text(Expr.rational(2) * c * jet("G").as_expr())}
         assert {expr_text(d) for d in deltas} == want
 
     def test_order_reduce_reintegrates(self):
@@ -152,14 +152,14 @@ class TestReductions:
 
     def test_order_reduce_blocks_on_bare_dependent(self):
         from lieforge.expr_core import DomainError
-        ctx = JetSpec(("s",), ("f",), constants=None)
+        ctx = JetSpec(("s",), ("f",))
         from lieforge.systems import ODESystem
         S = ODESystem(jet=ctx, leads={"f": (2, parse_expr("f", ctx))})
         with pytest.raises(DomainError):
             order_reduce(S)
 
     def test_trivial_order_reduce(self):
-        ctx = JetSpec(("s",), ("f",), constants=None)
+        ctx = JetSpec(("s",), ("f",))
         from lieforge.systems import ODESystem
         S = ODESystem(jet=ctx, leads={"f": (2, Expr.zero())})
         out = order_reduce(S)
@@ -178,8 +178,8 @@ class TestElimination:
         printed = printed_second_order()
         assert equal_up_to_factor(got, printed) is None
         # computed + printed = +-2 (2F - c) F''  (both sign-normalised)
-        char = Expr.integer(2) * (Expr.integer(2) * jet("F").as_expr()
-                                  - sym("c").as_expr()) \
+        char = Expr.rational(2) * (Expr.rational(2) * jet("F").as_expr()
+                                   - sym("c").as_expr()) \
             * jet("F", ("s", "s")).as_expr()
         lam = equal_up_to_factor(got + printed, char)
         assert lam in (Fraction(1), Fraction(-1))
@@ -251,7 +251,7 @@ class TestSolutions:
         Fp = __import__("lieforge.expr_core", fromlist=["derive"]).derive(
             Fe, sym("s"))
         c = sym("c").as_expr()
-        resid = Ge * (Expr.integer(2) * Fe - c) + Fp
+        resid = Ge * (Expr.rational(2) * Fe - c) + Fp
         worst = 0.0
         for i in range(200):
             s = 0.25 + i * 0.048
@@ -322,7 +322,7 @@ class TestIntegration:
 
     def test_rk4_constant(self):
         from lieforge.systems import ODESystem
-        ctx = JetSpec(("s",), ("F",), constants=None)
+        ctx = JetSpec(("s",), ("F",))
         S = ODESystem(jet=ctx, leads={"F": (1, Expr.zero())})
         traj = rk4_from_system(S, {}, {"F": 1.0}, (0.0, 1.0), 0.1)
         assert all(abs(v - 1.0) < 1e-15 for v in traj.values["F"])
@@ -330,7 +330,7 @@ class TestIntegration:
     def test_rk4_pole_guard(self):
         # G' = 1 + G^2 blows up at pi/2 - atan(G0)
         from lieforge.systems import ODESystem
-        ctx = JetSpec(("s",), ("G",), constants=None)
+        ctx = JetSpec(("s",), ("G",))
         S = ODESystem(jet=ctx, leads={"G": (1, parse_expr("1 + G^2", ctx))})
         traj = rk4_from_system(S, {}, {"G": 0.0}, (0.0, 3.0), 1e-3, guard=1e6)
         assert traj.grid[-1] < 1.62  # stopped near the pole
@@ -341,7 +341,7 @@ class TestIntegration:
         k = 0.9
         c = Fraction(-181, 100)  # -(1 + k^2) for k = 9/10
         F0 = math.sqrt(2) * k
-        ctx = JetSpec(("s",), ("F", "P"), constants=None)
+        ctx = JetSpec(("s",), ("F", "P"))
         Fe = jet("F").as_expr()
         S = ODESystem(jet=ctx, leads={
             "F": (1, jet("P").as_expr()),

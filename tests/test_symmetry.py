@@ -150,7 +150,7 @@ def _family(functions, eta_v, eta_w, rules, name):
     args = ("t", "x")
     ctx = REAL_JET.with_functions({f: args for f in functions})
     unknowns = tuple(
-        UnknownFunctionConstraint(f, args, 1, Expr.integer(sign) * func(g, args, idx).as_expr())
+        UnknownFunctionConstraint(f, args, 1, Expr.rational(sign) * func(g, args, idx).as_expr())
         for f, sign, g, idx in rules)
     return VectorField(ctx, eta={"v": ctx.parse(eta_v), "w": ctx.parse(eta_w)},
                        unknowns=unknowns, name=name)

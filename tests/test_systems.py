@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from lieforge.expr_core import DomainError, eval_numeric, func, jet, sym
+from lieforge.expr_core import (DomainError, cos_e, eval_numeric, exp_e, func,
+                                jet, recip_e, sin_e, sym, tan_e)
 from lieforge.parser import parse_expr
 from lieforge.symmetry import UnknownFunctionConstraint
 from lieforge.systems import (JetSpec, ODESystem, PDESystem, Reducer,
                               total_derivative)
 
-PDE = JetSpec(("t", "x"), ("v", "w"), constants=None)
+PDE = JetSpec(("t", "x"), ("v", "w"))
 
 
 def P(text):
@@ -61,7 +62,7 @@ class TestPDESystem:
 
     def test_reducer_eliminates_t(self):
         S = PDESystem(jet=PDE, rhs={"v": P("v_xx"), "w": P("w_xx")})
-        r = S.reducer()
+        r = Reducer(S.equations())
         # v_tt -> v_xxxx, v_tx -> v_xxx
         assert r.reduce(jet("v", ("t", "t")).as_expr()) == P("v_xxxx")
         assert r.reduce(jet("v", ("t", "x")).as_expr()) == P("v_xxx")
@@ -70,14 +71,14 @@ class TestPDESystem:
 
 class TestODESystem:
     def test_lead_order_guard(self):
-        ctx = JetSpec(("s",), ("f",), constants=None)
+        ctx = JetSpec(("s",), ("f",))
         with pytest.raises(DomainError):
             ODESystem(jet=ctx, leads={"f": (2, parse_expr("f''", ctx))})
 
     def test_reduction_chain(self):
-        ctx = JetSpec(("s",), ("f",), constants=None)
+        ctx = JetSpec(("s",), ("f",))
         S = ODESystem(jet=ctx, leads={"f": (2, parse_expr("-f", ctx))})
-        r = S.reducer()
+        r = Reducer(S.equations())
         # f'''' -> f  (harmonic oscillator)
         got = r.reduce(jet("f", ("s",) * 4).as_expr())
         assert got == parse_expr("f", ctx)
@@ -101,15 +102,23 @@ class TestReducerRules:
         assert r.reduce(a_deriv("t", "t", "t", "t")) == a_deriv("x", "x")
 
     def test_one_argument_unknown_rule(self):
-        ctx = JetSpec(("s",), ("f",), constants=None)
+        ctx = JetSpec(("s",), ("f",))
         S = ODESystem(jet=ctx, leads={"f": (2, parse_expr("-f", ctx))})
         a = func("a", ("s",)).as_expr()
         uc = UnknownFunctionConstraint("a", ("s",), 2, -a)
-        r = S.reducer()
+        r = Reducer(S.equations())
         r.add_rule(uc.lead, uc.rhs)
         got = r.reduce(func("a", ("s",), ("s",) * 4).as_expr()
                        + jet("f", ("s",) * 3).as_expr())
         assert got == a - jet("f", ("s",)).as_expr()
+
+    @pytest.mark.parametrize("fn", [sin_e, cos_e, tan_e, exp_e, recip_e],
+                             ids=["sin", "cos", "tan", "exp", "recip"])
+    def test_reduces_inside_transcendental_arguments(self, fn):
+        b_xx = func("b", ("t", "x"), ("x", "x")).as_expr()
+        r = Reducer([(func("a", ("t", "x"), ("t",)), b_xx)])
+        v = jet("v").as_expr()
+        assert r.reduce(v * fn(a_deriv("t") + v)) == v * fn(b_xx + v)
 
     def test_rhs_holding_its_own_reducible_atom(self):
         with pytest.raises(DomainError):
