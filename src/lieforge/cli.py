@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import catalog, reduce as red
-from .expr_core import DomainError, Expr
+from .expr_core import DomainError, Expr, PoleError
 from .hierarchy import (REAL_JET, audit_member, catalogue_member, complex_split,
                         hierarchy_member)
 from .liealg import algebra_signature, jacobi_check, structure_constants
@@ -201,6 +201,14 @@ def _c_arg(text: str):
         raise ValueError(f"--c must be 'c' or a rational, got {text!r}") from None
 
 
+def _rational_c(text: str, command: str) -> Fraction:
+    """The wave speed of `--c` for a command that evaluates at a number."""
+    c = _c_arg(text)
+    if isinstance(c, str):
+        raise ValueError(f"{command} needs a rational --c, got the symbol c")
+    return c
+
+
 _SYSTEMS = {
     "3.2": lambda c: red.reduced_system(2, c),
     "3.3": red.system_33,
@@ -235,14 +243,20 @@ def cmd_verify_solution(args) -> int:
                              f"fixes c = {cand.params['c']:g}")
         c = Fraction(cand.params["c"]).limit_denominator(10 ** 9)
     S = _SYSTEMS[args.system](c)
-    if mode == "symbolic":
-        try:
-            cand = red.candidate_at(cand, c)
-        except DomainError:  # sqrt(c) of a profile that holds it
-            raise ValueError(f"--c must be the square of a rational for "
-                             f"--solution {args.solution}, got {args.c}") from None
     params = {"c": float(c)} if mode == "numeric" and args.c != "c" else None
-    rep = red.verify_solution(S, cand, mode=mode, param_values=params)
+    try:
+        if mode == "symbolic":
+            try:
+                cand = red.candidate_at(cand, c)
+            except DomainError:  # sqrt(c) of a profile that holds it
+                raise ValueError(f"--c must be the square of a rational for "
+                                 f"--solution {args.solution}, got {args.c}") from None
+        rep = red.verify_solution(S, cand, mode=mode, param_values=params)
+    except (ZeroDivisionError, PoleError) as exc:  # the profile is singular at c
+        if args.c == "c":
+            raise
+        raise ValueError(f"--c {args.c} is a degenerate wave speed for --solution "
+                         f"{args.solution}: {exc}") from None
     out = {"schema": SCHEMA, "system": S.label, "solution": cand.name,
            "mode": mode, "status": rep.statuses}
     if rep.max_residual is not None:
@@ -257,7 +271,7 @@ def cmd_verify_solution(args) -> int:
 
 def cmd_integrate(args) -> int:
     lo, hi = (float(x) for x in args.range.split(":"))
-    c = _c_arg(args.c)
+    c = _rational_c(args.c, "integrate")
     half_c = 0.5 * float(c)
     S = _SYSTEMS[args.system](c)
     # --from tan: F = c/2, G = -(c/2) tan((c/2)(s - s0)) at s = lo
@@ -278,7 +292,7 @@ MAX_FIG1_SERIES = 100
 
 
 def cmd_fig1(args) -> int:
-    c = float(_c_arg(args.c))
+    c = float(_rational_c(args.c, "fig1"))
     if c == 0:
         raise ValueError("--c must be nonzero for fig1: the period is 2 pi / c")
     f1_texts = args.F1.split(",")

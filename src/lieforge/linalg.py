@@ -1,77 +1,85 @@
 """Exact rational linear algebra on sparse rows.
 
 Rows are dicts {column key: int or Fraction}; column keys are column
-indices, or for `rref`/`rank` any mutually comparable keys.  Reduction is
-Gauss-Jordan with pivots chosen in column order and normalised to 1, so
-echelon forms, nullspace bases, and solve results are deterministic; they
-hold Fractions whatever the input rows hold.
+indices, or for `rref`/`rank` any mutually comparable keys.  Elimination is
+fraction-free (Bareiss, Math. Comp. 22, 1968): rows are cleared of
+denominators once, kept primitive (integers with gcd 1) and deduplicated up
+to scale; only the final pivot rows become Fractions, normalised to 1.  The
+reduced echelon form is unique, so echelon forms, nullspace bases, and solve
+results are deterministic; they hold Fractions whatever the input rows hold.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 __all__ = ["rref", "nullspace", "rank", "solve_exact", "transpose"]
 
 
-def _scale(row: dict[int, Fraction], q: Fraction) -> dict[int, Fraction]:
-    return {c: v * q for c, v in row.items()}
+def _primitive(row: dict, lead) -> dict:
+    """row divided by the gcd of its entries, signed so that row[lead] > 0."""
+    g = gcd(*row.values()) if row[lead] > 0 else -gcd(*row.values())
+    return row if g == 1 else {c: v // g for c, v in row.items()}
 
 
-def _axpy(dst: dict[int, Fraction], src: dict[int, Fraction], q: Fraction) -> None:
-    for c, v in src.items():
-        s = dst.get(c)
-        s = q * v if s is None else s + q * v
+def _eliminate(row: dict, prow: dict, pc) -> dict:
+    """The primitive multiple of a*row - v*prow, a = prow[pc], v = row[pc],
+    which is zero in column pc.  row is consumed; keys keep its order, with
+    prow's new keys after them, as a Fraction axpy would leave them."""
+    g = gcd(prow[pc], row[pc])
+    a, v = prow[pc] // g, row[pc] // g
+    if a != 1:
+        row = {c: a * w for c, w in row.items()}
+    for c, w in prow.items():
+        s = row.get(c, 0) - v * w
         if s:
-            dst[c] = s
+            row[c] = s
         else:
-            del dst[c]
+            del row[c]
+    return _primitive(row, next(iter(row))) if row else row
 
 
 def rref(rows: list[dict]):
     """Reduced row-echelon form.  Returns (pivot_rows, pivots) where
     pivot_rows[i] has a 1 in column pivots[i] and zeros in other pivot
     columns; the columns are read from the rows themselves."""
-    pivot_rows: list[dict[int, Fraction]] = []
-    pivots: list[int] = []
-
-    def reduce_row(row: dict[int, Fraction]) -> dict[int, Fraction]:
-        row = dict(row)
-        for prow, pc in zip(pivot_rows, pivots):
-            v = row.get(pc)
-            if v:
-                _axpy(row, prow, -v)
-        return row
-
-    # dedupe incoming rows, smallest support first for cheaper elimination;
-    # explicit zeros are dropped (a zero pivot entry cannot be normalised)
-    seen = set()
-    todo = []
+    # primitive integer rows, one per vector up to scale; explicit zeros are
+    # dropped (a zero pivot entry cannot be normalised)
+    todo: dict = {}
     for row in rows:
-        key = tuple(sorted((c, v.numerator, v.denominator)
-                           for c, v in row.items() if v))
-        if key and key not in seen:
-            seen.add(key)
-            todo.append(row if len(key) == len(row) else
-                        {c: v for c, v in row.items() if v})
-    todo.sort(key=len)
+        if len(row) == 1:
+            row = {c: 1 for c, v in row.items() if v}
+        else:
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+            if row:
+                row = _primitive(row, min(row))
+        if row:
+            todo.setdefault(frozenset(row.items()), row)
 
-    for row in todo:
-        row = reduce_row(row)
+    pivot_rows: list[dict] = []
+    pivots: list = []
+    where: dict = {}  # pivot column -> its index in pivots
+    # smallest support first for cheaper elimination; eliminating one pivot
+    # column brings in no other, so a row meets only the pivots it holds
+    for row in sorted(todo.values(), key=len):
+        for i in sorted(where[c] for c in row if c in where):
+            row = _eliminate(row, pivot_rows[i], pivots[i])
         if not row:
             continue
         pc = min(row)
-        row = _scale(row, Fraction(1) / row[pc])
-        for prow in pivot_rows:
-            v = prow.get(pc)
-            if v:
-                _axpy(prow, row, -v)
+        for i, prow in enumerate(pivot_rows):
+            if prow.get(pc):
+                pivot_rows[i] = _eliminate(prow, row, pc)
+        where[pc] = len(pivots)
         pivot_rows.append(row)
         pivots.append(pc)
 
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [pivot_rows[i] for i in order], [pivots[i] for i in order]
+    order = sorted(zip(pivots, pivot_rows), key=lambda t: t[0])
+    return ([{c: Fraction(w, prow[pc]) for c, w in prow.items()} for pc, prow in order],
+            [pc for pc, _ in order])
 
 
 def rank(rows: list[dict]) -> int:

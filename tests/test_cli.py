@@ -231,9 +231,17 @@ def test_brackets_member3_reports_printed_field_outside_basis(capsys):
     (["reduce", "--member", "2", "--c", "1/0"],
      "--c must be 'c' or a rational, got '1/0'"),
     (["fig1", "--c", "0"], "--c must be nonzero for fig1"),
+    # at c = 0 the s11 profile has F = 0 and G = -F'/(2F - c) divides by zero
     (["verify-solution", "--system", "3.3", "--solution", "s11", "--c", "0"],
-     "all samples in excluded domain"),
-], ids=["reduce-c-1/0", "fig1-c-0", "verify-solution-s11-c-0"])
+     "--c 0 is a degenerate wave speed for --solution s11"),
+    (["verify-solution", "--system", "3.3", "--solution", "s11", "--c", "0",
+      "--mode", "symbolic"],
+     "--c 0 is a degenerate wave speed for --solution s11"),
+    (["integrate", "--system", "3.3", "--c", "c", "--from", "tan"],
+     "integrate needs a rational --c, got the symbol c"),
+    (["fig1", "--c", "c"], "fig1 needs a rational --c, got the symbol c"),
+], ids=["reduce-c-1/0", "fig1-c-0", "verify-solution-s11-c-0",
+        "verify-solution-s11-c-0-symbolic", "integrate-c-symbol", "fig1-c-symbol"])
 def test_arithmetic_errors_exit_1(capsys, argv, message):
     code = main(argv)
     err = capsys.readouterr().err

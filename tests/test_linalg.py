@@ -1,10 +1,43 @@
 """Exact sparse rational elimination."""
 
+import random
 from fractions import Fraction
 
+from lieforge import linalg
 from lieforge.linalg import nullspace, rank, rref, solve_exact
 
 F = Fraction
+
+
+def reference_rref(rows):
+    """Plain Fraction Gauss-Jordan: exact duplicates dropped, smallest support
+    first, each pivot row normalised to 1 and eliminated from earlier ones."""
+    todo = list({frozenset(r.items()): r for r in
+                 ({c: F(v) for c, v in row.items() if v} for row in rows) if r}.values())
+    pivot_rows, pivots = [], []
+
+    def axpy(dst, src, q):
+        for c, v in src.items():
+            s = dst.get(c, 0) + q * v
+            if s:
+                dst[c] = s
+            else:
+                del dst[c]
+
+    for row in sorted(todo, key=len):
+        for prow, pc in zip(pivot_rows, pivots):
+            if row.get(pc):
+                axpy(row, prow, -row[pc])
+        if row:
+            pc = min(row)
+            row = {c: v / row[pc] for c, v in row.items()}
+            for prow in pivot_rows:
+                if prow.get(pc):
+                    axpy(prow, row, -prow[pc])
+            pivot_rows.append(row)
+            pivots.append(pc)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [pivot_rows[i] for i in order], [pivots[i] for i in order]
 
 
 def rows_of(mat):
@@ -65,3 +98,65 @@ def test_explicit_zero_entries_dropped():
     rows = [{0: F(1), 1: F(0)}, {0: F(1)}]
     assert rref(rows) == ([{0: F(1)}], [0])
     assert nullspace(rows, 2) == [{1: F(1)}]
+
+
+def _ordered(rows):
+    """Rows as item lists, so that == also compares key order and types."""
+    return [[(c, type(v), v) for c, v in row.items()] for row in rows]
+
+
+def _random_entry(rng):
+    v = rng.choice([1, 2, 3, -1, -2, -6, 0])
+    return F(v, rng.choice([1, 2, 3, 4, 9, 12])) if rng.random() < 0.5 else v
+
+
+def _random_rows(rng, keys):
+    rows = []
+    for _ in range(rng.randint(1, 12)):
+        if rows and rng.random() < 0.25:  # a multiple of an earlier row
+            q = F(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7]))
+            rows.append({c: q * v for c, v in rng.choice(rows).items()})
+        else:
+            support = rng.sample(keys, rng.randint(1, min(4, len(keys))))
+            rows.append({c: _random_entry(rng) for c in support})
+    return rows
+
+
+def test_rref_equals_fraction_gauss_jordan(monkeypatch):
+    rng = random.Random(20261018)
+    for trial in range(300):
+        n = rng.randint(2, 8)
+        keys = list(range(n)) if trial % 2 else \
+            [(("eta", "v"), (k,)) if k % 2 else (("xi", "t"), (k,)) for k in range(n)]
+        rows = _random_rows(rng, keys)
+        # the rows as columns, solved for a row and a unit vector
+        span = (rows[:-1], [rows[-1], {keys[0]: F(1)}])
+        got_rows, got_pivots = rref(rows)
+        got_null = nullspace(rows, n) if trial % 2 else None
+        got_x = solve_exact(*span)
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "rref", reference_rref)
+            want_rows, want_pivots = linalg.rref(rows)
+            want_null = linalg.nullspace(rows, n) if trial % 2 else None
+            want_x = linalg.solve_exact(*span)
+        assert got_pivots == want_pivots
+        assert _ordered(got_rows) == _ordered(want_rows)
+        assert all(type(v) is Fraction for row in got_rows for v in row.values())
+        assert got_null is None or _ordered(got_null) == _ordered(want_null)
+        assert got_x == want_x
+        assert all(type(q) is Fraction for x in got_x if x for q in x)
+
+
+def test_rref_is_exact_beyond_machine_words():
+    big = 3 ** 50  # above 2^79; floats would call these rows dependent
+    near = [{0: big, 1: big + 1}, {0: big - 1, 1: big}]  # determinant 1
+    assert rank(near) == 2
+    assert rank(near[:1] + [{0: F(big * (big + 1), 7), 1: F((big + 1) ** 2, 7)}]) == 1
+    assert nullspace(near[:1], 2) == [{1: F(1), 0: F(-(big + 1), big)}]
+    assert solve_exact(near, [{0: F(1)}]) == [[F(big), F(-(big + 1))]]
+
+
+def test_rows_equal_up_to_scale_have_rank_1():
+    rows = [{0: 2, 1: 4}, {0: -1, 1: -2}, {0: F(1, 3), 1: F(2, 3)}]
+    assert rank(rows) == 1
+    assert rref(rows) == ([{0: F(1), 1: F(2)}], [0])
