@@ -63,10 +63,8 @@ _MEMBER_DICTIONARIES = {1: (1, 0, 0), 2: (2, 0, 0), 3: (1, 2, 0), 4: (2, 2, 1)}
 
 def cmd_symmetries_find(args) -> int:
     S = catalogue_member(args.member)
-    d_def, m_def, k_def = _MEMBER_DICTIONARIES[args.member]
-    degree = args.degree if args.degree is not None else d_def
-    trig = args.trig if args.trig is not None else m_def
-    expw = args.expw if args.expw is not None else k_def
+    degree, trig, expw = (d if a is None else a for a, d in zip(
+        (args.degree, args.trig, args.expw), _MEMBER_DICTIONARIES[args.member]))
     import time
     t0 = time.time()
     basis = ansatz_dictionary(REAL_JET, degree, trig, expw)
@@ -161,13 +159,7 @@ def _printed_disagreements(table, printed_entries) -> list[str]:
 
 
 def _combo_dict_text(combo: dict) -> str:
-    parts = []
-    for name, q in combo.items():
-        if q == 1:
-            parts.append(name)
-        else:
-            parts.append(f"({q})*{name}")
-    return " + ".join(parts) if parts else "0"
+    return " + ".join(n if q == 1 else f"({q})*{n}" for n, q in combo.items()) or "0"
 
 
 def cmd_classify(args) -> int:
@@ -269,8 +261,24 @@ def cmd_verify_solution(args) -> int:
     return 0 if ok else 2
 
 
+def _finite(text: str) -> float:
+    """The finite float of --s0, --h or an end of --range."""
+    if not math.isfinite(x := float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return x
+
+
+def _span(text: str) -> tuple[float, float]:
+    """The LO:HI of --range."""
+    try:
+        lo, hi = map(_finite, text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be LO:HI, got {text!r}") from None
+    return lo, hi
+
+
 def cmd_integrate(args) -> int:
-    lo, hi = (float(x) for x in args.range.split(":"))
+    lo, hi = args.range
     c = _rational_c(args.c, "integrate")
     half_c = 0.5 * float(c)
     S = _SYSTEMS[args.system](c)
@@ -299,7 +307,10 @@ def cmd_fig1(args) -> int:
     if len(f1_texts) > MAX_FIG1_SERIES:
         raise ValueError(f"fig1 takes at most {MAX_FIG1_SERIES} --F1 values, "
                          f"got {len(f1_texts)}")
-    f1_values = [float(Fraction(x)) for x in f1_texts]
+    try:
+        f1_values = [float(Fraction(x)) for x in f1_texts]
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"--F1 takes comma-separated rationals, got {args.F1!r}") from None
     reports = []
     for f1 in f1_values:
         rows = red.fig1_rows(c, f1, n=args.n)
@@ -338,7 +349,7 @@ def build_parser() -> _Parser:
 
     a = sub.add_parser("audit", help="compare generated member against the "
                                      "built-in catalogue")
-    a.add_argument("--k", type=int, required=True)
+    a.add_argument("--k", type=int, required=True, choices=(1, 2, 3, 4))
     a.set_defaults(fn=cmd_audit)
 
     s = sub.add_parser("symmetries", help="discover or verify point symmetries")
@@ -386,9 +397,9 @@ def build_parser() -> _Parser:
     it.add_argument("--system", required=True, choices=sorted(_SYSTEMS))
     it.add_argument("--c", required=True)
     it.add_argument("--from", dest="init_from", required=True, choices=("tan",))
-    it.add_argument("--s0", type=float, default=0.0)
-    it.add_argument("--h", type=float, default=1e-3)
-    it.add_argument("--range", default="0:2")
+    it.add_argument("--s0", type=_finite, default=0.0)
+    it.add_argument("--h", type=_finite, default=1e-3)
+    it.add_argument("--range", type=_span, default="0:2", help="LO:HI")
     it.add_argument("--csv", default=None)
     it.set_defaults(fn=cmd_integrate)
 

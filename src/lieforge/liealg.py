@@ -51,7 +51,7 @@ def _bracket(X: VectorField, JX, Y: VectorField, JY) -> VectorField:
     if X.jet.independents != Y.jet.independents or \
             X.jet.dependents != Y.jet.dependents:
         raise DomainError("mismatched jet spaces in lie_bracket")
-    if not (X.is_concrete() and Y.is_concrete()):
+    if X.unknowns or Y.unknowns:
         raise DomainError("lie_bracket needs concrete coefficients")
     cx, cy = ([c for _, _, c in F.coeff_vector_atoms()] for F in (X, Y))
     xi, eta = {}, {}

@@ -3,10 +3,11 @@
 Rows are dicts {column key: int or Fraction}; column keys are column
 indices, or for `rref`/`rank` any mutually comparable keys.  Elimination is
 fraction-free (Bareiss, Math. Comp. 22, 1968): rows are cleared of
-denominators once, kept primitive (integers with gcd 1) and deduplicated up
-to scale; only the final pivot rows become Fractions, normalised to 1.  The
-reduced echelon form is unique, so echelon forms, nullspace bases, and solve
-results are deterministic; they hold Fractions whatever the input rows hold.
+denominators once by `cleared`, which the residual assembly of `symmetry`
+shares, kept primitive (integers with gcd 1) and deduplicated up to scale;
+only the final pivot rows become Fractions, normalised to 1.  The reduced
+echelon form is unique, so echelon forms, nullspace bases, and solve results
+are deterministic; they hold Fractions whatever the input rows hold.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-__all__ = ["rref", "nullspace", "rank", "solve_exact", "transpose"]
+__all__ = ["cleared", "rref", "nullspace", "rank", "solve_exact", "transpose"]
+
+
+def cleared(terms: dict) -> tuple[dict, int]:
+    """(integer terms, denominator) of a dict of int or Fraction values: the
+    values over the lcm of their denominators, in key order, zeros dropped."""
+    den = lcm(*(v.denominator for v in terms.values()))
+    return {c: v.numerator * (den // v.denominator) for c, v in terms.items() if v}, den
 
 
 def _primitive(row: dict, lead) -> dict:
@@ -52,8 +60,7 @@ def rref(rows: list[dict]):
         if len(row) == 1:
             row = {c: 1 for c, v in row.items() if v}
         else:
-            den = lcm(*(v.denominator for v in row.values()))
-            row = {c: v.numerator * (den // v.denominator) for c, v in row.items() if v}
+            row = cleared(row)[0]
             if row:
                 row = _primitive(row, min(row))
         if row:
@@ -91,17 +98,9 @@ def nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, Fra
     free column and pivot columns filled in; ordered by free column index."""
     pivot_rows, pivots = rref(rows)
     pivot_set = set(pivots)
-    basis = []
-    for j in range(ncols):
-        if j in pivot_set:
-            continue
-        vec: dict[int, Fraction] = {j: Fraction(1)}
-        for prow, pc in zip(pivot_rows, pivots):
-            v = prow.get(j)
-            if v:
-                vec[pc] = -v
-        basis.append(vec)
-    return basis
+    return [{j: Fraction(1), **{pc: -prow[j] for prow, pc in zip(pivot_rows, pivots)
+                                if prow.get(j)}}
+            for j in range(ncols) if j not in pivot_set]
 
 
 def transpose(cols: Iterable[dict]) -> dict:

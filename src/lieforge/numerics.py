@@ -82,6 +82,8 @@ def integrate_rk4(rhs, state0: dict[str, complex], s_range: tuple[float, float],
     and the trajectory ends at the previous step; nothing is integrated past
     the blow-up point.  Raises ValueError above MAX_RK4_STEPS steps.
     """
+    if not all(map(math.isfinite, (h, *s_range))):
+        raise ValueError(f"RK4 step {h} and range ends {s_range} must be finite")
     if h <= 0:
         raise ValueError("step size must be positive")
     s0, s1 = s_range

@@ -13,7 +13,8 @@ and the reduced partials of each rhs are built once per system.  A whole
 field X takes R_{X,()} = pr X(H) on solutions.  A dictionary column has one
 rule: each term of its entry splits as p*Y, p the plain independent factors,
 and is merged from the Leibniz pieces R_{Y,K} of its base field Y, whose
-prolongation is built once.
+prolongation is built once.  Pieces and columns are integer terms over one
+denominator per equation, made Fractions only as row coefficients.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, perm, prod
+from math import comb, lcm, perm, prod
 
 from .expr_core import (
-    DomainError, Expr, Func, Jet, _add_into, _merge, _mul_into, _put,
-    atoms_of, coefficient_vector, derive, func, jet, sym,
+    DomainError, Expr, Func, Jet, _add_into, _merge, _mono_key, _mul_into,
+    _put, atoms_of, coefficient_vector, derive, func, jet, sym,
 )
-from .linalg import nullspace, transpose
+from .linalg import cleared, nullspace, rank, transpose
 from .parser import combo_text, expr_text, parse_expr
 from .systems import JetSpec, Reducer, total_derivative
 
@@ -81,9 +82,6 @@ class VectorField:
 
     def eta_of(self, dep: str) -> Expr:
         return self.eta.get(dep, Expr.zero())
-
-    def is_concrete(self) -> bool:
-        return not self.unknowns
 
     def coeff_vector_atoms(self):
         for indep in self.jet.independents:
@@ -215,7 +213,10 @@ class _ResidualMap:
     D_j H = 0 on solutions, give pr(pY)(H) = sum_{|K| <= deg p} d_K p *
     R_{Y,K}, each term a merge of monomials, with R_{Y,K} =
     reduce(sum_{A, J >= K} C(J,K) D_{J-K}(Q_Y^A) dH/du^A_J) and R_{Y,()} =
-    pr Y(H); the entry's residual is the sum over its terms."""
+    pr Y(H); the entry's residual is the sum over its terms.  Tables, pieces
+    and columns are `cleared`: integer terms over one positive denominator,
+    each sum scaled to the lcm of its summands' denominators (content and
+    primitive part, Geddes, Czapor & Labahn 1992, sec. 2.7)."""
 
     def __init__(self, system, unknowns=()):
         equations = system.equations()
@@ -232,11 +233,14 @@ class _ResidualMap:
                        [(a, self.reduce(-derive(rhs, a)))
                         for a in atoms_of(rhs) if isinstance(a, Jet)])
                       for lead, rhs in equations]
+        # per equation (J, dH/du_J cleared), the lead first
+        self.partials = [[(lead, None, 1)] + [(a, *cleared(h._terms)) for a, h in djet]
+                         for lead, _, djet in self.parts]
         self.syms = [sym(i) for i in self.independents]
         self.zero = (0,) * len(self.syms)  # K = () as counts per independent
         # D_L(Q_Y); (C(J,K), J-K); R_{Y,K}, seeded with R_{d_j,()} = dH/dx_j
         self.tables, self.splits, self.pieces = {}, {}, {
-            ("xi", i, (), self.zero): [dxi[k] for _, dxi, _ in self.parts]
+            ("xi", i, (), self.zero): [cleared(dxi[k]._terms) for _, dxi, _ in self.parts]
             for k, i in enumerate(self.independents)}
 
     def __call__(self, X: VectorField) -> list[Expr]:
@@ -252,8 +256,8 @@ class _ResidualMap:
             residuals.append(Expr(out))
         return residuals
 
-    def table(self, kind: str, var: str, g: tuple) -> dict[tuple, dict]:
-        """Reduced D_L(Q_Y^A) of Y = g d_var as terms, keyed (A, L), for every
+    def table(self, kind: str, var: str, g: tuple) -> dict[tuple, tuple]:
+        """Reduced D_L(Q_Y^A) of Y = g d_var, cleared, keyed (A, L), for every
         u^A_L below a needed jet, from one prolongation of Y: D_L(g) for an
         eta field, kept on the first dependent and shared by the others;
         pr Y^{A,L} - g u^A_{L var} for an xi field, where pr d_var = 0."""
@@ -274,53 +278,63 @@ class _ResidualMap:
             v = pr.get(A, Expr.zero())
             if not eta:
                 v = v - ge * jet(A.dep, A.idx + (var,)).as_expr()
-            table[A.dep, A.idx] = self.reduce(v)._terms
+            table[A.dep, A.idx] = cleared(self.reduce(v)._terms)
         return table
 
-    def piece(self, kind: str, var: str, g: tuple, K: tuple) -> list[Expr]:
-        """R_{Y,K} per equation: Y = g d_var, K counted per independent."""
+    def piece(self, kind: str, var: str, g: tuple, K: tuple) -> list[tuple]:
+        """Cleared R_{Y,K} per equation: Y = g d_var, K counted per independent."""
         key, eta, indeps = (kind, var, g, K), kind == "eta", self.independents
         if key in self.pieces:
             return self.pieces[key]
         table, dep0 = self.table(kind, var, g), self.jet.dependents[0]
         pieces = self.pieces[key] = []
-        for lead, _, djet in self.parts:
-            out: dict = {}
-            for J, h in [(lead, None), *djet]:
+        for partials in self.partials:
+            summands = []
+            for J, h, hd in partials:
                 if (J, K) not in self.splits:  # (C(J, K), J - K); C = 0 unless K <= J
                     n = [J.idx.count(i) for i in indeps]
                     self.splits[J, K] = (prod(map(comb, n, K)), tuple(sorted(
                         i for i, a, k in zip(indeps, n, K) for _ in range(a - k))))
                 c, L = self.splits[J, K]
-                if not c or eta and J.dep != var:
-                    continue
-                f = table[dep0 if eta else J.dep, L]
+                if c and not (eta and J.dep != var):
+                    f, fd = table[dep0 if eta else J.dep, L]
+                    if f:
+                        summands.append((c, f, fd * hd, h))
+            out, den = {}, lcm(*(d for _, _, d, _ in summands))
+            for c, f, d, h in summands:
+                c *= den // d
                 f = f if c == 1 else {m: q * c for m, q in f.items()}
                 if h is None:  # the lead comes first, and dH/d(lead) = 1
                     out.update(f)
-                elif f:
-                    _mul_into(out, f, h._terms)
-            pieces.append(Expr(out))
+                else:
+                    _mul_into(out, f, h)
+            pieces.append((out, den))
         return pieces
 
-    def column(self, key: tuple[str, str], e: Expr) -> list[Expr]:
-        """Residuals of the one-slot field e d_var of slot key = (kind, var):
-        the sum over the terms q*p*g of e of sum_K q d_K p * R_{g d_var, K}."""
+    def column(self, key: tuple[str, str], e: Expr) -> list[tuple]:
+        """Cleared residuals of the one-slot field e d_var of slot key = (kind,
+        var): the sum over the terms q*p*g of e of sum_K q d_K p * R_{g d_var, K}."""
         (kind, var), syms = key, self.syms
-        outs: list[dict] = [{} for _ in self.parts]
+        summands = []
         for m, q in e._terms.items():
             p = tuple(f for f in m if f[0] in syms)
             g = tuple(f for f in m if f not in p)
             if q == 1 and not p and len(e._terms) == 1:  # R_{Y,()} as it is, no copy
                 return self.piece(kind, var, g, self.zero)
             for ks in product(*(range(k + 1) for _, k in p)):  # d_K p = c * mono
-                c = q * prod(perm(k, j) for (_, k), j in zip(p, ks))
+                c = q.numerator * prod(perm(k, j) for (_, k), j in zip(p, ks))
                 mono = tuple((a, k - j) for (a, k), j in zip(p, ks) if k != j)
                 K = tuple(dict(zip((a for a, _ in p), ks)).get(s, 0) for s in syms)
-                for out, r in zip(outs, self.piece(kind, var, g, K)):
-                    for m2, q2 in r._terms.items():
-                        _put(out, _merge(m2, mono), q2 * c)
-        return [Expr(out) for out in outs]
+                summands.append((c, mono, q.denominator, self.piece(kind, var, g, K)))
+        outs = []
+        for i in range(len(self.parts)):
+            out, den = {}, lcm(*(qd * r[i][1] for _, _, qd, r in summands))
+            for c, mono, qd, r in summands:
+                c *= den // (qd * r[i][1])
+                for m2, q2 in r[i][0].items():
+                    _put(out, _merge(m2, mono), q2 * c)
+            outs.append((out, den))
+        return outs
 
 
 def symmetry_residual(system, X: VectorField) -> list[Expr]:
@@ -350,12 +364,9 @@ def verify_generator(system, X: VectorField) -> VerificationReport:
     """Residual check with unknown-function derivatives reduced modulo their
     constraint equations."""
     res = symmetry_residual(system, X)
-    zero = all(r.is_zero() for r in res)
-    notes = []
-    if not zero:
-        nz = [i for i, r in enumerate(res) if not r.is_zero()]
-        notes.append(f"nonzero residual in equation(s) {nz}")
-    return VerificationReport(field=X, residuals=res, zero=zero, notes=notes)
+    nz = [i for i, r in enumerate(res) if not r.is_zero()]
+    return VerificationReport(field=X, residuals=res, zero=not nz, notes=[
+        f"nonzero residual in equation(s) {nz}"] if nz else [])
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +454,7 @@ class DeterminingSystem:
         return len(self.columns)
 
     def rank(self) -> int:
-        from .linalg import rank as _rank
-        return _rank(self.rows)
+        return rank(self.rows)
 
     def nullity(self) -> int:
         return self.n_unknowns - self.rank()
@@ -456,8 +466,10 @@ def determining_system(system, basis: AnsatzBasis) -> DeterminingSystem:
     R_{Y,K} on solutions (D_j H = 0), from pieces of the base field Y, with
     R_{Y,()} = pr Y(H).  Map and pieces die with the call."""
     cols, residual = basis.columns(), _ResidualMap(system)
-    rowmap = transpose(coefficient_vector(enumerate(residual.column(key, e)))
-                       for key, _, e in cols)
+    # an int where the denominator divides the integer term, else a Fraction
+    rowmap = transpose({(i, _mono_key(m)): q // d if not q % d else Fraction(q, d)
+                        for i, (terms, d) in enumerate(residual.column(key, e))
+                        for m, q in terms.items()} for key, _, e in cols)
     prov = sorted(rowmap)
     return DeterminingSystem(system_label=getattr(system, "label", ""),
                              basis=basis, columns=cols, provenance=prov,

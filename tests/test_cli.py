@@ -312,9 +312,9 @@ def test_symmetries_find_rejects_bad_dictionary(capsys, flags, message):
     (["integrate", "--system", "3.3", "--c", "1", "--from", "tan", "--h", "1e-9"],
      "RK4 step count 2e+09 exceeds the budget of 200000"),
     (["integrate", "--system", "3.3", "--c", "1", "--from", "tan", "--h", "nan"],
-     "RK4 step count nan"),
+     "argument --h: must be finite, got 'nan'"),
     (["integrate", "--system", "3.3", "--c", "1", "--from", "tan",
-      "--range", "0:inf"], "RK4 step count inf"),
+      "--range", "0:inf"], "argument --range: must be finite, got 'inf'"),
     (["fig1", "--n", "10000000"], "fig1 sample count 10000000 outside 2..100000"),
     (["fig1", "--n", "1"], "fig1 sample count 1 outside"),
     (["fig1", "--n", "0"], "fig1 sample count 0 outside"),
@@ -332,6 +332,42 @@ def test_numeric_inputs_checked_before_work(capsys, argv, message):
     captured = capsys.readouterr()
     assert got == 1 and captured.out == ""
     assert captured.err.startswith("lieforge: error: ") and message in captured.err
+
+
+INTEGRATE = ["integrate", "--system", "3.3", "--c", "1", "--from", "tan"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (INTEGRATE + ["--h", "inf"], "argument --h: must be finite, got 'inf'"),
+    (INTEGRATE + ["--h=-inf"], "argument --h: must be finite, got '-inf'"),
+    (INTEGRATE + ["--s0", "nan"], "argument --s0: must be finite, got 'nan'"),
+    (INTEGRATE + ["--s0", "x"], "argument --s0: invalid _finite value: 'x'"),
+    (INTEGRATE + ["--range", "0:nan"], "argument --range: must be finite, got 'nan'"),
+    (INTEGRATE + ["--range", "0"], "argument --range: must be LO:HI, got '0'"),
+    (INTEGRATE + ["--range", "0:1:2"], "argument --range: must be LO:HI, got '0:1:2'"),
+    (INTEGRATE + ["--range", "a:b"], "argument --range: must be LO:HI, got 'a:b'"),
+    (["audit", "--k", "0"], "argument --k: invalid choice: 0 (choose from 1, 2, 3, 4)"),
+    (["audit", "--k", "5"], "argument --k: invalid choice: 5"),
+    (["audit", "--k", "8"], "argument --k: invalid choice: 8"),
+    (["fig1", "--F1", "nan"], "--F1 takes comma-separated rationals, got 'nan'"),
+    (["fig1", "--F1", ","], "--F1 takes comma-separated rationals, got ','"),
+    (["fig1", "--F1", "1,1/0"], "--F1 takes comma-separated rationals, got '1,1/0'"),
+], ids=["rk4-h-inf", "rk4-h-minus-inf", "rk4-s0-nan", "rk4-s0-word", "rk4-range-nan",
+        "rk4-range-one-end", "rk4-range-three-ends", "rk4-range-words", "audit-k-0",
+        "audit-k-5", "audit-k-8", "fig1-F1-nan", "fig1-F1-comma", "fig1-F1-1/0"])
+def test_bad_values_name_their_flag(capsys, argv, message):
+    """Non-finite or malformed values exit 1 before any work, with a
+    message naming the flag: no exit 0 on a one-point run, no invalid JSON
+    `Infinity`, no raw unpacking error or internal member index."""
+    got = main(argv)
+    captured = capsys.readouterr()
+    assert got == 1 and captured.out == ""
+    assert captured.err.startswith("lieforge: error: ") and message in captured.err
+
+
+def test_range_keeps_negative_ends(capsys):
+    code, out = run(capsys, *INTEGRATE, "--range=-1:1", "--h", "0.5")
+    assert code == 0 and json.loads(out)["points"] == 5
 
 
 def test_subcommand_usage_errors_name_lieforge(capsys):

@@ -34,7 +34,8 @@ def test_member4_readme_dictionary_prolongs_each_factor_once(monkeypatch):
 
 def test_columns_with_p_one_are_their_pieces():
     """A column with p = 1 is the list R_{Y,()} the map holds; a column with
-    p != 1 is a new list."""
+    p != 1 is a new list.  Either is one (integer terms, denominator) pair
+    per equation."""
     for S in (catalogue_member(3), reduced_system(2)):
         rmap = _ResidualMap(S)
         indeps = {sym(i) for i in S.jet.independents}
@@ -42,3 +43,7 @@ def test_columns_with_p_one_are_their_pieces():
             res = rmap.column(key, e)
             held = any(res is r for r in rmap.pieces.values())
             assert held == indeps.isdisjoint(atoms_of(e)), (S.label, key, e)
+            assert len(res) == len(rmap.parts)
+            for terms, den in res:
+                assert den.__class__ is int and den > 0
+                assert all(q.__class__ is int and q for q in terms.values())

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 from lieforge import linalg
-from lieforge.linalg import nullspace, rank, rref, solve_exact
+from lieforge.linalg import cleared, nullspace, rank, rref, solve_exact
 
 F = Fraction
 
@@ -85,6 +85,16 @@ def test_solve_exact_inconsistent():
     cols = [{0: F(1)}]
     target = {1: F(1)}
     assert solve_exact(cols, [target]) == [None]
+
+
+def test_cleared_takes_the_lcm_of_denominators():
+    """Denominators 4 and 6 clear over 12, not over the larger one; keys keep
+    their order, zeros are dropped, and integers need no denominator."""
+    terms, den = cleared({"b": F(3, 4), "a": F(0), "c": 2, "d": F(-5, 6)})
+    assert (list(terms.items()), den) == ([("b", 9), ("c", 24), ("d", -10)], 12)
+    assert all(type(v) is int for v in terms.values())
+    assert cleared({"x": 3, "y": F(-4, 2)}) == ({"x": 3, "y": -2}, 1)
+    assert cleared({}) == ({}, 1)
 
 
 def test_duplicate_rows_deduped():

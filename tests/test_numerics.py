@@ -92,6 +92,16 @@ class TestRK4:
         with pytest.raises(ValueError):
             integrate_rk4(lambda s, st: {"y": 0.0}, {"y": 1.0}, (0.0, 1.0), -0.1)
 
+    @pytest.mark.parametrize("h, s_range", [
+        (math.inf, (0.0, 1.0)), (math.nan, (0.0, 1.0)),
+        (0.1, (0.0, math.inf)), (0.1, (math.nan, 1.0)), (0.1, (-math.inf, 0.0)),
+    ], ids=["h-inf", "h-nan", "range-inf", "range-nan", "range-minus-inf"])
+    def test_non_finite_step_or_range(self, h, s_range):
+        # h = inf once gave a one-point trajectory, nan and inf step counts
+        # a budget message
+        with pytest.raises(ValueError, match="must be finite"):
+            integrate_rk4(lambda s, st: {"y": 0.0}, {"y": 1.0}, s_range, h)
+
     def test_guard_truncates(self):
         traj = integrate_rk4(lambda s, st: {"y": st["y"] ** 2}, {"y": 1.0},
                              (0.0, 2.0), 1e-3, guard=1e6)

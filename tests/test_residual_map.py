@@ -4,11 +4,14 @@ The reference below is the formula the map replaces, built from public
 pieces only: prolong the whole generator, subtract the products of the
 prolonged coefficients with the partials of each rhs, then reduce the sum on
 solutions.  The map builds the system half once and assembles each residual
-from factors reduced beforehand.  Each term q*p*g of a dictionary entry is
-merged from the Leibniz pieces R_{Y,K} of its base field Y = g d_var, with
-one table of D_L(Q_Y) per base field (an eta table shared between the
-dependents).  Every residual the map gives must equal the reference as an
-expression, column by column, for every system kind it serves.
+from factors reduced beforehand, on integer terms over one denominator per
+equation.  Each term q*p*g of a dictionary entry is merged from the Leibniz
+pieces R_{Y,K} of its base field Y = g d_var, with one table of D_L(Q_Y) per
+base field (an eta table shared between the dependents).  Every residual the map gives must equal the reference as an
+expression, column by column, for every system kind it serves, and every row
+of a determining system must equal the reference row in value and in type
+(`int` or `Fraction`), also on time-scaled and reduced systems whose
+coefficients are fractions.
 """
 
 import functools
@@ -102,6 +105,17 @@ def _reference_columns(name, size):
                    for key, _, e in basis.columns()]
 
 
+def _exprs(column):
+    """The residuals of a column of the map, given as (integer terms,
+    positive denominator) per equation."""
+    out = []
+    for terms, den in column:
+        assert den.__class__ is int and den > 0, den
+        assert all(q.__class__ is int for q in terms.values()), terms
+        out.append(Expr({m: Fraction(q, den) for m, q in terms.items()}))
+    return out
+
+
 def _reference_rows(residuals):
     rowmap = transpose(coefficient_vector(enumerate(r)) for r in residuals)
     return sorted(rowmap), rowmap
@@ -128,7 +142,7 @@ def test_map_matches_reference_on_every_column(name):
         kinds = {key[0] for key, _, _ in columns}
         assert kinds == {"xi", "eta"}
         for (key, _, e), ref in zip(columns, refs):
-            assert rmap.column(key, e) == ref, (name, size, key, e)
+            assert _exprs(rmap.column(key, e)) == ref, (name, size, key, e)
     basis, refs = _reference_columns(name, DEGREES[1])
     for (key, _, e), ref in zip(basis.columns(), refs):
         assert rmap(_unit_field(basis.jet, key, e)) == ref, (name, key, e)
@@ -145,6 +159,64 @@ def test_determining_rows_match_reference(name):
     prov, rowmap = _reference_rows(refs)
     assert det.provenance == prov
     assert det.rows == [rowmap[k] for k in prov]
+
+
+def _xi_dependent_basis(S):
+    """Entries with rational coefficients, and xi entries holding dependents,
+    whose tables meet a lead derivative twice on a reduced system."""
+    parse = S.jet.parse
+    return AnsatzBasis(S.jet, {
+        ("xi", "s"): [parse("1"), parse("f/7"), parse("s*g/2 - f^2"),
+                      parse("s^2*sin(f)")],
+        ("eta", "f"): [parse("s*g"), parse("exp(-g)/5"), parse("s^2*cos(f)")],
+        ("eta", "g"): [parse("-f^2/3"), parse("s*sin(g) + 4/9")]})
+
+
+def _mixed(S):
+    """S with its rhs scaled by 3/4 and 2/9 u_x added to each."""
+    return PDESystem(jet=S.jet, label=f"{S.label}, 3/4 K + 2/9 u_x", rhs={
+        dep: Expr.rational(Fraction(3, 4)) * e + S.jet.parse(f"2/9*{dep}_x")
+        for dep, e in S.rhs.items()})
+
+
+# systems whose rows hold fractions: time-scaled members (u_t = lambda K[u]),
+# a reduced system at a rational speed and a member with two denominators;
+# (system, dictionary size or None for the dictionary above)
+SCALED = {
+    "member 4 scaled by -7/5": (lambda: _scaled(catalogue_member(4), Fraction(-7, 5)),
+                                (2, 2, 1)),
+    "member 5 scaled by 11/6": (lambda: _scaled(_member5(), Fraction(11, 6)), (1, 1, 0)),
+    "reduced 2 at c = 5/3": (lambda: reduced_system(2, Fraction(5, 3)), None),
+    # fourths and ninths: a piece sums parts over 4, 9, 12, ... whose lcm
+    # exceeds the largest of them
+    "member 2, 3/4 K + 2/9 u_x": (lambda: _mixed(catalogue_member(2)), (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED))
+def test_scaled_rows_match_reference_in_value_and_type(name):
+    make, size = SCALED[name]
+    S = make()
+    basis = ansatz_dictionary(S.jet, *size) if size else _xi_dependent_basis(S)
+    refs = [reference_residual(S, _unit_field(basis.jet, key, e))
+            for key, _, e in basis.columns()]
+    det = determining_system(S, basis)
+    prov, rowmap = _reference_rows(refs)
+    assert det.provenance == prov
+    for k, row in zip(prov, det.rows):
+        ref = rowmap[k]
+        assert list(row) == list(ref), k
+        assert [(q, q.__class__) for q in row.values()] == \
+            [(q, q.__class__) for q in ref.values()], k
+    assert any(q.__class__ is Fraction for row in det.rows for q in row.values())
+    if name.startswith("reduced"):
+        # the rhs holds thirds; a table entry that meets the lead twice holds
+        # ninths, and the dictionary's own denominators multiply the columns
+        rmap = _ResidualMap(S)
+        assert {d for ps in rmap.partials for _, _, d in ps} == {1, 3}
+        dens = {d for key, _, e in basis.columns() for _, d in rmap.column(key, e)}
+        assert max(d for t in rmap.tables.values() for _, d in t.values()) == 9
+        assert max(dens) > 9, dens
 
 
 def _unsplit_basis(S):
@@ -174,7 +246,7 @@ def test_unsplit_entries_take_the_entry_residual(name, monkeypatch):
     rmap = _ResidualMap(S)
     for (key, _, e), ref in zip(basis.columns(), refs):
         used.clear()
-        assert rmap.column(key, e) == ref, (name, key, e)
+        assert _exprs(rmap.column(key, e)) == ref, (name, key, e)
         assert {g for _, _, g, _ in used} == {
             tuple(f for f in m if f[0] not in rmap.syms) for m in e._terms}, \
             (name, key, e)
