@@ -268,6 +268,13 @@ def _finite(text: str) -> float:
     return x
 
 
+def _step(text: str) -> float:
+    """The positive finite float of --h."""
+    if not (x := _finite(text)) > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return x
+
+
 def _span(text: str) -> tuple[float, float]:
     """The LO:HI of --range."""
     try:
@@ -398,7 +405,7 @@ def build_parser() -> _Parser:
     it.add_argument("--c", required=True)
     it.add_argument("--from", dest="init_from", required=True, choices=("tan",))
     it.add_argument("--s0", type=_finite, default=0.0)
-    it.add_argument("--h", type=_finite, default=1e-3)
+    it.add_argument("--h", type=_step, default=1e-3)
     it.add_argument("--range", type=_span, default="0:2", help="LO:HI")
     it.add_argument("--csv", default=None)
     it.set_defaults(fn=cmd_integrate)

@@ -32,11 +32,12 @@ the terms, fixed by its values on symbols, jets and functions, with one chain
 rule through trig/exp/reciprocal arguments.  Substitution rebuilds only the
 terms holding a changed atom and keeps the term order of a factor-wise product.
 
-Numeric evaluation compiles expressions once into a `NumericPlan` over a
-positional list of input atoms: one slot per derived atom (I, sin/cos/tan, exp,
-reciprocal), shared by all outputs and nested arguments and filled in dependency
-order, and coefficients converted to complex once.  Sums keep term and factor
-order, so a value does not depend on which plan computed it.
+Numeric evaluation compiles expressions once into a `NumericPlan`: one
+generated straight-line function (as SymPy's lambdify; Meurer et al. 2017)
+with one local per derived atom (I, sin/cos/tan, exp, reciprocal), shared by
+all outputs and nested arguments.  Its source holds generated names and
+integers only, so no atom name or user text can break or inject code.  Sums
+keep term and factor order: a value does not depend on which plan computed it.
 """
 
 from __future__ import annotations
@@ -827,57 +828,68 @@ def _recip(d: complex) -> complex:
     return 1.0 / d
 
 
-def _eval_sum(terms: list, v: list[complex]) -> complex:
-    total = 0j
-    for q, factors in terms:
-        val = q
-        for i, k in factors:
-            val *= v[i] ** k
-        total += val
-    return total
+# Sums longer than this are split into statements: the compiler recurses once
+# per operator, so one expression of thousands of terms overflows its stack.
+_CHUNK = 100
+# the function a derived atom applies to its argument, by trig name or class
+_FNS = {"sin": "_sin", "cos": "_cos", "tan": "_tan", ExpAtom: "_exp", Recip: "_recip",
+        IUnit: ""}
 
 
 class NumericPlan:
     """`NumericPlan(exprs, inputs)(values)`: one complex per expression, with
-    `values` in the order of `inputs`.  Compiling raises UnboundAtomError,
-    calling raises PoleError."""
+    `values` in the order of `inputs`.  Building raises UnboundAtomError,
+    calling raises PoleError.  The generated function unpacks the inputs as
+    complex; every sum starts at 0j and adds its terms left to right, a term
+    its constant times each factor v ** k in monomial order, ``** 1`` kept.
+    Constants are `complex(q)` objects bound in the function's globals, not
+    re-parsed float literals, so the floating operations are those of a
+    term-by-term interpreter, in the same order."""
 
     def __init__(self, exprs: Iterable[Expr], inputs: Iterable[Atom]):
         inputs = list(inputs)
-        self._slot = {a: i for i, a in enumerate(inputs)}
-        self._n_inputs = len(inputs)
-        self._steps: list[tuple[Callable, list]] = []
-        self._outputs = [self._compile(e) for e in exprs]
+        self._slot = {a: f"x{i}" for i, a in enumerate(inputs)}
+        self._consts: dict[Coeff, str] = {}
+        self._lines = [f"[{''.join(f'x{i}, ' for i in range(len(inputs)))}] "
+                       "= map(complex, values)"]
+        outputs = [self._terms(e) for e in exprs]  # emits every derived atom
+        for j, terms in enumerate(outputs):
+            self._emit(f"o{j}", terms)
+        self._lines.append(f"return [{''.join(f'o{j}, ' for j in range(len(outputs)))}]")
+        source = "def plan(values):\n    " + "\n    ".join(self._lines)
+        names = {"_I": 1j, "_sin": cmath.sin, "_cos": cmath.cos, "_tan": _tan,
+                 "_exp": cmath.exp, "_recip": _recip}
+        names.update((name, complex(q)) for q, name in self._consts.items())
+        exec(compile(source, "<NumericPlan>", "exec"), names)
+        self._fn = names["plan"]
 
-    def _compile(self, e: Expr) -> list:
-        return [(complex(q), [(self._resolve(a), k) for a, k in m])
+    def _terms(self, e: Expr) -> list[str]:
+        return ["*".join([self._consts.setdefault(q, f"c{len(self._consts)}"),
+                          *(f"{self._resolve(a)}**{k}" for a, k in m)])
                 for m, q in e._terms.items()]
 
-    def _resolve(self, atom: Atom) -> int:
+    def _emit(self, name: str, terms: list[str], fn: str = "") -> None:
+        """`name = fn(0j + terms...)`, in statements of at most _CHUNK terms."""
+        parts = ["0j", *terms]
+        while len(parts) > _CHUNK:
+            self._lines.append(f"{name} = {' + '.join(parts[:_CHUNK])}")
+            parts = [name, *parts[_CHUNK:]]
+        self._lines.append(f"{name} = {fn}({' + '.join(parts)})")
+
+    def _resolve(self, atom: Atom) -> str:
         got = self._slot.get(atom)
         if got is not None:
             return got
-        if isinstance(atom, IUnit):
-            # the one-term sum 1j, passed through unchanged
-            step = (complex, [(1j, [])])
-        elif isinstance(atom, Trig):
-            fn = {"sin": cmath.sin, "cos": cmath.cos, "tan": _tan}[atom.fn]
-            step = (fn, self._compile(atom.arg))
-        elif isinstance(atom, ExpAtom):
-            step = (cmath.exp, self._compile(atom.arg))
-        elif isinstance(atom, Recip):
-            step = (_recip, self._compile(atom.arg))
-        else:
+        fn = _FNS.get(atom.fn if isinstance(atom, Trig) else type(atom))
+        if fn is None:
             raise UnboundAtomError(f"unbound atom {atom!r}")
-        self._steps.append(step)
-        got = self._slot[atom] = self._n_inputs + len(self._steps) - 1
+        terms = ["_I"] if isinstance(atom, IUnit) else self._terms(atom.arg)
+        got = self._slot[atom] = f"d{len(self._slot)}"
+        self._emit(got, terms, fn)
         return got
 
     def __call__(self, values: Iterable) -> list[complex]:
-        v = [complex(x) for x in values]
-        for fn, terms in self._steps:
-            v.append(fn(_eval_sum(terms, v)))
-        return [_eval_sum(terms, v) for terms in self._outputs]
+        return self._fn(values)
 
 
 def eval_numeric(e: Expr, point: Mapping[Atom, complex]) -> complex:

@@ -77,10 +77,11 @@ def integrate_rk4(rhs, state0: dict[str, complex], s_range: tuple[float, float],
                   h: float, guard: float = 1e8) -> Trajectory:
     """Classical fourth-order Runge-Kutta on an explicit first-order system.
 
-    `rhs(s, state) -> dict` returns the derivative of every dependent.  When
-    the state magnitude exceeds `guard` (or becomes NaN) integration stops
-    and the trajectory ends at the previous step; nothing is integrated past
-    the blow-up point.  Raises ValueError above MAX_RK4_STEPS steps.
+    `rhs(s, state) -> sequence` takes the state as a list in sorted dependent
+    order and returns the derivatives in that order.  When the state magnitude
+    exceeds `guard` (or becomes NaN) integration stops and the trajectory ends
+    at the previous step; nothing is integrated past the blow-up point.
+    Raises ValueError above MAX_RK4_STEPS steps.
     """
     if not all(map(math.isfinite, (h, *s_range))):
         raise ValueError(f"RK4 step {h} and range ends {s_range} must be finite")
@@ -95,25 +96,21 @@ def integrate_rk4(rhs, state0: dict[str, complex], s_range: tuple[float, float],
                          f"{MAX_RK4_STEPS}")
     deps = sorted(state0)
     n_steps = int(round(steps))
+    h2, h6 = h / 2, h / 6
     grid = [s0]
-    values = {d: [complex(state0[d])] for d in deps}
-    state = {d: complex(state0[d]) for d in deps}
-
-    def add(st, dt, w):
-        return {d: st[d] + w * dt[d] for d in deps}
-
+    state = [complex(state0[d]) for d in deps]
+    rows = [state]
     for i in range(n_steps):
         s = s0 + i * h
         k1 = rhs(s, state)
-        k2 = rhs(s + h / 2, add(state, k1, h / 2))
-        k3 = rhs(s + h / 2, add(state, k2, h / 2))
-        k4 = rhs(s + h, add(state, k3, h))
-        state = {d: state[d] + (h / 6) * (k1[d] + 2 * k2[d] + 2 * k3[d] + k4[d])
-                 for d in deps}
-        if any(abs(state[d]) > guard or state[d] != state[d] for d in deps):
+        k2 = rhs(s + h2, [x + h2 * k for x, k in zip(state, k1)])
+        k3 = rhs(s + h2, [x + h2 * k for x, k in zip(state, k2)])
+        k4 = rhs(s + h, [x + h * k for x, k in zip(state, k3)])
+        state = [x + h6 * (a + 2 * b + 2 * c + d)
+                 for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
+        if any(abs(x) > guard or x != x for x in state):
             # continuation past a pole is the caller's concern
             break
         grid.append(s + h)
-        for d in deps:
-            values[d].append(state[d])
-    return Trajectory(grid=grid, values=values, step=h)
+        rows.append(state)
+    return Trajectory(grid, dict(zip(deps, map(list, zip(*rows)))), h)

@@ -557,16 +557,17 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
         bind_syms[root("c")] = complex(params["c"]) ** 0.5
 
     svar = S.svar
-    point = {**bind_syms, sym(svar): 0.0}
     sym_vals = _candidate_jet_values(S, cand)
     need_order = _need_order(S)
     fd_jets = [(jet(dep, (svar,) * k), fn, k) for dep, fn in cand.callables.items()
                for k in range(need_order.get(dep, 0) + 1)]
     n_poles = len(cand.pole_denoms)
-    profile = NumericPlan([*cand.pole_denoms, *sym_vals.values()], point)
-    residuals = NumericPlan(
-        [lead.as_expr() - rhs for lead, rhs in S.equations()],
-        [*point, *dict.fromkeys([*sym_vals, *(J for J, _, _ in fd_jets)])])
+    # a repeated input takes its last position: sampled jets override symbolic ones
+    inputs = [*bind_syms, sym(svar)]
+    bind_vals = list(bind_syms.values())
+    profile = NumericPlan([*cand.pole_denoms, *sym_vals.values()], inputs)
+    residuals = NumericPlan([lead.as_expr() - rhs for lead, rhs in S.equations()],
+                            [*inputs, *sym_vals, *(J for J, _, _ in fd_jets)])
 
     lo, hi = s_range
     worst = 0.0
@@ -579,16 +580,15 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
         else:
             sval = lo + (hi - lo) * ((idx * 0.6180339887498949) % 1.0)
         idx += 1
-        point[sym(svar)] = sval
+        head = [*bind_vals, sval]
         try:
-            vals = profile(point.values())
+            vals = profile(head)
             if any(abs(d) < 0.05 for d in vals[:n_poles]):
                 continue
-            jet_vals = dict(zip(sym_vals, vals[n_poles:]))
-            for J, fn, k in fd_jets:
-                jet_vals[J] = _fd_derivative(fn, sval, k, 3e-3)
+            head += vals[n_poles:]
+            head += [_fd_derivative(fn, sval, k, 3e-3) for _, fn, k in fd_jets]
             res = 0.0
-            for r in residuals([*point.values(), *jet_vals.values()]):
+            for r in residuals(head):
                 res = max(res, abs(r))
             worst = max(worst, res)
             good += 1
@@ -648,13 +648,14 @@ def rk4_from_system(S: ODESystem, params: dict, state0: dict, s_range, h,
         raise DomainError("integrate the first-order form")
     svar = S.svar
     bind = {sym(k): complex(v) for k, v in params.items()}
-    eqs = {dep: rhs for dep, (m, rhs) in S.leads.items()}
     # integrate_rk4 keeps every state in sorted dependent order
-    plan = NumericPlan(eqs.values(), [*bind, sym(svar), *map(jet, sorted(state0))])
+    deps = sorted(state0)
+    plan = NumericPlan([S.leads[dep][1] for dep in deps],
+                       [*bind, sym(svar), *map(jet, deps)])
     bind_vals = list(bind.values())
 
     def rhs_fn(s, state):
-        return dict(zip(eqs, plan([*bind_vals, s, *state.values()])))
+        return plan([*bind_vals, s, *state])
 
     return integrate_rk4(rhs_fn, state0, s_range, h, guard=guard)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from math import comb, lcm, perm, prod
 
@@ -233,15 +234,22 @@ class _ResidualMap:
                        [(a, self.reduce(-derive(rhs, a)))
                         for a in atoms_of(rhs) if isinstance(a, Jet)])
                       for lead, rhs in equations]
-        # per equation (J, dH/du_J cleared), the lead first
-        self.partials = [[(lead, None, 1)] + [(a, *cleared(h._terms)) for a, h in djet]
-                         for lead, _, djet in self.parts]
         self.syms = [sym(i) for i in self.independents]
         self.zero = (0,) * len(self.syms)  # K = () as counts per independent
-        # D_L(Q_Y); (C(J,K), J-K); R_{Y,K}, seeded with R_{d_j,()} = dH/dx_j
-        self.tables, self.splits, self.pieces = {}, {}, {
-            ("xi", i, (), self.zero): [cleared(dxi[k]._terms) for _, dxi, _ in self.parts]
-            for k, i in enumerate(self.independents)}
+        self.tables, self.splits = {}, {}  # D_L(Q_Y); (C(J,K), J-K)
+
+    @cached_property
+    def partials(self) -> list[list[tuple]]:
+        """Per equation (J, dH/du_J cleared), the lead first; built on the
+        first `piece`, as a map that is only called never reads it."""
+        return [[(lead, None, 1)] + [(a, *cleared(h._terms)) for a, h in djet]
+                for lead, _, djet in self.parts]
+
+    @cached_property
+    def pieces(self) -> dict[tuple, list[tuple]]:
+        """R_{Y,K} by (kind, var, g, K), seeded with R_{d_j,()} = dH/dx_j."""
+        return {("xi", i, (), self.zero): [cleared(dxi[k]._terms) for _, dxi, _ in self.parts]
+                for k, i in enumerate(self.independents)}
 
     def __call__(self, X: VectorField) -> list[Expr]:
         coeffs = {J: self.reduce(v)

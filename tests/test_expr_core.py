@@ -1,5 +1,6 @@
 """Kernel operations: canonical forms, calculus, substitution, zero tests."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -291,7 +292,71 @@ class TestNumericPlan:
         plan = NumericPlan([F, G], [sym("c"), sym("F0"), sym("F1"), sym("s")])
         derived = {a for a in atoms_of(F) | atoms_of(G)
                    if isinstance(a, (IUnit, Trig, ExpAtom, Recip))}
-        assert len(plan._steps) == len(derived)
+        assert len(plan._slot) - 4 == len(derived)
+
+    @staticmethod
+    def _reference(exprs, inputs, values):
+        """Interpreted evaluation: every sum from 0j, terms left to right,
+        each term its complex(q) times v ** k per factor in monomial order."""
+        from lieforge.expr_core import ExpAtom, IUnit, Trig, _recip, _tan
+        env = dict(zip(inputs, map(complex, values)))
+        fns = {"sin": cmath.sin, "cos": cmath.cos, "tan": _tan}
+
+        def atom(a):
+            if a not in env:
+                env[a] = (complex(0j + 1j) if isinstance(a, IUnit) else
+                          fns[a.fn](total(a.arg)) if isinstance(a, Trig) else
+                          cmath.exp(total(a.arg)) if isinstance(a, ExpAtom) else
+                          _recip(total(a.arg)))
+            return env[a]
+
+        def total(e):
+            out = 0j
+            for m, q in e._terms.items():
+                val = complex(q)
+                for a, k in m:
+                    val *= atom(a) ** k
+                out += val
+            return out
+        return [total(e) for e in exprs]
+
+    def test_outputs_match_interpreted_reference_bit_for_bit(self):
+        from lieforge.expr_core import ExpAtom, IUnit, NumericPlan, Recip, Trig
+        exprs, pts = self._cases(n=90, points=4)
+        x = sym("x").as_expr()
+        exprs += [recip_e(e + x) * f + recip_e(f - x)
+                  for e, f in zip(exprs[:30], exprs[30:60])]
+        kinds = {type(a) for e in exprs for a in atoms_of(e)}
+        assert {IUnit, Trig, ExpAtom, Recip} <= kinds
+        checked = 0
+        for i in range(0, len(exprs), 3):  # several outputs per plan
+            group = exprs[i:i + 3]
+            plan = NumericPlan(group, self.INPUTS)
+            for vals in pts:
+                try:
+                    want = self._reference(group, self.INPUTS, vals)
+                except (PoleError, OverflowError, ZeroDivisionError):
+                    with pytest.raises((PoleError, OverflowError, ZeroDivisionError)):
+                        plan(vals)
+                    continue
+                # repr tells signed zeros apart
+                assert list(map(repr, plan(vals))) == list(map(repr, want))
+                checked += 1
+        assert checked > 100
+
+    def test_long_sum_compiles(self):
+        from lieforge.expr_core import NumericPlan
+        t = sym("t")
+        e = Expr({((t, k),): Fraction(1, k + 1) for k in range(1, 5001)})
+        assert len(e._terms) == 5000
+        plan = NumericPlan([e], [t])
+        assert repr(plan([0.5])[0]) == repr(self._reference([e], [t], [0.5])[0])
+
+    def test_input_name_is_not_an_identifier(self):
+        from lieforge.expr_core import NumericPlan
+        a = sym("a b'")
+        plan = NumericPlan([sin_e(a.as_expr()) + a.as_expr() ** 2], [a])
+        assert plan([0.5]) == [cmath.sin(0.5) + 0.25]
 
     def test_tan_pole_in_nested_argument(self):
         from lieforge.expr_core import NumericPlan
@@ -299,6 +364,15 @@ class TestNumericPlan:
         plan = NumericPlan([recip_e(exp_e(s) + tan_e(s))], [sym("s")])
         with pytest.raises(PoleError, match="tan pole"):
             plan([math.pi / 2])
+
+    def test_recip_pole_in_nested_argument(self):
+        from lieforge.expr_core import NumericPlan
+        s = sym("s").as_expr()
+        plan = NumericPlan([recip_e(s + recip_e(s - Expr.rational(Fraction(1, 2))) ** 2)],
+                           [sym("s")])
+        with pytest.raises(PoleError) as err:
+            plan([0.5])
+        assert str(err.value) == "reciprocal pole"
 
     def test_unbound_atom_at_compile_time(self):
         from lieforge.expr_core import NumericPlan, UnboundAtomError

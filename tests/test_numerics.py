@@ -76,13 +76,13 @@ class TestJacobiSn:
 
 class TestRK4:
     def test_exponential(self):
-        traj = integrate_rk4(lambda s, st: {"y": st["y"]}, {"y": 1.0},
+        traj = integrate_rk4(lambda s, st: [st[0]], {"y": 1.0},
                              (0.0, 1.0), 1e-3)
         assert abs(traj.values["y"][-1] - math.e) < 1e-12
 
     def test_order_four(self):
         def run(h):
-            traj = integrate_rk4(lambda s, st: {"y": st["y"]}, {"y": 1.0},
+            traj = integrate_rk4(lambda s, st: [st[0]], {"y": 1.0},
                                  (0.0, 1.0), h)
             return abs(traj.values["y"][-1] - math.e)
         ratio = run(0.1) / run(0.05)
@@ -90,7 +90,7 @@ class TestRK4:
 
     def test_bad_step(self):
         with pytest.raises(ValueError):
-            integrate_rk4(lambda s, st: {"y": 0.0}, {"y": 1.0}, (0.0, 1.0), -0.1)
+            integrate_rk4(lambda s, st: [0.0], {"y": 1.0}, (0.0, 1.0), -0.1)
 
     @pytest.mark.parametrize("h, s_range", [
         (math.inf, (0.0, 1.0)), (math.nan, (0.0, 1.0)),
@@ -100,10 +100,10 @@ class TestRK4:
         # h = inf once gave a one-point trajectory, nan and inf step counts
         # a budget message
         with pytest.raises(ValueError, match="must be finite"):
-            integrate_rk4(lambda s, st: {"y": 0.0}, {"y": 1.0}, s_range, h)
+            integrate_rk4(lambda s, st: [0.0], {"y": 1.0}, s_range, h)
 
     def test_guard_truncates(self):
-        traj = integrate_rk4(lambda s, st: {"y": st["y"] ** 2}, {"y": 1.0},
+        traj = integrate_rk4(lambda s, st: [st[0] ** 2], {"y": 1.0},
                              (0.0, 2.0), 1e-3, guard=1e6)
         assert traj.grid[-1] < 1.01  # pole of 1/(1-s) at s = 1
 
