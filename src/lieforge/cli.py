@@ -263,7 +263,11 @@ def cmd_verify_solution(args) -> int:
 
 def _finite(text: str) -> float:
     """The finite float of --s0, --h or an end of --range."""
-    if not math.isfinite(x := float(text)):
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
+    if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return x
 
@@ -278,10 +282,11 @@ def _step(text: str) -> float:
 def _span(text: str) -> tuple[float, float]:
     """The LO:HI of --range."""
     try:
-        lo, hi = map(_finite, text.split(":"))
+        lo, hi = text.split(":")
+        float(lo), float(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be LO:HI, got {text!r}") from None
-    return lo, hi
+    return _finite(lo), _finite(hi)
 
 
 def cmd_integrate(args) -> int:

@@ -46,6 +46,7 @@ import cmath
 import math
 import random
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Iterable, KeysView, Mapping
 
 __all__ = [
@@ -844,24 +845,17 @@ class NumericPlan:
     its constant times each factor v ** k in monomial order, ``** 1`` kept.
     Constants are `complex(q)` objects bound in the function's globals, not
     re-parsed float literals, so the floating operations are those of a
-    term-by-term interpreter, in the same order."""
+    term-by-term interpreter, in the same order.  It compiles on first call."""
 
     def __init__(self, exprs: Iterable[Expr], inputs: Iterable[Atom]):
         inputs = list(inputs)
         self._slot = {a: f"x{i}" for i, a in enumerate(inputs)}
         self._consts: dict[Coeff, str] = {}
-        self._lines = [f"[{''.join(f'x{i}, ' for i in range(len(inputs)))}] "
-                       "= map(complex, values)"]
+        self._lines: list[str] = []  # the body: derived atoms, then outputs o0, o1, ...
         outputs = [self._terms(e) for e in exprs]  # emits every derived atom
         for j, terms in enumerate(outputs):
             self._emit(f"o{j}", terms)
-        self._lines.append(f"return [{''.join(f'o{j}, ' for j in range(len(outputs)))}]")
-        source = "def plan(values):\n    " + "\n    ".join(self._lines)
-        names = {"_I": 1j, "_sin": cmath.sin, "_cos": cmath.cos, "_tan": _tan,
-                 "_exp": cmath.exp, "_recip": _recip}
-        names.update((name, complex(q)) for q, name in self._consts.items())
-        exec(compile(source, "<NumericPlan>", "exec"), names)
-        self._fn = names["plan"]
+        self._n_in, self._n_out = len(inputs), len(outputs)
 
     def _terms(self, e: Expr) -> list[str]:
         return ["*".join([self._consts.setdefault(q, f"c{len(self._consts)}"),
@@ -888,8 +882,51 @@ class NumericPlan:
         self._emit(got, terms, fn)
         return got
 
+    def _compile(self, name: str, args: str, lines: list[str]) -> Callable:
+        names = {"_I": 1j, "_sin": cmath.sin, "_cos": cmath.cos, "_tan": _tan,
+                 "_exp": cmath.exp, "_recip": _recip}
+        names.update((c, complex(q)) for q, c in self._consts.items())
+        source = f"def {name}({args}):\n    " + "\n    ".join(lines)
+        exec(compile(source, "<NumericPlan>", "exec"), names)
+        return names[name]
+
+    @cached_property
+    def _fn(self) -> Callable:
+        return self._compile("plan", "values", [
+            f"[{', '.join(f'x{i}' for i in range(self._n_in))}] = map(complex, values)",
+            *self._lines, f"return [{', '.join(f'o{j}' for j in range(self._n_out))}]"])
+
     def __call__(self, values: Iterable) -> list[complex]:
         return self._fn(values)
+
+    def rk4(self, n_bound: int) -> Callable:
+        """Classical RK4 with this plan as right-hand side, its inputs `n_bound`
+        bound values, s and the state: `run(bound, s0, state, h, n_steps, guard)
+        -> (grid, columns)` stops before a state component exceeds `guard` or is
+        NaN.  The body is inlined per stage, so the floating operations are those
+        of four plan calls per step, in the same order."""
+        n = self._n_out
+        if n_bound + 1 + n != self._n_in:
+            raise ValueError(f"RK4 inputs: {n_bound} bound, s and {n} states, not {self._n_in}")
+        states = range(n)
+        lines = [f"[{', '.join(f'x{i}' for i in range(n_bound))}] = map(complex, bound)",
+                 f"[{', '.join(f'y{j}' for j in states)}] = state", "h2, h6 = h / 2, h / 6",
+                 "grid = [s0]", *(f"col{j} = [y{j}]" for j in states),
+                 "for i in range(n_steps):", "    s = s0 + i * h"]
+        stages = [("s", "y{j}"), ("s + h2", "y{j} + h2 * k1_{j}"),
+                  ("s + h2", "y{j} + h2 * k2_{j}"), ("s + h", "y{j} + h * k3_{j}")]
+        for stage, (s_in, y_in) in enumerate(stages, 1):
+            lines.append(f"    x{n_bound} = complex({s_in})")
+            lines += (f"    x{n_bound + 1 + j} = {y_in.format(j=j)}" for j in states)
+            lines += ("    " + line for line in self._lines)
+            lines += (f"    k{stage}_{j} = o{j}" for j in states)
+        lines += (f"    y{j} = y{j} + h6 * (k1_{j} + 2 * k2_{j} + 2 * k3_{j} + k4_{j})"
+                  for j in states)
+        blown = " or ".join(f"abs(y{j}) > guard or y{j} != y{j}" for j in states)
+        lines += [f"    if {blown or 'False'}:", "        break", "    grid.append(s + h)",
+                  *(f"    col{j}.append(y{j})" for j in states),
+                  f"return grid, [{', '.join(f'col{j}' for j in states)}]"]
+        return self._compile("run", "bound, s0, state, h, n_steps, guard", lines)
 
 
 def eval_numeric(e: Expr, point: Mapping[Atom, complex]) -> complex:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 __all__ = ["jacobi_sn", "sn_function", "elliptic_K", "Trajectory", "integrate_rk4"]
 
@@ -40,12 +40,15 @@ def sn_function(k: float) -> Callable[[float], float]:
     n = len(aa) - 1
     scale = (2.0 ** n) * aa[n]
     ratios = [cc[i] / aa[i] for i in range(n, 0, -1)]
+    asin, sin = math.asin, math.sin
 
     def sn(u: float) -> float:
         phi = scale * u
         for r in ratios:
-            phi = 0.5 * (phi + math.asin(max(-1.0, min(1.0, r * math.sin(phi)))))
-        return math.sin(phi)
+            x = r * sin(phi)
+            # max(-1.0, min(1.0, x)) without the calls: NaN clamps to 1.0
+            phi = 0.5 * (phi + asin(x if -1.0 < x < 1.0 else -1.0 if x < 0.0 else 1.0))
+        return sin(phi)
 
     return sn
 
@@ -73,15 +76,16 @@ class Trajectory:
     step: float
 
 
-def integrate_rk4(rhs, state0: dict[str, complex], s_range: tuple[float, float],
-                  h: float, guard: float = 1e8) -> Trajectory:
+def integrate_rk4(plan, state0: dict[str, complex], s_range: tuple[float, float],
+                  h: float, guard: float = 1e8, bound: Sequence = ()) -> Trajectory:
     """Classical fourth-order Runge-Kutta on an explicit first-order system.
 
-    `rhs(s, state) -> sequence` takes the state as a list in sorted dependent
-    order and returns the derivatives in that order.  When the state magnitude
-    exceeds `guard` (or becomes NaN) integration stops and the trajectory ends
-    at the previous step; nothing is integrated past the blow-up point.
-    Raises ValueError above MAX_RK4_STEPS steps.
+    `plan` is a NumericPlan over the `bound` values, s and the state in sorted
+    dependent order, returning the derivatives in that order; `plan.rk4`
+    compiles the loop.  When the state magnitude exceeds `guard` (or becomes
+    NaN) integration stops and the trajectory ends at the previous step;
+    nothing is integrated past the blow-up point.  Raises ValueError above
+    MAX_RK4_STEPS steps.
     """
     if not all(map(math.isfinite, (h, *s_range))):
         raise ValueError(f"RK4 step {h} and range ends {s_range} must be finite")
@@ -95,22 +99,7 @@ def integrate_rk4(rhs, state0: dict[str, complex], s_range: tuple[float, float],
         raise ValueError(f"RK4 step count {steps:g} exceeds the budget of "
                          f"{MAX_RK4_STEPS}")
     deps = sorted(state0)
-    n_steps = int(round(steps))
-    h2, h6 = h / 2, h / 6
-    grid = [s0]
-    state = [complex(state0[d]) for d in deps]
-    rows = [state]
-    for i in range(n_steps):
-        s = s0 + i * h
-        k1 = rhs(s, state)
-        k2 = rhs(s + h2, [x + h2 * k for x, k in zip(state, k1)])
-        k3 = rhs(s + h2, [x + h2 * k for x, k in zip(state, k2)])
-        k4 = rhs(s + h, [x + h * k for x, k in zip(state, k3)])
-        state = [x + h6 * (a + 2 * b + 2 * c + d)
-                 for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
-        if any(abs(x) > guard or x != x for x in state):
-            # continuation past a pole is the caller's concern
-            break
-        grid.append(s + h)
-        rows.append(state)
-    return Trajectory(grid, dict(zip(deps, map(list, zip(*rows)))), h)
+    # continuation past a pole is the caller's concern
+    grid, columns = plan.rk4(len(bound))(bound, s0, [complex(state0[d]) for d in deps],
+                                         h, int(round(steps)), guard)
+    return Trajectory(grid, dict(zip(deps, columns)), h)

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
+from operator import mul
+from typing import Sequence
 
 from .expr_core import (
     DomainError, Expr, I, Jet, PoleError, Sym, _mono_key, atoms_of, collect_terms,
@@ -559,15 +561,15 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
     svar = S.svar
     sym_vals = _candidate_jet_values(S, cand)
     need_order = _need_order(S)
-    fd_jets = [(jet(dep, (svar,) * k), fn, k) for dep, fn in cand.callables.items()
-               for k in range(need_order.get(dep, 0) + 1)]
+    fd_deps = [(dep, fn, need_order.get(dep, 0)) for dep, fn in cand.callables.items()]
+    fd_jets = [jet(dep, (svar,) * k) for dep, _, m in fd_deps for k in range(m + 1)]
     n_poles = len(cand.pole_denoms)
     # a repeated input takes its last position: sampled jets override symbolic ones
     inputs = [*bind_syms, sym(svar)]
     bind_vals = list(bind_syms.values())
     profile = NumericPlan([*cand.pole_denoms, *sym_vals.values()], inputs)
     residuals = NumericPlan([lead.as_expr() - rhs for lead, rhs in S.equations()],
-                            [*inputs, *sym_vals, *(J for J, _, _ in fd_jets)])
+                            [*inputs, *sym_vals, *fd_jets])
 
     lo, hi = s_range
     worst = 0.0
@@ -586,7 +588,9 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
             if any(abs(d) < 0.05 for d in vals[:n_poles]):
                 continue
             head += vals[n_poles:]
-            head += [_fd_derivative(fn, sval, k, 3e-3) for _, fn, k in fd_jets]
+            for _, fn, m in fd_deps:
+                head += _fd_jet(fn(sval), [fn(sval + o * 3e-3) for o in _fd_offsets(m)],
+                                m, 3e-3)
             res = 0.0
             for r in residuals(head):
                 res = max(res, abs(r))
@@ -611,7 +615,7 @@ def fd_weights(offsets: list[int], order: int) -> list[Fraction]:
     return _fd_stencil(offsets, order)[0]
 
 
-def _fd_stencil(offsets: list[int], order: int) -> tuple[list[Fraction], list[float]]:
+def _fd_stencil(offsets: Sequence[int], order: int) -> tuple[list[Fraction], list[float]]:
     key = (tuple(offsets), order)
     got = _FD_CACHE.get(key)
     if got is not None:
@@ -629,12 +633,23 @@ def _fd_stencil(offsets: list[int], order: int) -> tuple[list[Fraction], list[fl
     return got
 
 
-def _fd_derivative(fn, s: float, order: int, h: float):
-    if order == 0:
-        return fn(s)
-    offsets = list(range(-(order // 2 + 2), order // 2 + 3))
-    w = _fd_stencil(offsets, order)[1]
-    return sum(wj * fn(s + oj * h) for wj, oj in zip(w, offsets)) / h ** order
+def _fd_offsets(m: int) -> range:
+    """The order-m central stencil, the widest of orders 1..m (none for m = 0)."""
+    return range(-(m // 2 + 2), m // 2 + 3) if m else range(0)
+
+
+def _fd_jet(f0, at: list, m: int, h: float) -> list:
+    """[f, f', ..., f^(m)] at s by central differences of step h, from f0 =
+    f(s) (s + 0*h is not s at -0.0) and at = f(s + o*h) over `_fd_offsets(m)`,
+    shared by all orders.  Order k sums its own weights times samples in
+    offset order and divides by h**k."""
+    out = [f0]
+    mid = len(at) // 2  # at[mid + o] = f(s + o*h)
+    for k in range(1, m + 1):
+        half = k // 2 + 2
+        w = _fd_stencil(range(-half, half + 1), k)[1]
+        out.append(sum(map(mul, w, at[mid - half:])) / h ** k)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -652,12 +667,7 @@ def rk4_from_system(S: ODESystem, params: dict, state0: dict, s_range, h,
     deps = sorted(state0)
     plan = NumericPlan([S.leads[dep][1] for dep in deps],
                        [*bind, sym(svar), *map(jet, deps)])
-    bind_vals = list(bind.values())
-
-    def rhs_fn(s, state):
-        return plan([*bind_vals, s, *state])
-
-    return integrate_rk4(rhs_fn, state0, s_range, h, guard=guard)
+    return integrate_rk4(plan, state0, s_range, h, guard=guard, bound=list(bind.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -675,20 +685,19 @@ def lift_and_check(S: PDESystem, profiles: dict, c: float, n: int = 50) -> float
     idxs = [(xvar,) * k for k in range(order + 1)] + [(tvar,)]
     rhs = NumericPlan([S.rhs[dep] for dep in deps],
                       [sym(tvar), sym(xvar), *(jet(d, i) for d in deps for i in idxs)])
+    fns = [profiles.get(dep) or profiles[_DEP_MAP[dep]] for dep in deps]
+    h, x_offsets, t_offsets = 1e-2, _fd_offsets(order), _fd_offsets(1)
     worst = 0.0
     for i in range(n):
         t = -0.5 + i / (n - 1)
+        ct = c * t
         for j in range(n):
             x = -0.5 + j / (n - 1)
             vals, u_t = [t, x], []
-            for dep in deps:
-                fn = profiles.get(dep) or profiles[_DEP_MAP[dep]]
-                vals.append(fn(x - c * t))
-                for k in range(1, order + 1):
-                    vals.append(_fd_derivative(
-                        lambda xx, fn=fn, t=t: fn(xx - c * t), x, k, 1e-2))
-                u_t.append(_fd_derivative(
-                    lambda tt, fn=fn, x=x: fn(x - c * tt), t, 1, 1e-2))
+            for fn in fns:
+                f0 = fn(x - ct)
+                vals += _fd_jet(f0, [fn(x + o * h - ct) for o in x_offsets], order, h)
+                u_t.append(_fd_jet(f0, [fn(x - c * (t + o * h)) for o in t_offsets], 1, h)[1])
                 vals.append(u_t[-1])
             for ut, r in zip(u_t, rhs(vals)):
                 worst = max(worst, abs(ut - r))

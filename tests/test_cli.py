@@ -342,8 +342,9 @@ INTEGRATE = ["integrate", "--system", "3.3", "--c", "1", "--from", "tan"]
     (INTEGRATE + ["--h=-inf"], "argument --h: must be finite, got '-inf'"),
     (INTEGRATE + ["--h", "0"], "argument --h: must be positive, got '0'"),
     (INTEGRATE + ["--h=-1"], "argument --h: must be positive, got '-1'"),
+    (INTEGRATE + ["--h", "x"], "argument --h: must be a number, got 'x'"),
     (INTEGRATE + ["--s0", "nan"], "argument --s0: must be finite, got 'nan'"),
-    (INTEGRATE + ["--s0", "x"], "argument --s0: invalid _finite value: 'x'"),
+    (INTEGRATE + ["--s0", "x"], "argument --s0: must be a number, got 'x'"),
     (INTEGRATE + ["--range", "0:nan"], "argument --range: must be finite, got 'nan'"),
     (INTEGRATE + ["--range", "0"], "argument --range: must be LO:HI, got '0'"),
     (INTEGRATE + ["--range", "0:1:2"], "argument --range: must be LO:HI, got '0:1:2'"),
@@ -354,8 +355,8 @@ INTEGRATE = ["integrate", "--system", "3.3", "--c", "1", "--from", "tan"]
     (["fig1", "--F1", "nan"], "--F1 takes comma-separated rationals, got 'nan'"),
     (["fig1", "--F1", ","], "--F1 takes comma-separated rationals, got ','"),
     (["fig1", "--F1", "1,1/0"], "--F1 takes comma-separated rationals, got '1,1/0'"),
-], ids=["rk4-h-inf", "rk4-h-minus-inf", "rk4-h-0", "rk4-h-minus-1", "rk4-s0-nan",
-        "rk4-s0-word", "rk4-range-nan", "rk4-range-one-end", "rk4-range-three-ends",
+], ids=["rk4-h-inf", "rk4-h-minus-inf", "rk4-h-0", "rk4-h-minus-1", "rk4-h-word",
+        "rk4-s0-nan", "rk4-s0-word", "rk4-range-nan", "rk4-range-one-end", "rk4-range-three-ends",
         "rk4-range-words", "audit-k-0", "audit-k-5", "audit-k-8", "fig1-F1-nan",
         "fig1-F1-comma", "fig1-F1-1/0"])
 def test_bad_values_name_their_flag(capsys, argv, message):

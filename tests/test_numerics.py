@@ -2,11 +2,17 @@
 
 import math
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
+from lieforge.expr_core import Expr, NumericPlan, cos_e, jet, recip_e, sin_e, sym
+from lieforge.hierarchy import catalogue_member
 from lieforge.numerics import _agm_chain, elliptic_K, integrate_rk4, jacobi_sn, sn_function
-from lieforge.reduce import fd_weights, sn_solution
+from lieforge.reduce import (_fd_jet, _fd_offsets, f_branch_322_printed, fd_weights,
+                             lift_and_check, rk4_from_system, sn_solution, system_33,
+                             tan_antiderivatives, verify_solution)
 
 
 def _sn_per_call(u, k):
@@ -60,10 +66,11 @@ class TestJacobiSn:
 
     def test_chain_once_is_bit_identical(self):
         rng = random.Random(20261018)
-        for k in [0.0, 0.3, 0.9, 0.999] + [rng.random() for _ in range(20)]:
+        for k in [0.0, 0.3, 0.9, 0.999, 0.999999] + [rng.random() for _ in range(20)]:
             sn = sn_function(k)
             F = sn_solution(k).callables["F"]
-            for u in [0.0, -2.5] + [rng.uniform(-20.0, 20.0) for _ in range(20)]:
+            for u in ([0.0, -0.0, -2.5, 1e6, -1e6, math.nan]
+                      + [rng.uniform(-20.0, 20.0) for _ in range(20)]):
                 ref = _sn_per_call(u, k)
                 assert jacobi_sn(u, k).hex() == sn(u).hex() == ref.hex()
                 assert F(u).hex() == (math.sqrt(2.0) * k * ref).hex()
@@ -74,15 +81,52 @@ class TestJacobiSn:
         assert elliptic_K(0.0) == pytest.approx(math.pi / 2, abs=1e-14)
 
 
+S, Y = sym("s").as_expr(), jet("y").as_expr()
+
+
+def _rhs(*exprs):
+    """A right-hand side in s and the state y."""
+    return NumericPlan(exprs, [sym("s"), jet("y")])
+
+
+def _rk4_reference(plan, bound, state0, s_range, h, guard=1e8):
+    """The list-based RK4 loop, one plan call per stage, that the compiled
+    loop must reproduce bit for bit."""
+    deps = sorted(state0)
+    s0, s1 = s_range
+    h2, h6 = h / 2, h / 6
+    grid = [s0]
+    state = [complex(state0[d]) for d in deps]
+    rows = [state]
+    for i in range(int(round((s1 - s0) / h))):
+        s = s0 + i * h
+        k1 = plan([*bound, s, *state])
+        k2 = plan([*bound, s + h2, *[x + h2 * k for x, k in zip(state, k1)]])
+        k3 = plan([*bound, s + h2, *[x + h2 * k for x, k in zip(state, k2)]])
+        k4 = plan([*bound, s + h, *[x + h * k for x, k in zip(state, k3)]])
+        state = [x + h6 * (a + 2 * b + 2 * c + d)
+                 for x, a, b, c, d in zip(state, k1, k2, k3, k4)]
+        if any(abs(x) > guard or x != x for x in state):
+            break
+        grid.append(s + h)
+        rows.append(state)
+    return grid, dict(zip(deps, map(list, zip(*rows))))
+
+
+def _hex_traj(grid, values):
+    return ([s.hex() for s in grid],
+            {d: [(z.real.hex(), z.imag.hex()) for z in zs] for d, zs in values.items()})
+
+
 class TestRK4:
     def test_exponential(self):
-        traj = integrate_rk4(lambda s, st: [st[0]], {"y": 1.0},
+        traj = integrate_rk4(_rhs(Y), {"y": 1.0},
                              (0.0, 1.0), 1e-3)
         assert abs(traj.values["y"][-1] - math.e) < 1e-12
 
     def test_order_four(self):
         def run(h):
-            traj = integrate_rk4(lambda s, st: [st[0]], {"y": 1.0},
+            traj = integrate_rk4(_rhs(Y), {"y": 1.0},
                                  (0.0, 1.0), h)
             return abs(traj.values["y"][-1] - math.e)
         ratio = run(0.1) / run(0.05)
@@ -90,7 +134,7 @@ class TestRK4:
 
     def test_bad_step(self):
         with pytest.raises(ValueError):
-            integrate_rk4(lambda s, st: [0.0], {"y": 1.0}, (0.0, 1.0), -0.1)
+            integrate_rk4(_rhs(Expr.zero()), {"y": 1.0}, (0.0, 1.0), -0.1)
 
     @pytest.mark.parametrize("h, s_range", [
         (math.inf, (0.0, 1.0)), (math.nan, (0.0, 1.0)),
@@ -100,12 +144,48 @@ class TestRK4:
         # h = inf once gave a one-point trajectory, nan and inf step counts
         # a budget message
         with pytest.raises(ValueError, match="must be finite"):
-            integrate_rk4(lambda s, st: [0.0], {"y": 1.0}, s_range, h)
+            integrate_rk4(_rhs(Expr.zero()), {"y": 1.0}, s_range, h)
 
     def test_guard_truncates(self):
-        traj = integrate_rk4(lambda s, st: [st[0] ** 2], {"y": 1.0},
+        traj = integrate_rk4(_rhs(Y ** 2), {"y": 1.0},
                              (0.0, 2.0), 1e-3, guard=1e6)
         assert traj.grid[-1] < 1.01  # pole of 1/(1-s) at s = 1
+
+    @pytest.mark.parametrize("c, params", [
+        (Fraction(1, 2), {}), (1, {}), (Fraction(3, 2), {}), ("c", {"c": 0.7}),
+    ], ids=["c-1/2", "c-1", "c-3/2", "c-bound"])
+    def test_compiled_loop_matches_list_loop_on_33(self, c, params):
+        S = system_33(c)
+        state0, s_range, h = {"F": 0.4, "G": -0.3}, (0.0, 2.0), 1e-3
+        traj = rk4_from_system(S, params, state0, s_range, h)
+        plan = NumericPlan([S.leads[d][1] for d in ("F", "G")],
+                           [*(sym(k) for k in params), sym("s"), jet("F"), jet("G")])
+        want = _rk4_reference(plan, list(map(complex, params.values())), state0, s_range, h)
+        assert len(traj.grid) == 2001
+        assert _hex_traj(traj.grid, traj.values) == _hex_traj(*want)
+
+    @pytest.mark.parametrize("exprs, state0, guard, points", [
+        # derived atoms: sin(s), cos(y) and a reciprocal
+        ([sin_e(S) * Y + recip_e(cos_e(Y) + Expr.rational(2))], {"y": 0.25}, 1e8, 1501),
+        # s ** 3 rounds differently as a float and as a complex: every stage
+        # takes s as a complex, as a plan call does
+        ([S ** 3 * Y], {"y": 0.25}, 1e8, 1501),
+        # 1/(1 - s) blows up at s = 1; the guard stops the loop before it
+        ([Y ** 2], {"y": 1.0}, 1e6, None),
+    ], ids=["derived-atoms", "complex-s", "guard-truncated"])
+    def test_compiled_loop_matches_list_loop(self, exprs, state0, guard, points):
+        plan = _rhs(*exprs)
+        traj = integrate_rk4(plan, state0, (0.0, 1.5), 1e-3, guard=guard)
+        want = _rk4_reference(plan, [], state0, (0.0, 1.5), 1e-3, guard=guard)
+        assert _hex_traj(traj.grid, traj.values) == _hex_traj(*want)
+        if points is None:
+            assert 900 < len(traj.grid) < 1010
+        else:
+            assert len(traj.grid) == points
+
+    def test_plan_shape_is_checked(self):
+        with pytest.raises(ValueError, match="RK4 inputs: 1 bound, s and 1 states, not 2"):
+            integrate_rk4(_rhs(Y), {"y": 1.0}, (0.0, 1.0), 0.1, bound=[2.0])
 
 
 class TestFDWeights:
@@ -141,3 +221,37 @@ class TestFDWeights:
                       for wj, oj in zip(w, offsets)) / h ** order
             want = dpoly(x0) if order < 4 else 24.0
             assert abs(got - want) < 1e-9
+
+
+class TestSharedStencils:
+    @pytest.mark.parametrize("fn", [sn_solution(0.5).callables["F"],
+                                    lambda u: math.atan2(u, -1.0)],
+                             ids=["sn", "signed-zero"])
+    @pytest.mark.parametrize("m", range(5))
+    def test_every_order_matches_its_own_stencil(self, fn, m):
+        h = 3e-3
+        for s in (0.0, -0.0, -1.3, 2.7):
+            got = _fd_jet(fn(s), [fn(s + o * h) for o in _fd_offsets(m)], m, h)
+            want = [fn(s)]
+            for k in range(1, m + 1):
+                offsets = list(range(-(k // 2 + 2), k // 2 + 3))
+                w = [float(q) for q in fd_weights(offsets, k)]
+                want.append(sum(wj * fn(s + oj * h) for wj, oj in zip(w, offsets)) / h ** k)
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_one_profile_call_per_point(self):
+        # f and one 7-point stencil for f' and f'' (13 calls per sample
+        # when each order sampled its own stencil)
+        calls = []
+        cand = sn_solution(0.5)
+        F = cand.callables["F"]
+        counting = replace(cand, callables={"F": lambda u: calls.append(u) or F(u)})
+        rep = verify_solution(f_branch_322_printed(-(1 + Fraction(1, 4))), counting,
+                              "numeric", s_range=(0.0, 6.0), samples=20)
+        assert rep.samples == 20 and len(calls) == 8 * 20
+        # lift: f, the x-stencil of the order-2 member (7) and the t-stencil (5)
+        calls.clear()
+        f_fn, g_fn = tan_antiderivatives(1.0)
+        lift_and_check(catalogue_member(2),
+                       {"f": lambda u: calls.append(u) or f_fn(u), "g": g_fn}, 1.0, n=4)
+        assert len(calls) == 4 * 4 * 13
