@@ -224,8 +224,8 @@ _SOLUTIONS = {
 
 
 def cmd_verify_solution(args) -> int:
-    if not args.tol > 0:
-        raise ValueError(f"--tol must be positive, got {args.tol}")
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     mode = args.mode
     cand = _SOLUTIONS[args.solution](args)
     c = _c_arg(args.c)
@@ -244,15 +244,16 @@ def cmd_verify_solution(args) -> int:
                 raise ValueError(f"--c must be the square of a rational for "
                                  f"--solution {args.solution}, got {args.c}") from None
         rep = red.verify_solution(S, cand, mode=mode, param_values=params)
-    except (ZeroDivisionError, PoleError) as exc:  # the profile is singular at c
+    except (ZeroDivisionError, PoleError, OverflowError) as exc:  # singular or huge at c
         if args.c == "c":
             raise
-        raise ValueError(f"--c {args.c} is a degenerate wave speed for --solution "
+        kind = "an overflowing" if isinstance(exc, OverflowError) else "a degenerate"
+        raise ValueError(f"--c {args.c} is {kind} wave speed for --solution "
                          f"{args.solution}: {exc}") from None
     out = {"schema": SCHEMA, "system": S.label, "solution": cand.name,
            "mode": mode, "status": rep.statuses}
-    if rep.max_residual is not None:
-        out["max_residual"] = rep.max_residual
+    if rep.max_residual is not None:  # null when not finite: JSON has no inf
+        out["max_residual"] = rep.max_residual if rep.max_residual < math.inf else None
         out["samples"] = rep.samples
     if rep.notes:
         out["notes"] = rep.notes
@@ -324,19 +325,22 @@ def cmd_fig1(args) -> int:
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"--F1 takes comma-separated rationals, got {args.F1!r}") from None
     reports = []
-    for f1 in f1_values:
-        rows = red.fig1_rows(c, f1, n=args.n)
-        path = args.csv
-        if path and len(f1_values) > 1:
-            stem, dot, ext = path.rpartition(".")
-            path = f"{stem or ext}_F1_{f1:g}.{ext}" if dot else f"{path}_F1_{f1:g}"
-        if path:
-            red.emit_series_csv(rows, path)
-        feats = red.fig1_features(c, f1)
-        reports.append({"F1": f1, "csv": path or None,
-                        "periodicity_error": feats["periodicity_error"],
-                        "dFre_sign_changes_per_period":
-                            feats["dFre_sign_changes_per_period"]})
+    try:
+        for f1 in f1_values:
+            rows = red.fig1_rows(c, f1, n=args.n)
+            path = args.csv
+            if path and len(f1_values) > 1:
+                stem, dot, ext = path.rpartition(".")
+                path = f"{stem or ext}_F1_{f1:g}.{ext}" if dot else f"{path}_F1_{f1:g}"
+            if path:
+                red.emit_series_csv(rows, path)
+            feats = red.fig1_features(c, f1)
+            reports.append({"F1": f1, "csv": path or None,
+                            "periodicity_error": feats["periodicity_error"],
+                            "dFre_sign_changes_per_period":
+                                feats["dFre_sign_changes_per_period"]})
+    except OverflowError as exc:
+        raise ValueError(f"--c {args.c} is an overflowing wave speed for fig1: {exc}") from None
     _emit({"schema": SCHEMA, "c": c, "series": reports})
     return 0
 

@@ -904,10 +904,15 @@ class NumericPlan:
         bound values, s and the state: `run(bound, s0, state, h, n_steps, guard)
         -> (grid, columns)` stops before a state component exceeds `guard` or is
         NaN.  The body is inlined per stage, so the floating operations are those
-        of four plan calls per step, in the same order."""
-        n = self._n_out
-        if n_bound + 1 + n != self._n_in:
-            raise ValueError(f"RK4 inputs: {n_bound} bound, s and {n} states, not {self._n_in}")
+        of four plan calls per step, in the same order.  It compiles once per plan."""
+        if n_bound != self._n_in - 1 - self._n_out:
+            raise ValueError(f"RK4 inputs: {n_bound} bound, s and {self._n_out} states, "
+                             f"not {self._n_in}")
+        return self._rk4
+
+    @cached_property
+    def _rk4(self) -> Callable:
+        n, n_bound = self._n_out, self._n_in - 1 - self._n_out
         states = range(n)
         lines = [f"[{', '.join(f'x{i}' for i in range(n_bound))}] = map(complex, bound)",
                  f"[{', '.join(f'y{j}' for j in states)}] = state", "h2, h6 = h / 2, h / 6",

@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from operator import mul
+from functools import cache
+from operator import mul, sub
 from typing import Sequence
 
 from .expr_core import (
@@ -513,18 +514,44 @@ def _need_order(S: ODESystem) -> dict[str, int]:
     return need
 
 
+_MEMO: dict[tuple, object] = {}
+_MEMO_SIZE = 64  # derivative chains and NumericPlans kept, least recently used first
+
+
+def _memo(key: tuple, make):
+    got = _MEMO.pop(key, None) or make()
+    if len(_MEMO) >= _MEMO_SIZE:
+        del _MEMO[next(iter(_MEMO))]
+    _MEMO[key] = got
+    return got
+
+
+def _plan(exprs, inputs) -> NumericPlan:
+    """`NumericPlan(exprs, inputs)`, compiled once while in the bounded memo, keyed
+    on each expression's terms and the input atoms in order, not on Expr equality:
+    equal expressions with terms in another order sum to other floating bits."""
+    return _memo(("plan", tuple(tuple(e._terms.items()) for e in exprs), tuple(inputs)),
+                 lambda: NumericPlan(exprs, inputs))
+
+
+def _jet_chain(e: Expr, svar: str, m: int) -> list[Expr]:
+    """[e, e', ..., e^(m)] in svar, derived once per ordered e, svar and m."""
+    def make():
+        chain = [e]
+        for _ in range(m):
+            chain.append(derive(chain[-1], sym(svar)))
+        return chain
+    return _memo(("jets", tuple(e._terms.items()), svar, m), make)
+
+
 def _candidate_jet_values(S: ODESystem, cand: SolutionCandidate) -> dict[Jet, Expr]:
     """Symbolic values for every jet coordinate the equations use."""
     svar = S.svar
     out = {}
     for dep, mx in _need_order(S).items():
-        if dep not in cand.exprs:
-            continue
-        cur = cand.exprs[dep]
-        out[jet(dep)] = cur
-        for k in range(1, mx + 1):
-            cur = derive(cur, sym(svar))
-            out[jet(dep, (svar,) * k)] = cur
+        if dep in cand.exprs:
+            for k, val in enumerate(_jet_chain(cand.exprs[dep], svar, mx)):
+                out[jet(dep, (svar,) * k)] = val
     return out
 
 
@@ -535,7 +562,8 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
     constraints, expect Zero.  Numeric: max |residual| over samples at least
     0.05 from every pole denominator's zero, derivatives taken analytically
     for expression profiles and by fourth-order central differences of step
-    3e-3 for callable ones."""
+    3e-3 for callable ones; a non-finite residual reads inf.  Repeat calls reuse
+    derivatives and compiled plans, keyed on ordered terms to keep the bits."""
     if mode == "symbolic":
         if cand.callables:
             raise DomainError("symbolic mode needs expression profiles")
@@ -567,9 +595,9 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
     # a repeated input takes its last position: sampled jets override symbolic ones
     inputs = [*bind_syms, sym(svar)]
     bind_vals = list(bind_syms.values())
-    profile = NumericPlan([*cand.pole_denoms, *sym_vals.values()], inputs)
-    residuals = NumericPlan([lead.as_expr() - rhs for lead, rhs in S.equations()],
-                            [*inputs, *sym_vals, *fd_jets])
+    profile = _plan([*cand.pole_denoms, *sym_vals.values()], inputs)
+    residuals = _plan([lead.as_expr() - rhs for lead, rhs in S.equations()],
+                      [*inputs, *sym_vals, *fd_jets])
 
     lo, hi = s_range
     worst = 0.0
@@ -593,7 +621,7 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
                                 m, 3e-3)
             res = 0.0
             for r in residuals(head):
-                res = max(res, abs(r))
+                res = max(res, abs(r) if r == r else math.inf)  # max(0.0, nan) is 0.0
             worst = max(worst, res)
             good += 1
         except PoleError:
@@ -665,8 +693,7 @@ def rk4_from_system(S: ODESystem, params: dict, state0: dict, s_range, h,
     bind = {sym(k): complex(v) for k, v in params.items()}
     # integrate_rk4 keeps every state in sorted dependent order
     deps = sorted(state0)
-    plan = NumericPlan([S.leads[dep][1] for dep in deps],
-                       [*bind, sym(svar), *map(jet, deps)])
+    plan = _plan([S.leads[dep][1] for dep in deps], [*bind, sym(svar), *map(jet, deps)])
     return integrate_rk4(plan, state0, s_range, h, guard=guard, bound=list(bind.values()))
 
 
@@ -677,14 +704,14 @@ def rk4_from_system(S: ODESystem, params: dict, state0: dict, s_range, h,
 def lift_and_check(S: PDESystem, profiles: dict, c: float, n: int = 50) -> float:
     """Evaluate v(t,x) = f(x - c t), w(t,x) = g(x - c t) on the n x n grid
     over [-0.5, 0.5]^2 and return the max PDE residual by fourth-order finite
-    differences of step 1e-2."""
+    differences of step 1e-2; a residual that is not finite returns inf."""
     tvar, xvar = S.jet.independents
     order = S.order
     deps = S.jet.dependents
     # per dependent: value, x-derivatives up to the order, t-derivative
     idxs = [(xvar,) * k for k in range(order + 1)] + [(tvar,)]
-    rhs = NumericPlan([S.rhs[dep] for dep in deps],
-                      [sym(tvar), sym(xvar), *(jet(d, i) for d in deps for i in idxs)])
+    rhs = _plan([S.rhs[dep] for dep in deps],
+                [sym(tvar), sym(xvar), *(jet(d, i) for d in deps for i in idxs)])
     fns = [profiles.get(dep) or profiles[_DEP_MAP[dep]] for dep in deps]
     h, x_offsets, t_offsets = 1e-2, _fd_offsets(order), _fd_offsets(1)
     worst = 0.0
@@ -699,8 +726,8 @@ def lift_and_check(S: PDESystem, profiles: dict, c: float, n: int = 50) -> float
                 vals += _fd_jet(f0, [fn(x + o * h - ct) for o in x_offsets], order, h)
                 u_t.append(_fd_jet(f0, [fn(x - c * (t + o * h)) for o in t_offsets], 1, h)[1])
                 vals.append(u_t[-1])
-            for ut, r in zip(u_t, rhs(vals)):
-                worst = max(worst, abs(ut - r))
+            for d in map(sub, u_t, rhs(vals)):
+                worst = max(worst, abs(d) if d == d else math.inf)
     return worst
 
 
@@ -724,6 +751,12 @@ def emit_series_csv(rows: list[tuple], path) -> None:
 _S11_INPUTS = [sym("c"), sym("F0"), sym("F1"), sym("s")]
 
 
+@cache
+def _s11_profile() -> tuple[Expr, Expr]:
+    """(F, G) of `s11_solution()`, built once per process."""
+    return tuple(s11_solution().exprs[u] for u in "FG")
+
+
 # Most samples `fig1_rows` takes: 100 times the README's default of 1000.
 MAX_FIG1_SAMPLES = 100_000
 
@@ -734,8 +767,7 @@ def fig1_rows(c: float, F1: float, F0: float = 1.0, n: int = 1000) -> list[tuple
     outside 2..MAX_FIG1_SAMPLES."""
     if not 2 <= n <= MAX_FIG1_SAMPLES:
         raise DomainError(f"fig1 sample count {n} outside 2..{MAX_FIG1_SAMPLES}")
-    cand = s11_solution()
-    FG = NumericPlan([cand.exprs["F"], cand.exprs["G"]], _S11_INPUTS)
+    FG = _plan(_s11_profile(), _S11_INPUTS)
     rows = []
     for i in range(n):
         s = 10.0 * i / (n - 1)
@@ -751,9 +783,8 @@ def fig1_features(c: float, F1: float, F0: float = 1.0, n: int = 2048) -> dict:
     s = 0.1 (exact offset evaluation) and the number of sign changes of
     dF_re/ds per period."""
     period = 2 * math.pi / c
-    cand = s11_solution()
     # F and G apart: a pole of G alone must not stop the F samples
-    Fe, Ge = (NumericPlan([e], _S11_INPUTS) for e in (cand.exprs["F"], cand.exprs["G"]))
+    Fe, Ge = (_plan([e], _S11_INPUTS) for e in _s11_profile())
 
     def at(plan, s):
         return plan([c, F0, F1, s])[0]

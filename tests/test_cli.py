@@ -240,8 +240,13 @@ def test_brackets_member3_reports_printed_field_outside_basis(capsys):
     (["integrate", "--system", "3.3", "--c", "c", "--from", "tan"],
      "integrate needs a rational --c, got the symbol c"),
     (["fig1", "--c", "c"], "fig1 needs a rational --c, got the symbol c"),
+    # sqrt(c) = 31.6i: the trig profile's sinh overflows
+    (["verify-solution", "--system", "3.22", "--solution", "rational-trig", "--c", "-1000"],
+     "--c -1000 is an overflowing wave speed for --solution rational-trig"),
+    (["fig1", "--c", "1e308"], "--c 1e308 is an overflowing wave speed for fig1"),
 ], ids=["reduce-c-1/0", "fig1-c-0", "verify-solution-s11-c-0",
-        "verify-solution-s11-c-0-symbolic", "integrate-c-symbol", "fig1-c-symbol"])
+        "verify-solution-s11-c-0-symbolic", "integrate-c-symbol", "fig1-c-symbol",
+        "verify-solution-rational-trig-c-overflow", "fig1-c-overflow"])
 def test_arithmetic_errors_exit_1(capsys, argv, message):
     code = main(argv)
     err = capsys.readouterr().err
@@ -325,13 +330,28 @@ def test_symmetries_find_rejects_bad_dictionary(capsys, flags, message):
      "--tol must be positive"),
     (["verify-solution", "--system", "3.3", "--solution", "tan", "--tol", "nan"],
      "--tol must be positive"),
+    (["verify-solution", "--system", "3.3", "--solution", "s11", "--tol", "inf"],
+     "--tol must be positive and finite, got inf"),
 ], ids=["rk4-h-1e-9", "rk4-h-nan", "rk4-range-inf", "fig1-n-1e7", "fig1-n-1",
-        "fig1-n-0", "fig1-n-negative", "fig1-F1-2001", "tol-negative", "tol-nan"])
+        "fig1-n-0", "fig1-n-negative", "fig1-F1-2001", "tol-negative", "tol-nan",
+        "tol-inf"])
 def test_numeric_inputs_checked_before_work(capsys, argv, message):
     got = main(argv)
     captured = capsys.readouterr()
     assert got == 1 and captured.out == ""
     assert captured.err.startswith("lieforge: error: ") and message in captured.err
+
+
+def test_nan_residual_exits_2(monkeypatch, capsys):
+    """A profile whose residual is NaN fails the check; the JSON stays valid."""
+    from lieforge import cli
+    from lieforge.reduce import SolutionCandidate
+    cand = SolutionCandidate(name="nan", callables={"F": lambda s: float("nan")},
+                             params={"c": -1.25})
+    monkeypatch.setitem(cli._SOLUTIONS, "sn", lambda args: cand)
+    code, out = run(capsys, "verify-solution", "--system", "3.22-F-printed",
+                    "--solution", "sn")
+    assert code == 2 and json.loads(out)["max_residual"] is None
 
 
 INTEGRATE = ["integrate", "--system", "3.3", "--c", "1", "--from", "tan"]

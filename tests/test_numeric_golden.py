@@ -50,3 +50,11 @@ def numeric_outputs(capsys, tmp_path) -> dict:
 
 def test_numeric_outputs_pinned(capsys, tmp_path):
     assert numeric_outputs(capsys, tmp_path) == GOLDEN
+
+
+def test_numeric_outputs_pinned_when_repeated(capsys, tmp_path):
+    """A second run in the same process reuses the plans and derivatives the
+    first one kept, and pins the same bits."""
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        assert numeric_outputs(capsys, tmp_path / run) == GOLDEN

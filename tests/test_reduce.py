@@ -16,7 +16,8 @@ from lieforge.reduce import (
     f_branch_322, f_branch_322_printed, fig1_features, fig1_rows,
     invariants_of_translation, lift_and_check, linear_solution_member4,
     order_reduce, printed_second_order, rational_trig_solution,
-    reconstruct_G, reduced_system, rk4_from_system, s11_solution, sn_solution,
+    SolutionCandidate, reconstruct_G, reduced_system, rk4_from_system, s11_solution,
+    sn_solution,
     system_322, system_322_printed, system_33, tan_antiderivatives, tan_solution,
     travelling_wave_reduce, verify_solution,
 )
@@ -301,6 +302,14 @@ class TestSolutions:
         rep = verify_solution(reduced_system(4), cand, mode="symbolic")
         assert not rep.zero
 
+    def test_nan_residual_fails(self):
+        # max(0.0, nan) is 0.0: a NaN residual must not read as a pass
+        cand = SolutionCandidate(name="nan", callables={"F": lambda s: math.nan},
+                                 params={"c": -1.25})
+        rep = verify_solution(f_branch_322_printed(Fraction(-5, 4)), cand,
+                              mode="numeric", samples=20)
+        assert rep.samples == 20 and rep.max_residual == math.inf
+
     def test_all_samples_excluded_raises(self):
         from lieforge.expr_core import PoleError
         cand = tan_solution()
@@ -365,6 +374,13 @@ class TestLift:
         r = lift_and_check(catalogue_member(1),
                            {"f": lambda s: 0.7, "g": lambda s: -0.3}, 1.0, n=10)
         assert r < 1e-12
+
+    def test_nan_residual_fails(self):
+        f_fn, g_fn = tan_antiderivatives(1.0)
+        r = lift_and_check(catalogue_member(2),
+                           {"f": f_fn, "g": lambda s: math.nan if s > 0.3 else g_fn(s)},
+                           1.0, n=10)
+        assert r == math.inf
 
     def test_negative_control(self):
         c = 1.0
