@@ -296,6 +296,20 @@ def _isqrt_exact(n: int) -> int | None:
     return r if r * r == n else None
 
 
+_MEMO: dict[tuple, object] = {}  # least recently used first
+_MEMO_SIZE, _MISS = 64, object()
+
+
+def _memo(key: tuple, make: Callable[[], object]):
+    """make(), kept while key is among the _MEMO_SIZE most recent (chains and
+    plans of `reduce`, prolongations of `symmetry`), returned as is, even empty."""
+    got = _MEMO.pop(key, _MISS)
+    _MEMO[key] = got = make() if got is _MISS else got
+    if len(_MEMO) > _MEMO_SIZE:
+        del _MEMO[next(iter(_MEMO))]
+    return got
+
+
 # ---------------------------------------------------------------------------
 # expression
 # ---------------------------------------------------------------------------

@@ -11,12 +11,11 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from functools import cache
 from operator import mul, sub
-from typing import Sequence
 
 from .expr_core import (
-    DomainError, Expr, I, Jet, PoleError, Sym, _mono_key, atoms_of, collect_terms,
-    NumericPlan, cos_e, derive, exp_e, jet, recip_e, root, sin_e, sqrt_e,
-    substitute, sym, tan_e,
+    DomainError, Expr, I, Jet, PoleError, Sym, _memo, _mono_key, atoms_of,
+    collect_terms, NumericPlan, cos_e, derive, exp_e, jet, recip_e, root, sin_e,
+    sqrt_e, substitute, sym, tan_e,
 )
 from .numerics import Trajectory, integrate_rk4, sn_function
 from .linalg import solve_exact
@@ -514,18 +513,6 @@ def _need_order(S: ODESystem) -> dict[str, int]:
     return need
 
 
-_MEMO: dict[tuple, object] = {}
-_MEMO_SIZE = 64  # derivative chains and NumericPlans kept, least recently used first
-
-
-def _memo(key: tuple, make):
-    got = _MEMO.pop(key, None) or make()
-    if len(_MEMO) >= _MEMO_SIZE:
-        del _MEMO[next(iter(_MEMO))]
-    _MEMO[key] = got
-    return got
-
-
 def _plan(exprs, inputs) -> NumericPlan:
     """`NumericPlan(exprs, inputs)`, compiled once while in the bounded memo, keyed
     on each expression's terms and the input atoms in order, not on Expr equality:
@@ -591,6 +578,7 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
     need_order = _need_order(S)
     fd_deps = [(dep, fn, need_order.get(dep, 0)) for dep, fn in cand.callables.items()]
     fd_jets = [jet(dep, (svar,) * k) for dep, _, m in fd_deps for k in range(m + 1)]
+    fd_stencils = [(fn, _fd_offsets(m), _fd_orders(m)) for _, fn, m in fd_deps]
     n_poles = len(cand.pole_denoms)
     # a repeated input takes its last position: sampled jets override symbolic ones
     inputs = [*bind_syms, sym(svar)]
@@ -616,9 +604,9 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
             if any(abs(d) < 0.05 for d in vals[:n_poles]):
                 continue
             head += vals[n_poles:]
-            for _, fn, m in fd_deps:
-                head += _fd_jet(fn(sval), [fn(sval + o * 3e-3) for o in _fd_offsets(m)],
-                                m, 3e-3)
+            for fn, offsets, orders in fd_stencils:
+                head += _fd_jet(fn(sval), [fn(sval + o * 3e-3) for o in offsets],
+                                orders, 3e-3)
             res = 0.0
             for r in residuals(head):
                 res = max(res, abs(r) if r == r else math.inf)  # max(0.0, nan) is 0.0
@@ -633,21 +621,15 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
                         samples=good, notes=list(cand.notes))
 
 
-# (offsets, order) -> exact weights and the same weights as floats
-_FD_CACHE: dict[tuple, tuple[list[Fraction], list[float]]] = {}
-
-
 def fd_weights(offsets: list[int], order: int) -> list[Fraction]:
     """Exact finite-difference weights on integer offsets for the given
     derivative order (solve the moment system over rationals)."""
-    return _fd_stencil(offsets, order)[0]
+    return _fd_stencil(tuple(offsets), order)[0]
 
 
-def _fd_stencil(offsets: Sequence[int], order: int) -> tuple[list[Fraction], list[float]]:
-    key = (tuple(offsets), order)
-    got = _FD_CACHE.get(key)
-    if got is not None:
-        return got
+@cache
+def _fd_stencil(offsets: tuple[int, ...], order: int) -> tuple[list[Fraction], list[float]]:
+    """The exact weights and the same weights as floats, solved once."""
     n = len(offsets)
     if order >= n:
         raise DomainError("not enough stencil points for the derivative order")
@@ -657,8 +639,7 @@ def _fd_stencil(offsets: Sequence[int], order: int) -> tuple[list[Fraction], lis
     w, = solve_exact(cols, [{order: Fraction(math.factorial(order))}])
     if w is None:
         raise DomainError("stencil offsets admit no finite-difference weights")
-    got = _FD_CACHE[key] = (w, [float(q) for q in w])
-    return got
+    return w, [float(q) for q in w]
 
 
 def _fd_offsets(m: int) -> range:
@@ -666,16 +647,20 @@ def _fd_offsets(m: int) -> range:
     return range(-(m // 2 + 2), m // 2 + 3) if m else range(0)
 
 
-def _fd_jet(f0, at: list, m: int, h: float) -> list:
+def _fd_orders(m: int) -> list[tuple[int, list[float]]]:
+    """(half width, float weights) of the central stencil of each order 1..m."""
+    return [(k // 2 + 2, _fd_stencil(tuple(range(-(k // 2 + 2), k // 2 + 3)), k)[1])
+            for k in range(1, m + 1)]
+
+
+def _fd_jet(f0, at: list, orders: list, h: float) -> list:
     """[f, f', ..., f^(m)] at s by central differences of step h, from f0 =
-    f(s) (s + 0*h is not s at -0.0) and at = f(s + o*h) over `_fd_offsets(m)`,
-    shared by all orders.  Order k sums its own weights times samples in
-    offset order and divides by h**k."""
+    f(s) (s + 0*h is not s at -0.0), at = f(s + o*h) over `_fd_offsets(m)`,
+    shared by all orders, and orders = `_fd_orders(m)`.  Order k sums its own
+    weights times samples in offset order and divides by h**k."""
     out = [f0]
     mid = len(at) // 2  # at[mid + o] = f(s + o*h)
-    for k in range(1, m + 1):
-        half = k // 2 + 2
-        w = _fd_stencil(range(-half, half + 1), k)[1]
+    for k, (half, w) in enumerate(orders, 1):
         out.append(sum(map(mul, w, at[mid - half:])) / h ** k)
     return out
 
@@ -714,6 +699,8 @@ def lift_and_check(S: PDESystem, profiles: dict, c: float, n: int = 50) -> float
                 [sym(tvar), sym(xvar), *(jet(d, i) for d in deps for i in idxs)])
     fns = [profiles.get(dep) or profiles[_DEP_MAP[dep]] for dep in deps]
     h, x_offsets, t_offsets = 1e-2, _fd_offsets(order), _fd_offsets(1)
+    x_orders = _fd_orders(order)
+    t_orders = x_orders[:1]  # the order-1 stencil, looked up once
     worst = 0.0
     for i in range(n):
         t = -0.5 + i / (n - 1)
@@ -723,8 +710,8 @@ def lift_and_check(S: PDESystem, profiles: dict, c: float, n: int = 50) -> float
             vals, u_t = [t, x], []
             for fn in fns:
                 f0 = fn(x - ct)
-                vals += _fd_jet(f0, [fn(x + o * h - ct) for o in x_offsets], order, h)
-                u_t.append(_fd_jet(f0, [fn(x - c * (t + o * h)) for o in t_offsets], 1, h)[1])
+                vals += _fd_jet(f0, [fn(x + o * h - ct) for o in x_offsets], x_orders, h)
+                u_t.append(_fd_jet(f0, [fn(x - c * (t + o * h)) for o in t_offsets], t_orders, h)[1])
                 vals.append(u_t[-1])
             for d in map(sub, u_t, rhs(vals)):
                 worst = max(worst, abs(d) if d == d else math.inf)

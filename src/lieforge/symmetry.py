@@ -2,19 +2,17 @@
 prolongation, symmetry residuals, determining systems from finite ansatz
 dictionaries, exact nullspace discovery, and verification of concrete
 generators including families that carry constrained unknown functions.
-
 The same pipeline serves evolution PDE systems (independents t, x) and
-reduced ODE systems (single independent s); for the latter the time slot is
-simply absent.
+reduced ODE systems (single independent s, no time slot).
 
-Residuals come from one on-shell residual map per call, local to
-`symmetry_residual` or `determining_system`: the Reducer, the needed jets
-and the reduced partials of each rhs are built once per system.  A whole
-field X takes R_{X,()} = pr X(H) on solutions.  A dictionary column has one
-rule: each term of its entry splits as p*Y, p the plain independent factors,
-and is merged from the Leibniz pieces R_{Y,K} of its base field Y, whose
-prolongation is built once.  Pieces and columns are integer terms over one
-denominator per equation, made Fractions only as row coefficients.
+Residuals come from one on-shell residual map per call: the Reducer, the
+needed jets and the reduced partials of each rhs are built once per system.
+A whole field X takes R_{X,()} = pr X(H) on solutions.  A dictionary column
+is merged from the Leibniz pieces R_{Y,K} of the base fields Y of its terms:
+integer terms over one denominator per equation, on monomials packed into
+ints, where a product is an addition unless both sides hold trig or exp.
+Rows leave the packed ring once.  The prolongation of a base field depends
+on it and on the jets asked for, not on the system: it is kept across calls.
 """
 
 from __future__ import annotations
@@ -23,11 +21,11 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
-from math import comb, lcm, perm, prod
+from math import comb, lcm, prod
 
 from .expr_core import (
-    DomainError, Expr, Func, Jet, _add_into, _merge, _mono_key, _mul_into,
-    _put, atoms_of, coefficient_vector, derive, func, jet, sym,
+    DomainError, Expr, Func, Jet, _accumulate, _add_into, _is_plain, _memo,
+    _mul_into, atoms_of, coefficient_vector, derive, func, jet, sym,
 )
 from .linalg import cleared, nullspace, rank, transpose
 from .parser import combo_text, expr_text, parse_expr
@@ -201,6 +199,65 @@ def prolong_generator(X: VectorField, needed) -> dict[Jet, Expr]:
 # residuals
 # ---------------------------------------------------------------------------
 
+# signed _FIELD-bit exponents: a column term multiplies three of |e| <= _BOUND
+_FIELD, _HALF = 16, 1 << 15
+_MASK, _BOUND = 2 * _HALF - 1, (_HALF - 1) // 3
+
+
+class _Ring:
+    """Monomials of one residual map as ints, packed exponent vectors (Monagan
+    & Pearce, CASC 2007): atom a holds e_a as a balanced digit at bit shift[a]."""
+
+    def __init__(self, label: str):
+        self.label, self.shift, self.monos, self.other = label, {}, {}, set()
+
+    def pack(self, m: tuple) -> int:
+        k = 0
+        for a, e in m:
+            if not -_BOUND <= e <= _BOUND:
+                raise DomainError(f"exponent {e} of {a!r} exceeds {_BOUND} in {self.label!r}")
+            k += e << self.shift.setdefault(a, _FIELD * len(self.shift))
+        self.monos[k] = m
+        if not _is_plain(m):
+            self.other.add(k)
+        return k
+
+    def terms(self, e: Expr) -> tuple[dict, int]:
+        """(packed terms of e cleared, denominator)."""
+        terms, den = cleared(e._terms)
+        return {self.pack(m): q for m, q in terms.items()}, den
+
+    def combine(self, summands) -> tuple[dict, int]:
+        """(terms, denominator) of the sum of c*A*B/d over the summands (c, A,
+        B, d) of packed terms, over the lcm of the d."""
+        out, den, acc, other = {}, lcm(*(d for *_, d in summands)), {}, self.other
+        get = out.get
+        for c, A, B, d in summands:
+            c *= den // d
+            for m1, q1 in A.items():
+                q1, o1 = q1 * c, m1 in other
+                for m2, q2 in B.items():
+                    if o1 and m2 in other:
+                        _accumulate(acc, [*self.monos[m1], *self.monos[m2]], q1 * q2)
+                    else:
+                        m = m1 + m2
+                        out[m] = get(m, 0) + q1 * q2
+        for m, q in zip(map(self.pack, acc), acc.values()):
+            out[m] = get(m, 0) + q
+        return {m: q for m, q in out.items() if q}, den
+
+    def keys(self, ms) -> dict[int, tuple]:
+        """{m: (rank, _mono_key of m)} for packed monomials ms, fields read in key
+        order of their atoms as codes rank << _FIELD | (_HALF + e), ordered as keys."""
+        atoms = sorted(self.shift, key=lambda a: a.key)
+        bias = sum(_HALF << s for s in self.shift.values())  # each field _HALF + e
+        fields = [(r << _FIELD, self.shift[a]) for r, a in enumerate(atoms)]
+        codes = {m: [r | d for r, s in fields if (d := u >> s & _MASK) != _HALF]
+                 for m in set(ms) for u in (m + bias,)}
+        return {m: (r, tuple((atoms[c >> _FIELD].key, (c & _MASK) - _HALF) for c in codes[m]))
+                for r, m in enumerate(sorted(codes, key=codes.__getitem__))}
+
+
 class _ResidualMap:
     """The on-shell residual map X -> [pr X(lead - rhs) on solutions] of one
     system, for generators carrying the unknown functions `unknowns`.
@@ -211,13 +268,14 @@ class _ResidualMap:
     independent factors and Y = g d_var with g everything else, of
     characteristic Q_Y = g on var (eta) or -g u^A_var on every A (xi).
     Leibniz's rule on D_J(p Q_Y), and pr X(H) = pr X_Q(H) + xi^j D_j H with
-    D_j H = 0 on solutions, give pr(pY)(H) = sum_{|K| <= deg p} d_K p *
-    R_{Y,K}, each term a merge of monomials, with R_{Y,K} =
-    reduce(sum_{A, J >= K} C(J,K) D_{J-K}(Q_Y^A) dH/du^A_J) and R_{Y,()} =
-    pr Y(H); the entry's residual is the sum over its terms.  Tables, pieces
-    and columns are `cleared`: integer terms over one positive denominator,
-    each sum scaled to the lcm of its summands' denominators (content and
-    primitive part, Geddes, Czapor & Labahn 1992, sec. 2.7)."""
+    D_j H = 0 on solutions, give pr(pY)(H) = sum_K d_K p * R_{Y,K}, K <= J
+    for some jet u_J of H, with R_{Y,K} = reduce(sum_{A, J >= K} C(J,K)
+    D_{J-K}(Q_Y^A) dH/du^A_J) and R_{Y,()} = pr Y(H).  Tables, pieces and
+    columns are `cleared` (integer terms over one denominator; Geddes, Czapor
+    & Labahn 1992, sec. 2.7) on the int monomials of `ring`: a product with a
+    plain side is an addition, only two non-plain ones meet `_accumulate`.
+    A table's prolongation of Y depends on Y and the jets below those of H,
+    not on H: the process-wide memo keeps it."""
 
     def __init__(self, system, unknowns=()):
         equations = system.equations()
@@ -235,20 +293,22 @@ class _ResidualMap:
                         for a in atoms_of(rhs) if isinstance(a, Jet)])
                       for lead, rhs in equations]
         self.syms = [sym(i) for i in self.independents]
+        self.top = {s: max(J.idx.count(s.name) for J in self.needed) for s in self.syms}
         self.zero = (0,) * len(self.syms)  # K = () as counts per independent
         self.tables, self.splits = {}, {}  # D_L(Q_Y); (C(J,K), J-K)
+        self.ring = _Ring(getattr(system, "label", ""))
 
     @cached_property
     def partials(self) -> list[list[tuple]]:
-        """Per equation (J, dH/du_J cleared), the lead first; built on the
-        first `piece`, as a map that is only called never reads it."""
-        return [[(lead, None, 1)] + [(a, *cleared(h._terms)) for a, h in djet]
+        """Per equation (J, packed dH/du_J, denominator), the lead first, {0: 1}
+        packing 1; built on the first `piece`, as a map only called never reads it."""
+        return [[(lead, {0: 1}, 1)] + [(a, *self.ring.terms(h)) for a, h in djet]
                 for lead, _, djet in self.parts]
 
     @cached_property
     def pieces(self) -> dict[tuple, list[tuple]]:
         """R_{Y,K} by (kind, var, g, K), seeded with R_{d_j,()} = dH/dx_j."""
-        return {("xi", i, (), self.zero): [cleared(dxi[k]._terms) for _, dxi, _ in self.parts]
+        return {("xi", i, (), self.zero): [self.ring.terms(dxi[k]) for _, dxi, _ in self.parts]
                 for k, i in enumerate(self.independents)}
 
     def __call__(self, X: VectorField) -> list[Expr]:
@@ -275,18 +335,18 @@ class _ResidualMap:
             return self.tables[key]
         dep0, ge = self.jet.dependents[0], Expr({g: 1})
         # d_var prolongs to 0 and asks no L = J, as R_{d_var,()} is seeded
-        plain = not (eta or g)
-        below = dict.fromkeys(jet(dep0 if eta else J.dep, L) for J in self.needed
-                              for r in range(J.order + 1 - plain)
-                              for L in combinations(J.idx, r))
-        pr = {} if plain else prolong_generator(
-            VectorField(self.jet, **{kind: {dep0 if eta else var: ge}}), below)
+        plain, slot = not (eta or g), dep0 if eta else var
+        below = tuple(dict.fromkeys(jet(dep0 if eta else J.dep, L) for J in self.needed
+                                    for r in range(J.order + 1 - plain)
+                                    for L in combinations(J.idx, r)))
+        pr = {} if plain else _memo(("prolong", self.jet, kind, slot, g, below), lambda: (
+            prolong_generator(VectorField(self.jet, **{kind: {slot: ge}}), below)))
         table = self.tables[key] = {}
         for A in below:
             v = pr.get(A, Expr.zero())
             if not eta:
                 v = v - ge * jet(A.dep, A.idx + (var,)).as_expr()
-            table[A.dep, A.idx] = cleared(self.reduce(v)._terms)
+            table[A.dep, A.idx] = self.ring.terms(self.reduce(v))
         return table
 
     def piece(self, kind: str, var: str, g: tuple, K: tuple) -> list[tuple]:
@@ -307,16 +367,8 @@ class _ResidualMap:
                 if c and not (eta and J.dep != var):
                     f, fd = table[dep0 if eta else J.dep, L]
                     if f:
-                        summands.append((c, f, fd * hd, h))
-            out, den = {}, lcm(*(d for _, _, d, _ in summands))
-            for c, f, d, h in summands:
-                c *= den // d
-                f = f if c == 1 else {m: q * c for m, q in f.items()}
-                if h is None:  # the lead comes first, and dH/d(lead) = 1
-                    out.update(f)
-                else:
-                    _mul_into(out, f, h)
-            pieces.append((out, den))
+                        summands.append((c, f, h, fd * hd))
+            pieces.append(self.ring.combine(summands))
         return pieces
 
     def column(self, key: tuple[str, str], e: Expr) -> list[tuple]:
@@ -329,20 +381,15 @@ class _ResidualMap:
             g = tuple(f for f in m if f not in p)
             if q == 1 and not p and len(e._terms) == 1:  # R_{Y,()} as it is, no copy
                 return self.piece(kind, var, g, self.zero)
-            for ks in product(*(range(k + 1) for _, k in p)):  # d_K p = c * mono
-                c = q.numerator * prod(perm(k, j) for (_, k), j in zip(p, ks))
-                mono = tuple((a, k - j) for (a, k), j in zip(p, ks) if k != j)
+            # d_K p = c * mono, K past the jets of H gives R_{Y,K} = 0 (k < 0)
+            for ks in product(*(range((k if k >= 0 else self.top[a]) + 1) for a, k in p)):
+                c = q.numerator * prod(prod(range(k - j + 1, k + 1)) for (_, k), j in zip(p, ks))
+                mono = self.ring.pack(tuple((a, k - j) for (a, k), j in zip(p, ks) if k != j))
                 K = tuple(dict(zip((a for a, _ in p), ks)).get(s, 0) for s in syms)
                 summands.append((c, mono, q.denominator, self.piece(kind, var, g, K)))
-        outs = []
-        for i in range(len(self.parts)):
-            out, den = {}, lcm(*(qd * r[i][1] for _, _, qd, r in summands))
-            for c, mono, qd, r in summands:
-                c *= den // (qd * r[i][1])
-                for m2, q2 in r[i][0].items():
-                    _put(out, _merge(m2, mono), q2 * c)
-            outs.append((out, den))
-        return outs
+        return [self.ring.combine([(c, {mono: 1}, r[i][0], qd * r[i][1])
+                                   for c, mono, qd, r in summands])  # mono is plain
+                for i in range(len(self.parts))]
 
 
 def symmetry_residual(system, X: VectorField) -> list[Expr]:
@@ -472,16 +519,17 @@ def determining_system(system, basis: AnsatzBasis) -> DeterminingSystem:
     """Rows: residual coefficients per (equation, monomial class) of each
     column, summed over the terms p*Y of its entry, pr(pY)(H) = sum_K d_K p *
     R_{Y,K} on solutions (D_j H = 0), from pieces of the base field Y, with
-    R_{Y,()} = pr Y(H).  Map and pieces die with the call."""
+    R_{Y,()} = pr Y(H).  Map and pieces die with the call, prolongations not."""
     cols, residual = basis.columns(), _ResidualMap(system)
     # an int where the denominator divides the integer term, else a Fraction
-    rowmap = transpose({(i, _mono_key(m)): q // d if not q % d else Fraction(q, d)
+    rowmap = transpose({(i, m): q // d if not q % d else Fraction(q, d)
                         for i, (terms, d) in enumerate(residual.column(key, e))
                         for m, q in terms.items()} for key, _, e in cols)
-    prov = sorted(rowmap)
+    keys = residual.ring.keys(m for _, m in rowmap)
+    prov = sorted(rowmap, key=lambda im: (im[0], keys[im[1]][0]))
     return DeterminingSystem(system_label=getattr(system, "label", ""),
-                             basis=basis, columns=cols, provenance=prov,
-                             rows=[rowmap[k] for k in prov])
+                             basis=basis, columns=cols, rows=[rowmap[k] for k in prov],
+                             provenance=[(i, keys[m][1]) for i, m in prov])
 
 
 def discover_symmetries(system, basis: AnsatzBasis,

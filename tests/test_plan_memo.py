@@ -1,6 +1,7 @@
-"""The per-process memo of derivative chains and compiled NumericPlans in
-`reduce`: repeated calls derive and compile nothing, the key keeps term
-order, cached plans give the bits of fresh ones, and the memo is bounded."""
+"""The per-process memo (`expr_core._memo`) of derivative chains and
+compiled NumericPlans in `reduce`: repeated calls derive and compile
+nothing, the key keeps term order, cached plans give the bits of fresh ones,
+the memo is bounded, and an empty cached value is a hit."""
 
 import builtins
 from fractions import Fraction
@@ -139,20 +140,35 @@ def test_cached_rk4_loop_gives_the_bits_of_a_fresh_one():
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_verification_bits_do_not_depend_on_the_memo(monkeypatch, case):
     S, cand, params = case()
-    monkeypatch.setattr(red, "_MEMO", {})
+    monkeypatch.setattr(ec, "_MEMO", {})
     cold = _verify(S, cand, params).max_residual
     warm = _verify(S, cand, params).max_residual
     assert cold.hex() == warm.hex()
 
 
 def test_memo_evicts_the_least_recently_used_at_its_bound(monkeypatch):
-    monkeypatch.setattr(red, "_MEMO", {})
-    size = red._MEMO_SIZE
+    monkeypatch.setattr(ec, "_MEMO", {})
+    size = ec._MEMO_SIZE
     plans = [red._plan([Expr.rational(k)], []) for k in range(size)]
     assert red._plan([Expr.rational(1)], []) is plans[1]  # now the most recent
-    assert len(red._MEMO) == size  # a hit evicts nothing
+    assert len(ec._MEMO) == size  # a hit evicts nothing
     red._plan([Expr.rational(size)], [])
-    assert len(red._MEMO) == size
+    assert len(ec._MEMO) == size
     assert red._plan([Expr.rational(1)], []) is plans[1]
     assert red._plan([Expr.rational(0)], []) is not plans[0]  # evicted
-    assert len(red._MEMO) == size
+    assert len(ec._MEMO) == size
+
+
+def test_an_empty_cached_value_is_a_hit(monkeypatch):
+    monkeypatch.setattr(ec, "_MEMO", {})
+    made = []
+    for _ in range(3):
+        for key, empty in (("dict", {}), ("list", []), ("zero", 0)):
+            got = ec._memo((key,), lambda e=empty: made.append(key) or e)
+            assert got == empty
+    assert made == ["dict", "list", "zero"]
+    for k in range(ec._MEMO_SIZE):
+        ec._memo(("filler", k), dict)
+    assert len(ec._MEMO) == ec._MEMO_SIZE
+    ec._memo(("dict",), lambda: made.append("again") or {})
+    assert made[-1] == "again"  # evicted at the bound, then made anew

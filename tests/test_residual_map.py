@@ -11,7 +11,10 @@ base field (an eta table shared between the dependents).  Every residual the map
 expression, column by column, for every system kind it serves, and every row
 of a determining system must equal the reference row in value and in type
 (`int` or `Fraction`), also on time-scaled and reduced systems whose
-coefficients are fractions.
+coefficients are fractions.  Columns hold monomials packed into the map's
+ring; `unpacked` reads them back.  The ring's own cases close the file:
+negative exponents, products of two non-plain monomials, and an exponent
+past the ring's bound.
 """
 
 import functools
@@ -23,8 +26,8 @@ import pytest
 
 from lieforge import catalog, symmetry
 from lieforge.expr_core import (
-    Expr, Jet, atoms_of, coefficient_vector, derive, func, random_rational,
-    sym,
+    _INTERN, DomainError, Expr, Jet, atoms_of, coefficient_vector, derive, func,
+    random_rational, sym,
 )
 from lieforge.hierarchy import (REAL_JET, catalogue_member, complex_split,
                                 hierarchy_member)
@@ -32,7 +35,7 @@ from lieforge.linalg import transpose
 from lieforge.reduce import reduced_system
 from lieforge.symmetry import (
     AnsatzBasis, UnknownFunctionConstraint, VectorField, _ResidualMap,
-    ansatz_dictionary, determining_system, prolong_generator,
+    ansatz_dictionary, determining_system, discover_symmetries, prolong_generator,
     symmetry_residual, verify_generator,
 )
 from lieforge.systems import PDESystem, Reducer
@@ -105,11 +108,19 @@ def _reference_columns(name, size):
                    for key, _, e in basis.columns()]
 
 
-def _exprs(column):
+def unpacked(rmap, column):
+    """A column of the map, (terms keyed by packed monomials, denominator)
+    per equation, with its monomials unpacked from the map's ring."""
+    keys = rmap.ring.keys(m for terms, _ in column for m in terms)
+    mono = {m: tuple((_INTERN[a], e) for a, e in key) for m, (_, key) in keys.items()}
+    return [({mono[m]: q for m, q in terms.items()}, den) for terms, den in column]
+
+
+def _exprs(rmap, column):
     """The residuals of a column of the map, given as (integer terms,
     positive denominator) per equation."""
     out = []
-    for terms, den in column:
+    for terms, den in unpacked(rmap, column):
         assert den.__class__ is int and den > 0, den
         assert all(q.__class__ is int for q in terms.values()), terms
         out.append(Expr({m: Fraction(q, den) for m, q in terms.items()}))
@@ -142,7 +153,7 @@ def test_map_matches_reference_on_every_column(name):
         kinds = {key[0] for key, _, _ in columns}
         assert kinds == {"xi", "eta"}
         for (key, _, e), ref in zip(columns, refs):
-            assert _exprs(rmap.column(key, e)) == ref, (name, size, key, e)
+            assert _exprs(rmap, rmap.column(key, e)) == ref, (name, size, key, e)
     basis, refs = _reference_columns(name, DEGREES[1])
     for (key, _, e), ref in zip(basis.columns(), refs):
         assert rmap(_unit_field(basis.jet, key, e)) == ref, (name, key, e)
@@ -246,7 +257,7 @@ def test_unsplit_entries_take_the_entry_residual(name, monkeypatch):
     rmap = _ResidualMap(S)
     for (key, _, e), ref in zip(basis.columns(), refs):
         used.clear()
-        assert _exprs(rmap.column(key, e)) == ref, (name, key, e)
+        assert _exprs(rmap, rmap.column(key, e)) == ref, (name, key, e)
         assert {g for _, _, g, _ in used} == {
             tuple(f for f in m if f[0] not in rmap.syms) for m in e._terms}, \
             (name, key, e)
@@ -332,3 +343,70 @@ def test_reducible_unknowns_in_coefficients_match_reference(name):
     S = _explicit_x(SYSTEMS[name])
     for X in _heat_fields():
         assert symmetry_residual(S, X) == reference_residual(S, X), (name, X)
+
+
+# ---------------------------------------------------------------------------
+# the monomial ring of a map: signed exponents, the non-plain boundary and
+# the exponent bound
+# ---------------------------------------------------------------------------
+
+def _parity(S, basis):
+    """The determining system of S on basis against the reference rows, in
+    value and in type, in provenance order."""
+    refs = [reference_residual(S, _unit_field(basis.jet, key, e))
+            for key, _, e in basis.columns()]
+    det = determining_system(S, basis)
+    prov, rowmap = _reference_rows(refs)
+    assert det.provenance == prov
+    assert [[(k, q, q.__class__) for k, q in row.items()] for row in det.rows] == \
+        [[(k, q, q.__class__) for k, q in rowmap[key].items()] for key in prov]
+    return det
+
+
+def _over_x():
+    """v_t = v_xx + v_x/x: x^-1 and x^-2 in the rhs partials."""
+    P = REAL_JET.parse
+    return PDESystem(jet=REAL_JET, rhs={"v": P("v_xx + v_x/x"), "w": P("w_xx")},
+                     label="v_x over x")
+
+
+def test_negative_exponents_match_reference():
+    S = _over_x()
+    det = _parity(S, ansatz_dictionary(REAL_JET, 1, 0, 0))
+    assert (len(det.rows), len(discover_symmetries(S, det.basis, det))) == (13, 5)
+    P = REAL_JET.parse
+    # negative powers of an independent in p: d_K p runs up to the jet orders
+    basis = AnsatzBasis(REAL_JET, {
+        ("xi", "t"): [P("1"), P("x^-2*exp(w)")],
+        ("xi", "x"): [P("1/x"), P("t^2/x")],
+        ("eta", "v"): [P("1/x"), P("v/x^2"), P("w/x"), P("t/x^3*sin(v)")]})
+    det = _parity(S, basis)
+    assert any(e < 0 for _, key in det.provenance for _, e in key)
+
+
+def test_non_plain_partials_take_the_accumulate_boundary(monkeypatch):
+    """sin(v) and exp(w) in the rhs partials times trig/exp tables: those
+    products are unpacked, canonicalised (sin*cos to a sum, exps merged) and
+    packed again, with the halves of product-to-sum in the rows."""
+    P = REAL_JET.parse
+    S = PDESystem(jet=REAL_JET, label="sin-exp transport", rhs={
+        "v": P("v_xx + sin(v)*v_x"), "w": P("w_xx + exp(w)*w_x + cos(v)")})
+    rmap = _ResidualMap(S)
+    assert rmap.ring.other & {m for ps in rmap.partials for _, h, _ in ps for m in h}
+    calls = []
+    accumulate = symmetry._accumulate
+    monkeypatch.setattr(symmetry, "_accumulate",
+                        lambda out, fl, q: calls.append(fl) or accumulate(out, fl, q))
+    det = _parity(S, ansatz_dictionary(REAL_JET, 1, 1, 1))
+    assert calls
+    assert any(q.__class__ is Fraction for row in det.rows for q in row.values())
+
+
+def test_exponent_past_the_ring_bound_names_the_system():
+    S, P = _over_x(), REAL_JET.parse
+    bound = symmetry._BOUND
+    ok = AnsatzBasis(REAL_JET, {("eta", "v"): [P(f"v^{bound}")]})
+    assert determining_system(S, ok).rows
+    for slot, entry in [(("eta", "v"), f"v^{bound + 1}"), (("xi", "x"), f"x^-{bound + 1}")]:
+        with pytest.raises(DomainError, match=r"exceeds \d+ in 'v_x over x'"):
+            determining_system(S, AnsatzBasis(REAL_JET, {slot: [P(entry)]}))
