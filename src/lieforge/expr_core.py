@@ -27,6 +27,11 @@ jets and unknown functions alone) is a merge of exponents, so it skips every
 rewriting pass.  The rewriting passes run only for the atom classes present,
 and merge exp arguments and build product-to-sum arguments on term dicts.
 
+Every other product is normalised once per process: `_PRODUCTS`, keyed on the
+factor tuple handed to `_accumulate`, holds the (monomial, coefficient at 1)
+puts of its normalisation, replayed in order and scaled, so terms, term order
+and atom intern order are a first call's.  It is emptied at 8192 entries.
+
 Partial and total derivatives share one derivation loop: a single sweep over
 the terms, fixed by its values on symbols, jets and functions, with one chain
 rule through trig/exp/reciprocal arguments.  Substitution rebuilds only the
@@ -354,7 +359,7 @@ class Expr:
     @staticmethod
     def _single(atom: Atom, k: int, q: Coeff) -> "Expr":
         out: dict[Monomial, Coeff] = {}
-        _accumulate(out, [(atom, k)], q)
+        _accumulate(out, ((atom, k),), q)
         return Expr(out)
 
     # -- identity ----------------------------------------------------------
@@ -487,7 +492,8 @@ def _mul_into(out: dict[Monomial, Coeff], A: Mapping[Monomial, Coeff],
     place, term by term in the order of A, then of B.  Canonicalisation never
     rewrites a plain atom, so a canonical monomial times a plain one is
     canonical once the shared exponents are added and zeros dropped: such a
-    product is that merge and skips every rewriting pass."""
+    product is that merge and skips every rewriting pass; any other goes to
+    `_accumulate` as one factor tuple, normalised once per process."""
     bs = [(m2, q2, _is_plain(m2)) for m2, q2 in B.items()]
     for m1, q1 in A.items():
         p1 = _is_plain(m1)
@@ -495,7 +501,7 @@ def _mul_into(out: dict[Monomial, Coeff], A: Mapping[Monomial, Coeff],
             if p1 or p2:
                 _put(out, _merge(m1, m2), q1 * q2)
             else:
-                _accumulate(out, [*m1, *m2], q1 * q2)
+                _accumulate(out, m1 + m2, q1 * q2)
     return out
 
 
@@ -553,12 +559,32 @@ def _invert_single(e: Expr) -> Expr | None:
 # monomial canonicalisation
 # ---------------------------------------------------------------------------
 
-def _accumulate(out: dict[Monomial, Coeff], factors: list[tuple[Atom, int]],
+_PRODUCTS, _PRODUCTS_SIZE = {}, 8192  # factor tuple -> [(monomial, coefficient at 1)]
+
+
+def _accumulate(out: dict[Monomial, Coeff], factors: Iterable[tuple[Atom, int]],
                 coeff: Coeff) -> None:
-    """Normalise a factor list and add the resulting terms into `out`; an
-    integral sum is stored as an `int`.  Products with a plain side do not
-    come here: `_mul_into` merges them."""
-    stack = [(factors, coeff)]
+    """Add coeff times the normal form of a factor list into `out` (an
+    integral sum stored as an `int`, nothing for coeff 0) by replaying the
+    puts of `_normal_form` kept in `_PRODUCTS`; a DomainError keeps nothing.
+    Products with a plain side do not come here: `_mul_into` merges them."""
+    if not coeff:
+        return
+    key = tuple(factors)
+    puts = _PRODUCTS.get(key)
+    if puts is None:
+        puts = _normal_form(key)  # raises before anything is kept
+        if len(_PRODUCTS) >= _PRODUCTS_SIZE:
+            _PRODUCTS.clear()
+        _PRODUCTS[key] = puts
+    for m, c in puts:
+        _put(out, m, c * coeff)
+
+
+def _normal_form(factors: tuple[tuple[Atom, int], ...]) -> list[tuple[Monomial, Coeff]]:
+    """The (monomial, coefficient) puts that normalise the product of a factor
+    list: I mod 4, roots, exp merge, product-to-sum, sign flips."""
+    puts, stack = [], [(factors, 1)]
     while stack:
         fl, q = stack.pop()
         if not q:
@@ -640,7 +666,8 @@ def _accumulate(out: dict[Monomial, Coeff], factors: list[tuple[Atom, int]],
 
         mono = tuple(sorted(((a, k) for a, k in powers.items() if k != 0),
                             key=lambda t: t[0].key))
-        _put(out, mono, q)
+        puts.append((mono, q))
+    return puts
 
 
 _HALF = Fraction(1, 2)
@@ -669,7 +696,7 @@ def to_canonical(e: Expr) -> Expr:
     """Re-normalise an expression (idempotent on canonical input)."""
     out: dict[Monomial, Coeff] = {}
     for m, q in e._terms.items():
-        _accumulate(out, list(m), q)
+        _accumulate(out, m, q)
     return Expr(out)
 
 

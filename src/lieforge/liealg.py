@@ -215,11 +215,6 @@ class AlgebraSignature:
     abelian_complement_dim: int
 
 
-def _specialize(q: Expr, point) -> Fraction:
-    e = substitute(q, point)
-    return e.as_rational()
-
-
 def algebra_signature(table: StructureTable) -> AlgebraSignature:
     """Derived/lower-central series via exact rank computations.  Parameter
     symbols are specialised at exact rational square points (c = 4 and
@@ -249,7 +244,9 @@ def _signature_at(table: StructureTable, point) -> AlgebraSignature:
     # [e_i, e_j] as a sparse row {k: c_ij^k}; absent for i == j
     br = {}
     for (i, j), vec in table.constants.items():
-        row = {k: q for k, q in enumerate(_specialize(e, point) for e in vec) if q}
+        # only nonzero constants are specialised: most of them are zero
+        row = {k: q for k, e in enumerate(vec)
+               if e._terms and (q := substitute(e, point).as_rational())}
         br[(i, j)], br[(j, i)] = row, {k: -q for k, q in row.items()}
 
     def bracket(u, v):

@@ -238,7 +238,7 @@ class _Ring:
                 q1, o1 = q1 * c, m1 in other
                 for m2, q2 in B.items():
                     if o1 and m2 in other:
-                        _accumulate(acc, [*self.monos[m1], *self.monos[m2]], q1 * q2)
+                        _accumulate(acc, self.monos[m1] + self.monos[m2], q1 * q2)
                     else:
                         m = m1 + m2
                         out[m] = get(m, 0) + q1 * q2
