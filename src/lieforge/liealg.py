@@ -8,7 +8,8 @@ for the call, serves all of its brackets.
 Membership of a bracket in the span of a basis is decided by matching
 coefficients over the shared functional basis of monomials and solving
 exactly, never by sampling points; one elimination answers every bracket of
-a table.
+a table.  Both series of a signature start from [g, g], the span of the
+table's own rows.
 """
 
 from __future__ import annotations
@@ -216,13 +217,16 @@ class AlgebraSignature:
 
 
 def algebra_signature(table: StructureTable) -> AlgebraSignature:
-    """Derived/lower-central series via exact rank computations.  Parameter
-    symbols are specialised at exact rational square points (c = 4 and
-    c = 9/4); the runs must agree, which guards against accidental rank
+    """Derived/lower-central series via exact rank computations.  A table
+    without parameter symbols has rational constants, so one run decides it.
+    Parameter symbols are specialised at exact rational square points (c = 4
+    and c = 9/4); the runs must agree, which guards against accidental rank
     drops at special parameter values."""
     if not table.closed:
         raise DomainError("signature needs a closed table")
     params = _param_atoms(table.basis)
+    if not params:
+        return _signature_at(table, None)
     sigs = []
     for base in (Fraction(4), Fraction(9, 4)):
         point = {}
@@ -240,13 +244,14 @@ def algebra_signature(table: StructureTable) -> AlgebraSignature:
 
 
 def _signature_at(table: StructureTable, point) -> AlgebraSignature:
+    """The signature at `point`; with None the constants are read as rationals."""
     n = table.dim
     # [e_i, e_j] as a sparse row {k: c_ij^k}; absent for i == j
     br = {}
     for (i, j), vec in table.constants.items():
-        # only nonzero constants are specialised: most of them are zero
-        row = {k: q for k, e in enumerate(vec)
-               if e._terms and (q := substitute(e, point).as_rational())}
+        # zero constants are skipped, and specialised only at a point
+        row = {k: q for k, e in enumerate(vec) if e._terms and
+               (q := (e if point is None else substitute(e, point)).as_rational())}
         br[(i, j)], br[(j, i)] = row, {k: -q for k, q in row.items()}
 
     def bracket(u, v):
@@ -257,22 +262,21 @@ def _signature_at(table: StructureTable, point) -> AlgebraSignature:
                     out[k] = out.get(k, 0) + a * b * q
         return {k: q for k, q in out.items() if q}
 
-    def bracket_span(A, B):
-        return rref([bracket(u, v) for u in A for v in B])[0]
-
     full = [{i: Fraction(1)} for i in range(n)]
+    # [g, g] is spanned by the table's own rows c_ij, one per pair
+    gg = rref([br[p] for p in table.constants])[0]
 
     def series(step):
-        """Spans A_1, A_2, ... with A_{m+1} = step(A_m) from A_0 = g, up to
-        the first zero or repeated dimension."""
-        spans = [full]
-        while True:
+        """Spans A_1 = [g, g], A_2, ... with A_{m+1} = step(A_m), up to the
+        first zero or repeated dimension."""
+        spans = [full, gg]
+        while spans[-1] and len(spans[-1]) != len(spans[-2]):
             spans.append(step(spans[-1]))
-            if not spans[-1] or len(spans[-1]) == len(spans[-2]):
-                return spans[1:]
+        return spans[1:]
 
-    derived = series(lambda A: bracket_span(A, A))
-    lower_central = series(lambda A: bracket_span(full, A))
+    # [A, A] needs each unordered pair once: [u, u] = 0, [v, u] = -[u, v]
+    derived = series(lambda A: rref([bracket(u, v) for u, v in combinations(A, 2)])[0])
+    lower_central = series(lambda A: rref([bracket(u, v) for u in full for v in A])[0])
     derived_series = [len(A) for A in derived]
     lcs_series = [len(A) for A in lower_central]
 

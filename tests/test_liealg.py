@@ -7,12 +7,15 @@ from itertools import combinations, product
 import pytest
 
 from lieforge import catalog, liealg
-from lieforge.expr_core import DomainError, Expr, _mul_into, derive, jet, sym
+from lieforge.expr_core import (
+    DomainError, Expr, Root, _mul_into, derive, jet, substitute, sym,
+)
 from lieforge.hierarchy import REAL_JET
 from lieforge.liealg import (
-    _param_atoms, algebra_signature, in_span, jacobi_check, lie_bracket,
-    structure_constants,
+    AlgebraSignature, StructureTable, _param_atoms, algebra_signature, in_span,
+    jacobi_check, lie_bracket, structure_constants,
 )
+from lieforge.linalg import nullspace, rank, rref, transpose
 from lieforge.parser import combo_text, parse_expr
 from lieforge.reduce import ODE_JET
 from lieforge.symmetry import VectorField, field_text
@@ -283,3 +286,173 @@ def test_printed_sums_keep_the_sign_of_each_coefficient():
              for q, name in [("c - 1", "X"), ("1 - c", "Y"), ("-2", "Z")]]
     assert combo_text(pairs) == "(-1 + c)*X + (1 - c)*Y - 2*Z"
     assert combo_text(pairs[::-1]) == "-2*Z + (1 - c)*Y + (-1 + c)*X"
+
+
+# ---------------------------------------------------------------------------
+# signature against a reference: both parameter points for every table, and
+# every ordered pair of every series step, starting from g itself
+# ---------------------------------------------------------------------------
+
+def _reference_signature(table):
+    params = _param_atoms(table.basis)
+    sigs = []
+    for base in (Fraction(4), Fraction(9, 4)):
+        point = {}
+        for a in params:
+            if isinstance(a, Root):
+                point[a] = Expr.rational(Fraction(2) if base == 4 else Fraction(3, 2))
+                point[sym(a.of)] = Expr.rational(base)
+            elif a not in point:
+                point[a] = Expr.rational(base)
+        sigs.append(_reference_at(table, point))
+    assert sigs[0] == sigs[1]
+    return sigs[0]
+
+
+def _reference_at(table, point):
+    n = table.dim
+    br = {}
+    for (i, j), vec in table.constants.items():
+        row = {k: q for k, e in enumerate(vec)
+               if (q := substitute(e, point).as_rational())}
+        br[(i, j)], br[(j, i)] = row, {k: -q for k, q in row.items()}
+
+    def bracket(u, v):
+        out = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                for k, q in br.get((i, j), {}).items():
+                    out[k] = out.get(k, 0) + a * b * q
+        return {k: q for k, q in out.items() if q}
+
+    def bracket_span(A, B):
+        return rref([bracket(u, v) for u in A for v in B])[0]
+
+    full = [{i: Fraction(1)} for i in range(n)]
+
+    def series(step):
+        spans = [full]
+        while True:
+            spans.append(step(spans[-1]))
+            if not spans[-1] or len(spans[-1]) == len(spans[-2]):
+                return spans[1:]
+
+    derived = series(lambda A: bracket_span(A, A))
+    lower_central = series(lambda A: bracket_span(full, A))
+    cols = transpose({(j, k): q for j in range(n)
+                      for k, q in br.get((i, j), {}).items()} for i in range(n))
+    center = nullspace(list(cols.values()), n)
+    d, l = [len(A) for A in derived], [len(A) for A in lower_central]
+    return AlgebraSignature(
+        dimension=n, derived_series=d, lower_central_series=l,
+        center_dim=len(center), abelian=d[0] == 0, nilpotent=l[-1] == 0,
+        solvable=d[-1] == 0,
+        abelian_complement_dim=rank(derived[0] + center) - d[0])
+
+
+def _table(n, rows):
+    """A parameter-free table on n placeholder fields from sparse rows
+    {(i, j): {k: c_ij^k}}, i < j; absent pairs commute."""
+    basis = [VectorField(REAL_JET, xi={"t": Expr.one()}, name=f"E{k}")
+             for k in range(n)]
+    constants = {(i, j): [Expr.rational(rows.get((i, j), {}).get(k, 0))
+                          for k in range(n)]
+                 for i, j in combinations(range(n), 2)}
+    return StructureTable(basis=basis, constants=constants, closed=True)
+
+
+def _unit_table(units):
+    """The matrix algebra spanned by the units E_ab, (a, b) in `units`:
+    [E_ab, E_cd] = [b = c] E_ad - [d = a] E_cb."""
+    at = {u: k for k, u in enumerate(units)}
+    rows = {}
+    for (p, (a, b)), (q, (c, d)) in combinations(enumerate(units), 2):
+        row = rows.setdefault((p, q), {})
+        if b == c:
+            row[at[(a, d)]] = row.get(at[(a, d)], 0) + 1
+        if d == a:
+            row[at[(c, b)]] = row.get(at[(c, b)], 0) - 1
+    return _table(len(units), rows)
+
+
+def _member3_scaled():
+    return [f if f.name != "G2b" else catalog.fields_member3_scaling()
+            for f in catalog.fields_member3()]
+
+
+def _upper(m):
+    return [(a, b) for a in range(m) for b in range(a, m)]
+
+
+HAND_TABLES = {
+    "abelian": (_table(3, {}), [0], [0]),
+    "heisenberg": (_unit_table([(0, 1), (1, 2), (0, 2)]), [1, 0], [1, 0]),
+    "filiform": (_table(4, {(0, 1): {2: 1}, (0, 2): {3: 1}}), [2, 0], [2, 1, 0]),
+    "b3": (_unit_table(_upper(3)), [3, 1, 0], [3, 3]),
+    "b5": (_unit_table(_upper(5)), [10, 6, 1, 0], [10, 10]),
+    "so21+2A1": (_table(5, {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}),
+                 [3, 3], [3, 3]),
+}
+
+
+class TestSignatureReference:
+    def test_catalogue_algebras(self):
+        for basis in (catalog.fields_member2(), _member3_scaled(), catalog.fields_member3(),
+                      catalog.fields_member4(), catalog.fields_reduced3(),
+                      catalog.fields_reduced3()[2:]):
+            table = structure_constants(basis)
+            assert table.closed
+            assert vars(algebra_signature(table)) == vars(_reference_signature(table))
+
+    @pytest.mark.parametrize("name", sorted(HAND_TABLES))
+    def test_hand_built_tables(self, name):
+        table, derived, lower_central = HAND_TABLES[name]
+        assert jacobi_check(table)
+        sig = algebra_signature(table)
+        assert (sig.derived_series, sig.lower_central_series) == (derived, lower_central)
+        assert vars(sig) == vars(_reference_signature(table))
+
+
+CATALOGUE = {"m2": catalog.fields_member2, "m3": _member3_scaled,
+             "m4": catalog.fields_member4, "r3": catalog.fields_reduced3}
+
+
+class TestSignatureWork:
+    def test_one_specialisation_without_parameters(self, monkeypatch):
+        real, points = liealg._signature_at, []
+        monkeypatch.setattr(liealg, "_signature_at",
+                            lambda t, p: points.append(p) or real(t, p))
+        runs = {}
+        for name, fields in CATALOGUE.items():
+            table = structure_constants(fields())
+            points.clear()
+            algebra_signature(table)
+            runs[name] = len(points)
+        assert runs == {"m2": 1, "m3": 1, "m4": 1, "r3": 2}
+
+    def test_rows_eliminated_per_signature(self, monkeypatch):
+        rows = []
+        monkeypatch.setattr(liealg, "rref", lambda r: rows.append(len(r)) or rref(r))
+        counts = {}
+        for name, fields in CATALOGUE.items():
+            table = structure_constants(fields())
+            rows.clear()
+            algebra_signature(table)
+            counts[name] = sum(rows)
+        # every ordered pair at both points from g itself: 352, 334, 64, 148
+        assert counts == {"m2": 78, "m3": 69, "m4": 6, "r3": 56}
+
+    def test_disagreeing_points_raise(self, monkeypatch):
+        real, calls = liealg._signature_at, []
+
+        def shifted(table, point):
+            sig = real(table, point)
+            calls.append(point)
+            if len(calls) == 2:
+                sig = dataclasses.replace(sig, center_dim=sig.center_dim + 1)
+            return sig
+
+        monkeypatch.setattr(liealg, "_signature_at", shifted)
+        with pytest.raises(DomainError,
+                           match="signature differs between parameter specialisations"):
+            algebra_signature(structure_constants(catalog.fields_reduced3()))
