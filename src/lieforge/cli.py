@@ -201,6 +201,15 @@ def _rational_c(text: str, command: str) -> Fraction:
     return c
 
 
+def _float_c(c: Fraction, text: str) -> float:
+    """The float of a rational `--c`, or a ValueError naming the flag."""
+    try:
+        return float(c)
+    except OverflowError:
+        raise ValueError(f"--c {text} is an overflowing wave speed: "
+                         f"it has no float value") from None
+
+
 _SYSTEMS = {
     "3.2": lambda c: red.reduced_system(2, c),
     "3.3": red.system_33,
@@ -235,7 +244,7 @@ def cmd_verify_solution(args) -> int:
                              f"fixes c = {cand.params['c']:g}")
         c = Fraction(cand.params["c"]).limit_denominator(10 ** 9)
     S = _SYSTEMS[args.system](c)
-    params = {"c": float(c)} if mode == "numeric" and args.c != "c" else None
+    params = {"c": _float_c(c, args.c)} if mode == "numeric" and args.c != "c" else None
     try:
         if mode == "symbolic":
             try:
@@ -293,11 +302,15 @@ def _span(text: str) -> tuple[float, float]:
 def cmd_integrate(args) -> int:
     lo, hi = args.range
     c = _rational_c(args.c, "integrate")
-    half_c = 0.5 * float(c)
+    half_c = 0.5 * _float_c(c, args.c)
     S = _SYSTEMS[args.system](c)
     # --from tan: F = c/2, G = -(c/2) tan((c/2)(s - s0)) at s = lo
     state0 = {"F": half_c, "G": -half_c * math.tan(half_c * (lo - args.s0))}
-    traj = red.rk4_from_system(S, {}, state0, (lo, hi), args.h)
+    try:
+        traj = red.rk4_from_system(S, {}, state0, (lo, hi), args.h)
+    except OverflowError as exc:
+        raise ValueError(f"--c {args.c} is an overflowing wave speed for "
+                         f"integrate: {exc}") from None
     rows = [(s, traj.values["F"][i], traj.values["G"][i])
             for i, s in enumerate(traj.grid)]
     if args.csv:
@@ -313,7 +326,7 @@ MAX_FIG1_SERIES = 100
 
 
 def cmd_fig1(args) -> int:
-    c = float(_rational_c(args.c, "fig1"))
+    c = _float_c(_rational_c(args.c, "fig1"), args.c)
     if c == 0:
         raise ValueError("--c must be nonzero for fig1: the period is 2 pi / c")
     f1_texts = args.F1.split(",")

@@ -22,15 +22,15 @@ tan is kept opaque with derivative 1 + tan^2 and is never rewritten into
 sin/cos.  Reciprocal atoms make closed-form solution candidates expressible;
 expressions containing them are outside the decidable class and fall back to
 randomised numeric zero testing.  One product kernel multiplies term dicts
-straight into an accumulator; a monomial product with a plain side (symbols,
-jets and unknown functions alone) is a merge of exponents, so it skips every
-rewriting pass.  The rewriting passes run only for the atom classes present,
-and merge exp arguments and build product-to-sum arguments on term dicts.
+straight into an accumulator.  The rewriting passes run only for the atom
+classes present, and merge exp arguments and build product-to-sum arguments
+on term dicts.
 
-Every other product is normalised once per process: `_PRODUCTS`, keyed on the
-factor tuple handed to `_accumulate`, holds the (monomial, coefficient at 1)
-puts of its normalisation, replayed in order and scaled, so terms, term order
-and atom intern order are a first call's.  It is emptied at 8192 entries.
+Every monomial product is normalised once per process: `_PRODUCTS`, keyed on
+the factor tuple handed to `_accumulate`, holds the (monomial, coefficient at
+1) puts of its normalisation, replayed in order and scaled, so terms, term
+order and atom intern order are a first call's.  It is emptied at 8192
+entries.
 
 Partial and total derivatives share one derivation loop: a single sweep over
 the terms, fixed by its values on symbols, jets and functions, with one chain
@@ -489,39 +489,12 @@ def _is_plain(m: Monomial) -> bool:
 def _mul_into(out: dict[Monomial, Coeff], A: Mapping[Monomial, Coeff],
               B: Mapping[Monomial, Coeff]) -> dict[Monomial, Coeff]:
     """Add the product of the canonical term dicts A and B into `out` in
-    place, term by term in the order of A, then of B.  Canonicalisation never
-    rewrites a plain atom, so a canonical monomial times a plain one is
-    canonical once the shared exponents are added and zeros dropped: such a
-    product is that merge and skips every rewriting pass; any other goes to
-    `_accumulate` as one factor tuple, normalised once per process."""
-    bs = [(m2, q2, _is_plain(m2)) for m2, q2 in B.items()]
+    place, term by term in the order of A, then of B, each product of two
+    monomials handed to `_accumulate` as one factor tuple."""
     for m1, q1 in A.items():
-        p1 = _is_plain(m1)
-        for m2, q2, p2 in bs:
-            if p1 or p2:
-                _put(out, _merge(m1, m2), q1 * q2)
-            else:
-                _accumulate(out, m1 + m2, q1 * q2)
+        for m2, q2 in B.items():
+            _accumulate(out, m1 + m2, q1 * q2)
     return out
-
-
-def _merge(m1: Monomial, m2: Monomial) -> Monomial:
-    """Product of two key-sorted monomials in one pass: shared exponents
-    added, zeros dropped, key order kept."""
-    if len(m1) < len(m2):
-        m1, m2 = m2, m1
-    merged, i, n1 = [], 0, len(m1)
-    for a, k in m2:
-        key = a.key
-        while i < n1 and m1[i][0].key < key:
-            merged.append(m1[i])
-            i += 1
-        if i < n1 and m1[i][0] is a:
-            k += m1[i][1]
-            i += 1
-        if k:
-            merged.append((a, k))
-    return tuple(merged) + m1[i:]
 
 
 def _coerce(x) -> Expr:
@@ -567,7 +540,7 @@ def _accumulate(out: dict[Monomial, Coeff], factors: Iterable[tuple[Atom, int]],
     """Add coeff times the normal form of a factor list into `out` (an
     integral sum stored as an `int`, nothing for coeff 0) by replaying the
     puts of `_normal_form` kept in `_PRODUCTS`; a DomainError keeps nothing.
-    Products with a plain side do not come here: `_mul_into` merges them."""
+    A put at 1, as every plain product's is, adds coeff itself."""
     if not coeff:
         return
     key = tuple(factors)
@@ -578,7 +551,7 @@ def _accumulate(out: dict[Monomial, Coeff], factors: Iterable[tuple[Atom, int]],
             _PRODUCTS.clear()
         _PRODUCTS[key] = puts
     for m, c in puts:
-        _put(out, m, c * coeff)
+        _put(out, m, coeff if c == 1 else c * coeff)
 
 
 def _normal_form(factors: tuple[tuple[Atom, int], ...]) -> list[tuple[Monomial, Coeff]]:

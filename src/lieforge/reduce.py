@@ -18,7 +18,7 @@ from .expr_core import (
     sqrt_e, substitute, sym, tan_e,
 )
 from .numerics import Trajectory, integrate_rk4, sn_function
-from .linalg import solve_exact
+from .linalg import cleared, solve_exact
 from .symmetry import VectorField
 from .systems import JetSpec, ODESystem, PDESystem
 
@@ -298,19 +298,13 @@ def eliminate_to_second_order(S: ODESystem) -> Expr:
 
 
 def _normalize_equation(E: Expr) -> Expr:
-    """Divide by the rational content and normalise the sign of the
-    highest-derivative term."""
+    """The primitive part (integer terms with gcd 1, by `cleared`), signed so
+    that the first term in the highest derivative is positive."""
     if E.is_zero():
         return E
-    qs = list(E._terms.values())
-    from math import gcd
-    num = 0
-    den = 1
-    for q in qs:
-        num = gcd(num, abs(q.numerator))
-        den = den * q.denominator // gcd(den, q.denominator)
-    content = Fraction(num, 1) / den if num else Fraction(1)
-    E = E * Expr.rational(1 / content)
+    terms, _ = cleared(E._terms)
+    g = math.gcd(*terms.values())
+    E = Expr({m: q // g for m, q in terms.items()})
     lead = _leading_jet(E)
     first = min((m for m in E._terms if any(a is lead for a, _ in m)), key=_mono_key)
     return -E if E._terms[first] < 0 else E
@@ -550,7 +544,13 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
     0.05 from every pole denominator's zero, derivatives taken analytically
     for expression profiles and by fourth-order central differences of step
     3e-3 for callable ones; a non-finite residual reads inf.  Repeat calls reuse
-    derivatives and compiled plans, keyed on ordered terms to keep the bits."""
+    derivatives and compiled plans, keyed on ordered terms to keep the bits.
+    A candidate with no profile for a dependent of S raises DomainError."""
+    need_order = _need_order(S)
+    missing = sorted(d for d in need_order if d not in cand.exprs and d not in cand.callables)
+    if missing:
+        raise DomainError(f"solution {cand.name} gives no profile for "
+                          f"{', '.join(missing)} of system {S.label}")
     if mode == "symbolic":
         if cand.callables:
             raise DomainError("symbolic mode needs expression profiles")
@@ -575,7 +575,6 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
 
     svar = S.svar
     sym_vals = _candidate_jet_values(S, cand)
-    need_order = _need_order(S)
     fd_deps = [(dep, fn, need_order.get(dep, 0)) for dep, fn in cand.callables.items()]
     fd_jets = [jet(dep, (svar,) * k) for dep, _, m in fd_deps for k in range(m + 1)]
     fd_stencils = [(fn, _fd_offsets(m), _fd_orders(m)) for _, fn, m in fd_deps]

@@ -153,7 +153,8 @@ def test_verify_solution_verdict_in_both_modes(capsys, mode, system, solution, w
     ("3.22", "rational-trig", "4", 0),
     ("4.3", "linear4", "3", 0),
     ("3.22", "rational-trig", "2", 1),
-], ids=["tan-7", "rational-trig-4", "linear4-3", "rational-trig-2"])
+    ("3.3", "tan", "1e400", 0),  # exact: no float of c is taken
+], ids=["tan-7", "rational-trig-4", "linear4-3", "rational-trig-2", "tan-1e400"])
 def test_verify_solution_symbolic_at_c(capsys, system, solution, c, code):
     # the profile and the system both at --c; sqrt(2) is outside the kernel
     got = main(["verify-solution", "--system", system, "--solution", solution,
@@ -244,15 +245,40 @@ def test_brackets_member3_reports_printed_field_outside_basis(capsys):
     (["verify-solution", "--system", "3.22", "--solution", "rational-trig", "--c", "-1000"],
      "--c -1000 is an overflowing wave speed for --solution rational-trig"),
     (["fig1", "--c", "1e308"], "--c 1e308 is an overflowing wave speed for fig1"),
+    (["integrate", "--system", "3.3", "--c", "1e308", "--from", "tan"],
+     "--c 1e308 is an overflowing wave speed for integrate"),
+    # 1e400 has no float at all
+    (["integrate", "--system", "3.3", "--c", "1e400", "--from", "tan"],
+     "--c 1e400 is an overflowing wave speed"),
+    (["fig1", "--c", "1e400", "--n", "10"], "--c 1e400 is an overflowing wave speed"),
+    (["verify-solution", "--system", "3.3", "--solution", "tan", "--c", "1e400"],
+     "--c 1e400 is an overflowing wave speed"),
 ], ids=["reduce-c-1/0", "fig1-c-0", "verify-solution-s11-c-0",
         "verify-solution-s11-c-0-symbolic", "integrate-c-symbol", "fig1-c-symbol",
-        "verify-solution-rational-trig-c-overflow", "fig1-c-overflow"])
+        "verify-solution-rational-trig-c-overflow", "fig1-c-overflow",
+        "integrate-c-overflow", "integrate-c-no-float", "fig1-c-no-float",
+        "verify-solution-c-no-float"])
 def test_arithmetic_errors_exit_1(capsys, argv, message):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"lieforge: error: {message}")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "numeric"])
+@pytest.mark.parametrize("system, solution, missing", [
+    ("3.2", "tan", "f, g"),
+    ("3.3", "linear4", "F, G"),
+], ids=["tan-on-3.2", "linear4-on-3.3"])
+def test_a_solution_that_does_not_fit_the_system_exits_1(capsys, mode, system,
+                                                         solution, missing):
+    code = main(["verify-solution", "--system", system, "--solution", solution,
+                 "--c", "1", "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("lieforge: error: ")
+    assert f"no profile for {missing}" in captured.err
 
 
 @pytest.mark.parametrize("rule, code, remainder", [

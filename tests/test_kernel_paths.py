@@ -1,9 +1,9 @@
 """The kernel's calculus and substitution against straightforward reference
 implementations kept here: the total derivative as one partial derivative
 per atom, `derive` and `substitute` as term-by-term products (term order
-included, because numeric sums follow it), the product kernel's merge of
-monomials with a plain side against canonicalising every product, and
-canonicalisation on term dicts against its form in `Expr` arithmetic."""
+included, because numeric sums follow it), the product kernel against a
+merge of exponents for every product with a plain side, and canonicalisation
+on term dicts against its form in `Expr` arithmetic."""
 
 import random
 from fractions import Fraction
@@ -12,9 +12,9 @@ import pytest
 
 from lieforge.expr_core import (
     I, DomainError, Expr, Func, Jet, Root, _accumulate, _exp_atom,
-    _invert_single, _mul_into, _product_to_sum, _put, _trig_atom, atoms_of,
-    cos_e, derive, exp_e, func, jet, recip_e, root, sin_e, substitute, sym,
-    tan_e, Trig, ExpAtom, Recip,
+    _invert_single, _is_plain, _mul_into, _product_to_sum, _put, _trig_atom,
+    atoms_of, cos_e, derive, exp_e, func, jet, recip_e, root, sin_e, substitute,
+    sym, tan_e, Trig, ExpAtom, Recip,
 )
 from lieforge.liealg import StructureTable, jacobi_check
 from lieforge.systems import total_derivative
@@ -187,8 +187,27 @@ def test_substitute_term_order_matches_termwise_product():
     assert changed > N_EXPRS // 2
 
 
+def _merge(m1, m2):
+    """Product of two key-sorted monomials with a plain side in one pass:
+    shared exponents added, zeros dropped, key order kept.  Canonicalisation
+    never rewrites a plain atom, so this is the canonical product."""
+    if len(m1) < len(m2):
+        m1, m2 = m2, m1
+    merged, i, n1 = [], 0, len(m1)
+    for a, k in m2:
+        while i < n1 and m1[i][0].key < a.key:
+            merged.append(m1[i])
+            i += 1
+        if i < n1 and m1[i][0] is a:
+            k += m1[i][1]
+            i += 1
+        if k:
+            merged.append((a, k))
+    return tuple(merged) + m1[i:]
+
+
 def _hand_picked_terms():
-    """Canonical terms the merge must leave alone or combine exactly: I, a
+    """Canonical terms the product must leave alone or combine exactly: I, a
     root with its symbol, exp, sin/cos/tan, a reciprocal, negative plain
     powers, plain powers that cancel, the empty monomial, and Fraction
     coefficients whose products are integral."""
@@ -211,10 +230,12 @@ def _typed(out):
 
 
 def test_mul_into_matches_general_path():
+    """A product with a plain side against `_merge`, any other against
+    `_accumulate` (checked on its own in `test_accumulate_matches_expr_arithmetic`)."""
     rng = random.Random(SEED + 4)
     special = _hand_picked_terms()
     pool = [term for e in _exprs() for term in e._terms.items()] + special
-    seen = {"integral": 0, "shared": 0, "dropped": 0}
+    seen = {"integral": 0, "shared": 0, "dropped": 0, "merged": 0, "general": 0}
     for n in range(2 * N_EXPRS):
         # every other pair is drawn from the hand-picked terms alone
         src = special if n % 2 else pool
@@ -224,7 +245,12 @@ def test_mul_into_matches_general_path():
         ref = dict(start)
         for m1, q1 in A_.items():
             for m2, q2 in B_.items():
-                _accumulate(ref, list(m1) + list(m2), q1 * q2)
+                if _is_plain(m1) or _is_plain(m2):
+                    seen["merged"] += 1
+                    _put(ref, _merge(m1, m2), q1 * q2)
+                else:
+                    seen["general"] += 1
+                    _accumulate(ref, list(m1) + list(m2), q1 * q2)
         assert _typed(got) == _typed(ref)
         assert all(q.__class__ is int or q.denominator > 1 for q in got.values())
         for m1, q1 in A_.items():

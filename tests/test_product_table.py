@@ -1,9 +1,9 @@
 """The process-wide product table (`expr_core._PRODUCTS`) under `_accumulate`:
 a product seen before is replayed from the table with the terms, term order
-and coefficient types of a cold normalisation, a zero coefficient adds
-nothing, a product outside the class raises every time and is never kept,
-the table stays within its bound, and a repeated bracket table normalises
-nothing."""
+and coefficient types of a cold normalisation, a put at 1 adds what c * coeff
+would, a zero coefficient adds nothing, a product outside the class raises
+every time and is never kept, the table stays within its bound, and a
+repeated bracket table normalises nothing."""
 
 import random
 from fractions import Fraction
@@ -13,8 +13,8 @@ import pytest
 from lieforge import catalog
 from lieforge import expr_core as ec
 from lieforge.expr_core import (
-    I, DomainError, Expr, _accumulate, _is_plain, cos_e, exp_e, recip_e, root,
-    sin_e, sym, tan_e,
+    I, DomainError, Expr, _accumulate, _is_plain, _put, cos_e, exp_e, func,
+    recip_e, root, sin_e, sym, tan_e,
 )
 from lieforge.liealg import structure_constants
 
@@ -39,13 +39,27 @@ def _root_monomials():
     return [m for e in es for m in e._terms]
 
 
+def _plain_monomials():
+    """Plain monomials with negative powers, powers that cancel one another's,
+    an unknown function, and the empty monomial."""
+    x, v, vx = _atom_expr("x"), _atom_expr("v"), _atom_expr("v_x")
+    a = func("a", ("t", "x")).as_expr()
+    es = [x ** -2 * v ** 3, x ** 2 * v ** -3, vx ** -1 * a ** -2, a ** 2 * vx, x, Expr.one()]
+    return [m for e in es for m in e._terms]
+
+
 def _factor_lists():
-    """Products of two non-plain canonical monomials, seeded."""
+    """Products of two canonical monomials, seeded: 300 of two non-plain
+    ones, then every product of a plain one with a plain one or with one of
+    ten non-plain ones, on either side."""
     rng = random.Random(SEED)
     monos = _root_monomials()
     while len(monos) < 120:
         monos += [m for m in tree_to_expr(random_tree(rng))._terms if not _is_plain(m)]
-    return [rng.choice(monos) + rng.choice(monos) for _ in range(300)]
+    lists = [rng.choice(monos) + rng.choice(monos) for _ in range(300)]
+    plain, some = _plain_monomials(), rng.sample(monos, 10)
+    return lists + [p + m for p in plain for m in plain + some] + \
+        [m + p for p in plain for m in some]
 
 
 def _run(calls, cold):
@@ -105,6 +119,28 @@ def test_expression_products_match_cold_and_warm(table):
         cold.append([(m, q, q.__class__) for m, q in (a * b)._terms.items()])
     warm = [[(m, q, q.__class__) for m, q in (a * b)._terms.items()] for a, b in pairs]
     assert warm == cold
+
+
+@pytest.mark.parametrize("coeff", [3, -2, Fraction(3, 7), Fraction(2), Fraction(-5, 2)],
+                         ids=repr)
+def test_a_put_at_one_adds_what_c_times_coeff_would(table, coeff):
+    """A put at 1 adds coeff itself: the same value and type as c * coeff, for
+    c an int or a Fraction, onto absent monomials, sums and cancellations."""
+    x, v = sym("x"), sym("v")
+    monos = [((x, 1),), ((v, 2),), (), ((x, -1), (v, 1))]
+    puts = [(monos[0], 1), (monos[1], Fraction(1)), (monos[2], -1), (monos[3], Fraction(1, 2))]
+    plain = ((x, 1), (v, 2))  # normalised for real, cold then warm
+    entry = ((x, 7),)  # a key whose entry below stands in for its normal form
+    for start in ({}, {monos[0]: Fraction(1, 3), monos[1]: -coeff, monos[2]: 2}):
+        for fl in (plain, plain, entry):
+            if fl is entry:
+                table[entry] = puts
+            got, ref = dict(start), dict(start)
+            _accumulate(got, fl, coeff)
+            for m, c in table[fl]:
+                _put(ref, m, c * coeff)
+            assert [(m, q, q.__class__) for m, q in got.items()] == \
+                [(m, q, q.__class__) for m, q in ref.items()]
 
 
 def test_zero_coefficient_adds_nothing(table):
