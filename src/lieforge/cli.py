@@ -20,6 +20,7 @@ from .expr_core import DomainError, Expr, PoleError
 from .hierarchy import (REAL_JET, audit_member, catalogue_member, complex_split,
                         hierarchy_member)
 from .liealg import algebra_signature, jacobi_check, structure_constants
+from .numerics import RK4_GUARD
 from .parser import combo_text, expr_text
 from .symmetry import (ansatz_dictionary, determining_system, discover_symmetries,
                        field_text, parse_field, verify_generator)
@@ -303,9 +304,18 @@ def cmd_integrate(args) -> int:
     lo, hi = args.range
     c = _rational_c(args.c, "integrate")
     half_c = 0.5 * _float_c(c, args.c)
+    # --from tan: F = c/2, G = -(c/2) tan((c/2)(s - s0)) at s = lo; a start
+    # past the guard would stop RK4 before its first step
+    if abs(half_c) > RK4_GUARD:
+        raise ValueError(f"--c {args.c} is an overflowing wave speed for integrate: "
+                         f"F = c/2 = {half_c:g} starts past the RK4 guard {RK4_GUARD:g}")
+    phase = half_c * (lo - args.s0)
+    G = -half_c * math.tan(phase) if math.isfinite(phase) else math.nan
+    if not abs(G) <= RK4_GUARD:
+        raise ValueError(f"--s0 {args.s0!r} starts integrate at G = {G:g}, "
+                         f"not within the RK4 guard {RK4_GUARD:g}")
     S = _SYSTEMS[args.system](c)
-    # --from tan: F = c/2, G = -(c/2) tan((c/2)(s - s0)) at s = lo
-    state0 = {"F": half_c, "G": -half_c * math.tan(half_c * (lo - args.s0))}
+    state0 = {"F": half_c, "G": G}
     try:
         traj = red.rk4_from_system(S, {}, state0, (lo, hi), args.h)
     except OverflowError as exc:

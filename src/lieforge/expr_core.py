@@ -22,9 +22,7 @@ tan is kept opaque with derivative 1 + tan^2 and is never rewritten into
 sin/cos.  Reciprocal atoms make closed-form solution candidates expressible;
 expressions containing them are outside the decidable class and fall back to
 randomised numeric zero testing.  One product kernel multiplies term dicts
-straight into an accumulator.  The rewriting passes run only for the atom
-classes present, and merge exp arguments and build product-to-sum arguments
-on term dicts.
+straight into an accumulator.
 
 Every monomial product is normalised once per process: `_PRODUCTS`, keyed on
 the factor tuple handed to `_accumulate`, holds the (monomial, coefficient at
@@ -35,7 +33,7 @@ entries.
 Partial and total derivatives share one derivation loop: a single sweep over
 the terms, fixed by its values on symbols, jets and functions, with one chain
 rule through trig/exp/reciprocal arguments.  Substitution rebuilds only the
-terms holding a changed atom and keeps the term order of a factor-wise product.
+terms holding a changed atom, as the product of their factors in factor order.
 
 Numeric evaluation compiles expressions once into a `NumericPlan`: one
 generated straight-line function (as SymPy's lambdify; Meurer et al. 2017)
@@ -290,10 +288,9 @@ def sqrt_e(arg: "Expr") -> "Expr":
             raise DomainError("sqrt of an odd atom power")
     if rn is None or rd is None:
         raise DomainError("sqrt of a non-square rational")
-    out = Expr.rational(Fraction(rn, rd))
-    for atom, k in out_atoms:
-        out = out * Expr._single(atom, k, 1)
-    return out
+    out: dict[Monomial, Coeff] = {}
+    _accumulate(out, out_atoms, Fraction(rn, rd))
+    return Expr(out)
 
 
 def _isqrt_exact(n: int) -> int | None:
@@ -565,8 +562,6 @@ def _normal_form(factors: tuple[tuple[Atom, int], ...]) -> list[tuple[Monomial, 
         powers: dict[Atom, int] = {}
         for atom, k in fl:
             powers[atom] = powers.get(atom, 0) + k
-        # the passes below add no atom of a class a later pass rewrites
-        kinds = {a.__class__ for a in powers}
         # imaginary unit: reduce exponent mod 4
         ik = powers.pop(I, 0)
         if ik:
@@ -578,7 +573,7 @@ def _normal_form(factors: tuple[tuple[Atom, int], ...]) -> list[tuple[Monomial, 
                 powers[I] = 1
 
         # root symbols: r^k -> Sym(of)^((k - k%2)/2) * r^(k%2)
-        for atom in [a for a in powers if a.__class__ is Root] if Root in kinds else ():
+        for atom in [a for a in powers if a.__class__ is Root]:
             k = powers.pop(atom)
             rem = k & 1
             shift = (k - rem) // 2
@@ -592,27 +587,25 @@ def _normal_form(factors: tuple[tuple[Atom, int], ...]) -> list[tuple[Monomial, 
 
         # merge exponentials; a lone exp(arg) stays, its argument is
         # canonical and nonzero (only _exp_atom makes the atom)
-        if ExpAtom in kinds:
-            exps = [(a, k) for a, k in powers.items() if a.__class__ is ExpAtom]
-            if len(exps) > 1 or exps[0][1] != 1:
-                total: dict[Monomial, Coeff] = {}
-                for a, k in exps:
-                    del powers[a]
-                    for m, aq in a.arg._terms.items() if k else ():
-                        _put(total, m, aq * k)
-                na = _exp_atom(Expr(total))
-                if na is not None:
-                    powers[na] = powers.get(na, 0) + 1
+        exps = [(a, k) for a, k in powers.items() if a.__class__ is ExpAtom]
+        if len(exps) > 1 or exps and exps[0][1] != 1:
+            total: dict[Monomial, Coeff] = {}
+            for a, k in exps:
+                del powers[a]
+                for m, aq in a.arg._terms.items() if k else ():
+                    _put(total, m, aq * k)
+            na = _exp_atom(Expr(total))
+            if na is not None:
+                powers[na] = powers.get(na, 0) + 1
 
         # a reciprocal atom stays: only recip_e makes one, of a nonzero
         # argument it could not invert, and that argument never changes
-        if Recip in kinds and any(k < 0 for a, k in powers.items()
-                                  if a.__class__ is Recip):
+        if any(k < 0 for a, k in powers.items() if a.__class__ is Recip):
             raise DomainError("negative reciprocal power")
 
         # trig bookkeeping
         trig_sc: list[Trig] = []
-        for atom in [a for a in powers if a.__class__ is Trig] if Trig in kinds else ():
+        for atom in [a for a in powers if a.__class__ is Trig]:
             k = powers[atom]
             if k < 0:
                 raise DomainError("negative power of a trig factor")
@@ -647,17 +640,10 @@ _HALF = Fraction(1, 2)
 
 
 def _product_to_sum(a1: Trig, a2: Trig) -> list[tuple[str, Expr, Fraction]]:
-    """sin/cos product rewriting into (fn, arg, weight) triples.  Arguments
-    are summed on term dicts, in the term order of A + B and of A - B (of
-    B - A for cos * sin)."""
+    """sin/cos product rewriting into (fn, arg, weight) triples, with the
+    arguments A + B and A - B (B - A for cos * sin)."""
     A, B = a1.arg, a2.arg
-    minuend, subtrahend = (B, A) if (a1.fn, a2.fn) == ("cos", "sin") else (A, B)
-    plus, minus = dict(A._terms), dict(minuend._terms)
-    for m, q in B._terms.items():
-        _put(plus, m, q)
-    for m, q in subtrahend._terms.items():
-        _put(minus, m, -q)
-    plus, minus = Expr(plus), Expr(minus)
+    plus, minus = A + B, B - A if (a1.fn, a2.fn) == ("cos", "sin") else A - B
     if a1.fn == "sin" and a2.fn == "sin":
         return [("cos", minus, _HALF), ("cos", plus, -_HALF)]
     if a1.fn == "cos" and a2.fn == "cos":
@@ -752,10 +738,9 @@ def _datom(atom: Atom, delta: Callable[[Atom], Expr | None]) -> Expr | None:
 
 def substitute(e: Expr, bindings: Mapping[Atom, Expr]) -> Expr:
     """Simultaneous substitution of atoms by expressions, then renormalise.
-    Only terms with a changed atom are rebuilt: the product of their changed
-    and non-plain factors, merged with their unchanged Sym/Jet/Func factors,
-    which map monomials one-to-one in order, so terms keep the factor-wise
-    order."""
+    Only terms with a changed atom are rebuilt, as the product of their
+    factors in factor order on term dicts: a changed factor as its value
+    raised to its power, an unchanged one as itself."""
     _check_acyclic(bindings)
     cache: dict[Atom, Expr | None] = {}
 
@@ -774,28 +759,17 @@ def substitute(e: Expr, bindings: Mapping[Atom, Expr]) -> Expr:
             cache[atom] = val
         return cache[atom]
 
-    powers: dict[tuple[Atom, int], Expr] = {}
     out: dict[Monomial, Coeff] = {}
     for m, q in e._terms.items():
         vals = [atom_value(atom) for atom, _ in m]
         if all(v is None for v in vals):
             _add_into(out, ((m, q),))
             continue
-        term = Expr.rational(q)
-        kept = []
+        term: dict[Monomial, Coeff] = {_ONE_M: q}
         for (atom, k), val in zip(m, vals):
-            if val is None:
-                if atom.__class__ in _PLAIN:
-                    kept.append((atom, k))
-                    continue
-                val = atom.as_expr()
-            if k != 1:
-                got = powers.get((atom, k))
-                if got is None:
-                    got = powers[(atom, k)] = val ** k
-                val = got
-            term = term * val
-        _mul_into(out, term._terms, {tuple(kept): 1})
+            term = _mul_into({}, term, {((atom, k),): 1} if val is None else
+                             (val if k == 1 else val ** k)._terms)
+        _add_into(out, term.items())
     return Expr(out)
 
 

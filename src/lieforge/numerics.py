@@ -16,6 +16,8 @@ _AGM_TOL = 1e-15
 # Most steps `integrate_rk4` takes: 100 times the 2000 of the README's
 # `integrate` command and of the benchmark's RK4 jobs.
 MAX_RK4_STEPS = 200_000
+# State magnitude past which `integrate_rk4` stops: the run has blown up.
+RK4_GUARD = 1e8
 
 
 def _agm_chain(k: float):
@@ -77,7 +79,7 @@ class Trajectory:
 
 
 def integrate_rk4(plan, state0: dict[str, complex], s_range: tuple[float, float],
-                  h: float, guard: float = 1e8, bound: Sequence = ()) -> Trajectory:
+                  h: float, guard: float = RK4_GUARD, bound: Sequence = ()) -> Trajectory:
     """Classical fourth-order Runge-Kutta on an explicit first-order system.
 
     `plan` is a NumericPlan over the `bound` values, s and the state in sorted

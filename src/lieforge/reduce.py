@@ -17,7 +17,7 @@ from .expr_core import (
     collect_terms, NumericPlan, cos_e, derive, exp_e, jet, recip_e, root, sin_e,
     sqrt_e, substitute, sym, tan_e,
 )
-from .numerics import Trajectory, integrate_rk4, sn_function
+from .numerics import RK4_GUARD, Trajectory, integrate_rk4, sn_function
 from .linalg import cleared, solve_exact
 from .symmetry import VectorField
 from .systems import JetSpec, ODESystem, PDESystem
@@ -119,12 +119,7 @@ def travelling_wave_reduce(S: PDESystem, c,
             if isinstance(a, Sym) and a.name in (t_var, x_var):
                 raise DomainError("reduction left explicit (t, x) dependence")
         equations.append(_contract_common_jet(E))
-    return _solve_leads(equations, ODE_JET, label=f"TW reduction of {S.label}",
-                        parameters=_params_of(c))
-
-
-def _params_of(c: Expr) -> tuple[str, ...]:
-    return tuple(sorted(a.name for a in atoms_of(c) if isinstance(a, Sym)))
+    return _solve_leads(equations, ODE_JET, label=f"TW reduction of {S.label}")
 
 
 def _contract_common_jet(E: Expr) -> Expr:
@@ -152,8 +147,7 @@ def _leading_jet(E: Expr) -> Jet:
     return best
 
 
-def _solve_leads(equations: list[Expr], jet_out: JetSpec, label: str,
-                 parameters=()) -> ODESystem:
+def _solve_leads(equations: list[Expr], jet_out: JetSpec, label: str) -> ODESystem:
     leads: dict[str, tuple[int, Expr]] = {}
     for E in equations:
         if E.is_zero():  # identically satisfied, e.g. at a characteristic speed
@@ -167,8 +161,7 @@ def _solve_leads(equations: list[Expr], jet_out: JetSpec, label: str,
         if lead.dep in leads:
             raise DomainError(f"two equations solve for {lead.dep}")
         leads[lead.dep] = (lead.order, rest * Expr.rational(-1 / coeff.as_rational()))
-    return ODESystem(jet=jet_out, leads=leads, label=label,
-                     parameters=tuple(parameters))
+    return ODESystem(jet=jet_out, leads=leads, label=label)
 
 
 def order_reduce(S: ODESystem) -> ODESystem:
@@ -189,7 +182,7 @@ def order_reduce(S: ODESystem) -> ODESystem:
     new_jet = JetSpec((svar,), tuple(d.upper() for d in S.jet.dependents),
                       S.jet.constants)
     return ODESystem(jet=new_jet, leads=leads,
-                     label=f"order-reduced {S.label}", parameters=S.parameters)
+                     label=f"order-reduced {S.label}")
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +239,8 @@ def f_branch_322_printed(c="c") -> ODESystem:
 
 def _second_order(jet_spec: JetSpec, label: str, c, **rhs: str) -> ODESystem:
     """The system u'' = rhs_u, each rhs written in the symbol c, at speed c."""
-    ce = _c_expr(c)
-    return ODESystem(jet=jet_spec, label=label, parameters=_params_of(ce),
-                     leads={u: (2, _parse_at_c(jet_spec, text, ce))
-                            for u, text in rhs.items()})
+    return ODESystem(jet=jet_spec, label=label,
+                     leads={u: (2, _parse_at_c(jet_spec, text, c)) for u, text in rhs.items()})
 
 
 def _parse_at_c(jet_spec: JetSpec, text: str, c) -> Expr:
@@ -669,7 +660,7 @@ def _fd_jet(f0, at: list, orders: list, h: float) -> list:
 # ---------------------------------------------------------------------------
 
 def rk4_from_system(S: ODESystem, params: dict, state0: dict, s_range, h,
-                    guard: float = 1e8) -> Trajectory:
+                    guard: float = RK4_GUARD) -> Trajectory:
     """Integrate an explicit first-order reduced system with RK4."""
     if S.order != 1:
         raise DomainError("integrate the first-order form")

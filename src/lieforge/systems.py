@@ -108,7 +108,6 @@ class ODESystem:
     jet: JetSpec
     leads: dict[str, tuple[int, Expr]]
     label: str = ""
-    parameters: tuple[str, ...] = ()
 
     def __post_init__(self):
         if len(self.jet.independents) != 1:

@@ -178,6 +178,13 @@ def test_integrate_and_csv(tmp_path, capsys):
     assert csv.read_text().startswith("s,F_re,F_im,G_re,G_im\n")
 
 
+def test_integrate_blown_up_after_one_step_keeps_its_start(capsys):
+    # F = c/2 = 5e7 starts within the RK4 guard and the first step leaves it:
+    # the trajectory ends at the previous step, the start
+    code, out = run(capsys, "integrate", "--system", "3.3", "--c", "1e8", "--from", "tan")
+    assert code == 0 and json.loads(out)["points"] == 1
+
+
 def test_fig1_csv(tmp_path, capsys):
     csv = tmp_path / "fig1.csv"
     code, out = run(capsys, "fig1", "--c", "1", "--F1", "0,2",
@@ -247,6 +254,18 @@ def test_brackets_member3_reports_printed_field_outside_basis(capsys):
     (["fig1", "--c", "1e308"], "--c 1e308 is an overflowing wave speed for fig1"),
     (["integrate", "--system", "3.3", "--c", "1e308", "--from", "tan"],
      "--c 1e308 is an overflowing wave speed for integrate"),
+    # F = c/2 = 5e19 and G = 1.6e16 at the tan pole start past the RK4 guard
+    (["integrate", "--system", "3.3", "--c", "1e20", "--from", "tan"],
+     "--c 1e20 is an overflowing wave speed for integrate: F = c/2 = 5e+19 "
+     "starts past the RK4 guard 1e+08"),
+    (["integrate", "--system", "3.3", "--c", "2", "--from", "tan",
+      "--s0", "1.5707963267948966"],
+     "--s0 1.5707963267948966 starts integrate at G = 1.63312e+16, not within the "
+     "RK4 guard 1e+08"),
+    # (c/2)(lo - s0) overflows, so G has no value
+    (["integrate", "--system", "3.3", "--c", "2", "--from", "tan", "--s0=-1e308",
+      "--range", "1.7e308:1.75e308"],
+     "--s0 -1e+308 starts integrate at G = nan, not within the RK4 guard"),
     # 1e400 has no float at all
     (["integrate", "--system", "3.3", "--c", "1e400", "--from", "tan"],
      "--c 1e400 is an overflowing wave speed"),
@@ -256,7 +275,8 @@ def test_brackets_member3_reports_printed_field_outside_basis(capsys):
 ], ids=["reduce-c-1/0", "fig1-c-0", "verify-solution-s11-c-0",
         "verify-solution-s11-c-0-symbolic", "integrate-c-symbol", "fig1-c-symbol",
         "verify-solution-rational-trig-c-overflow", "fig1-c-overflow",
-        "integrate-c-overflow", "integrate-c-no-float", "fig1-c-no-float",
+        "integrate-c-overflow", "integrate-c-past-guard", "integrate-s0-past-guard",
+        "integrate-s0-phase-overflow", "integrate-c-no-float", "fig1-c-no-float",
         "verify-solution-c-no-float"])
 def test_arithmetic_errors_exit_1(capsys, argv, message):
     code = main(argv)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from lieforge.expr_core import (
-    I, DomainError, Expr, Func, Jet, Root, _accumulate, _exp_atom,
+    I, DomainError, Expr, Func, IUnit, Jet, Root, Sym, _accumulate, _exp_atom,
     _invert_single, _is_plain, _mul_into, _product_to_sum, _put, _trig_atom,
     atoms_of, cos_e, derive, exp_e, func, jet, recip_e, root, sin_e, substitute,
     sym, tan_e, Trig, ExpAtom, Recip,
@@ -166,6 +166,33 @@ def test_derive_term_order_matches_termwise_product():
             assert _outcome(derive, e, a) == _outcome(_termwise_derive, e, a)
 
 
+# in key order x sorts before sqrt(c), v and w_x before I, exp and sin/cos/tan
+X, V, W_X = sym("x"), jet("v"), jet("w", ("x",))
+
+
+def _interleaved_exprs(rng, n):
+    """Sums of terms in which x, v and w_x recur at powers 1, 2, 3 and -1,
+    with unchanged sqrt(c), I, sin/cos/tan and exp factors raised to powers
+    up to 4 between them in key order, and a last factor of x or v (or 1)."""
+    t, w = _atom_expr("t"), _atom_expr("w")
+    unchanged = [_e(root("c")), I.as_expr(), sin_e(t), cos_e(w), tan_e(t + w),
+                 exp_e(w), exp_e(I.as_expr() * t)]
+    last = [sin_e(_e(X) - t), tan_e(_e(X)), exp_e(_e(V)), recip_e(_e(V) + t),
+            cos_e(_e(V) + w), Expr.one()]
+    exprs = []
+    for _ in range(n):
+        e = Expr.zero()
+        for _ in range(rng.randint(2, 4)):
+            term = Expr.rational(Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)))
+            for a in rng.sample([X, V, W_X], rng.randint(1, 3)):
+                term = term * _e(a) ** rng.choice([1, 2, 3, -1])
+            for u in rng.sample(unchanged, rng.randint(1, 3)):
+                term = term * u ** rng.randint(1, 4)
+            e = e + term * rng.choice(last)
+        exprs.append(e)
+    return exprs
+
+
 def test_substitute_term_order_matches_termwise_product():
     rng = random.Random(SEED + 2)
     base = {n: next(iter(_atom_expr(n)._terms))[0][0] for n in BASE_ATOMS}
@@ -185,6 +212,44 @@ def test_substitute_term_order_matches_termwise_product():
         assert got == _outcome(_termwise_substitute, e, bindings)
         changed += got != list(e._terms.items())
     assert changed > N_EXPRS // 2
+    # bound atoms at powers 2, 3 and -1 in several terms, unchanged non-plain
+    # factors between the changed ones, and two-atom bindings whose second
+    # value holds a trig factor
+    t, w = _atom_expr("t"), _atom_expr("w")
+    singles = [{a: val} for a in (X, V, W_X)
+               for val in (t + 1, Fraction(1, 2) * t * w - 3, Expr.zero(), -t, I.as_expr())]
+    # acyclic: no value holds a bound atom; w_x, the second atom, stands in no
+    # transcendental argument, so a trig value is legal for it
+    pairs = [{X: t + 1, W_X: sin_e(t) * w + 2},
+             {V: Fraction(1, 2) * t * w, W_X: cos_e(t - w) - t},
+             {X: w, W_X: tan_e(t) ** 2},
+             {V: _e(X) - t, W_X: sin_e(w) * cos_e(t)}]
+    changed = {"single": 0, "pair": 0}
+    for n, e in enumerate(_interleaved_exprs(rng, N_EXPRS)):
+        kind = "pair" if n % 2 else "single"
+        bindings = rng.choice(pairs if n % 2 else singles)
+        got = _outcome(substitute, e, bindings)
+        assert got == _outcome(_termwise_substitute, e, bindings)
+        changed[kind] += not isinstance(got, type) and got != list(e._terms.items())
+    assert min(changed.values()) > N_EXPRS // 4, changed
+
+
+def test_substitute_at_power_one_raises_no_power(monkeypatch):
+    """A bound atom every term holds at power 1 enters each term as its
+    value: `value ** 1` would be a whole product from one."""
+    t, w = _atom_expr("t"), _atom_expr("w")
+    v = _e(V)
+    e = (v * t ** 3 * tan_e(w) ** 2 - v * sin_e(t + v) * exp_e(w)
+         + 5 * v * _e(W_X) ** -1 * I.as_expr() * _e(root("c")))
+    value = t * w + 1
+    ref = _termwise_substitute(e, {V: value})
+    calls = []
+    pow_ = Expr.__pow__
+    monkeypatch.setattr(Expr, "__pow__", lambda self, n: calls.append(n) or pow_(self, n))
+    assert substitute(e, {V: value}) == ref
+    assert calls == []
+    substitute(e, {sym("t"): value})  # t^3 in the first term
+    assert calls == [3]
 
 
 def _merge(m1, m2):
@@ -392,6 +457,22 @@ def test_accumulate_matches_expr_arithmetic():
         _expr_accumulate(ref, list(factors), coeff, seen)
         assert _typed(got) == _typed(ref)
     assert min(seen.values()) >= 10, seen
+    # factor lists holding every atom class at once
+    x, v = _atom_expr("x"), _atom_expr("v")
+    funcs = [_e(A) * x, _e(A_X) ** 2 * v, _e(B) ** -1 * sin_e(x), exp_e(_e(A)) * _e(B)]
+    func_terms = [term for e in funcs for term in e._terms.items()]
+    classes = (Sym, Root, Jet, Func, IUnit, Trig, ExpAtom, Recip)
+    holding = {cls: [t for t in pool + func_terms
+                     if any(a.__class__ is cls for a, _ in t[0])] for cls in classes}
+    for _ in range(N_EXPRS):
+        factors = [f for cls in rng.sample(classes, len(classes))
+                   for f in rng.choice(holding[cls])[0]]
+        assert {a.__class__ for a, _ in factors} == set(classes)
+        coeff = Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+        got, ref = {}, {}
+        _accumulate(got, list(factors), coeff)
+        _expr_accumulate(ref, list(factors), coeff, seen)
+        assert _typed(got) == _typed(ref)
     recip = next(iter(recip_e(_atom_expr("v") + _atom_expr("x"))._terms))[0][0]
     for canonicalise in (_accumulate, lambda out, fl, q: _expr_accumulate(out, fl, q, seen)):
         with pytest.raises(DomainError, match="negative reciprocal power"):
