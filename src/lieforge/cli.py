@@ -1,7 +1,9 @@
 """Command-line surface with deterministic JSON/CSV outputs.
 
-Exit codes: 0 success, 1 usage error, 2 verification failure (a nonzero
-residual where zero was expected, or a numeric residual above tolerance).
+Each command returns its report and exit code; `main` writes the one JSON
+document of a run, stamped with the schema.  Exit codes: 0 success, 1 usage
+error, 2 verification failure (a nonzero residual where zero was expected, or
+a numeric residual above tolerance).
 Outputs are byte-identical for identical configurations; wall-clock timings
 are only attached when --timings is passed.
 """
@@ -33,36 +35,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"lieforge: error: {message}\n")
 
 
-def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_member(args) -> int:
+def cmd_member(args) -> tuple[dict, int]:
     rhs = hierarchy_member(args.n)
     if args.split:
         v_rhs, w_rhs = complex_split(rhs)
-        _emit({"schema": SCHEMA, "n": args.n,
-               "v_t": expr_text(v_rhs), "w_t": expr_text(w_rhs)})
-    else:
-        _emit({"schema": SCHEMA, "n": args.n, "u_t": expr_text(rhs)})
-    return 0
+        return {"n": args.n, "v_t": expr_text(v_rhs), "w_t": expr_text(w_rhs)}, 0
+    return {"n": args.n, "u_t": expr_text(rhs)}, 0
 
 
-def cmd_audit(args) -> int:
+def cmd_audit(args) -> tuple[dict, int]:
     rep = audit_member(args.k)
-    _emit({"schema": SCHEMA, "member": args.k, "match": rep.match,
-           "delta": rep.itemized()})
-    return 0
+    return {"member": args.k, "match": rep.match, "delta": rep.itemized()}, 0
 
 
 _MEMBER_DICTIONARIES = {1: (1, 0, 0), 2: (2, 0, 0), 3: (1, 2, 0), 4: (2, 2, 1)}
 
 
-def cmd_symmetries_find(args) -> int:
+def cmd_symmetries_find(args) -> tuple[dict, int]:
     S = catalogue_member(args.member)
     degree, trig, expw = (d if a is None else a for a, d in zip(
         (args.degree, args.trig, args.expw), _MEMBER_DICTIONARIES[args.member]))
@@ -72,7 +65,6 @@ def cmd_symmetries_find(args) -> int:
     det = determining_system(S, basis)
     fields = discover_symmetries(S, basis, det)
     out = {
-        "schema": SCHEMA,
         "member": args.member,
         "ansatz": {"degree": degree, "trig": trig, "expw": expw,
                    "unknowns": det.n_unknowns, "rows": len(det.rows)},
@@ -81,18 +73,16 @@ def cmd_symmetries_find(args) -> int:
     }
     if args.timings:
         out["timings"] = {"seconds": round(time.time() - t0, 3)}
-    _emit(out)
-    return 0
+    return out, 0
 
 
-def cmd_symmetries_verify(args) -> int:
+def cmd_symmetries_verify(args) -> tuple[dict, int]:
     S = catalogue_member(args.member)
     with open(args.field, encoding="utf-8") as fh:
         X = parse_field(fh.read(), REAL_JET.with_constants(("c",)))
     rep = verify_generator(S, X)
-    _emit({"schema": SCHEMA, "member": args.member, "status": rep.status,
-           "remainder": rep.remainders()})
-    return 0 if rep.zero else 2
+    return ({"member": args.member, "status": rep.status,
+             "remainder": rep.remainders()}, 0 if rep.zero else 2)
 
 
 def _named_basis(member: int, reduced: bool):
@@ -110,11 +100,10 @@ def _named_basis(member: int, reduced: bool):
     return fields
 
 
-def cmd_brackets(args) -> int:
+def cmd_brackets(args) -> tuple[dict, int]:
     basis = _named_basis(args.member, args.reduced)
     table = structure_constants(basis)
     out = {
-        "schema": SCHEMA,
         "member": args.member,
         "reduced": bool(args.reduced),
         "basis": [f"{F.name}: {field_text(F)}" for F in basis],
@@ -137,8 +126,7 @@ def cmd_brackets(args) -> int:
         out["printed_table_disagreements"] = _printed_disagreements(table, printed)
     out["signature"] = dataclasses.asdict(algebra_signature(table)) \
         if table.closed else None
-    _emit(out)
-    return 0
+    return out, 0
 
 
 def _printed_disagreements(table, printed_entries) -> list[str]:
@@ -163,43 +151,33 @@ def _combo_dict_text(combo: dict) -> str:
     return " + ".join(n if q == 1 else f"({q})*{n}" for n, q in combo.items()) or "0"
 
 
-def cmd_classify(args) -> int:
-    basis = _named_basis(args.member, args.reduced)
-    table = structure_constants(basis)
-    out = {"schema": SCHEMA, "member": args.member, "reduced": bool(args.reduced),
-           "closed": table.closed}
-    out["jacobi"] = jacobi_check(table) if table.closed else None
-    out["signature"] = dataclasses.asdict(algebra_signature(table)) \
-        if table.closed else None
-    _emit(out)
-    return 0 if table.closed else 2
+def cmd_classify(args) -> tuple[dict, int]:
+    """The `brackets` report without its basis and table; exit 2 when the
+    table does not close."""
+    doc, _ = cmd_brackets(args)
+    return ({k: doc[k] for k in ("member", "reduced", "closed", "jacobi", "signature")},
+            0 if doc["closed"] else 2)
 
 
-def cmd_reduce(args) -> int:
+def cmd_reduce(args) -> tuple[dict, int]:
     c = _c_arg(args.c)
     S = red.reduced_system(args.member, c)
     if args.order_reduce:
         S = red.order_reduce(S)
-    _emit({"schema": SCHEMA, "member": args.member, "c": str(c),
-           "order_reduced": bool(args.order_reduce),
-           "equations": [expr_text(e) + " = 0" for e in S.equations_zero()]})
-    return 0
+    return {"member": args.member, "c": str(c),
+            "order_reduced": bool(args.order_reduce),
+            "equations": [expr_text(e) + " = 0" for e in S.equations_zero()]}, 0
 
 
-def _c_arg(text: str):
-    """The wave speed of `--c`: the symbol name "c" or a rational."""
+def _c_arg(text: str, command: str = ""):
+    """The wave speed of `--c`: a rational, or the symbol name "c" unless a
+    `command` that evaluates at a number is named."""
+    if text == "c" and command:
+        raise ValueError(f"{command} needs a rational --c, got the symbol c")
     try:
         return "c" if text == "c" else Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--c must be 'c' or a rational, got {text!r}") from None
-
-
-def _rational_c(text: str, command: str) -> Fraction:
-    """The wave speed of `--c` for a command that evaluates at a number."""
-    c = _c_arg(text)
-    if isinstance(c, str):
-        raise ValueError(f"{command} needs a rational --c, got the symbol c")
-    return c
 
 
 def _float_c(c: Fraction, text: str) -> float:
@@ -233,7 +211,7 @@ _SOLUTIONS = {
 }
 
 
-def cmd_verify_solution(args) -> int:
+def cmd_verify_solution(args) -> tuple[dict, int]:
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     mode = args.mode
@@ -260,16 +238,15 @@ def cmd_verify_solution(args) -> int:
         kind = "an overflowing" if isinstance(exc, OverflowError) else "a degenerate"
         raise ValueError(f"--c {args.c} is {kind} wave speed for --solution "
                          f"{args.solution}: {exc}") from None
-    out = {"schema": SCHEMA, "system": S.label, "solution": cand.name,
+    out = {"system": S.label, "solution": cand.name,
            "mode": mode, "status": rep.statuses}
     if rep.max_residual is not None:  # null when not finite: JSON has no inf
         out["max_residual"] = rep.max_residual if rep.max_residual < math.inf else None
         out["samples"] = rep.samples
     if rep.notes:
         out["notes"] = rep.notes
-    _emit(out)
     ok = rep.zero if mode == "symbolic" else (rep.max_residual or 0) < args.tol
-    return 0 if ok else 2
+    return out, 0 if ok else 2
 
 
 def _finite(text: str) -> float:
@@ -300,9 +277,9 @@ def _span(text: str) -> tuple[float, float]:
     return _finite(lo), _finite(hi)
 
 
-def cmd_integrate(args) -> int:
+def cmd_integrate(args) -> tuple[dict, int]:
     lo, hi = args.range
-    c = _rational_c(args.c, "integrate")
+    c = _c_arg(args.c, "integrate")
     half_c = 0.5 * _float_c(c, args.c)
     # --from tan: F = c/2, G = -(c/2) tan((c/2)(s - s0)) at s = lo; a start
     # past the guard would stop RK4 before its first step
@@ -318,16 +295,15 @@ def cmd_integrate(args) -> int:
     state0 = {"F": half_c, "G": G}
     try:
         traj = red.rk4_from_system(S, {}, state0, (lo, hi), args.h)
-    except OverflowError as exc:
-        raise ValueError(f"--c {args.c} is an overflowing wave speed for "
+    except OverflowError as exc:  # the start is within the guard: the step overflows
+        raise ValueError(f"--h {args.h!r} is an overflowing step for "
                          f"integrate: {exc}") from None
     rows = [(s, traj.values["F"][i], traj.values["G"][i])
             for i, s in enumerate(traj.grid)]
     if args.csv:
         red.emit_series_csv(rows, args.csv)
-    _emit({"schema": SCHEMA, "system": S.label, "points": len(rows),
-           "h": args.h, "csv": args.csv or None})
-    return 0
+    return {"system": S.label, "points": len(rows), "h": args.h,
+            "csv": args.csv or None}, 0
 
 
 # Most `--F1` values `fig1` takes: each one samples `--n` points for its
@@ -335,8 +311,8 @@ def cmd_integrate(args) -> int:
 MAX_FIG1_SERIES = 100
 
 
-def cmd_fig1(args) -> int:
-    c = _float_c(_rational_c(args.c, "fig1"), args.c)
+def cmd_fig1(args) -> tuple[dict, int]:
+    c = _float_c(_c_arg(args.c, "fig1"), args.c)
     if c == 0:
         raise ValueError("--c must be nonzero for fig1: the period is 2 pi / c")
     f1_texts = args.F1.split(",")
@@ -364,8 +340,7 @@ def cmd_fig1(args) -> int:
                                 feats["dFre_sign_changes_per_period"]})
     except OverflowError as exc:
         raise ValueError(f"--c {args.c} is an overflowing wave speed for fig1: {exc}") from None
-    _emit({"schema": SCHEMA, "c": c, "series": reports})
-    return 0
+    return {"c": c, "series": reports}, 0
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +430,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        doc, code = args.fn(args)
+        sys.stdout.write(json.dumps({"schema": SCHEMA, **doc}, indent=2) + "\n")
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except (ValueError, KeyError, OSError, ArithmeticError) as exc:

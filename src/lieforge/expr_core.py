@@ -95,12 +95,13 @@ class Atom:
         raise TypeError("use the atom constructor helpers")
 
     @classmethod
-    def _make(cls, key: tuple, init: Callable[["Atom"], None]) -> "Atom":
+    def _make(cls, key: tuple, **fields) -> "Atom":
         got = _INTERN.get(key)
         if got is None:
             got = object.__new__(cls)
             got.key = key
-            init(got)
+            for name, value in fields.items():
+                setattr(got, name, value)
             _INTERN[key] = got
         return got
 
@@ -164,21 +165,16 @@ class Recip(Atom):
 
 
 def sym(name: str) -> Sym:
-    return Sym._make((0, name), lambda a: setattr(a, "name", name))
+    return Sym._make((0, name), name=name)
 
 
 def root(of: str) -> Root:
-    return Root._make((1, of), lambda a: setattr(a, "of", of))
+    return Root._make((1, of), of=of)
 
 
 def jet(dep: str, idx: Iterable[str] = ()) -> Jet:
     tidx = tuple(sorted(idx))
-
-    def init(a):
-        a.dep = dep
-        a.idx = tidx
-
-    return Jet._make((2, dep, tidx), init)
+    return Jet._make((2, dep, tidx), dep=dep, idx=tidx)
 
 
 def func(name: str, args: Iterable[str], idx: Iterable[str] = ()) -> Func:
@@ -187,16 +183,10 @@ def func(name: str, args: Iterable[str], idx: Iterable[str] = ()) -> Func:
     bad = set(tidx) - set(targs)
     if bad:
         raise DomainError(f"derivative of {name}{targs} by non-argument {sorted(bad)}")
-
-    def init(a):
-        a.name = name
-        a.args = targs
-        a.idx = tidx
-
-    return Func._make((3, name, targs, tidx), init)
+    return Func._make((3, name, targs, tidx), name=name, args=targs, idx=tidx)
 
 
-I: IUnit = IUnit._make((4,), lambda a: None)
+I: IUnit = IUnit._make((4,))
 _PLAIN = frozenset((Sym, Jet, Func))  # atoms canonicalisation never rewrites
 
 
@@ -218,15 +208,13 @@ def _trig_atom(fn: str, arg: "Expr") -> tuple[int, Atom | None]:
         arg = -arg
     else:
         flip = 1
-    atom = Trig._make((6, fn, arg._key()), lambda a: (setattr(a, "fn", fn),
-                                                      setattr(a, "arg", arg)))
-    return flip, atom
+    return flip, Trig._make((6, fn, arg._key()), fn=fn, arg=arg)
 
 
 def _exp_atom(arg: "Expr") -> Atom | None:
     if not arg._terms:
         return None
-    return ExpAtom._make((5, arg._key()), lambda a: setattr(a, "arg", arg))
+    return ExpAtom._make((5, arg._key()), arg=arg)
 
 
 def _trig_e(fn: str, arg: "Expr") -> "Expr":
@@ -261,8 +249,7 @@ def recip_e(arg: "Expr") -> "Expr":
         return inv
     q = Fraction(1) / arg._lead_coeff()
     scaled = arg * Expr.rational(q)
-    atom = Recip._make((7, scaled._key()), lambda a: setattr(a, "arg", scaled))
-    return Expr._single(atom, 1, q)
+    return Expr._single(Recip._make((7, scaled._key()), arg=scaled), 1, q)
 
 
 def sqrt_e(arg: "Expr") -> "Expr":

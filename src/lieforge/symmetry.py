@@ -459,19 +459,16 @@ def ansatz_dictionary(jet_spec: JetSpec, degree: int, trig_order: int = 0,
     if min(degree, trig_order, exp_range) < 0:
         raise DomainError(f"negative ansatz size: degree {degree}, trig "
                           f"{trig_order}, expw {exp_range}")
-    n_poly = degree + 1 if len(indeps) == 1 else (degree + 1) * (degree + 2) // 2
+    n_poly = comb(degree + len(indeps), len(indeps))
     n_cols = n_poly * (len(indeps) + len(jet_spec.dependents)
                        * (2 * trig_order + 1) * (2 * exp_range + 1))
     if n_cols > MAX_ANSATZ_UNKNOWNS:
         raise DomainError(f"ansatz dictionary of {n_cols} unknowns exceeds "
                           f"the budget of {MAX_ANSATZ_UNKNOWNS}")
-    if len(indeps) == 1:
-        s = sym(indeps[0]).as_expr()
-        polys = [s ** a for a in range(degree + 1)]
-    else:
-        t, x = (sym(i).as_expr() for i in indeps)
-        polys = [t ** a * x ** b
-                 for a in range(degree + 1) for b in range(degree + 1 - a)]
+    syms = [sym(i).as_expr() for i in indeps]
+    polys = [prod((s ** a for s, a in zip(syms, powers)), start=Expr.one())
+             for powers in product(range(degree + 1), repeat=len(indeps))
+             if sum(powers) <= degree]
     trig_dep, exp_dep = jet_spec.dependents[0], jet_spec.dependents[-1]
     from .expr_core import cos_e, exp_e, sin_e
     trig_parts = [Expr.one()]

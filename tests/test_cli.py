@@ -94,6 +94,22 @@ def test_classify_member4(capsys):
     assert doc["signature"]["abelian"] and doc["signature"]["dimension"] == 4
 
 
+@pytest.mark.parametrize("member, reduced", [
+    ("2", False), ("3", False), ("4", False), ("2", True), ("3", True),
+], ids=["member2", "member3", "member4", "reduced2", "reduced3"])
+def test_classify_is_the_brackets_report_on_its_keys(capsys, member, reduced):
+    extra = ["--reduced"] if reduced else []
+    _, out = run(capsys, "brackets", "--member", member, *extra)
+    brackets = json.loads(out)
+    code, out = run(capsys, "classify", "--member", member, *extra)
+    classify = json.loads(out)
+    keys = ["schema", "member", "reduced", "closed", "jacobi", "signature"]
+    assert list(classify.items()) == [(k, brackets[k]) for k in keys]
+    assert code == (0 if classify["closed"] else 2)
+    # the reduced member-2 table is the one that does not close
+    assert classify["closed"] == ((member, reduced) != ("2", True))
+
+
 def test_reduce_output(capsys):
     code, out = run(capsys, "reduce", "--member", "2", "--order-reduce")
     doc = json.loads(out)
@@ -272,12 +288,16 @@ def test_brackets_member3_reports_printed_field_outside_basis(capsys):
     (["fig1", "--c", "1e400", "--n", "10"], "--c 1e400 is an overflowing wave speed"),
     (["verify-solution", "--system", "3.3", "--solution", "tan", "--c", "1e400"],
      "--c 1e400 is an overflowing wave speed"),
+    # the start is within the RK4 guard, so only the step can overflow
+    (["integrate", "--system", "3.3", "--c", "1", "--from", "tan", "--h", "1e300",
+      "--range", "0:1e300"],
+     "--h 1e+300 is an overflowing step for integrate: complex exponentiation"),
 ], ids=["reduce-c-1/0", "fig1-c-0", "verify-solution-s11-c-0",
         "verify-solution-s11-c-0-symbolic", "integrate-c-symbol", "fig1-c-symbol",
         "verify-solution-rational-trig-c-overflow", "fig1-c-overflow",
         "integrate-c-overflow", "integrate-c-past-guard", "integrate-s0-past-guard",
         "integrate-s0-phase-overflow", "integrate-c-no-float", "fig1-c-no-float",
-        "verify-solution-c-no-float"])
+        "verify-solution-c-no-float", "integrate-h-overflow"])
 def test_arithmetic_errors_exit_1(capsys, argv, message):
     code = main(argv)
     err = capsys.readouterr().err

@@ -3,11 +3,14 @@
 About 200 argument vectors, drawn with stdlib `random` over every subcommand
 and its flags, each value small, negative, zero, huge, non-numeric, `1/0` or
 `nan` (or a valid choice).  Every vector runs through `main()` in process;
-it must return an exit code in {0, 1, 2} without an escaping exception, and
-every exit 1 must print a `lieforge: error:` line.  Values a subcommand
-admits are kept small, so every admitted vector runs quickly.
+it must return an exit code in {0, 1, 2} without an escaping exception.
+Every exit 1 must print a `lieforge: error:` line and nothing on stdout;
+every exit 0 or 2 prints exactly one JSON object whose first key is the
+schema.  Values a subcommand admits are kept small, so every admitted vector
+runs quickly.
 """
 
+import json
 import random
 
 import pytest
@@ -95,10 +98,14 @@ def test_cli_fuzz_exit_contract(field_files, capsys, tmp_path, monkeypatch):
     codes = {}
     for argv in _vectors(field_files):
         code = main(argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code in (0, 1, 2), argv
         if code == 1:
             assert "lieforge: error: " in err, (argv, err)
+            assert out == "", argv
+        else:  # one JSON document, stamped with the schema first
+            doc = json.loads(out)
+            assert isinstance(doc, dict) and next(iter(doc.items())) == ("schema", 1), argv
         assert "Traceback" not in err, argv
         codes[code] = codes.get(code, 0) + 1
     # the draw reaches success, usage errors and verification failures
