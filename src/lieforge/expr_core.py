@@ -20,8 +20,9 @@ the class of expressions the toolkit manipulates:
 
 tan is kept opaque with derivative 1 + tan^2 and is never rewritten into
 sin/cos.  Reciprocal atoms make closed-form solution candidates expressible;
-expressions containing them are outside the decidable class and fall back to
-randomised numeric zero testing.  One product kernel multiplies term dicts
+they are outside the decidable class, and no verdict tests them otherwise:
+each reads `is_zero()` (an empty term dict), never `equals_zero`, so a zero
+with reciprocals can read nonzero.  One product kernel multiplies term dicts
 straight into an accumulator.
 
 Every monomial product is normalised once per process: `_PRODUCTS`, keyed on
@@ -30,10 +31,12 @@ the factor tuple handed to `_accumulate`, holds the (monomial, coefficient at
 order and atom intern order are a first call's.  It is emptied at 8192
 entries.
 
-Partial and total derivatives share one derivation loop: a single sweep over
-the terms, fixed by its values on symbols, jets and functions, with one chain
-rule through trig/exp/reciprocal arguments.  Substitution rebuilds only the
-terms holding a changed atom, as the product of their factors in factor order.
+Partial and total derivatives share one derivation loop: a sweep over the
+terms, fixed by its values on symbols, jets and functions, with one chain
+rule through trig/exp/reciprocal arguments.  A total derivative takes two
+sweeps, the partial by its symbol and then one raising jets and functions.
+Substitution rebuilds only the terms holding a changed atom, as the product
+of their factors in factor order.
 
 Numeric evaluation compiles expressions once into a `NumericPlan`: one
 generated straight-line function (as SymPy's lambdify; Meurer et al. 2017)
@@ -54,9 +57,9 @@ from typing import Callable, Iterable, KeysView, Mapping
 
 __all__ = [
     "Atom", "Sym", "Root", "Jet", "Func", "IUnit", "Trig", "ExpAtom", "Recip",
-    "Expr", "DomainError", "PoleError", "UnboundAtomError", "CyclicBindingError",
-    "ZeroStatus", "sym", "root", "jet", "func", "I", "sin_e", "cos_e", "tan_e",
-    "exp_e", "recip_e", "sqrt_e", "derive", "substitute", "NumericPlan",
+    "Expr", "DomainError", "PoleError", "UnboundAtomError", "ZeroStatus",
+    "sym", "root", "jet", "func", "I", "sin_e", "cos_e", "tan_e", "exp_e",
+    "recip_e", "sqrt_e", "derive", "substitute", "NumericPlan",
     "eval_numeric", "equals_zero", "to_canonical", "collect_terms",
     "coefficient_vector", "atoms_of", "random_rational",
 ]
@@ -72,10 +75,6 @@ class PoleError(ArithmeticError):
 
 class UnboundAtomError(KeyError):
     """Numeric evaluation found an atom with no value bound."""
-
-
-class CyclicBindingError(ValueError):
-    """Substitution bindings contain a cycle through distinct atoms."""
 
 
 # ---------------------------------------------------------------------------
@@ -724,11 +723,11 @@ def _datom(atom: Atom, delta: Callable[[Atom], Expr | None]) -> Expr | None:
 # ---------------------------------------------------------------------------
 
 def substitute(e: Expr, bindings: Mapping[Atom, Expr]) -> Expr:
-    """Simultaneous substitution of atoms by expressions, then renormalise.
-    Only terms with a changed atom are rebuilt, as the product of their
-    factors in factor order on term dicts: a changed factor as its value
-    raised to its power, an unchanged one as itself."""
-    _check_acyclic(bindings)
+    """Simultaneous substitution of atoms by expressions, then renormalise, in
+    one pass: values are not substituted again, so {v: w, w: v} swaps and
+    {v: v + 1} shifts.  Only terms with a changed atom are rebuilt, as the
+    product of their factors in factor order on term dicts: a changed factor
+    as its value raised to its power, an unchanged one as itself."""
     cache: dict[Atom, Expr | None] = {}
 
     def atom_value(atom: Atom) -> Expr | None:
@@ -758,30 +757,6 @@ def substitute(e: Expr, bindings: Mapping[Atom, Expr]) -> Expr:
                              (val if k == 1 else val ** k)._terms)
         _add_into(out, term.items())
     return Expr(out)
-
-
-def _check_acyclic(bindings: Mapping[Atom, Expr]) -> None:
-    keys = set(bindings)
-    if len(keys) < 2:
-        return
-    graph = {}
-    for k, v in bindings.items():
-        graph[k] = (atoms_of(v) & keys) - {k}
-    seen: dict[Atom, int] = {}
-
-    def visit(n):
-        state = seen.get(n, 0)
-        if state == 1:
-            raise CyclicBindingError("cyclic binding set")
-        if state == 2:
-            return
-        seen[n] = 1
-        for m in graph.get(n, ()):
-            visit(m)
-        seen[n] = 2
-
-    for k in keys:
-        visit(k)
 
 
 # ---------------------------------------------------------------------------

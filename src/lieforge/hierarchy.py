@@ -103,7 +103,6 @@ def catalogue_member(k: int) -> PDESystem:
 
 @dataclass
 class AuditReport:
-    member: int
     match: bool
     delta_v: Expr
     delta_w: Expr
@@ -122,5 +121,4 @@ def audit_member(k: int) -> AuditReport:
     cat = catalogue_member(k)
     dv = cat.rhs["v"] - gen_v
     dw = cat.rhs["w"] - gen_w
-    return AuditReport(member=k, match=dv.is_zero() and dw.is_zero(),
-                       delta_v=dv, delta_w=dw)
+    return AuditReport(dv.is_zero() and dw.is_zero(), dv, dw)

@@ -12,6 +12,7 @@ Functions: sin cos tan exp sqrt.  Whitespace is insignificant.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .expr_core import (
@@ -23,6 +24,7 @@ __all__ = ["ParseError", "UnknownIdentifierError", "parse_expr", "expr_text",
            "atom_text", "combo_text"]
 
 _FUNCS = {"sin": sin_e, "cos": cos_e, "tan": tan_e, "exp": exp_e, "sqrt": sqrt_e}
+MAX_TERM_PRODUCTS = 4000  # len(A) * len(B) for one `*`, or one product inside a `^`
 
 
 class ParseError(ValueError):
@@ -39,11 +41,7 @@ class UnknownIdentifierError(ParseError):
 # tokenizer
 # ---------------------------------------------------------------------------
 
-class _Tok:
-    __slots__ = ("kind", "val", "pos")
-
-    def __init__(self, kind, val, pos):
-        self.kind, self.val, self.pos = kind, val, pos
+_Tok = namedtuple("_Tok", "kind val pos")
 
 
 def _tokenize(text: str) -> list[_Tok]:
@@ -54,9 +52,9 @@ def _tokenize(text: str) -> list[_Tok]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(_Tok("num", int(text[i:j]), i))
             i = j
@@ -117,12 +115,8 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
-        sign = 1
-        if self.peek().kind in ("+", "-"):
-            sign = -1 if self.take().kind == "-" else 1
-        e = self.term()
-        if sign < 0:
-            e = -e
+        neg = self.peek().kind in ("+", "-") and self.take().kind == "-"
+        e = -self.term() if neg else self.term()
         while self.peek().kind in ("+", "-"):
             op = self.take().kind
             rhs = self.term()
@@ -132,10 +126,10 @@ class _Parser:
     def term(self) -> Expr:
         e = self.factor()
         while self.peek().kind in ("*", "/"):
-            op = self.take().kind
+            op = self.take()
             rhs = self.factor()
             try:
-                e = e * rhs if op == "*" else e / rhs
+                e = self.times(e, rhs, op) if op.kind == "*" else e / rhs
             except (ZeroDivisionError, DomainError) as exc:
                 raise ParseError(str(exc), self.toks[self.k - 1].pos) from exc
         return e
@@ -143,18 +137,28 @@ class _Parser:
     def factor(self) -> Expr:
         e = self.base()
         if self.peek().kind == "^":
-            self.take()
-            neg = False
-            if self.peek().kind == "-":
+            op = self.take()
+            neg = self.peek().kind == "-"
+            if neg:
                 self.take()
-                neg = True
             t = self.take("num")
             n = -t.val if neg else t.val
             try:
-                e = e ** n
+                out = e ** n if n < 0 else Expr.one()  # a reciprocal is one term
+                while n > 0:  # the products of Expr.__pow__, each in the budget
+                    out = self.times(out, e, op) if n & 1 else out
+                    n >>= 1
+                    e = self.times(e, e, op) if n else e
+                e = out
             except (ZeroDivisionError, DomainError) as exc:
                 raise ParseError(str(exc), t.pos) from exc
         return e
+
+    def times(self, a: Expr, b: Expr, op: _Tok) -> Expr:
+        if len(a._terms) * len(b._terms) > MAX_TERM_PRODUCTS:
+            raise ParseError(f"{op.kind!r} would form over {MAX_TERM_PRODUCTS} term products",
+                             op.pos)
+        return a * b
 
     def base(self) -> Expr:
         t = self.peek()

@@ -474,9 +474,6 @@ def linear_solution_member4() -> SolutionCandidate:
 
 @dataclass
 class VerifyReport:
-    candidate: str
-    system: str
-    mode: str
     statuses: list[str]
     max_residual: float | None = None
     samples: int = 0
@@ -555,8 +552,7 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
             zero = R.is_zero() or any(equal_up_to_factor(R, P) is not None
                                       for P in cand.constraints)
             statuses.append("Zero" if zero else "Nonzero")
-        return VerifyReport(cand.name, S.label, "symbolic", statuses,
-                            notes=list(cand.notes))
+        return VerifyReport(statuses, notes=list(cand.notes))
 
     params = dict(cand.params)
     params.update(param_values or {})
@@ -606,8 +602,7 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
             continue
     if good < samples:
         raise PoleError("all samples in excluded domain")
-    return VerifyReport(cand.name, S.label, "numeric",
-                        ["sampled"] * len(S.leads), max_residual=worst,
+    return VerifyReport(["sampled"] * len(S.leads), max_residual=worst,
                         samples=good, notes=list(cand.notes))
 
 
@@ -687,7 +682,7 @@ def lift_and_check(S: PDESystem, profiles: dict, c: float, n: int = 50) -> float
     idxs = [(xvar,) * k for k in range(order + 1)] + [(tvar,)]
     rhs = _plan([S.rhs[dep] for dep in deps],
                 [sym(tvar), sym(xvar), *(jet(d, i) for d in deps for i in idxs)])
-    fns = [profiles.get(dep) or profiles[_DEP_MAP[dep]] for dep in deps]
+    fns = [profiles[_DEP_MAP[dep]] for dep in deps]
     h, x_offsets, t_offsets = 1e-2, _fd_offsets(order), _fd_offsets(1)
     x_orders = _fd_orders(order)
     t_orders = x_orders[:1]  # the order-1 stencil, looked up once

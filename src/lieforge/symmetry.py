@@ -402,7 +402,6 @@ def symmetry_residual(system, X: VectorField) -> list[Expr]:
 
 @dataclass
 class VerificationReport:
-    field: VectorField
     residuals: list[Expr]
     zero: bool
     notes: list[str] = dc_field(default_factory=list)
@@ -420,7 +419,7 @@ def verify_generator(system, X: VectorField) -> VerificationReport:
     constraint equations."""
     res = symmetry_residual(system, X)
     nz = [i for i, r in enumerate(res) if not r.is_zero()]
-    return VerificationReport(field=X, residuals=res, zero=not nz, notes=[
+    return VerificationReport(res, not nz, [
         f"nonzero residual in equation(s) {nz}"] if nz else [])
 
 
@@ -495,7 +494,6 @@ class DeterminingSystem:
     """Homogeneous rational system over the ansatz coefficients; its nullspace
     is the symmetry space inside the dictionary."""
 
-    system_label: str
     basis: AnsatzBasis
     columns: list[tuple[tuple[str, str], int, Expr]]
     rows: list[dict[int, Fraction]]
@@ -524,9 +522,8 @@ def determining_system(system, basis: AnsatzBasis) -> DeterminingSystem:
                         for m, q in terms.items()} for key, _, e in cols)
     keys = residual.ring.keys(m for _, m in rowmap)
     prov = sorted(rowmap, key=lambda im: (im[0], keys[im[1]][0]))
-    return DeterminingSystem(system_label=getattr(system, "label", ""),
-                             basis=basis, columns=cols, rows=[rowmap[k] for k in prov],
-                             provenance=[(i, keys[m][1]) for i, m in prov])
+    return DeterminingSystem(basis, cols, [rowmap[k] for k in prov],
+                             [(i, keys[m][1]) for i, m in prov])
 
 
 def discover_symmetries(system, basis: AnsatzBasis,

@@ -8,10 +8,9 @@ from fractions import Fraction
 import pytest
 
 from lieforge.expr_core import (
-    CyclicBindingError, DomainError, Expr, I, PoleError, ZeroStatus, atoms_of,
-    collect_terms, cos_e, derive, equals_zero, eval_numeric, exp_e, jet,
-    random_rational, recip_e, sin_e, sqrt_e, substitute, sym, tan_e,
-    to_canonical,
+    DomainError, Expr, I, PoleError, ZeroStatus, atoms_of, collect_terms,
+    cos_e, derive, equals_zero, eval_numeric, exp_e, jet, random_rational,
+    recip_e, sin_e, sqrt_e, substitute, sym, tan_e, to_canonical,
 )
 from lieforge.parser import parse_expr
 from lieforge.systems import JetSpec
@@ -136,10 +135,15 @@ class TestSubstitute:
         out = substitute(e, {jet("u"): P("v + I*w"), jet("ub"): P("v - I*w")})
         assert out == P("exp(-2*w)")
 
-    def test_cycle_detected(self):
-        with pytest.raises(CyclicBindingError):
-            substitute(P("v + w"), {jet("v"): jet("w").as_expr(),
-                                    jet("w"): jet("v").as_expr()})
+    def test_single_pass(self):
+        """Values are not substituted again: a swap swaps, a self-binding
+        shifts once, inside transcendental arguments too."""
+        v, w = jet("v"), jet("w")
+        swap = {v: w.as_expr(), w: v.as_expr()}
+        assert substitute(P("v - 2*w"), swap) == P("w - 2*v")
+        assert substitute(P("v^2"), {v: P("v + 1")}) == P("v^2 + 2*v + 1")
+        assert (substitute(P("sin(v - 2*w) + exp(w)*v"), swap)
+                == P("sin(w - 2*v) + exp(v)*w"))
 
 
 class TestEvalNumeric:

@@ -102,3 +102,32 @@ def test_sqrt_of_square():
     assert parse_expr("sqrt(4)", PDE) == Expr.rational(2)
     assert parse_expr("sqrt(9/4)", PDE) == Expr.rational("3/2")
     assert parse_expr("sqrt(c^2)", PDE) == sym("c").as_expr()
+
+
+def test_superscript_digits_are_parse_errors():
+    for text, pos in (("²", 0), ("v^²", 2), ("3²", 1)):
+        with pytest.raises(ParseError) as ei:
+            parse_expr(text, PDE)
+        assert "unexpected character '²'" in str(ei.value) and ei.value.pos == pos
+    assert parse_expr("٣*v", PDE) == parse_expr("3*v", PDE)
+
+
+@pytest.mark.parametrize("text, op, pos", [
+    ("sin(v)^100000", "'^'", 6),
+    ("(v+w+v_x+w_x)^32", "'^'", 13),
+    ("(sin(v)+cos(w))^64", "'^'", 15),
+    ("(v+w+v_x+w_x)^8*(v+w+v_x+w_x)^8", "'*'", 15),
+])
+def test_refuses_powers_past_the_term_product_budget(text, op, pos):
+    with pytest.raises(ParseError) as ei:
+        parse_expr(text, PDE)
+    assert str(ei.value).startswith(f"{op} would form over") and ei.value.pos == pos
+
+
+def test_powers_within_the_budget_are_exact_powers():
+    for text in ("v^100000", "exp(v)^1000000000", "2^200", "v_x^-3"):
+        assert len(parse_expr(text, PDE)._terms) == 1
+    base = parse_expr("v + w + sin(v_x)", PDE)
+    for n in (-2, 0, 1, 7, 12):
+        got = parse_expr(f"(v + w + sin(v_x))^{n}", PDE)
+        assert list(got._terms.items()) == list((base ** n)._terms.items())
