@@ -206,7 +206,8 @@ _SOLUTIONS = {
     "s11": lambda args: red.s11_solution(),
     "rational-trig": lambda args: red.rational_trig_solution(),
     "rational-trig-printed": lambda args: red.rational_trig_solution(printed=True),
-    "sn": lambda args: red.sn_solution(args.k, printed_system="printed" in args.system),
+    "sn": lambda args: red.sn_solution(0.9 if args.k is None else args.k,
+                                       printed_system="printed" in args.system),
     "linear4": lambda args: red.linear_solution_member4(),
 }
 
@@ -215,7 +216,13 @@ def cmd_verify_solution(args) -> tuple[dict, int]:
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be positive and finite, got {args.tol}")
     mode = args.mode
-    cand = _SOLUTIONS[args.solution](args)
+    if args.k is not None and args.solution != "sn":
+        raise ValueError(f"--k does not apply to --solution {args.solution}: "
+                         f"only sn has a modulus")
+    try:
+        cand = _SOLUTIONS[args.solution](args)
+    except ValueError as exc:  # an sn modulus outside [0, 1)
+        raise ValueError(f"--k {args.k}: {exc}") from None
     c = _c_arg(args.c)
     if args.solution == "sn":  # the profile fixes c
         if args.c != "c":
@@ -403,7 +410,7 @@ def build_parser() -> _Parser:
     vs.add_argument("--solution", required=True, choices=sorted(_SOLUTIONS))
     vs.add_argument("--c", default="c")
     vs.add_argument("--mode", choices=("symbolic", "numeric"), default="numeric")
-    vs.add_argument("--k", type=float, default=0.9, help="elliptic modulus")
+    vs.add_argument("--k", type=float, help="elliptic modulus of sn (default 0.9)")
     vs.add_argument("--tol", type=float, default=1e-9)
     vs.set_defaults(fn=cmd_verify_solution)
 

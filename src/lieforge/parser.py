@@ -25,6 +25,7 @@ __all__ = ["ParseError", "UnknownIdentifierError", "parse_expr", "expr_text",
 
 _FUNCS = {"sin": sin_e, "cos": cos_e, "tan": tan_e, "exp": exp_e, "sqrt": sqrt_e}
 MAX_TERM_PRODUCTS = 4000  # len(A) * len(B) for one `*`, or one product inside a `^`
+MAX_POWER_BITS = 4096  # |n| * bits(p*q) for a coefficient p/q raised to n by one `^`
 
 
 class ParseError(ValueError):
@@ -143,6 +144,12 @@ class _Parser:
                 self.take()
             t = self.take("num")
             n = -t.val if neg else t.val
+            if len(e._terms) == 1:  # a one-term base raises its coefficient exactly
+                q, = e._terms.values()
+                if abs(q) != 1 and abs(n) * (abs(q.numerator) * q.denominator).bit_length() \
+                        > MAX_POWER_BITS:
+                    raise ParseError(f"'^' would form a coefficient over {MAX_POWER_BITS} bits",
+                                     op.pos)
             try:
                 out = e ** n if n < 0 else Expr.one()  # a reciprocal is one term
                 while n > 0:  # the products of Expr.__pow__, each in the budget

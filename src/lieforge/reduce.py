@@ -13,7 +13,7 @@ from functools import cache
 from operator import mul, sub
 
 from .expr_core import (
-    DomainError, Expr, I, Jet, PoleError, Sym, _memo, _mono_key, atoms_of,
+    DomainError, Expr, Func, I, Jet, PoleError, Sym, _memo, _mono_key, atoms_of,
     collect_terms, NumericPlan, cos_e, derive, exp_e, jet, recip_e, root, sin_e,
     sqrt_e, substitute, sym, tan_e,
 )
@@ -23,9 +23,9 @@ from .symmetry import VectorField
 from .systems import JetSpec, ODESystem, PDESystem
 
 __all__ = [
-    "SimilarityMap", "PivotDegenerateError", "invariants_of_translation",
-    "travelling_wave_reduce", "order_reduce", "reduced_system", "system_33",
-    "system_322", "system_322_printed", "f_branch_322", "f_branch_322_printed",
+    "PivotDegenerateError", "travelling_wave_reduce", "order_reduce",
+    "reduced_system", "system_33", "system_322", "system_322_printed",
+    "f_branch_322", "f_branch_322_printed",
     "eliminate_to_second_order", "printed_second_order", "computed_second_order",
     "equal_up_to_factor",
     "SolutionCandidate", "candidate_at", "VerifyReport", "verify_solution",
@@ -46,59 +46,34 @@ class PivotDegenerateError(DomainError):
 
 
 # ---------------------------------------------------------------------------
-# similarity maps and travelling-wave reduction
+# travelling-wave reduction
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SimilarityMap:
-    """Invariants of a constant-coefficient generator xi1 d_t + xi2 d_x +
-    eta^A d_A: travelling variable s = x - c t with c = xi2/xi1, plus the
-    drift u^A = f^A(s) + (eta^A/xi1) t."""
-
-    speed: Expr
-    drift: dict[str, Expr]
-    steady: bool = False  # xi1 == 0: s = x is absent, s = t instead
-
-
-def invariants_of_translation(X: VectorField) -> SimilarityMap:
-    """Zero-order invariants of a translation generator; rejects non-constant
-    coefficients (general characteristics are out of scope)."""
-    for _, _, coeff in X.coeff_vector_atoms():
-        for a in atoms_of(coeff):
-            if isinstance(a, Jet) or (isinstance(a, Sym) and
-                                      a.name in X.jet.independents):
-                raise DomainError("translation invariants need constant coefficients")
-    t_var, x_var = X.jet.independents
-    xi1 = X.xi_of(t_var)
-    xi2 = X.xi_of(x_var)
-    if xi1.is_zero() and xi2.is_zero():
-        raise DomainError("vanishing translation part")
-    if xi1.is_zero():
-        return SimilarityMap(speed=Expr.zero(), drift={}, steady=True)
-    inv1 = recip_e(xi1) if not xi1.is_rational() else \
-        Expr.rational(Fraction(1) / xi1.as_rational())
-    speed = xi2 * inv1
-    drift = {dep: X.eta_of(dep) * inv1 for dep in X.jet.dependents
-             if not X.eta_of(dep).is_zero()}
-    return SimilarityMap(speed=speed, drift=drift)
-
 
 _DEP_MAP = {"v": "f", "w": "g"}
 
 
-def travelling_wave_reduce(S: PDESystem, c,
-                           drift: dict[str, Expr] | None = None) -> ODESystem:
-    """Substitute v(t,x) = f(s) (+ drift t), w(t,x) = g(s), s = x - c t and
-    solve the reduced equations for their highest derivatives."""
-    c = _c_expr(c)
-    drift = drift or {}
+def travelling_wave_reduce(S: PDESystem, X: VectorField) -> ODESystem:
+    """Reduce S by the constant-coefficient generator X = xi1 d_t + xi2 d_x +
+    eta^A d_A: substitute u^A(t,x) = f^A(s) + (eta^A/xi1) t with s = x - c t,
+    c = xi2/xi1, and solve the reduced equations for their highest derivatives."""
+    t_var, x_var = S.jet.independents
+    for _, var, coeff in X.coeff_vector_atoms():
+        for a in atoms_of(coeff):
+            if isinstance(a, (Jet, Func)) or isinstance(a, Sym) and a.name in (t_var, x_var):
+                raise DomainError(f"the coefficient of d_{var} holds {a!r}: a "
+                                  f"travelling-wave generator has constant coefficients")
+    if X.xi_of(t_var).is_zero():
+        raise DomainError(f"the generator has no d_{t_var} part: no travelling wave")
+    inv1 = recip_e(X.xi_of(t_var))
+    c = X.xi_of(x_var) * inv1
+    drift = {dep: X.eta_of(dep) * inv1 for dep in S.jet.dependents
+             if not X.eta_of(dep).is_zero()}
     svar = ODE_JET.independents[0]
     bindings = {}
     for phi in S.rhs.values():
         for a in atoms_of(phi):
             if isinstance(a, Jet):
                 bindings.setdefault(a, None)
-    t_var, x_var = S.jet.independents
     for dep in S.jet.dependents:
         bindings.setdefault(jet(dep, (t_var,)), None)
     for a in list(bindings):
@@ -106,8 +81,8 @@ def travelling_wave_reduce(S: PDESystem, c,
         q = a.idx.count(x_var)
         new_dep = _DEP_MAP.get(a.dep, a.dep)
         val = (-c) ** p * jet(new_dep, (svar,) * (p + q)).as_expr()
-        if p == 1 and q == 0 and a.dep in drift:
-            val = val + drift[a.dep]
+        if a.dep in drift and a.idx in ((), (t_var,)):  # u = f + drift t
+            val = val + drift[a.dep] * (Expr.one() if a.idx else sym(t_var).as_expr())
         bindings[a] = val
 
     equations = []
@@ -199,8 +174,12 @@ def _c_expr(c) -> Expr:
 
 
 def reduced_system(member: int, c="c") -> ODESystem:
+    """Reduction of catalogue member `member` by d_t + c d_x."""
     from .hierarchy import catalogue_member
-    return travelling_wave_reduce(catalogue_member(member), c)
+    S = catalogue_member(member)
+    t_var, x_var = S.jet.independents
+    return travelling_wave_reduce(S, VectorField(S.jet, {t_var: Expr.one(),
+                                                         x_var: _c_expr(c)}))
 
 
 def system_33(c="c") -> ODESystem:

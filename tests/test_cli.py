@@ -143,6 +143,19 @@ def test_verify_solution_sn_rejects_c(capsys):
     assert captured.err.startswith("lieforge: error: --c ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--system", "3.3", "--solution", "tan", "--c", "1", "--k", "0.5"],
+     "--k does not apply to --solution tan: only sn has a modulus"),
+    (["--system", "3.22-F", "--solution", "sn", "--k", "1.5"],
+     "--k 1.5: modulus k must lie in [0, 1)"),
+], ids=["not-sn", "out-of-range"])
+def test_verify_solution_k_errors_name_the_flag(capsys, argv, message):
+    code = main(["verify-solution", *argv])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert captured.err == f"lieforge: error: {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-solution", "--system", "3.3", "--solution", "cosh"],
     ["integrate", "--system", "3.3", "--c", "1", "--from", "sin"],

@@ -1,9 +1,13 @@
 """Grammar: parsing, printing, roundtrips, and error reporting."""
 
+from fractions import Fraction
+
 import pytest
 
 from lieforge.expr_core import Expr, jet, func, sym
-from lieforge.parser import ParseError, UnknownIdentifierError, expr_text, parse_expr
+from lieforge.parser import (
+    MAX_POWER_BITS, ParseError, UnknownIdentifierError, expr_text, parse_expr,
+)
 from lieforge.systems import JetSpec
 
 PDE = JetSpec(("t", "x"), ("v", "w"), constants=("c",))
@@ -122,6 +126,24 @@ def test_refuses_powers_past_the_term_product_budget(text, op, pos):
     with pytest.raises(ParseError) as ei:
         parse_expr(text, PDE)
     assert str(ei.value).startswith(f"{op} would form over") and ei.value.pos == pos
+
+
+@pytest.mark.parametrize("text, pos", [
+    ("(3/2)^10000000", 5), ("2^-10000000", 1), ("(2*v)^10000000", 5), ("(3/2)^1366", 5),
+])
+def test_refuses_powers_past_the_coefficient_bound(text, pos):
+    with pytest.raises(ParseError) as ei:
+        parse_expr(text, PDE)
+    assert str(ei.value).startswith(f"'^' would form a coefficient over {MAX_POWER_BITS} bits")
+    assert ei.value.pos == pos
+
+
+def test_unit_coefficients_raise_to_any_power():
+    # 1365 * bits(3*2) = 4095 bits is the largest power of 3/2 within the bound
+    assert parse_expr("(3/2)^1365", PDE) == Expr.rational(Fraction(3, 2) ** 1365)
+    for text in ("I^1000000001", "sqrt(c)^1000000001", "(-1)^1000000001",
+                 "(-v)^1000000000", "0^1000000000"):
+        assert len(parse_expr(text, PDE)._terms) <= 1
 
 
 def test_powers_within_the_budget_are_exact_powers():

@@ -7,14 +7,14 @@ from fractions import Fraction
 import pytest
 
 from lieforge import catalog
-from lieforge.expr_core import Expr, jet, sym
+from lieforge.expr_core import Expr, jet, substitute, sym
 from lieforge.hierarchy import REAL_JET, catalogue_member
 from lieforge.parser import expr_text, parse_expr
 from lieforge.reduce import (
     ODE_JET, PivotDegenerateError, candidate_at, computed_second_order,
     emit_series_csv, equal_up_to_factor,
     f_branch_322, f_branch_322_printed, fig1_features, fig1_rows,
-    invariants_of_translation, lift_and_check, linear_solution_member4,
+    lift_and_check, linear_solution_member4,
     order_reduce, printed_second_order, rational_trig_solution,
     SolutionCandidate, reconstruct_G, reduced_system, rk4_from_system, s11_solution,
     sn_solution,
@@ -33,29 +33,60 @@ def EFG(text):
     return parse_expr(text, JetSpec(("s",), ("F", "G"), constants=("c",)))
 
 
+def wave_generator(xi_t="1", xi_x="c", **eta):
+    """The generator xi_t d_t + xi_x d_x + eta^A d_A, coefficients in c and k."""
+    ctx = REAL_JET.with_constants(("c", "k"))
+    return VectorField(ctx, {"t": parse_expr(xi_t, ctx), "x": parse_expr(xi_x, ctx)},
+                       {dep: parse_expr(text, ctx) for dep, text in eta.items()})
+
+
 class TestInvariants:
     def test_wave_frame(self):
-        X = VectorField(REAL_JET, xi={"t": Expr.one(), "x": sym("c").as_expr()})
-        m = invariants_of_translation(X)
-        assert m.speed == sym("c").as_expr() and not m.drift and not m.steady
+        # a generator and its constant multiples give one reduction
+        S2 = catalogue_member(2)
+        want = travelling_wave_reduce(S2, wave_generator())
+        assert want == reduced_system(2)
+        for scale in ("2", "c"):
+            X = wave_generator(scale, f"{scale}*c")
+            assert travelling_wave_reduce(S2, X) == want
 
     def test_steady(self):
-        X = VectorField(REAL_JET, xi={"t": Expr.one()})
-        assert invariants_of_translation(X).speed.is_zero()
-        Y = VectorField(REAL_JET, xi={"x": Expr.one()})
-        assert invariants_of_translation(Y).steady
+        # d_x has no d_t part: its invariants are not travelling waves, and
+        # speed 0 would be the reduction by d_t instead
+        from lieforge.expr_core import DomainError
+        with pytest.raises(DomainError, match="no d_t part"):
+            travelling_wave_reduce(catalogue_member(2), wave_generator("0", "1"))
 
     def test_drift(self):
-        X = VectorField(REAL_JET, xi={"t": Expr.one(), "x": sym("c").as_expr()},
-                        eta={"v": sym("k").as_expr()})
-        m = invariants_of_translation(X)
-        assert m.drift["v"] == sym("k").as_expr()
+        # the drift is eta^v / xi_t: v = f(s) + (k/2) t under 2 d_t + 2c d_x + k d_v
+        out = travelling_wave_reduce(catalogue_member(2),
+                                     wave_generator("2", "2*c", v="k"))
+        assert expr_text(out.leads["g"][1]) == "-c*f' + 1/2*k + f'^2 - g'^2"
+
+    def test_drift_reaches_an_undifferentiated_dependent(self):
+        # d_t + c d_x + k d_v is no symmetry of v_t = v_xx + v: the drift of
+        # v = f(s) + k t reaches the undifferentiated v and leaves k*t
+        from lieforge.expr_core import DomainError
+        from lieforge.systems import PDESystem
+        S = PDESystem(jet=REAL_JET, rhs={"v": REAL_JET.parse("v_xx + v"),
+                                         "w": REAL_JET.parse("w_xx")})
+        assert expr_text(travelling_wave_reduce(S, wave_generator()).leads["f"][1]) \
+            == "-c*f' - f"
+        with pytest.raises(DomainError, match="explicit"):
+            travelling_wave_reduce(S, wave_generator(v="k"))
 
     def test_nonconstant_rejected(self):
         from lieforge.expr_core import DomainError
-        X = VectorField(REAL_JET, xi={"t": Expr.one(), "x": sym("t").as_expr()})
-        with pytest.raises(DomainError):
-            invariants_of_translation(X)
+        with pytest.raises(DomainError, match="d_x holds t"):
+            travelling_wave_reduce(catalogue_member(2), wave_generator("1", "t"))
+
+    def test_unknown_function_rejected(self):
+        # an unknown a(t,x) is not a constant, though it is neither t, x nor a jet
+        from lieforge.expr_core import DomainError
+        from lieforge.symmetry import parse_field
+        X = parse_field("unknown a(t,x)\nxi_t = 1\nxi_x = 2\neta_v = a", REAL_JET)
+        with pytest.raises(DomainError, match="d_v holds a"):
+            travelling_wave_reduce(catalogue_member(2), X)
 
     def test_noninvariant_system_rejected(self):
         # explicit t-dependence survives the wave-frame substitution
@@ -65,8 +96,8 @@ class TestInvariants:
         bad = PDESystem(jet=ctx, rhs={
             "v": sym("t").as_expr() * jet("v", ("x",)).as_expr(),
             "w": jet("w", ("x",)).as_expr()})
-        with pytest.raises(DomainError):
-            travelling_wave_reduce(bad, sym("c").as_expr())
+        with pytest.raises(DomainError, match="explicit"):
+            travelling_wave_reduce(bad, wave_generator())
 
 
 class TestReductions:
@@ -98,13 +129,12 @@ class TestReductions:
         assert S.leads == {} and S.equations_zero() == [] and S.order == 0
 
     def test_drift_reduction(self):
-        # d_t + c d_x + k d_v: v = f(s) + k t shifts only the f-equation
-        S2 = catalogue_member(2)
-        k = sym("k").as_expr()
-        out = travelling_wave_reduce(S2, sym("c").as_expr(), drift={"v": k})
-        eqs = out.equations_zero()
-        joined = " | ".join(expr_text(e) for e in eqs)
-        assert "k" in joined
+        # d_t + c d_x + k d_v: v = f(s) + k t, so v_t = -c f' + k, and the
+        # v-equation is the one solved for g''
+        out = travelling_wave_reduce(catalogue_member(2), wave_generator(v="k"))
+        want = reduced_system(2).leads
+        assert out.leads == {"f": want["f"],
+                             "g": (2, E("-c*f' + k + f'^2 - g'^2", ("c", "k")))}
 
     def test_order_reduce_33(self):
         S = order_reduce(reduced_system(2))
@@ -136,6 +166,17 @@ class TestReductions:
                 expr_text(Expr.rational(2) * c * jet("G").as_expr())}
         assert {expr_text(d) for d in deltas} == want
 
+    @pytest.mark.parametrize("pair, branch", [
+        (system_322, f_branch_322), (system_322_printed, f_branch_322_printed)],
+        ids=["computed", "printed"])
+    def test_g_zero_is_not_an_invariant_subsystem(self, pair, branch):
+        # G = G' = G'' = 0 turns the F-equation into the F-branch, but the
+        # G-equation leaves 0 = 3*F*F': an F-branch profile such as sn solves
+        # the branch, not the pair
+        zero = {jet("G", ("s",) * k): Expr.zero() for k in range(3)}
+        got = [expr_text(substitute(e, zero)) for e in pair().equations_zero()]
+        assert got == [*map(expr_text, branch().equations_zero()), "-3*F*F'"]
+
     def test_order_reduce_reintegrates(self):
         # renaming F^(k) -> f^(k+1) recovers the input system canonically
         for member in (2, 3):
@@ -147,7 +188,6 @@ class TestReductions:
                 for a in {jet(d, ("s",) * k) for d in ("F", "G")
                           for k in range(0, m + 1)}:
                     bindings[a] = jet(a.dep.lower(), ("s",) * (a.order + 1)).as_expr()
-                from lieforge.expr_core import substitute
                 back[dep.lower()] = (m + 1, substitute(rhs, bindings))
             assert back == S.leads
 
