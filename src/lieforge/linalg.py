@@ -3,8 +3,8 @@
 Rows are dicts {column key: int or Fraction}; column keys are column
 indices, or for `rref`/`rank` any mutually comparable keys.  Elimination is
 fraction-free (Bareiss, Math. Comp. 22, 1968): rows are cleared of
-denominators once by `cleared`, which the residual assembly of `symmetry`
-shares, kept primitive (integers with gcd 1) and deduplicated up to scale;
+denominators once by `cleared` (determining systems arrive as integer
+rows), kept primitive (integers with gcd 1) and deduplicated up to scale;
 only the final pivot rows become Fractions, normalised to 1.  The reduced
 echelon form is unique, so echelon forms, nullspace bases, and solve results
 are deterministic; they hold Fractions whatever the input rows hold.
@@ -49,7 +49,7 @@ def _eliminate(row: dict, prow: dict, pc) -> dict:
     return _primitive(row, next(iter(row))) if row else row
 
 
-def rref(rows: list[dict]):
+def rref(rows: Iterable[dict]):
     """Reduced row-echelon form.  Returns (pivot_rows, pivots) where
     pivot_rows[i] has a 1 in column pivots[i] and zeros in other pivot
     columns; the columns are read from the rows themselves."""
@@ -89,11 +89,11 @@ def rref(rows: list[dict]):
             [pc for pc, _ in order])
 
 
-def rank(rows: list[dict]) -> int:
+def rank(rows: Iterable[dict]) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: list[dict[int, Fraction]], ncols: int) -> list[dict[int, Fraction]]:
+def nullspace(rows: Iterable[dict], ncols: int) -> list[dict[int, Fraction]]:
     """Canonical nullspace basis: one vector per free column, with a 1 in the
     free column and pivot columns filled in; ordered by free column index."""
     pivot_rows, pivots = rref(rows)

@@ -94,7 +94,8 @@ def travelling_wave_reduce(S: PDESystem, X: VectorField) -> ODESystem:
             if isinstance(a, Sym) and a.name in (t_var, x_var):
                 raise DomainError("reduction left explicit (t, x) dependence")
         equations.append(_contract_common_jet(E))
-    return _solve_leads(equations, ODE_JET, label=f"TW reduction of {S.label}")
+    names = (a.name for E in equations for a in atoms_of(E) if isinstance(a, Sym))
+    return _solve_leads(equations, ODE_JET.with_constants(names), f"TW reduction of {S.label}")
 
 
 def _contract_common_jet(E: Expr) -> Expr:

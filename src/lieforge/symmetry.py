@@ -11,12 +11,13 @@ A whole field X takes R_{X,()} = pr X(H) on solutions.  A dictionary column
 is merged from the Leibniz pieces R_{Y,K} of the base fields Y of its terms:
 integer terms over one denominator per equation, on monomials packed into
 ints, where a product is an addition unless both sides hold trig or exp.
-Rows leave the packed ring once.  The prolongation of a base field depends
-on it and on the jets asked for, not on the system: it is kept across calls.
+Rows stay integer into the nullspace, one scale per equation, and are sorted
+and made rational when read.  Base-field prolongations are kept across calls.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
@@ -246,12 +247,13 @@ class _Ring:
             out[m] = get(m, 0) + q
         return {m: q for m, q in out.items() if q}, den
 
-    def keys(self, ms) -> dict[int, tuple]:
-        """{m: (rank, _mono_key of m)} for packed monomials ms, fields read in key
-        order of their atoms as codes rank << _FIELD | (_HALF + e), ordered as keys."""
-        atoms = sorted(self.shift, key=lambda a: a.key)
-        bias = sum(_HALF << s for s in self.shift.values())  # each field _HALF + e
-        fields = [(r << _FIELD, self.shift[a]) for r, a in enumerate(atoms)]
+    @staticmethod
+    def keys(shift: dict, ms) -> dict[int, tuple]:
+        """{m: (rank, _mono_key of m)} for monomials ms packed by shift, fields read
+        in key order of their atoms as codes rank << _FIELD | (_HALF + e), ordered."""
+        atoms = sorted(shift, key=lambda a: a.key)
+        bias = sum(_HALF << s for s in shift.values())  # each field _HALF + e
+        fields = [(r << _FIELD, shift[a]) for r, a in enumerate(atoms)]
         codes = {m: [r | d for r, s in fields if (d := u >> s & _MASK) != _HALF]
                  for m in set(ms) for u in (m + bias,)}
         return {m: (r, tuple((atoms[c >> _FIELD].key, (c & _MASK) - _HALF) for c in codes[m]))
@@ -489,6 +491,28 @@ def ansatz_dictionary(jet_spec: JetSpec, degree: int, trig_order: int = 0,
 # determining systems and discovery
 # ---------------------------------------------------------------------------
 
+class _Rows(Sequence):
+    """Integer rows {(equation i, packed monomial): {column: int}} scaled by scale[i],
+    the lcm of i's column denominators; `read` sorts once into rows / scale[i]."""
+
+    def __init__(self, ints: dict, scale: list[int], shift: dict):
+        self.ints, self.scale, self.shift = ints, scale, shift
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __getitem__(self, k):
+        return self.read[0][k]
+
+    @cached_property
+    def read(self) -> tuple[list, list]:  # by equation, then monomial key; int if exact
+        keys = _Ring.keys(self.shift, (m for _, m in self.ints))
+        prov = sorted(self.ints, key=lambda im: (im[0], keys[im[1]][0]))
+        return ([r if (d := self.scale[k[0]]) == 1 else {c: v // d if not v % d else
+                 Fraction(v, d) for c, v in r.items()} for k in prov for r in (self.ints[k],)],
+                [(i, keys[m][1]) for i, m in prov])
+
+
 @dataclass
 class DeterminingSystem:
     """Homogeneous rational system over the ansatz coefficients; its nullspace
@@ -496,15 +520,18 @@ class DeterminingSystem:
 
     basis: AnsatzBasis
     columns: list[tuple[tuple[str, str], int, Expr]]
-    rows: list[dict[int, Fraction]]
-    provenance: list[tuple[int, tuple]]  # (equation index, class monomial key)
+    rows: _Rows  # rank, nullity and discovery read its integer rows
+
+    @property
+    def provenance(self) -> list[tuple[int, tuple]]:  # (equation, class monomial key)
+        return self.rows.read[1]
 
     @property
     def n_unknowns(self) -> int:
         return len(self.columns)
 
     def rank(self) -> int:
-        return rank(self.rows)
+        return rank(self.rows.ints.values())
 
     def nullity(self) -> int:
         return self.n_unknowns - self.rank()
@@ -516,14 +543,11 @@ def determining_system(system, basis: AnsatzBasis) -> DeterminingSystem:
     R_{Y,K} on solutions (D_j H = 0), from pieces of the base field Y, with
     R_{Y,()} = pr Y(H).  Map and pieces die with the call, prolongations not."""
     cols, residual = basis.columns(), _ResidualMap(system)
-    # an int where the denominator divides the integer term, else a Fraction
-    rowmap = transpose({(i, m): q // d if not q % d else Fraction(q, d)
-                        for i, (terms, d) in enumerate(residual.column(key, e))
-                        for m, q in terms.items()} for key, _, e in cols)
-    keys = residual.ring.keys(m for _, m in rowmap)
-    prov = sorted(rowmap, key=lambda im: (im[0], keys[im[1]][0]))
-    return DeterminingSystem(basis, cols, [rowmap[k] for k in prov],
-                             [(i, keys[m][1]) for i, m in prov])
+    res = [residual.column(key, e) for key, _, e in cols]
+    scale = [lcm(*(r[i][1] for r in res if r[i][0])) for i in range(len(residual.parts))]
+    ints = transpose({(i, m): q * (s // d) for i, ((terms, d), s) in enumerate(zip(r, scale))
+                      for m, q in terms.items()} for r in res)
+    return DeterminingSystem(basis, cols, _Rows(ints, scale, residual.ring.shift))
 
 
 def discover_symmetries(system, basis: AnsatzBasis,
@@ -532,9 +556,8 @@ def discover_symmetries(system, basis: AnsatzBasis,
     canonical reduced-echelon basis, pivot on the lowest-indexed coefficient."""
     if det is None:
         det = determining_system(system, basis)
-    null = nullspace(det.rows, det.n_unknowns)
     fields = []
-    for vec in null:
+    for vec in nullspace(det.rows.ints.values(), det.n_unknowns):
         parts = [(det.columns[col], q) for col, q in sorted(vec.items())]
         slots = _slot_sums((key, Expr.rational(q) * e) for (key, _, e), q in parts)
         xi, eta = ({var: v for (k, var), v in slots.items()

@@ -46,7 +46,7 @@ class JetSpec:
                        tuple(sorted(funcs.items())))
 
     def with_constants(self, names) -> "JetSpec":
-        extra = tuple(n for n in names if n not in self.constants)
+        extra = tuple(n for n in dict.fromkeys(names) if n not in self.constants)
         return JetSpec(self.independents, self.dependents, self.constants + extra,
                        self.functions)
 

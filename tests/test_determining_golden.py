@@ -54,13 +54,18 @@ def _digest(det) -> str:
     return hashlib.sha256(repr((det.provenance, rows)).encode()).hexdigest()
 
 
-def determining_outputs() -> dict:
+def determining_cases() -> dict:
+    """label -> (system, dictionary size) of every pinned determining system."""
     cases = {f"member {k} ({d}, {m}, {e})": (catalogue_member(k), (d, m, e))
              for k, (d, m, e) in sorted(_MEMBER_DICTIONARIES.items())}
     for degree in (1, 2):
         cases[f"member 5 ({degree}, 0, 0)"] = (_member5(), (degree, 0, 0))
+    return cases
+
+
+def determining_outputs() -> dict:
     out = {"determining": {}, "verify": {}}
-    for label, (S, (degree, trig, expw)) in cases.items():
+    for label, (S, (degree, trig, expw)) in determining_cases().items():
         basis = ansatz_dictionary(REAL_JET, degree, trig, expw)
         det = determining_system(S, basis)
         out["determining"][label] = {"rows": len(det.rows), "sha256": _digest(det)}

@@ -63,6 +63,19 @@ class TestInvariants:
                                      wave_generator("2", "2*c", v="k"))
         assert expr_text(out.leads["g"][1]) == "-c*f' + 1/2*k + f'^2 - g'^2"
 
+    def test_jet_declares_every_constant_of_the_equations(self):
+        # k of the drift joins c, so every lead prints text its own jet parses
+        S2 = catalogue_member(2)
+        for X, constants in [(wave_generator(v="k"), ("c", "k")),
+                             (wave_generator("2", "k"), ("c", "k")),
+                             (wave_generator("1", "3/2"), ("c",))]:
+            out = travelling_wave_reduce(S2, X)
+            assert out.jet.constants == constants
+            for dep, (_, rhs) in out.leads.items():
+                assert parse_expr(expr_text(rhs), out.jet) == rhs, (dep, rhs)
+        for n in (1, 2, 3):
+            assert reduced_system(n).jet.constants == ("c",)
+
     def test_drift_reaches_an_undifferentiated_dependent(self):
         # d_t + c d_x + k d_v is no symmetry of v_t = v_xx + v: the drift of
         # v = f(s) + k t reaches the undifferentiated v and leaves k*t

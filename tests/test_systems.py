@@ -128,3 +128,8 @@ class TestReducerRules:
     def test_lead_not_a_pure_derivative(self, idx):
         with pytest.raises(DomainError):
             Reducer([(func("a", ("t", "x"), idx), a_deriv("x", "x"))])
+
+
+def test_with_constants_declares_each_name_once():
+    jet_spec = JetSpec(("s",), ("f",), constants=("c",))
+    assert jet_spec.with_constants(["k", "c", "k", "m"]).constants == ("c", "k", "m")
