@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 from . import catalog, reduce as red
@@ -59,7 +60,6 @@ def cmd_symmetries_find(args) -> tuple[dict, int]:
     S = catalogue_member(args.member)
     degree, trig, expw = (d if a is None else a for a, d in zip(
         (args.degree, args.trig, args.expw), _MEMBER_DICTIONARIES[args.member]))
-    import time
     t0 = time.time()
     basis = ansatz_dictionary(REAL_JET, degree, trig, expw)
     det = determining_system(S, basis)
@@ -138,12 +138,10 @@ def _printed_disagreements(table, printed_entries) -> list[str]:
             out.append(f"[{a},{b}]: printed {_combo_dict_text(combo)}, "
                        f"not in the computed basis: {', '.join(missing)}")
             continue
-        i, j = names[a], names[b]
-        computed = [table.c(i, j, k) for k in range(table.dim)]
-        claimed = [Expr.rational(combo.get(n, 0)) for n in table.names]
-        if any(not (x - y).is_zero() for x, y in zip(computed, claimed)):
-            out.append(f"[{a},{b}]: printed {_combo_dict_text(combo)}, "
-                       f"computed {combo_text(zip(computed, table.names))}")
+        row = table.constants.get((names[a], names[b]), {})
+        if row != {names[n]: Expr.rational(q) for n, q in combo.items() if q}:
+            out.append(f"[{a},{b}]: printed {_combo_dict_text(combo)}, computed "
+                       f"{combo_text((q, table.names[k]) for k, q in row.items())}")
     return out
 
 

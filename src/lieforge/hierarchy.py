@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .expr_core import (
     DomainError, Expr, I, Jet, atoms_of, collect_terms, exp_e, jet, substitute,
 )
+from .parser import expr_text
 from .systems import JetSpec, PDESystem, total_derivative
 
 __all__ = [
@@ -108,7 +109,6 @@ class AuditReport:
     delta_w: Expr
 
     def itemized(self) -> dict[str, list[str]]:
-        from .parser import expr_text
         out = {}
         for name, delta in (("v_t", self.delta_v), ("w_t", self.delta_w)):
             out[name] = [expr_text(Expr({m: q})) for m, q in delta.terms()]

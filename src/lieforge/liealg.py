@@ -8,8 +8,10 @@ for the call, serves all of its brackets.
 Membership of a bracket in the span of a basis is decided by matching
 coefficients over the shared functional basis of monomials and solving
 exactly, never by sampling points; one elimination answers every bracket of
-a table.  Both series of a signature start from [g, g], the span of the
-table's own rows.
+a table.  A table holds its brackets as sparse antisymmetric rows
+{(i, j): {k: c_ij^k}}, nonzero constants only, and the Jacobi check, the
+signature and the printed table read those rows as they are.  Both series of
+a signature start from [g, g], the span of the table's own rows.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def _const_dictionary(params) -> list[Expr]:
 def in_span(targets: list[VectorField], basis: list[VectorField], params=None):
     """Exact membership: target = sum_k alpha_k basis_k with alpha_k constant
     expressions over the parameter dictionary.  One elimination answers every
-    target; returns one list of alpha_k Exprs, or None, per target."""
+    target; returns per target its nonzero alpha_k as {k: alpha_k}, k
+    ascending, or None outside the span."""
     if params is None:
         params = _param_atoms(basis + targets)
     consts = _const_dictionary(params)
@@ -109,10 +112,11 @@ def in_span(targets: list[VectorField], basis: list[VectorField], params=None):
                        [field_vector(T) for T in targets])
 
     def alphas(sol):
-        out = [Expr.zero() for _ in basis]
+        # the dictionary holds distinct monomials, so no alpha_k built is zero
+        out = {}
         for (k, c), q in zip(labels, sol):
             if q:
-                out[k] = out[k] + Expr.rational(q) * c
+                out[k] = out.get(k, Expr.zero()) + Expr.rational(q) * c
         return out
 
     return [None if sol is None else alphas(sol) for sol in sols]
@@ -129,8 +133,13 @@ def basis_independent(basis: list[VectorField]) -> bool:
 
 @dataclass
 class StructureTable:
+    """[X_i, X_j] = sum_k c_ij^k X_k as rows constants[(i, j)] = {k: c_ij^k}:
+    nonzero constants only, k ascending, (j, i) the negated row.  A pair that
+    commutes has no row, nor has one in `non_closing`, whose bracket leaves
+    the span."""
+
     basis: list[VectorField]
-    constants: dict[tuple[int, int], list[Expr]]
+    constants: dict[tuple[int, int], dict[int, Expr]]
     closed: bool
     non_closing: dict[tuple[int, int], VectorField] = dc_field(default_factory=dict)
 
@@ -139,23 +148,16 @@ class StructureTable:
         return len(self.basis)
 
     def c(self, i: int, j: int, k: int) -> Expr:
-        if i == j:
-            return Expr.zero()
-        if (i, j) in self.constants:
-            return self.constants[(i, j)][k]
-        return -self.constants[(j, i)][k]
+        return self.constants.get((i, j), {}).get(k, Expr.zero())
 
     @property
     def names(self) -> list[str]:
         return [F.name or f"X{k + 1}" for k, F in enumerate(self.basis)]
 
     def nonzero_entries(self) -> list[tuple[int, int, str]]:
-        rows, names = [], self.names
-        for (i, j), vec in sorted(self.constants.items()):
-            txt = combo_text(zip(vec, names))
-            if txt != "0":
-                rows.append((i, j, txt))
-        return rows
+        names = self.names
+        return [(i, j, combo_text((q, names[k]) for k, q in row.items()))
+                for (i, j), row in sorted(self.constants.items()) if i < j]
 
 
 def structure_constants(basis: list[VectorField]) -> StructureTable:
@@ -166,14 +168,13 @@ def structure_constants(basis: list[VectorField]) -> StructureTable:
     pairs = list(combinations(range(len(basis)), 2))
     jac = [_jacobian(F) for F in basis]
     brackets = [_bracket(basis[i], jac[i], basis[j], jac[j]) for i, j in pairs]
-    constants = {}
-    non_closing = {}
-    for (i, j), br, alphas in zip(pairs, brackets,
-                                  in_span(brackets, basis, _param_atoms(basis))):
-        if alphas is None:
+    constants, non_closing = {}, {}
+    for (i, j), br, row in zip(pairs, brackets,
+                               in_span(brackets, basis, _param_atoms(basis))):
+        if row is None:
             non_closing[(i, j)] = br
-            alphas = [Expr.zero()] * len(basis)
-        constants[(i, j)] = alphas
+        elif row:
+            constants[(i, j)], constants[(j, i)] = row, {k: -q for k, q in row.items()}
     return StructureTable(basis=basis, constants=constants,
                           closed=not non_closing, non_closing=non_closing)
 
@@ -183,17 +184,12 @@ def jacobi_check(table: StructureTable) -> bool:
     nonzero constants only."""
     if not table.closed:
         raise DomainError("Jacobi check needs a closed table")
-    # [e_a, e_b] as a sparse row {m: c_ab^m}, for every ordered pair a != b
-    nz: dict[tuple[int, int], dict[int, Expr]] = {}
-    for (i, j), vec in table.constants.items():
-        row = {m: q for m, q in enumerate(vec) if not q.is_zero()}
-        nz[(i, j)], nz[(j, i)] = row, {m: -q for m, q in row.items()}
     for i, j, k in combinations(range(table.dim), 3):
         # sum over cyclic (a, b, e) of c_ab^m c_me^l, for every l at once
         totals: dict[int, dict] = {}
         for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
-            for m, cab in nz.get((a, b), {}).items():
-                for l, cme in nz.get((m, e), {}).items():
+            for m, cab in table.constants.get((a, b), {}).items():
+                for l, cme in table.constants.get((m, e), {}).items():
                     _mul_into(totals.setdefault(l, {}), cab._terms, cme._terms)
         if any(totals.values()):
             return False
@@ -246,13 +242,10 @@ def algebra_signature(table: StructureTable) -> AlgebraSignature:
 def _signature_at(table: StructureTable, point) -> AlgebraSignature:
     """The signature at `point`; with None the constants are read as rationals."""
     n = table.dim
-    # [e_i, e_j] as a sparse row {k: c_ij^k}; absent for i == j
-    br = {}
-    for (i, j), vec in table.constants.items():
-        # zero constants are skipped, and specialised only at a point
-        row = {k: q for k, e in enumerate(vec) if e._terms and
-               (q := (e if point is None else substitute(e, point)).as_rational())}
-        br[(i, j)], br[(j, i)] = row, {k: -q for k, q in row.items()}
+    # each row with its constants specialised; one may vanish at the point
+    br = {p: {k: q for k, e in row.items()
+              if (q := (e if point is None else substitute(e, point)).as_rational())}
+          for p, row in table.constants.items()}
 
     def bracket(u, v):
         out: dict[int, Fraction] = {}
@@ -263,8 +256,8 @@ def _signature_at(table: StructureTable, point) -> AlgebraSignature:
         return {k: q for k, q in out.items() if q}
 
     full = [{i: Fraction(1)} for i in range(n)]
-    # [g, g] is spanned by the table's own rows c_ij, one per pair
-    gg = rref([br[p] for p in table.constants])[0]
+    # [g, g] is spanned by the table's own rows c_ij, one per pair i < j
+    gg = rref([row for (i, j), row in br.items() if i < j])[0]
 
     def series(step):
         """Spans A_1 = [g, g], A_2, ... with A_{m+1} = step(A_m), up to the

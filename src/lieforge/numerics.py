@@ -22,13 +22,12 @@ RK4_GUARD = 1e8
 
 def _agm_chain(k: float):
     a, b, c = 1.0, math.sqrt(1.0 - k * k), k
-    aa, bb, cc = [a], [b], [c]
-    while abs(cc[-1]) > _AGM_TOL and len(aa) < 60:
-        a, b = 0.5 * (aa[-1] + bb[-1]), math.sqrt(aa[-1] * bb[-1])
+    aa, cc = [a], [c]
+    while abs(c) > _AGM_TOL and len(aa) < 60:
+        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         aa.append(a)
-        bb.append(b)
-        cc.append(0.5 * (aa[-2] - bb[-2]))
-    return aa, bb, cc
+        cc.append(c)
+    return aa, cc
 
 
 def sn_function(k: float) -> Callable[[float], float]:
@@ -38,7 +37,7 @@ def sn_function(k: float) -> Callable[[float], float]:
         raise ValueError("modulus k must lie in [0, 1)")
     if k == 0.0:
         return math.sin
-    aa, _, cc = _agm_chain(k)
+    aa, cc = _agm_chain(k)
     n = len(aa) - 1
     scale = (2.0 ** n) * aa[n]
     ratios = [cc[i] / aa[i] for i in range(n, 0, -1)]
@@ -64,7 +63,7 @@ def elliptic_K(k: float) -> float:
     """Complete elliptic integral of the first kind from the AGM limit."""
     if not 0.0 <= k < 1.0:
         raise ValueError("modulus k must lie in [0, 1)")
-    aa, _, _ = _agm_chain(k)
+    aa, _ = _agm_chain(k)
     return math.pi / (2.0 * aa[-1])
 
 

@@ -17,10 +17,11 @@ from .expr_core import (
     collect_terms, NumericPlan, cos_e, derive, exp_e, jet, recip_e, root, sin_e,
     sqrt_e, substitute, sym, tan_e,
 )
-from .numerics import RK4_GUARD, Trajectory, integrate_rk4, sn_function
+from .hierarchy import catalogue_member
+from .numerics import Trajectory, integrate_rk4, sn_function
 from .linalg import cleared, solve_exact
 from .symmetry import VectorField
-from .systems import JetSpec, ODESystem, PDESystem
+from .systems import JetSpec, ODESystem, PDESystem, total_derivative
 
 __all__ = [
     "PivotDegenerateError", "travelling_wave_reduce", "order_reduce",
@@ -95,7 +96,8 @@ def travelling_wave_reduce(S: PDESystem, X: VectorField) -> ODESystem:
                 raise DomainError("reduction left explicit (t, x) dependence")
         equations.append(_contract_common_jet(E))
     names = (a.name for E in equations for a in atoms_of(E) if isinstance(a, Sym))
-    return _solve_leads(equations, ODE_JET.with_constants(names), f"TW reduction of {S.label}")
+    jet_out = replace(ODE_JET, dependents=tuple(_DEP_MAP.get(d, d) for d in S.jet.dependents))
+    return _solve_leads(equations, jet_out.with_constants(names), f"TW reduction of {S.label}")
 
 
 def _contract_common_jet(E: Expr) -> Expr:
@@ -176,7 +178,6 @@ def _c_expr(c) -> Expr:
 
 def reduced_system(member: int, c="c") -> ODESystem:
     """Reduction of catalogue member `member` by d_t + c d_x."""
-    from .hierarchy import catalogue_member
     S = catalogue_member(member)
     t_var, x_var = S.jet.independents
     return travelling_wave_reduce(S, VectorField(S.jet, {t_var: Expr.one(),
@@ -250,7 +251,6 @@ def eliminate_to_second_order(S: ODESystem) -> Expr:
     numer = cls[Expr.one()]            # F'
     if pivot.is_zero():
         raise PivotDegenerateError("pivot coefficient of G vanishes identically")
-    from .systems import total_derivative
     dEF = total_derivative(eq_F, svar)
     g_prime_val = G1.as_expr() - eq_G  # G' on solutions
     dEF = substitute(dEF, {G1: g_prime_val})
@@ -634,8 +634,7 @@ def _fd_jet(f0, at: list, orders: list, h: float) -> list:
 # numeric integration of reduced systems
 # ---------------------------------------------------------------------------
 
-def rk4_from_system(S: ODESystem, params: dict, state0: dict, s_range, h,
-                    guard: float = RK4_GUARD) -> Trajectory:
+def rk4_from_system(S: ODESystem, params: dict, state0: dict, s_range, h) -> Trajectory:
     """Integrate an explicit first-order reduced system with RK4."""
     if S.order != 1:
         raise DomainError("integrate the first-order form")
@@ -644,7 +643,7 @@ def rk4_from_system(S: ODESystem, params: dict, state0: dict, s_range, h,
     # integrate_rk4 keeps every state in sorted dependent order
     deps = sorted(state0)
     plan = _plan([S.leads[dep][1] for dep in deps], [*bind, sym(svar), *map(jet, deps)])
-    return integrate_rk4(plan, state0, s_range, h, guard=guard, bound=list(bind.values()))
+    return integrate_rk4(plan, state0, s_range, h, bound=list(bind.values()))
 
 
 # ---------------------------------------------------------------------------

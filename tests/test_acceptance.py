@@ -113,7 +113,8 @@ def test_criterion_04_member3():
     for X in catalog.fields_member3():
         if X.name == "G2b":
             rep = verify_generator(S, X)
-            assert not rep.zero and rep.notes  # flagged discrepancy
+            # flagged discrepancy
+            assert not rep.zero and any(r != "0" for r in rep.remainders())
         else:
             assert verify_generator(S, X).zero, X.name
     assert verify_generator(S, catalog.fields_member3_scaling()).zero
@@ -138,10 +139,9 @@ def test_criterion_06_brackets():
     for (i, j) in [(0, 1), (1, 2), (3, 4)]:
         back = lie_bracket(basis[j], basis[i])
         combo = None
-        for k, q in enumerate(table.constants[(i, j)]):
-            if not q.is_zero():
-                term = basis[k].scale(Expr.zero() - q)
-                combo = term if combo is None else combo.add(term)
+        for k, q in table.constants.get((i, j), {}).items():
+            term = basis[k].scale(Expr.zero() - q)
+            combo = term if combo is None else combo.add(term)
         if combo is None:
             assert all(c.is_zero() for _, _, c in back.coeff_vector_atoms())
         else:

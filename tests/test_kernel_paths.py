@@ -330,12 +330,12 @@ def test_mul_into_matches_general_path():
 def test_jacobi_check_rejects_hand_made_table():
     # [e0, e1] = e0, [e1, e2] = e1, [e0, e2] = 0: the cyclic sum on
     # (e0, e1, e2) is [e0, e2] + [e1, e0] = -e0
-    one, zero = Expr.one(), Expr.zero()
-    constants = {(0, 1): [one, zero, zero], (1, 2): [zero, one, zero],
-                 (0, 2): [zero, zero, zero]}
+    one = Expr.one()
+    constants = {(0, 1): {0: one}, (1, 0): {0: -one},
+                 (1, 2): {1: one}, (2, 1): {1: -one}}
     assert not jacobi_check(StructureTable(basis=[None] * 3, constants=constants,
                                            closed=True))
-    constants[(1, 2)] = [zero, zero, zero]
+    del constants[(1, 2)], constants[(2, 1)]
     assert jacobi_check(StructureTable(basis=[None] * 3, constants=constants,
                                        closed=True))
 

@@ -106,12 +106,10 @@ class TestStructureTable:
     def test_reconstruction(self):
         basis = catalog.fields_member2()
         table = structure_constants(basis)
-        for (i, j), vec in table.constants.items():
+        for i, j in combinations(range(table.dim), 2):
             Z = lie_bracket(basis[i], basis[j])
             back = None
-            for k, q in enumerate(vec):
-                if q.is_zero():
-                    continue
+            for k, q in table.constants.get((i, j), {}).items():
                 term = basis[k].scale(q)
                 back = term if back is None else back.add(term)
             if back is None:
@@ -160,12 +158,11 @@ class TestStructureTable:
 class TestJacobi:
     def test_corrupted_table_fails(self):
         table = structure_constants(catalog.fields_member2())
-        bad = {k: list(v) for k, v in table.constants.items()}
-        # perturb one constant of a nonzero entry
-        key = next(k for k, v in bad.items() if any(not q.is_zero() for q in v))
-        idx = next(i for i, q in enumerate(bad[key]) if not q.is_zero())
-        bad[key][idx] = bad[key][idx] + Expr.one()
-        from lieforge.liealg import StructureTable
+        bad = {k: dict(v) for k, v in table.constants.items()}
+        # perturb one constant of a nonzero entry, in both of its rows
+        (i, j), idx = next((k, m) for k, v in bad.items() for m in v)
+        bad[(i, j)][idx] = bad[(i, j)][idx] + Expr.one()
+        bad[(j, i)][idx] = bad[(j, i)][idx] - Expr.one()
         corrupted = StructureTable(basis=table.basis, constants=bad, closed=True)
         assert jacobi_check(table)
         assert not jacobi_check(corrupted)
@@ -262,10 +259,10 @@ class TestBracketTables:
                 assert _slots(lie_bracket(basis[i], basis[j])) == _slots(Z)
                 if alphas is None:
                     assert _slots(table.non_closing[(i, j)]) == _slots(Z)
-                    alphas = [Expr.zero()] * len(basis)
-                got = table.constants[(i, j)]
-                assert [list(q._terms.items()) for q in got] == \
-                    [list(q._terms.items()) for q in alphas]
+                    alphas = {}
+                got = table.constants.get((i, j), {})
+                assert [(k, list(q._terms.items())) for k, q in got.items()] == \
+                    [(k, list(q._terms.items())) for k, q in alphas.items()]
 
     def test_table_differentiates_each_field_once(self, monkeypatch):
         calls = []
@@ -273,6 +270,23 @@ class TestBracketTables:
         structure_constants(catalog.fields_reduced2())
         # one derivative per (field, component, coordinate): 12 x 3 x 3
         assert len(calls) <= 108
+
+
+def test_tables_store_sparse_antisymmetric_rows():
+    """Every catalogue table: nonzero constants only, k ascending, (j, i) the
+    negated (i, j) row, and no row for a commuting or a non-closing pair."""
+    for basis in _bases() + [_member3_scaled()]:
+        table = structure_constants(basis)
+        for (i, j), row in table.constants.items():
+            assert row and not any(q.is_zero() for q in row.values())
+            assert list(row) == sorted(row)
+            assert table.constants[(j, i)] == {k: -q for k, q in row.items()}
+        for i, j in combinations(range(table.dim), 2):
+            if (i, j) in table.non_closing:
+                assert (i, j) not in table.constants and (j, i) not in table.constants
+            elif (i, j) not in table.constants:
+                assert field_text(lie_bracket(basis[i], basis[j])) == "0", (i, j)
+                assert (j, i) not in table.constants
 
 
 def test_printed_sums_keep_the_sign_of_each_coefficient():
@@ -311,11 +325,9 @@ def _reference_signature(table):
 
 def _reference_at(table, point):
     n = table.dim
-    br = {}
-    for (i, j), vec in table.constants.items():
-        row = {k: q for k, e in enumerate(vec)
-               if (q := substitute(e, point).as_rational())}
-        br[(i, j)], br[(j, i)] = row, {k: -q for k, q in row.items()}
+    br = {(i, j): {k: q for k in range(n)
+                   if (q := substitute(table.c(i, j, k), point).as_rational())}
+          for i, j in product(range(n), repeat=2)}
 
     def bracket(u, v):
         out = {}
@@ -355,9 +367,11 @@ def _table(n, rows):
     {(i, j): {k: c_ij^k}}, i < j; absent pairs commute."""
     basis = [VectorField(REAL_JET, xi={"t": Expr.one()}, name=f"E{k}")
              for k in range(n)]
-    constants = {(i, j): [Expr.rational(rows.get((i, j), {}).get(k, 0))
-                          for k in range(n)]
-                 for i, j in combinations(range(n), 2)}
+    constants = {}
+    for (i, j), row in rows.items():
+        row = {k: Expr.rational(q) for k, q in sorted(row.items()) if q}
+        if row:
+            constants[(i, j)], constants[(j, i)] = row, {k: -q for k, q in row.items()}
     return StructureTable(basis=basis, constants=constants, closed=True)
 
 
@@ -440,7 +454,7 @@ class TestSignatureWork:
             algebra_signature(table)
             counts[name] = sum(rows)
         # every ordered pair at both points from g itself: 352, 334, 64, 148
-        assert counts == {"m2": 78, "m3": 69, "m4": 6, "r3": 56}
+        assert counts == {"m2": 65, "m3": 53, "m4": 0, "r3": 42}
 
     def test_disagreeing_points_raise(self, monkeypatch):
         real, calls = liealg._signature_at, []

@@ -21,7 +21,7 @@ def _sn_per_call(u, k):
     chain-once form must reproduce."""
     if k == 0.0:
         return math.sin(u)
-    aa, _, cc = _agm_chain(k)
+    aa, cc = _agm_chain(k)
     n = len(aa) - 1
     phi = (2.0 ** n) * aa[n] * u
     for i in range(n, 0, -1):

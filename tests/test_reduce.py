@@ -76,6 +76,22 @@ class TestInvariants:
         for n in (1, 2, 3):
             assert reduced_system(n).jet.constants == ("c",)
 
+    def test_jet_holds_the_dependents_of_the_equation(self):
+        # u_t = u_xx + u_x^2 by d_t + 2 d_x: the reduction is in u alone, so
+        # its symmetries act on u and s only, and order reduction gives U
+        from lieforge.symmetry import ansatz_dictionary, discover_symmetries, field_text
+        from lieforge.systems import PDESystem
+        ctx = JetSpec(("t", "x"), ("u",))
+        S = PDESystem(jet=ctx, rhs={"u": ctx.parse("u_xx + u_x^2")})
+        X = VectorField(ctx, {"t": Expr.one(), "x": Expr.rational(2)})
+        R = travelling_wave_reduce(S, X)
+        assert R.jet.dependents == ("u",) and list(R.leads) == ["u"]
+        fields = discover_symmetries(R, ansatz_dictionary(R.jet, 1))
+        assert sorted(field_text(F) for F in fields) == ["d_s", "d_u"]
+        assert order_reduce(R).jet.dependents == ("U",)
+        for n in (1, 2, 3):
+            assert reduced_system(n).jet == ODE_JET
+
     def test_drift_reaches_an_undifferentiated_dependent(self):
         # d_t + c d_x + k d_v is no symmetry of v_t = v_xx + v: the drift of
         # v = f(s) + k t reaches the undifferentiated v and leaves k*t
@@ -394,7 +410,7 @@ class TestIntegration:
         from lieforge.systems import ODESystem
         ctx = JetSpec(("s",), ("G",))
         S = ODESystem(jet=ctx, leads={"G": (1, parse_expr("1 + G^2", ctx))})
-        traj = rk4_from_system(S, {}, {"G": 0.0}, (0.0, 3.0), 1e-3, guard=1e6)
+        traj = rk4_from_system(S, {}, {"G": 0.0}, (0.0, 3.0), 1e-3)
         assert traj.grid[-1] < 1.62  # stopped near the pole
 
     def test_sn_oracle_trajectory(self):

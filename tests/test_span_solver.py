@@ -15,6 +15,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 from lieforge import catalog, liealg
@@ -199,8 +200,8 @@ def table_outputs() -> dict:
     out = {}
     for name, basis in cases.items():
         table = structure_constants(basis)
-        constants = [(i, j, [expr_text(q) for q in vec])
-                     for (i, j), vec in sorted(table.constants.items())]
+        constants = [(i, j, [expr_text(table.c(i, j, k)) for k in range(table.dim)])
+                     for i, j in combinations(range(table.dim), 2)]
         non_closing = [(i, j, field_text(Z))
                        for (i, j), Z in sorted(table.non_closing.items())]
         out[name] = {

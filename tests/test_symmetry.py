@@ -107,7 +107,7 @@ class TestVerification:
     def test_member3_printed_vs_scaling(self, member3):
         printed = [X for X in catalog.fields_member3() if X.name == "G2b"][0]
         rep = verify_generator(member3, printed)
-        assert not rep.zero and rep.notes
+        assert not rep.zero and any(r != "0" for r in rep.remainders())
         assert verify_generator(member3, catalog.fields_member3_scaling()).zero
 
     def test_member3_rest(self, member3):
