@@ -2,12 +2,13 @@
 
 Rows are dicts {column key: int or Fraction}; column keys are column
 indices, or for `rref`/`rank` any mutually comparable keys.  Elimination is
-fraction-free (Bareiss, Math. Comp. 22, 1968): rows are cleared of
-denominators once by `cleared` (determining systems arrive as integer
-rows), kept primitive (integers with gcd 1) and deduplicated up to scale;
-only the final pivot rows become Fractions, normalised to 1.  The reduced
-echelon form is unique, so echelon forms, nullspace bases, and solve results
-are deterministic; they hold Fractions whatever the input rows hold.
+fraction-free (Bareiss, Math. Comp. 22, 1968): a one-entry row is its
+column's pivot row as it stands (most determining rows are), and the other
+rows leave those columns first, are cleared of denominators once by
+`cleared`, kept primitive (integers with gcd 1) and deduplicated up to
+scale; only the final pivot rows become Fractions, normalised to 1.  The
+reduced echelon form is unique, so echelon forms, nullspace bases, and solve
+results are deterministic; they hold Fractions whatever the input rows hold.
 """
 
 from __future__ import annotations
@@ -53,25 +54,25 @@ def rref(rows: Iterable[dict]):
     """Reduced row-echelon form.  Returns (pivot_rows, pivots) where
     pivot_rows[i] has a 1 in column pivots[i] and zeros in other pivot
     columns; the columns are read from the rows themselves."""
-    # primitive integer rows, one per vector up to scale; explicit zeros are
-    # dropped (a zero pivot entry cannot be normalised)
+    # explicit zeros are dropped (a zero pivot entry cannot be normalised); a one-entry
+    # row is its column's unit pivot row; the others, smallest support first for cheaper
+    # elimination, leave the unit columns and are kept primitive, the first copy per vector
+    rows = [row if all(row.values()) else {c: v for c, v in row.items() if v} for row in rows]
+    units = {c: None for row in rows if len(row) == 1 for c in row}
     todo: dict = {}
-    for row in rows:
-        if len(row) == 1:
-            row = {c: 1 for c, v in row.items() if v}
-        else:
-            row = cleared(row)[0]
-            if row:
-                row = _primitive(row, min(row))
+    for row in sorted((row for row in rows if len(row) > 1), key=len):
+        if not units.keys().isdisjoint(row):
+            row = {c: v for c, v in row.items() if c not in units}
+        row = cleared(row)[0]
         if row:
+            row = _primitive(row, min(row))
             todo.setdefault(frozenset(row.items()), row)
 
     pivot_rows: list[dict] = []
     pivots: list = []
     where: dict = {}  # pivot column -> its index in pivots
-    # smallest support first for cheaper elimination; eliminating one pivot
-    # column brings in no other, so a row meets only the pivots it holds
-    for row in sorted(todo.values(), key=len):
+    # eliminating one pivot column brings in no other: a row meets only the pivots it holds
+    for row in todo.values():
         for i in sorted(where[c] for c in row if c in where):
             row = _eliminate(row, pivot_rows[i], pivots[i])
         if not row:
@@ -84,7 +85,7 @@ def rref(rows: Iterable[dict]):
         pivot_rows.append(row)
         pivots.append(pc)
 
-    order = sorted(zip(pivots, pivot_rows), key=lambda t: t[0])
+    order = sorted([*zip(pivots, pivot_rows), *((c, {c: 1}) for c in units)], key=lambda t: t[0])
     return ([{c: Fraction(w, prow[pc]) for c, w in prow.items()} for pc, prow in order],
             [pc for pc, _ in order])
 

@@ -283,16 +283,16 @@ class _ResidualMap:
     def __init__(self, system, unknowns=()):
         equations = system.equations()
         self.jet, self.independents = system.jet, system.jet.independents
-        self.reduce = Reducer(equations + [(uc.lead, uc.rhs) for uc in unknowns]).reduce
+        self.reducer = Reducer(equations + [(uc.lead, uc.rhs) for uc in unknowns])
         # a dict, not a set: jets in order of first occurrence, not of address
         self.needed = dict.fromkeys(
             [lead for lead, _ in equations] +
             [a for _, rhs in equations for a in atoms_of(rhs) if isinstance(a, Jet)])
         # unknown-function content of rhs is not acted on: generators carry
         # unknown functions only in their own coefficients
-        self.parts = [(lead, [self.reduce(-derive(rhs, sym(i)))
+        self.parts = [(lead, [self.reducer.reduce(-derive(rhs, sym(i)))
                               for i in self.independents],
-                       [(a, self.reduce(-derive(rhs, a)))
+                       [(a, self.reducer.reduce(-derive(rhs, a)))
                         for a in atoms_of(rhs) if isinstance(a, Jet)])
                       for lead, rhs in equations]
         self.syms = [sym(i) for i in self.independents]
@@ -315,9 +315,9 @@ class _ResidualMap:
                 for k, i in enumerate(self.independents)}
 
     def __call__(self, X: VectorField) -> list[Expr]:
-        coeffs = {J: self.reduce(v)
+        coeffs = {J: self.reducer.reduce(v)
                   for J, v in prolong_generator(X, self.needed).items()}
-        xi = [self.reduce(X.xi_of(i)) for i in self.independents]
+        xi = [self.reducer.reduce(X.xi_of(i)) for i in self.independents]
         residuals = []
         for lead, dxi, djet in self.parts:
             out = dict(coeffs[lead]._terms)
@@ -346,10 +346,15 @@ class _ResidualMap:
             prolong_generator(VectorField(self.jet, **{kind: {slot: ge}}), below)))
         table = self.tables[key] = {}
         for A in below:
+            if plain:  # -u^A_{L var}, a reduced one packed from the Reducer's value
+                u = jet(A.dep, A.idx + (var,))
+                num, den = self.reducer.value(u) or (u.as_expr(), 1)
+                table[A.dep, A.idx] = {self.ring.pack(m): -q for m, q in num._terms.items()}, den
+                continue
             v = pr.get(A, Expr.zero())
             if not eta:
                 v = v - ge * jet(A.dep, A.idx + (var,)).as_expr()
-            table[A.dep, A.idx] = self.ring.terms(self.reduce(v))
+            table[A.dep, A.idx] = self.ring.terms(self.reducer.reduce(v))
         return table
 
     def piece(self, kind: str, var: str, g: tuple, K: tuple) -> list[tuple]:

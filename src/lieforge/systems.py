@@ -14,12 +14,14 @@ which is what "evaluate on solutions" means throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 from .expr_core import (
     Atom, DomainError, Expr, Func, Jet, _add_into, _derivation, atoms_of,
     derive, jet, func, substitute, sym,
 )
+from .linalg import cleared
 from .parser import parse_expr
 
 __all__ = ["JetSpec", "PDESystem", "ODESystem", "total_derivative", "Reducer"]
@@ -147,8 +149,9 @@ class Reducer:
 
     def __init__(self, rules: Iterable[tuple[Atom, Expr]]):
         self._rules: dict[str, tuple[str, int, Expr]] = {}
-        # None marks a value in progress, so that cyclic rules raise
-        self._memo: dict[tuple[str, tuple[str, ...]], Expr | None] = {}
+        # `value`s by (name, idx), None while in progress, so that cyclic rules raise
+        self._memo: dict[tuple[str, tuple[str, ...]], tuple[Expr, int] | None] = {}
+        self._exprs: dict[Atom, Expr | None] = {}  # `value`s as `reduce` binds them, or None
         for lead, rhs in rules:
             self.add_rule(lead, rhs)
 
@@ -163,14 +166,18 @@ class Reducer:
                 raise DomainError(f"rhs of {lead!r} holds {atom!r}, "
                                   f"which the rule reduces")
         self._rules[name] = (var, m, rhs)
+        self._memo, self._exprs = {}, {}  # a new rule may change any value, or reducibility
 
-    def _reducible(self, atom: Atom) -> bool:
+    def value(self, atom: Jet | Func) -> tuple[Expr, int] | None:
+        """The atom's normal form as (int numerator, denominator); None if no rule reduces it."""
         rule = self._rules.get(_name(atom))
-        return rule is not None and atom.idx.count(rule[0]) >= rule[1]
+        return self._value(_name(atom), atom.idx) \
+            if rule is not None and atom.idx.count(rule[0]) >= rule[1] else None
 
-    def _value(self, name: str, idx: tuple[str, ...]) -> Expr:
-        """Normal-form value of the atom `name` differentiated by `idx`: peel
-        a surplus lead variable first, then any other index, down to the rhs."""
+    def _value(self, name: str, idx: tuple[str, ...]) -> tuple[Expr, int]:
+        """`value` of the atom `name` differentiated by `idx`: peel a surplus lead
+        variable first, then any other index, down to the rhs.  A consequence
+        differentiates the numerator; only values substituted into it need clearing."""
         key = (name, idx)
         got = self._memo.get(key)
         if got is not None:
@@ -181,15 +188,16 @@ class Reducer:
         self._memo[key] = None
         var, m, rhs = self._rules[name]
         if len(idx) == m:
-            val = self.reduce(rhs)
+            val, den = self.reduce(rhs), 1
         else:
             i = var if idx.count(var) > m else \
                 next(v for v in reversed(idx) if v != var)
             k = idx.index(i)
-            val = self.reduce(total_derivative(
-                self._value(name, idx[:k] + idx[k + 1:]), i))
-        self._memo[key] = val
-        return val
+            num, den = self._value(name, idx[:k] + idx[k + 1:])
+            val = self.reduce(total_derivative(num, i))
+        terms, d = cleared(val._terms)
+        got = self._memo[key] = (val if d == 1 else Expr(terms), den * d)
+        return got
 
     def reduce(self, e: Expr) -> Expr:
         """Substitute every reducible atom, inside trig/exp/reciprocal
@@ -199,9 +207,15 @@ class Reducer:
         homomorphism: reduce(a + b) = reduce(a) + reduce(b) and
         reduce(a * b) = reduce(a) * reduce(b), and a sum of products may be
         assembled from factors reduced beforehand."""
-        bindings = {atom: self._value(_name(atom), atom.idx) for atom in atoms_of(e)
-                    if isinstance(atom, (Jet, Func)) and self._reducible(atom)}
+        bindings = {atom: v for atom in atoms_of(e) if (v := self._expr(atom)) is not None}
         return substitute(e, bindings) if bindings else e
+
+    def _expr(self, atom: Atom) -> Expr | None:
+        if atom not in self._exprs:
+            num, den = isinstance(atom, (Jet, Func)) and self.value(atom) or (None, 1)
+            self._exprs[atom] = num if den == 1 else Expr(
+                {m: q // den if not q % den else Fraction(q, den) for m, q in num._terms.items()})
+        return self._exprs[atom]
 
 
 def _name(atom: Jet | Func) -> str:

@@ -49,6 +49,15 @@ def test_symmetries_find_timings_adds_only_timings(capsys):
     assert timed_doc == doc
 
 
+def test_symmetries_find_timings_ignore_wall_clock_jumps(capsys, monkeypatch):
+    """The wall clock set back an hour mid-command leaves the timing alone."""
+    import time
+    monkeypatch.setattr(time, "time", iter([7200.0, 3600.0] * 8).__next__)
+    code, timed = run(capsys, "symmetries", "find", "--member", "1", "--timings")
+    assert code == 0
+    assert 0 <= json.loads(timed)["timings"]["seconds"] < 60
+
+
 @pytest.mark.parametrize("eta_v", ["a_t - b_xx", "sin(a_t) - sin(b_xx)"],
                          ids=["polynomial", "inside-sin"])
 def test_symmetries_verify_reduces_unknowns_everywhere(tmp_path, capsys, eta_v):

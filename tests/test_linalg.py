@@ -157,6 +157,51 @@ def test_rref_equals_fraction_gauss_jordan(monkeypatch):
         assert all(type(q) is Fraction for x in got_x if x for q in x)
 
 
+def _unit_heavy_rows(rng, keys, fraction):
+    """Mostly one-entry rows, with multiples of earlier rows and explicit
+    zeros ({c: 0}, {a: 0, b: 3}); int rows, or Fraction rows."""
+    def entry():
+        v = rng.choice([1, 2, 3, -1, -4, -6])
+        return F(v, rng.choice([1, 2, 3, 5])) if fraction else v
+
+    rows = []
+    for _ in range(rng.randint(1, 16)):
+        a, b = rng.sample(keys, 2)
+        pick = rng.random()
+        if rows and pick < 0.2:  # a multiple of an earlier row, keys shuffled
+            q = F(rng.choice([-3, -1, 2, 5]), rng.choice([1, 2, 7])) if fraction \
+                else rng.choice([-3, -1, 2, 5])
+            items = list(rng.choice(rows).items())
+            rng.shuffle(items)
+            rows.append({c: q * v for c, v in items})
+        elif pick < 0.35:
+            zero = F(0) if fraction else 0
+            rows.append(rng.choice([{a: zero}, {a: zero, b: 3 * entry()},
+                                    {b: entry(), a: zero}]))
+        elif pick < 0.8:
+            rows.append({a: entry()})
+        else:
+            rows.append({c: entry() for c in rng.sample(keys, rng.randint(2, min(4, len(keys))))})
+    return rows
+
+
+def test_unit_rows_first_equal_fraction_gauss_jordan():
+    """One-entry rows become pivot rows first and leave the other rows
+    before those are made primitive: pivots, values, key order and types
+    as plain Gauss-Jordan gives them, on int rows and on Fraction rows."""
+    rng = random.Random(20261019)
+    for trial in range(400):
+        n = rng.randint(2, 8)
+        keys = list(range(n)) if trial % 2 else \
+            [(("eta", "v"), (k,)) if k % 2 else (("xi", "t"), (k,)) for k in range(n)]
+        rows = _unit_heavy_rows(rng, keys, fraction=trial % 4 < 2)
+        got_rows, got_pivots = rref(rows)
+        want_rows, want_pivots = reference_rref(rows)
+        assert got_pivots == want_pivots, rows
+        assert _ordered(got_rows) == _ordered(want_rows), rows
+        assert all(type(v) is Fraction for row in got_rows for v in row.values())
+
+
 def test_rref_is_exact_beyond_machine_words():
     big = 3 ** 50  # above 2^79; floats would call these rows dependent
     near = [{0: big, 1: big + 1}, {0: big - 1, 1: big}]  # determinant 1

@@ -112,6 +112,20 @@ class TestReducerRules:
                        + jet("f", ("s",) * 3).as_expr())
         assert got == a - jet("f", ("s",)).as_expr()
 
+    def test_rule_added_after_reducing(self):
+        """Atoms reduced, or left as they are, before add_rule are reduced
+        afterwards as by a Reducer given every rule from the start."""
+        ctx = JetSpec(("s",), ("f",))
+        a, a_s, a_ss = (func("a", ("s",), ("s",) * k) for k in range(3))
+        f_sss, a_ssss = jet("f", ("s",) * 3).as_expr(), func("a", ("s",), ("s",) * 4).as_expr()
+        r = Reducer([(jet("f", ("s", "s")), a_ss.as_expr())])
+        assert r.reduce(f_sss + a_ssss) == func("a", ("s",), ("s",) * 3).as_expr() + a_ssss
+        r.add_rule(a_ss, -a.as_expr())
+        want = Reducer([(jet("f", ("s", "s")), a_ss.as_expr()), (a_ss, -a.as_expr())])
+        assert r.reduce(f_sss + a_ssss) == want.reduce(f_sss + a_ssss) == a.as_expr() - a_s.as_expr()
+        r.add_rule(a_ss, a.as_expr())  # a rule replaced
+        assert r.reduce(f_sss + a_ssss) == a.as_expr() + a_s.as_expr()
+
     @pytest.mark.parametrize("fn", [sin_e, cos_e, tan_e, exp_e, recip_e],
                              ids=["sin", "cos", "tan", "exp", "recip"])
     def test_reduces_inside_transcendental_arguments(self, fn):
