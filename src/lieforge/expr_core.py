@@ -61,7 +61,7 @@ __all__ = [
     "sym", "root", "jet", "func", "I", "sin_e", "cos_e", "tan_e", "exp_e",
     "recip_e", "sqrt_e", "derive", "substitute", "NumericPlan",
     "eval_numeric", "equals_zero", "to_canonical", "collect_terms",
-    "coefficient_vector", "atoms_of", "random_rational",
+    "atoms_of", "random_rational",
 ]
 
 
@@ -997,9 +997,3 @@ def collect_terms(e: Expr, family: Iterable[Expr]) -> dict[Expr, Expr]:
         part[tuple((a, k) for a, k in m if a not in class_atoms)] = q
     return {classes[mono]: Expr(part) for mono, part in parts.items()}
 
-
-def coefficient_vector(parts: Iterable[tuple[object, Expr]]) -> dict[tuple, Coeff]:
-    """Sparse rational vector of keyed expressions over the monomial basis:
-    {(key, monomial key): coefficient} for every term of every part.  Keys
-    sort deterministically, so these vectors feed `linalg` directly."""
-    return {(key, _mono_key(m)): q for key, e in parts for m, q in e._terms.items()}

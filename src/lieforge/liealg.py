@@ -7,11 +7,13 @@ A table differentiates each basis field once: one Jacobian per field, held
 for the call, serves all of its brackets.
 Membership of a bracket in the span of a basis is decided by matching
 coefficients over the shared functional basis of monomials and solving
-exactly, never by sampling points; one elimination answers every bracket of
-a table.  A table holds its brackets as sparse antisymmetric rows
-{(i, j): {k: c_ij^k}}, nonzero constants only, and the Jacobi check, the
-signature and the printed table read those rows as they are.  Both series of
-a signature start from [g, g], the span of the table's own rows.
+exactly, never by sampling points; one elimination, on rows keyed (slot,
+monomial), answers every bracket of a table and rejects a basis dependent
+over the parameter dictionary.  A table holds its brackets as sparse
+antisymmetric rows {(i, j): {k: c_ij^k}}, nonzero constants only, and the
+Jacobi check, the signature and the printed table read those rows as they
+are.  Both series of a signature start from [g, g], the span of the table's
+own rows.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .expr_core import (
 )
 from .linalg import nullspace, rank, rref, solve_exact, transpose
 from .parser import combo_text
-from .symmetry import VectorField, field_vector
+from .symmetry import VectorField, _slot_sums
 
 __all__ = ["lie_bracket", "StructureTable", "structure_constants",
            "jacobi_check", "AlgebraSignature", "algebra_signature"]
@@ -99,32 +101,31 @@ def _const_dictionary(params) -> list[Expr]:
     return consts + [c * r.as_expr() for r in roots for c in consts]
 
 
+def _rows(F: VectorField, const: Expr | None = None) -> dict:
+    """F (times const) as a row {(slot index, monomial): coefficient}."""
+    return {(s, m): q for s, (_, _, e) in enumerate(F.coeff_vector_atoms())
+            for m, q in (e if const is None else e * const)._terms.items()}
+
+
 def in_span(targets: list[VectorField], basis: list[VectorField], params=None):
     """Exact membership: target = sum_k alpha_k basis_k with alpha_k constant
     expressions over the parameter dictionary.  One elimination answers every
     target; returns per target its nonzero alpha_k as {k: alpha_k}, k
-    ascending, or None outside the span."""
+    ascending, or None outside the span.  The dictionary constants are
+    independent over Q, so its columns are dependent, and DomainError is
+    raised, iff the basis is dependent over their span."""
     if params is None:
         params = _param_atoms(basis + targets)
     consts = _const_dictionary(params)
     labels = [(k, c) for k in range(len(basis)) for c in consts]
-    sols = solve_exact([field_vector(basis[k], c) for k, c in labels],
-                       [field_vector(T) for T in targets])
-
-    def alphas(sol):
-        # the dictionary holds distinct monomials, so no alpha_k built is zero
-        out = {}
-        for (k, c), q in zip(labels, sol):
-            if q:
-                out[k] = out.get(k, Expr.zero()) + Expr.rational(q) * c
-        return out
-
-    return [None if sol is None else alphas(sol) for sol in sols]
-
-
-def basis_independent(basis: list[VectorField]) -> bool:
-    """Exact linear independence over rational constants."""
-    return rank([field_vector(F) for F in basis]) == len(basis)
+    cols, rows = [_rows(basis[k], c) for k, c in labels], [_rows(T) for T in targets]
+    try:
+        sols = solve_exact(cols, rows)
+    except ValueError:
+        raise DomainError("basis fields are linearly dependent") from None
+    # the dictionary holds distinct monomials, so no alpha_k summed is zero
+    return [None if sol is None else _slot_sums(
+        (k, Expr.rational(q) * c) for (k, c), q in zip(labels, sol) if q) for sol in sols]
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +141,11 @@ class StructureTable:
 
     basis: list[VectorField]
     constants: dict[tuple[int, int], dict[int, Expr]]
-    closed: bool
     non_closing: dict[tuple[int, int], VectorField] = dc_field(default_factory=dict)
+
+    @property
+    def closed(self) -> bool:
+        return not self.non_closing
 
     @property
     def dim(self) -> int:
@@ -162,9 +166,8 @@ class StructureTable:
 
 def structure_constants(basis: list[VectorField]) -> StructureTable:
     """Pairwise brackets expressed exactly in the span of the basis;
-    non-closing pairs are flagged with their residual field."""
-    if not basis_independent(basis):
-        raise DomainError("basis fields are linearly dependent")
+    non-closing pairs are flagged with their residual field.  A basis
+    dependent over the constants raises DomainError."""
     pairs = list(combinations(range(len(basis)), 2))
     jac = [_jacobian(F) for F in basis]
     brackets = [_bracket(basis[i], jac[i], basis[j], jac[j]) for i, j in pairs]
@@ -175,8 +178,7 @@ def structure_constants(basis: list[VectorField]) -> StructureTable:
             non_closing[(i, j)] = br
         elif row:
             constants[(i, j)], constants[(j, i)] = row, {k: -q for k, q in row.items()}
-    return StructureTable(basis=basis, constants=constants,
-                          closed=not non_closing, non_closing=non_closing)
+    return StructureTable(basis=basis, constants=constants, non_closing=non_closing)
 
 
 def jacobi_check(table: StructureTable) -> bool:

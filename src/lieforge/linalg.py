@@ -7,8 +7,9 @@ column's pivot row as it stands (most determining rows are), and the other
 rows leave those columns first, are cleared of denominators once by
 `cleared`, kept primitive (integers with gcd 1) and deduplicated up to
 scale; only the final pivot rows become Fractions, normalised to 1.  The
-reduced echelon form is unique, so echelon forms, nullspace bases, and solve
-results are deterministic; they hold Fractions whatever the input rows hold.
+reduced echelon form is unique, so echelon forms, nullspace bases, and the
+solutions of `solve_exact`, whose columns must be independent, are
+deterministic; they hold Fractions whatever the input rows hold.
 """
 
 from __future__ import annotations
@@ -118,19 +119,16 @@ def solve_exact(cols: list[dict], targets: list[dict]) -> list:
     """Solve sum_k x_k * cols[k] = target exactly, for every target at once.
 
     Column vectors and targets are sparse over any set of mutually comparable
-    row keys.  One RREF of [cols | targets] answers all: a target is outside
-    the span iff a pivot row with its pivot in the target block (a row with
-    no basis entries) touches its column; else x[pc] is its entry in the row
-    of pivot pc.  Returns one coefficient list per target, free variables
-    set to zero, or None for a target outside the span."""
+    row keys.  One RREF of [cols | targets] answers all: a column without a
+    pivot raises ValueError, as no free value is chosen; a target is outside
+    the span iff a pivot row with its pivot in the target block (a row with no
+    basis entries) touches its column; else x[k] is its entry in the row of
+    pivot k.  Returns one coefficient list per target, None outside the span."""
     nc = len(cols)
     rows = transpose(cols + targets)
     pivot_rows, pivots = rref([rows[r] for r in sorted(rows)])
-    outside = {c for prow, pc in zip(pivot_rows, pivots) if pc >= nc for c in prow}
-    out = [None if t in outside else [Fraction(0)] * nc
-           for t in range(nc, nc + len(targets))]
-    for prow, pc in zip(pivot_rows, pivots):
-        for c, v in prow.items():
-            if c >= nc and out[c - nc] is not None:
-                out[c - nc][pc] = v
-    return out
+    if pivots[:nc] != list(range(nc)):
+        raise ValueError("dependent columns")
+    zero, outside = Fraction(0), {c for prow in pivot_rows[nc:] for c in prow}
+    return [None if t in outside else [prow.get(t, zero) for prow in pivot_rows[:nc]]
+            for t in range(nc, nc + len(targets))]

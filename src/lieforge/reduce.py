@@ -601,9 +601,10 @@ def _fd_stencil(offsets: tuple[int, ...], order: int) -> tuple[list[Fraction], l
     # column j holds the moments offsets[j]^m, m < n: the weights give
     # order! on moment `order` and zero on every other moment
     cols = [{m: Fraction(o) ** m for m in range(n) if o or not m} for o in offsets]
-    w, = solve_exact(cols, [{order: Fraction(math.factorial(order))}])
-    if w is None:
-        raise DomainError("stencil offsets admit no finite-difference weights")
+    try:  # distinct offsets give an invertible Vandermonde system; repeated ones do not
+        w, = solve_exact(cols, [{order: Fraction(math.factorial(order))}])
+    except ValueError:
+        raise DomainError("stencil offsets admit no finite-difference weights") from None
     return w, [float(q) for q in w]
 
 

@@ -26,7 +26,7 @@ from math import comb, lcm, prod
 
 from .expr_core import (
     DomainError, Expr, Func, Jet, _accumulate, _add_into, _is_plain, _memo,
-    _mul_into, atoms_of, coefficient_vector, cos_e, derive, exp_e, func, jet,
+    _mul_into, atoms_of, cos_e, derive, exp_e, func, jet,
     sin_e, sym,
 )
 from .linalg import cleared, nullspace, rank, transpose
@@ -38,7 +38,6 @@ __all__ = [
     "DeterminingSystem", "VerificationReport", "prolong_generator",
     "symmetry_residual", "determining_system", "discover_symmetries",
     "verify_generator", "ansatz_dictionary", "field_text", "parse_field",
-    "field_vector",
 ]
 
 
@@ -156,15 +155,10 @@ def parse_field(text: str, jet_spec: JetSpec, name: str = "") -> VectorField:
         kind, _, var = slot.strip().partition("_")
         if var not in {"xi": ctx.independents, "eta": ctx.dependents}.get(kind, ()):
             raise ValueError(f"unrecognised slot {slot.strip()!r}")
+        if var in (xi if kind == "xi" else eta):
+            raise ValueError(f"slot {slot.strip()} given twice")
         (xi if kind == "xi" else eta)[var] = parse_expr(rhs, ctx)
     return VectorField(ctx, xi, eta, tuple(unknowns), name)
-
-
-def field_vector(X: VectorField, const: Expr | None = None) -> dict[tuple, Fraction]:
-    """Coefficients of X (times `const`) over ((kind, var), monomial key)."""
-    return coefficient_vector(
-        ((kind, var), coeff if const is None else coeff * const)
-        for kind, var, coeff in X.coeff_vector_atoms())
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +292,7 @@ class _ResidualMap:
         self.syms = [sym(i) for i in self.independents]
         self.top = {s: max(J.idx.count(s.name) for J in self.needed) for s in self.syms}
         self.zero = (0,) * len(self.syms)  # K = () as counts per independent
-        self.tables, self.splits = {}, {}  # D_L(Q_Y); (C(J,K), J-K)
+        self.tables, self.splits, self.belows = {}, {}, {}  # D_L(Q_Y); (C(J,K), J-K); jets
         self.ring = _Ring(getattr(system, "label", ""))
 
     @cached_property
@@ -339,9 +333,11 @@ class _ResidualMap:
         dep0, ge = self.jet.dependents[0], Expr({g: 1})
         # d_var prolongs to 0 and asks no L = J, as R_{d_var,()} is seeded
         plain, slot = not (eta or g), dep0 if eta else var
-        below = tuple(dict.fromkeys(jet(dep0 if eta else J.dep, L) for J in self.needed
-                                    for r in range(J.order + 1 - plain)
-                                    for L in combinations(J.idx, r)))
+        below = self.belows.get((eta, plain))
+        if below is None:  # the same for every field of this kind and plainness
+            below = self.belows[eta, plain] = tuple(dict.fromkeys(
+                jet(dep0 if eta else J.dep, L) for J in self.needed
+                for r in range(J.order + 1 - plain) for L in combinations(J.idx, r)))
         pr = {} if plain else _memo(("prolong", self.jet, kind, slot, g, below), lambda: (
             prolong_generator(VectorField(self.jet, **{kind: {slot: ge}}), below)))
         table = self.tables[key] = {}

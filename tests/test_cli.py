@@ -377,7 +377,8 @@ def test_reduce_at_characteristic_speed(capsys, extra):
      "cyclic rules"),
     ("eta_v = a\nunknown a(t,x): a_t = a_xx\nunknown a(t,x): a_t = -a_xx\n",
      "unknown a declared twice"),
-], ids=["cyclic-rules", "declared-twice"])
+    ("xi_t = t\nxi_x = x/3\nxi_t = 1\n", "slot xi_t given twice"),
+], ids=["cyclic-rules", "declared-twice", "slot-given-twice"])
 def test_field_file_inconsistent_unknowns_exit_1(tmp_path, capsys, text, message):
     field = tmp_path / "field.txt"
     field.write_text(text)

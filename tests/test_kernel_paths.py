@@ -333,11 +333,9 @@ def test_jacobi_check_rejects_hand_made_table():
     one = Expr.one()
     constants = {(0, 1): {0: one}, (1, 0): {0: -one},
                  (1, 2): {1: one}, (2, 1): {1: -one}}
-    assert not jacobi_check(StructureTable(basis=[None] * 3, constants=constants,
-                                           closed=True))
+    assert not jacobi_check(StructureTable(basis=[None] * 3, constants=constants))
     del constants[(1, 2)], constants[(2, 1)]
-    assert jacobi_check(StructureTable(basis=[None] * 3, constants=constants,
-                                       closed=True))
+    assert jacobi_check(StructureTable(basis=[None] * 3, constants=constants))
 
 
 def _expr_product_to_sum(a1, a2):

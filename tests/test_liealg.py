@@ -18,7 +18,7 @@ from lieforge.liealg import (
 from lieforge.linalg import nullspace, rank, rref, transpose
 from lieforge.parser import combo_text, parse_expr
 from lieforge.reduce import ODE_JET
-from lieforge.symmetry import VectorField, field_text
+from lieforge.symmetry import VectorField, field_text, parse_field
 
 
 def R(text):
@@ -122,13 +122,23 @@ class TestStructureTable:
 
     def test_dependent_basis_rejected(self):
         fields = catalog.fields_member2()
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="basis fields are linearly dependent"):
             structure_constants(fields + [fields[0].scale(2)])
 
     def test_zero_field_rejected(self):
         fields = catalog.fields_member2()
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="basis fields are linearly dependent"):
             structure_constants(fields + [VectorField(REAL_JET, name="Z")])
+
+    @pytest.mark.parametrize("slots", [
+        ["1", "s", "c*s", "s^2"],  # c s d_s = c (s d_s): sl(2), not 4-dimensional
+        ["1", "sqrt(c)", "s"],
+        ["s/c^2 + 1", "s + c^2", "s^2"],  # c^2 X1 = X2
+    ], ids=["c-multiple", "sqrt-multiple", "laurent-combination"])
+    def test_basis_dependent_over_the_constants_rejected(self, slots):
+        fields = [parse_field(f"xi_s = {e}", ODE_JET) for e in slots]
+        with pytest.raises(DomainError, match="basis fields are linearly dependent"):
+            structure_constants(fields)
 
     def test_non_closing_flagged(self):
         # {d_t, t^2 d_t} does not close (bracket gives 2t d_t)
@@ -163,7 +173,7 @@ class TestJacobi:
         (i, j), idx = next((k, m) for k, v in bad.items() for m in v)
         bad[(i, j)][idx] = bad[(i, j)][idx] + Expr.one()
         bad[(j, i)][idx] = bad[(j, i)][idx] - Expr.one()
-        corrupted = StructureTable(basis=table.basis, constants=bad, closed=True)
+        corrupted = StructureTable(basis=table.basis, constants=bad)
         assert jacobi_check(table)
         assert not jacobi_check(corrupted)
 
@@ -372,7 +382,7 @@ def _table(n, rows):
         row = {k: Expr.rational(q) for k, q in sorted(row.items()) if q}
         if row:
             constants[(i, j)], constants[(j, i)] = row, {k: -q for k, q in row.items()}
-    return StructureTable(basis=basis, constants=constants, closed=True)
+    return StructureTable(basis=basis, constants=constants)
 
 
 def _unit_table(units):

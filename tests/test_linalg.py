@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from lieforge import linalg
 from lieforge.linalg import cleared, nullspace, rank, rref, solve_exact
 
@@ -87,6 +89,16 @@ def test_solve_exact_inconsistent():
     assert solve_exact(cols, [target]) == [None]
 
 
+def test_solve_exact_rejects_dependent_columns():
+    """A column without a pivot is an error, with or without targets, inside
+    or outside the span: no free value is chosen for it."""
+    for cols in ([{0: 1, 1: 2}, {0: F(-1, 2), 1: -1}], [{0: 1}, {}], [{}],
+                 [{0: 1}, {1: 1}, {0: 2, 1: 3}]):
+        for targets in ([], [{0: 1, 1: 2}], [{2: 1}]):
+            with pytest.raises(ValueError, match="dependent columns"):
+                solve_exact(cols, targets)
+
+
 def test_cleared_takes_the_lcm_of_denominators():
     """Denominators 4 and 6 clear over 12, not over the larger one; keys keep
     their order, zeros are dropped, and integers need no denominator."""
@@ -132,8 +144,18 @@ def _random_rows(rng, keys):
     return rows
 
 
+def _solved(cols, targets):
+    """linalg.solve_exact's answer, or ValueError where it finds the columns
+    dependent; read from the module, so a patched rref is the one used."""
+    try:
+        return linalg.solve_exact(cols, targets)
+    except ValueError:
+        return ValueError
+
+
 def test_rref_equals_fraction_gauss_jordan(monkeypatch):
     rng = random.Random(20261018)
+    seen = {True: 0, False: 0}  # dependent columns, independent ones
     for trial in range(300):
         n = rng.randint(2, 8)
         keys = list(range(n)) if trial % 2 else \
@@ -143,18 +165,21 @@ def test_rref_equals_fraction_gauss_jordan(monkeypatch):
         span = (rows[:-1], [rows[-1], {keys[0]: F(1)}])
         got_rows, got_pivots = rref(rows)
         got_null = nullspace(rows, n) if trial % 2 else None
-        got_x = solve_exact(*span)
+        got_x = _solved(*span)
         with monkeypatch.context() as m:
             m.setattr(linalg, "rref", reference_rref)
             want_rows, want_pivots = linalg.rref(rows)
             want_null = linalg.nullspace(rows, n) if trial % 2 else None
-            want_x = linalg.solve_exact(*span)
+            want_x = _solved(*span)
         assert got_pivots == want_pivots
         assert _ordered(got_rows) == _ordered(want_rows)
         assert all(type(v) is Fraction for row in got_rows for v in row.values())
         assert got_null is None or _ordered(got_null) == _ordered(want_null)
+        # dependent columns raise on both, independent ones solve alike
         assert got_x == want_x
-        assert all(type(q) is Fraction for x in got_x if x for q in x)
+        assert got_x is ValueError or all(type(q) is Fraction for x in got_x if x for q in x)
+        seen[got_x is ValueError] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def _unit_heavy_rows(rng, keys, fraction):

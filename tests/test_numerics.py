@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from lieforge import reduce as red
-from lieforge.expr_core import Expr, NumericPlan, cos_e, jet, recip_e, sin_e, sym
+from lieforge.expr_core import DomainError, Expr, NumericPlan, cos_e, jet, recip_e, sin_e, sym
 from lieforge.hierarchy import catalogue_member
 from lieforge.numerics import _agm_chain, elliptic_K, integrate_rk4, jacobi_sn, sn_function
 from lieforge.reduce import (_fd_jet, _fd_offsets, _fd_orders, f_branch_322_printed, fd_weights,
@@ -195,6 +195,10 @@ class TestFDWeights:
         w = fd_weights([-2, -1, 0, 1, 2], 1)
         assert w == [Fraction(1, 12), Fraction(-2, 3), Fraction(0),
                      Fraction(2, 3), Fraction(-1, 12)]
+
+    def test_repeated_offsets_raise(self):
+        with pytest.raises(DomainError, match="admit no finite-difference weights"):
+            fd_weights([0, 0, 1], 1)
 
     def test_higher_order_weights(self):
         from fractions import Fraction as Q

@@ -26,7 +26,7 @@ import pytest
 
 from lieforge import catalog, symmetry
 from lieforge.expr_core import (
-    _INTERN, DomainError, Expr, Jet, atoms_of, coefficient_vector, derive, func,
+    _INTERN, DomainError, Expr, Jet, _mono_key, atoms_of, derive, func,
     random_rational, sym,
 )
 from lieforge.hierarchy import (REAL_JET, catalogue_member, complex_split,
@@ -125,6 +125,12 @@ def _exprs(rmap, column):
         assert all(q.__class__ is int for q in terms.values()), terms
         out.append(Expr({m: Fraction(q, den) for m, q in terms.items()}))
     return out
+
+
+def coefficient_vector(parts):
+    """Sparse rational vector of keyed expressions over the monomial basis:
+    {(key, monomial key): coefficient} for every term of every part."""
+    return {(key, _mono_key(m)): q for key, e in parts for m, q in e._terms.items()}
 
 
 def _reference_rows(residuals):

@@ -4,10 +4,11 @@
 `[cols | targets]`; each answer must equal the single-target solve kept
 here as `reference_solve`, on seeded int and Fraction systems with targets
 outside the span, sums of an outside target and a span vector, duplicates,
-zero targets and no targets at all.  `structure_constants` asks `in_span`
-once per table, and `tests/data/table_golden.json` pins every catalogue
-structure table, its non-closing fields and its signature, also after
-seeded unimodular changes of basis.
+zero targets and no targets at all; dependent columns must raise.
+`structure_constants` asks `in_span` once per table, and
+`tests/data/table_golden.json` pins every catalogue structure table, its
+non-closing fields and its signature, also after seeded unimodular changes
+of basis.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ from pathlib import Path
 
 from lieforge import catalog, liealg
 from lieforge.cli import _named_basis
-from lieforge.linalg import rref, solve_exact, transpose
+from lieforge.linalg import rank, rref, solve_exact, transpose
 from lieforge.liealg import algebra_signature, in_span, structure_constants
 from lieforge.parser import expr_text
 from lieforge.symmetry import field_text
@@ -107,10 +108,18 @@ def _system(rng):
 def test_multi_target_solve_equals_single_target_solves():
     rng = random.Random(SEED)
     seen = {"span": 0, "random": 0, "shifted": 0, "duplicate": 0, "zero": 0,
-            "outside": 0, "no targets": 0}
+            "outside": 0, "no targets": 0, "dependent": 0}
     for _ in range(N_SYSTEMS):
         cols, targets, kinds = _system(rng)
-        got = solve_exact(cols, targets)
+        try:
+            got = solve_exact(cols, targets)
+        except ValueError:
+            got = ValueError
+        # dependent columns (rank below their number) must raise
+        if rank(cols) < len(cols):
+            assert got is ValueError, (cols, targets)
+            seen["dependent"] += 1
+            continue
         want = [reference_solve(cols, t) for t in targets]
         assert got == want, (cols, targets)
         for x in got:
