@@ -81,8 +81,8 @@ def _param_atoms(fields) -> list:
     for F in fields:
         for _, _, coeff in F.coeff_vector_atoms():
             for a in atoms_of(coeff):
-                if isinstance(a, Root):
-                    params.add(a)
+                if isinstance(a, Root) and a.of not in F.jet.independents:
+                    params.update((a, sym(a.of)))  # sqrt(c)^2 is c
                 elif isinstance(a, Sym) and a.name not in F.jet.independents:
                     params.add(a)
     return sorted(params, key=lambda a: a.key)
@@ -107,16 +107,15 @@ def _rows(F: VectorField, const: Expr | None = None) -> dict:
             for m, q in (e if const is None else e * const)._terms.items()}
 
 
-def in_span(targets: list[VectorField], basis: list[VectorField], params=None):
+def in_span(targets: list[VectorField], basis: list[VectorField]):
     """Exact membership: target = sum_k alpha_k basis_k with alpha_k constant
-    expressions over the parameter dictionary.  One elimination answers every
-    target; returns per target its nonzero alpha_k as {k: alpha_k}, k
-    ascending, or None outside the span.  The dictionary constants are
-    independent over Q, so its columns are dependent, and DomainError is
-    raised, iff the basis is dependent over their span."""
-    if params is None:
-        params = _param_atoms(basis + targets)
-    consts = _const_dictionary(params)
+    expressions over the dictionary of the parameters of basis and targets.
+    One elimination answers every target; returns per target its nonzero
+    alpha_k as {k: alpha_k}, k ascending, or None outside the span.  The
+    dictionary constants are independent over Q, so its columns are
+    dependent, and DomainError is raised, iff the basis is dependent over
+    their span."""
+    consts = _const_dictionary(_param_atoms(basis + targets))
     labels = [(k, c) for k in range(len(basis)) for c in consts]
     cols, rows = [_rows(basis[k], c) for k, c in labels], [_rows(T) for T in targets]
     try:
@@ -172,8 +171,7 @@ def structure_constants(basis: list[VectorField]) -> StructureTable:
     jac = [_jacobian(F) for F in basis]
     brackets = [_bracket(basis[i], jac[i], basis[j], jac[j]) for i, j in pairs]
     constants, non_closing = {}, {}
-    for (i, j), br, row in zip(pairs, brackets,
-                               in_span(brackets, basis, _param_atoms(basis))):
+    for (i, j), br, row in zip(pairs, brackets, in_span(brackets, basis)):
         if row is None:
             non_closing[(i, j)] = br
         elif row:
@@ -216,26 +214,21 @@ class AlgebraSignature:
 
 def algebra_signature(table: StructureTable) -> AlgebraSignature:
     """Derived/lower-central series via exact rank computations.  A table
-    without parameter symbols has rational constants, so one run decides it.
-    Parameter symbols are specialised at exact rational square points (c = 4
-    and c = 9/4); the runs must agree, which guards against accidental rank
-    drops at special parameter values."""
+    whose constants hold no parameter is rational: one run decides it.  Else
+    the runs at the k-th parameter name c = (2 + k)^2, sqrt(c) = 2 + k, then at
+    (3/2 + k)^2, 3/2 + k, must agree, against rank drops at special values."""
     if not table.closed:
         raise DomainError("signature needs a closed table")
-    params = _param_atoms(table.basis)
-    if not params:
+    atoms = {a: a.of if isinstance(a, Root) else a.name
+             for row in table.constants.values() for e in row.values() for a in atoms_of(e)}
+    names = sorted(set(atoms.values()))
+    if not names:
         return _signature_at(table, None)
     sigs = []
-    for base in (Fraction(4), Fraction(9, 4)):
-        point = {}
-        for a in params:
-            if isinstance(a, Root):
-                rq = Fraction(2) if base == 4 else Fraction(3, 2)
-                point[a] = Expr.rational(rq)
-                point[sym(a.of)] = Expr.rational(base)
-            elif a not in point:
-                point[a] = Expr.rational(base)
-        sigs.append(_signature_at(table, point))
+    for base in (Fraction(2), Fraction(3, 2)):
+        root = {n: base + k for k, n in enumerate(names)}
+        sigs.append(_signature_at(table, {a: Expr.rational(
+            root[n] if isinstance(a, Root) else root[n] ** 2) for a, n in atoms.items()}))
     if sigs[0] != sigs[1]:
         raise DomainError("signature differs between parameter specialisations")
     return sigs[0]

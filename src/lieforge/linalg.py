@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-__all__ = ["cleared", "rref", "nullspace", "rank", "solve_exact", "transpose"]
+__all__ = ["cleared", "divided", "primitive", "rref", "nullspace", "rank", "solve_exact",
+           "transpose"]
 
 
 def cleared(terms: dict) -> tuple[dict, int]:
@@ -28,7 +29,13 @@ def cleared(terms: dict) -> tuple[dict, int]:
     return {c: v.numerator * (den // v.denominator) for c, v in terms.items() if v}, den
 
 
-def _primitive(row: dict, lead) -> dict:
+def divided(terms: dict, den: int) -> dict:
+    """The inverse of `cleared`: int values over den, int if exact; terms if den == 1."""
+    return terms if den == 1 else {
+        c: v // den if not v % den else Fraction(v, den) for c, v in terms.items()}
+
+
+def primitive(row: dict, lead) -> dict:
     """row divided by the gcd of its entries, signed so that row[lead] > 0."""
     g = gcd(*row.values()) if row[lead] > 0 else -gcd(*row.values())
     return row if g == 1 else {c: v // g for c, v in row.items()}
@@ -48,7 +55,7 @@ def _eliminate(row: dict, prow: dict, pc) -> dict:
             row[c] = s
         else:
             del row[c]
-    return _primitive(row, next(iter(row))) if row else row
+    return primitive(row, next(iter(row))) if row else row
 
 
 def rref(rows: Iterable[dict]):
@@ -66,7 +73,7 @@ def rref(rows: Iterable[dict]):
             row = {c: v for c, v in row.items() if c not in units}
         row = cleared(row)[0]
         if row:
-            row = _primitive(row, min(row))
+            row = primitive(row, min(row))
             todo.setdefault(frozenset(row.items()), row)
 
     pivot_rows: list[dict] = []

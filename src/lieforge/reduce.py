@@ -19,7 +19,7 @@ from .expr_core import (
 )
 from .hierarchy import catalogue_member
 from .numerics import Trajectory, integrate_rk4, sn_function
-from .linalg import cleared, solve_exact
+from .linalg import cleared, primitive, solve_exact
 from .symmetry import VectorField
 from .systems import JetSpec, ODESystem, PDESystem, total_derivative
 
@@ -273,12 +273,9 @@ def _normalize_equation(E: Expr) -> Expr:
     that the first term in the highest derivative is positive."""
     if E.is_zero():
         return E
-    terms, _ = cleared(E._terms)
-    g = math.gcd(*terms.values())
-    E = Expr({m: q // g for m, q in terms.items()})
     lead = _leading_jet(E)
     first = min((m for m in E._terms if any(a is lead for a, _ in m)), key=_mono_key)
-    return -E if E._terms[first] < 0 else E
+    return Expr(primitive(cleared(E._terms)[0], first))
 
 
 def printed_second_order(c="c") -> Expr:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from math import comb, lcm, prod
@@ -29,7 +28,7 @@ from .expr_core import (
     _mul_into, atoms_of, cos_e, derive, exp_e, func, jet,
     sin_e, sym,
 )
-from .linalg import cleared, nullspace, rank, transpose
+from .linalg import cleared, divided, nullspace, rank, transpose
 from .parser import combo_text, expr_text, parse_expr
 from .systems import JetSpec, Reducer, total_derivative
 
@@ -97,10 +96,15 @@ class VectorField:
                            self.unknowns, self.name)
 
     def add(self, other: "VectorField") -> "VectorField":
+        """The sum; an unknown of both fields must carry the same constraint."""
+        unknowns = {}
+        for uc in self.unknowns + other.unknowns:
+            if unknowns.setdefault(uc.name, uc) != uc:
+                raise DomainError(f"two constraints for the unknown {uc.name}")
         return VectorField(self.jet,
                            _slot_sums([*self.xi.items(), *other.xi.items()]),
                            _slot_sums([*self.eta.items(), *other.eta.items()]),
-                           self.unknowns + other.unknowns)
+                           tuple(unknowns.values()))
 
     def __repr__(self):
         return field_text(self)
@@ -136,6 +140,8 @@ def parse_field(text: str, jet_spec: JetSpec, name: str = "") -> VectorField:
             raise ValueError(f"unknown {head.strip()!r} is not name(args)")
         if fname in functions:
             raise ValueError(f"unknown {fname} declared twice")
+        if fname in jet_spec.independents + jet_spec.dependents:
+            raise ValueError(f"unknown {fname} takes the name of a coordinate")
         functions[fname] = tuple(a.strip() for a in args[:-1].split(","))
         if colon:
             rules.append((fname, rule))
@@ -225,7 +231,8 @@ class _Ring:
 
     def combine(self, summands) -> tuple[dict, int]:
         """(terms, denominator) of the sum of c*A*B/d over the summands (c, A,
-        B, d) of packed terms, over the lcm of the d."""
+        B, d) of packed terms, over the lcm of the d; a product with one
+        non-plain side is not registered in `monos`, `terms` registers."""
         out, den, acc, monos = {}, lcm(*(d for *_, d in summands)), {}, self.monos
         get = out.get
         for c, A, B, d in summands:
@@ -323,9 +330,9 @@ class _ResidualMap:
 
     def table(self, kind: str, var: str, g: tuple) -> dict[tuple, tuple]:
         """Reduced D_L(Q_Y^A) of Y = g d_var, cleared, keyed (A, L), for every
-        u^A_L below a needed jet, from one prolongation of Y: D_L(g) for an
-        eta field, kept on the first dependent and shared by the others;
-        pr Y^{A,L} - g u^A_{L var} for an xi field, where pr d_var = 0."""
+        u^A_L below a needed jet, by one formula from one prolongation of Y:
+        reduce(pr Y^{A,L}), less g u^A_{L var} for an xi field, where pr d_var
+        = 0; an eta field's D_L(g) is kept on the first dependent and shared."""
         eta = kind == "eta"
         key = (kind, None if eta else var, g)
         if key in self.tables:
@@ -342,15 +349,13 @@ class _ResidualMap:
             prolong_generator(VectorField(self.jet, **{kind: {slot: ge}}), below)))
         table = self.tables[key] = {}
         for A in below:
-            if plain:  # -u^A_{L var}, a reduced one packed from the Reducer's value
-                u = jet(A.dep, A.idx + (var,))
+            f, d = self.ring.terms(self.reducer.reduce(pr[A])) if A in pr else ({}, 1)
+            if not eta:  # g times the Reducer's value of u^A_{L var}, canonical and
+                u = jet(A.dep, A.idx + (var,))  # packed, as `piece` multiplies it
                 num, den = self.reducer.value(u) or (u.as_expr(), 1)
-                table[A.dep, A.idx] = {self.ring.pack(m): -q for m, q in num._terms.items()}, den
-                continue
-            v = pr.get(A, Expr.zero())
-            if not eta:
-                v = v - ge * jet(A.dep, A.idx + (var,)).as_expr()
-            table[A.dep, A.idx] = self.ring.terms(self.reducer.reduce(v))
+                gu, gd = self.ring.terms(ge * num if g else num)
+                f, d = self.ring.combine([(1, f, {0: 1}, d), (-1, gu, {0: 1}, gd * den)])
+            table[A.dep, A.idx] = f, d
         return table
 
     def piece(self, kind: str, var: str, g: tuple, K: tuple) -> list[tuple]:
@@ -506,8 +511,7 @@ class _Rows(Sequence):
     def read(self) -> tuple[list, list]:  # by equation, then monomial key; int if exact
         keys = _Ring.keys(self.shift, (m for _, m in self.ints))
         prov = sorted(self.ints, key=lambda im: (im[0], keys[im[1]][0]))
-        return ([r if (d := self.scale[k[0]]) == 1 else {c: v // d if not v % d else
-                 Fraction(v, d) for c, v in r.items()} for k in prov for r in (self.ints[k],)],
+        return ([divided(self.ints[k], self.scale[k[0]]) for k in prov],
                 [(i, keys[m][1]) for i, m in prov])
 
 

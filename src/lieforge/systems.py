@@ -14,14 +14,13 @@ which is what "evaluate on solutions" means throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .expr_core import (
     Atom, DomainError, Expr, Func, Jet, _add_into, _derivation, atoms_of,
     derive, jet, func, substitute, sym,
 )
-from .linalg import cleared
+from .linalg import cleared, divided
 from .parser import parse_expr
 
 __all__ = ["JetSpec", "PDESystem", "ODESystem", "total_derivative", "Reducer"]
@@ -144,29 +143,27 @@ class Reducer:
     unknown function differentiated m >= 1 times by one variable.  A rule
     reduces every atom of its name that carries that variable at least m
     times, through the rule and its total-derivative consequences.  The rhs
-    may not hold an atom its own rule reduces.
+    may not hold an atom its own rule reduces.  Rules are fixed when built, one per name.
     """
 
     def __init__(self, rules: Iterable[tuple[Atom, Expr]]):
         self._rules: dict[str, tuple[str, int, Expr]] = {}
+        for lead, rhs in rules:
+            idx = lead.idx if isinstance(lead, (Jet, Func)) else ()
+            if not idx or len(set(idx)) != 1:
+                raise DomainError(f"rule lead {lead!r} is not a pure derivative")
+            name, var, m = _name(lead), idx[0], len(idx)
+            if name in self._rules:
+                raise DomainError(f"two rules for {name}, the second led by {lead!r}")
+            for atom in atoms_of(rhs):
+                if isinstance(atom, (Jet, Func)) and _name(atom) == name \
+                        and atom.idx.count(var) >= m:
+                    raise DomainError(f"rhs of {lead!r} holds {atom!r}, "
+                                      f"which the rule reduces")
+            self._rules[name] = (var, m, rhs)
         # `value`s by (name, idx), None while in progress, so that cyclic rules raise
         self._memo: dict[tuple[str, tuple[str, ...]], tuple[Expr, int] | None] = {}
         self._exprs: dict[Atom, Expr | None] = {}  # `value`s as `reduce` binds them, or None
-        for lead, rhs in rules:
-            self.add_rule(lead, rhs)
-
-    def add_rule(self, lead: Atom, rhs: Expr) -> None:
-        idx = lead.idx if isinstance(lead, (Jet, Func)) else ()
-        if not idx or len(set(idx)) != 1:
-            raise DomainError(f"rule lead {lead!r} is not a pure derivative")
-        name, var, m = _name(lead), idx[0], len(idx)
-        for atom in atoms_of(rhs):
-            if isinstance(atom, (Jet, Func)) and _name(atom) == name \
-                    and atom.idx.count(var) >= m:
-                raise DomainError(f"rhs of {lead!r} holds {atom!r}, "
-                                  f"which the rule reduces")
-        self._rules[name] = (var, m, rhs)
-        self._memo, self._exprs = {}, {}  # a new rule may change any value, or reducibility
 
     def value(self, atom: Jet | Func) -> tuple[Expr, int] | None:
         """The atom's normal form as (int numerator, denominator); None if no rule reduces it."""
@@ -213,8 +210,7 @@ class Reducer:
     def _expr(self, atom: Atom) -> Expr | None:
         if atom not in self._exprs:
             num, den = isinstance(atom, (Jet, Func)) and self.value(atom) or (None, 1)
-            self._exprs[atom] = num if den == 1 else Expr(
-                {m: q // den if not q % den else Fraction(q, den) for m, q in num._terms.items()})
+            self._exprs[atom] = num if den == 1 else Expr(divided(num._terms, den))
         return self._exprs[atom]
 
 

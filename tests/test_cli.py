@@ -378,7 +378,12 @@ def test_reduce_at_characteristic_speed(capsys, extra):
     ("eta_v = a\nunknown a(t,x): a_t = a_xx\nunknown a(t,x): a_t = -a_xx\n",
      "unknown a declared twice"),
     ("xi_t = t\nxi_x = x/3\nxi_t = 1\n", "slot xi_t given twice"),
-], ids=["cyclic-rules", "declared-twice", "slot-given-twice"])
+    # the unknown's v_t = 0 would stand in for the system's own v equation
+    ("unknown v(t,x): v_t = 0\nunknown w(t,x): w_t = 0\nxi_t = t\n",
+     "unknown v takes the name of a coordinate"),
+    ("unknown v(t,x)\neta_v = v\n", "unknown v takes the name of a coordinate"),
+], ids=["cyclic-rules", "declared-twice", "slot-given-twice", "unknowns-named-as-dependents",
+        "unknown-named-as-dependent"])
 def test_field_file_inconsistent_unknowns_exit_1(tmp_path, capsys, text, message):
     field = tmp_path / "field.txt"
     field.write_text(text)

@@ -19,6 +19,7 @@ from lieforge.linalg import nullspace, rank, rref, transpose
 from lieforge.parser import combo_text, parse_expr
 from lieforge.reduce import ODE_JET
 from lieforge.symmetry import VectorField, field_text, parse_field
+from lieforge.systems import JetSpec
 
 
 def R(text):
@@ -140,6 +141,14 @@ class TestStructureTable:
         with pytest.raises(DomainError, match="basis fields are linearly dependent"):
             structure_constants(fields)
 
+    def test_root_alone_brackets_into_its_square(self):
+        # [sqrt(c) d_s, sqrt(c) s^2 d_s] = 2c s d_s: the dictionary holds c,
+        # though the basis holds only sqrt(c)
+        fields = [parse_field(f"xi_s = {e}", ODE_JET) for e in ("sqrt(c)", "s", "sqrt(c)*s^2")]
+        table = structure_constants(fields)
+        assert table.closed
+        assert table.nonzero_entries() == [(0, 1, "X1"), (0, 2, "2*c*X2"), (1, 2, "X3")]
+
     def test_non_closing_flagged(self):
         # {d_t, t^2 d_t} does not close (bracket gives 2t d_t)
         t = sym("t").as_expr()
@@ -148,6 +157,14 @@ class TestStructureTable:
         table = structure_constants([X, Y])
         assert not table.closed
         assert (0, 1) in table.non_closing
+
+    def test_root_of_an_independent_is_no_parameter(self):
+        # sqrt(s) is no constant: read as one, sqrt(s) X1 = s^-1 X2 = s d_s
+        # made the basis dependent; [X1, X2] leaves the span
+        fields = [parse_field(f"xi_s = {e}", ODE_JET) for e in ("sqrt(s)", "s^2")]
+        table = structure_constants(fields)
+        assert not table.closed
+        assert list(table.non_closing) == [(0, 1)]
 
     def test_reduced2_basis_does_not_span_its_brackets(self):
         # the catalogued twelve wave-profile fields are each symmetries, but
@@ -199,6 +216,21 @@ class TestSignature:
         # 2A_1 abelian complement next to the so(2,1) part
         assert sig.dimension == 5
         assert sig.abelian_complement_dim == 2
+
+    def test_each_parameter_at_its_own_point(self, monkeypatch):
+        # [X1, X2] = (c - d) X1 vanishes where c = d: each name has its own value
+        ctx = JetSpec(("s",), ("f", "g"), constants=("c", "d"))
+        fields = [parse_field(t, ctx) for t in ("xi_s = 1", "xi_s = (c - d)*s", "eta_f = 1")]
+        table = structure_constants(fields)
+        assert table.nonzero_entries() == [(0, 1, "(c - d)*X1")]
+        real, points = liealg._signature_at, []
+        monkeypatch.setattr(liealg, "_signature_at",
+                            lambda t, p: points.append(p) or real(t, p))
+        sig = algebra_signature(table)
+        assert [{a.name: q.as_rational() for a, q in p.items()} for p in points] == [
+            {"c": 4, "d": 9}, {"c": Fraction(9, 4), "d": Fraction(25, 4)}]
+        assert (sig.derived_series, sig.lower_central_series) == ([1, 0], [1, 1])
+        assert sig.center_dim == 1 and not sig.abelian
 
     def test_series_weakly_decreasing(self):
         for fields in (catalog.fields_member2(), catalog.fields_member4()):
@@ -263,7 +295,7 @@ class TestBracketTables:
         for basis in _bases():
             pairs = list(combinations(range(len(basis)), 2))
             ref = [_formula_bracket(basis[i], basis[j]) for i, j in pairs]
-            ref_alphas = in_span(ref, basis, _param_atoms(basis))
+            ref_alphas = in_span(ref, basis)
             table = structure_constants(basis)
             for (i, j), Z, alphas in zip(pairs, ref, ref_alphas):
                 assert _slots(lie_bracket(basis[i], basis[j])) == _slots(Z)

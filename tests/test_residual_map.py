@@ -408,6 +408,18 @@ def test_non_plain_partials_take_the_accumulate_boundary(monkeypatch):
     assert any(q.__class__ is Fraction for row in det.rows for q in row.values())
 
 
+def test_xi_tables_of_non_plain_fields_meet_non_plain_partials():
+    """g u^A_{L var} of an xi field, g or the value of u non-plain: its
+    products are registered as non-plain, so a non-plain partial times a
+    table entry is canonicalised (exps merged, sin*sin to a sum)."""
+    P = REAL_JET.parse
+    S = PDESystem(jet=REAL_JET, label="sin-exp transport", rhs={
+        "v": P("v_xx + sin(v)*v_x"), "w": P("w_xx + exp(w)*w_x + cos(v)")})
+    _parity(S, AnsatzBasis(REAL_JET, {
+        ("xi", "t"): [P("exp(w)"), P("v"), P("cos(v)")],
+        ("xi", "x"): [P("v*exp(w)"), P("exp(-w)"), P("sin(v)")]}))
+
+
 def test_exponent_past_the_ring_bound_names_the_system():
     S, P = _over_x(), REAL_JET.parse
     bound = symmetry._BOUND

@@ -149,9 +149,9 @@ def test_outside_target_next_to_inside_ones():
 def test_structure_constants_asks_in_span_once(monkeypatch):
     calls = []
 
-    def counting(targets, basis, params=None):
+    def counting(targets, basis):
         calls.append(len(targets))
-        return in_span(targets, basis, params)
+        return in_span(targets, basis)
 
     monkeypatch.setattr(liealg, "in_span", counting)
     table = structure_constants(catalog.fields_reduced3())

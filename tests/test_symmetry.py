@@ -130,6 +130,16 @@ class TestFamilies:
     def test_member2_family_coupled(self, member2):
         assert verify_generator(member2, catalog.family_member2()).zero
 
+    def test_member2_family_plus_a_multiple_of_itself(self, member2):
+        X = catalog.family_member2()
+        Y = X.add(X.scale(2))
+        assert Y.unknowns == X.unknowns
+        assert verify_generator(member2, Y).zero
+
+    def test_sum_with_two_constraints_on_one_unknown_raises(self):
+        with pytest.raises(DomainError, match="two constraints for the unknown a"):
+            catalog.family_member2().add(catalog.family_member2_printed())
+
     def test_member2_family_printed_heat_fails(self, member2):
         rep = verify_generator(member2, catalog.family_member2_printed())
         assert not rep.zero
@@ -187,11 +197,17 @@ class TestParseField:
     @pytest.mark.parametrize("text", [
         "unknown a(t,x):\neta_v = a", "unknown a(t,x): a_x = a\neta_v = a",
         "unknown a\neta_v = a", "zeta_v = 1", "xi_y = 1", "eta_x = 1",
+        "unknown x(t): x_t = 0\neta_v = 1",
     ], ids=["empty-rule", "lead-by-second-argument", "no-arguments", "bad-slot",
-            "xi-of-no-independent", "eta-of-no-dependent"])
+            "xi-of-no-independent", "eta-of-no-dependent", "unknown-named-as-independent"])
     def test_malformed_text_raises(self, text):
         with pytest.raises(ValueError):
             parse_field(text, REAL_JET)
+
+    def test_unknown_may_take_a_constant_name(self):
+        X = parse_field("unknown c(t,x): c_t = c_xxx\neta_v = c_x",
+                        REAL_JET.with_constants(("c",)))
+        assert X.eta_of("v") == func("c", ("t", "x"), ("x",)).as_expr()
 
 
 class TestDiscovery:

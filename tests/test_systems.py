@@ -106,25 +106,17 @@ class TestReducerRules:
         S = ODESystem(jet=ctx, leads={"f": (2, parse_expr("-f", ctx))})
         a = func("a", ("s",)).as_expr()
         uc = UnknownFunctionConstraint("a", ("s",), 2, -a)
-        r = Reducer(S.equations())
-        r.add_rule(uc.lead, uc.rhs)
+        r = Reducer(S.equations() + [(uc.lead, uc.rhs)])
         got = r.reduce(func("a", ("s",), ("s",) * 4).as_expr()
                        + jet("f", ("s",) * 3).as_expr())
         assert got == a - jet("f", ("s",)).as_expr()
 
-    def test_rule_added_after_reducing(self):
-        """Atoms reduced, or left as they are, before add_rule are reduced
-        afterwards as by a Reducer given every rule from the start."""
-        ctx = JetSpec(("s",), ("f",))
-        a, a_s, a_ss = (func("a", ("s",), ("s",) * k) for k in range(3))
-        f_sss, a_ssss = jet("f", ("s",) * 3).as_expr(), func("a", ("s",), ("s",) * 4).as_expr()
-        r = Reducer([(jet("f", ("s", "s")), a_ss.as_expr())])
-        assert r.reduce(f_sss + a_ssss) == func("a", ("s",), ("s",) * 3).as_expr() + a_ssss
-        r.add_rule(a_ss, -a.as_expr())
-        want = Reducer([(jet("f", ("s", "s")), a_ss.as_expr()), (a_ss, -a.as_expr())])
-        assert r.reduce(f_sss + a_ssss) == want.reduce(f_sss + a_ssss) == a.as_expr() - a_s.as_expr()
-        r.add_rule(a_ss, a.as_expr())  # a rule replaced
-        assert r.reduce(f_sss + a_ssss) == a.as_expr() + a_s.as_expr()
+    def test_two_rules_for_one_name(self):
+        """A jet rule v_t = ... and an unknown-function rule v_t = ... are two
+        rules for the name v: neither may silently replace the other."""
+        v_t, v_xx = jet("v", ("t",)), jet("v", ("x", "x")).as_expr()
+        with pytest.raises(DomainError, match="two rules for v"):
+            Reducer([(v_t, v_xx), (func("v", ("t", "x"), ("t",)), -v_xx)])
 
     @pytest.mark.parametrize("fn", [sin_e, cos_e, tan_e, exp_e, recip_e],
                              ids=["sin", "cos", "tan", "exp", "recip"])
