@@ -1,7 +1,8 @@
-"""Catalogue of the printed generator families, bracket tables, and closed
-forms, with corrected variants where the printed objects fail verification.
+"""Catalogue of the printed generator fields and families and bracket tables,
+with corrected variants where the printed objects fail verification.
 
-Every field here is checkable with `symmetry.verify_generator`; the tests and
+Every field here is field-file text read by `symmetry.parse_field` and
+checkable with `symmetry.verify_generator`; the tests and
 the CLI reports flag each printed object that disagrees with the computed
 one instead of silently replacing it.
 """
@@ -22,60 +23,46 @@ __all__ = [
     "printed_table_member3",
 ]
 
-def _pde(xi=None, eta=None, name=""):
-    jet = REAL_JET
-    xi = {k: jet.parse(v) for k, v in (xi or {}).items()}
-    eta = {k: jet.parse(v) for k, v in (eta or {}).items()}
-    return VectorField(jet, xi, eta, name=name)
-
-
-def _ode(xi=None, eta=None, name=""):
-    jet = red.ODE_JET
-    xi = {"s": jet.parse(xi)} if xi else {}
-    eta = {k: jet.parse(v) for k, v in (eta or {}).items()}
-    return VectorField(jet, xi, eta, name=name)
-
 
 def fields_member2() -> list[VectorField]:
     """Seven-field algebra of the second member (all verify)."""
-    return [
-        _pde(xi={"t": "1"}, name="G1a"),
-        _pde(xi={"t": "t", "x": "x/2"}, name="G2a"),
-        _pde(xi={"t": "t^2", "x": "t*x"},
-             eta={"v": "x^2/4", "w": "-t/2"}, name="G3a"),
-        _pde(xi={"x": "1"}, name="G4a"),
-        _pde(xi={"x": "t"}, eta={"v": "x/2"}, name="G5a"),
-        _pde(eta={"v": "1"}, name="G6a"),
-        _pde(eta={"w": "1"}, name="G7a"),
-    ]
+    return [parse_field(text, REAL_JET, name) for name, text in (
+        ("G1a", "xi_t = 1"),
+        ("G2a", "xi_t = t\nxi_x = x/2"),
+        ("G3a", "xi_t = t^2\nxi_x = t*x\neta_v = x^2/4\neta_w = -t/2"),
+        ("G4a", "xi_x = 1"),
+        ("G5a", "xi_x = t\neta_v = x/2"),
+        ("G6a", "eta_v = 1"),
+        ("G7a", "eta_w = 1"),
+    )]
 
 
 def fields_member3() -> list[VectorField]:
     """Printed third-member fields.  G2b is kept exactly as printed; it fails
     verification (the scaling t d_t + x/3 d_x from fields_member3_scaling is
     the field that verifies)."""
-    return [
-        _pde(xi={"t": "1"}, name="G1b"),
-        _pde(xi={"t": "1", "x": "x/3"}, name="G2b"),
-        _pde(xi={"x": "1"}, name="G3b"),
-        _pde(eta={"w": "1"}, name="G4b"),
-        _pde(eta={"v": "sin(2*v)/2", "w": "-cos(2*v)/2"}, name="G5b"),
-        _pde(eta={"v": "cos(2*v)/2", "w": "sin(2*v)/2"}, name="G6b"),
-        _pde(eta={"v": "1"}, name="G7b"),
-    ]
+    return [parse_field(text, REAL_JET, name) for name, text in (
+        ("G1b", "xi_t = 1"),
+        ("G2b", "xi_t = 1\nxi_x = x/3"),
+        ("G3b", "xi_x = 1"),
+        ("G4b", "eta_w = 1"),
+        ("G5b", "eta_v = sin(2*v)/2\neta_w = -cos(2*v)/2"),
+        ("G6b", "eta_v = cos(2*v)/2\neta_w = sin(2*v)/2"),
+        ("G7b", "eta_v = 1"),
+    )]
 
 
 def fields_member3_scaling() -> VectorField:
-    return _pde(xi={"t": "t", "x": "x/3"}, name="G2b*")
+    return parse_field("xi_t = t\nxi_x = x/3", REAL_JET, "G2b*")
 
 
 def fields_member4() -> list[VectorField]:
-    return [
-        _pde(xi={"t": "1"}, name="G1c"),
-        _pde(eta={"v": "1"}, name="G2c"),
-        _pde(eta={"w": "1"}, name="G3c"),
-        _pde(xi={"x": "1"}, name="G4c"),
-    ]
+    return [parse_field(text, REAL_JET, name) for name, text in (
+        ("G1c", "xi_t = 1"),
+        ("G2c", "eta_v = 1"),
+        ("G3c", "eta_w = 1"),
+        ("G4c", "xi_x = 1"),
+    )]
 
 
 def fields_reduced2() -> list[VectorField]:
@@ -84,57 +71,53 @@ def fields_reduced2() -> list[VectorField]:
     G7d and G12d carry corrected signs: the printed versions mix the phases
     f - c s and f + c s and fail verification (see
     fields_reduced2_printed_variants)."""
-    return [
-        _ode(xi="1", name="G1d"),
-        _ode(eta={"f": "cos(2*f)*cos(c*s)/2 + sin(2*f)*sin(c*s)/2",
-                  "g": "cos(c*s)*sin(2*f)/2 - cos(2*f)*sin(c*s)/2"}, name="G2d"),
-        _ode(eta={"f": "cos(2*f)*sin(c*s)/2 - cos(c*s)*sin(2*f)/2",
-                  "g": "cos(2*f)*cos(c*s)/2 + sin(2*f)*sin(c*s)/2"}, name="G3d"),
-        _ode(eta={"f": "1"}, name="G4d"),
-        _ode(eta={"g": "1"}, name="G5d"),
-        _ode(eta={"f": "-exp(-g)*cos(f)", "g": "-exp(-g)*sin(f)"}, name="G6d"),
-        _ode(eta={"f": "-exp(-g)*cos(f)*cos(c*s)/c - exp(-g)*sin(f)*sin(c*s)/c",
-                  "g": "-exp(-g)*sin(f)*cos(c*s)/c + exp(-g)*cos(f)*sin(c*s)/c"},
-             name="G7d"),
-        _ode(eta={"f": "exp(-g)*cos(c*s)*sin(f)/c - exp(-g)*cos(f)*sin(c*s)/c",
-                  "g": "-exp(-g)*cos(f)*cos(c*s)/c - exp(-g)*sin(f)*sin(c*s)/c"},
-             name="G8d"),
-        _ode(eta={"f": "-exp(-g)*sin(f)", "g": "exp(-g)*cos(f)"}, name="G9d"),
-        _ode(xi="exp(g)*cos(f)",
-             eta={"f": "c*exp(g)*cos(f)/2", "g": "-c*exp(g)*sin(f)/2"}, name="G10d"),
-        _ode(xi="exp(g)*sin(f)*sin(c*s)/c + exp(g)*cos(f)*cos(c*s)/c",
-             eta={"f": "exp(g)*cos(f)*cos(c*s)/2 + exp(g)*sin(f)*sin(c*s)/2",
-                  "g": "exp(g)*cos(c*s)*sin(f)/2 - exp(g)*cos(f)*sin(c*s)/2"},
-             name="G11d"),
-        _ode(xi="-exp(g)*sin(f)*cos(c*s)/c + exp(g)*cos(f)*sin(c*s)/c",
-             eta={"f": "-exp(g)*sin(f)*cos(c*s)/2 + exp(g)*cos(f)*sin(c*s)/2",
-                  "g": "exp(g)*cos(f)*cos(c*s)/2 + exp(g)*sin(f)*sin(c*s)/2"},
-             name="G12d"),
-    ]
+    return [parse_field(text, red.ODE_JET, name) for name, text in (
+        ("G1d", "xi_s = 1"),
+        ("G2d", "eta_f = cos(2*f)*cos(c*s)/2 + sin(2*f)*sin(c*s)/2\n"
+                "eta_g = cos(c*s)*sin(2*f)/2 - cos(2*f)*sin(c*s)/2"),
+        ("G3d", "eta_f = cos(2*f)*sin(c*s)/2 - cos(c*s)*sin(2*f)/2\n"
+                "eta_g = cos(2*f)*cos(c*s)/2 + sin(2*f)*sin(c*s)/2"),
+        ("G4d", "eta_f = 1"),
+        ("G5d", "eta_g = 1"),
+        ("G6d", "eta_f = -exp(-g)*cos(f)\neta_g = -exp(-g)*sin(f)"),
+        ("G7d", "eta_f = -exp(-g)*cos(f)*cos(c*s)/c - exp(-g)*sin(f)*sin(c*s)/c\n"
+                "eta_g = -exp(-g)*sin(f)*cos(c*s)/c + exp(-g)*cos(f)*sin(c*s)/c"),
+        ("G8d", "eta_f = exp(-g)*cos(c*s)*sin(f)/c - exp(-g)*cos(f)*sin(c*s)/c\n"
+                "eta_g = -exp(-g)*cos(f)*cos(c*s)/c - exp(-g)*sin(f)*sin(c*s)/c"),
+        ("G9d", "eta_f = -exp(-g)*sin(f)\neta_g = exp(-g)*cos(f)"),
+        ("G10d", "xi_s = exp(g)*cos(f)\n"
+                 "eta_f = c*exp(g)*cos(f)/2\neta_g = -c*exp(g)*sin(f)/2"),
+        ("G11d", "xi_s = exp(g)*sin(f)*sin(c*s)/c + exp(g)*cos(f)*cos(c*s)/c\n"
+                 "eta_f = exp(g)*cos(f)*cos(c*s)/2 + exp(g)*sin(f)*sin(c*s)/2\n"
+                 "eta_g = exp(g)*cos(c*s)*sin(f)/2 - exp(g)*cos(f)*sin(c*s)/2"),
+        ("G12d", "xi_s = -exp(g)*sin(f)*cos(c*s)/c + exp(g)*cos(f)*sin(c*s)/c\n"
+                 "eta_f = -exp(g)*sin(f)*cos(c*s)/2 + exp(g)*cos(f)*sin(c*s)/2\n"
+                 "eta_g = exp(g)*cos(f)*cos(c*s)/2 + exp(g)*sin(f)*sin(c*s)/2"),
+    )]
 
 
 def fields_reduced2_printed_variants() -> list[VectorField]:
     """G7d and G12d exactly as printed (verification flags them Nonzero)."""
-    return [
-        _ode(eta={"f": "-exp(-g)*cos(f)*cos(c*s)/c - exp(-g)*sin(f)*sin(c*s)/c",
-                  "g": "-exp(-g)*cos(c*s)*sin(f)/c - exp(-g)*cos(f)*sin(c*s)/c"},
-             name="G7d(printed)"),
-        _ode(xi="-exp(g)*cos(c*s)*sin(f)/c - exp(g)*cos(f)*sin(c*s)/c",
-             eta={"f": "-exp(g)*cos(c*s)*sin(f)/2 - exp(g)*cos(f)*sin(c*s)/2",
-                  "g": "exp(g)*cos(f)*cos(c*s)/2 + exp(g)*sin(f)*sin(c*s)/2"},
-             name="G12d(printed)"),
-    ]
+    return [parse_field(text, red.ODE_JET, name) for name, text in (
+        ("G7d(printed)",
+         "eta_f = -exp(-g)*cos(f)*cos(c*s)/c - exp(-g)*sin(f)*sin(c*s)/c\n"
+         "eta_g = -exp(-g)*cos(c*s)*sin(f)/c - exp(-g)*cos(f)*sin(c*s)/c"),
+        ("G12d(printed)",
+         "xi_s = -exp(g)*cos(c*s)*sin(f)/c - exp(g)*cos(f)*sin(c*s)/c\n"
+         "eta_f = -exp(g)*cos(c*s)*sin(f)/2 - exp(g)*cos(f)*sin(c*s)/2\n"
+         "eta_g = exp(g)*cos(f)*cos(c*s)/2 + exp(g)*sin(f)*sin(c*s)/2"),
+    )]
 
 
 def fields_reduced3() -> list[VectorField]:
     """Five-field algebra of the travelling-wave reduction of member 3."""
-    return [
-        _ode(eta={"f": "1"}, name="G1f"),
-        _ode(eta={"g": "1"}, name="G2f"),
-        _ode(xi="-sin(sqrt(c)*s)/sqrt(c)", eta={"g": "-cos(sqrt(c)*s)"}, name="G3f"),
-        _ode(xi="-cos(sqrt(c)*s)/sqrt(c)", eta={"g": "sin(sqrt(c)*s)"}, name="G4f"),
-        _ode(xi="1", name="G5f"),
-    ]
+    return [parse_field(text, red.ODE_JET, name) for name, text in (
+        ("G1f", "eta_f = 1"),
+        ("G2f", "eta_g = 1"),
+        ("G3f", "xi_s = -sin(sqrt(c)*s)/sqrt(c)\neta_g = -cos(sqrt(c)*s)"),
+        ("G4f", "xi_s = -cos(sqrt(c)*s)/sqrt(c)\neta_g = sin(sqrt(c)*s)"),
+        ("G5f", "xi_s = 1"),
+    )]
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +167,11 @@ def family_member3_partial() -> VectorField:
 def transport_family_examples() -> list[VectorField]:
     """Concrete instances of the transport-pair family c_a(x - t, v, w) d_v:
     polynomial, trig, and exponential choices."""
-    return [
-        _pde(eta={"v": "(x - t)^2*v"}, name="transport-poly"),
-        _pde(eta={"v": "sin(x - t + 2*v)"}, name="transport-sin"),
-        _pde(eta={"v": "exp(w)*(x - t)"}, name="transport-exp"),
-    ]
+    return [parse_field(text, REAL_JET, name) for name, text in (
+        ("transport-poly", "eta_v = (x - t)^2*v"),
+        ("transport-sin", "eta_v = sin(x - t + 2*v)"),
+        ("transport-exp", "eta_v = exp(w)*(x - t)"),
+    )]
 
 
 # ---------------------------------------------------------------------------

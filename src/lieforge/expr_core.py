@@ -683,7 +683,8 @@ def derive(e: Expr, a: Atom) -> Expr:
 def _derivation(e: Expr, delta: Callable[[Atom], Expr | None]) -> Expr:
     """The derivation D with D(atom) = delta(atom) (None for zero) on every
     atom but trig, exp and reciprocal ones, which take the chain rule through
-    their arguments: one sweep adding q*k*atom^(k-1)*D(atom)*rest for every
+    their arguments, and roots delta does not name, which differentiate as
+    a^(1/2) by delta(a): one sweep adding q*k*atom^(k-1)*D(atom)*rest for every
     factor atom^k of every term q*rest*atom^k."""
     dvals: dict[Atom, Expr | None] = {}
     out: dict[Monomial, Coeff] = {}
@@ -700,6 +701,11 @@ def _derivation(e: Expr, delta: Callable[[Atom], Expr | None]) -> Expr:
 
 
 def _datom(atom: Atom, delta: Callable[[Atom], Expr | None]) -> Expr | None:
+    if isinstance(atom, Root):  # sqrt(a)' = sqrt(a) a'/(2a), unless delta names the root
+        d = delta(atom)
+        if d is None and (da := delta(sym(atom.of))) is not None:
+            d = atom.as_expr() * da / (Expr.rational(2) * sym(atom.of).as_expr())
+        return d
     if not isinstance(atom, (Trig, ExpAtom, Recip)):
         return delta(atom)
     darg = _derivation(atom.arg, delta)

@@ -1,7 +1,7 @@
 """Point-symmetry machinery: generators read from field-file text,
 prolongation, symmetry residuals, determining systems from finite ansatz
 dictionaries, exact nullspace discovery, and verification of concrete
-generators including families that carry constrained unknown functions.
+generators, families among them whose unknown functions obey their own rules.
 The same pipeline serves evolution PDE systems (independents t, x) and
 reduced ODE systems (single independent s, no time slot).
 
@@ -33,48 +33,37 @@ from .parser import combo_text, expr_text, parse_expr
 from .systems import JetSpec, Reducer, total_derivative
 
 __all__ = [
-    "VectorField", "UnknownFunctionConstraint", "AnsatzBasis",
+    "VectorField", "AnsatzBasis",
     "DeterminingSystem", "VerificationReport", "prolong_generator",
     "symmetry_residual", "determining_system", "discover_symmetries",
     "verify_generator", "ansatz_dictionary", "field_text", "parse_field",
 ]
 
 
-@dataclass(frozen=True)
-class UnknownFunctionConstraint:
-    """Constraint on an unknown function carried by a generator: the rule
-    lead = rhs, whose lead is the function differentiated `lead_order` times
-    by its first argument (a_t = b_xx, a_tt = -a_x, a_ssss = a for a(s)).
-    It joins the system's own rules in the on-shell `Reducer`."""
-
-    name: str
-    args: tuple[str, ...]
-    lead_order: int
-    rhs: Expr
-
-    @property
-    def lead(self) -> Func:
-        return func(self.name, self.args, (self.args[0],) * self.lead_order)
-
-
 @dataclass
 class VectorField:
-    """Infinitesimal generator xi^i d_i + eta^A d_A with optional unknown
-    functions subject to constraint equations."""
+    """Infinitesimal generator xi^i d_i + eta^A d_A, xi keyed by independents
+    and eta by dependents of its jet, with optional unknown functions whose
+    rules (lead, rhs) join the system's in the on-shell `Reducer`: each lead
+    differentiated by its first argument (a_t = b_xx, a_ssss = a for a(s))."""
 
     jet: JetSpec
     xi: dict[str, Expr] = dc_field(default_factory=dict)
     eta: dict[str, Expr] = dc_field(default_factory=dict)
-    unknowns: tuple[UnknownFunctionConstraint, ...] = ()
+    unknowns: tuple[tuple[Func, Expr], ...] = ()
     name: str = ""
 
     def __post_init__(self):
-        for slot, coeff in list(self.xi.items()) + list(self.eta.items()):
-            for atom in atoms_of(coeff):
-                if isinstance(atom, Jet) and atom.order >= 1:
-                    raise DomainError(
-                        f"generator coefficient for {slot} depends on jet "
-                        f"derivative {atom!r}")
+        for kind, coeffs, names in (("xi", self.xi, self.jet.independents),
+                                    ("eta", self.eta, self.jet.dependents)):
+            for slot, coeff in coeffs.items():
+                if slot not in names:
+                    raise DomainError(f"unrecognised slot {kind + '_' + slot!r}")
+                for atom in atoms_of(coeff):
+                    if isinstance(atom, Jet) and atom.order >= 1:
+                        raise DomainError(
+                            f"generator coefficient for {slot} depends on jet "
+                            f"derivative {atom!r}")
 
     def xi_of(self, indep: str) -> Expr:
         return self.xi.get(indep, Expr.zero())
@@ -96,11 +85,11 @@ class VectorField:
                            self.unknowns, self.name)
 
     def add(self, other: "VectorField") -> "VectorField":
-        """The sum; an unknown of both fields must carry the same constraint."""
+        """The sum; an unknown of both fields must carry the same rule."""
         unknowns = {}
-        for uc in self.unknowns + other.unknowns:
-            if unknowns.setdefault(uc.name, uc) != uc:
-                raise DomainError(f"two constraints for the unknown {uc.name}")
+        for rule in self.unknowns + other.unknowns:
+            if unknowns.setdefault(rule[0].name, rule) != rule:
+                raise DomainError(f"two constraints for the unknown {rule[0].name}")
         return VectorField(self.jet,
                            _slot_sums([*self.xi.items(), *other.xi.items()]),
                            _slot_sums([*self.eta.items(), *other.eta.items()]),
@@ -140,8 +129,6 @@ def parse_field(text: str, jet_spec: JetSpec, name: str = "") -> VectorField:
             raise ValueError(f"unknown {head.strip()!r} is not name(args)")
         if fname in functions:
             raise ValueError(f"unknown {fname} declared twice")
-        if fname in jet_spec.independents + jet_spec.dependents:
-            raise ValueError(f"unknown {fname} takes the name of a coordinate")
         functions[fname] = tuple(a.strip() for a in args[:-1].split(","))
         if colon:
             rules.append((fname, rule))
@@ -149,17 +136,17 @@ def parse_field(text: str, jet_spec: JetSpec, name: str = "") -> VectorField:
     unknowns = []
     for fname, rule in rules:
         lhs, eq, rhs = rule.partition("=")
-        order, v = len(lhs.strip()) - len(fname) - 1, functions[fname][0]
-        uc = UnknownFunctionConstraint(fname, functions[fname], order,
-                                       parse_expr(rhs, ctx) if eq else None)
-        if not eq or order < 1 or parse_expr(lhs, ctx) != uc.lead.as_expr():
+        args = functions[fname]
+        lead = func(fname, args, args[:1] * (len(lhs.strip()) - len(fname) - 1))
+        if not eq or not lead.idx or parse_expr(lhs, ctx) != lead.as_expr():
+            v = args[0]
             raise ValueError(f"unknown {fname}: rule {rule.strip()!r} is not "
                              f"{fname}_{v} = ..., {fname}_{v}{v} = ..., ...")
-        unknowns.append(uc)
+        unknowns.append((lead, parse_expr(rhs, ctx)))
     xi, eta = {}, {}
     for slot, _, rhs in slots:
         kind, _, var = slot.strip().partition("_")
-        if var not in {"xi": ctx.independents, "eta": ctx.dependents}.get(kind, ()):
+        if kind not in ("xi", "eta"):
             raise ValueError(f"unrecognised slot {slot.strip()!r}")
         if var in (xi if kind == "xi" else eta):
             raise ValueError(f"slot {slot.strip()} given twice")
@@ -264,7 +251,7 @@ class _Ring:
 
 class _ResidualMap:
     """The on-shell residual map X -> [pr X(lead - rhs) on solutions] of one
-    system, for generators carrying the unknown functions `unknowns`.
+    system, for generators whose unknown functions obey the rules `unknowns`.
     Reduction is a ring homomorphism, so residuals are assembled from reduced
     factors, each product added term by term with no intermediate product.
     Calling the map gives R_{X,()} = pr X(H) for a whole field.  `column`
@@ -284,7 +271,7 @@ class _ResidualMap:
     def __init__(self, system, unknowns=()):
         equations = system.equations()
         self.jet, self.independents = system.jet, system.jet.independents
-        self.reducer = Reducer(equations + [(uc.lead, uc.rhs) for uc in unknowns])
+        self.reducer = Reducer(equations + list(unknowns))
         # a dict, not a set: jets in order of first occurrence, not of address
         self.needed = dict.fromkeys(
             [lead for lead, _ in equations] +
@@ -423,8 +410,7 @@ class VerificationReport:
 
 
 def verify_generator(system, X: VectorField) -> VerificationReport:
-    """Residual check with unknown-function derivatives reduced modulo their
-    constraint equations."""
+    """Residual check with unknown-function derivatives reduced by their rules."""
     res = symmetry_residual(system, X)
     return VerificationReport(res, all(r.is_zero() for r in res))
 

@@ -5,8 +5,8 @@ Every equation is a rule lead = rhs whose lead is a dependent differentiated
 m >= 1 times by one variable: a PDE system is kept in evolution form
 u^A_t = Phi^A with every Phi free of t-derivatives, an ODE system is solved
 for its highest s-derivatives u^A^(m) = rhs.  The Reducer takes such rules,
-from a system and from the constraints on the unknown functions a generator
-carries (a_t = b_xx), and rewrites every derivative reachable from a lead
+from a system and from the rules a generator carries for its unknown
+functions (a_t = b_xx), and rewrites every derivative reachable from a lead
 (mixed t-derivatives, higher s-derivatives) down to the free coordinates,
 which is what "evaluate on solutions" means throughout.
 """
@@ -32,12 +32,18 @@ MAX_JET_ORDER = 8
 @dataclass(frozen=True)
 class JetSpec:
     """Variable context: independents, dependents, named constants, and
-    declared unknown functions (name -> argument symbols)."""
+    declared unknown functions (name -> argument symbols), none named like a
+    coordinate."""
 
     independents: tuple[str, ...]
     dependents: tuple[str, ...]
     constants: tuple[str, ...] = ()
     functions: tuple[tuple[str, tuple[str, ...]], ...] = ()
+
+    def __post_init__(self):
+        for name, _ in self.functions:
+            if name in self.independents + self.dependents:
+                raise DomainError(f"unknown {name} takes the name of a coordinate")
 
     def parse(self, text: str) -> Expr:
         return parse_expr(text, self)

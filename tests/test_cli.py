@@ -382,8 +382,9 @@ def test_reduce_at_characteristic_speed(capsys, extra):
     ("unknown v(t,x): v_t = 0\nunknown w(t,x): w_t = 0\nxi_t = t\n",
      "unknown v takes the name of a coordinate"),
     ("unknown v(t,x)\neta_v = v\n", "unknown v takes the name of a coordinate"),
+    ("xi_s = 1\n", "unrecognised slot 'xi_s'"),
 ], ids=["cyclic-rules", "declared-twice", "slot-given-twice", "unknowns-named-as-dependents",
-        "unknown-named-as-dependent"])
+        "unknown-named-as-dependent", "slot-of-no-independent"])
 def test_field_file_inconsistent_unknowns_exit_1(tmp_path, capsys, text, message):
     field = tmp_path / "field.txt"
     field.write_text(text)
@@ -392,6 +393,16 @@ def test_field_file_inconsistent_unknowns_exit_1(tmp_path, capsys, text, message
     assert got == 1
     assert err.startswith("lieforge: error: ") and message in err
     assert "Traceback" not in err
+
+
+def test_field_file_root_of_a_coordinate_is_no_symmetry(tmp_path, capsys):
+    # sqrt(x) d_x: the root differentiates by x, so the remainder is nonzero
+    field = tmp_path / "field.txt"
+    field.write_text("xi_x = sqrt(x)\n")
+    code, out = run(capsys, "symmetries", "verify", "--member", "2", "--field", str(field))
+    doc = json.loads(out)
+    assert code == 2 and doc["status"] == "Nonzero"
+    assert doc["remainder"][0].startswith("-1/4*x^-2*sqrt(x)*w_x - x^-1*sqrt(x)*v_x^2 ")
 
 
 @pytest.mark.parametrize("flags, message", [

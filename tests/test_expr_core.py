@@ -10,10 +10,10 @@ import pytest
 from lieforge.expr_core import (
     DomainError, Expr, I, PoleError, ZeroStatus, atoms_of, collect_terms,
     cos_e, derive, equals_zero, eval_numeric, exp_e, jet, random_rational,
-    recip_e, sin_e, sqrt_e, substitute, sym, tan_e, to_canonical,
+    recip_e, root, sin_e, sqrt_e, substitute, sym, tan_e, to_canonical,
 )
-from lieforge.parser import parse_expr
-from lieforge.systems import JetSpec
+from lieforge.parser import expr_text, parse_expr
+from lieforge.systems import JetSpec, total_derivative
 
 CTX = JetSpec(("t", "x"), ("v", "w"), constants=("c", "s"))
 
@@ -110,6 +110,23 @@ class TestDerive:
         e1, e2 = P("v_x^2*sin(v)"), P("w_x*exp(w)")
         a = jet("v", ("x",))
         assert derive(e1 + e2, a) == derive(e1, a) + derive(e2, a)
+
+    def test_root_differentiates_by_the_symbol_under_it(self):
+        # sqrt(a)' = sqrt(a) a'/(2a): the root of a coordinate is no constant
+        s, x = sym("s"), sym("x")
+        r = sqrt_e(s.as_expr())
+        assert expr_text(derive(r, s)) == "1/2*s^-1*sqrt(s)"
+        assert derive(r * r * r, s) == Expr.rational(Fraction(3, 2)) * r
+        assert derive(r, x).is_zero() and derive(r, jet("v")).is_zero()
+        assert expr_text(total_derivative(sqrt_e(x.as_expr()) * P("v_x"), "x")) \
+            == "1/2*x^-1*sqrt(x)*v_x + sqrt(x)*v_xx"
+        # a root named as the variable is an atom; a root of a constant is
+        # constant under every coordinate
+        assert derive(r * s.as_expr(), root("s")) == s.as_expr()
+        assert derive(P("sqrt(c)*x"), x) == P("sqrt(c)")
+        fd = (math.sqrt(2 + 1e-6) - math.sqrt(2 - 1e-6)) / 2e-6
+        got = eval_numeric(derive(r, s), {s: 2, root("s"): math.sqrt(2)})
+        assert abs(got - fd) < 1e-8
 
     def test_composite_atom_rejected(self):
         with pytest.raises(DomainError):

@@ -165,6 +165,8 @@ class TestStructureTable:
         table = structure_constants(fields)
         assert not table.closed
         assert list(table.non_closing) == [(0, 1)]
+        # sqrt(s) differentiates by s: [sqrt(s) d_s, s^2 d_s] = (2 - 1/2) s sqrt(s) d_s
+        assert field_text(table.non_closing[0, 1]) == "3/2*s*sqrt(s)*d_s"
 
     def test_reduced2_basis_does_not_span_its_brackets(self):
         # the catalogued twelve wave-profile fields are each symmetries, but

@@ -72,7 +72,7 @@ def _member2_family():
     X = catalog.family_member2()
     needed = {J for lead, rhs in S.equations()
               for J in [lead, *(a for a in atoms_of(rhs) if isinstance(a, Jet))]}
-    return (S.equations() + [(uc.lead, uc.rhs) for uc in X.unknowns],
+    return (S.equations() + list(X.unknowns),
             [*prolong_generator(X, sorted(needed, key=lambda J: J.key)).values(),
              *X.xi.values(), *X.eta.values()] + _jets(S, 2, 4))
 

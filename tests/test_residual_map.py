@@ -34,7 +34,7 @@ from lieforge.hierarchy import (REAL_JET, catalogue_member, complex_split,
 from lieforge.linalg import transpose
 from lieforge.reduce import reduced_system
 from lieforge.symmetry import (
-    AnsatzBasis, UnknownFunctionConstraint, VectorField, _ResidualMap,
+    AnsatzBasis, VectorField, _ResidualMap,
     ansatz_dictionary, determining_system, discover_symmetries, prolong_generator,
     symmetry_residual, verify_generator,
 )
@@ -49,7 +49,7 @@ def _unit_field(jet_spec, key, e):
 
 def reference_residual(system, X):
     equations = system.equations()
-    reducer = Reducer(equations + [(uc.lead, uc.rhs) for uc in X.unknowns])
+    reducer = Reducer(equations + list(X.unknowns))
     needed = {lead for lead, _ in equations}
     for _, rhs in equations:
         needed.update(a for a in atoms_of(rhs) if isinstance(a, Jet))
@@ -328,8 +328,7 @@ def _heat_fields():
     """Generators whose coefficients hold a_t under the rule a_t = a_xx: in
     an xi slot, and alone in one eta slot."""
     ctx = REAL_JET.with_functions({"a": ("t", "x")})
-    heat = (UnknownFunctionConstraint(
-        "a", ("t", "x"), 1, func("a", ("t", "x"), ("x", "x")).as_expr()),)
+    heat = ((func("a", ("t", "x"), ("t",)), func("a", ("t", "x"), ("x", "x")).as_expr()),)
     return [
         VectorField(ctx, xi={"x": ctx.parse("a_t")},
                     eta={"v": ctx.parse("a_x*exp(-w)")}, unknowns=heat),

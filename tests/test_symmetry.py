@@ -9,8 +9,9 @@ from lieforge.expr_core import (
 from lieforge.hierarchy import REAL_JET, catalogue_member
 from lieforge.liealg import in_span
 from lieforge.parser import parse_expr
+from lieforge.reduce import ODE_JET
 from lieforge.symmetry import (
-    UnknownFunctionConstraint, VectorField, ansatz_dictionary, determining_system,
+    VectorField, ansatz_dictionary, determining_system,
     discover_symmetries, field_text, parse_field, prolong_generator,
     symmetry_residual, verify_generator,
 )
@@ -126,6 +127,19 @@ class TestVerification:
             assert verify_generator(S, X).zero, X.name
 
 
+class TestSlots:
+    @pytest.mark.parametrize("kind, var", [("xi", "s"), ("xi", "v"), ("eta", "x")])
+    def test_slot_its_jet_lacks_raises(self, kind, var):
+        with pytest.raises(DomainError, match=f"unrecognised slot '{kind}_{var}'"):
+            VectorField(REAL_JET, **{kind: {var: Expr.one()}})
+
+    def test_sum_across_jet_spaces_raises(self):
+        # the s slot would be stored on a t, x jet and never read
+        X, Y = parse_field("xi_t = 1", REAL_JET), parse_field("xi_s = 1", ODE_JET)
+        with pytest.raises(DomainError, match="unrecognised slot 'xi_s'"):
+            X.add(Y)
+
+
 class TestFamilies:
     def test_member2_family_coupled(self, member2):
         assert verify_generator(member2, catalog.family_member2()).zero
@@ -160,7 +174,7 @@ def _family(functions, eta_v, eta_w, rules, name):
     args = ("t", "x")
     ctx = REAL_JET.with_functions({f: args for f in functions})
     unknowns = tuple(
-        UnknownFunctionConstraint(f, args, 1, Expr.rational(sign) * func(g, args, idx).as_expr())
+        (func(f, args, ("t",)), Expr.rational(sign) * func(g, args, idx).as_expr())
         for f, sign, g, idx in rules)
     return VectorField(ctx, eta={"v": ctx.parse(eta_v), "w": ctx.parse(eta_w)},
                        unknowns=unknowns, name=name)

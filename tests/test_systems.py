@@ -7,7 +7,6 @@ import pytest
 from lieforge.expr_core import (DomainError, cos_e, eval_numeric, exp_e, func,
                                 jet, recip_e, sin_e, sym, tan_e)
 from lieforge.parser import parse_expr
-from lieforge.symmetry import UnknownFunctionConstraint
 from lieforge.systems import (JetSpec, ODESystem, PDESystem, Reducer,
                               total_derivative)
 
@@ -105,8 +104,7 @@ class TestReducerRules:
         ctx = JetSpec(("s",), ("f",))
         S = ODESystem(jet=ctx, leads={"f": (2, parse_expr("-f", ctx))})
         a = func("a", ("s",)).as_expr()
-        uc = UnknownFunctionConstraint("a", ("s",), 2, -a)
-        r = Reducer(S.equations() + [(uc.lead, uc.rhs)])
+        r = Reducer(S.equations() + [(func("a", ("s",), ("s", "s")), -a)])
         got = r.reduce(func("a", ("s",), ("s",) * 4).as_expr()
                        + jet("f", ("s",) * 3).as_expr())
         assert got == a - jet("f", ("s",)).as_expr()
@@ -139,3 +137,10 @@ class TestReducerRules:
 def test_with_constants_declares_each_name_once():
     jet_spec = JetSpec(("s",), ("f",), constants=("c",))
     assert jet_spec.with_constants(["k", "c", "k", "m"]).constants == ("c", "k", "m")
+
+
+@pytest.mark.parametrize("name", ["v", "t"], ids=["dependent", "independent"])
+def test_function_named_like_a_coordinate_raises(name):
+    # a function v(t, x) would print its derivatives as the jets v_x, ...
+    with pytest.raises(DomainError, match=f"unknown {name} takes the name of a coordinate"):
+        PDE.with_functions({name: ("t", "x")})
