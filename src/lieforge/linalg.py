@@ -3,10 +3,10 @@
 Rows are dicts {column key: int or Fraction}; column keys are column
 indices, or for `rref`/`rank` any mutually comparable keys.  Elimination is
 fraction-free (Bareiss, Math. Comp. 22, 1968): a one-entry row is its
-column's pivot row as it stands (most determining rows are), and the other
-rows leave those columns first, are cleared of denominators once by
-`cleared`, kept primitive (integers with gcd 1) and deduplicated up to
-scale; only the final pivot rows become Fractions, normalised to 1.  The
+column's pivot row as it stands (most determining rows are); the others
+leave those columns first, and each left non-empty and unseen is cleared
+once by `cleared`, kept primitive (integers with gcd 1) and deduplicated up
+to scale; only the final pivot rows become Fractions, normalised to 1.  The
 reduced echelon form is unique, so echelon forms, nullspace bases, and the
 solutions of `solve_exact`, whose columns must be independent, are
 deterministic; they hold Fractions whatever the input rows hold.
@@ -63,18 +63,19 @@ def rref(rows: Iterable[dict]):
     pivot_rows[i] has a 1 in column pivots[i] and zeros in other pivot
     columns; the columns are read from the rows themselves."""
     # explicit zeros are dropped (a zero pivot entry cannot be normalised); a one-entry
-    # row is its column's unit pivot row; the others, smallest support first for cheaper
-    # elimination, leave the unit columns and are kept primitive, the first copy per vector
+    # row is its column's unit pivot row; the others, smallest support first, leave the
+    # unit columns, and each left non-empty and unseen is kept primitive, once per vector
     rows = [row if all(row.values()) else {c: v for c, v in row.items() if v} for row in rows]
     units = {c: None for row in rows if len(row) == 1 for c in row}
-    todo: dict = {}
+    todo, seen = {}, set()
     for row in sorted((row for row in rows if len(row) > 1), key=len):
         if not units.keys().isdisjoint(row):
             row = {c: v for c, v in row.items() if c not in units}
-        row = cleared(row)[0]
-        if row:
-            row = primitive(row, min(row))
-            todo.setdefault(frozenset(row.items()), row)
+        if not row or (key := frozenset(row.items())) in seen:
+            continue
+        seen.add(key)
+        row = primitive(cleared(row)[0], min(row))
+        todo.setdefault(frozenset(row.items()), row)
 
     pivot_rows: list[dict] = []
     pivots: list = []

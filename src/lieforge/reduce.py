@@ -70,13 +70,8 @@ def travelling_wave_reduce(S: PDESystem, X: VectorField) -> ODESystem:
     drift = {dep: X.eta_of(dep) * inv1 for dep in S.jet.dependents
              if not X.eta_of(dep).is_zero()}
     svar = ODE_JET.independents[0]
-    bindings = {}
-    for phi in S.rhs.values():
-        for a in atoms_of(phi):
-            if isinstance(a, Jet):
-                bindings.setdefault(a, None)
-    for dep in S.jet.dependents:
-        bindings.setdefault(jet(dep, (t_var,)), None)
+    bindings = dict.fromkeys([a for phi in S.rhs.values() for a in atoms_of(phi)
+                              if isinstance(a, Jet)] + [jet(d, (t_var,)) for d in S.jet.dependents])
     for a in list(bindings):
         p = a.idx.count(t_var)
         q = a.idx.count(x_var)
@@ -103,23 +98,14 @@ def travelling_wave_reduce(S: PDESystem, X: VectorField) -> ODESystem:
 def _contract_common_jet(E: Expr) -> Expr:
     """If every term shares one jet monomial, the equation contracts to that
     monomial (a nonzero constant multiplier is dropped)."""
-    if E.is_zero():
-        return E
-    jet_parts = set()
-    for m, _ in E._terms.items():
-        jet_parts.add(tuple((a, k) for a, k in m if isinstance(a, Jet)))
-    if len(jet_parts) == 1:
-        part = jet_parts.pop()
-        if part:
-            return Expr({part: 1})
-    return E
+    jet_parts = {tuple((a, k) for a, k in m if isinstance(a, Jet)) for m in E._terms}
+    part = jet_parts.pop() if len(jet_parts) == 1 else ()
+    return Expr({part: 1}) if part else E
 
 
 def _leading_jet(E: Expr) -> Jet:
-    best = None
-    for a in atoms_of(E, recurse=False):
-        if isinstance(a, Jet) and (best is None or a.order > best.order):
-            best = a
+    best = max((a for a in atoms_of(E, recurse=False) if isinstance(a, Jet)),
+               key=lambda a: a.order, default=None)
     if best is None:
         raise DomainError("reduced equation carries no jet coordinate")
     return best
@@ -251,9 +237,7 @@ def eliminate_to_second_order(S: ODESystem) -> Expr:
     numer = cls[Expr.one()]            # F'
     if pivot.is_zero():
         raise PivotDegenerateError("pivot coefficient of G vanishes identically")
-    dEF = total_derivative(eq_F, svar)
-    g_prime_val = G1.as_expr() - eq_G  # G' on solutions
-    dEF = substitute(dEF, {G1: g_prime_val})
+    dEF = substitute(total_derivative(eq_F, svar), {G1: G1.as_expr() - eq_G})  # G' on solutions
     G0_sq = Expr({((G0, 2),): 1})
     cls2 = collect_terms(dEF, [Expr.one(), G0.as_expr(), G0_sq])
     a0 = cls2[Expr.one()]

@@ -8,11 +8,12 @@ reduced ODE systems (single independent s, no time slot).
 Residuals come from one on-shell residual map per call: the Reducer, the
 needed jets and the reduced partials of each rhs are built once per system.
 A whole field X takes R_{X,()} = pr X(H) on solutions.  A dictionary column
-is merged from the Leibniz pieces R_{Y,K} of the base fields Y of its terms:
-integer terms over one denominator per equation, on monomials packed into
-ints, where a product is an addition unless both sides hold trig or exp.
-Rows stay integer into the nullspace, one scale per equation, and are sorted
-and made rational when read.  Base-field prolongations are kept across calls.
+is its Leibniz summands c*mono*R_{Y,K}/d, R_{Y,K} the pieces of the base
+fields Y of its terms: integer terms over one denominator per equation, on
+monomials packed into ints, where a product is an addition unless both sides
+hold trig or exp.  The summands are written straight into integer rows, one
+scale per equation, which stay integer into the nullspace and are sorted and
+made rational when read.  Base-field prolongations are kept across calls.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .expr_core import (
     _mul_into, atoms_of, cos_e, derive, exp_e, func, jet,
     sin_e, sym,
 )
-from .linalg import cleared, divided, nullspace, rank, transpose
+from .linalg import cleared, divided, nullspace, rank
 from .parser import combo_text, expr_text, parse_expr
 from .systems import JetSpec, Reducer, total_derivative
 
@@ -85,12 +86,16 @@ class VectorField:
                            self.unknowns, self.name)
 
     def add(self, other: "VectorField") -> "VectorField":
-        """The sum; an unknown of both fields must carry the same rule."""
-        unknowns = {}
+        """The sum, on a jet declaring the constants and unknown functions of
+        both; an unknown of both must take the same arguments and rule."""
+        functions, unknowns = dict(self.jet.functions), {}
+        for name, args in other.jet.functions:
+            if functions.setdefault(name, args) != args:
+                raise DomainError(f"two argument lists for the unknown {name}")
         for rule in self.unknowns + other.unknowns:
             if unknowns.setdefault(rule[0].name, rule) != rule:
                 raise DomainError(f"two constraints for the unknown {rule[0].name}")
-        return VectorField(self.jet,
+        return VectorField(self.jet.with_constants(other.jet.constants).with_functions(functions),
                            _slot_sums([*self.xi.items(), *other.xi.items()]),
                            _slot_sums([*self.eta.items(), *other.eta.items()]),
                            tuple(unknowns.values()))
@@ -161,9 +166,7 @@ def parse_field(text: str, jet_spec: JetSpec, name: str = "") -> VectorField:
 def prolong_generator(X: VectorField, needed) -> dict[Jet, Expr]:
     """Extended coefficients eta^{A,J} for the requested jet coordinates via
     eta^{A,Ji} = D_i(eta^{A,J}) - sum_j D_i(xi^j) u^A_{Jj}."""
-    memo: dict[Jet, Expr] = {}
-    for dep in X.jet.dependents:
-        memo[jet(dep, ())] = X.eta_of(dep)
+    memo = {jet(dep, ()): X.eta_of(dep) for dep in X.jet.dependents}
     dxi = {(j, i): total_derivative(X.xi_of(j), i) for j in X.jet.independents
            if not X.xi_of(j).is_zero() for i in X.jet.independents}
 
@@ -218,8 +221,13 @@ class _Ring:
 
     def combine(self, summands) -> tuple[dict, int]:
         """(terms, denominator) of the sum of c*A*B/d over the summands (c, A,
-        B, d) of packed terms, over the lcm of the d; a product with one
-        non-plain side is not registered in `monos`, `terms` registers."""
+        B, d) of packed terms with no empty side, over the lcm of their d; a
+        lone one with B the unit {0: 1} is c*A over d as it stands.  A product
+        with one non-plain side is not registered in `monos`, `terms` registers."""
+        summands = [s for s in summands if s[1] and s[2]]
+        if len(summands) == 1 and summands[0][2] == {0: 1}:
+            c, A, _, d = summands[0]
+            return {m: c * q for m, q in A.items()}, d
         out, den, acc, monos = {}, lcm(*(d for *_, d in summands)), {}, self.monos
         get = out.get
         for c, A, B, d in summands:
@@ -261,10 +269,11 @@ class _ResidualMap:
     Leibniz's rule on D_J(p Q_Y), and pr X(H) = pr X_Q(H) + xi^j D_j H with
     D_j H = 0 on solutions, give pr(pY)(H) = sum_K d_K p * R_{Y,K}, K <= J
     for some jet u_J of H, with R_{Y,K} = reduce(sum_{A, J >= K} C(J,K)
-    D_{J-K}(Q_Y^A) dH/du^A_J) and R_{Y,()} = pr Y(H).  Tables, pieces and
-    columns are `cleared` (integer terms over one denominator; Geddes, Czapor
-    & Labahn 1992, sec. 2.7) on the int monomials of `ring`: a product with a
-    plain side is an addition, only two non-plain ones meet `_accumulate`.
+    D_{J-K}(Q_Y^A) dH/du^A_J) and R_{Y,()} = pr Y(H).  Tables and pieces are
+    `cleared` (integer terms over one denominator; Geddes, Czapor & Labahn
+    1992, sec. 2.7) on the int monomials of `ring`: a product with a plain
+    side is an addition, only two non-plain ones meet `_accumulate`.  A column
+    is left as its summands, each holding its piece where the map keeps it.
     A table's prolongation of Y depends on Y and the jets below those of H,
     not on H: the process-wide memo keeps it."""
 
@@ -362,30 +371,27 @@ class _ResidualMap:
                 c, L = self.splits[J, K]
                 if c and not (eta and J.dep != var):
                     f, fd = table[dep0 if eta else J.dep, L]
-                    if f:
-                        summands.append((c, f, h, fd * hd))
+                    summands.append((c, f, h, fd * hd))
             pieces.append(self.ring.combine(summands))
         return pieces
 
     def column(self, key: tuple[str, str], e: Expr) -> list[tuple]:
-        """Cleared residuals of the one-slot field e d_var of slot key = (kind,
-        var): the sum over the terms q*p*g of e of sum_K q d_K p * R_{g d_var, K}."""
+        """Leibniz summands (c, mono, d, R) of the one-slot field e d_var of slot
+        key = (kind, var), one per term q*p*g of e and K: c*mono/d = q d_K p,
+        mono plain and packed, R = R_{g d_var, K} the map's own list, so that
+        the residual of equation i is the sum of c*mono*R[i]/d."""
         (kind, var), syms = key, self.syms
         summands = []
         for m, q in e._terms.items():
             p = tuple(f for f in m if f[0] in syms)
             g = tuple(f for f in m if f not in p)
-            if q == 1 and not p and len(e._terms) == 1:  # R_{Y,()} as it is, no copy
-                return self.piece(kind, var, g, self.zero)
             # d_K p = c * mono, K past the jets of H gives R_{Y,K} = 0 (k < 0)
             for ks in product(*(range((k if k >= 0 else self.top[a]) + 1) for a, k in p)):
                 c = q.numerator * prod(prod(range(k - j + 1, k + 1)) for (_, k), j in zip(p, ks))
                 mono = self.ring.pack(tuple((a, k - j) for (a, k), j in zip(p, ks) if k != j))
                 K = tuple(dict(zip((a for a, _ in p), ks)).get(s, 0) for s in syms)
                 summands.append((c, mono, q.denominator, self.piece(kind, var, g, K)))
-        return [self.ring.combine([(c, {mono: 1}, r[i][0], qd * r[i][1])
-                                   for c, mono, qd, r in summands])  # mono is plain
-                for i in range(len(self.parts))]
+        return summands
 
 
 def symmetry_residual(system, X: VectorField) -> list[Expr]:
@@ -427,11 +433,7 @@ class AnsatzBasis:
     slots: dict[tuple[str, str], list[Expr]]
 
     def columns(self):
-        cols = []
-        for key in sorted(self.slots):
-            for k, e in enumerate(self.slots[key]):
-                cols.append((key, k, e))
-        return cols
+        return [(key, k, e) for key in sorted(self.slots) for k, e in enumerate(self.slots[key])]
 
 
 # Largest dictionary `ansatz_dictionary` builds, in unknowns (columns of the
@@ -461,19 +463,13 @@ def ansatz_dictionary(jet_spec: JetSpec, degree: int, trig_order: int = 0,
              for powers in product(range(degree + 1), repeat=len(indeps))
              if sum(powers) <= degree]
     trig_dep, exp_dep = jet_spec.dependents[0], jet_spec.dependents[-1]
-    trig_parts = [Expr.one()]
-    for m in range(1, trig_order + 1):
-        arg = Expr.rational(m) * jet(trig_dep).as_expr()
-        trig_parts += [sin_e(arg), cos_e(arg)]
+    trig_parts = [Expr.one()] + [f(Expr.rational(m) * jet(trig_dep).as_expr())
+                                 for m in range(1, trig_order + 1) for f in (sin_e, cos_e)]
     exp_parts = [exp_e(Expr.rational(k) * jet(exp_dep).as_expr())
                  for k in range(-exp_range, exp_range + 1)]
-    slots: dict[tuple[str, str], list[Expr]] = {}
-    for indep in indeps:
-        slots[("xi", indep)] = list(polys)
     eta_dict = [p * tr * ex for p in polys for tr in trig_parts for ex in exp_parts]
-    for dep in jet_spec.dependents:
-        slots[("eta", dep)] = list(eta_dict)
-    return AnsatzBasis(jet=jet_spec, slots=slots)
+    return AnsatzBasis(jet_spec, {**{("xi", i): list(polys) for i in indeps},
+                                  **{("eta", dep): list(eta_dict) for dep in jet_spec.dependents}})
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +478,7 @@ def ansatz_dictionary(jet_spec: JetSpec, degree: int, trig_order: int = 0,
 
 class _Rows(Sequence):
     """Integer rows {(equation i, packed monomial): {column: int}} scaled by scale[i],
-    the lcm of i's column denominators; `read` sorts once into rows / scale[i]."""
+    the lcm of i's summand denominators; `read` sorts once into rows / scale[i]."""
 
     def __init__(self, ints: dict, scale: list[int], shift: dict):
         self.ints, self.scale, self.shift = ints, scale, shift
@@ -527,14 +523,33 @@ class DeterminingSystem:
 
 def determining_system(system, basis: AnsatzBasis) -> DeterminingSystem:
     """Rows: residual coefficients per (equation, monomial class) of each
-    column, summed over the terms p*Y of its entry, pr(pY)(H) = sum_K d_K p *
-    R_{Y,K} on solutions (D_j H = 0), from pieces of the base field Y, with
-    R_{Y,()} = pr Y(H).  Map and pieces die with the call, prolongations not."""
+    column, pr(pY)(H) = sum_K d_K p * R_{Y,K} on solutions (D_j H = 0) over
+    the terms p*Y of its entry, R_{Y,()} = pr Y(H).  Each Leibniz summand
+    c*mono*R_{Y,K}/d is added straight into integer rows keyed (equation,
+    packed monomial), equation i scaled by the lcm of the d*den of its
+    non-empty summands; an entry that cancels across K is dropped, and a row
+    left empty with it.  Map and pieces die with the call, prolongations not."""
     cols, residual = basis.columns(), _ResidualMap(system)
     res = [residual.column(key, e) for key, _, e in cols]
-    scale = [lcm(*(r[i][1] for r in res if r[i][0])) for i in range(len(residual.parts))]
-    ints = transpose({(i, m): q * (s // d) for i, ((terms, d), s) in enumerate(zip(r, scale))
-                      for m, q in terms.items()} for r in res)
+    scale = [lcm(*{d * r[i][1] for col in res for _, _, d, r in col if r[i][0]})
+             for i in range(len(residual.parts))]
+    ints: dict = {}
+    get = ints.get
+    for k, col in enumerate(res):
+        for i, s in enumerate(scale):
+            for c, mono, d, r in col:
+                terms, rd = r[i]
+                c *= s // (d * rd)
+                for m, q in terms.items():
+                    row = get(key := (i, m + mono))
+                    if row is None:
+                        ints[key] = {k: c * q}
+                    elif v := row.get(k, 0) + c * q:
+                        row[k] = v
+                    else:  # cancelled across K
+                        del row[k]
+                        if not row:
+                            del ints[key]
     return DeterminingSystem(basis, cols, _Rows(ints, scale, residual.ring.shift))
 
 
@@ -542,8 +557,7 @@ def discover_symmetries(system, basis: AnsatzBasis,
                         det: DeterminingSystem | None = None) -> list[VectorField]:
     """Exact nullspace of the determining system mapped back to generators;
     canonical reduced-echelon basis, pivot on the lowest-indexed coefficient."""
-    if det is None:
-        det = determining_system(system, basis)
+    det = det or determining_system(system, basis)
     fields = []
     for vec in nullspace(det.rows.ints.values(), det.n_unknowns):
         parts = [(det.columns[col], q) for col, q in sorted(vec.items())]

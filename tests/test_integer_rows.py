@@ -19,7 +19,10 @@ from lieforge.hierarchy import REAL_JET, catalogue_member
 from lieforge.symmetry import ansatz_dictionary, determining_system, discover_symmetries
 
 from test_determining_golden import determining_cases
-from test_residual_map import DEGREES, SCALED, SYSTEMS, _scaled, _xi_dependent_basis
+from test_residual_map import (
+    DEGREES, SCALED, SYSTEMS, _explicit_x, _reference_rows, _scaled, _unit_field,
+    _xi_dependent_basis, leibniz_sums, reference_residual,
+)
 
 
 @pytest.fixture
@@ -79,3 +82,29 @@ def test_integer_rows_have_the_nullspace_and_rank_of_the_rational_rows(monkeypat
         assert det.rank() == linalg.rank(list(det.rows)), label
         labels.append(label)
     assert len(labels) == len(determining_cases()) + len(SCALED) + 4
+
+
+def test_rows_hold_no_zero_and_count_as_the_reference_rows():
+    """Rows are written straight from the Leibniz summands of each column, so
+    an entry whose summands cancel is dropped, and a row left empty with it:
+    no explicit zero and no empty row, and as many rows and nonzero entries
+    as the reference rows, on every oracle case and on member 2 + x u_x,
+    where the summands of the column x d_x cancel on a row (so the case is
+    there to be met)."""
+    S = _explicit_x(SYSTEMS["member 2"])
+    cases = [*_oracle_cases(), ("member 2 + x u_x", S, ansatz_dictionary(S.jet, 1, 0, 0))]
+    cancelling = []
+    for label, S, basis in cases:
+        det = determining_system(S, basis)
+        rows = list(det.rows.ints.values())
+        assert all(row and all(row.values()) for row in rows), label
+        _, ref = _reference_rows([reference_residual(S, _unit_field(basis.jet, key, e))
+                                  for key, _, e in basis.columns()])
+        assert (len(rows), sum(map(len, rows))) == \
+            (len(ref), sum(map(len, ref.values()))), label
+        rmap = symmetry._ResidualMap(S)
+        cancelling += [(label, key, e) for key, _, e in basis.columns()
+                       if not all(q for acc in leibniz_sums(rmap, rmap.column(key, e))
+                                  for q in acc.values())]
+    x = REAL_JET.parse("x")
+    assert cancelling == [("member 2 + x u_x", ("xi", "x"), x)]

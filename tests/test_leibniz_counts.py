@@ -4,7 +4,7 @@ A dictionary column p*Y is merged from the pieces R_{Y,K} of its base field
 Y = d_j or g d_A.  So the member-4 README dictionary (degree 2, trig 2,
 expw 1: 12 xi entries and 90 eta entries per dependent) prolongs each of
 its 15 trig/exp factors g once and nothing else, not once per entry (102),
-and a column with p = 1 is its piece R_{Y,()} itself, with no copy.  The
+and a column with p = 1 is the one summand R_{Y,()}, the map's own list.  The
 prolongations do not depend on the system, so they are kept across calls:
 a second system on the same jets prolongs nothing, and its rows are those
 of a cold start.
@@ -17,9 +17,11 @@ from lieforge import expr_core, symmetry
 from lieforge.expr_core import Expr, atoms_of, sym
 from lieforge.hierarchy import REAL_JET, catalogue_member
 from lieforge.reduce import reduced_system
-from lieforge.symmetry import _ResidualMap, ansatz_dictionary, determining_system
+from lieforge.symmetry import (
+    VectorField, _ResidualMap, ansatz_dictionary, determining_system,
+)
 from lieforge.systems import PDESystem
-from test_residual_map import unpacked
+from test_residual_map import reference_residual, residuals_of, typed
 
 
 def test_member4_readme_dictionary_prolongs_each_factor_once(monkeypatch):
@@ -46,20 +48,26 @@ def test_member4_readme_dictionary_prolongs_each_factor_once(monkeypatch):
 
 
 def test_columns_with_p_one_are_their_pieces():
-    """A column with p = 1 is the list R_{Y,()} the map holds; a column with
-    p != 1 is a new list.  Either is one (integer terms, denominator) pair
-    per equation."""
+    """A column is its Leibniz summands (c, mono, d, R_{Y,K}), each R the list
+    the map holds, read where it lies: a column with p = 1 is the single
+    summand (1, 0, 1, R_{Y,()}), 0 packing the monomial 1, and a column with
+    p != 1 one summand per K.
+    Their sums are the reference residuals, in value and in type."""
     for S in (catalogue_member(3), reduced_system(2)):
         rmap = _ResidualMap(S)
         indeps = {sym(i) for i in S.jet.independents}
         for key, _, e in ansatz_dictionary(S.jet, 1, 1, 1).columns():
-            res = rmap.column(key, e)
-            held = any(res is r for r in rmap.pieces.values())
-            assert held == indeps.isdisjoint(atoms_of(e)), (S.label, key, e)
-            assert len(res) == len(rmap.parts)
-            for terms, den in unpacked(rmap, res):
-                assert den.__class__ is int and den > 0
-                assert all(q.__class__ is int and q for q in terms.values())
+            col = rmap.column(key, e)
+            assert all(any(r is held for held in rmap.pieces.values()) for *_, r in col)
+            (m, _), = e._terms.items()
+            if indeps.isdisjoint(atoms_of(e)):
+                (c, mono, d, r), = col
+                assert (c, mono, d) == (1, 0, 1), (S.label, key, e)
+                assert r is rmap.pieces[(*key, m, rmap.zero)], (S.label, key, e)
+            else:
+                assert len(col) > 1, (S.label, key, e)
+            ref = reference_residual(S, VectorField(S.jet, **{key[0]: {key[1]: e}}))
+            assert typed(residuals_of(rmap, col)) == typed(ref), (S.label, key, e)
 
 
 def _typed(det):

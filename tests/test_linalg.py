@@ -227,6 +227,62 @@ def test_unit_rows_first_equal_fraction_gauss_jordan():
         assert all(type(v) is Fraction for row in got_rows for v in row.values())
 
 
+def test_emptied_and_duplicate_rows_are_neither_cleared_nor_made_primitive(monkeypatch):
+    """A multi-entry row the unit columns empty, and an exact copy of a row
+    seen before (keys in any order) once the unit columns have left it, are
+    dropped before `cleared` and `primitive`: adding them to any rows adds
+    no input row to either (`primitive` also serves elimination, whose
+    calls are not counted), and the echelon form stays plain Gauss-Jordan's,
+    on int rows and on Fraction rows."""
+    made = {"cleared": 0, "primitive": 0}
+    fresh = []  # the terms `cleared` gave last, not yet made primitive
+    cleared_, primitive_ = linalg.cleared, linalg.primitive
+
+    def cleared_input(row):
+        made["cleared"] += 1
+        fresh[:] = [cleared_(row)]
+        return fresh[0]
+
+    def primitive_input(row, lead):
+        if fresh and fresh.pop()[0] is row:
+            made["primitive"] += 1
+        return primitive_(row, lead)
+
+    monkeypatch.setattr(linalg, "cleared", cleared_input)
+    monkeypatch.setattr(linalg, "primitive", primitive_input)
+
+    def counted(rows):
+        made.update(cleared=0, primitive=0)
+        return rref(rows), dict(made)
+
+    rng = random.Random(20261020)
+    added = 0
+    for trial in range(300):
+        keys = list(range(rng.randint(3, 8)))
+        rows = [{c: v for c, v in row.items() if v}
+                for row in _unit_heavy_rows(rng, keys, fraction=trial % 4 < 2)]
+        units = sorted({c for row in rows if len(row) == 1 for c in row})
+        extra = []
+        for row in rows:
+            # the row again less some of its unit columns, the same once they leave
+            items = [(c, v) for c, v in row.items() if c not in units or rng.random() < 0.5]
+            if len(row) > 1 and len(items) > 1:
+                extra.append(dict(items))
+            if len(units) > 1:  # a row of unit columns only
+                a, b = rng.sample(units, 2)
+                extra.append({a: rng.choice([1, -3, F(2, 5)]), b: rng.choice([2, F(-1, 3)])})
+        (got, n), (more, n_more) = counted(rows), counted(rows + extra)
+        assert n_more == n, (rows, extra)
+        assert more == got == reference_rref(rows), rows
+        assert all(type(v) is Fraction for row in more[0] for v in row.values())
+        added += len(extra)
+    assert added > 300
+    dup = {0: 2, 1: F(-4, 3)}
+    assert counted([dup, dict(reversed(dup.items()))])[1] == {"cleared": 1, "primitive": 1}
+    emptied = [{0: 5}, {2: 1}, {0: 1, 2: 3}, {2: F(1, 2), 0: -1}]
+    assert counted(emptied) == (reference_rref(emptied), {"cleared": 0, "primitive": 0})
+
+
 def test_rref_is_exact_beyond_machine_words():
     big = 3 ** 50  # above 2^79; floats would call these rows dependent
     near = [{0: big, 1: big + 1}, {0: big - 1, 1: big}]  # determinant 1

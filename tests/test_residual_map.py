@@ -11,8 +11,11 @@ base field (an eta table shared between the dependents).  Every residual the map
 expression, column by column, for every system kind it serves, and every row
 of a determining system must equal the reference row in value and in type
 (`int` or `Fraction`), also on time-scaled and reduced systems whose
-coefficients are fractions.  Columns hold monomials packed into the map's
-ring; `unpacked` reads them back.  The ring's own cases close the file:
+coefficients are fractions.  A column is the list of its Leibniz summands
+(c, mono, d, R_{Y,K}) on monomials packed into the map's ring, which
+`determining_system` writes straight into rows; `residuals_of` sums them
+and reads the monomials back, and every column's residuals must equal the
+reference in value and in type.  The ring's own cases close the file:
 negative exponents, products of two non-plain monomials, and an exponent
 past the ring's bound.
 """
@@ -108,23 +111,36 @@ def _reference_columns(name, size):
                    for key, _, e in basis.columns()]
 
 
-def unpacked(rmap, column):
-    """A column of the map, (terms keyed by packed monomials, denominator)
-    per equation, with its monomials unpacked from the map's ring."""
-    keys = rmap.ring.keys(rmap.ring.shift, (m for terms, _ in column for m in terms))
+def leibniz_sums(rmap, column):
+    """Per equation, {packed monomial: Fraction} summed over the Leibniz
+    summands (c, mono, d, R) of a column of the map, entries that cancel
+    kept as zeros; c and d are ints, d > 0, and each R[i] holds nonzero
+    integer terms over a positive int denominator."""
+    sums = [{} for _ in rmap.parts]
+    for c, mono, d, r in column:
+        assert c.__class__ is d.__class__ is int and c and d > 0, (c, d)
+        for acc, (terms, den) in zip(sums, r, strict=True):
+            assert den.__class__ is int and den > 0, den
+            assert all(q.__class__ is int and q for q in terms.values()), terms
+            for m, q in terms.items():
+                acc[m + mono] = acc.get(m + mono, 0) + Fraction(c * q, d * den)
+    return sums
+
+
+def residuals_of(rmap, column):
+    """The residuals of a column of the map, one expression per equation,
+    its monomials unpacked from the map's ring; a coefficient is an int
+    where its value is one, as in the reference."""
+    sums = leibniz_sums(rmap, column)
+    keys = rmap.ring.keys(rmap.ring.shift, (m for acc in sums for m in acc))
     mono = {m: tuple((_INTERN[a], e) for a, e in key) for m, (_, key) in keys.items()}
-    return [({mono[m]: q for m, q in terms.items()}, den) for terms, den in column]
+    return [Expr({mono[m]: q.numerator if q.denominator == 1 else q
+                  for m, q in acc.items() if q}) for acc in sums]
 
 
-def _exprs(rmap, column):
-    """The residuals of a column of the map, given as (integer terms,
-    positive denominator) per equation."""
-    out = []
-    for terms, den in unpacked(rmap, column):
-        assert den.__class__ is int and den > 0, den
-        assert all(q.__class__ is int for q in terms.values()), terms
-        out.append(Expr({m: Fraction(q, den) for m, q in terms.items()}))
-    return out
+def typed(residuals):
+    """Residuals as {monomial: (coefficient, its type)}, so == also compares types."""
+    return [{m: (q, q.__class__) for m, q in r._terms.items()} for r in residuals]
 
 
 def coefficient_vector(parts):
@@ -159,7 +175,8 @@ def test_map_matches_reference_on_every_column(name):
         kinds = {key[0] for key, _, _ in columns}
         assert kinds == {"xi", "eta"}
         for (key, _, e), ref in zip(columns, refs):
-            assert _exprs(rmap, rmap.column(key, e)) == ref, (name, size, key, e)
+            assert typed(residuals_of(rmap, rmap.column(key, e))) == typed(ref), \
+                (name, size, key, e)
     basis, refs = _reference_columns(name, DEGREES[1])
     for (key, _, e), ref in zip(basis.columns(), refs):
         assert rmap(_unit_field(basis.jet, key, e)) == ref, (name, key, e)
@@ -231,7 +248,8 @@ def test_scaled_rows_match_reference_in_value_and_type(name):
         # ninths, and the dictionary's own denominators multiply the columns
         rmap = _ResidualMap(S)
         assert {d for ps in rmap.partials for _, _, d in ps} == {1, 3}
-        dens = {d for key, _, e in basis.columns() for _, d in rmap.column(key, e)}
+        dens = {d * den for key, _, e in basis.columns() for _, _, d, r in rmap.column(key, e)
+                for terms, den in r if terms}
         assert max(d for t in rmap.tables.values() for _, d in t.values()) == 9
         assert max(dens) > 9, dens
 
@@ -263,7 +281,7 @@ def test_unsplit_entries_take_the_entry_residual(name, monkeypatch):
     rmap = _ResidualMap(S)
     for (key, _, e), ref in zip(basis.columns(), refs):
         used.clear()
-        assert _exprs(rmap, rmap.column(key, e)) == ref, (name, key, e)
+        assert typed(residuals_of(rmap, rmap.column(key, e))) == typed(ref), (name, key, e)
         assert {g for _, _, g, _ in used} == {
             tuple(f for f in m if f[0] not in rmap.syms) for m in e._terms}, \
             (name, key, e)

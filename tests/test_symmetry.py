@@ -150,6 +150,29 @@ class TestFamilies:
         assert Y.unknowns == X.unknowns
         assert verify_generator(member2, Y).zero
 
+    def test_sum_declares_the_unknowns_of_both_fields(self, member2, member3):
+        """The sum's jet names every function its rules carry, and every
+        constant of either field, in either order; verdicts are those of the
+        sum's coefficients and rules, as before."""
+        tx = ("t", "x")
+        X = parse_field("xi_t = 1", REAL_JET).add(catalog.family_member2())
+        assert X.jet.functions == (("a", tx), ("b", tx))
+        assert [lead.name for lead, _ in X.unknowns] == ["a", "b"]
+        assert verify_generator(member2, X).zero
+        Y = catalog.family_member2().add(catalog.family_member3())
+        assert Y.jet.functions == tuple((f, tx) for f in "abcd")
+        assert [lead.name for lead, _ in Y.unknowns] == list("abcd")
+        assert not verify_generator(member2, Y).zero
+        assert not verify_generator(member3, Y).zero
+        C = parse_field("xi_x = c", REAL_JET.with_constants(("c",)))
+        T = parse_field("xi_t = 1", REAL_JET)
+        assert T.add(C).jet.constants == C.add(T).jet.constants == ("c",)
+
+    def test_sum_with_two_argument_lists_for_one_unknown_raises(self):
+        X = parse_field("unknown a(t)\neta_v = a", REAL_JET)
+        with pytest.raises(DomainError, match="two argument lists for the unknown a"):
+            X.add(catalog.family_member2())
+
     def test_sum_with_two_constraints_on_one_unknown_raises(self):
         with pytest.raises(DomainError, match="two constraints for the unknown a"):
             catalog.family_member2().add(catalog.family_member2_printed())
