@@ -40,10 +40,11 @@ of their factors in factor order.
 
 Numeric evaluation compiles expressions once into a `NumericPlan`: one
 generated straight-line function (as SymPy's lambdify; Meurer et al. 2017)
-with one local per derived atom (I, sin/cos/tan, exp, reciprocal), shared by
-all outputs and nested arguments.  Its source holds generated names and
-integers only, so no atom name or user text can break or inject code.  Sums
-keep term and factor order: a value does not depend on which plan computed it.
+with one local per derived atom (I, sin/cos/tan, exp, reciprocal), power and
+sum, shared by all outputs and nested arguments.  Its source holds generated
+names and integers only, so no atom name or user text can break or inject
+code.  Sums keep term and factor order: a value does not depend on which plan
+computed it.
 """
 
 from __future__ import annotations
@@ -798,33 +799,54 @@ class NumericPlan:
     `values` in the order of `inputs`.  Building raises UnboundAtomError,
     calling raises PoleError.  The generated function unpacks the inputs as
     complex; every sum starts at 0j and adds its terms left to right, a term
-    its constant times each factor v ** k in monomial order, ``** 1`` kept.
-    Constants are `complex(q)` objects bound in the function's globals, not
-    re-parsed float literals, so the floating operations are those of a
-    term-by-term interpreter, in the same order.  It compiles on first call."""
+    its constant times each factor's power in monomial order.  Each distinct
+    power v ** k is one local, defined just before the first statement that
+    reads it, ``** 1`` kept as it raises OverflowError on an infinite input;
+    each distinct sum is one local, which sin, cos, tan, exp and the reciprocal
+    of one argument share, as does an output with its terms.  Constants are
+    `complex(q)` objects bound in the function's globals, not re-parsed float
+    literals, so the floating operations, and the order in which powers and
+    derived atoms raise, are those of a term-by-term interpreter that
+    evaluates each derived atom when first seen.  It compiles on first call."""
 
     def __init__(self, exprs: Iterable[Expr], inputs: Iterable[Atom]):
         inputs = list(inputs)
         self._slot = {a: f"x{i}" for i, a in enumerate(inputs)}
         self._consts: dict[Coeff, str] = {}
-        self._lines: list[str] = []  # the body: derived atoms, then outputs o0, o1, ...
+        self._powers: dict[tuple[Atom, int], str] = {}
+        self._pending: dict[str, str] = {}  # power locals named but not yet defined
+        self._sums: dict[tuple, str] = {}
+        self._lines: list[str] = []  # the body: derived atoms, then the outputs
         outputs = [self._terms(e) for e in exprs]  # emits every derived atom
-        for j, terms in enumerate(outputs):
-            self._emit(f"o{j}", terms)
+        self._outs = [self._sum(terms) for terms in outputs]
         self._n_in, self._n_out = len(inputs), len(outputs)
 
-    def _terms(self, e: Expr) -> list[str]:
-        return ["*".join([self._consts.setdefault(q, f"c{len(self._consts)}"),
-                          *(f"{self._resolve(a)}**{k}" for a, k in m)])
-                for m, q in e._terms.items()]
+    def _terms(self, e: Expr) -> tuple[tuple[str, ...], ...]:
+        """Each term as its constant's name and its factors' power locals."""
+        return tuple((self._consts.setdefault(q, f"c{len(self._consts)}"),
+                      *(self._power(a, k) for a, k in m))
+                     for m, q in e._terms.items())
 
-    def _emit(self, name: str, terms: list[str], fn: str = "") -> None:
-        """`name = fn(0j + terms...)`, in statements of at most _CHUNK terms."""
-        parts = ["0j", *terms]
-        while len(parts) > _CHUNK:
-            self._lines.append(f"{name} = {' + '.join(parts[:_CHUNK])}")
-            parts = [name, *parts[_CHUNK:]]
-        self._lines.append(f"{name} = {fn}({' + '.join(parts)})")
+    def _power(self, atom: Atom, k: int) -> str:
+        if (atom, k) not in self._powers:
+            base = self._resolve(atom)  # may name other powers first
+            got = self._powers[atom, k] = f"p{len(self._powers)}"
+            self._pending[got] = f"{got} = {base}**{k}"
+        return self._powers[atom, k]
+
+    def _sum(self, terms: tuple[tuple[str, ...], ...]) -> str:
+        """The local `a = 0j + terms...`, one per distinct sum, in statements of
+        at most _CHUNK terms after the power locals no earlier statement reads."""
+        if terms not in self._sums:
+            name = self._sums[terms] = f"a{len(self._sums)}"
+            self._lines += [self._pending.pop(f) for term in terms for f in term
+                            if f in self._pending]
+            parts = ["0j", *map("*".join, terms)]
+            while len(parts) > _CHUNK:
+                self._lines.append(f"{name} = {' + '.join(parts[:_CHUNK])}")
+                parts = [name, *parts[_CHUNK:]]
+            self._lines.append(f"{name} = {' + '.join(parts)}")
+        return self._sums[terms]
 
     def _resolve(self, atom: Atom) -> str:
         got = self._slot.get(atom)
@@ -833,9 +855,9 @@ class NumericPlan:
         fn = _FNS.get(atom.fn if isinstance(atom, Trig) else type(atom))
         if fn is None:
             raise UnboundAtomError(f"unbound atom {atom!r}")
-        terms = ["_I"] if isinstance(atom, IUnit) else self._terms(atom.arg)
+        arg = "_I" if isinstance(atom, IUnit) else self._sum(self._terms(atom.arg))
         got = self._slot[atom] = f"d{len(self._slot)}"
-        self._emit(got, terms, fn)
+        self._lines.append(f"{got} = {fn}({arg})")
         return got
 
     def _compile(self, name: str, args: str, lines: list[str]) -> Callable:
@@ -850,7 +872,7 @@ class NumericPlan:
     def _fn(self) -> Callable:
         return self._compile("plan", "values", [
             f"[{', '.join(f'x{i}' for i in range(self._n_in))}] = map(complex, values)",
-            *self._lines, f"return [{', '.join(f'o{j}' for j in range(self._n_out))}]"])
+            *self._lines, f"return [{', '.join(self._outs)}]"])
 
     def __call__(self, values: Iterable) -> list[complex]:
         return self._fn(values)
@@ -880,7 +902,7 @@ class NumericPlan:
             lines.append(f"    x{n_bound} = complex({s_in})")
             lines += (f"    x{n_bound + 1 + j} = {y_in.format(j=j)}" for j in states)
             lines += ("    " + line for line in self._lines)
-            lines += (f"    k{stage}_{j} = o{j}" for j in states)
+            lines += (f"    k{stage}_{j} = {self._outs[j]}" for j in states)
         lines += (f"    y{j} = y{j} + h6 * (k1_{j} + 2 * k2_{j} + 2 * k3_{j} + k4_{j})"
                   for j in states)
         blown = " or ".join(f"abs(y{j}) > guard or y{j} != y{j}" for j in states)

@@ -316,9 +316,129 @@ class TestNumericPlan:
         assert len(plan._slot) - 4 == len(derived)
 
     @staticmethod
-    def _reference(exprs, inputs, values):
+    def _verify_plans(S, cand):
+        """The (exprs, inputs) of the profile and residual plans that
+        `verify_solution` builds for cand on S."""
+        from lieforge.reduce import _candidate_jet_values
+        inputs = [*(sym(k) for k in cand.params), root("c"), sym("s")]
+        vals = _candidate_jet_values(S, cand)
+        return [([*cand.pole_denoms, *vals.values()], inputs),
+                ([lead.as_expr() - rhs for lead, rhs in S.equations()], [*inputs, *vals])]
+
+    @pytest.mark.parametrize("name", ["s11", "rational-trig"])
+    def test_each_power_is_one_line(self, name):
+        from lieforge.expr_core import ExpAtom, NumericPlan, Recip, Trig
+        from lieforge import reduce as red
+        S, cand = {"s11": (red.system_33(1), red.s11_solution()),
+                   "rational-trig": (red.system_322(1), red.rational_trig_solution())}[name]
+        for exprs, inputs in self._verify_plans(S, cand):
+            plan = NumericPlan(exprs, inputs)
+            powers = set()
+
+            def walk(e):
+                for m in e._terms:
+                    for a, k in m:
+                        powers.add((a, k))
+                        if isinstance(a, (Trig, ExpAtom, Recip)):
+                            walk(a.arg)
+            for e in exprs:
+                walk(e)
+            local = {v: a for a, v in plan._slot.items()}
+            lines = [line.partition(" = ")[2].split("**") for line in plan._lines
+                     if "**" in line]
+            defined = [(local[base], int(k)) for base, k in lines]
+            assert sum(line.count("**") for line in plan._lines) == len(defined)
+            assert sorted(map(repr, defined)) == sorted(map(repr, powers))
+
+    def test_sin_and_cos_share_one_argument_local(self):
+        from lieforge.expr_core import NumericPlan
+        # an argument no other test builds: a derived atom keeps the term order
+        # of the first equal argument it was made from, and another order sums
+        # to other bits, so it would take a local of its own
+        u = P("t + 2*x + 37/41")
+        exprs, inputs = [sin_e(u) + cos_e(u), u], [sym("t"), sym("x")]
+        plan = NumericPlan(exprs, inputs)
+        calls = [line.split(" = ")[1] for line in plan._lines if " = _" in line]
+        assert calls == ["_sin(a0)", "_cos(a0)"] and plan._outs == ["a1", "a0"]
+        assert sum(line.startswith("a0 = ") for line in plan._lines) == 1
+        assert list(map(repr, plan([0.3, -0.4]))) == \
+            list(map(repr, self._reference(exprs, inputs, [0.3, -0.4])))
+
+    def test_pole_denominator_output_reads_its_recip_argument(self):
+        from lieforge.expr_core import NumericPlan
+        from lieforge import reduce as red
+        profile = NumericPlan(*self._verify_plans(red.system_322(1),
+                                                  red.rational_trig_solution())[0])
+        denom = profile._outs[0]
+        assert f"_recip({denom})" in "\n".join(profile._lines)
+        assert sum(line.startswith(f"{denom} = ") for line in profile._lines) == 1
+
+    def test_raises_what_an_eager_interpreter_raises(self):
+        """Overflowing and pole inputs: the plan evaluates each power and
+        derived atom where an interpreter that evaluates every derived atom on
+        first appearance (then the outputs) does, so a point that both
+        overflows and meets a pole raises the same class.  A lazy interpreter
+        raises another class on some of these points."""
+        from lieforge.expr_core import NumericPlan
+        exprs, pts = self._cases(n=90, points=4)
+        x = sym("x").as_expr()
+        exprs += [recip_e(e + x) * f + recip_e(f - x)
+                  for e, f in zip(exprs[:30], exprs[30:60])]
+
+        def outcome(run):
+            try:
+                return list(map(repr, run()))
+            except (PoleError, OverflowError, ZeroDivisionError) as err:
+                return type(err)
+        seen, lazy_differs = set(), 0
+        for i in range(0, len(exprs), 3):
+            group = exprs[i:i + 3]
+            plan = NumericPlan(group, self.INPUTS)
+            for vals in pts:
+                for big in (1, 1e160, 1e300):
+                    for zero in (0, 1, None):  # zero the even or odd inputs, or none
+                        v = [0.0 if j % 2 == zero else a * big for j, a in enumerate(vals)]
+                        want = outcome(lambda: self._reference(group, self.INPUTS, v, True))
+                        assert outcome(lambda: plan(v)) == want
+                        seen.add(want if isinstance(want, type) else list)
+                        lazy_differs += outcome(
+                            lambda: self._reference(group, self.INPUTS, v)) != want
+        assert {list, PoleError, OverflowError} <= seen
+        assert lazy_differs
+
+    def test_infinite_input_overflows_through_a_first_power(self):
+        from lieforge.expr_core import NumericPlan
+        plan = NumericPlan([P("t + x")], [sym("t"), sym("x")])
+        assert "**1" in "\n".join(plan._lines)
+        with pytest.raises(OverflowError):
+            plan([math.inf, 1.0])
+
+    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3, 2)])
+    def test_rk4_loop_is_four_plan_calls_per_step_on_33(self, c):
+        from test_numerics import _rk4_reference
+        from lieforge.expr_core import NumericPlan
+        from lieforge.numerics import integrate_rk4
+        from lieforge.reduce import system_33
+        S = system_33(c)
+        plan = NumericPlan([S.leads[d][1] for d in ("F", "G")],
+                           [sym("s"), jet("F"), jet("G")])
+        # F, G, F^2 and G^2 once per stage: F**1 and G**1 were taken twice
+        assert sum("**" in line for line in plan._lines) == 4
+        state0, s_range, h = {"F": 0.5 * float(c), "G": -0.2}, (0.0, 1.5), 1e-3
+        traj = integrate_rk4(plan, state0, s_range, h)
+        grid, values = _rk4_reference(plan, [], state0, s_range, h)
+        assert len(grid) == 1501
+        assert list(map(repr, traj.grid)) == list(map(repr, grid))
+        assert {d: list(map(repr, zs)) for d, zs in traj.values.items()} == \
+            {d: list(map(repr, zs)) for d, zs in values.items()}
+
+    @staticmethod
+    def _reference(exprs, inputs, values, eager=False):
         """Interpreted evaluation: every sum from 0j, terms left to right,
-        each term its complex(q) times v ** k per factor in monomial order."""
+        each term its complex(q) times v ** k per factor in monomial order.
+        Lazy, each derived atom is evaluated when a sum first reads it; eager,
+        when a walk of the outputs' terms first meets it, its argument's atoms
+        first, before any output is summed."""
         from lieforge.expr_core import ExpAtom, IUnit, Trig, _recip, _tan
         env = dict(zip(inputs, map(complex, values)))
         fns = {"sin": cmath.sin, "cos": cmath.cos, "tan": _tan}
@@ -339,6 +459,16 @@ class TestNumericPlan:
                     val *= atom(a) ** k
                 out += val
             return out
+
+        def first_seen(e):
+            for m in e._terms:
+                for a, _ in m:
+                    if a not in env and not isinstance(a, IUnit):
+                        first_seen(a.arg)
+                    atom(a)
+        if eager:
+            for e in exprs:
+                first_seen(e)
         return [total(e) for e in exprs]
 
     def test_outputs_match_interpreted_reference_bit_for_bit(self):

@@ -379,6 +379,13 @@ class TestSolutions:
                               mode="numeric", samples=20)
         assert rep.samples == 20 and rep.max_residual == math.inf
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_empty_sample_raises(self, samples):
+        # an empty sample once read max_residual 0.0 for a profile that fails by O(1)
+        from lieforge.expr_core import DomainError
+        with pytest.raises(DomainError, match="at least one sample"):
+            verify_solution(system_33(1), s11_solution(), mode="numeric", samples=samples)
+
     def test_all_samples_excluded_raises(self):
         from lieforge.expr_core import PoleError
         cand = tan_solution()
@@ -458,6 +465,19 @@ class TestLift:
                            {"f": f_fn, "g": lambda s: g_fn(s) + 0.05 * s * s},
                            c, n=10)
         assert r > 1e-3
+
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_grid_without_two_points_raises(self, n):
+        # n = 0 once returned 0.0 and n = 1 raised ZeroDivisionError
+        from lieforge.expr_core import DomainError
+        _, g_fn = tan_antiderivatives(1.0)
+        with pytest.raises(DomainError, match="n >= 2"):
+            lift_and_check(catalogue_member(2), {"f": lambda s: s ** 3, "g": g_fn}, 1.0, n=n)
+
+    def test_two_point_grid_reads_the_corners(self):
+        f_fn, g_fn = tan_antiderivatives(1.0)
+        assert lift_and_check(catalogue_member(2), {"f": f_fn, "g": g_fn}, 1.0, n=2) < 1e-6
 
 
 class TestSeries:
