@@ -44,7 +44,7 @@ with one local per derived atom (I, sin/cos/tan, exp, reciprocal), power and
 sum, shared by all outputs and nested arguments.  Its source holds generated
 names and integers only, so no atom name or user text can break or inject
 code.  Sums keep term and factor order: a value does not depend on which plan
-computed it.
+computed it.  RK4 and sampled verification compile loops around a plan's body.
 """
 
 from __future__ import annotations
@@ -817,9 +817,16 @@ class NumericPlan:
         self._pending: dict[str, str] = {}  # power locals named but not yet defined
         self._sums: dict[tuple, str] = {}
         self._lines: list[str] = []  # the body: derived atoms, then the outputs
-        outputs = [self._terms(e) for e in exprs]  # emits every derived atom
-        self._outs = [self._sum(terms) for terms in outputs]
-        self._n_in, self._n_out = len(inputs), len(outputs)
+        self._outs = self._section(exprs)
+        self._n_in, self._n_out = len(inputs), len(self._outs)
+
+    def _section(self, exprs: Iterable[Expr]) -> list[str]:
+        """Append the lines of exprs, every derived atom before the sums; their names."""
+        return [self._sum(terms) for terms in [self._terms(e) for e in exprs]]
+
+    def _reads(self, slot: str) -> bool:
+        """Whether a line reads the value named slot: a value is read through its powers."""
+        return any(self._slot[a] == slot for a, _ in self._powers)
 
     def _terms(self, e: Expr) -> tuple[tuple[str, ...], ...]:
         """Each term as its constant's name and its factors' power locals."""
@@ -860,9 +867,9 @@ class NumericPlan:
         self._lines.append(f"{got} = {fn}({arg})")
         return got
 
-    def _compile(self, name: str, args: str, lines: list[str]) -> Callable:
-        names = {"_I": 1j, "_sin": cmath.sin, "_cos": cmath.cos, "_tan": _tan,
-                 "_exp": cmath.exp, "_recip": _recip}
+    def _compile(self, name: str, args: str, lines: list[str], **names) -> Callable:
+        names.update(_I=1j, _sin=cmath.sin, _cos=cmath.cos, _tan=_tan, _exp=cmath.exp,
+                     _recip=_recip, _inf=math.inf, _PoleError=PoleError, _DomainError=DomainError)
         names.update((c, complex(q)) for q, c in self._consts.items())
         source = f"def {name}({args}):\n    " + "\n    ".join(lines)
         exec(compile(source, "<NumericPlan>", "exec"), names)
@@ -899,7 +906,8 @@ class NumericPlan:
         stages = [("s", "y{j}"), ("s + h2", "y{j} + h2 * k1_{j}"),
                   ("s + h2", "y{j} + h2 * k2_{j}"), ("s + h", "y{j} + h * k3_{j}")]
         for stage, (s_in, y_in) in enumerate(stages, 1):
-            lines.append(f"    x{n_bound} = complex({s_in})")
+            if self._reads(f"x{n_bound}"):  # an autonomous system never does
+                lines.append(f"    x{n_bound} = complex({s_in})")
             lines += (f"    x{n_bound + 1 + j} = {y_in.format(j=j)}" for j in states)
             lines += ("    " + line for line in self._lines)
             lines += (f"    k{stage}_{j} = {self._outs[j]}" for j in states)
@@ -910,6 +918,41 @@ class NumericPlan:
                   *(f"    col{j}.append(y{j})" for j in states),
                   f"return grid, [{', '.join(f'col{j}' for j in states)}]"]
         return self._compile("run", "bound, s0, state, h, n_steps, guard", lines)
+
+    @classmethod
+    def sampler(cls, profile: list[Expr], inputs: list[Atom], n_poles: int, jets: list[Atom],
+                sampled: list[list[Atom]], residuals: list[Expr]) -> Callable:
+        """`run(bound, lo, hi, samples, fns) -> (worst, good)`, bound the values of all
+        inputs but s, the last: sample idx at lo + (hi - lo) * idx / samples, then at
+        golden-ratio fractions of [lo, hi], 6 * samples at most.  A sample within 0.05
+        of a zero of the first n_poles profile outputs, or raising PoleError, is
+        skipped; the rest of the profile gives `jets`, fns[i](s) lists `sampled[i]`
+        first (a shorter list raises DomainError).  worst: max |residual|, NaN as
+        inf, over `good` samples, as a profile and a residual plan per sample give."""
+        plan = cls(profile, inputs)
+        n_s, head, plan._lines = plan._n_in - 1, plan._lines, []
+        plan._slot.update(zip(jets, plan._outs[n_poles:]))
+        fill, errors, n = [], {}, plan._n_in
+        for i, atoms in enumerate(sampled):  # bound last: a sampled value overrides
+            names, n = [f"x{n + j}" for j in range(len(atoms))], n + len(atoms)
+            plan._slot.update(zip(atoms, names))
+            errors[f"e{i}"] = f"a jet shorter than [{', '.join(map(repr, atoms))}]"
+            fill += [f"j = f{i}(s)", f"if len(j) < {len(atoms)}: raise _DomainError(e{i})",
+                     f"[{', '.join(names)}] = map(complex, j[:{len(atoms)}])"]
+        worst = ", ".join(f"abs({r}) if {r} == {r} else _inf" for r in plan._section(residuals))
+        near = " or ".join(f"abs({d}) < 0.05" for d in plan._outs[:n_poles])
+        body = [f"x{n_s} = complex(s)"] if plan._reads(f"x{n_s}") else []
+        body += [*head, f"if {near or 'False'}: continue", *fill, *plan._lines]
+        lines = [f"[{', '.join(f'x{i}' for i in range(n_s))}] = map(complex, bound)",
+                 f"[{', '.join(f'f{i}' for i in range(len(sampled)))}] = fns",
+                 "worst, good, idx, budget = 0.0, 0, 0, samples * 6",
+                 "while good < samples and idx < budget:",
+                 "    if idx < samples: s = lo + (hi - lo) * idx / samples",
+                 "    else: s = lo + (hi - lo) * ((idx * 0.6180339887498949) % 1.0)",
+                 "    idx += 1", "    try:", *("        " + line for line in body),
+                 "    except _PoleError: continue", f"    worst = max(worst, {worst})",
+                 "    good += 1", "return worst, good"]
+        return plan._compile("run", "bound, lo, hi, samples, fns", lines, **errors)
 
 
 def eval_numeric(e: Expr, point: Mapping[Atom, complex]) -> complex:

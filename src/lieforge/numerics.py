@@ -1,7 +1,7 @@
-"""Numeric workhorses: Jacobi elliptic sn via the descending Landen/AGM
-recursion over one AGM chain per modulus, the complete elliptic integral from
-the same AGM, and a classical fixed-step RK4 integrator that stops at a
-blow-up."""
+"""Numeric workhorses: Jacobi elliptic sn and its exact derivatives via the
+descending Landen/AGM recursion over one AGM chain per modulus, the complete
+elliptic integral from the same AGM, and a classical fixed-step RK4
+integrator that stops at a blow-up."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-__all__ = ["jacobi_sn", "sn_function", "elliptic_K", "Trajectory", "integrate_rk4"]
+__all__ = ["jacobi_sn", "sn_function", "sn_jet", "elliptic_K", "Trajectory", "integrate_rk4"]
 
 _AGM_TOL = 1e-15
 
@@ -30,17 +30,19 @@ def _agm_chain(k: float):
     return aa, cc
 
 
+def _landen(k: float) -> tuple[float, list[float]]:
+    """Start scale 2^n a_n and ratios c_i / a_i, i = n..1, of the Landen steps."""
+    if not 0.0 <= k < 1.0:
+        raise ValueError("modulus k must lie in [0, 1)")
+    aa, cc = _agm_chain(k)
+    n = len(aa) - 1
+    return (2.0 ** n) * aa[n], [cc[i] / aa[i] for i in range(n, 0, -1)]
+
+
 def sn_function(k: float) -> Callable[[float], float]:
     """The function u -> sn(u, k) over one AGM chain of the modulus k in
     [0, 1): callers that evaluate one modulus many times build it once."""
-    if not 0.0 <= k < 1.0:
-        raise ValueError("modulus k must lie in [0, 1)")
-    if k == 0.0:
-        return math.sin
-    aa, cc = _agm_chain(k)
-    n = len(aa) - 1
-    scale = (2.0 ** n) * aa[n]
-    ratios = [cc[i] / aa[i] for i in range(n, 0, -1)]
+    scale, ratios = _landen(k)
     asin, sin = math.asin, math.sin
 
     def sn(u: float) -> float:
@@ -54,6 +56,27 @@ def sn_function(k: float) -> Callable[[float], float]:
     return sn
 
 
+def sn_jet(k: float, amplitude: float = 1.0) -> Callable[[float], list[float]]:
+    """u -> [A sn, A sn', A sn''] at modulus k, A the amplitude: Taylor-mode derivatives
+    (Griewank & Walther, Evaluating Derivatives, ch. 13) of phi = am u carried through
+    the Landen steps of `sn_function`, whose value it reproduces bit for bit at A = 1."""
+    scale, ratios = _landen(k)
+    asin, sin, cos, sqrt = math.asin, math.sin, math.cos, math.sqrt
+
+    def jet(u: float) -> list[float]:
+        phi, d1, d2 = scale * u, scale, 0.0
+        for r in ratios:
+            sp, cp = sin(phi), cos(phi)
+            x, x1, x2 = r * sp, r * cp * d1, r * (cp * d2 - sp * d1 * d1)
+            w = 1.0 / sqrt(1.0 - x * x)  # asin' at x, |x| <= r < 1
+            phi = 0.5 * (phi + asin(x if -1.0 < x < 1.0 else -1.0 if x < 0.0 else 1.0))
+            d1, d2 = 0.5 * (d1 + x1 * w), 0.5 * (d2 + (x2 + x * x1 * x1 * w * w) * w)
+        sp, cp = sin(phi), cos(phi)
+        return [amplitude * sp, amplitude * cp * d1, amplitude * (cp * d2 - sp * d1 * d1)]
+
+    return jet
+
+
 def jacobi_sn(u: float, k: float) -> float:
     """Jacobi sine amplitude sn(u, k), modulus k in [0, 1)."""
     return sn_function(k)(u)
@@ -61,10 +84,8 @@ def jacobi_sn(u: float, k: float) -> float:
 
 def elliptic_K(k: float) -> float:
     """Complete elliptic integral of the first kind from the AGM limit."""
-    if not 0.0 <= k < 1.0:
-        raise ValueError("modulus k must lie in [0, 1)")
-    aa, _ = _agm_chain(k)
-    return math.pi / (2.0 * aa[-1])
+    scale, ratios = _landen(k)
+    return math.pi / (2.0 * (scale / 2.0 ** len(ratios)))  # a_n, exactly
 
 
 @dataclass

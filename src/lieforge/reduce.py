@@ -18,7 +18,7 @@ from .expr_core import (
     sqrt_e, substitute, sym, tan_e,
 )
 from .hierarchy import catalogue_member
-from .numerics import Trajectory, integrate_rk4, sn_function
+from .numerics import Trajectory, integrate_rk4, sn_jet
 from .linalg import cleared, primitive, solve_exact
 from .symmetry import VectorField
 from .systems import JetSpec, ODESystem, PDESystem, total_derivative
@@ -295,8 +295,8 @@ class SolutionCandidate:
     """Closed-form (or sampled) wave profiles for a reduced system.
 
     `exprs` maps dependents to expressions in s and parameter symbols;
-    `callables` supplies numeric-only dependents (derivatives by central
-    differences).  `constraints` are parameter relations that must hold."""
+    `callables` supplies numeric-only dependents as jets s -> [f, f', ...] up to
+    the system's order.  `constraints` are parameter relations that must hold."""
 
     name: str
     exprs: dict[str, Expr] = dc_field(default_factory=dict)
@@ -401,16 +401,11 @@ def rational_trig_solution(printed: bool = False) -> SolutionCandidate:
 def sn_solution(k: float, printed_system: bool = True) -> SolutionCandidate:
     """G = 0, F = F0 sn(s, k) with the derived parameter constraints
     F0^2 = 2 k^2 and c = -(1 + k^2) on the printed F-branch
-    (c = +(1 + k^2) on the computed branch)."""
+    (c = +(1 + k^2) on the computed branch); F is the exact jet `sn_jet`."""
     F0 = math.sqrt(2.0) * k
     c = -(1.0 + k * k) if printed_system else (1.0 + k * k)
-    sn = sn_function(k)
-
-    def F_fn(s):
-        return F0 * sn(s)
-
     return SolutionCandidate(
-        name="sn", callables={"F": F_fn}, exprs={"G": Expr.zero()},
+        name="sn", callables={"F": sn_jet(k, F0)}, exprs={"G": Expr.zero()},
         params={"c": c, "F0": F0, "k": k},
         notes=[f"derived constraints: F0^2 = 2 k^2, c = {'-' if printed_system else '+'}(1 + k^2)"])
 
@@ -491,10 +486,11 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
     """Symbolic: substitute the profile, canonicalise under the parameter
     constraints, expect Zero.  Numeric: max |residual| over samples at least
     0.05 from every pole denominator's zero, derivatives taken analytically
-    for expression profiles and by fourth-order central differences of step
-    3e-3 for callable ones; a non-finite residual reads inf.  Repeat calls reuse
-    derivatives and compiled plans, keyed on ordered terms to keep the bits.
-    A candidate with no profile for a dependent of S, or samples < 1, raises DomainError."""
+    for expression profiles and read off the jets of callable ones, one call per
+    sample, in one compiled loop; a non-finite residual reads inf.  Repeat calls
+    reuse derivatives and the loop, keyed on ordered terms to keep the bits.  A
+    candidate with no profile for a dependent of S, a jet shorter than its order,
+    or samples < 1 raises DomainError."""
     need_order = _need_order(S)
     missing = sorted(d for d in need_order if d not in cand.exprs and d not in cand.callables)
     if missing:
@@ -523,46 +519,16 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
     if "c" in params:
         bind_syms[root("c")] = complex(params["c"]) ** 0.5
 
-    svar = S.svar
     sym_vals = _candidate_jet_values(S, cand)
-    fd_deps = [(dep, fn, need_order.get(dep, 0)) for dep, fn in cand.callables.items()]
-    fd_jets = [jet(dep, (svar,) * k) for dep, _, m in fd_deps for k in range(m + 1)]
-    fd_stencils = [(fn, _fd_offsets(m), _fd_orders(m)) for _, fn, m in fd_deps]
-    n_poles = len(cand.pole_denoms)
-    # a repeated input takes its last position: sampled jets override symbolic ones
-    inputs = [*bind_syms, sym(svar)]
-    bind_vals = list(bind_syms.values())
-    profile = _plan([*cand.pole_denoms, *sym_vals.values()], inputs)
-    residuals = _plan([lead.as_expr() - rhs for lead, rhs in S.equations()],
-                      [*inputs, *sym_vals, *fd_jets])
-
-    lo, hi = s_range
-    worst = 0.0
-    good = 0
-    idx = 0
-    total_budget = samples * 6
-    while good < samples and idx < total_budget:
-        if idx < samples:
-            sval = lo + (hi - lo) * idx / samples
-        else:
-            sval = lo + (hi - lo) * ((idx * 0.6180339887498949) % 1.0)
-        idx += 1
-        head = [*bind_vals, sval]
-        try:
-            vals = profile(head)
-            if any(abs(d) < 0.05 for d in vals[:n_poles]):
-                continue
-            head += vals[n_poles:]
-            for fn, offsets, orders in fd_stencils:
-                head += _fd_jet(fn(sval), [fn(sval + o * 3e-3) for o in offsets],
-                                orders, 3e-3)
-            res = 0.0
-            for r in residuals(head):
-                res = max(res, abs(r) if r == r else math.inf)  # max(0.0, nan) is 0.0
-            worst = max(worst, res)
-            good += 1
-        except PoleError:
-            continue
+    sampled = [[jet(dep, (S.svar,) * k) for k in range(need_order.get(dep, 0) + 1)]
+               for dep in cand.callables]
+    inputs, n_poles = [*bind_syms, sym(S.svar)], len(cand.pole_denoms)
+    profile, residuals = [*cand.pole_denoms, *sym_vals.values()], S.equations_zero()
+    key = ("sampler", tuple(tuple(e._terms.items()) for e in [*profile, *residuals]),
+           tuple(inputs), n_poles, tuple(sym_vals), tuple(map(tuple, sampled)))
+    run = _memo(key, lambda: NumericPlan.sampler(profile, inputs, n_poles, list(sym_vals),
+                                                  sampled, residuals))
+    worst, good = run(list(bind_syms.values()), *s_range, samples, list(cand.callables.values()))
     if good < samples:
         raise PoleError("all samples in excluded domain")
     return VerifyReport(["sampled"] * len(S.leads), max_residual=worst,

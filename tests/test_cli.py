@@ -144,6 +144,33 @@ def test_verify_solution_sn_takes_c_from_the_profile(capsys, system):
     assert doc["max_residual"] < 1e-6
 
 
+@pytest.mark.parametrize("system", ["3.22-F", "3.22-F-printed"])
+def test_verify_solution_sn_passes_a_tight_tol(capsys, system):
+    """The jets are exact, so the residual is rounding, far below 1e-12."""
+    code, out = run(capsys, "verify-solution", "--system", system, "--solution", "sn",
+                    "--k", "0.999999", "--tol", "1e-12")
+    assert code == 0 and json.loads(out)["max_residual"] < 1e-13
+
+
+def test_verify_solution_sn_amplitude_off_by_1e_9_exits_2(monkeypatch, capsys):
+    from lieforge import cli
+    from lieforge.numerics import sn_jet
+    from lieforge.reduce import sn_solution
+    cand = sn_solution(0.5)
+    cand.callables["F"] = sn_jet(0.5, cand.params["F0"] * (1 + 1e-9))
+    monkeypatch.setitem(cli._SOLUTIONS, "sn", lambda args: cand)
+    code, out = run(capsys, "verify-solution", "--system", "3.22-F-printed",
+                    "--solution", "sn", "--k", "0.5", "--tol", "1e-12")
+    assert code == 2 and 1e-12 < json.loads(out)["max_residual"] < 1e-8
+
+
+def test_verify_solution_sn_fails_the_full_printed_pair(capsys):
+    """G = 0 leaves the G-equation G'' = 3 F F' of 3.22 unsolved."""
+    code, out = run(capsys, "verify-solution", "--system", "3.22-printed",
+                    "--solution", "sn", "--k", "0.5")
+    assert code == 2 and json.loads(out)["max_residual"] == pytest.approx(0.70, abs=0.01)
+
+
 def test_verify_solution_sn_rejects_c(capsys):
     code = main(["verify-solution", "--system", "3.22-F", "--solution", "sn",
                  "--c", "5"])
@@ -451,7 +478,7 @@ def test_nan_residual_exits_2(monkeypatch, capsys):
     """A profile whose residual is NaN fails the check; the JSON stays valid."""
     from lieforge import cli
     from lieforge.reduce import SolutionCandidate
-    cand = SolutionCandidate(name="nan", callables={"F": lambda s: float("nan")},
+    cand = SolutionCandidate(name="nan", callables={"F": lambda s: [float("nan")] * 3},
                              params={"c": -1.25})
     monkeypatch.setitem(cli._SOLUTIONS, "sn", lambda args: cand)
     code, out = run(capsys, "verify-solution", "--system", "3.22-F-printed",

@@ -413,17 +413,24 @@ class TestNumericPlan:
         with pytest.raises(OverflowError):
             plan([math.inf, 1.0])
 
-    @pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(3, 2)])
-    def test_rk4_loop_is_four_plan_calls_per_step_on_33(self, c):
+    @pytest.mark.parametrize("c, forced", [(Fraction(1, 2), False), (Fraction(3, 2), False),
+                                           (Fraction(1), True)],
+                             ids=["c0", "c1", "non-autonomous"])
+    def test_rk4_loop_is_four_plan_calls_per_step_on_33(self, c, forced):
         from test_numerics import _rk4_reference
-        from lieforge.expr_core import NumericPlan
+        from lieforge.expr_core import NumericPlan, sin_e
         from lieforge.numerics import integrate_rk4
         from lieforge.reduce import system_33
         S = system_33(c)
-        plan = NumericPlan([S.leads[d][1] for d in ("F", "G")],
+        s = sym("s").as_expr()
+        # G' gains s sin(s) / 3, so every stage sets s, which (3.3) never reads
+        force = s * sin_e(s) * Expr.rational(Fraction(1, 3)) if forced else Expr.zero()
+        plan = NumericPlan([S.leads["F"][1], S.leads["G"][1] + force],
                            [sym("s"), jet("F"), jet("G")])
-        # F, G, F^2 and G^2 once per stage: F**1 and G**1 were taken twice
-        assert sum("**" in line for line in plan._lines) == 4
+        assert plan._reads("x0") is forced
+        # F, G, F^2 and G^2 once per stage: F**1 and G**1 were taken twice;
+        # and s and sin(s) when forced
+        assert sum("**" in line for line in plan._lines) == (6 if forced else 4)
         state0, s_range, h = {"F": 0.5 * float(c), "G": -0.2}, (0.0, 1.5), 1e-3
         traj = integrate_rk4(plan, state0, s_range, h)
         grid, values = _rk4_reference(plan, [], state0, s_range, h)

@@ -373,7 +373,7 @@ class TestSolutions:
 
     def test_nan_residual_fails(self):
         # max(0.0, nan) is 0.0: a NaN residual must not read as a pass
-        cand = SolutionCandidate(name="nan", callables={"F": lambda s: math.nan},
+        cand = SolutionCandidate(name="nan", callables={"F": lambda s: [math.nan] * 3},
                                  params={"c": -1.25})
         rep = verify_solution(f_branch_322_printed(Fraction(-5, 4)), cand,
                               mode="numeric", samples=20)
