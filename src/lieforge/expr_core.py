@@ -29,7 +29,10 @@ Every monomial product is normalised once per process: `_PRODUCTS`, keyed on
 the factor tuple handed to `_accumulate`, holds the (monomial, coefficient at
 1) puts of its normalisation, replayed in order and scaled, so terms, term
 order and atom intern order are a first call's.  It is emptied at 8192
-entries.
+entries.  It and `_MEMO`, which keeps the chains, plans, stencils and s11
+profile of `reduce` and the prolongations of `symmetry` among its 64 most
+recent entries, are the only process-wide tables: `clear_caches()` empties
+both, as a fresh process starts them.  Atoms stay interned in `_INTERN`.
 
 Partial and total derivatives share one derivation loop: a sweep over the
 terms, fixed by its values on symbols, jets and functions, with one chain
@@ -62,7 +65,7 @@ __all__ = [
     "sym", "root", "jet", "func", "I", "sin_e", "cos_e", "tan_e", "exp_e",
     "recip_e", "sqrt_e", "derive", "substitute", "NumericPlan",
     "eval_numeric", "equals_zero", "to_canonical", "collect_terms",
-    "atoms_of", "random_rational",
+    "atoms_of", "random_rational", "clear_caches",
 ]
 
 
@@ -290,13 +293,21 @@ _MEMO_SIZE, _MISS = 64, object()
 
 
 def _memo(key: tuple, make: Callable[[], object]):
-    """make(), kept while key is among the _MEMO_SIZE most recent (chains and
-    plans of `reduce`, prolongations of `symmetry`), returned as is, even empty."""
+    """make(), kept while key is among the _MEMO_SIZE most recent (chains,
+    plans, stencils and the s11 profile of `reduce`, prolongations of
+    `symmetry`), returned as is, even empty."""
     got = _MEMO.pop(key, _MISS)
     _MEMO[key] = got = make() if got is _MISS else got
     if len(_MEMO) > _MEMO_SIZE:
         del _MEMO[next(iter(_MEMO))]
     return got
+
+
+def clear_caches() -> None:
+    """Empty `_PRODUCTS` and `_MEMO`.  `_INTERN` stays: atoms compare by
+    identity, and module constants hold them."""
+    _PRODUCTS.clear()
+    _MEMO.clear()
 
 
 # ---------------------------------------------------------------------------

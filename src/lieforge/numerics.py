@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-__all__ = ["jacobi_sn", "sn_function", "sn_jet", "elliptic_K", "Trajectory", "integrate_rk4"]
+__all__ = ["jacobi_sn", "sn_jet", "elliptic_K", "Trajectory", "integrate_rk4"]
 
 _AGM_TOL = 1e-15
 
@@ -39,27 +39,10 @@ def _landen(k: float) -> tuple[float, list[float]]:
     return (2.0 ** n) * aa[n], [cc[i] / aa[i] for i in range(n, 0, -1)]
 
 
-def sn_function(k: float) -> Callable[[float], float]:
-    """The function u -> sn(u, k) over one AGM chain of the modulus k in
-    [0, 1): callers that evaluate one modulus many times build it once."""
-    scale, ratios = _landen(k)
-    asin, sin = math.asin, math.sin
-
-    def sn(u: float) -> float:
-        phi = scale * u
-        for r in ratios:
-            x = r * sin(phi)
-            # max(-1.0, min(1.0, x)) without the calls: NaN clamps to 1.0
-            phi = 0.5 * (phi + asin(x if -1.0 < x < 1.0 else -1.0 if x < 0.0 else 1.0))
-        return sin(phi)
-
-    return sn
-
-
 def sn_jet(k: float, amplitude: float = 1.0) -> Callable[[float], list[float]]:
     """u -> [A sn, A sn', A sn''] at modulus k, A the amplitude: Taylor-mode derivatives
     (Griewank & Walther, Evaluating Derivatives, ch. 13) of phi = am u carried through
-    the Landen steps of `sn_function`, whose value it reproduces bit for bit at A = 1."""
+    the descending Landen steps (DLMF 22.20) over one AGM chain of k in [0, 1)."""
     scale, ratios = _landen(k)
     asin, sin, cos, sqrt = math.asin, math.sin, math.cos, math.sqrt
 
@@ -79,7 +62,7 @@ def sn_jet(k: float, amplitude: float = 1.0) -> Callable[[float], list[float]]:
 
 def jacobi_sn(u: float, k: float) -> float:
     """Jacobi sine amplitude sn(u, k), modulus k in [0, 1)."""
-    return sn_function(k)(u)
+    return sn_jet(k)(u)[0]
 
 
 def elliptic_K(k: float) -> float:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from functools import cache
 from operator import mul, sub
 
 from .expr_core import (
@@ -541,20 +540,22 @@ def fd_weights(offsets: list[int], order: int) -> list[Fraction]:
     return _fd_stencil(tuple(offsets), order)[0]
 
 
-@cache
 def _fd_stencil(offsets: tuple[int, ...], order: int) -> tuple[list[Fraction], list[float]]:
-    """The exact weights and the same weights as floats, solved once."""
-    n = len(offsets)
-    if order >= n:
-        raise DomainError("not enough stencil points for the derivative order")
-    # column j holds the moments offsets[j]^m, m < n: the weights give
-    # order! on moment `order` and zero on every other moment
-    cols = [{m: Fraction(o) ** m for m in range(n) if o or not m} for o in offsets]
-    try:  # distinct offsets give an invertible Vandermonde system; repeated ones do not
-        w, = solve_exact(cols, [{order: Fraction(math.factorial(order))}])
-    except ValueError:
-        raise DomainError("stencil offsets admit no finite-difference weights") from None
-    return w, [float(q) for q in w]
+    """The exact weights and the same weights as floats, kept in the memo."""
+    def solve():
+        n = len(offsets)
+        if order >= n:
+            raise DomainError("not enough stencil points for the derivative order")
+        # column j holds the moments offsets[j]^m, m < n: the weights give
+        # order! on moment `order` and zero on every other moment
+        cols = [{m: Fraction(o) ** m for m in range(n) if o or not m} for o in offsets]
+        try:  # distinct offsets give an invertible Vandermonde system; repeated ones do not
+            w, = solve_exact(cols, [{order: Fraction(math.factorial(order))}])
+        except ValueError:
+            raise DomainError("stencil offsets admit no finite-difference weights") from None
+        return w, [float(q) for q in w]
+
+    return _memo(("stencil", offsets, order), solve)
 
 
 def _fd_offsets(m: int) -> range:
@@ -658,10 +659,9 @@ def emit_series_csv(rows: list[tuple], path) -> None:
 _S11_INPUTS = [sym("c"), sym("F0"), sym("F1"), sym("s")]
 
 
-@cache
 def _s11_profile() -> tuple[Expr, Expr]:
-    """(F, G) of `s11_solution()`, built once per process."""
-    return tuple(s11_solution().exprs[u] for u in "FG")
+    """(F, G) of `s11_solution()`, kept in the memo."""
+    return _memo(("s11",), lambda: tuple(s11_solution().exprs[u] for u in "FG"))
 
 
 # Most samples `fig1_rows` takes: 100 times the README's default of 1000.

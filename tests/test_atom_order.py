@@ -1,10 +1,11 @@
 """Outputs must not depend on the iteration order of sets of atoms.  Atoms
 hash by identity, so that order follows the memory addresses at which they
 were interned, not PYTHONHASHSEED: one test interns a seeded, shuffled
-batch of atoms between padding allocations before the golden tests run,
-another reverses what `atoms_of` yields to `equals_zero`, and a third
-requires the same term order of reduced expressions in two processes with
-different hash seeds and allocation padding."""
+batch of atoms between padding allocations before the golden tests run, in
+a process with PYTHONHASHSEED=1 beside a plain one with 2, another reverses
+what `atoms_of` yields to `equals_zero`, and a third requires the same term
+order of reduced expressions in two processes with different hash seeds and
+allocation padding."""
 
 import json
 import os
@@ -85,13 +86,10 @@ def _run(script, seed, *args, hash_seed=None):
                           cwd=ROOT, env=env, capture_output=True, text=True)
 
 
-def _primed(seed, *pytest_args):
-    return _run(PRIME, seed, *pytest_args)
-
-
 def test_goldens_do_not_follow_atom_allocation_order():
-    plain = _primed("none")
-    shuffled = _primed("20261018", "-q", "-p", "no:cacheprovider", *GOLDEN_TESTS)
+    plain = _run(PRIME, "none", hash_seed="2")
+    shuffled = _run(PRIME, "20261018", "-q", "-p", "no:cacheprovider", *GOLDEN_TESTS,
+                    hash_seed="1")
     assert plain.returncode == 0, plain.stderr
     assert shuffled.returncode == 0, shuffled.stdout + shuffled.stderr
     plain_order = json.loads(plain.stdout.splitlines()[0])

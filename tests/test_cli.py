@@ -281,10 +281,9 @@ README_STDOUT = json.loads(
 
 
 @pytest.mark.parametrize("command", sorted(README_STDOUT))
-def test_readme_command_stdout_pinned(capsys, command):
-    code, out = run(capsys, *command.split())
-    assert code == 0
-    assert out == README_STDOUT[command]
+def test_readme_command_stdout_pinned(capsys, command, tables):
+    for state in tables:
+        assert run(capsys, *command.split()) == (0, README_STDOUT[command]), state
 
 
 def test_brackets_member3_reports_printed_field_outside_basis(capsys):

@@ -12,6 +12,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from lieforge import catalog
 from lieforge.cli import _MEMBER_DICTIONARIES
 from lieforge.hierarchy import (REAL_JET, catalogue_member, complex_split,
@@ -20,6 +22,9 @@ from lieforge.reduce import reduced_system
 from lieforge.symmetry import (ansatz_dictionary, determining_system,
                                verify_generator)
 from lieforge.systems import PDESystem
+
+# the prolongations of `symmetry` start empty
+pytestmark = pytest.mark.usefixtures("cold_tables")
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "determining_golden.json").read_text())
@@ -80,5 +85,6 @@ def determining_outputs() -> dict:
     return out
 
 
-def test_determining_outputs_pinned():
-    assert determining_outputs() == GOLDEN
+def test_determining_outputs_pinned(tables):
+    for state in tables:
+        assert determining_outputs() == GOLDEN, state

@@ -24,6 +24,10 @@ from test_residual_map import (
     _xi_dependent_basis, leibniz_sums, reference_residual,
 )
 
+# the integer rows' nullspace is checked on an empty prolongation memo and
+# product table
+pytestmark = pytest.mark.usefixtures("cold_tables")
+
 
 @pytest.fixture
 def key_calls(monkeypatch):

@@ -21,6 +21,10 @@ from lieforge.systems import total_derivative
 
 from exprgen import BASE_ATOMS, _atom_expr, random_tree, tree_to_expr
 
+# plain products are normalised on an empty product table against the exponent
+# merge kept here
+pytestmark = pytest.mark.usefixtures("cold_tables")
+
 N_EXPRS = 300
 SEED = 20261018
 

@@ -21,6 +21,10 @@ from lieforge.reduce import ODE_JET
 from lieforge.symmetry import VectorField, field_text, parse_field
 from lieforge.systems import JetSpec
 
+# the dependence check of `in_span` and the parametric tables run on an empty
+# product table
+pytestmark = pytest.mark.usefixtures("cold_tables")
+
 
 def R(text):
     return parse_expr(text, REAL_JET.with_constants(("c",)))

@@ -3,16 +3,22 @@ codes, SHA-256 of the integrate and fig1 CSVs, and one lifting residual.
 
 `tests/data/numeric_golden.json` holds the values of `numeric_outputs`,
 recorded before numeric evaluation was compiled into plans; a change to
-the evaluator must leave every float bit unchanged.
+the evaluator must leave every float bit unchanged, on cold tables, on the
+plans and derivatives a first run kept, and on tables too small to keep them.
 """
 
 import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from lieforge.cli import main
 from lieforge.hierarchy import catalogue_member
 from lieforge.reduce import lift_and_check, tan_antiderivatives
+
+# the derivative chains, plans and stencils of `reduce` start empty
+pytestmark = pytest.mark.usefixtures("cold_tables")
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "numeric_golden.json").read_text())
@@ -48,13 +54,7 @@ def numeric_outputs(capsys, tmp_path) -> dict:
     return out
 
 
-def test_numeric_outputs_pinned(capsys, tmp_path):
-    assert numeric_outputs(capsys, tmp_path) == GOLDEN
-
-
-def test_numeric_outputs_pinned_when_repeated(capsys, tmp_path):
-    """A second run in the same process reuses the plans and derivatives the
-    first one kept, and pins the same bits."""
-    for run in ("first", "second"):
-        (tmp_path / run).mkdir()
-        assert numeric_outputs(capsys, tmp_path / run) == GOLDEN
+def test_numeric_outputs_pinned(capsys, tmp_path, tables):
+    for state in tables:
+        (tmp_path / state).mkdir()
+        assert numeric_outputs(capsys, tmp_path / state) == GOLDEN, state

@@ -9,8 +9,7 @@ import pytest
 from lieforge import reduce as red
 from lieforge.expr_core import DomainError, Expr, NumericPlan, cos_e, jet, recip_e, sin_e, sym
 from lieforge.hierarchy import catalogue_member
-from lieforge.numerics import (_agm_chain, elliptic_K, integrate_rk4, jacobi_sn, sn_function,
-                               sn_jet)
+from lieforge.numerics import _agm_chain, elliptic_K, integrate_rk4, jacobi_sn, sn_jet
 from lieforge.reduce import (_fd_jet, _fd_offsets, _fd_orders, f_branch_322_printed, fd_weights,
                              lift_and_check, rk4_from_system, sn_solution, system_33,
                              tan_antiderivatives, verify_solution)
@@ -68,24 +67,24 @@ class TestJacobiSn:
     def test_chain_once_is_bit_identical(self):
         rng = random.Random(20261018)
         for k in [0.0, 1e-300, 0.3, 0.9, 0.999, 0.999999] + [rng.random() for _ in range(20)]:
-            sn, jet = sn_function(k), sn_jet(k)
+            jet = sn_jet(k)
             F = sn_solution(k).callables["F"]
             for u in ([0.0, -0.0, -2.5, 1e6, -1e6, math.nan]
                       + [rng.uniform(-20.0, 20.0) for _ in range(20)]):
                 ref = _sn_per_call(u, k)
-                assert jacobi_sn(u, k).hex() == sn(u).hex() == jet(u)[0].hex() == ref.hex()
+                assert jacobi_sn(u, k).hex() == jet(u)[0].hex() == ref.hex()
                 assert F(u)[0].hex() == (math.sqrt(2.0) * k * ref).hex()
         with pytest.raises(ValueError):
-            sn_function(1.0)
+            sn_jet(1.0)
 
     @pytest.mark.parametrize("k", [0.0, 0.1, 0.5, 0.9, 0.999, 0.999999])
     def test_jet_derivatives(self, k):
         """sn' = cn dn and sn'' = -(1 + k^2) sn + 2 k^2 sn^3 (DLMF 22.13), cn
-        and dn built from sn_function's value, cn's sign from its slope."""
-        sn, jet = sn_function(k), sn_jet(k)
+        and dn built from the jet's value, cn's sign from the slope of sn."""
+        jet = sn_jet(k)
         for u in [-7.3 + 0.61 * i for i in range(25)]:
             v, d1, d2 = jet(u)
-            slope = (sn(u + 1e-4) - sn(u - 1e-4)) / 2e-4
+            slope = (jacobi_sn(u + 1e-4, k) - jacobi_sn(u - 1e-4, k)) / 2e-4
             cn_dn = math.sqrt((1 - v * v) * (1 - k * k * v * v))
             assert abs(d1 - math.copysign(cn_dn, slope)) < 1e-12
             assert abs(d2 - (-(1 + k * k) * v + 2 * k * k * v ** 3)) < 1e-14
@@ -241,7 +240,7 @@ class TestFDWeights:
 
 
 class TestSharedStencils:
-    @pytest.mark.parametrize("fn", [sn_function(0.5), lambda u: math.atan2(u, -1.0)],
+    @pytest.mark.parametrize("fn", [lambda u: jacobi_sn(u, 0.5), lambda u: math.atan2(u, -1.0)],
                              ids=["sn", "signed-zero"])
     @pytest.mark.parametrize("m", range(5))
     def test_every_order_matches_its_own_stencil(self, fn, m):

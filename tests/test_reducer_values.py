@@ -23,6 +23,10 @@ from lieforge.systems import PDESystem, Reducer, _name, total_derivative
 
 from test_residual_map import _member5, _scaled
 
+# the Reducer's integer values are checked against the Expr peel loop on an
+# empty product table
+pytestmark = pytest.mark.usefixtures("cold_tables")
+
 
 class ExprReducer(Reducer):
     """The peel loop on `Expr` values, each with its own coefficients."""

@@ -43,6 +43,10 @@ from lieforge.symmetry import (
 )
 from lieforge.systems import PDESystem, Reducer
 
+# row order and provenance are checked on an empty prolongation memo and
+# product table
+pytestmark = pytest.mark.usefixtures("cold_tables")
+
 
 def _unit_field(jet_spec, key, e):
     """The field e d_var of the slot key = (kind, var) of a dictionary."""

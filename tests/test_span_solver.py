@@ -19,12 +19,17 @@ from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
+import pytest
+
 from lieforge import catalog, liealg
 from lieforge.cli import _named_basis
 from lieforge.linalg import rank, rref, solve_exact, transpose
 from lieforge.liealg import algebra_signature, in_span, structure_constants
 from lieforge.parser import expr_text
 from lieforge.symmetry import field_text
+
+# the structure tables are built on an empty product table
+pytestmark = pytest.mark.usefixtures("cold_tables")
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "table_golden.json").read_text())
@@ -223,5 +228,6 @@ def table_outputs() -> dict:
     return out
 
 
-def test_structure_tables_pinned():
-    assert table_outputs() == GOLDEN
+def test_structure_tables_pinned(tables):
+    for state in tables:
+        assert table_outputs() == GOLDEN, state
