@@ -47,7 +47,7 @@ with one local per derived atom (I, sin/cos/tan, exp, reciprocal), power and
 sum, shared by all outputs and nested arguments.  Its source holds generated
 names and integers only, so no atom name or user text can break or inject
 code.  Sums keep term and factor order: a value does not depend on which plan
-computed it.  RK4 and sampled verification compile loops around a plan's body.
+computed it.  RK4, sampling and lifting compile loops around a plan's body.
 """
 
 from __future__ import annotations
@@ -294,7 +294,7 @@ _MEMO_SIZE, _MISS = 64, object()
 
 def _memo(key: tuple, make: Callable[[], object]):
     """make(), kept while key is among the _MEMO_SIZE most recent (chains,
-    plans, stencils and the s11 profile of `reduce`, prolongations of
+    plans, loops, stencils and the s11 profile of `reduce`, prolongations of
     `symmetry`), returned as is, even empty."""
     got = _MEMO.pop(key, _MISS)
     _MEMO[key] = got = make() if got is _MISS else got
@@ -818,7 +818,9 @@ class NumericPlan:
     `complex(q)` objects bound in the function's globals, not re-parsed float
     literals, so the floating operations, and the order in which powers and
     derived atoms raise, are those of a term-by-term interpreter that
-    evaluates each derived atom when first seen.  It compiles on first call."""
+    evaluates each derived atom when first seen.  It compiles on first call.  The
+    loops `rk4`, `sampler` and `lifter` inline the body once per RK4 stage, per
+    verification sample (with the profile's) and per grid point of a lift."""
 
     def __init__(self, exprs: Iterable[Expr], inputs: Iterable[Atom]):
         inputs = list(inputs)
@@ -964,6 +966,53 @@ class NumericPlan:
                  "    except _PoleError: continue", f"    worst = max(worst, {worst})",
                  "    good += 1", "return worst, good"]
         return plan._compile("run", "bound, lo, hi, samples, fns", lines, **errors)
+
+    @classmethod
+    def lifter(cls, rhs: list[Expr], inputs: list[Atom], stencils: list[tuple[int, list[float]]],
+               h: float) -> Callable:
+        """`run(c, n, fns) -> worst`: max |u_t - rhs|, NaN as inf, over the n x n grid of
+        [-0.5, 0.5]^2 of u = fns[i](x - c t); inputs t, x, then per dependent its value,
+        x-derivatives of orders 1..m and t-derivative.  stencils[k - 1] is the (half
+        width, float weights) of order k, k = 1..max(m, 1), u_t taking the first.  Each
+        fns[i] is called at x - c t, then at x + o*h - c t and x - c (t + o*h) for each
+        nonzero offset; order k is sum((w * sample, ...)) / h**k in offset order."""
+        plan = cls(rhs, inputs)
+        m = (plan._n_in - 2) // plan._n_out - 2  # x-derivatives per dependent
+        halves = {"x": stencils[m - 1][0] if m else 0, "t": stencils[0][0]}
+        wide = max(halves.values())  # sample index i is offset i - wide
+        names = {f"_o{i}": (i - wide) * h for i in range(2 * wide + 1)}
+        for k, (_, ws) in enumerate(stencils, 1):
+            names.update({f"_h{k}": h ** k}, **{f"_w{k}_{j}": w for j, w in enumerate(ws)})
+        at = {ax: [i for i in range(wide - half, wide + half + 1) if i != wide]
+              for ax, half in halves.items()}
+
+        def read(slot, value):  # a plan input, as `map(complex, values)` gives it
+            return [f"{slot} = complex({value})"] if plan._reads(slot) else []
+
+        def diff(k, samples):  # order k over samples[i], the profile at index i
+            half = stencils[k - 1][0]
+            terms = (f"_w{k}_{j} * {samples[wide - half + j]}" for j in range(2 * half + 1))
+            return f"sum(({', '.join(terms)})) / _h{k}"
+
+        body = ["s = x - ct", *(f"sx{i} = x + _o{i} - ct" for i in at["x"]),
+                *(f"st{i} = x - c * (t + _o{i})" for i in at["t"])]
+        for d in range(plan._n_out):
+            base = 2 + d * (m + 2)
+            sx, st = ({wide: f"v{d}", **{i: f"v{d}{ax}{i}" for i in at[ax]}} for ax in "xt")
+            body += [f"v{d} = f{d}(s)", *(f"{sx[i]} = f{d}(sx{i})" for i in at["x"]),
+                     *(f"{st[i]} = f{d}(st{i})" for i in at["t"]), *read(f"x{base}", f"v{d}")]
+            for k in range(1, m + 1):
+                body += read(f"x{base + k}", diff(k, sx))
+            body += [f"u{d} = {diff(1, st)}", *read(f"x{base + m + 1}", f"u{d}")]
+        body += plan._lines
+        for d, out in enumerate(plan._outs):
+            body += [f"r = u{d} - {out}", "worst = max(worst, abs(r) if r == r else _inf)"]
+        lines = [f"[{', '.join(f'f{d}' for d in range(plan._n_out))}] = fns", "worst = 0.0",
+                 "for i in range(n):", "    t = -0.5 + i / (n - 1)", "    ct = c * t",
+                 *("    " + line for line in read("x0", "t")), "    for j in range(n):",
+                 "        x = -0.5 + j / (n - 1)", *("        " + line for line in read("x1", "x")),
+                 *("        " + line for line in body), "return worst"]
+        return plan._compile("run", "c, n, fns", lines, **names)
 
 
 def eval_numeric(e: Expr, point: Mapping[Atom, complex]) -> complex:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
-from operator import mul, sub
 
 from .expr_core import (
     DomainError, Expr, Func, I, Jet, PoleError, Sym, _memo, _mono_key, atoms_of,
@@ -558,29 +557,6 @@ def _fd_stencil(offsets: tuple[int, ...], order: int) -> tuple[list[Fraction], l
     return _memo(("stencil", offsets, order), solve)
 
 
-def _fd_offsets(m: int) -> range:
-    """The order-m central stencil, the widest of orders 1..m (none for m = 0)."""
-    return range(-(m // 2 + 2), m // 2 + 3) if m else range(0)
-
-
-def _fd_orders(m: int) -> list[tuple[int, list[float]]]:
-    """(half width, float weights) of the central stencil of each order 1..m."""
-    return [(k // 2 + 2, _fd_stencil(tuple(range(-(k // 2 + 2), k // 2 + 3)), k)[1])
-            for k in range(1, m + 1)]
-
-
-def _fd_jet(f0, at: list, orders: list, h: float) -> list:
-    """[f, f', ..., f^(m)] at s by central differences of step h, from f0 =
-    f(s) (s + 0*h is not s at -0.0), at = f(s + o*h) over `_fd_offsets(m)`,
-    shared by all orders, and orders = `_fd_orders(m)`.  Order k sums its own
-    weights times samples in offset order and divides by h**k."""
-    out = [f0]
-    mid = len(at) // 2  # at[mid + o] = f(s + o*h)
-    for k, (half, w) in enumerate(orders, 1):
-        out.append(sum(map(mul, w, at[mid - half:])) / h ** k)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # numeric integration of reduced systems
 # ---------------------------------------------------------------------------
@@ -606,37 +582,26 @@ def lift_and_check(S: PDESystem, profiles: dict, c: float, n: int = 50) -> float
     over [-0.5, 0.5]^2 and return the max PDE residual by fourth-order finite
     differences of step 1e-2; a residual that is not finite returns inf.  The
     profiles share the stencils' abscissae, whose offset-0 entries reuse f(x - c t)
-    (a grid value is never -0.0): 11 calls per profile and point, not 13."""
-    if n < 2:
-        raise DomainError(f"lift_and_check needs a grid of n >= 2 points a side, not {n}")
-    tvar, xvar = S.jet.independents
-    order = S.order
+    (a grid value is never -0.0): 11 calls per profile and point, not 13.  The grid
+    loop, stencil sums and right-hand side inlined, compiles once per system: a new
+    c, n or profile compiles nothing.  A dependent u other than v, w takes profile
+    u; a missing profile, n not an int >= 2 or c not finite raises DomainError."""
     deps = S.jet.dependents
-    # per dependent: value, x-derivatives up to the order, t-derivative
-    idxs = [(xvar,) * k for k in range(order + 1)] + [(tvar,)]
-    rhs = _plan([S.rhs[dep] for dep in deps],
-                [sym(tvar), sym(xvar), *(jet(d, i) for d in deps for i in idxs)])
-    fns = [profiles[_DEP_MAP[dep]] for dep in deps]
-    h, x_offsets, t_offsets = 1e-2, _fd_offsets(order), _fd_offsets(1)
-    x_orders = _fd_orders(order)
-    t_orders = x_orders[:1]  # the order-1 stencil, looked up once
-    worst = 0.0
-    for i in range(n):
-        t = -0.5 + i / (n - 1)
-        ct = c * t
-        for j in range(n):
-            x = -0.5 + j / (n - 1)
-            at_x = [(o, x + o * h - ct) for o in x_offsets]
-            at_t = [(o, x - c * (t + o * h)) for o in t_offsets]
-            vals, u_t = [t, x], []
-            for fn in fns:
-                f0 = fn(x - ct)
-                vals += _fd_jet(f0, [fn(a) if o else f0 for o, a in at_x], x_orders, h)
-                u_t.append(_fd_jet(f0, [fn(a) if o else f0 for o, a in at_t], t_orders, h)[1])
-                vals.append(u_t[-1])
-            for d in map(sub, u_t, rhs(vals)):
-                worst = max(worst, abs(d) if d == d else math.inf)
-    return worst
+    names = [_DEP_MAP.get(dep, dep) for dep in deps]  # the reduction's profile names
+    if not isinstance(n, int) or n < 2 or not math.isfinite(c):
+        raise DomainError(f"lift_and_check needs a grid of n >= 2 points a side and a finite "
+                          f"wave speed, not n = {n!r}, c = {c!r}")
+    missing = [u for u in names if u not in profiles]
+    if missing:
+        raise DomainError(f"the lift gives no profile for {', '.join(missing)} of system {S.label}")
+    tvar, xvar = S.jet.independents
+    idxs = [(xvar,) * k for k in range(S.order + 1)] + [(tvar,)]  # value, d_x^k, d_t
+    inputs = [sym(tvar), sym(xvar), *(jet(d, i) for d in deps for i in idxs)]
+    key = ("lift", tuple(tuple(S.rhs[dep]._terms.items()) for dep in deps), tuple(inputs))
+    run = _memo(key, lambda: NumericPlan.lifter([S.rhs[dep] for dep in deps], inputs, [
+        (k // 2 + 2, _fd_stencil(tuple(range(-(k // 2 + 2), k // 2 + 3)), k)[1])
+        for k in range(1, max(S.order, 1) + 1)], 1e-2))
+    return run(c, n, [profiles[u] for u in names])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Numeric outputs pinned bit for bit: sampled verification stdout and exit
-codes, SHA-256 of the integrate and fig1 CSVs, and one lifting residual.
+codes, SHA-256 of the integrate and fig1 CSVs, and two lifting residuals (the
+order-2 member and the order-3 member, on the tan antiderivatives).
 
 `tests/data/numeric_golden.json` holds the values of `numeric_outputs`,
-recorded before numeric evaluation was compiled into plans; a change to
+recorded before numeric evaluation was compiled into plans (the order-3 lift
+residual: before the lift's grid loop was compiled); a change to
 the evaluator must leave every float bit unchanged, on cold tables, on the
 plans and derivatives a first run kept, and on tables too small to keep them.
 """
@@ -51,6 +53,8 @@ def numeric_outputs(capsys, tmp_path) -> dict:
     f_fn, g_fn = tan_antiderivatives(1.0)
     out["lift_and_check"] = repr(lift_and_check(
         catalogue_member(2), {"f": f_fn, "g": g_fn}, 1.0, n=10))
+    out["lift_and_check_member3"] = repr(lift_and_check(
+        catalogue_member(3), {"f": f_fn, "g": g_fn}, 1.0, n=10))
     return out
 
 

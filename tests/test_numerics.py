@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from lieforge import reduce as red
-from lieforge.expr_core import DomainError, Expr, NumericPlan, cos_e, jet, recip_e, sin_e, sym
+from lieforge.expr_core import (DomainError, Expr, NumericPlan, clear_caches, cos_e, jet, recip_e,
+                                sin_e, sym)
 from lieforge.hierarchy import catalogue_member
 from lieforge.numerics import _agm_chain, elliptic_K, integrate_rk4, jacobi_sn, sn_jet
-from lieforge.reduce import (_fd_jet, _fd_offsets, _fd_orders, f_branch_322_printed, fd_weights,
-                             lift_and_check, rk4_from_system, sn_solution, system_33,
-                             tan_antiderivatives, verify_solution)
+from lieforge.reduce import (f_branch_322_printed, fd_weights, lift_and_check, rk4_from_system,
+                             sn_solution, system_33, tan_antiderivatives, verify_solution)
+from test_lifter import _fd_jet, _offsets, _orders
 
 
 def _sn_per_call(u, k):
@@ -244,9 +245,12 @@ class TestSharedStencils:
                              ids=["sn", "signed-zero"])
     @pytest.mark.parametrize("m", range(5))
     def test_every_order_matches_its_own_stencil(self, fn, m):
+        """The reference loop of `test_lifter`, which the compiled lift matches bit
+        for bit, takes each order from samples of the widest stencil: each must be
+        the sum over its own stencil."""
         h = 3e-3
         for s in (0.0, -0.0, -1.3, 2.7):
-            got = _fd_jet(fn(s), [fn(s + o * h) for o in _fd_offsets(m)], _fd_orders(m), h)
+            got = _fd_jet(fn(s), [fn(s + o * h) for o in _offsets(m)], _orders(m), h)
             want = [fn(s)]
             for k in range(1, m + 1):
                 offsets = list(range(-(k // 2 + 2), k // 2 + 3))
@@ -264,18 +268,23 @@ class TestSharedStencils:
         assert len(calls) == 4 * 4 * 11
 
     def test_stencils_looked_up_once_per_call(self, monkeypatch):
-        """The weights of each order are looked up before the sample loop,
-        not once per sample and order."""
+        """The weights of each order are looked up once, when the grid loop
+        compiles, and not at all on a memo hit."""
         looked = []
         stencil = red._fd_stencil
         monkeypatch.setattr(red, "_fd_stencil",
                             lambda offsets, k: looked.append((tuple(offsets), k))
                             or stencil(offsets, k))
+        clear_caches()
         f_fn, g_fn = tan_antiderivatives(1.0)
         lift_and_check(catalogue_member(3), {"f": f_fn, "g": g_fn}, 1.0, n=6)
         # orders 1-3 in x, and order 1 in t from the same stencil
         assert sorted(looked) == sorted([(tuple(range(-2, 3)), 1), (tuple(range(-3, 4)), 2),
                                          (tuple(range(-3, 4)), 3)])
+        looked.clear()  # the loop is kept: a new c, n and profile look nothing up
+        f_fn, g_fn = tan_antiderivatives(0.5, 0.2)
+        lift_and_check(catalogue_member(3), {"f": f_fn, "g": g_fn}, 0.5, n=9)
+        assert looked == []
         looked.clear()  # sampled verification reads jets, no stencil
         verify_solution(f_branch_322_printed(-(1 + Fraction(1, 4))), sn_solution(0.5),
                         "numeric", samples=20)
