@@ -8,8 +8,7 @@ derivative indices), unknown functions with their own derivative multisets,
 the imaginary unit, and opaque transcendental factors sin/cos/tan/exp of
 polynomial arguments, plus reciprocals of whole expressions.
 
-Canonicalisation keeps the representation strong enough to decide zero for
-the class of expressions the toolkit manipulates:
+Canonicalisation rewrites:
 
 * i^2 -> -1, so no monomial carries the imaginary unit above power one;
 * exp factors inside one monomial are merged, exp(0) disappears;
@@ -19,10 +18,13 @@ the class of expressions the toolkit manipulates:
 * trig/exp arguments are sign-normalised (sin(-a) = -sin(a), cos(-a) = cos(a)).
 
 tan is kept opaque with derivative 1 + tan^2 and is never rewritten into
-sin/cos.  Reciprocal atoms make closed-form solution candidates expressible;
-they are outside the decidable class, and no verdict tests them otherwise:
-each reads `is_zero()` (an empty term dict), never `equals_zero`, so a zero
-with reciprocals can read nonzero.  One product kernel multiplies term dicts
+sin/cos; reciprocal atoms make closed-form solution candidates expressible.
+So the form is not unique: every verdict reads `is_zero()`, the structural
+test (an empty term dict), which is exact for `Zero` but can read nonzero on
+a zero that holds reciprocals, tan, or exp of an imaginary argument.
+`equals_zero` is the sampled test: `Zero` for an empty term dict, else
+`Nonzero` only at a seeded rational point whose value exceeds its relative
+tolerance, else `ProbablyZero`.  One product kernel multiplies term dicts
 straight into an accumulator.
 
 Every monomial product is normalised once per process: `_PRODUCTS`, keyed on
@@ -885,7 +887,9 @@ class NumericPlan:
                      _recip=_recip, _inf=math.inf, _PoleError=PoleError, _DomainError=DomainError)
         names.update((c, complex(q)) for q, c in self._consts.items())
         source = f"def {name}({args}):\n    " + "\n    ".join(lines)
-        exec(compile(source, "<NumericPlan>", "exec"), names)
+        # profilers label a function by (file, line, name): one file per function,
+        # named by its globals dict, which lives as long as the function does
+        exec(compile(source, f"<NumericPlan {id(names):#x}>", "exec"), names)
         return names[name]
 
     @cached_property
@@ -930,7 +934,7 @@ class NumericPlan:
         lines += [f"    if {blown or 'False'}:", "        break", "    grid.append(s + h)",
                   *(f"    col{j}.append(y{j})" for j in states),
                   f"return grid, [{', '.join(f'col{j}' for j in states)}]"]
-        return self._compile("run", "bound, s0, state, h, n_steps, guard", lines)
+        return self._compile("rk4", "bound, s0, state, h, n_steps, guard", lines)
 
     @classmethod
     def sampler(cls, profile: list[Expr], inputs: list[Atom], n_poles: int, jets: list[Atom],
@@ -965,7 +969,7 @@ class NumericPlan:
                  "    idx += 1", "    try:", *("        " + line for line in body),
                  "    except _PoleError: continue", f"    worst = max(worst, {worst})",
                  "    good += 1", "return worst, good"]
-        return plan._compile("run", "bound, lo, hi, samples, fns", lines, **errors)
+        return plan._compile("sample", "bound, lo, hi, samples, fns", lines, **errors)
 
     @classmethod
     def lifter(cls, rhs: list[Expr], inputs: list[Atom], stencils: list[tuple[int, list[float]]],
@@ -975,7 +979,8 @@ class NumericPlan:
         x-derivatives of orders 1..m and t-derivative.  stencils[k - 1] is the (half
         width, float weights) of order k, k = 1..max(m, 1), u_t taking the first.  Each
         fns[i] is called at x - c t, then at x + o*h - c t and x - c (t + o*h) for each
-        nonzero offset; order k is sum((w * sample, ...)) / h**k in offset order."""
+        nonzero offset; order k is (0 + w * sample + ...) / h**k in offset order, as
+        `sum` adds on Python 3.11 (3.12 compensates float sums)."""
         plan = cls(rhs, inputs)
         m = (plan._n_in - 2) // plan._n_out - 2  # x-derivatives per dependent
         halves = {"x": stencils[m - 1][0] if m else 0, "t": stencils[0][0]}
@@ -992,7 +997,7 @@ class NumericPlan:
         def diff(k, samples):  # order k over samples[i], the profile at index i
             half = stencils[k - 1][0]
             terms = (f"_w{k}_{j} * {samples[wide - half + j]}" for j in range(2 * half + 1))
-            return f"sum(({', '.join(terms)})) / _h{k}"
+            return f"(0 + {' + '.join(terms)}) / _h{k}"
 
         body = ["s = x - ct", *(f"sx{i} = x + _o{i} - ct" for i in at["x"]),
                 *(f"st{i} = x - c * (t + _o{i})" for i in at["t"])]
@@ -1012,7 +1017,7 @@ class NumericPlan:
                  *("    " + line for line in read("x0", "t")), "    for j in range(n):",
                  "        x = -0.5 + j / (n - 1)", *("        " + line for line in read("x1", "x")),
                  *("        " + line for line in body), "return worst"]
-        return plan._compile("run", "c, n, fns", lines, **names)
+        return plan._compile("lift", "c, n, fns", lines, **names)
 
 
 def eval_numeric(e: Expr, point: Mapping[Atom, complex]) -> complex:
@@ -1050,21 +1055,20 @@ def _sample_values(n_roots: int, n_free: int, rng: random.Random) -> list[comple
     return vals
 
 
-def _is_decidable(e: Expr) -> bool:
-    return not any(isinstance(a, Recip) for a in atoms_of(e, recurse=False))
-
-
 # points, relative tolerance and seed of the sampled zero test
 _ZERO_SAMPLES, _ZERO_TOL, _ZERO_SEED = 200, 1e-10, 42
 
 
 def equals_zero(e: Expr) -> str:
-    """Decide zero: canonical-empty -> Zero; decidable class -> Nonzero;
-    otherwise randomised evaluation at rational points -> ProbablyZero/Nonzero."""
+    """One rule: an empty term dict is Zero.  Any other expression is evaluated at
+    _ZERO_SAMPLES seeded rational points (a root atom at r and its symbol at r^2;
+    a point at a pole is skipped) and is Nonzero only at a point where the sum of
+    its terms exceeds _ZERO_TOL * max(1, sum of their magnitudes), else
+    ProbablyZero (Schwartz, J. ACM 27, 1980).  Verdicts read `is_zero()`, the
+    structural test: exact for Zero, it can read nonzero on a zero that holds
+    reciprocals, tan, or exp of an imaginary argument."""
     if not e._terms:
         return ZeroStatus.ZERO
-    if _is_decidable(e):
-        return ZeroStatus.NONZERO
     atoms = sorted(atoms_of(e), key=lambda a: a.key)  # not set order
     roots = [a for a in atoms if isinstance(a, Root)]
     root_syms = [sym(r.of) for r in roots]
@@ -1072,26 +1076,21 @@ def equals_zero(e: Expr) -> str:
     # one output per term, so that the scale sums the terms' magnitudes
     terms = NumericPlan([Expr({m: q}) for m, q in e._terms.items()],
                         [x for pair in zip(roots, root_syms) for x in pair] + free)
-    rng = random.Random(_ZERO_SEED)
-    done = 0
-    attempts = 0
-    while done < _ZERO_SAMPLES:
-        attempts += 1
-        if attempts > _ZERO_SAMPLES * 5:
-            raise PoleError("all sampled points hit poles")
-        values = _sample_values(len(roots), len(free), rng)
+    rng, done = random.Random(_ZERO_SEED), 0
+    for _ in range(_ZERO_SAMPLES * 5):
         try:
-            scale = 0.0
-            total = 0j
-            for val in terms(values):
-                total += val
-                scale += abs(val)
-            if abs(total) > _ZERO_TOL * max(1.0, scale):
-                return ZeroStatus.NONZERO
-            done += 1
+            vals = terms(_sample_values(len(roots), len(free), rng))
         except PoleError:
             continue
-    return ZeroStatus.PROBABLY_ZERO
+        total, scale = 0j, 0.0
+        for val in vals:
+            total, scale = total + val, scale + abs(val)
+        if abs(total) > _ZERO_TOL * max(1.0, scale):
+            return ZeroStatus.NONZERO
+        done += 1
+        if done == _ZERO_SAMPLES:
+            return ZeroStatus.PROBABLY_ZERO
+    raise PoleError("all sampled points hit poles")
 
 
 # ---------------------------------------------------------------------------

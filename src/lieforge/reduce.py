@@ -13,7 +13,7 @@ from fractions import Fraction
 from .expr_core import (
     DomainError, Expr, Func, I, Jet, PoleError, Sym, _memo, _mono_key, atoms_of,
     collect_terms, NumericPlan, cos_e, derive, exp_e, jet, recip_e, root, sin_e,
-    sqrt_e, substitute, sym, tan_e,
+    sqrt_e, substitute, sym, tan_e, ZeroStatus,
 )
 from .hierarchy import catalogue_member
 from .numerics import Trajectory, integrate_rk4, sn_jet
@@ -435,7 +435,7 @@ class VerifyReport:
 
     @property
     def zero(self) -> bool:
-        return all(s == "Zero" for s in self.statuses)
+        return all(s == ZeroStatus.ZERO for s in self.statuses)
 
 
 def _need_order(S: ODESystem) -> dict[str, int]:
@@ -506,7 +506,7 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
             # constraint vanishes wherever the constraint holds
             zero = R.is_zero() or any(equal_up_to_factor(R, P) is not None
                                       for P in cand.constraints)
-            statuses.append("Zero" if zero else "Nonzero")
+            statuses.append(ZeroStatus.ZERO if zero else ZeroStatus.NONZERO)
         return VerifyReport(statuses, notes=list(cand.notes))
     if samples < 1:
         raise DomainError(f"numeric verification needs at least one sample, not {samples}")

@@ -27,7 +27,7 @@ from math import comb, lcm, prod
 from .expr_core import (
     DomainError, Expr, Func, Jet, _accumulate, _add_into, _is_plain, _memo,
     _mul_into, atoms_of, cos_e, derive, exp_e, func, jet,
-    sin_e, sym,
+    sin_e, sym, ZeroStatus,
 )
 from .linalg import cleared, divided, nullspace, rank
 from .parser import combo_text, expr_text, parse_expr
@@ -409,7 +409,7 @@ class VerificationReport:
 
     @property
     def status(self) -> str:
-        return "Zero" if self.zero else "Nonzero"
+        return ZeroStatus.ZERO if self.zero else ZeroStatus.NONZERO
 
     def remainders(self) -> list[str]:
         return [expr_text(r) for r in self.residuals]

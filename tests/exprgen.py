@@ -59,7 +59,11 @@ def random_tree(rng, depth=3, allow_i=True):
     return (fn, random_linear_arg(rng))
 
 
-def tree_to_expr(tree) -> Expr:
+KERNEL_FNS = {"sin": sin_e, "cos": cos_e, "tan": tan_e, "exp": exp_e}
+
+
+def tree_to_expr(tree, fns=KERNEL_FNS) -> Expr:
+    """The kernel expression of a tree, fns[name](arg) at each function node."""
     kind = tree[0]
     if kind == "num":
         return Expr.rational(tree[1])
@@ -70,20 +74,20 @@ def tree_to_expr(tree) -> Expr:
     if kind == "add":
         out = Expr.zero()
         for ch in tree[1]:
-            out = out + tree_to_expr(ch)
+            out = out + tree_to_expr(ch, fns)
         return out
     if kind == "mul":
         out = Expr.one()
         for ch in tree[1]:
-            out = out * tree_to_expr(ch)
+            out = out * tree_to_expr(ch, fns)
         return out
     if kind == "pow":
-        return tree_to_expr(tree[1]) ** tree[2]
+        return tree_to_expr(tree[1], fns) ** tree[2]
     terms, const = tree[1]
     arg = Expr.rational(const)
     for name, q in terms:
         arg = arg + Expr.rational(q) * _atom_expr(name)
-    return {"sin": sin_e, "cos": cos_e, "tan": tan_e, "exp": exp_e}[kind](arg)
+    return fns[kind](arg)
 
 
 def tree_eval(tree, point: dict) -> complex:

@@ -1,6 +1,9 @@
 """Command-line surface: exit codes, JSON shape, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def test_module_entry_point_exit_codes(tmp_path):
+    """`python -m lieforge` from the source tree, uninstalled, one command per exit
+    code; the power past the parser's term-product budget is refused promptly."""
+    field = tmp_path / "field.txt"
+    field.write_text("eta_v = sin(v)^100000\n")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for argv, code in [(["brackets", "--member", "4"], 0),
+                       (["symmetries", "verify", "--member", "2", "--field", str(field)], 1),
+                       (["classify", "--member", "2", "--reduced"], 2)]:
+        got = subprocess.run([sys.executable, "-m", "lieforge", *argv], cwd=tmp_path,
+                             env=env, capture_output=True, text=True, timeout=10)
+        assert got.returncode == code, got.stderr
+        assert "Traceback" not in got.stderr
 
 
 def test_member_split(capsys):

@@ -197,6 +197,17 @@ class TestEqualsZero:
     def test_jet_nonzero(self):
         assert equals_zero(P("v_x")) == ZeroStatus.NONZERO
 
+    @pytest.mark.parametrize("text", ["exp(I*x) - cos(x) - I*sin(x)",
+                                      "exp(I*x) + exp(-I*x) - 2*cos(x)",
+                                      "tan(x)*cos(x) - sin(x)"],
+                             ids=["euler", "cos-by-euler", "tan-cos"])
+    def test_a_zero_that_keeps_terms_samples_to_probably_zero(self, text):
+        # exp of an imaginary argument, sin/cos and tan are independent atoms,
+        # so these zeros keep terms; with no sample above tolerance, no Nonzero
+        e = P(text)
+        assert not e.is_zero()
+        assert equals_zero(e) == ZeroStatus.PROBABLY_ZERO
+
     def test_tan_residual_zero(self):
         # residual of the constant-F tan profile in the first-order pair
         c, s, s0 = sym("c").as_expr(), sym("s").as_expr(), sym("s0").as_expr()
@@ -288,6 +299,21 @@ class TestNumericPlan:
             assert [_bits(z) for z in joint(vals)] == want
             checked += 1
         assert checked
+
+    def test_compiled_functions_keep_apart_in_profiles(self):
+        # cProfile labels a function by (file, first line, name), and pstats keeps
+        # one entry per label: loops sharing a label would read as one call
+        import cProfile
+        import pstats
+        from lieforge.expr_core import NumericPlan
+        plans = [NumericPlan([P(text)], [jet("v")]) for text in ("v + 1", "2*v")]
+        codes = [p._fn.__code__ for p in plans]
+        assert len({(c.co_filename, c.co_firstlineno, c.co_name) for c in codes}) == 2
+        profile = cProfile.Profile()
+        profile.runcall(lambda: [p([1.0]) for p in plans])
+        calls = [stat[1] for (file, _, _), stat in pstats.Stats(profile).stats.items()
+                 if file.startswith("<NumericPlan")]
+        assert calls == [1, 1]
 
     def test_term_outputs_sum_to_whole(self):
         from lieforge.expr_core import NumericPlan

@@ -7,7 +7,8 @@ import cmath
 import math
 import random
 from dataclasses import replace
-from operator import mul, sub
+from functools import reduce
+from operator import add, mul, sub
 
 import pytest
 
@@ -29,6 +30,12 @@ def _orders(m):
             for k in range(1, m + 1)]
 
 
+def _dot(w, samples):
+    """0 + w[0]*samples[0] + w[1]*samples[1] + ..., left to right: the order of
+    Python 3.11's `sum`, which 3.12 compensates for floats."""
+    return reduce(add, map(mul, w, samples), 0)
+
+
 def _fd_jet(f0, at, orders, h):
     """[f, f', ..., f^(m)] at s by central differences of step h, from f0 = f(s)
     (s + 0*h is not s at -0.0) and at = f(s + o*h) over `_offsets(m)`, shared by
@@ -37,7 +44,7 @@ def _fd_jet(f0, at, orders, h):
     out = [f0]
     mid = len(at) // 2  # at[mid + o] = f(s + o*h)
     for k, (half, w) in enumerate(orders, 1):
-        out.append(sum(map(mul, w, at[mid - half:])) / h ** k)
+        out.append(_dot(w, at[mid - half:]) / h ** k)
     return out
 
 

@@ -6,11 +6,14 @@ order-2 member and the order-3 member, on the tan antiderivatives).
 recorded before numeric evaluation was compiled into plans (the order-3 lift
 residual: before the lift's grid loop was compiled); a change to
 the evaluator must leave every float bit unchanged, on cold tables, on the
-plans and derivatives a first run kept, and on tables too small to keep them.
+plans and derivatives a first run kept, and on tables too small to keep them,
+and the lift residuals under a `sum` that compensates as Python 3.12's does.
 """
 
+import builtins
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,29 @@ def test_numeric_outputs_pinned(capsys, tmp_path, tables):
     for state in tables:
         (tmp_path / state).mkdir()
         assert numeric_outputs(capsys, tmp_path / state) == GOLDEN, state
+
+
+_builtin_sum = builtins.sum
+
+
+def _compensated_sum(items, start=0):
+    """`sum` as Python 3.12 adds floats: Neumaier's compensated summation."""
+    items = list(items)
+    if not items or not all(type(v) is float for v in items):
+        return _builtin_sum(items, start)
+    total, comp = start + items[0], 0.0
+    for v in items[1:]:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_lift_residuals_pinned_under_a_compensated_sum(monkeypatch):
+    # the lift's stencil sums are written out left to right, so a Python whose
+    # `sum` compensates float sums gives the same bits
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    f_fn, g_fn = tan_antiderivatives(1.0)
+    got = [repr(lift_and_check(catalogue_member(m), {"f": f_fn, "g": g_fn}, 1.0, n=10))
+           for m in (2, 3)]
+    assert got == [GOLDEN["lift_and_check"], GOLDEN["lift_and_check_member3"]]

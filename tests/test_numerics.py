@@ -13,7 +13,7 @@ from lieforge.hierarchy import catalogue_member
 from lieforge.numerics import _agm_chain, elliptic_K, integrate_rk4, jacobi_sn, sn_jet
 from lieforge.reduce import (f_branch_322_printed, fd_weights, lift_and_check, rk4_from_system,
                              sn_solution, system_33, tan_antiderivatives, verify_solution)
-from test_lifter import _fd_jet, _offsets, _orders
+from test_lifter import _dot, _fd_jet, _offsets, _orders
 
 
 def _sn_per_call(u, k):
@@ -255,7 +255,7 @@ class TestSharedStencils:
             for k in range(1, m + 1):
                 offsets = list(range(-(k // 2 + 2), k // 2 + 3))
                 w = [float(q) for q in fd_weights(offsets, k)]
-                want.append(sum(wj * fn(s + oj * h) for wj, oj in zip(w, offsets)) / h ** k)
+                want.append(_dot(w, [fn(s + oj * h) for oj in offsets]) / h ** k)
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_one_profile_call_per_point(self):

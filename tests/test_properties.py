@@ -1,11 +1,13 @@
 """Randomised kernel properties: canonical idempotence, value preservation,
-parse/print roundtrip, product rule, imaginary-unit reduction."""
+parse/print roundtrip, product rule, imaginary-unit reduction, and both
+directions of the sampled zero test."""
 
 import random
+from fractions import Fraction
 
 from lieforge.expr_core import (
-    I, PoleError, derive, equals_zero, eval_numeric, jet, sym, to_canonical,
-    ZeroStatus,
+    Expr, I, PoleError, cos_e, derive, equals_zero, eval_numeric, exp_e, jet, recip_e,
+    sin_e, sym, to_canonical, ZeroStatus, _ZERO_TOL,
 )
 from lieforge.parser import expr_text, parse_expr
 from lieforge.systems import JetSpec
@@ -102,3 +104,37 @@ def test_equals_zero_soundness():
                 assert abs(eval_numeric(probe, point)) < 1e-10
             except PoleError:
                 continue
+
+
+_I, _HALF = I.as_expr(), Expr.rational(Fraction(1, 2))
+# sin and cos by Euler's formula, tan as sin times the reciprocal of cos
+EULER = {"sin": lambda a: (exp_e(_I * a) - exp_e(-_I * a)) * -_HALF * _I,
+         "cos": lambda a: (exp_e(_I * a) + exp_e(-_I * a)) * _HALF,
+         "tan": lambda a: sin_e(a) * recip_e(cos_e(a)), "exp": exp_e}
+
+
+def test_equals_zero_reads_no_rewritten_zero_as_nonzero():
+    # the canonical form is not unique across these rewrites, so a zero may keep
+    # terms; it must sample to ProbablyZero, never read Nonzero
+    rng = random.Random(SEED + 7)
+    sampled = 0
+    for tree in _sample(rng, 200):
+        diff = tree_to_expr(tree) - tree_to_expr(tree, EULER)
+        assert equals_zero(diff) != ZeroStatus.NONZERO, expr_text(diff)
+        sampled += not diff.is_zero()
+    assert sampled > 40  # the rewrite leaves terms in many trees
+
+
+def test_equals_zero_nonzero_has_a_witness():
+    # every Nonzero the generator yields is confirmed by the tree's own evaluator
+    rng = random.Random(SEED + 8)
+    for tree in _sample(rng, N_EXPRS // 3):
+        if equals_zero(tree_to_expr(tree)) != ZeroStatus.NONZERO:
+            continue
+        values = []
+        for _ in range(20):
+            try:
+                values.append(abs(tree_eval(tree, random_point(rng))))
+            except (PoleError, OverflowError):
+                continue
+        assert values and max(values) > _ZERO_TOL, tree

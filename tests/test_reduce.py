@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from lieforge import catalog
-from lieforge.expr_core import Expr, jet, substitute, sym
+from lieforge import reduce as red
+from lieforge.expr_core import (Expr, Recip, ZeroStatus, atoms_of, equals_zero, jet,
+                                substitute, sym)
 from lieforge.hierarchy import REAL_JET, catalogue_member
 from lieforge.parser import expr_text, parse_expr
 from lieforge.reduce import (
@@ -328,6 +330,19 @@ class TestSolutions:
             point = {sym("s"): s, sym("c"): 1.0, sym("F0"): 1.0, sym("F1"): 1.0}
             worst = max(worst, abs(eval_numeric(resid, point)))
         assert worst < 1e-9
+
+    def test_s11_f_residual_samples_to_zero(self):
+        # the symbolic verdict on (3.3) reads Nonzero on both equations, yet the
+        # F-equation residual, from which G is built, has no sample above
+        # tolerance: a false Nonzero of `is_zero()` on 2 reciprocals, pinned
+        # here without asserting the verdict
+        S = system_33()
+        vals = red._candidate_jet_values(S, s11_solution())
+        (lead, rhs), = [(lead, rhs) for lead, rhs in S.equations() if lead.dep == "F"]
+        R = substitute(lead.as_expr() - rhs, vals)
+        assert len(R.terms()) == 45
+        assert sum(isinstance(a, Recip) for a in atoms_of(R, recurse=False)) == 2
+        assert equals_zero(R) == ZeroStatus.PROBABLY_ZERO
 
     def test_rational_trig_corrected(self):
         rep = verify_solution(system_322(1), rational_trig_solution(),
