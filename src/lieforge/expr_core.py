@@ -19,8 +19,9 @@ Canonicalisation rewrites:
 
 tan is kept opaque with derivative 1 + tan^2 and is never rewritten into
 sin/cos; reciprocal atoms make closed-form solution candidates expressible.
-So the form is not unique: every verdict reads `is_zero()`, the structural
-test (an empty term dict), which is exact for `Zero` but can read nonzero on
+So the form is not unique: `verdict`, the one zero decision of generator,
+symbolic profile, Jacobi and audit verdicts, is exact for `Zero` (an empty term
+dict or a rational multiple of a stated constraint) but can read `Nonzero` on
 a zero that holds reciprocals, tan, or exp of an imaginary argument.
 `equals_zero` is the sampled test: `Zero` for an empty term dict, else
 `Nonzero` only at a seeded rational point whose value exceeds its relative
@@ -66,8 +67,8 @@ __all__ = [
     "Expr", "DomainError", "PoleError", "UnboundAtomError", "ZeroStatus",
     "sym", "root", "jet", "func", "I", "sin_e", "cos_e", "tan_e", "exp_e",
     "recip_e", "sqrt_e", "derive", "substitute", "NumericPlan",
-    "eval_numeric", "equals_zero", "to_canonical", "collect_terms",
-    "atoms_of", "random_rational", "clear_caches",
+    "eval_numeric", "equals_zero", "verdict", "equal_up_to_factor",
+    "to_canonical", "collect_terms", "atoms_of", "random_rational", "clear_caches",
 ]
 
 
@@ -1064,9 +1065,8 @@ def equals_zero(e: Expr) -> str:
     _ZERO_SAMPLES seeded rational points (a root atom at r and its symbol at r^2;
     a point at a pole is skipped) and is Nonzero only at a point where the sum of
     its terms exceeds _ZERO_TOL * max(1, sum of their magnitudes), else
-    ProbablyZero (Schwartz, J. ACM 27, 1980).  Verdicts read `is_zero()`, the
-    structural test: exact for Zero, it can read nonzero on a zero that holds
-    reciprocals, tan, or exp of an imaginary argument."""
+    ProbablyZero (Schwartz, J. ACM 27, 1980).  No verdict reads it yet: the
+    generator, symbolic profile, Jacobi and audit verdicts take `verdict`."""
     if not e._terms:
         return ZeroStatus.ZERO
     atoms = sorted(atoms_of(e), key=lambda a: a.key)  # not set order
@@ -1091,6 +1091,22 @@ def equals_zero(e: Expr) -> str:
         if done == _ZERO_SAMPLES:
             return ZeroStatus.PROBABLY_ZERO
     raise PoleError("all sampled points hit poles")
+
+
+def verdict(e: Expr, constraints: Iterable[Expr] = ()) -> str:
+    """The status of every exact verdict: Zero for an empty term dict or a rational
+    multiple of a constraint, which vanishes where the constraint holds, else Nonzero."""
+    zero = not e._terms or any(equal_up_to_factor(e, P) is not None for P in constraints)
+    return ZeroStatus.ZERO if zero else ZeroStatus.NONZERO
+
+
+def equal_up_to_factor(e1: Expr, e2: Expr):
+    """Rational lambda with e1 = lambda * e2, or None."""
+    if not e2._terms:
+        return None if e1._terms else Fraction(1)
+    q1 = e1._terms.get(e2._lead_mono())
+    lam = q1 and Fraction(q1) / e2._lead_coeff()
+    return lam if lam and (e1 - e2 * Expr.rational(lam)).is_zero() else None
 
 
 # ---------------------------------------------------------------------------

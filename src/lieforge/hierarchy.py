@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr_core import (
-    DomainError, Expr, I, Jet, atoms_of, collect_terms, exp_e, jet, substitute,
-)
+from .expr_core import (DomainError, Expr, I, Jet, ZeroStatus, atoms_of, collect_terms, exp_e,
+                        jet, substitute, verdict)
 from .parser import expr_text
 from .systems import JetSpec, PDESystem, total_derivative
 
@@ -121,4 +120,4 @@ def audit_member(k: int) -> AuditReport:
     cat = catalogue_member(k)
     dv = cat.rhs["v"] - gen_v
     dw = cat.rhs["w"] - gen_w
-    return AuditReport(dv.is_zero() and dw.is_zero(), dv, dw)
+    return AuditReport(verdict(dv) == verdict(dw) == ZeroStatus.ZERO, dv, dw)

@@ -12,8 +12,9 @@ monomial), answers every bracket of a table and rejects a basis dependent
 over the parameter dictionary.  A table holds its brackets as sparse
 antisymmetric rows {(i, j): {k: c_ij^k}}, nonzero constants only, and the
 Jacobi check, the signature and the printed table read those rows as they
-are.  Both series of a signature start from [g, g], the span of the table's
-own rows.
+are; the Jacobi check takes each sum's status from `expr_core.verdict`.  Both
+series of a signature, at each point of its parameters (the empty point when
+there are none), start from [g, g], the span of the table's own rows.
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 
-from .expr_core import (
-    DomainError, Expr, Root, Sym, _mul_into, atoms_of, derive, jet, substitute,
-    sym,
-)
+from .expr_core import (DomainError, Expr, Root, Sym, ZeroStatus, _mul_into, atoms_of, derive,
+                        jet, substitute, sym, verdict)
 from .linalg import nullspace, rank, rref, solve_exact, transpose
 from .parser import combo_text
-from .symmetry import VectorField, _slot_sums
+from .symmetry import VectorField, _same_space, _slot_sums
 
 __all__ = ["lie_bracket", "StructureTable", "structure_constants",
            "jacobi_check", "AlgebraSignature", "algebra_signature"]
@@ -52,10 +51,7 @@ def _apply_field(coeffs: list[Expr], grad: list[Expr]) -> Expr:
 
 
 def _bracket(X: VectorField, JX, Y: VectorField, JY) -> VectorField:
-    """[X, Y] from the Jacobians JX and JY of X and Y."""
-    if X.jet.independents != Y.jet.independents or \
-            X.jet.dependents != Y.jet.dependents:
-        raise DomainError("mismatched jet spaces in lie_bracket")
+    """[X, Y] from the Jacobians JX and JY of X and Y, on one jet space."""
     if X.unknowns or Y.unknowns:
         raise DomainError("lie_bracket needs concrete coefficients")
     cx, cy = ([c for _, _, c in F.coeff_vector_atoms()] for F in (X, Y))
@@ -69,6 +65,7 @@ def _bracket(X: VectorField, JX, Y: VectorField, JY) -> VectorField:
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """[X, Y]^i = X(Y^i) - Y(X^i), componentwise."""
+    _same_space("lie_bracket", X.jet, Y.jet)
     return _bracket(X, _jacobian(X), Y, _jacobian(Y))
 
 
@@ -114,7 +111,8 @@ def in_span(targets: list[VectorField], basis: list[VectorField]):
     alpha_k as {k: alpha_k}, k ascending, or None outside the span.  The
     dictionary constants are independent over Q, so its columns are
     dependent, and DomainError is raised, iff the basis is dependent over
-    their span."""
+    their span, or if the fields lie on more than one jet space."""
+    _same_space("in_span", *(F.jet for F in basis + targets))
     consts = _const_dictionary(_param_atoms(basis + targets))
     labels = [(k, c) for k in range(len(basis)) for c in consts]
     cols, rows = [_rows(basis[k], c) for k, c in labels], [_rows(T) for T in targets]
@@ -191,7 +189,7 @@ def jacobi_check(table: StructureTable) -> bool:
             for m, cab in table.constants.get((a, b), {}).items():
                 for l, cme in table.constants.get((m, e), {}).items():
                     _mul_into(totals.setdefault(l, {}), cab._terms, cme._terms)
-        if any(totals.values()):
+        if any(verdict(Expr(t)) != ZeroStatus.ZERO for t in totals.values()):
             return False
     return True
 
@@ -213,33 +211,28 @@ class AlgebraSignature:
 
 
 def algebra_signature(table: StructureTable) -> AlgebraSignature:
-    """Derived/lower-central series via exact rank computations.  A table
-    whose constants hold no parameter is rational: one run decides it.  Else
-    the runs at the k-th parameter name c = (2 + k)^2, sqrt(c) = 2 + k, then at
-    (3/2 + k)^2, 3/2 + k, must agree, against rank drops at special values."""
+    """Derived/lower-central series via exact rank computations.  The runs at the
+    k-th parameter name c = (2 + k)^2, sqrt(c) = 2 + k, then at (3/2 + k)^2, 3/2 + k,
+    must agree, against rank drops at special values; a table whose constants
+    hold no parameter has one run, at the empty point."""
     if not table.closed:
         raise DomainError("signature needs a closed table")
     atoms = {a: a.of if isinstance(a, Root) else a.name
              for row in table.constants.values() for e in row.values() for a in atoms_of(e)}
-    names = sorted(set(atoms.values()))
-    if not names:
-        return _signature_at(table, None)
-    sigs = []
-    for base in (Fraction(2), Fraction(3, 2)):
-        root = {n: base + k for k, n in enumerate(names)}
-        sigs.append(_signature_at(table, {a: Expr.rational(
-            root[n] if isinstance(a, Root) else root[n] ** 2) for a, n in atoms.items()}))
-    if sigs[0] != sigs[1]:
+    names = {n: k for k, n in enumerate(sorted(set(atoms.values())))}
+    points = [{a: Expr.rational((base + names[n]) ** (1 if isinstance(a, Root) else 2))
+               for a, n in atoms.items()} for base in (Fraction(2), Fraction(3, 2))]
+    sigs = [_signature_at(table, point) for point in points[:2 if names else 1]]
+    if sigs[0] != sigs[-1]:
         raise DomainError("signature differs between parameter specialisations")
     return sigs[0]
 
 
-def _signature_at(table: StructureTable, point) -> AlgebraSignature:
-    """The signature at `point`; with None the constants are read as rationals."""
+def _signature_at(table: StructureTable, point: dict) -> AlgebraSignature:
+    """The signature with every constant specialised at `point`."""
     n = table.dim
     # each row with its constants specialised; one may vanish at the point
-    br = {p: {k: q for k, e in row.items()
-              if (q := (e if point is None else substitute(e, point)).as_rational())}
+    br = {p: {k: q for k, e in row.items() if (q := substitute(e, point).as_rational())}
           for p, row in table.constants.items()}
 
     def bracket(u, v):

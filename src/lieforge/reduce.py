@@ -12,13 +12,13 @@ from fractions import Fraction
 
 from .expr_core import (
     DomainError, Expr, Func, I, Jet, PoleError, Sym, _memo, _mono_key, atoms_of,
-    collect_terms, NumericPlan, cos_e, derive, exp_e, jet, recip_e, root, sin_e,
-    sqrt_e, substitute, sym, tan_e, ZeroStatus,
+    collect_terms, NumericPlan, cos_e, derive, equal_up_to_factor, exp_e, jet,
+    recip_e, root, sin_e, sqrt_e, substitute, sym, tan_e,
 )
 from .hierarchy import catalogue_member
 from .numerics import Trajectory, integrate_rk4, sn_jet
 from .linalg import cleared, primitive, solve_exact
-from .symmetry import VectorField
+from .symmetry import VectorField, VerifyReport
 from .systems import JetSpec, ODESystem, PDESystem, total_derivative
 
 __all__ = [
@@ -271,19 +271,6 @@ def computed_second_order(c="c") -> Expr:
     return eliminate_to_second_order(system_33(c))
 
 
-def equal_up_to_factor(e1: Expr, e2: Expr):
-    """Rational lambda with e1 = lambda * e2, or None."""
-    if e1.is_zero() and e2.is_zero():
-        return Fraction(1)
-    if e1.is_zero() or e2.is_zero():
-        return None
-    q1 = e1._terms.get(e2._lead_mono())
-    if q1 is None:
-        return None
-    lam = Fraction(q1) / e2._lead_coeff()
-    return lam if (e1 - e2 * Expr.rational(lam)).is_zero() else None
-
-
 # ---------------------------------------------------------------------------
 # solution candidates
 # ---------------------------------------------------------------------------
@@ -426,18 +413,6 @@ def linear_solution_member4() -> SolutionCandidate:
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VerifyReport:
-    statuses: list[str]
-    max_residual: float | None = None
-    samples: int = 0
-    notes: list[str] = dc_field(default_factory=list)
-
-    @property
-    def zero(self) -> bool:
-        return all(s == ZeroStatus.ZERO for s in self.statuses)
-
-
 def _need_order(S: ODESystem) -> dict[str, int]:
     """Highest s-order of every dependent the equations use."""
     need: dict[str, int] = {}
@@ -498,16 +473,8 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
         if cand.callables:
             raise DomainError("symbolic mode needs expression profiles")
         vals = _candidate_jet_values(S, cand)
-        statuses = []
-        for lead, rhs in S.equations():
-            E = lead.as_expr() - rhs
-            R = substitute(E, vals)
-            # a residual that is a rational multiple of a parameter
-            # constraint vanishes wherever the constraint holds
-            zero = R.is_zero() or any(equal_up_to_factor(R, P) is not None
-                                      for P in cand.constraints)
-            statuses.append(ZeroStatus.ZERO if zero else ZeroStatus.NONZERO)
-        return VerifyReport(statuses, notes=list(cand.notes))
+        return VerifyReport.exact([substitute(lead.as_expr() - rhs, vals)
+                                   for lead, rhs in S.equations()], cand.constraints, cand.notes)
     if samples < 1:
         raise DomainError(f"numeric verification needs at least one sample, not {samples}")
 

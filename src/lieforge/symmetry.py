@@ -3,7 +3,10 @@ prolongation, symmetry residuals, determining systems from finite ansatz
 dictionaries, exact nullspace discovery, and verification of concrete
 generators, families among them whose unknown functions obey their own rules.
 The same pipeline serves evolution PDE systems (independents t, x) and
-reduced ODE systems (single independent s, no time slot).
+reduced ODE systems (single independent s, no time slot), on one jet space.
+One `VerifyReport` holds generator and profile verdicts, each status from
+`expr_core.verdict`, the one zero decision, which the Jacobi check and the
+member audit read too.
 
 Residuals come from one on-shell residual map per call: the Reducer, the
 needed jets and the reduced partials of each rhs are built once per system.
@@ -27,7 +30,7 @@ from math import comb, lcm, prod
 from .expr_core import (
     DomainError, Expr, Func, Jet, _accumulate, _add_into, _is_plain, _memo,
     _mul_into, atoms_of, cos_e, derive, exp_e, func, jet,
-    sin_e, sym, ZeroStatus,
+    sin_e, sym, verdict, ZeroStatus,
 )
 from .linalg import cleared, divided, nullspace, rank
 from .parser import combo_text, expr_text, parse_expr
@@ -35,7 +38,7 @@ from .systems import JetSpec, Reducer, total_derivative
 
 __all__ = [
     "VectorField", "AnsatzBasis",
-    "DeterminingSystem", "VerificationReport", "prolong_generator",
+    "DeterminingSystem", "VerifyReport", "prolong_generator",
     "symmetry_residual", "determining_system", "discover_symmetries",
     "verify_generator", "ansatz_dictionary", "field_text", "parse_field",
 ]
@@ -394,18 +397,39 @@ class _ResidualMap:
         return summands
 
 
+def _same_space(where: str, *jets: JetSpec) -> None:
+    """Raise DomainError unless the jets share independents and dependents."""
+    if len({(j.independents, j.dependents) for j in jets}) > 1:
+        raise DomainError(f"mismatched jet spaces in {where}")
+
+
 def symmetry_residual(system, X: VectorField) -> list[Expr]:
     """Apply the prolonged generator to each equation H^A = lead - rhs and
     substitute the equations (and their differential consequences) so the
     result lives on solutions.  A generator is a symmetry iff every entry is
     zero."""
+    _same_space("symmetry_residual", system.jet, X.jet)
     return _ResidualMap(system, X.unknowns)(X)
 
 
 @dataclass
-class VerificationReport:
-    residuals: list[Expr]
-    zero: bool
+class VerifyReport:
+    """One status per residual, Zero when every status is: an exact verdict keeps
+    its residuals, a sampled one its worst residual over its good samples."""
+
+    statuses: list[str]
+    residuals: list[Expr] = dc_field(default_factory=list)
+    max_residual: float | None = None
+    samples: int = 0
+    notes: list[str] = dc_field(default_factory=list)
+
+    @classmethod
+    def exact(cls, residuals: list[Expr], constraints=(), notes=()) -> "VerifyReport":
+        return cls([verdict(r, constraints) for r in residuals], residuals, notes=list(notes))
+
+    @property
+    def zero(self) -> bool:
+        return all(s == ZeroStatus.ZERO for s in self.statuses)
 
     @property
     def status(self) -> str:
@@ -415,10 +439,9 @@ class VerificationReport:
         return [expr_text(r) for r in self.residuals]
 
 
-def verify_generator(system, X: VectorField) -> VerificationReport:
+def verify_generator(system, X: VectorField) -> VerifyReport:
     """Residual check with unknown-function derivatives reduced by their rules."""
-    res = symmetry_residual(system, X)
-    return VerificationReport(res, all(r.is_zero() for r in res))
+    return VerifyReport.exact(symmetry_residual(system, X))
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +552,7 @@ def determining_system(system, basis: AnsatzBasis) -> DeterminingSystem:
     packed monomial), equation i scaled by the lcm of the d*den of its
     non-empty summands; an entry that cancels across K is dropped, and a row
     left empty with it.  Map and pieces die with the call, prolongations not."""
+    _same_space("determining_system", system.jet, basis.jet)
     cols, residual = basis.columns(), _ResidualMap(system)
     res = [residual.column(key, e) for key, _, e in cols]
     scale = [lcm(*{d * r[i][1] for col in res for _, _, d, r in col if r[i][0]})

@@ -9,7 +9,7 @@ from lieforge.expr_core import (
 from lieforge.hierarchy import REAL_JET, catalogue_member
 from lieforge.liealg import in_span
 from lieforge.parser import parse_expr
-from lieforge.reduce import ODE_JET
+from lieforge.reduce import ODE_JET, reduced_system
 from lieforge.symmetry import (
     VectorField, ansatz_dictionary, determining_system,
     discover_symmetries, field_text, parse_field, prolong_generator,
@@ -19,6 +19,25 @@ from lieforge.symmetry import (
 
 def R(text):
     return parse_expr(text, REAL_JET.with_constants(("c",)))
+
+
+# a field, dictionary or basis on another jet space than the system or fields it meets
+JET_SPACE_PROBES = {
+    "verify-reduced-system-member-field":
+        lambda: verify_generator(reduced_system(2), catalog.fields_member2()[1]),
+    "verify-member-reduced-field":
+        lambda: verify_generator(catalogue_member(2), catalog.fields_reduced2()[1]),
+    "determining-reduced-system-pde-dictionary":
+        lambda: determining_system(reduced_system(2, 1), ansatz_dictionary(REAL_JET, 1)),
+    "span-member-field-reduced-basis":
+        lambda: in_span([catalog.fields_member2()[0]], catalog.fields_reduced2()[:2]),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(JET_SPACE_PROBES))
+def test_mismatched_jet_spaces_raise(probe):
+    with pytest.raises(DomainError, match="mismatched jet spaces in "):
+        JET_SPACE_PROBES[probe]()
 
 
 class TestProlongation:
