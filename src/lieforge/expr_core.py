@@ -39,8 +39,9 @@ both, as a fresh process starts them.  Atoms stay interned in `_INTERN`.
 
 Partial and total derivatives share one derivation loop: a sweep over the
 terms, fixed by its values on symbols, jets and functions, with one chain
-rule through trig/exp/reciprocal arguments.  A total derivative takes two
-sweeps, the partial by its symbol and then one raising jets and functions.
+rule through trig/exp/reciprocal arguments; one sweep serves several
+directions, as `gradient` does.  A total derivative takes two sweeps, the
+partial by its symbol and then one raising jets and functions.
 Substitution rebuilds only the terms holding a changed atom, as the product
 of their factors in factor order.
 
@@ -60,13 +61,13 @@ import math
 import random
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, KeysView, Mapping
+from typing import Callable, Iterable, KeysView, Mapping, Sequence
 
 __all__ = [
     "Atom", "Sym", "Root", "Jet", "Func", "IUnit", "Trig", "ExpAtom", "Recip",
     "Expr", "DomainError", "PoleError", "UnboundAtomError", "ZeroStatus",
     "sym", "root", "jet", "func", "I", "sin_e", "cos_e", "tan_e", "exp_e",
-    "recip_e", "sqrt_e", "derive", "substitute", "NumericPlan",
+    "recip_e", "sqrt_e", "derive", "gradient", "substitute", "NumericPlan",
     "eval_numeric", "equals_zero", "verdict", "equal_up_to_factor",
     "to_canonical", "collect_terms", "atoms_of", "random_rational", "clear_caches",
 ]
@@ -93,9 +94,10 @@ _INTERN: dict[tuple, "Atom"] = {}
 
 class Atom:
     """An atom is made once per structural key and interned in `_INTERN`, so
-    atoms compare and hash by identity; `key` orders them."""
+    atoms compare and hash by identity; `key` orders them, and `_text` keeps
+    the text of its first print (`parser.atom_text`)."""
 
-    __slots__ = ("key",)
+    __slots__ = ("key", "_text")
 
     def __new__(cls, *args):
         raise TypeError("use the atom constructor helpers")
@@ -105,7 +107,7 @@ class Atom:
         got = _INTERN.get(key)
         if got is None:
             got = object.__new__(cls)
-            got.key = key
+            got.key, got._text = key, None
             for name, value in fields.items():
                 setattr(got, name, value)
             _INTERN[key] = got
@@ -689,54 +691,67 @@ def atoms_of(e: Expr, recurse: bool = True) -> KeysView[Atom]:
 def derive(e: Expr, a: Atom) -> Expr:
     """Partial derivative treating all other atoms as independent; chain rule
     through transcendental factors.  Term order follows the terms of `e`,
-    then their factors, then the terms of each factor's derivative."""
-    if not isinstance(a, (Sym, Jet, Func, Root)):
-        raise DomainError("derivative only with respect to symbols, jets, or functions")
-    return _derivation(e, lambda atom: Expr.one() if atom is a else None)
+    then their factors, then the terms of each factor's derivative: the
+    one-direction sweep of `_derivation`."""
+    return Expr(_derivation(e, {_direction(a): ((0, {_ONE_M: 1}),)}.get, [{}])[0])
 
 
-def _derivation(e: Expr, delta: Callable[[Atom], Expr | None]) -> Expr:
-    """The derivation D with D(atom) = delta(atom) (None for zero) on every
-    atom but trig, exp and reciprocal ones, which take the chain rule through
-    their arguments, and roots delta does not name, which differentiate as
-    a^(1/2) by delta(a): one sweep adding q*k*atom^(k-1)*D(atom)*rest for every
-    factor atom^k of every term q*rest*atom^k."""
-    dvals: dict[Atom, Expr | None] = {}
-    out: dict[Monomial, Coeff] = {}
+def gradient(e: Expr, atoms: Sequence[Atom]) -> list[Expr]:
+    """derive(e, a) for every a of `atoms`, term for term, from one sweep."""
+    deltas: dict[Atom, tuple] = {}
+    for j, a in enumerate(atoms):
+        deltas[_direction(a)] = deltas.get(a, ()) + ((j, {_ONE_M: 1}),)
+    return list(map(Expr, _derivation(e, deltas.get, [{} for _ in atoms])))
+
+
+def _direction(a: Atom) -> Atom:
+    if isinstance(a, (Sym, Jet, Func, Root)):
+        return a
+    raise DomainError("derivative only with respect to symbols, jets, or functions")
+
+
+def _derivation(e: Expr, delta: Callable[[Atom], tuple | None], outs: list[dict]) -> list[dict]:
+    """Add D_j(e) into outs[j] and return outs: one sweep adding
+    q*k*atom^(k-1)*D_j(atom)*rest for every factor atom^k of every term
+    q*rest*atom^k, outs[j] in the term order of a sweep for D_j alone.
+    delta(atom) holds the nonzero (j, term dict of D_j(atom)), or is None;
+    trig, exp and reciprocal atoms take the chain rule through their
+    arguments, and a root without a value for j differentiates as a^(1/2)."""
+    dvals: dict[Atom, tuple] = {}
     for m, q in e._terms.items():
         for i, (atom, k) in enumerate(m):
-            d = dvals.get(atom, dvals)
-            if d is dvals:  # not looked up yet
-                d = dvals[atom] = _datom(atom, delta)
-            if d is None:
-                continue
-            rest = m[:i] + ((atom, k - 1),) + m[i + 1:] if k != 1 else m[:i] + m[i + 1:]
-            _mul_into(out, {rest: q * k}, d._terms)
-    return Expr(out)
+            ds = dvals.get(atom)
+            if ds is None:
+                ds = dvals[atom] = _datom(atom, delta, outs)
+            if ds:
+                rest = m[:i] + ((atom, k - 1),) + m[i + 1:] if k != 1 else m[:i] + m[i + 1:]
+                for j, d in ds:
+                    _mul_into(outs[j], {rest: q * k}, d)
+    return outs
 
 
-def _datom(atom: Atom, delta: Callable[[Atom], Expr | None]) -> Expr | None:
-    if isinstance(atom, Root):  # sqrt(a)' = sqrt(a) a'/(2a), unless delta names the root
-        d = delta(atom)
-        if d is None and (da := delta(sym(atom.of))) is not None:
-            d = atom.as_expr() * da / (Expr.rational(2) * sym(atom.of).as_expr())
-        return d
+def _datom(atom: Atom, delta: Callable[[Atom], tuple | None], outs: list) -> Sequence:
+    """The nonzero values (j, term dict) of D_j(atom) in a `_derivation` into outs."""
+    if atom.__class__ in _PLAIN:
+        return delta(atom) or ()
+    if isinstance(atom, Root):  # sqrt(a)' = sqrt(a) a'/(2a) where delta names no value
+        named, chain = delta(atom) or (), delta(sym(atom.of))
+        return [*named, *[
+            (j, (atom.as_expr() * Expr(da) / (Expr.rational(2) * sym(atom.of).as_expr()))._terms)
+            for j, da in chain if j not in dict(named)]] if chain else named
     if not isinstance(atom, (Trig, ExpAtom, Recip)):
-        return delta(atom)
-    darg = _derivation(atom.arg, delta)
-    if not darg._terms:
-        return None
-    if isinstance(atom, ExpAtom):
-        return atom.as_expr() * darg
+        return ()
+    dargs = _derivation(atom.arg, delta, [{} for _ in outs])
+    if not any(dargs):
+        return ()
     if isinstance(atom, Recip):
         r = atom.as_expr()
-        return -darg * r * r
-    if atom.fn == "sin":
-        return cos_e(atom.arg) * darg
-    if atom.fn == "cos":
-        return -sin_e(atom.arg) * darg
-    t = tan_e(atom.arg)
-    return (Expr.one() + t * t) * darg
+        return [(j, (-Expr(t) * r * r)._terms) for j, t in enumerate(dargs) if t]
+    outer = (atom.as_expr() if isinstance(atom, ExpAtom) else
+             cos_e(atom.arg) if atom.fn == "sin" else
+             -sin_e(atom.arg) if atom.fn == "cos" else
+             Expr.one() + (tn := tan_e(atom.arg)) * tn)._terms
+    return [(j, _mul_into({}, outer, t)) for j, t in enumerate(dargs) if t]
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ and Jacobi checks, and a structural signature of the resulting algebra.
 
 Structure constants are expressions in the declared parameter symbols (most
 tables are purely rational; the reduced third-member algebra needs sqrt(c)).
-A table differentiates each basis field once: one Jacobian per field, held
-for the call, serves all of its brackets.
+A table reads each basis field once: its coefficients and its Jacobian, one
+derivation sweep per component, held for the call, serve all of its brackets.
 Membership of a bracket in the span of a basis is decided by matching
 coefficients over the shared functional basis of monomials and solving
 exactly, never by sampling points; one elimination, on rows keyed (slot,
@@ -23,8 +23,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from itertools import combinations
 
-from .expr_core import (DomainError, Expr, Root, Sym, ZeroStatus, _mul_into, atoms_of, derive,
-                        jet, substitute, sym, verdict)
+from .expr_core import (DomainError, Expr, Root, Sym, ZeroStatus, _add_into, _mono_key, _mul_into,
+                        atoms_of, gradient, jet, substitute, sym, verdict)
 from .linalg import nullspace, rank, rref, solve_exact, transpose
 from .parser import combo_text
 from .symmetry import VectorField, _same_space, _slot_sums
@@ -33,40 +33,37 @@ __all__ = ["lie_bracket", "StructureTable", "structure_constants",
            "jacobi_check", "AlgebraSignature", "algebra_signature"]
 
 
-def _jacobian(F: VectorField) -> list[list[Expr]]:
-    """d F^i / d z^j for every component F^i and coordinate z^j, both in
-    `coeff_vector_atoms` order: each component is differentiated once."""
+def _read(F: VectorField) -> tuple:
+    """(F, its slots, their term dicts, its Jacobian rows dF^i/dz^j as term dicts)
+    in `coeff_vector_atoms` order: one sweep per component."""
     slots = list(F.coeff_vector_atoms())
     coords = [sym(var) if kind == "xi" else jet(var) for kind, var, _ in slots]
-    return [[derive(c, z) for z in coords] for _, _, c in slots]
+    return (F, slots, [c._terms for _, _, c in slots],
+            [[d._terms for d in gradient(c, coords)] for _, _, c in slots])
 
 
-def _apply_field(coeffs: list[Expr], grad: list[Expr]) -> Expr:
-    """X, with coefficients `coeffs`, applied to a function with gradient `grad`."""
-    out: dict = {}
-    for c, d in zip(coeffs, grad):
-        if not c.is_zero():
-            _mul_into(out, c._terms, d._terms)
-    return Expr(out)
-
-
-def _bracket(X: VectorField, JX, Y: VectorField, JY) -> VectorField:
-    """[X, Y] from the Jacobians JX and JY of X and Y, on one jet space."""
-    if X.unknowns or Y.unknowns:
+def _bracket(X: tuple, Y: tuple) -> VectorField:
+    """[X, Y] of two fields read by `_read`: X(Y^i) summed in one dict, -Y(X^i)
+    in another and added, in the term order of their difference."""
+    (F, slots, cx, jx), (G, _, cy, jy) = X, Y
+    if F.unknowns or G.unknowns:
         raise DomainError("lie_bracket needs concrete coefficients")
-    cx, cy = ([c for _, _, c in F.coeff_vector_atoms()] for F in (X, Y))
     xi, eta = {}, {}
-    for (kind, var, _), gx, gy in zip(X.coeff_vector_atoms(), JX, JY):
-        c = _apply_field(cx, gy) - _apply_field(cy, gx)
-        if not c.is_zero():
-            (xi if kind == "xi" else eta)[var] = c
-    return VectorField(X.jet, xi, eta)
+    for (kind, var, _), gx, gy in zip(slots, jx, jy):
+        out, sub = {}, {}
+        for c, d in zip(cx, gy):
+            _mul_into(out, c, d)
+        for c, d in zip(cy, gx):
+            _mul_into(sub, c, d)
+        if _add_into(out, ((m, -q) for m, q in sub.items())):
+            (xi if kind == "xi" else eta)[var] = Expr(out)
+    return VectorField(F.jet, xi, eta)
 
 
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     """[X, Y]^i = X(Y^i) - Y(X^i), componentwise."""
     _same_space("lie_bracket", X.jet, Y.jet)
-    return _bracket(X, _jacobian(X), Y, _jacobian(Y))
+    return _bracket(_read(X), _read(Y))
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +71,16 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 def _param_atoms(fields) -> list:
+    """The parameter symbols and roots, by key, of the distinct monomials of
+    fields on one jet space; a root brings its symbol, as sqrt(c)^2 is c."""
+    monos = {m: 1 for F in fields for _, _, c in F.coeff_vector_atoms() for m in c._terms}
+    indep = fields[0].jet.independents if fields else ()
     params = set()
-    for F in fields:
-        for _, _, coeff in F.coeff_vector_atoms():
-            for a in atoms_of(coeff):
-                if isinstance(a, Root) and a.of not in F.jet.independents:
-                    params.update((a, sym(a.of)))  # sqrt(c)^2 is c
-                elif isinstance(a, Sym) and a.name not in F.jet.independents:
-                    params.add(a)
+    for a in atoms_of(Expr(monos)):
+        if isinstance(a, Root) and a.of not in indep:
+            params.update((a, sym(a.of)))
+        elif isinstance(a, Sym) and a.name not in indep:
+            params.add(a)
     return sorted(params, key=lambda a: a.key)
 
 
@@ -98,12 +97,6 @@ def _const_dictionary(params) -> list[Expr]:
     return consts + [c * r.as_expr() for r in roots for c in consts]
 
 
-def _rows(F: VectorField, const: Expr | None = None) -> dict:
-    """F (times const) as a row {(slot index, monomial): coefficient}."""
-    return {(s, m): q for s, (_, _, e) in enumerate(F.coeff_vector_atoms())
-            for m, q in (e if const is None else e * const)._terms.items()}
-
-
 def in_span(targets: list[VectorField], basis: list[VectorField]):
     """Exact membership: target = sum_k alpha_k basis_k with alpha_k constant
     expressions over the dictionary of the parameters of basis and targets.
@@ -114,15 +107,21 @@ def in_span(targets: list[VectorField], basis: list[VectorField]):
     their span, or if the fields lie on more than one jet space."""
     _same_space("in_span", *(F.jet for F in basis + targets))
     consts = _const_dictionary(_param_atoms(basis + targets))
+    terms = [[c._terms for _, _, c in F.coeff_vector_atoms()] for F in basis + targets]
     labels = [(k, c) for k in range(len(basis)) for c in consts]
-    cols, rows = [_rows(basis[k], c) for k, c in labels], [_rows(T) for T in targets]
+    # rows {(slot index, _mono_key(monomial)): coefficient}, sorted as plain tuples
+    vecs = [[_mul_into({}, e, c._terms) for e in terms[k]] for k, c in labels] + terms[len(basis):]
+    keys = {m: _mono_key(m) for m in dict.fromkeys(m for F in vecs for e in F for m in e)}
+    rows = [{(s, keys[m]): q for s, e in enumerate(F) for m, q in e.items()} for F in vecs]
     try:
-        sols = solve_exact(cols, rows)
+        sols = solve_exact(rows[:len(labels)], rows[len(labels):])
     except ValueError:
         raise DomainError("basis fields are linearly dependent") from None
-    # the dictionary holds distinct monomials, so no alpha_k summed is zero
+    # a constant c is one monomial at coefficient 1, so alpha_k*c is {c: alpha_k}; the
+    # dictionary holds distinct monomials, so no alpha_k summed is zero
     return [None if sol is None else _slot_sums(
-        (k, Expr.rational(q) * c) for (k, c), q in zip(labels, sol) if q) for sol in sols]
+        (k, Expr({next(iter(c._terms)): q.numerator if q.denominator == 1 else q}))
+        for (k, c), q in zip(labels, sol) if q.numerator) for sol in sols]
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +165,8 @@ def structure_constants(basis: list[VectorField]) -> StructureTable:
     non-closing pairs are flagged with their residual field.  A basis
     dependent over the constants raises DomainError."""
     pairs = list(combinations(range(len(basis)), 2))
-    jac = [_jacobian(F) for F in basis]
-    brackets = [_bracket(basis[i], jac[i], basis[j], jac[j]) for i, j in pairs]
+    read = [_read(F) for F in basis]
+    brackets = [_bracket(read[i], read[j]) for i, j in pairs]
     constants, non_closing = {}, {}
     for (i, j), br, row in zip(pairs, brackets, in_span(brackets, basis)):
         if row is None:

@@ -235,6 +235,13 @@ def parse_expr(text: str, context) -> Expr:
 # ---------------------------------------------------------------------------
 
 def atom_text(atom: Atom) -> str:
+    """The atom's text, rendered on its first print and kept on the atom."""
+    if atom._text is None:
+        atom._text = _render(atom)
+    return atom._text
+
+
+def _render(atom: Atom) -> str:
     if isinstance(atom, Sym):
         return atom.name
     if isinstance(atom, Root):
@@ -259,9 +266,9 @@ def atom_text(atom: Atom) -> str:
 
 
 def _factor_text(atom: Atom, k: int) -> str:
-    if isinstance(atom, Recip):
-        return f"({expr_text(atom.arg)})^-{k}"
     base = atom_text(atom)
+    if isinstance(atom, Recip):  # (arg)^-1 with k for its 1
+        return base[:-1] + str(k)
     return base if k == 1 else f"{base}^{k}"
 
 

@@ -29,7 +29,7 @@ from math import comb, lcm, prod
 
 from .expr_core import (
     DomainError, Expr, Func, Jet, _accumulate, _add_into, _is_plain, _memo,
-    _mul_into, atoms_of, cos_e, derive, exp_e, func, jet,
+    _mul_into, atoms_of, cos_e, exp_e, func, gradient, jet,
     sin_e, sym, verdict, ZeroStatus,
 )
 from .linalg import cleared, divided, nullspace, rank
@@ -289,13 +289,13 @@ class _ResidualMap:
             [lead for lead, _ in equations] +
             [a for _, rhs in equations for a in atoms_of(rhs) if isinstance(a, Jet)])
         # unknown-function content of rhs is not acted on: generators carry
-        # unknown functions only in their own coefficients
-        self.parts = [(lead, [self.reducer.reduce(-derive(rhs, sym(i)))
-                              for i in self.independents],
-                       [(a, self.reducer.reduce(-derive(rhs, a)))
-                        for a in atoms_of(rhs) if isinstance(a, Jet)])
-                      for lead, rhs in equations]
-        self.syms = [sym(i) for i in self.independents]
+        # unknown functions only in their own coefficients; one sweep per rhs
+        # differentiates it by the independents and by its jets
+        self.syms, self.parts = [sym(i) for i in self.independents], []
+        for lead, rhs in equations:
+            jets = [a for a in atoms_of(rhs) if isinstance(a, Jet)]
+            dH = [self.reducer.reduce(-d) for d in gradient(rhs, self.syms + jets)]
+            self.parts.append((lead, dH[:len(self.syms)], list(zip(jets, dH[len(self.syms):]))))
         self.top = {s: max(J.idx.count(s.name) for J in self.needed) for s in self.syms}
         self.zero = (0,) * len(self.syms)  # K = () as counts per independent
         self.tables, self.splits, self.belows = {}, {}, {}  # D_L(Q_Y); (C(J,K), J-K); jets
@@ -580,7 +580,11 @@ def determining_system(system, basis: AnsatzBasis) -> DeterminingSystem:
 def discover_symmetries(system, basis: AnsatzBasis,
                         det: DeterminingSystem | None = None) -> list[VectorField]:
     """Exact nullspace of the determining system mapped back to generators;
-    canonical reduced-echelon basis, pivot on the lowest-indexed coefficient."""
+    canonical reduced-echelon basis, pivot on the lowest-indexed coefficient.
+    A system off the basis's jet space, or a `det` of another basis, raises."""
+    _same_space("discover_symmetries", system.jet, basis.jet)
+    if det is not None and det.basis is not basis:
+        raise DomainError("determining system of another basis in discover_symmetries")
     det = det or determining_system(system, basis)
     fields = []
     for vec in nullspace(det.rows.ints.values(), det.n_unknowns):

@@ -62,15 +62,15 @@ def total_derivative(e: Expr, indep: str) -> Expr:
     """Total derivative D_indep: the partial derivative by indep, plus one
     sweep of the kernel's derivation sending every jet and every unknown
     function of indep to its raised derivative (chain rule included)."""
-    def raise_atom(atom: Atom) -> Expr | None:
+    def raise_atom(atom: Atom) -> tuple | None:
         if isinstance(atom, Jet):
-            return jet(atom.dep, atom.idx + (indep,)).as_expr()
+            return ((0, jet(atom.dep, atom.idx + (indep,)).as_expr()._terms),)
         if isinstance(atom, Func) and indep in atom.args:
-            return func(atom.name, atom.args, atom.idx + (indep,)).as_expr()
+            return ((0, func(atom.name, atom.args, atom.idx + (indep,)).as_expr()._terms),)
         return None
 
     out = dict(derive(e, sym(indep))._terms)
-    return Expr(_add_into(out, _derivation(e, raise_atom)._terms.items()))
+    return Expr(_add_into(out, _derivation(e, raise_atom, [{}])[0].items()))
 
 
 @dataclass

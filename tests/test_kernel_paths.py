@@ -13,10 +13,14 @@ import pytest
 from lieforge.expr_core import (
     I, DomainError, Expr, Func, IUnit, Jet, Root, Sym, _accumulate, _exp_atom,
     _invert_single, _is_plain, _mul_into, _product_to_sum, _put, _trig_atom,
-    atoms_of, cos_e, derive, exp_e, func, jet, recip_e, root, sin_e, substitute,
-    sym, tan_e, Trig, ExpAtom, Recip,
+    atoms_of, cos_e, derive, exp_e, func, gradient, jet, recip_e, root, sin_e,
+    substitute, sym, tan_e, Trig, ExpAtom, Recip,
 )
+from lieforge import catalog
+from lieforge.hierarchy import catalogue_member
 from lieforge.liealg import StructureTable, jacobi_check
+from lieforge.parser import parse_expr
+from lieforge.reduce import ODE_JET
 from lieforge.systems import total_derivative
 
 from exprgen import BASE_ATOMS, _atom_expr, random_tree, tree_to_expr
@@ -168,6 +172,36 @@ def test_derive_term_order_matches_termwise_product():
         atoms = sorted(a for a in atoms_of(e) if isinstance(a, (Jet, Func)))
         for a in atoms[:2] + [rng.choice(specials)]:
             assert _outcome(derive, e, a) == _outcome(_termwise_derive, e, a)
+
+
+def _gradient_exprs():
+    """The seeded and special expressions, the right-hand sides of printed
+    members 1-4, the coefficients of the member 2/3 and reduced 2/3 fields,
+    and a root beside its base."""
+    rhs = [e for k in (1, 2, 3, 4) for e in catalogue_member(k).rhs.values()]
+    fields = (catalog.fields_member2() + catalog.fields_member3()
+              + catalog.fields_reduced2() + catalog.fields_reduced3())
+    coeffs = [c for F in fields for _, _, c in F.coeff_vector_atoms()]
+    root_and_base = parse_expr("-c^-1*sqrt(c)*sin(s*sqrt(c))", ODE_JET)
+    return _exprs() + rhs + coeffs + [root_and_base]
+
+
+def test_one_sweep_gives_every_partial_term_for_term():
+    """gradient(e, atoms)[j] is derive(e, atoms[j]) with its term order, for
+    every atom of e a derivative may take, in both orders, a root's base
+    among them beside the root."""
+    exprs = _gradient_exprs()
+    assert len(exprs) >= 200 + 8 + 3 * 36
+    for e in exprs:
+        atoms = [a for a in atoms_of(e) if isinstance(a, (Sym, Jet, Func, Root))]
+        atoms = list(dict.fromkeys(atoms + [sym(a.of) for a in atoms if isinstance(a, Root)]))
+        for directions in (atoms, atoms[::-1]):
+            assert [list(d._terms.items()) for d in gradient(e, directions)] == \
+                [list(derive(e, a)._terms.items()) for a in directions], (e, directions)
+    # by c, sqrt(c) = c^(1/2) takes the chain rule; by sqrt(c), c is held fixed
+    assert [str(d) for d in gradient(exprs[-1], [sym("c"), root("c")])] == [
+        "1/2*c^-2*sqrt(c)*sin(s*sqrt(c)) - 1/2*c^-1*s*cos(s*sqrt(c))",
+        "-c^-1*s*sqrt(c)*cos(s*sqrt(c)) - c^-1*sin(s*sqrt(c))"]
 
 
 # in key order x sorts before sqrt(c), v and w_x before I, exp and sin/cos/tan

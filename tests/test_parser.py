@@ -1,9 +1,11 @@
 """Grammar: parsing, printing, roundtrips, and error reporting."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from lieforge import expr_core, parser
 from lieforge.expr_core import Expr, jet, func, sym
 from lieforge.parser import (
     MAX_POWER_BITS, ParseError, UnknownIdentifierError, expr_text, parse_expr,
@@ -153,3 +155,24 @@ def test_powers_within_the_budget_are_exact_powers():
     for n in (-2, 0, 1, 7, 12):
         got = parse_expr(f"(v + w + sin(v_x))^{n}", PDE)
         assert list(got._terms.items()) == list((base ** n)._terms.items())
+
+
+def test_kept_atom_texts_are_fresh_renders(capsys, monkeypatch):
+    """Every atom prints from the text it keeps: after the README commands
+    and the structure tables have printed from no kept text, each text was
+    rendered once, and every kept text is what the uncached renderer prints."""
+    from test_cli import README_STDOUT, run
+    from test_span_solver import GOLDEN, table_outputs
+
+    for atom in list(expr_core._INTERN.values()):
+        atom._text = None  # a function of the key: rendered again on the next print
+    render, built = parser._render, Counter()
+    monkeypatch.setattr(parser, "_render", lambda atom: built.update([atom]) or render(atom))
+    for command in sorted(README_STDOUT):
+        assert run(capsys, *command.split()) == (0, README_STDOUT[command]), command
+    assert table_outputs() == GOLDEN
+    assert built and set(built.values()) == {1}
+    monkeypatch.setattr(parser, "atom_text", render)  # arguments print anew too
+    kept = [atom for atom in expr_core._INTERN.values() if atom._text is not None]
+    assert set(kept) == set(built)
+    assert all(atom._text == render(atom) for atom in kept)

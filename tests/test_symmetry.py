@@ -31,7 +31,14 @@ JET_SPACE_PROBES = {
         lambda: determining_system(reduced_system(2, 1), ansatz_dictionary(REAL_JET, 1)),
     "span-member-field-reduced-basis":
         lambda: in_span([catalog.fields_member2()[0]], catalog.fields_reduced2()[:2]),
+    "discover-reduced-system-pde-dictionary":
+        lambda: discover_symmetries(reduced_system(2, 1), ansatz_dictionary(REAL_JET, 1),
+                                    _det_member2_degree1()),
 }
+
+
+def _det_member2_degree1():
+    return determining_system(catalogue_member(2), ansatz_dictionary(REAL_JET, 1))
 
 
 @pytest.mark.parametrize("probe", sorted(JET_SPACE_PROBES))
@@ -316,6 +323,12 @@ class TestDiscovery:
         big = ansatz_dictionary(REAL_JET, degree=2, trig_order=1)
         det_big = determining_system(member2, big)
         assert det_big.nullity() >= det2.nullity()
+
+    def test_determining_system_of_another_basis_raises(self):
+        # the same jet space, but the rows are those of another dictionary
+        with pytest.raises(DomainError, match="determining system of another basis"):
+            discover_symmetries(catalogue_member(3), ansatz_dictionary(REAL_JET, 2),
+                                _det_member2_degree1())
 
     def test_empty_basis(self, member2):
         from lieforge.symmetry import AnsatzBasis
