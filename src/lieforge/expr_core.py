@@ -540,7 +540,8 @@ def _accumulate(out: dict[Monomial, Coeff], factors: Iterable[tuple[Atom, int]],
     """Add coeff times the normal form of a factor list into `out` (an
     integral sum stored as an `int`, nothing for coeff 0) by replaying the
     puts of `_normal_form` kept in `_PRODUCTS`; a DomainError keeps nothing.
-    A put at 1, as every plain product's is, adds coeff itself."""
+    A put at 1, as every plain product's is, adds coeff itself; a put at c
+    on an int coeff that c.denominator divides adds c * coeff as an int."""
     if not coeff:
         return
     key = tuple(factors)
@@ -551,7 +552,8 @@ def _accumulate(out: dict[Monomial, Coeff], factors: Iterable[tuple[Atom, int]],
             _PRODUCTS.clear()
         _PRODUCTS[key] = puts
     for m, c in puts:
-        _put(out, m, coeff if c == 1 else c * coeff)
+        _put(out, m, coeff if c == 1 else coeff // c.denominator * c.numerator
+             if coeff.__class__ is int and not coeff % c.denominator else c * coeff)
 
 
 def _normal_form(factors: tuple[tuple[Atom, int], ...]) -> list[tuple[Monomial, Coeff]]:

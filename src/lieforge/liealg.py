@@ -4,7 +4,8 @@ and Jacobi checks, and a structural signature of the resulting algebra.
 Structure constants are expressions in the declared parameter symbols (most
 tables are purely rational; the reduced third-member algebra needs sqrt(c)).
 A table reads each basis field once: its coefficients and its Jacobian, one
-derivation sweep per component, held for the call, serve all of its brackets.
+derivation sweep per component, as integers over one denominator, serve all
+of its brackets, summed on integers and divided once.
 Membership of a bracket in the span of a basis is decided by matching
 coefficients over the shared functional basis of monomials and solving
 exactly, never by sampling points; one elimination, on rows keyed (slot,
@@ -13,19 +14,20 @@ over the parameter dictionary.  A table holds its brackets as sparse
 antisymmetric rows {(i, j): {k: c_ij^k}}, nonzero constants only, and the
 Jacobi check, the signature and the printed table read those rows as they
 are; the Jacobi check takes each sum's status from `expr_core.verdict`.  Both
-series of a signature, at each point of its parameters (the empty point when
-there are none), start from [g, g], the span of the table's own rows.
+series of a signature, on integer echelon rows at each point of its parameters
+(the empty point if none), start from [g, g], the span of the table's rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
+from math import lcm
 
-from .expr_core import (DomainError, Expr, Root, Sym, ZeroStatus, _add_into, _mono_key, _mul_into,
-                        atoms_of, gradient, jet, substitute, sym, verdict)
-from .linalg import nullspace, rank, rref, solve_exact, transpose
+from .expr_core import (DomainError, Expr, Root, Sym, Trig, ZeroStatus, _add_into, _mono_key,
+                        _mul_into, atoms_of, gradient, jet, substitute, sym, verdict)
+from .linalg import divided, echelon, nullspace, rank, solve_exact, transpose
 from .parser import combo_text
 from .symmetry import VectorField, _same_space, _slot_sums
 
@@ -34,18 +36,27 @@ __all__ = ["lie_bracket", "StructureTable", "structure_constants",
 
 
 def _read(F: VectorField) -> tuple:
-    """(F, its slots, their term dicts, its Jacobian rows dF^i/dz^j as term dicts)
-    in `coeff_vector_atoms` order: one sweep per component."""
+    """(F, its slots, their term dicts, its Jacobian rows dF^i/dz^j as term dicts,
+    den) in `coeff_vector_atoms` order, one sweep per component; the dicts are
+    ints, times den, the lcm of their denominators, doubled when sin or cos
+    puts product-to-sum halves; at den 1 they are the field's own."""
     slots = list(F.coeff_vector_atoms())
     coords = [sym(var) if kind == "xi" else jet(var) for kind, var, _ in slots]
-    return (F, slots, [c._terms for _, _, c in slots],
-            [[d._terms for d in gradient(c, coords)] for _, _, c in slots])
+    terms = [c._terms for _, _, c in slots]
+    jac = [[d._terms for d in gradient(c, coords)] for _, _, c in slots]
+    trig = any(a.__class__ is Trig and a.fn != "tan" for t in terms for m in t for a, _ in m)
+    den = (1 + trig) * lcm(*[q.denominator for t in chain(terms, *jac) if t for q in t.values()])
+    if den > 1:
+        terms, *jac = [[{m: q.numerator * (den // q.denominator) for m, q in t.items()} for t in ts]
+                       for ts in (terms, *jac)]
+    return F, slots, terms, jac, den
 
 
 def _bracket(X: tuple, Y: tuple) -> VectorField:
     """[X, Y] of two fields read by `_read`: X(Y^i) summed in one dict, -Y(X^i)
-    in another and added, in the term order of their difference."""
-    (F, slots, cx, jx), (G, _, cy, jy) = X, Y
+    in another and added, in the term order of their difference, on integers
+    divided once by the product of the fields' denominators."""
+    (F, slots, cx, jx, dx), (G, _, cy, jy, dy) = X, Y
     if F.unknowns or G.unknowns:
         raise DomainError("lie_bracket needs concrete coefficients")
     xi, eta = {}, {}
@@ -56,7 +67,7 @@ def _bracket(X: tuple, Y: tuple) -> VectorField:
         for c, d in zip(cy, gx):
             _mul_into(sub, c, d)
         if _add_into(out, ((m, -q) for m, q in sub.items())):
-            (xi if kind == "xi" else eta)[var] = Expr(out)
+            (xi if kind == "xi" else eta)[var] = Expr(divided(out, dx * dy))
     return VectorField(F.jet, xi, eta)
 
 
@@ -119,9 +130,10 @@ def in_span(targets: list[VectorField], basis: list[VectorField]):
         raise DomainError("basis fields are linearly dependent") from None
     # a constant c is one monomial at coefficient 1, so alpha_k*c is {c: alpha_k}; the
     # dictionary holds distinct monomials, so no alpha_k summed is zero
+    monos = [(k, next(iter(c._terms))) for k, c in labels]
     return [None if sol is None else _slot_sums(
-        (k, Expr({next(iter(c._terms)): q.numerator if q.denominator == 1 else q}))
-        for (k, c), q in zip(labels, sol) if q.numerator) for sol in sols]
+        (monos[l][0], Expr({monos[l][1]: q.numerator if q.denominator == 1 else q}))
+        for l, q in sol.items()) for sol in sols]
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +242,24 @@ def algebra_signature(table: StructureTable) -> AlgebraSignature:
 def _signature_at(table: StructureTable, point: dict) -> AlgebraSignature:
     """The signature with every constant specialised at `point`."""
     n = table.dim
-    # each row with its constants specialised; one may vanish at the point
+    # rows specialised (a constant may vanish), cleared by one lcm: only dimensions are read
     br = {p: {k: q for k, e in row.items() if (q := substitute(e, point).as_rational())}
           for p, row in table.constants.items()}
+    den = lcm(*(q.denominator for row in br.values() for q in row.values()))
+    br = {p: {k: q.numerator * (den // q.denominator) for k, q in row.items()}
+          for p, row in br.items()}
 
     def bracket(u, v):
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for i, a in u.items():
             for j, b in v.items():
                 for k, q in br.get((i, j), {}).items():
                     out[k] = out.get(k, 0) + a * b * q
         return {k: q for k, q in out.items() if q}
 
-    full = [{i: Fraction(1)} for i in range(n)]
+    full = [{i: 1} for i in range(n)]
     # [g, g] is spanned by the table's own rows c_ij, one per pair i < j
-    gg = rref([row for (i, j), row in br.items() if i < j])[0]
+    gg = echelon([row for (i, j), row in br.items() if i < j])[0]
 
     def series(step):
         """Spans A_1 = [g, g], A_2, ... with A_{m+1} = step(A_m), up to the
@@ -255,8 +270,8 @@ def _signature_at(table: StructureTable, point: dict) -> AlgebraSignature:
         return spans[1:]
 
     # [A, A] needs each unordered pair once: [u, u] = 0, [v, u] = -[u, v]
-    derived = series(lambda A: rref([bracket(u, v) for u, v in combinations(A, 2)])[0])
-    lower_central = series(lambda A: rref([bracket(u, v) for u in full for v in A])[0])
+    derived = series(lambda A: echelon([bracket(u, v) for u, v in combinations(A, 2)])[0])
+    lower_central = series(lambda A: echelon([bracket(u, v) for u in full for v in A])[0])
     derived_series = [len(A) for A in derived]
     lcs_series = [len(A) for A in lower_central]
 

@@ -1,15 +1,15 @@
 """Exact rational linear algebra on sparse rows.
 
 Rows are dicts {column key: int or Fraction}; column keys are column
-indices, or for `rref`/`rank` any mutually comparable keys.  Elimination is
-fraction-free (Bareiss, Math. Comp. 22, 1968): a one-entry row is its
-column's pivot row as it stands (most determining rows are); the others
-leave those columns first, and each left non-empty and unseen is cleared
-once by `cleared`, kept primitive (integers with gcd 1) and deduplicated up
-to scale; only the final pivot rows become Fractions, normalised to 1.  The
-reduced echelon form is unique, so echelon forms, nullspace bases, and the
-solutions of `solve_exact`, whose columns must be independent, are
-deterministic; they hold Fractions whatever the input rows hold.
+indices, or for `echelon`/`rref`/`rank` any mutually comparable keys.
+Elimination (`echelon`) is fraction-free (Bareiss, Math. Comp. 22, 1968): a
+one-entry row is its column's pivot row as it stands (most determining rows
+are); the others leave those columns first, and each left non-empty and
+unseen is cleared once by `cleared`, kept primitive (integers with gcd 1)
+and deduplicated up to scale.  `rank` counts its pivot rows; only `rref`
+normalises them to Fractions, 1 at the pivot.  The reduced echelon form is
+unique, so echelon forms, nullspace bases, and the solutions of
+`solve_exact`, whose columns must be independent, are deterministic.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-__all__ = ["cleared", "divided", "primitive", "rref", "nullspace", "rank", "solve_exact",
-           "transpose"]
+__all__ = ["cleared", "divided", "primitive", "echelon", "rref", "nullspace", "rank",
+           "solve_exact", "transpose"]
 
 
 def cleared(terms: dict) -> tuple[dict, int]:
@@ -58,10 +58,10 @@ def _eliminate(row: dict, prow: dict, pc) -> dict:
     return primitive(row, next(iter(row))) if row else row
 
 
-def rref(rows: Iterable[dict]):
-    """Reduced row-echelon form.  Returns (pivot_rows, pivots) where
-    pivot_rows[i] has a 1 in column pivots[i] and zeros in other pivot
-    columns; the columns are read from the rows themselves."""
+def echelon(rows: Iterable[dict]):
+    """Fraction-free reduced row-echelon form (pivot_rows, pivots), by pivot: each
+    pivot row primitive integers, nonzero in its pivot column and zero in the
+    others; the columns are read from the rows themselves."""
     # explicit zeros are dropped (a zero pivot entry cannot be normalised); a one-entry
     # row is its column's unit pivot row; the others, smallest support first, leave the
     # unit columns, and each left non-empty and unseen is kept primitive, once per vector
@@ -95,12 +95,18 @@ def rref(rows: Iterable[dict]):
         pivots.append(pc)
 
     order = sorted([*zip(pivots, pivot_rows), *((c, {c: 1}) for c in units)], key=lambda t: t[0])
-    return ([{c: Fraction(w, prow[pc]) for c, w in prow.items()} for pc, prow in order],
-            [pc for pc, _ in order])
+    return [prow for _, prow in order], [pc for pc, _ in order]
+
+
+def rref(rows: Iterable[dict]):
+    """Reduced row-echelon form: `echelon`'s rows as Fractions, 1 at the pivot."""
+    pivot_rows, pivots = echelon(rows)
+    return ([{c: Fraction(w, prow[pc]) for c, w in prow.items()}
+             for prow, pc in zip(pivot_rows, pivots)], pivots)
 
 
 def rank(rows: Iterable[dict]) -> int:
-    return len(rref(rows)[1])
+    return len(echelon(rows)[1])
 
 
 def nullspace(rows: Iterable[dict], ncols: int) -> list[dict[int, Fraction]]:
@@ -131,12 +137,13 @@ def solve_exact(cols: list[dict], targets: list[dict]) -> list:
     pivot raises ValueError, as no free value is chosen; a target is outside
     the span iff a pivot row with its pivot in the target block (a row with no
     basis entries) touches its column; else x[k] is its entry in the row of
-    pivot k.  Returns one coefficient list per target, None outside the span."""
+    pivot k.  Returns per target its nonzero x_k as {k: x_k}, k ascending, or
+    None outside the span."""
     nc = len(cols)
     rows = transpose(cols + targets)
     pivot_rows, pivots = rref([rows[r] for r in sorted(rows)])
     if pivots[:nc] != list(range(nc)):
         raise ValueError("dependent columns")
-    zero, outside = Fraction(0), {c for prow in pivot_rows[nc:] for c in prow}
-    return [None if t in outside else [prow.get(t, zero) for prow in pivot_rows[:nc]]
-            for t in range(nc, nc + len(targets))]
+    outside = {c for prow in pivot_rows[nc:] for c in prow}
+    xs = transpose(pivot_rows[:nc])  # target column t: {k: x_k} from the rows of pivots k
+    return [None if t in outside else xs.get(t, {}) for t in range(nc, nc + len(targets))]

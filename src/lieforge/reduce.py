@@ -516,9 +516,10 @@ def _fd_stencil(offsets: tuple[int, ...], order: int) -> tuple[list[Fraction], l
         # order! on moment `order` and zero on every other moment
         cols = [{m: Fraction(o) ** m for m in range(n) if o or not m} for o in offsets]
         try:  # distinct offsets give an invertible Vandermonde system; repeated ones do not
-            w, = solve_exact(cols, [{order: Fraction(math.factorial(order))}])
+            x, = solve_exact(cols, [{order: Fraction(math.factorial(order))}])
         except ValueError:
             raise DomainError("stencil offsets admit no finite-difference weights") from None
+        w = [x.get(k, Fraction(0)) for k in range(n)]
         return w, [float(q) for q in w]
 
     return _memo(("stencil", offsets, order), solve)

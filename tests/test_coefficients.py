@@ -119,6 +119,7 @@ def test_linalg_on_int_rows_equals_fraction_rows():
         xi = _solved(ints, [target])
         xf = _solved(fracs, [{r: Fraction(q) for r, q in target.items()}])
         assert xi == xf
-        assert xi is ValueError or xi[0] is None or all(type(q) is Fraction for q in xi[0])
+        assert xi is ValueError or xi[0] is None or all(type(q) is Fraction
+                                                        for q in xi[0].values())
         seen[xi is ValueError] += 1
     assert min(seen.values()) >= 10, seen

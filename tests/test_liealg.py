@@ -15,7 +15,7 @@ from lieforge.liealg import (
     AlgebraSignature, StructureTable, _param_atoms, algebra_signature, in_span,
     jacobi_check, lie_bracket, structure_constants,
 )
-from lieforge.linalg import nullspace, rank, rref, transpose
+from lieforge.linalg import echelon, nullspace, rank, rref, transpose
 from lieforge.parser import combo_text, parse_expr
 from lieforge.reduce import ODE_JET
 from lieforge.symmetry import VectorField, field_text, parse_field
@@ -283,17 +283,26 @@ def _formula_bracket(X, Y):
     return VectorField(X.jet, xi, eta)
 
 
+def _typed(terms):
+    """Terms with their order and each coefficient's class (int or Fraction)."""
+    return [(m, q, q.__class__) for m, q in terms.items()]
+
+
 def _slots(F):
     """Components with their term order, which later sums follow."""
-    return [(kind, var, list(c._terms.items())) for kind, var, c in F.coeff_vector_atoms()]
+    return [(kind, var, _typed(c._terms)) for kind, var, c in F.coeff_vector_atoms()]
 
 
 def _bases():
-    r2 = catalog.fields_reduced2()
+    r2, m2 = catalog.fields_reduced2(), catalog.fields_member2()
     # a change of basis, as tables are built from in practice
     changed = [r2[0].add(r2[3].scale(Fraction(2, 3))), r2[1].add(r2[0].scale(-1))] + r2[2:]
-    return [catalog.fields_member2(), catalog.fields_member3(), catalog.fields_member4(),
-            r2, changed, catalog.fields_reduced3()]
+    # odd rational rescalings: denominators that are not powers of two, on
+    # trig fields whose products put halves and on polynomial ones
+    scales = (Fraction(1, 3), Fraction(3, 2), Fraction(5, 4))
+    rescaled = [[F.scale(scales[k % 3]) for k, F in enumerate(fields)] for fields in (r2, m2)]
+    return [m2, catalog.fields_member3(), catalog.fields_member4(),
+            r2, changed, catalog.fields_reduced3()] + rescaled
 
 
 class TestBracketTables:
@@ -309,8 +318,8 @@ class TestBracketTables:
                     assert _slots(table.non_closing[(i, j)]) == _slots(Z)
                     alphas = {}
                 got = table.constants.get((i, j), {})
-                assert [(k, list(q._terms.items())) for k, q in got.items()] == \
-                    [(k, list(q._terms.items())) for k, q in alphas.items()]
+                assert [(k, _typed(q._terms)) for k, q in got.items()] == \
+                    [(k, _typed(q._terms)) for k, q in alphas.items()]
 
     def test_table_differentiates_each_field_once(self, monkeypatch):
         calls = []
@@ -495,7 +504,7 @@ class TestSignatureWork:
 
     def test_rows_eliminated_per_signature(self, monkeypatch):
         rows = []
-        monkeypatch.setattr(liealg, "rref", lambda r: rows.append(len(r)) or rref(r))
+        monkeypatch.setattr(liealg, "echelon", lambda r: rows.append(len(r)) or echelon(r))
         counts = {}
         for name, fields in CATALOGUE.items():
             table = structure_constants(fields())

@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from lieforge import linalg
-from lieforge.linalg import cleared, nullspace, rank, rref, solve_exact
+from lieforge.linalg import cleared, echelon, nullspace, rank, rref, solve_exact
 
 F = Fraction
 
@@ -80,7 +81,7 @@ def test_solve_exact_consistent():
     cols = [{0: F(1), 1: F(2)}, {0: F(0), 1: F(1)}]
     target = {0: F(3), 1: F(8)}
     x, = solve_exact(cols, [target])
-    assert x == [F(3), F(2)]
+    assert x == {0: F(3), 1: F(2)}
 
 
 def test_solve_exact_inconsistent():
@@ -164,6 +165,16 @@ def test_rref_equals_fraction_gauss_jordan(monkeypatch):
         # the rows as columns, solved for a row and a unit vector
         span = (rows[:-1], [rows[-1], {keys[0]: F(1)}])
         got_rows, got_pivots = rref(rows)
+        assert rank(rows) == len(got_pivots)
+        # rref is the echelon form normalised: primitive integer rows, by pivot,
+        # each zero in the other pivot columns, divided by their pivot entries
+        ech_rows, ech_pivots = echelon(rows)
+        assert ech_pivots == got_pivots == sorted(got_pivots)
+        for prow, pc in zip(ech_rows, ech_pivots):
+            assert all(type(w) is int for w in prow.values()) and gcd(*prow.values()) == 1
+            assert not any(c in prow for c in ech_pivots if c != pc)
+        assert _ordered(got_rows) == _ordered([{c: F(w, prow[pc]) for c, w in prow.items()}
+                                               for prow, pc in zip(ech_rows, ech_pivots)])
         got_null = nullspace(rows, n) if trial % 2 else None
         got_x = _solved(*span)
         with monkeypatch.context() as m:
@@ -177,7 +188,8 @@ def test_rref_equals_fraction_gauss_jordan(monkeypatch):
         assert got_null is None or _ordered(got_null) == _ordered(want_null)
         # dependent columns raise on both, independent ones solve alike
         assert got_x == want_x
-        assert got_x is ValueError or all(type(q) is Fraction for x in got_x if x for q in x)
+        assert got_x is ValueError or all(type(q) is Fraction for x in got_x if x
+                                          for q in x.values())
         seen[got_x is ValueError] += 1
     assert min(seen.values()) >= 10, seen
 
@@ -289,7 +301,7 @@ def test_rref_is_exact_beyond_machine_words():
     assert rank(near) == 2
     assert rank(near[:1] + [{0: F(big * (big + 1), 7), 1: F((big + 1) ** 2, 7)}]) == 1
     assert nullspace(near[:1], 2) == [{1: F(1), 0: F(-(big + 1), big)}]
-    assert solve_exact(near, [{0: F(1)}]) == [[F(big), F(-(big + 1))]]
+    assert solve_exact(near, [{0: F(1)}]) == [{0: F(big), 1: F(-(big + 1))}]
 
 
 def test_rows_equal_up_to_scale_have_rank_1():

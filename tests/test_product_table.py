@@ -121,17 +121,27 @@ def test_expression_products_match_cold_and_warm(table):
     assert warm == cold
 
 
-@pytest.mark.parametrize("coeff", [3, -2, Fraction(3, 7), Fraction(2), Fraction(-5, 2)],
-                         ids=repr)
+@pytest.mark.parametrize("coeff", [3, -2, Fraction(3, 7), Fraction(2), Fraction(-5, 2),
+                                   4, -6, 12, -1, 1, Fraction(-1, 4)], ids=repr)
 def test_a_put_at_one_adds_what_c_times_coeff_would(table, coeff):
-    """A put at 1 adds coeff itself: the same value and type as c * coeff, for
-    c an int or a Fraction, onto absent monomials, sums and cancellations."""
+    """Every put adds what c * coeff would: at 1 coeff itself, and at c not 1
+    (-1, ±1/2 and ±1/4 here; an int coeff that c's denominator divides takes
+    the integer path) the same value, type and term order as
+    `_put(ref, m, c * coeff)`, for coeff even, odd, negative or a Fraction,
+    onto absent monomials, sums and cancellations."""
     x, v = sym("x"), sym("v")
-    monos = [((x, 1),), ((v, 2),), (), ((x, -1), (v, 1))]
-    puts = [(monos[0], 1), (monos[1], Fraction(1)), (monos[2], -1), (monos[3], Fraction(1, 2))]
+    monos = [((x, 1),), ((v, 2),), (), ((x, -1), (v, 1)), ((x, 2),), ((v, 1),),
+             ((x, 1), (v, 1))]
+    puts = [(monos[0], 1), (monos[1], Fraction(1)), (monos[2], -1), (monos[3], Fraction(1, 2)),
+            (monos[4], Fraction(-1, 2)), (monos[5], Fraction(1, 4)),
+            (monos[6], Fraction(-1, 4)), (monos[3], Fraction(-1, 2))]
     plain = ((x, 1), (v, 2))  # normalised for real, cold then warm
     entry = ((x, 7),)  # a key whose entry below stands in for its normal form
-    for start in ({}, {monos[0]: Fraction(1, 3), monos[1]: -coeff, monos[2]: 2}):
+    cancel = {}  # sums that the puts at -1/2 and -1/4 cancel, and one they do not
+    for m, q in ((monos[4], coeff * Fraction(1, 2)), (monos[6], coeff * Fraction(1, 4)),
+                 (monos[5], 7)):
+        _put(cancel, m, q)
+    for start in ({}, {monos[0]: Fraction(1, 3), monos[1]: -coeff, monos[2]: 2}, cancel):
         for fl in (plain, plain, entry):
             if fl is entry:
                 table[entry] = puts
