@@ -149,10 +149,6 @@ class Func(Atom):
 
     __slots__ = ("name", "args", "idx")
 
-    @property
-    def order(self) -> int:
-        return len(self.idx)
-
 
 class IUnit(Atom):
     __slots__ = ()

@@ -3,9 +3,9 @@ and Jacobi checks, and a structural signature of the resulting algebra.
 
 Structure constants are expressions in the declared parameter symbols (most
 tables are purely rational; the reduced third-member algebra needs sqrt(c)).
-A table reads each basis field once: its coefficients and its Jacobian, one
-derivation sweep per component, as integers over one denominator, serve all
-of its brackets, summed on integers and divided once.
+A table reads each basis field once: its coefficients, cleared to integers
+over one denominator, and the Jacobian of those integers, one derivation sweep
+per component, serve all of its brackets, summed on integers and divided once.
 Membership of a bracket in the span of a basis is decided by matching
 coefficients over the shared functional basis of monomials and solving
 exactly, never by sampling points; one elimination, on rows keyed (slot,
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
 
 from .expr_core import (DomainError, Expr, Root, Sym, Trig, ZeroStatus, _add_into, _mono_key,
@@ -37,18 +37,19 @@ __all__ = ["lie_bracket", "StructureTable", "structure_constants",
 
 def _read(F: VectorField) -> tuple:
     """(F, its slots, their term dicts, its Jacobian rows dF^i/dz^j as term dicts,
-    den) in `coeff_vector_atoms` order, one sweep per component; the dicts are
-    ints, times den, the lcm of their denominators, doubled when sin or cos
-    puts product-to-sum halves; at den 1 they are the field's own."""
+    den) in `coeff_vector_atoms` order.  The slot dicts are ints, times den, the
+    lcm of their denominators, doubled when sin or cos puts product-to-sum
+    halves; at den 1 they are the field's own.  The Jacobian is one sweep per
+    component of those ints, so it is den times the field's; a fractional
+    trig or exp argument's chain rule can leave a Fraction in it."""
     slots = list(F.coeff_vector_atoms())
     coords = [sym(var) if kind == "xi" else jet(var) for kind, var, _ in slots]
     terms = [c._terms for _, _, c in slots]
-    jac = [[d._terms for d in gradient(c, coords)] for _, _, c in slots]
     trig = any(a.__class__ is Trig and a.fn != "tan" for t in terms for m in t for a, _ in m)
-    den = (1 + trig) * lcm(*[q.denominator for t in chain(terms, *jac) if t for q in t.values()])
+    den = (1 + trig) * lcm(*[q.denominator for t in terms for q in t.values()])
     if den > 1:
-        terms, *jac = [[{m: q.numerator * (den // q.denominator) for m, q in t.items()} for t in ts]
-                       for ts in (terms, *jac)]
+        terms = [{m: q.numerator * (den // q.denominator) for m, q in t.items()} for t in terms]
+    jac = [[d._terms for d in gradient(Expr(t), coords)] for t in terms]
     return F, slots, terms, jac, den
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .expr_core import (
     Atom, DomainError, Expr, ExpAtom, Func, I, IUnit, Jet, Recip, Root, Sym,
-    Trig, cos_e, exp_e, jet, func, sin_e, sqrt_e, sym, tan_e,
+    Trig, _mono_key, cos_e, exp_e, jet, func, sin_e, sqrt_e, sym, tan_e,
 )
 
 __all__ = ["ParseError", "UnknownIdentifierError", "parse_expr", "expr_text",
@@ -272,36 +272,26 @@ def _factor_text(atom: Atom, k: int) -> str:
     return base if k == 1 else f"{base}^{k}"
 
 
-def _coeff_text(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def expr_text(e: Expr) -> str:
-    terms = e.terms()
-    if not terms:
+    """The terms of `e` in `_mono_key` order, each coefficient printed as it
+    is stored (an int, or a non-integral Fraction, through `str`) and left
+    out at magnitude one before factors; parts joined by `_sum_text`."""
+    if not e._terms:
         return "0"
     parts = []
-    for m, q in terms:
-        factors = [_factor_text(a, k) for a, k in m]
-        mag = abs(q)
+    for m in sorted(e._terms, key=_mono_key):
+        q, factors = e._terms[m], "*".join([_factor_text(a, k) for a, k in m])
         if not factors:
-            body = _coeff_text(mag)
-        elif mag == 1:
-            body = "*".join(factors)
+            parts.append(str(q))
         else:
-            body = "*".join([_coeff_text(mag)] + factors)
-        parts.append(("-" if q < 0 else "+", body))
-    sign0, body0 = parts[0]
-    out = ("-" if sign0 == "-" else "") + body0
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
+            parts.append(factors if q == 1 else "-" + factors if q == -1 else f"{q}*{factors}")
+    return _sum_text(parts)
 
 
 def combo_text(pairs) -> str:
     """Sum of named terms from (coefficient, name) pairs: zeros skipped, a
-    unit coefficient left out, a coefficient with several terms in
-    parentheses."""
+    unit coefficient left out, a coefficient whose text holds a space in
+    parentheses; parts joined by `_sum_text`."""
     parts = []
     for q, name in pairs:
         if q.is_zero():
@@ -311,4 +301,9 @@ def combo_text(pairs) -> str:
             parts.append(name if txt == "1" else "-" + name)
         else:
             parts.append(f"({txt})*{name}" if " " in txt else f"{txt}*{name}")
-    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+    return _sum_text(parts) if parts else "0"
+
+
+def _sum_text(parts: list[str]) -> str:
+    """Signed parts as one sum: a later part's leading '-' is its sign."""
+    return parts[0] + "".join(f" - {p[1:]}" if p[0] == "-" else f" + {p}" for p in parts[1:])

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
-from lieforge import catalog, liealg
+from lieforge import catalog, expr_core, liealg
 from lieforge.expr_core import (
     DomainError, Expr, Root, _mul_into, derive, gradient, jet, substitute, sym,
 )
@@ -301,8 +301,15 @@ def _bases():
     # trig fields whose products put halves and on polynomial ones
     scales = (Fraction(1, 3), Fraction(3, 2), Fraction(5, 4))
     rescaled = [[F.scale(scales[k % 3]) for k, F in enumerate(fields)] for fields in (r2, m2)]
+    # fractional trig and exp arguments: the chain rule puts non-integral factors
+    # into the Jacobian of cleared coefficients; each field is the sum of two
+    # cyclically adjacent slots, so no pair of fields commutes
+    slots = [parse_field(t, ODE_JET) for t in (
+        "xi_s = sin(s/2)", "eta_f = exp(-g/3)*cos(f/2)", "eta_g = cos(s/3)/5",
+        "eta_g = exp(g/2)*sin(3*f/4)", "xi_s = c*s/7")]
+    fractional = [F.add(slots[(k + 1) % 5]) for k, F in enumerate(slots)]
     return [m2, catalog.fields_member3(), catalog.fields_member4(),
-            r2, changed, catalog.fields_reduced3()] + rescaled
+            r2, changed, catalog.fields_reduced3(), fractional] + rescaled
 
 
 class TestBracketTables:
@@ -328,6 +335,18 @@ class TestBracketTables:
         structure_constants(catalog.fields_reduced2())
         # one sweep per (field, component): 12 x 3
         assert len(calls) == 36
+
+    def test_reading_cleared_fields_puts_no_fraction(self, monkeypatch):
+        """The reduced-2 fields' Jacobians are swept on their cleared integers,
+        so from cold tables no kernel put adds a Fraction."""
+        fields = catalog.fields_reduced2()
+        expr_core.clear_caches()
+        put, fractions = expr_core._put, []
+        monkeypatch.setattr(expr_core, "_put", lambda out, m, q: (
+            q.__class__ is Fraction and fractions.append(q)) or put(out, m, q))
+        for F in fields:
+            liealg._read(F)
+        assert fractions == []
 
 
 def test_tables_store_sparse_antisymmetric_rows():

@@ -1,5 +1,6 @@
 """Grammar: parsing, printing, roundtrips, and error reporting."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -8,9 +9,11 @@ import pytest
 from lieforge import expr_core, parser
 from lieforge.expr_core import Expr, jet, func, sym
 from lieforge.parser import (
-    MAX_POWER_BITS, ParseError, UnknownIdentifierError, expr_text, parse_expr,
+    MAX_POWER_BITS, ParseError, UnknownIdentifierError, combo_text, expr_text, parse_expr,
 )
 from lieforge.systems import JetSpec
+
+from exprgen import random_tree, tree_to_expr
 
 PDE = JetSpec(("t", "x"), ("v", "w"), constants=("c",))
 ODE = JetSpec(("s",), ("f", "g"), constants=("c", "s0"))
@@ -102,6 +105,78 @@ def test_roundtrip_ode_primes():
 
 def test_print_empty():
     assert expr_text(Expr.zero()) == "0"
+
+
+def _reference_number(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _reference_text(e: Expr) -> str:
+    """The printer read through `Expr.terms()`: magnitudes as Fractions, each
+    term's sign put in front of it."""
+    terms = e.terms()
+    if not terms:
+        return "0"
+    parts = []
+    for m, q in terms:
+        factors = [parser._factor_text(a, k) for a, k in m]
+        mag = abs(q)
+        if not factors:
+            body = _reference_number(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([_reference_number(mag)] + factors)
+        parts.append(("-" if q < 0 else "+", body))
+    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def _reference_combo(pairs) -> str:
+    """combo_text joining on " + " and turning each "+ -" into "- "."""
+    parts = []
+    for q, name in pairs:
+        if q.is_zero():
+            continue
+        txt = _reference_text(q)
+        if txt in ("1", "-1"):
+            parts.append(name if txt == "1" else "-" + name)
+        else:
+            parts.append(f"({txt})*{name}" if " " in txt else f"{txt}*{name}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def _printed_coefficients():
+    x, v = sym("x").as_expr(), jet("v", ("x",)).as_expr()
+    m = x * v ** 2
+    mono = next(iter(m._terms))
+    return [Expr.rational(q) for q in (0, 1, -1, 7, -7, Fraction(1, 2), Fraction(-5, 3))] + [
+        q * m for q in (1, -1, 3, -3, Fraction(2, 9), Fraction(-9, 2))] + [
+        Expr({mono: Fraction(q)}) for q in (3, -3, 1, -1)] + [  # as `AuditReport.itemized` builds
+        Expr({(): Fraction(3)}), Expr({(): Fraction(-1)}),
+        x - 1, 1 - x, -x - v + Fraction(1, 3), Fraction(-1, 2) * x + 2 * v ** 3 - 1]
+
+
+def test_printer_matches_the_reference_printer():
+    rng = random.Random(20261020)
+    exprs = [tree_to_expr(random_tree(rng)) for _ in range(240)] + _printed_coefficients()
+    for e in exprs:
+        assert expr_text(e) == _reference_text(e)
+    assert sum(" - " in expr_text(e) for e in exprs) > 50
+
+
+def test_combos_match_the_reference_printer():
+    spaced = parse_expr("1/2*cos(2*f - c*s)", ODE)
+    assert expr_text(spaced) == "1/2*cos(c*s - 2*f)"  # one term, a spaced argument
+    coeffs = [spaced, -spaced, spaced + 1, -spaced - 1] + _printed_coefficients()
+    names = ["X1", "X2", "X3"]
+    rng = random.Random(7)
+    for k in range(300):
+        pairs = [(rng.choice(coeffs), name) for name in names[:1 + k % 3]]
+        assert combo_text(pairs) == _reference_combo(pairs), pairs
+    assert combo_text([(Expr.zero(), "X1")]) == _reference_combo([]) == "0"
 
 
 def test_sqrt_of_square():
