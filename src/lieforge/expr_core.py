@@ -418,15 +418,7 @@ class Expr:
             raise DomainError("exponent must be an integer")
         if n < 0:
             return recip_e(self) ** (-n)
-        out = Expr.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, Expr.__mul__)
 
     def __truediv__(self, other) -> "Expr":
         other = _coerce(other)
@@ -453,6 +445,19 @@ class Expr:
     def terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(((m, Fraction(q)) for m, q in self._terms.items()),
                       key=lambda t: _mono_key(t[0]))
+
+
+def _power(base: Expr, n: int, times: Callable[[Expr, Expr], Expr]) -> Expr:
+    """base^n for n >= 0 by square-and-multiply, each product formed by `times`
+    (the parser's `^` passes one that keeps its term budget)."""
+    out = Expr.one()
+    while n:
+        if n & 1:
+            out = times(out, base)
+        n >>= 1
+        if n:
+            base = times(base, base)
+    return out
 
 
 def _add_into(out: dict[Monomial, Coeff],

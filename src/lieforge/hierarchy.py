@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr_core import (DomainError, Expr, I, Jet, ZeroStatus, atoms_of, collect_terms, exp_e,
-                        jet, substitute, verdict)
+from .expr_core import (DomainError, Expr, I, Jet, ZeroStatus, _mono_key, atoms_of,
+                        collect_terms, jet, substitute, verdict)
 from .parser import expr_text
 from .systems import JetSpec, PDESystem, total_derivative
 
@@ -29,6 +29,10 @@ MAX_MEMBER_N = 6
 COMPLEX_JET = JetSpec(independents=("t", "x"), dependents=("u", "ub"), constants=())
 REAL_JET = JetSpec(independents=("t", "x"), dependents=("v", "w"), constants=())
 
+# the seed i u_x e^{-i(u - ub)} and the factor of P, parsed once
+_SEED = COMPLEX_JET.parse("I*u_x*exp(-I*(u - ub))")
+_P_FACTOR = COMPLEX_JET.parse("I*exp(I*(u - ub))")
+
 
 def _check_complex(e: Expr, op: str) -> None:
     for atom in atoms_of(e):
@@ -39,8 +43,7 @@ def _check_complex(e: Expr, op: str) -> None:
 def apply_operator_P(beta: Expr) -> Expr:
     """P(beta) = i e^{i(u - ub)} beta."""
     _check_complex(beta, "P")
-    phase = exp_e(I.as_expr() * (jet("u").as_expr() - jet("ub").as_expr()))
-    return I.as_expr() * phase * beta
+    return _P_FACTOR * beta
 
 
 def apply_operator_L(tau: Expr) -> Expr:
@@ -53,9 +56,7 @@ def hierarchy_member(n: int) -> Expr:
     """Complex right-hand side of u_t for member n+1:  L^n P(i u_x e^{-i(u-ub)})."""
     if not (0 <= n <= MAX_MEMBER_N):
         raise DomainError(f"member index n={n} outside 0..{MAX_MEMBER_N}")
-    seed = I.as_expr() * jet("u", ("x",)).as_expr() * \
-        exp_e(-I.as_expr() * (jet("u").as_expr() - jet("ub").as_expr()))
-    rhs = apply_operator_P(seed)
+    rhs = apply_operator_P(_SEED)
     for _ in range(n):
         rhs = apply_operator_L(rhs)
     return rhs
@@ -110,7 +111,8 @@ class AuditReport:
     def itemized(self) -> dict[str, list[str]]:
         out = {}
         for name, delta in (("v_t", self.delta_v), ("w_t", self.delta_w)):
-            out[name] = [expr_text(Expr({m: q})) for m, q in delta.terms()]
+            out[name] = [expr_text(Expr({m: delta._terms[m]}))
+                         for m in sorted(delta._terms, key=_mono_key)]
         return out
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .expr_core import (
     Atom, DomainError, Expr, ExpAtom, Func, I, IUnit, Jet, Recip, Root, Sym,
-    Trig, _mono_key, cos_e, exp_e, jet, func, sin_e, sqrt_e, sym, tan_e,
+    Trig, _mono_key, _power, cos_e, exp_e, jet, func, sin_e, sqrt_e, sym, tan_e,
 )
 
 __all__ = ["ParseError", "UnknownIdentifierError", "parse_expr", "expr_text",
@@ -150,13 +150,8 @@ class _Parser:
                         > MAX_POWER_BITS:
                     raise ParseError(f"'^' would form a coefficient over {MAX_POWER_BITS} bits",
                                      op.pos)
-            try:
-                out = e ** n if n < 0 else Expr.one()  # a reciprocal is one term
-                while n > 0:  # the products of Expr.__pow__, each in the budget
-                    out = self.times(out, e, op) if n & 1 else out
-                    n >>= 1
-                    e = self.times(e, e, op) if n else e
-                e = out
+            try:  # a reciprocal is one term; else Expr.__pow__'s products, each in the budget
+                e = e ** n if n < 0 else _power(e, n, lambda a, b: self.times(a, b, op))
             except (ZeroDivisionError, DomainError) as exc:
                 raise ParseError(str(exc), t.pos) from exc
         return e

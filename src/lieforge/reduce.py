@@ -11,9 +11,9 @@ from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 from .expr_core import (
-    DomainError, Expr, Func, I, Jet, PoleError, Sym, _memo, _mono_key, atoms_of,
-    collect_terms, NumericPlan, cos_e, derive, equal_up_to_factor, exp_e, jet,
-    recip_e, root, sin_e, sqrt_e, substitute, sym, tan_e,
+    DomainError, Expr, Func, Jet, PoleError, Root, Sym, _memo, _mono_key, atoms_of,
+    collect_terms, NumericPlan, derive, equal_up_to_factor, jet, recip_e, root,
+    sqrt_e, substitute, sym,
 )
 from .hierarchy import catalogue_member
 from .numerics import Trajectory, integrate_rk4, sn_jet
@@ -38,6 +38,9 @@ __all__ = [
 ODE_JET = JetSpec(("s",), ("f", "g"), constants=("c",))
 ODE_JET_FG = JetSpec(("s",), ("F", "G"), constants=("c",))
 ODE_JET_F = JetSpec(("s",), ("F",), constants=("c",))
+# closed-form profiles are read from their printed text in s and these parameters
+PROFILE_JET = JetSpec(("s",), (), constants=("c", "s0", "F0", "F1", "G0", "G1",
+                                             "f0", "f1", "g0"))
 
 
 class PivotDegenerateError(DomainError):
@@ -308,13 +311,12 @@ def candidate_at(cand: SolutionCandidate, c) -> SolutionCandidate:
 
 def tan_solution() -> SolutionCandidate:
     """F = c/2, G = -(c/2) tan((c/2)(s - s0)); exact on the first-order pair."""
-    c, s0, s = (sym(n).as_expr() for n in ("c", "s0", "s"))
-    half = Expr.rational(Fraction(1, 2))
-    arg = half * c * (s - s0)
+    arg = "1/2*c*(s - s0)"
     return SolutionCandidate(
         name="tan",
-        exprs={"F": half * c, "G": -half * c * tan_e(arg)},
-        pole_denoms=[cos_e(arg)],
+        exprs={"F": PROFILE_JET.parse("1/2*c"),
+               "G": PROFILE_JET.parse(f"-1/2*c*tan({arg})")},
+        pole_denoms=[PROFILE_JET.parse(f"cos({arg})")],
         params={"c": 1.0, "s0": 0.0},
     )
 
@@ -338,20 +340,12 @@ def s11_solution() -> SolutionCandidate:
     Direct substitution shows the printed F does not satisfy the pair (the
     residual of the G-equation is O(1)); the candidate is kept verbatim so
     the verifier reports the actual residual."""
-    c = sym("c").as_expr()
-    F0 = sym("F0").as_expr()
-    F1 = sym("F1").as_expr()
-    s = sym("s").as_expr()
-    q2 = exp_e(Expr.rational(-2) * I.as_expr() * c * s)
-    q1 = exp_e(Expr.rational(-1) * I.as_expr() * c * s)
-    D = F0 * (q2 - F1 * c) ** 2 - Expr.rational(16) * c * c
-    N = D - Expr.rational(8) * c * F0 * q1
-    F = Expr.rational(Fraction(1, 2)) * c * N / D
-    G = reconstruct_G(F, c)
+    D = "F0*(exp(-2*I*c*s) - F1*c)^2 - 16*c^2"
+    F = PROFILE_JET.parse(f"1/2*c*({D} - 8*c*F0*exp(-I*c*s))/({D})")
     return SolutionCandidate(
-        name="s11", exprs={"F": F, "G": G},
+        name="s11", exprs={"F": F, "G": reconstruct_G(F, sym("c").as_expr())},
         params={"c": 1.0, "F0": 1.0, "F1": 0.0},
-        pole_denoms=[D],
+        pole_denoms=[PROFILE_JET.parse(D)],
         notes=["printed closed form; fails the reduced pair by O(1)"])
 
 
@@ -367,20 +361,17 @@ def rational_trig_solution(printed: bool = False) -> SolutionCandidate:
     """F = 0 with the log-derivative trig profile for G on the computed
     (3.22).  The printed numerator sign fails; the corrected profile
     G = sqrt(c) (G0 cos - sin)/(G0 sin + cos + G1) verifies."""
-    rc = sqrt_e(sym("c").as_expr())
-    s = sym("s").as_expr()
-    G0 = sym("G0").as_expr()
-    G1 = sym("G1").as_expr()
-    S, C = sin_e(rc * s), cos_e(rc * s)
-    D = G0 * S + C + G1
-    numer = (S - G0 * C) if printed else (G0 * C - S)
+    D = "G0*sin(sqrt(c)*s) + cos(sqrt(c)*s) + G1"
+    numer = "sin(sqrt(c)*s) - G0*cos(sqrt(c)*s)" if printed else \
+        "G0*cos(sqrt(c)*s) - sin(sqrt(c)*s)"
     name = "rational-trig (printed)" if printed else "rational-trig"
     notes = ["numerator sign as printed; fails verification"] if printed else \
         ["numerator sign corrected relative to the printed solution"]
     return SolutionCandidate(name=name,
-                             exprs={"F": Expr.zero(), "G": rc * numer / D},
+                             exprs={"F": PROFILE_JET.parse("0"),
+                                    "G": PROFILE_JET.parse(f"sqrt(c)*({numer})/({D})")},
                              params={"c": 1.0, "G0": 0.5, "G1": 0.25},
-                             pole_denoms=[D], notes=notes)
+                             pole_denoms=[PROFILE_JET.parse(D)], notes=notes)
 
 
 def sn_solution(k: float, printed_system: bool = True) -> SolutionCandidate:
@@ -390,7 +381,7 @@ def sn_solution(k: float, printed_system: bool = True) -> SolutionCandidate:
     F0 = math.sqrt(2.0) * k
     c = -(1.0 + k * k) if printed_system else (1.0 + k * k)
     return SolutionCandidate(
-        name="sn", callables={"F": sn_jet(k, F0)}, exprs={"G": Expr.zero()},
+        name="sn", callables={"F": sn_jet(k, F0)}, exprs={"G": PROFILE_JET.parse("0")},
         params={"c": c, "F0": F0, "k": k},
         notes=[f"derived constraints: F0^2 = 2 k^2, c = {'-' if printed_system else '+'}(1 + k^2)"])
 
@@ -398,13 +389,10 @@ def sn_solution(k: float, printed_system: bool = True) -> SolutionCandidate:
 def linear_solution_member4() -> SolutionCandidate:
     """g = g0, f = f1 s + f0 on the fourth member's reduction, valid exactly
     under f1 (f1^3 + c) = 0 (the printed solution omits the constraint)."""
-    ctx = JetSpec(("s",), ("f", "g"), constants=("c", "f0", "f1", "g0"))
-    f1 = sym("f1").as_expr()
-    c = sym("c").as_expr()
     return SolutionCandidate(
         name="member4-linear",
-        exprs={"f": ctx.parse("f1*s + f0"), "g": ctx.parse("g0")},
-        constraints=[f1 ** 4 + c * f1],
+        exprs={"f": PROFILE_JET.parse("f1*s + f0"), "g": PROFILE_JET.parse("g0")},
+        constraints=[PROFILE_JET.parse("f1^4 + c*f1")],
         params={"c": -1.0, "f0": 0.25, "f1": 1.0, "g0": 2.0},
         notes=["constraint f1 (f1^3 + c) = 0 required by direct substitution"])
 
@@ -457,11 +445,13 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
                     param_values: dict | None = None, s_range=(0.25, 10.0),
                     samples: int = 200) -> VerifyReport:
     """Symbolic: substitute the profile, canonicalise under the parameter
-    constraints, expect Zero.  Numeric: max |residual| over samples at least
-    0.05 from every pole denominator's zero, derivatives taken analytically
-    for expression profiles and read off the jets of callable ones, one call per
-    sample, in one compiled loop; a non-finite residual reads inf.  Repeat calls
-    reuse derivatives and the loop, keyed on ordered terms to keep the bits.  A
+    constraints, expect Zero.  Numeric: each parameter k bound to its value, and
+    sqrt(k) to its principal root where the profile, its poles or S hold it; max
+    |residual| over samples at least 0.05 from every pole denominator's zero,
+    derivatives taken analytically for expression profiles and read off the jets
+    of callable ones, one call per sample, in one compiled loop; a non-finite
+    residual reads inf.  Repeat calls reuse derivatives and the loop, keyed on
+    ordered terms to keep the bits.  A
     candidate with no profile for a dependent of S, a jet shorter than its order,
     or samples < 1 raises DomainError."""
     need_order = _need_order(S)
@@ -478,22 +468,27 @@ def verify_solution(S: ODESystem, cand: SolutionCandidate, mode: str = "symbolic
     if samples < 1:
         raise DomainError(f"numeric verification needs at least one sample, not {samples}")
 
-    params = dict(cand.params)
-    params.update(param_values or {})
-    bind_syms = {sym(k): complex(v) for k, v in params.items()}
-    if "c" in params:
-        bind_syms[root("c")] = complex(params["c"]) ** 0.5
-
     sym_vals = _candidate_jet_values(S, cand)
     sampled = [[jet(dep, (S.svar,) * k) for k in range(need_order.get(dep, 0) + 1)]
                for dep in cand.callables]
-    inputs, n_poles = [*bind_syms, sym(S.svar)], len(cand.pole_denoms)
     profile, residuals = [*cand.pole_denoms, *sym_vals.values()], S.equations_zero()
-    key = ("sampler", tuple(tuple(e._terms.items()) for e in [*profile, *residuals]),
-           tuple(inputs), n_poles, tuple(sym_vals), tuple(map(tuple, sampled)))
-    run = _memo(key, lambda: NumericPlan.sampler(profile, inputs, n_poles, list(sym_vals),
-                                                  sampled, residuals))
-    worst, good = run(list(bind_syms.values()), *s_range, samples, list(cand.callables.values()))
+    exprs = [*profile, *residuals]
+    params = dict(cand.params)
+    params.update(param_values or {})
+    names, n_poles = tuple(params), len(cand.pole_denoms)
+
+    def compile_sampler():  # the parameters whose roots appear, and the loop
+        rooted = {a.of for e in exprs for a in atoms_of(e) if isinstance(a, Root)}
+        roots = [k for k in names if k in rooted]
+        inputs = [*map(sym, names), *map(root, roots), sym(S.svar)]
+        return roots, NumericPlan.sampler(profile, inputs, n_poles, list(sym_vals), sampled,
+                                          residuals)
+
+    key = ("sampler", tuple(tuple(e._terms.items()) for e in exprs),
+           names, S.svar, n_poles, tuple(sym_vals), tuple(map(tuple, sampled)))
+    roots, run = _memo(key, compile_sampler)
+    bound = [complex(v) for v in params.values()] + [complex(params[k]) ** 0.5 for k in roots]
+    worst, good = run(bound, *s_range, samples, list(cand.callables.values()))
     if good < samples:
         raise PoleError("all samples in excluded domain")
     return VerifyReport(["sampled"] * len(S.leads), max_residual=worst,

@@ -1,7 +1,10 @@
 """Hierarchy generation, splitting, catalogue, and audit golden tests."""
 
+from fractions import Fraction
+
 import pytest
 
+from lieforge import hierarchy
 from lieforge.expr_core import DomainError, Expr, I, jet
 from lieforge.hierarchy import (
     COMPLEX_JET, apply_operator_L, apply_operator_P, audit_member,
@@ -157,3 +160,21 @@ class TestAudit:
         assert items["v_t"] and items["w_t"]
         # the quartic discrepancy 2 u_x^4 shows up in the real part
         assert rep.delta_v._terms.get(((jet("v", ("x",)), 4),)) == 2
+
+    def test_itemized_prints_the_stored_coefficients(self, monkeypatch):
+        # each item is one stored term, printed as the kernel holds it: no
+        # Fraction with denominator 1 reaches the printer
+        seen = []
+
+        def spy(e):
+            seen.extend(e._terms.values())
+            return expr_text(e)
+
+        monkeypatch.setattr(hierarchy, "expr_text", spy)
+        for k in (1, 2, 3, 4):
+            rep = audit_member(k)
+            assert rep.itemized() == {
+                name: [expr_text(Expr({m: q})) for m, q in delta.terms()]
+                for name, delta in (("v_t", rep.delta_v), ("w_t", rep.delta_w))}
+        assert len(seen) == 15
+        assert not any(isinstance(q, Fraction) and q.denominator == 1 for q in seen)

@@ -14,7 +14,7 @@ from lieforge.hierarchy import REAL_JET, catalogue_member
 from lieforge.parser import expr_text, parse_expr
 from lieforge.reduce import (
     ODE_JET, PivotDegenerateError, candidate_at, computed_second_order,
-    emit_series_csv, equal_up_to_factor,
+    eliminate_to_second_order, emit_series_csv, equal_up_to_factor,
     f_branch_322, f_branch_322_printed, fig1_features, fig1_rows,
     lift_and_check, linear_solution_member4,
     order_reduce, printed_second_order, rational_trig_solution,
@@ -24,7 +24,7 @@ from lieforge.reduce import (
     travelling_wave_reduce, verify_solution,
 )
 from lieforge.symmetry import VectorField
-from lieforge.systems import JetSpec
+from lieforge.systems import JetSpec, ODESystem
 
 
 def E(text, extra=()):
@@ -285,6 +285,15 @@ class TestElimination:
         with pytest.raises(PivotDegenerateError):
             reconstruct_G(Expr.rational(Fraction(1, 2)) * c, c)
 
+    def test_general_formula_when_a2_is_no_multiple_of_the_pivot(self):
+        # F' = F G, G' = F G^2: the pivot is -F and a2 = -F^2, so the general
+        # formula runs; its result is F^2 (F'' - F' G - F^2 G^2) at G = F'/F
+        S = ODESystem(jet=red.ODE_JET_FG, label="quadratic",
+                      leads={"F": (1, EFG("F*G")), "G": (1, EFG("F*G^2"))})
+        got = eliminate_to_second_order(S)
+        by_hand = substitute(EFG("(F'' - F'*G - F^2*G^2)*F^2"), {jet("G"): EFG("F'/F")})
+        assert got == by_hand == EFG("-F*F'^2 - F^2*F'^2 + F^2*F''")
+
 
 class TestSolutions:
     def test_tan_symbolic(self):
@@ -306,6 +315,18 @@ class TestSolutions:
         rep = verify_solution(system_33(1), tan_solution(), mode="numeric",
                               param_values={"c": 1.0, "s0": 0.0})
         assert rep.max_residual < 1e-12
+
+    def test_numeric_binds_the_root_of_any_parameter(self):
+        # the tan branch written in a with sqrt(a) = c: exact at a = c^2 only
+        ctx = JetSpec(("s",), (), constants=("a",))
+        cand = SolutionCandidate(
+            name="tan-in-a", params={"c": 4.0, "a": 16.0},
+            exprs={"F": ctx.parse("sqrt(a)/2"),
+                   "G": ctx.parse("-1/2*sqrt(a)*tan(1/2*sqrt(a)*s)")},
+            pole_denoms=[ctx.parse("cos(1/2*sqrt(a)*s)")])
+        assert verify_solution(system_33(), cand, mode="numeric").max_residual < 1e-12
+        off = verify_solution(system_33(), cand, mode="numeric", param_values={"a": 9.0})
+        assert off.max_residual > 1.0
 
     def test_s11_printed_fails_o1(self):
         # the printed two-parameter profile misses the pair by O(1);
@@ -525,6 +546,11 @@ class TestSeries:
         for line in path.read_text().splitlines()[1:]:
             cols = line.split(",")
             assert float(cols[2]) == 0.0 and float(cols[4]) == 0.0
+
+    def test_fig1_rows_skip_a_pole(self):
+        # F0 = 1, F1 = 5, c = 1: D = (exp(-2 I s) - 5)^2 - 16 vanishes at s = 0
+        rows = fig1_rows(1.0, 5.0, n=11)
+        assert [s for s, _, _ in rows] == [float(i) for i in range(1, 11)]
 
     def test_fig1_features(self):
         feats0 = fig1_features(1.0, 0.0)

@@ -3,13 +3,15 @@
 import pytest
 
 from lieforge import catalog
-from lieforge.expr_core import DomainError
+from lieforge.expr_core import Atom, DomainError, PoleError, collect_terms, equals_zero, jet
 from lieforge.hierarchy import REAL_JET
 from lieforge.liealg import algebra_signature, jacobi_check, lie_bracket, structure_constants
 from lieforge.numerics import integrate_rk4
 from lieforge.parser import ParseError, UnknownIdentifierError, parse_expr
-from lieforge.reduce import (eliminate_to_second_order, fd_weights, sn_solution, system_322,
+from lieforge.reduce import (ODE_JET_FG, PivotDegenerateError, _solve_leads,
+                             eliminate_to_second_order, fd_weights, sn_solution, system_322,
                              system_322_printed, verify_solution)
+from lieforge.systems import ODESystem
 
 REFUSALS = {
     "bracket-of-a-family": (
@@ -54,3 +56,73 @@ def test_refusal_names_its_reason(case):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+def _v():
+    return jet("v").as_expr()
+
+
+def _fg(text):
+    return ODE_JET_FG.parse(text)
+
+
+# refusals of the parser, the kernel and the reductions that no other test reaches
+KERNEL_REFUSALS = {
+    "unclosed-call": (
+        lambda: parse_expr("sin(v", REAL_JET),
+        ParseError, "expected ')', found 'end' (at position 5)"),
+    "trailing-input": (
+        lambda: parse_expr("v v", REAL_JET),
+        ParseError, "trailing input 'ident' (at position 2)"),
+    "parsed-division-by-zero": (
+        lambda: parse_expr("1/0", REAL_JET),
+        ParseError, "division by zero expression (at position 2)"),
+    "parsed-reciprocal-of-zero": (
+        lambda: parse_expr("(v - v)^-1", REAL_JET),
+        ParseError, "reciprocal of zero expression (at position 9)"),
+    "bare-atom": (
+        lambda: Atom(),
+        TypeError, "use the atom constructor helpers"),
+    "fractional-exponent": (
+        lambda: _v() ** 1.5,
+        DomainError, "exponent must be an integer"),
+    "division-by-zero": (
+        lambda: _v() / 0,
+        ZeroDivisionError, "division by zero expression"),
+    "atom-as-rational": (
+        lambda: _v().as_rational(),
+        DomainError, "expression is not a rational constant"),
+    "float-operand": (
+        lambda: _v() + 1.5,
+        TypeError, "cannot coerce <class 'float'> to Expr"),
+    "collect-by-a-sum": (
+        lambda: collect_terms(_v(), [_v() + jet("w").as_expr()]),
+        DomainError, "collection classes must be single monomials"),
+    "collect-by-a-scaled-class": (
+        lambda: collect_terms(_v(), [2 * _v()]),
+        DomainError, "collection classes must have coefficient 1"),
+    "collect-by-a-repeated-class": (
+        lambda: collect_terms(_v(), [_v(), _v()]),
+        DomainError, "duplicate collection class"),
+    "zero-test-at-poles-only": (
+        lambda: equals_zero(parse_expr("1/(exp(I*v) - cos(v) - I*sin(v))", REAL_JET)),
+        PoleError, "all sampled points hit poles"),
+    "lead-with-a-jet-coefficient": (
+        lambda: _solve_leads([_fg("F*F' - G")], ODE_JET_FG, "F F' = G"),
+        DomainError, "lead F' has non-constant coefficient"),
+    "two-leads-for-one-dependent": (
+        lambda: _solve_leads([_fg("F' - G"), _fg("2*F' - G")], ODE_JET_FG, "F' twice"),
+        DomainError, "two equations solve for F"),
+    "eliminate-without-a-pivot": (
+        lambda: eliminate_to_second_order(ODESystem(
+            jet=ODE_JET_FG, leads={"F": (1, _fg("F")), "G": (1, _fg("G"))}, label="linear")),
+        PivotDegenerateError, "pivot coefficient of G vanishes identically"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_REFUSALS))
+def test_kernel_refusal_names_its_reason(case):
+    call, error, message = KERNEL_REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
