@@ -295,8 +295,8 @@ _MEMO_SIZE, _MISS = 64, object()
 
 def _memo(key: tuple, make: Callable[[], object]):
     """make(), kept while key is among the _MEMO_SIZE most recent (chains,
-    plans, loops, stencils and the s11 profile of `reduce`, prolongations of
-    `symmetry`), returned as is, even empty."""
+    plans, loops, stencils and the s11 profile of `reduce`, prolongations and
+    residual maps of `symmetry`), returned as is, even empty."""
     got = _MEMO.pop(key, _MISS)
     _MEMO[key] = got = make() if got is _MISS else got
     if len(_MEMO) > _MEMO_SIZE:

@@ -8,15 +8,13 @@ One `VerifyReport` holds generator and profile verdicts, each status from
 `expr_core.verdict`, the one zero decision, which the Jacobi check and the
 member audit read too.
 
-Residuals come from one on-shell residual map per call: the Reducer, the
-needed jets and the reduced partials of each rhs are built once per system.
-A whole field X takes R_{X,()} = pr X(H) on solutions.  A dictionary column
-is its Leibniz summands c*mono*R_{Y,K}/d, R_{Y,K} the pieces of the base
-fields Y of its terms: integer terms over one denominator per equation, on
-monomials packed into ints, where a product is an addition unless both sides
-hold trig or exp.  The summands are written straight into integer rows, one
-scale per equation, which stay integer into the nullspace and are sorted and
-made rational when read.  Base-field prolongations are kept across calls.
+Residuals come from one on-shell residual map per system (kept for verdicts,
+per call for discovery): a slot entry's column is its Leibniz summands
+c*mono*R_{Y,K}/d, R_{Y,K} the pieces of the base fields Y of its terms, integer
+terms over one denominator per equation on monomials packed into ints, where a
+product is an addition unless both sides hold trig or exp.  One loop writes
+summands into integer rows, one scale per equation: a determining system's
+stay integer into the nullspace; a verdict sums a field's columns and decodes them.
 """
 
 from __future__ import annotations
@@ -28,8 +26,8 @@ from itertools import combinations, product
 from math import comb, lcm, prod
 
 from .expr_core import (
-    DomainError, Expr, Func, Jet, _accumulate, _add_into, _is_plain, _memo,
-    _mul_into, atoms_of, cos_e, exp_e, func, gradient, jet,
+    _INTERN, DomainError, Expr, Func, Jet, _accumulate, _add_into, _is_plain, _memo,
+    atoms_of, cos_e, exp_e, func, gradient, jet,
     sin_e, sym, verdict, ZeroStatus,
 )
 from .linalg import cleared, divided, nullspace, rank
@@ -262,11 +260,9 @@ class _Ring:
 
 class _ResidualMap:
     """The on-shell residual map X -> [pr X(lead - rhs) on solutions] of one
-    system, for generators whose unknown functions obey the rules `unknowns`.
-    Reduction is a ring homomorphism, so residuals are assembled from reduced
-    factors, each product added term by term with no intermediate product.
-    Calling the map gives R_{X,()} = pr X(H) for a whole field.  `column`
-    has one rule for a dictionary entry: each term is q*p*Y, p its plain
+    system, for generators whose unknown functions obey the rules `unknowns`;
+    reduction is a ring homomorphism, so it is assembled from reduced factors.
+    `column` has one rule for a slot's entry: each term is q*p*Y, p its plain
     independent factors and Y = g d_var with g everything else, of
     characteristic Q_Y = g on var (eta) or -g u^A_var on every A (xi).
     Leibniz's rule on D_J(p Q_Y), and pr X(H) = pr X_Q(H) + xi^j D_j H with
@@ -276,9 +272,10 @@ class _ResidualMap:
     `cleared` (integer terms over one denominator; Geddes, Czapor & Labahn
     1992, sec. 2.7) on the int monomials of `ring`: a product with a plain
     side is an addition, only two non-plain ones meet `_accumulate`.  A column
-    is left as its summands, each holding its piece where the map keeps it.
-    A table's prolongation of Y depends on Y and the jets below those of H,
-    not on H: the process-wide memo keeps it."""
+    is left as its summands, each holding its piece where the map keeps it
+    once whole: one per base field and K seen, as long as the memo keeps the
+    map.  A table's prolongation of Y depends on Y and the jets below those
+    of H, not on H: the process-wide memo keeps it."""
 
     def __init__(self, system, unknowns=()):
         equations = system.equations()
@@ -300,38 +297,19 @@ class _ResidualMap:
         self.zero = (0,) * len(self.syms)  # K = () as counts per independent
         self.tables, self.splits, self.belows = {}, {}, {}  # D_L(Q_Y); (C(J,K), J-K); jets
         self.ring = _Ring(getattr(system, "label", ""))
-
-    @cached_property
-    def partials(self) -> list[list[tuple]]:
-        """Per equation (J, packed dH/du_J, denominator), the lead first, {0: 1}
-        packing 1; built on the first `piece`, as a map only called never reads it."""
-        return [[(lead, {0: 1}, 1)] + [(a, *self.ring.terms(h)) for a, h in djet]
-                for lead, _, djet in self.parts]
-
-    @cached_property
-    def pieces(self) -> dict[tuple, list[tuple]]:
-        """R_{Y,K} by (kind, var, g, K), seeded with R_{d_j,()} = dH/dx_j."""
-        return {("xi", i, (), self.zero): [self.ring.terms(dxi[k]) for _, dxi, _ in self.parts]
-                for k, i in enumerate(self.independents)}
-
-    def __call__(self, X: VectorField) -> list[Expr]:
-        coeffs = {J: self.reducer.reduce(v)
-                  for J, v in prolong_generator(X, self.needed).items()}
-        xi = [self.reducer.reduce(X.xi_of(i)) for i in self.independents]
-        residuals = []
-        for lead, dxi, djet in self.parts:
-            out = dict(coeffs[lead]._terms)
-            for c, d in [*zip(xi, dxi), *((coeffs[a], d) for a, d in djet)]:
-                if c._terms:
-                    _mul_into(out, c._terms, d._terms)
-            residuals.append(Expr(out))
-        return residuals
+        # per equation (J, packed dH/du_J, denominator), the lead first, {0: 1} packing 1
+        self.partials = [[(lead, {0: 1}, 1)] + [(a, *self.ring.terms(h)) for a, h in djet]
+                         for lead, _, djet in self.parts]
+        # R_{Y,K} by (kind, var, g, K), seeded with R_{d_j,()} = dH/dx_j
+        self.pieces = {("xi", i, (), self.zero): [self.ring.terms(dx[k]) for _, dx, _ in self.parts]
+                       for k, i in enumerate(self.independents)}
 
     def table(self, kind: str, var: str, g: tuple) -> dict[tuple, tuple]:
         """Reduced D_L(Q_Y^A) of Y = g d_var, cleared, keyed (A, L), for every
         u^A_L below a needed jet, by one formula from one prolongation of Y:
-        reduce(pr Y^{A,L}), less g u^A_{L var} for an xi field, where pr d_var
-        = 0; an eta field's D_L(g) is kept on the first dependent and shared."""
+        reduce(pr Y^{A,L} - g u^A_{L var}) for an xi field (pr d_var = 0), g
+        reducible by unknown rules; an eta field's D_L(g) is kept on the first
+        dependent and shared."""
         eta = kind == "eta"
         key = (kind, None if eta else var, g)
         if key in self.tables:
@@ -346,15 +324,16 @@ class _ResidualMap:
                 for r in range(J.order + 1 - plain) for L in combinations(J.idx, r)))
         pr = {} if plain else _memo(("prolong", self.jet, kind, slot, g, below), lambda: (
             prolong_generator(VectorField(self.jet, **{kind: {slot: ge}}), below)))
-        table = self.tables[key] = {}
+        table = {}
         for A in below:
             f, d = self.ring.terms(self.reducer.reduce(pr[A])) if A in pr else ({}, 1)
-            if not eta:  # g times the Reducer's value of u^A_{L var}, canonical and
-                u = jet(A.dep, A.idx + (var,))  # packed, as `piece` multiplies it
+            if not eta:  # g on solutions times the Reducer's value of u^A_{L var},
+                u = jet(A.dep, A.idx + (var,))  # canonical, packed as `piece` multiplies it
                 num, den = self.reducer.value(u) or (u.as_expr(), 1)
-                gu, gd = self.ring.terms(ge * num if g else num)
+                gu, gd = self.ring.terms(self.reducer.reduce(ge) * num if g else num)
                 f, d = self.ring.combine([(1, f, {0: 1}, d), (-1, gu, {0: 1}, gd * den)])
             table[A.dep, A.idx] = f, d
+        self.tables[key] = table
         return table
 
     def piece(self, kind: str, var: str, g: tuple, K: tuple) -> list[tuple]:
@@ -363,7 +342,7 @@ class _ResidualMap:
         if key in self.pieces:
             return self.pieces[key]
         table, dep0 = self.table(kind, var, g), self.jet.dependents[0]
-        pieces = self.pieces[key] = []
+        pieces = []
         for partials in self.partials:
             summands = []
             for J, h, hd in partials:
@@ -376,6 +355,7 @@ class _ResidualMap:
                     f, fd = table[dep0 if eta else J.dep, L]
                     summands.append((c, f, h, fd * hd))
             pieces.append(self.ring.combine(summands))
+        self.pieces[key] = pieces
         return pieces
 
     def column(self, key: tuple[str, str], e: Expr) -> list[tuple]:
@@ -403,13 +383,70 @@ def _same_space(where: str, *jets: JetSpec) -> None:
         raise DomainError(f"mismatched jet spaces in {where}")
 
 
+class _Rows(Sequence):
+    """Integer rows {(equation i, packed monomial): {column: int}} of the columns
+    of a map's (slot, entry) pairs, scaled by scale[i], the lcm of the d*den of
+    i's non-empty summands; an entry cancelled across K goes, a row left empty
+    too.  Sorted once when read: as rows / scale[i], or summed into residuals."""
+
+    def __init__(self, rmap: _ResidualMap, entries):
+        res, self.shift = [rmap.column(key, e) for key, e in entries], rmap.ring.shift
+        self.scale = [lcm(*{d * r[i][1] for col in res for _, _, d, r in col if r[i][0]})
+                      for i in range(len(rmap.parts))]
+        self.ints = ints = {}
+        for k, col in enumerate(res):
+            for i, s in enumerate(self.scale):
+                for c, mono, d, r in col:
+                    terms, rd = r[i]
+                    c *= s // (d * rd)
+                    for m, q in terms.items():
+                        row = ints.get(key := (i, m + mono))
+                        if row is None:
+                            ints[key] = {k: c * q}
+                        elif v := row.get(k, 0) + c * q:
+                            row[k] = v
+                        else:  # cancelled across K
+                            del row[k]
+                            if not row:
+                                del ints[key]
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __getitem__(self, k):
+        return self.read[0][k]
+
+    def order(self) -> tuple[list, dict]:  # rows by equation, then monomial key; keys
+        keys = _Ring.keys(self.shift, (m for _, m in self.ints))
+        return sorted(self.ints, key=lambda im: (im[0], keys[im[1]][0])), keys
+
+    @cached_property
+    def read(self) -> tuple[list, list]:  # int if exact
+        prov, keys = self.order()
+        return ([divided(self.ints[k], self.scale[k[0]]) for k in prov],
+                [(i, keys[m][1]) for i, m in prov])
+
+    def residuals(self) -> list[Expr]:
+        """Per equation, its rows summed over the columns and divided by its scale."""
+        (prov, keys), sums = self.order(), [{} for _ in self.scale]
+        for i, m in prov:
+            if q := sum(self.ints[i, m].values()):
+                sums[i][tuple((_INTERN[a], e) for a, e in keys[m][1])] = q
+        return [Expr(divided(terms, s)) for terms, s in zip(sums, self.scale)]
+
+
 def symmetry_residual(system, X: VectorField) -> list[Expr]:
     """Apply the prolonged generator to each equation H^A = lead - rhs and
     substitute the equations (and their differential consequences) so the
     result lives on solutions.  A generator is a symmetry iff every entry is
-    zero."""
+    zero: the rows of X's slot columns summed and divided by their scale,
+    terms in `_mono_key` order.  The memo keeps the map of the system (its
+    label too, which refusals name) and X's unknown rules, so fields verified
+    on one system share its pieces."""
     _same_space("symmetry_residual", system.jet, X.jet)
-    return _ResidualMap(system, X.unknowns)(X)
+    key = (system.jet, tuple(system.equations()), X.unknowns, getattr(system, "label", ""))
+    rmap = _memo(("residual map", *key), lambda: _ResidualMap(system, X.unknowns))
+    return _Rows(rmap, (((kind, var), e) for kind, var, e in X.coeff_vector_atoms())).residuals()
 
 
 @dataclass
@@ -499,27 +536,6 @@ def ansatz_dictionary(jet_spec: JetSpec, degree: int, trig_order: int = 0,
 # determining systems and discovery
 # ---------------------------------------------------------------------------
 
-class _Rows(Sequence):
-    """Integer rows {(equation i, packed monomial): {column: int}} scaled by scale[i],
-    the lcm of i's summand denominators; `read` sorts once into rows / scale[i]."""
-
-    def __init__(self, ints: dict, scale: list[int], shift: dict):
-        self.ints, self.scale, self.shift = ints, scale, shift
-
-    def __len__(self) -> int:
-        return len(self.ints)
-
-    def __getitem__(self, k):
-        return self.read[0][k]
-
-    @cached_property
-    def read(self) -> tuple[list, list]:  # by equation, then monomial key; int if exact
-        keys = _Ring.keys(self.shift, (m for _, m in self.ints))
-        prov = sorted(self.ints, key=lambda im: (im[0], keys[im[1]][0]))
-        return ([divided(self.ints[k], self.scale[k[0]]) for k in prov],
-                [(i, keys[m][1]) for i, m in prov])
-
-
 @dataclass
 class DeterminingSystem:
     """Homogeneous rational system over the ansatz coefficients; its nullspace
@@ -548,33 +564,13 @@ def determining_system(system, basis: AnsatzBasis) -> DeterminingSystem:
     """Rows: residual coefficients per (equation, monomial class) of each
     column, pr(pY)(H) = sum_K d_K p * R_{Y,K} on solutions (D_j H = 0) over
     the terms p*Y of its entry, R_{Y,()} = pr Y(H).  Each Leibniz summand
-    c*mono*R_{Y,K}/d is added straight into integer rows keyed (equation,
-    packed monomial), equation i scaled by the lcm of the d*den of its
-    non-empty summands; an entry that cancels across K is dropped, and a row
-    left empty with it.  Map and pieces die with the call, prolongations not."""
+    c*mono*R_{Y,K}/d is added straight into integer rows (`_Rows`).  The map
+    dies with the call, prolongations not: discovery systems do not repeat, so
+    a kept map would take memo slots from the prolongations they share."""
     _same_space("determining_system", system.jet, basis.jet)
-    cols, residual = basis.columns(), _ResidualMap(system)
-    res = [residual.column(key, e) for key, _, e in cols]
-    scale = [lcm(*{d * r[i][1] for col in res for _, _, d, r in col if r[i][0]})
-             for i in range(len(residual.parts))]
-    ints: dict = {}
-    get = ints.get
-    for k, col in enumerate(res):
-        for i, s in enumerate(scale):
-            for c, mono, d, r in col:
-                terms, rd = r[i]
-                c *= s // (d * rd)
-                for m, q in terms.items():
-                    row = get(key := (i, m + mono))
-                    if row is None:
-                        ints[key] = {k: c * q}
-                    elif v := row.get(k, 0) + c * q:
-                        row[k] = v
-                    else:  # cancelled across K
-                        del row[k]
-                        if not row:
-                            del ints[key]
-    return DeterminingSystem(basis, cols, _Rows(ints, scale, residual.ring.shift))
+    cols = basis.columns()
+    return DeterminingSystem(basis, cols,
+                             _Rows(_ResidualMap(system), ((key, e) for key, _, e in cols)))
 
 
 def discover_symmetries(system, basis: AnsatzBasis,

@@ -190,14 +190,18 @@ class Reducer:
                               f"{''.join(idx)} reduces through itself")
         self._memo[key] = None
         var, m, rhs = self._rules[name]
-        if len(idx) == m:
-            val, den = self.reduce(rhs), 1
-        else:
-            i = var if idx.count(var) > m else \
-                next(v for v in reversed(idx) if v != var)
-            k = idx.index(i)
-            num, den = self._value(name, idx[:k] + idx[k + 1:])
-            val = self.reduce(total_derivative(num, i))
+        try:
+            if len(idx) == m:
+                val, den = self.reduce(rhs), 1
+            else:
+                i = var if idx.count(var) > m else \
+                    next(v for v in reversed(idx) if v != var)
+                k = idx.index(i)
+                num, den = self._value(name, idx[:k] + idx[k + 1:])
+                val = self.reduce(total_derivative(num, i))
+        except BaseException:  # a kept Reducer refuses the same way again
+            del self._memo[key]
+            raise
         terms, d = cleared(val._terms)
         got = self._memo[key] = (val if d == 1 else Expr(terms), den * d)
         return got

@@ -1,8 +1,11 @@
 """Refusals: each input the library turns away, with the message it gives."""
 
+import json
+
 import pytest
 
-from lieforge import catalog
+from lieforge import catalog, symmetry
+from lieforge.cli import main
 from lieforge.expr_core import Atom, DomainError, PoleError, collect_terms, equals_zero, jet
 from lieforge.hierarchy import REAL_JET
 from lieforge.liealg import algebra_signature, jacobi_check, lie_bracket, structure_constants
@@ -126,3 +129,20 @@ def test_kernel_refusal_names_its_reason(case):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_verify_refuses_an_exponent_past_the_ring_bound(tmp_path, capsys):
+    """A generator verdict packs monomials into its system's ring, as a
+    determining system does: an exponent past the ring's bound exits 1 with
+    one error line that names it and the system, and no traceback."""
+    bound = symmetry._BOUND
+    for n, code in [(bound, 2), (bound + 1, 1), (11000, 1)]:
+        field = tmp_path / "field.txt"
+        field.write_text(f"eta_v = v^{n}\n", encoding="utf-8")
+        assert main(["symmetries", "verify", "--member", "2", "--field", str(field)]) == code
+        out, err = capsys.readouterr()
+        if code == 1:
+            assert (out, err) == ("", f"lieforge: error: exponent {n} of v exceeds {bound} "
+                                      f"in 'member 2: complex Burgers (split)'\n")
+        else:
+            assert json.loads(out)["status"] == "Nonzero" and err == ""

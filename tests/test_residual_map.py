@@ -5,10 +5,15 @@ pieces only: prolong the whole generator, subtract the products of the
 prolonged coefficients with the partials of each rhs, then reduce the sum on
 solutions.  The map builds the system half once and assembles each residual
 from factors reduced beforehand, on integer terms over one denominator per
-equation.  Each term q*p*g of a dictionary entry is merged from the Leibniz
-pieces R_{Y,K} of its base field Y = g d_var, with one table of D_L(Q_Y) per
-base field (an eta table shared between the dependents).  Every residual the map gives must equal the reference as an
-expression, column by column, for every system kind it serves, and every row
+equation.  A generator's residuals are the rows of its slots' columns
+summed (`symmetry_residual`, through a map kept per system and unknown
+rules), and must equal the reference term for term, in `_mono_key` order
+and in coefficient type, on cold, warm and overflowing tables.  Each term
+q*p*g of a dictionary entry is merged from the Leibniz pieces R_{Y,K} of its
+base field Y = g d_var, with one table of D_L(Q_Y) per base field (an eta
+table shared between the dependents).  Every residual the map gives must
+equal the reference as an expression, column by column, for every system
+kind it serves, and every row
 of a determining system must equal the reference row in value and in type
 (`int` or `Fraction`), also on time-scaled and reduced systems whose
 coefficients are fractions.  A column is the list of its Leibniz summands
@@ -27,7 +32,7 @@ from fractions import Fraction
 
 import pytest
 
-from lieforge import catalog, symmetry
+from lieforge import catalog, expr_core, symmetry
 from lieforge.expr_core import (
     _INTERN, DomainError, Expr, Jet, _mono_key, atoms_of, derive, func,
     random_rational, sym,
@@ -147,6 +152,20 @@ def typed(residuals):
     return [{m: (q, q.__class__) for m, q in r._terms.items()} for r in residuals]
 
 
+def in_order(residuals):
+    """Residuals as lists of (monomial, coefficient, its type) as stored."""
+    return [[(m, q, q.__class__) for m, q in r._terms.items()] for r in residuals]
+
+
+def by_mono_key(residuals):
+    """`in_order` with the terms sorted in `_mono_key` order."""
+    return [sorted(r, key=lambda t: _mono_key(t[0])) for r in in_order(residuals)]
+
+
+def sorted_reference(system, X):
+    return by_mono_key(reference_residual(system, X))
+
+
 def coefficient_vector(parts):
     """Sparse rational vector of keyed expressions over the monomial basis:
     {(key, monomial key): coefficient} for every term of every part."""
@@ -183,11 +202,12 @@ def test_map_matches_reference_on_every_column(name):
                 (name, size, key, e)
     basis, refs = _reference_columns(name, DEGREES[1])
     for (key, _, e), ref in zip(basis.columns(), refs):
-        assert rmap(_unit_field(basis.jet, key, e)) == ref, (name, key, e)
+        assert in_order(symmetry_residual(S, _unit_field(basis.jet, key, e))) == \
+            by_mono_key(ref), (name, key, e)
     rng = random.Random(len(name))
     for _ in range(3):
         X = _combination(rng, basis)
-        assert rmap(X) == reference_residual(S, X), (name, X)
+        assert in_order(symmetry_residual(S, X)) == sorted_reference(S, X), (name, X)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -323,27 +343,106 @@ def test_catalogue_table_covers_every_field_maker():
     assert makers == {m for ms in CATALOGUE.values() for m in ms}
 
 
-def test_catalogue_fields_and_families_match_reference():
-    n_unknowns = 0
-    for name, maker, X in _catalogue_fields():
-        S = SYSTEMS[name]
-        n_unknowns += bool(X.unknowns)
-        assert symmetry_residual(S, X) == reference_residual(S, X), \
-            (name, maker, X.name)
-    assert n_unknowns >= 4  # the unknown-function families are covered
+def _cross_fields():
+    """Fields verified on a member they do not belong to: nonzero residuals."""
+    for name, maker in (("member 3", "fields_member2"), ("member 4", "fields_member3")):
+        for X in getattr(catalog, maker)():
+            yield name, f"{maker} on {name}", X
+
+
+@functools.cache
+def _catalogue_references():
+    return [(name, maker, X, sorted_reference(SYSTEMS[name], X))
+            for name, maker, X in [*_catalogue_fields(), *_cross_fields()]]
+
+
+def test_catalogue_fields_and_families_match_reference(tables):
+    """Every catalogue field and family, partial and printed ones, the
+    transport examples and the reduced fields on their own systems, and
+    member-2 and member-3 fields on the next member."""
+    cases = _catalogue_references()
+    assert sum(bool(X.unknowns) for _, _, X, _ in cases) >= 4  # the families
+    assert sum(any(ref) for *_, ref in cases) >= 10  # nonzero residuals
+    for _ in tables:
+        for name, maker, X, ref in cases:
+            assert in_order(symmetry_residual(SYSTEMS[name], X)) == ref, \
+                (name, maker, X.name)
+
+
+# the field eta_v = exp(-w)*cos(v), eta_w = exp(-w)*sin(v) of member 2 in
+# other spellings, and a reciprocal coefficient
+SPELLINGS = [
+    "eta_v = exp(-w)*cos(v)\neta_w = exp(-w)*tan(v)*cos(v)",
+    "eta_v = 1/2*exp(-w)*(exp(I*v) + exp(-I*v))\neta_w = exp(-w)*sin(v)",
+    "xi_x = 1/(1+v^2)",
+    "xi_t = t\nxi_x = x/(1+v^2)\neta_w = exp(-w)/(2 + sin(v))",
+]
+
+# generated member k -> the member whose README dictionary (`symmetries
+# find` defaults) discovers the fields verified on it
+GENERATED = {2: 2, 3: 3, 4: 4, 5: 4, 6: 4}
+
+
+def test_spellings_and_generated_members_match_reference(tables, discovery2, discovery4):
+    """Spellings of one member-2 field that hide its zero from a term-dict
+    test (tan(v)*cos(v), exp(I*v) + exp(-I*v)), reciprocal coefficients, and
+    generated members 2-6 with the fields the README dictionaries discover
+    on members 2-4."""
+    cases = []
+    for text in SPELLINGS:
+        for k in (2, 3):
+            S = catalogue_member(k)
+            X = symmetry.parse_field(text, REAL_JET)
+            cases.append((S, X, sorted_reference(S, X)))
+    fields = {2: discovery2[2], 4: discovery4[2],
+              3: discover_symmetries(SYSTEMS["member 3"], ansatz_dictionary(REAL_JET, 1, 2, 0))}
+    assert [len(fields[k]) for k in (2, 3, 4)] == [7, 7, 4]
+    for k, source in GENERATED.items():
+        v_rhs, w_rhs = complex_split(hierarchy_member(k - 1))
+        S = PDESystem(jet=REAL_JET, rhs={"v": v_rhs, "w": w_rhs},
+                      label=f"member {k} (generated)")
+        cases += [(S, X, sorted_reference(S, X)) for X in fields[source]]
+    assert sum(any(ref) for *_, ref in cases) >= 4
+    for _ in tables:
+        for S, X, ref in cases:
+            assert in_order(symmetry_residual(S, X)) == ref, (S.label, X)
+
+
+class _Sides(dict):
+    """A term dict that records its size each time its terms are read."""
+
+    def __init__(self, terms, seen):
+        super().__init__(terms)
+        self.seen = seen
+
+    def items(self):
+        self.seen.append(len(self))
+        return super().items()
 
 
 def test_verifying_a_field_multiplies_no_zero_coefficient(monkeypatch):
     """A zero prolonged coefficient adds nothing to a residual, so the map
     makes no product with it: the member-4 fields, most of whose prolonged
-    coefficients are zero, make no product with an empty side."""
-    calls = []
-    mul_into = symmetry._mul_into
-    monkeypatch.setattr(symmetry, "_mul_into",
-                        lambda out, A, B: calls.append(A) or mul_into(out, A, B))
+    coefficients are zero, offer their pieces only empty summands, and over
+    the fields of members 2-4 no product of two term dicts reads an empty side."""
+    expr_core.clear_caches()
+    read, offered = [], []
+    combine = symmetry._Ring.combine
+
+    def spy(self, summands):
+        summands = list(summands)
+        offered.extend(not (A and B) for _, A, B, _ in summands)
+        return combine(self, [(c, _Sides(A, read), _Sides(B, read), d)
+                              for c, A, B, d in summands])
+
+    monkeypatch.setattr(symmetry._Ring, "combine", spy)
     for X in catalog.fields_member4():
         assert verify_generator(SYSTEMS["member 4"], X).zero, X.name
-    assert calls and not [A for A in calls if not A]
+    assert offered and all(offered) and not read
+    for k in (2, 3):
+        for X in getattr(catalog, f"fields_member{k}")():
+            verify_generator(SYSTEMS[f"member {k}"], X)
+    assert not all(offered) and read and 0 not in read
 
 
 def _heat_fields():
