@@ -330,7 +330,7 @@ def cmd_fig1(args) -> tuple[dict, int]:
         raise ValueError(f"--F1 takes comma-separated rationals, got {args.F1!r}") from None
     reports = []
     try:
-        for f1 in f1_values:
+        for text, f1 in zip(f1_texts, f1_values):
             rows = red.fig1_rows(c, f1, n=args.n)
             path = args.csv
             if path and len(f1_values) > 1:
@@ -343,8 +343,10 @@ def cmd_fig1(args) -> tuple[dict, int]:
                             "periodicity_error": feats["periodicity_error"],
                             "dFre_sign_changes_per_period":
                                 feats["dFre_sign_changes_per_period"]})
-    except OverflowError as exc:
-        raise ValueError(f"--c {args.c} is an overflowing wave speed for fig1: {exc}") from None
+    except (PoleError, OverflowError) as exc:  # the profile is singular or huge at c, F1
+        kind = "an overflowing" if isinstance(exc, OverflowError) else "a degenerate"
+        raise ValueError(f"--c {args.c} is {kind} wave speed for fig1 at --F1 {text}: "
+                         f"{exc}") from None
     return {"c": c, "series": reports}, 0
 
 

@@ -33,9 +33,10 @@ the factor tuple handed to `_accumulate`, holds the (monomial, coefficient at
 1) puts of its normalisation, replayed in order and scaled, so terms, term
 order and atom intern order are a first call's.  It is emptied at 8192
 entries.  It and `_MEMO`, which keeps the chains, plans, stencils and s11
-profile of `reduce` and the prolongations of `symmetry` among its 64 most
-recent entries, are the only process-wide tables: `clear_caches()` empties
-both, as a fresh process starts them.  Atoms stay interned in `_INTERN`.
+profile of `reduce` and the prolongations and residual maps of `symmetry`
+among its 64 most recent entries, are the only process-wide tables:
+`clear_caches()` empties both, as a fresh process starts them.  Atoms stay
+interned in `_INTERN`.
 
 Partial and total derivatives share one derivation loop: a sweep over the
 terms, fixed by its values on symbols, jets and functions, with one chain
@@ -858,9 +859,10 @@ class NumericPlan:
         """Append the lines of exprs, every derived atom before the sums; their names."""
         return [self._sum(terms) for terms in [self._terms(e) for e in exprs]]
 
-    def _reads(self, slot: str) -> bool:
-        """Whether a line reads the value named slot: a value is read through its powers."""
-        return any(self._slot[a] == slot for a, _ in self._powers)
+    def _read(self, slot: str, value: str) -> list[str]:
+        """[`slot = complex(value)`] if a line reads input slot (through its powers), else []."""
+        read = any(self._slot[a] == slot for a, _ in self._powers)
+        return [f"{slot} = complex({value})"] if read else []
 
     def _terms(self, e: Expr) -> tuple[tuple[str, ...], ...]:
         """Each term as its constant's name and its factors' power locals."""
@@ -941,9 +943,8 @@ class NumericPlan:
                  "for i in range(n_steps):", "    s = s0 + i * h"]
         stages = [("s", "y{j}"), ("s + h2", "y{j} + h2 * k1_{j}"),
                   ("s + h2", "y{j} + h2 * k2_{j}"), ("s + h", "y{j} + h * k3_{j}")]
-        for stage, (s_in, y_in) in enumerate(stages, 1):
-            if self._reads(f"x{n_bound}"):  # an autonomous system never does
-                lines.append(f"    x{n_bound} = complex({s_in})")
+        for stage, (s_in, y_in) in enumerate(stages, 1):  # an autonomous system reads no s
+            lines += ("    " + line for line in self._read(f"x{n_bound}", s_in))
             lines += (f"    x{n_bound + 1 + j} = {y_in.format(j=j)}" for j in states)
             lines += ("    " + line for line in self._lines)
             lines += (f"    k{stage}_{j} = {self._outs[j]}" for j in states)
@@ -977,8 +978,8 @@ class NumericPlan:
                      f"[{', '.join(names)}] = map(complex, j[:{len(atoms)}])"]
         worst = ", ".join(f"abs({r}) if {r} == {r} else _inf" for r in plan._section(residuals))
         near = " or ".join(f"abs({d}) < 0.05" for d in plan._outs[:n_poles])
-        body = [f"x{n_s} = complex(s)"] if plan._reads(f"x{n_s}") else []
-        body += [*head, f"if {near or 'False'}: continue", *fill, *plan._lines]
+        body = [*plan._read(f"x{n_s}", "s"), *head, f"if {near or 'False'}: continue",
+                *fill, *plan._lines]
         lines = [f"[{', '.join(f'x{i}' for i in range(n_s))}] = map(complex, bound)",
                  f"[{', '.join(f'f{i}' for i in range(len(sampled)))}] = fns",
                  "worst, good, idx, budget = 0.0, 0, 0, samples * 6",
@@ -1010,32 +1011,29 @@ class NumericPlan:
         at = {ax: [i for i in range(wide - half, wide + half + 1) if i != wide]
               for ax, half in halves.items()}
 
-        def read(slot, value):  # a plan input, as `map(complex, values)` gives it
-            return [f"{slot} = complex({value})"] if plan._reads(slot) else []
-
         def diff(k, samples):  # order k over samples[i], the profile at index i
             half = stencils[k - 1][0]
             terms = (f"_w{k}_{j} * {samples[wide - half + j]}" for j in range(2 * half + 1))
             return f"(0 + {' + '.join(terms)}) / _h{k}"
 
-        body = ["s = x - ct", *(f"sx{i} = x + _o{i} - ct" for i in at["x"]),
+        body = [*plan._read("x1", "x"), "s = x - ct", *(f"sx{i} = x + _o{i} - ct" for i in at["x"]),
                 *(f"st{i} = x - c * (t + _o{i})" for i in at["t"])]
         for d in range(plan._n_out):
             base = 2 + d * (m + 2)
             sx, st = ({wide: f"v{d}", **{i: f"v{d}{ax}{i}" for i in at[ax]}} for ax in "xt")
             body += [f"v{d} = f{d}(s)", *(f"{sx[i]} = f{d}(sx{i})" for i in at["x"]),
-                     *(f"{st[i]} = f{d}(st{i})" for i in at["t"]), *read(f"x{base}", f"v{d}")]
+                     *(f"{st[i]} = f{d}(st{i})" for i in at["t"]), *plan._read(f"x{base}", f"v{d}")]
             for k in range(1, m + 1):
-                body += read(f"x{base + k}", diff(k, sx))
-            body += [f"u{d} = {diff(1, st)}", *read(f"x{base + m + 1}", f"u{d}")]
+                body += plan._read(f"x{base + k}", diff(k, sx))
+            body += [f"u{d} = {diff(1, st)}", *plan._read(f"x{base + m + 1}", f"u{d}")]
         body += plan._lines
         for d, out in enumerate(plan._outs):
             body += [f"r = u{d} - {out}", "worst = max(worst, abs(r) if r == r else _inf)"]
         lines = [f"[{', '.join(f'f{d}' for d in range(plan._n_out))}] = fns", "worst = 0.0",
                  "for i in range(n):", "    t = -0.5 + i / (n - 1)", "    ct = c * t",
-                 *("    " + line for line in read("x0", "t")), "    for j in range(n):",
-                 "        x = -0.5 + j / (n - 1)", *("        " + line for line in read("x1", "x")),
-                 *("        " + line for line in body), "return worst"]
+                 *("    " + line for line in plan._read("x0", "t")), "    for j in range(n):",
+                 "        x = -0.5 + j / (n - 1)", *("        " + line for line in body),
+                 "return worst"]
         return plan._compile("lift", "c, n, fns", lines, **names)
 
 

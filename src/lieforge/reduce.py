@@ -587,22 +587,25 @@ def emit_series_csv(rows: list[tuple], path) -> None:
 _S11_INPUTS = [sym("c"), sym("F0"), sym("F1"), sym("s")]
 
 
-def _s11_profile() -> tuple[Expr, Expr]:
-    """(F, G) of `s11_solution()`, kept in the memo."""
-    return _memo(("s11",), lambda: tuple(s11_solution().exprs[u] for u in "FG"))
-
-
 # Most samples `fig1_rows` takes: 100 times the README's default of 1000.
 MAX_FIG1_SAMPLES = 100_000
+
+
+def _fig1_profile(c: float, n: int) -> tuple[Expr, Expr]:
+    """(F, G) of `s11_solution()`, kept in the memo, for n samples at wave speed c;
+    DomainError unless n is in 2..MAX_FIG1_SAMPLES and c is finite and nonzero."""
+    if not 2 <= n <= MAX_FIG1_SAMPLES:
+        raise DomainError(f"fig1 sample count {n} outside 2..{MAX_FIG1_SAMPLES}")
+    if not math.isfinite(c) or c == 0:
+        raise DomainError(f"fig1 needs a finite nonzero wave speed, not c = {c!r}")
+    return _memo(("s11",), lambda: tuple(s11_solution().exprs[u] for u in "FG"))
 
 
 def fig1_rows(c: float, F1: float, F0: float = 1.0, n: int = 1000) -> list[tuple]:
     """(s, F, G) samples of the printed closed form for the wave-profile
     figure, at n >= 2 evenly spaced points of [0, 10]; raises DomainError
-    outside 2..MAX_FIG1_SAMPLES."""
-    if not 2 <= n <= MAX_FIG1_SAMPLES:
-        raise DomainError(f"fig1 sample count {n} outside 2..{MAX_FIG1_SAMPLES}")
-    FG = _plan(_s11_profile(), _S11_INPUTS)
+    for n outside 2..MAX_FIG1_SAMPLES or c zero or not finite."""
+    FG = _plan(_fig1_profile(c, n), _S11_INPUTS)
     rows = []
     for i in range(n):
         s = 10.0 * i / (n - 1)
@@ -616,10 +619,10 @@ def fig1_rows(c: float, F1: float, F0: float = 1.0, n: int = 1000) -> list[tuple
 def fig1_features(c: float, F1: float, F0: float = 1.0, n: int = 2048) -> dict:
     """Periodicity error of Re F and Re G over one period 2 pi / c from
     s = 0.1 (exact offset evaluation) and the number of sign changes of
-    dF_re/ds per period."""
-    period = 2 * math.pi / c
+    dF_re/ds per period, n steps to a period; raises DomainError as `fig1_rows`."""
     # F and G apart: a pole of G alone must not stop the F samples
-    Fe, Ge = (_plan([e], _S11_INPUTS) for e in _s11_profile())
+    Fe, Ge = (_plan([e], _S11_INPUTS) for e in _fig1_profile(c, n))
+    period = 2 * math.pi / c
 
     def at(plan, s):
         return plan([c, F0, F1, s])[0]
@@ -632,9 +635,6 @@ def fig1_features(c: float, F1: float, F0: float = 1.0, n: int = 2048) -> dict:
 
     samples = [at(Fe, 0.1 + period * i / n).real for i in range(n + 2)]
     dF = [samples[i + 1] - samples[i - 1] for i in range(1, n + 1)]
-    changes = 0
-    for a, b in zip(dF, dF[1:]):
-        if a == 0 or (a < 0) != (b < 0):
-            changes += 1
+    changes = sum(a == 0 or (a < 0) != (b < 0) for a, b in zip(dF, dF[1:]))
     return {"period": period, "periodicity_error": per_err,
             "dFre_sign_changes_per_period": changes}

@@ -324,13 +324,13 @@ class _ResidualMap:
                 for r in range(J.order + 1 - plain) for L in combinations(J.idx, r)))
         pr = {} if plain else _memo(("prolong", self.jet, kind, slot, g, below), lambda: (
             prolong_generator(VectorField(self.jet, **{kind: {slot: ge}}), below)))
-        table = {}
+        table, rg = {}, self.reducer.reduce(ge) if g and not eta else None
         for A in below:
             f, d = self.ring.terms(self.reducer.reduce(pr[A])) if A in pr else ({}, 1)
             if not eta:  # g on solutions times the Reducer's value of u^A_{L var},
                 u = jet(A.dep, A.idx + (var,))  # canonical, packed as `piece` multiplies it
                 num, den = self.reducer.value(u) or (u.as_expr(), 1)
-                gu, gd = self.ring.terms(self.reducer.reduce(ge) * num if g else num)
+                gu, gd = self.ring.terms(rg * num if g else num)
                 f, d = self.ring.combine([(1, f, {0: 1}, d), (-1, gu, {0: 1}, gd * den)])
             table[A.dep, A.idx] = f, d
         self.tables[key] = table

@@ -7,8 +7,9 @@ u^A_t = Phi^A with every Phi free of t-derivatives, an ODE system is solved
 for its highest s-derivatives u^A^(m) = rhs.  The Reducer takes such rules,
 from a system and from the rules a generator carries for its unknown
 functions (a_t = b_xx), and rewrites every derivative reachable from a lead
-(mixed t-derivatives, higher s-derivatives) down to the free coordinates,
-which is what "evaluate on solutions" means throughout.
+(mixed t-derivatives, higher s-derivatives) down to the free coordinates, which
+is what "evaluate on solutions" means throughout.  It keeps one store of
+values, integer numerators over one denominator, which `reduce` binds divided.
 """
 
 from __future__ import annotations
@@ -169,7 +170,6 @@ class Reducer:
             self._rules[name] = (var, m, rhs)
         # `value`s by (name, idx), None while in progress, so that cyclic rules raise
         self._memo: dict[tuple[str, tuple[str, ...]], tuple[Expr, int] | None] = {}
-        self._exprs: dict[Atom, Expr | None] = {}  # `value`s as `reduce` binds them, or None
 
     def value(self, atom: Jet | Func) -> tuple[Expr, int] | None:
         """The atom's normal form as (int numerator, denominator); None if no rule reduces it."""
@@ -214,14 +214,10 @@ class Reducer:
         homomorphism: reduce(a + b) = reduce(a) + reduce(b) and
         reduce(a * b) = reduce(a) * reduce(b), and a sum of products may be
         assembled from factors reduced beforehand."""
-        bindings = {atom: v for atom in atoms_of(e) if (v := self._expr(atom)) is not None}
+        bindings = {atom: num if den == 1 else Expr(divided(num._terms, den))
+                    for atom in atoms_of(e) if isinstance(atom, (Jet, Func))
+                    for num, den in [self.value(atom) or (None, 1)] if num is not None}
         return substitute(e, bindings) if bindings else e
-
-    def _expr(self, atom: Atom) -> Expr | None:
-        if atom not in self._exprs:
-            num, den = isinstance(atom, (Jet, Func)) and self.value(atom) or (None, 1)
-            self._exprs[atom] = num if den == 1 else Expr(divided(num._terms, den))
-        return self._exprs[atom]
 
 
 def _name(atom: Jet | Func) -> str:

@@ -361,12 +361,19 @@ def test_brackets_member3_reports_printed_field_outside_basis(capsys):
     (["integrate", "--system", "3.3", "--c", "1", "--from", "tan", "--h", "1e300",
       "--range", "0:1e300"],
      "--h 1e+300 is an overflowing step for integrate: complex exponentiation"),
+    # the second --F1 value overflows the profile, not c
+    (["fig1", "--c", "1", "--F1", "0,1e200", "--n", "10"],
+     "--c 1 is an overflowing wave speed for fig1 at --F1 1e200: complex exponentiation"),
+    # at c this small a denominator of the s11 profile falls within the pole tolerance
+    (["fig1", "--c", "1e-300", "--F1", "0", "--n", "10"],
+     "--c 1e-300 is a degenerate wave speed for fig1 at --F1 0: reciprocal pole"),
 ], ids=["reduce-c-1/0", "fig1-c-0", "verify-solution-s11-c-0",
         "verify-solution-s11-c-0-symbolic", "integrate-c-symbol", "fig1-c-symbol",
         "verify-solution-rational-trig-c-overflow", "fig1-c-overflow",
         "integrate-c-overflow", "integrate-c-past-guard", "integrate-s0-past-guard",
         "integrate-s0-phase-overflow", "integrate-c-no-float", "fig1-c-no-float",
-        "verify-solution-c-no-float", "integrate-h-overflow"])
+        "verify-solution-c-no-float", "integrate-h-overflow", "fig1-F1-overflow",
+        "fig1-c-degenerate"])
 def test_arithmetic_errors_exit_1(capsys, argv, message):
     code = main(argv)
     err = capsys.readouterr().err

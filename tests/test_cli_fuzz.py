@@ -51,7 +51,8 @@ SPEC = {
         "--from": (True, ["tan"]), "--s0": (False, FLOAT_SMALL),
         "--h": (False, ["0.1", "0.05", "1e300"]),
         "--range": (False, ["0:2", "-1:1", "2:0", "0:1e9", "nan:1", "0:2:3"])},
-    ("fig1",): {"--c": (False, ["1", "1/2", "3/2"]), "--F1": (False, ["0", "1,2"]),
+    ("fig1",): {"--c": (False, ["1", "1/2", "3/2", "1e-300"]),
+                "--F1": (False, ["0", "1,2", "1e200"]),
                 "--n": (False, ["2", "10", "50"])},
 }
 

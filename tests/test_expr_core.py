@@ -453,7 +453,7 @@ class TestNumericPlan:
         force = s * sin_e(s) * Expr.rational(Fraction(1, 3)) if forced else Expr.zero()
         plan = NumericPlan([S.leads["F"][1], S.leads["G"][1] + force],
                            [sym("s"), jet("F"), jet("G")])
-        assert plan._reads("x0") is forced
+        assert plan._read("x0", "s") == (["x0 = complex(s)"] if forced else [])
         # F, G, F^2 and G^2 once per stage: F**1 and G**1 were taken twice;
         # and s and sin(s) when forced
         assert sum("**" in line for line in plan._lines) == (6 if forced else 4)

@@ -89,3 +89,13 @@ def test_rows_are_the_same_on_a_cold_and_a_warm_memo(monkeypatch):
             if isinstance(S, PDESystem) else reduced_system(2, Fraction(5, 3))
         determining_system(scaled, basis)
         assert _typed(determining_system(S, basis)) == cold
+
+
+def test_an_xi_table_reduces_its_coefficient_once(monkeypatch):
+    """The table of g d_x, g non-plain, reduces g once, not once per jet it holds."""
+    rmap = _ResidualMap(catalogue_member(2))
+    (g,) = REAL_JET.parse("v^2*w")._terms
+    seen, reduce = [], rmap.reducer.reduce
+    monkeypatch.setattr(rmap.reducer, "reduce", lambda e: seen.append(e) or reduce(e))
+    table = rmap.table("xi", "x", g)
+    assert len(table) > 1 and seen.count(Expr({g: 1})) == 1

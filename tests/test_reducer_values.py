@@ -18,6 +18,7 @@ import pytest
 from lieforge import catalog
 from lieforge.expr_core import DomainError, Expr, Func, Jet, atoms_of, jet, substitute
 from lieforge.hierarchy import REAL_JET, catalogue_member
+from lieforge.linalg import divided
 from lieforge.symmetry import prolong_generator
 from lieforge.systems import PDESystem, Reducer, _name, total_derivative
 
@@ -101,17 +102,18 @@ CASES = _cases()
 def test_reduce_matches_the_expr_peel_loop(name):
     rules, exprs = CASES[name]()
     got, want = Reducer(rules), ExprReducer(rules)
+    asked, value = [], got.value  # every atom `reduce` asks `value` to bind
+    got.value = lambda atom: asked.append(atom) or value(atom)
     for e in exprs:
         g, w = got.reduce(e), want.reduce(e)
         assert [(m, q, q.__class__) for m, q in g._terms.items()] == \
             [(m, q, q.__class__) for m, q in w._terms.items()], (name, e)
     assert any(q.__class__ is Fraction for v in want._memo.values() for q in v._terms.values())
     assert got._memo.keys() == want._memo.keys()
-    bound = {atom: e for atom, e in got._exprs.items() if e is not None}
-    assert bound.keys() == {a for a in got._exprs
-                            if isinstance(a, (Jet, Func)) and want._reducible(a)}
-    for atom, e in bound.items():  # the values reduce binds, canonical
-        w = want._memo[_name(atom), atom.idx]
+    bound = {atom: v for atom in asked if (v := value(atom)) is not None}
+    assert bound.keys() == {a for a in asked if want._reducible(a)}
+    for atom, (num, den) in bound.items():  # the values reduce binds, canonical
+        e, w = Expr(divided(num._terms, den)), want._memo[_name(atom), atom.idx]
         assert [(m, q, q.__class__) for m, q in e._terms.items()] == \
             [(m, q, q.__class__) for m, q in w._terms.items()], atom
     for key, (num, den) in got._memo.items():

@@ -12,8 +12,8 @@ from lieforge.liealg import algebra_signature, jacobi_check, lie_bracket, struct
 from lieforge.numerics import integrate_rk4
 from lieforge.parser import ParseError, UnknownIdentifierError, parse_expr
 from lieforge.reduce import (ODE_JET_FG, PivotDegenerateError, _solve_leads,
-                             eliminate_to_second_order, fd_weights, sn_solution, system_322,
-                             system_322_printed, verify_solution)
+                             eliminate_to_second_order, fd_weights, fig1_features, fig1_rows,
+                             sn_solution, system_322, system_322_printed, verify_solution)
 from lieforge.systems import ODESystem
 
 REFUSALS = {
@@ -50,6 +50,38 @@ REFUSALS = {
     "rk4-on-an-empty-range": (
         lambda: integrate_rk4(None, {"y": 1.0}, (1.0, 1.0), 0.1),
         ValueError, "empty integration range"),
+    # fig1_features divided by zero at n = 0 or c = 0 and counted no sign
+    # changes at n < 2; fig1_rows took every sample at c = 0 for a pole
+    "fig1-features-of-no-samples": (
+        lambda: fig1_features(1.0, 0.5, n=0),
+        DomainError, "fig1 sample count 0 outside 2..100000"),
+    "fig1-features-of-one-sample": (
+        lambda: fig1_features(1.0, 0.5, n=1),
+        DomainError, "fig1 sample count 1 outside 2..100000"),
+    "fig1-features-of-a-negative-count": (
+        lambda: fig1_features(1.0, 0.5, n=-3),
+        DomainError, "fig1 sample count -3 outside 2..100000"),
+    "fig1-features-past-the-sample-bound": (
+        lambda: fig1_features(1.0, 0.5, n=100_001),
+        DomainError, "fig1 sample count 100001 outside 2..100000"),
+    "fig1-features-at-c-0": (
+        lambda: fig1_features(0.0, 0.5),
+        DomainError, "fig1 needs a finite nonzero wave speed, not c = 0.0"),
+    "fig1-features-at-an-infinite-c": (
+        lambda: fig1_features(float("inf"), 0.5),
+        DomainError, "fig1 needs a finite nonzero wave speed, not c = inf"),
+    "fig1-features-at-c-nan": (
+        lambda: fig1_features(float("nan"), 0.5),
+        DomainError, "fig1 needs a finite nonzero wave speed, not c = nan"),
+    "fig1-rows-at-an-infinite-c": (
+        lambda: fig1_rows(float("-inf"), 0.5, n=10),
+        DomainError, "fig1 needs a finite nonzero wave speed, not c = -inf"),
+    "fig1-rows-at-c-nan": (
+        lambda: fig1_rows(float("nan"), 0.5, n=10),
+        DomainError, "fig1 needs a finite nonzero wave speed, not c = nan"),
+    "fig1-rows-at-c-0": (
+        lambda: fig1_rows(0.0, 0.5, n=10),
+        DomainError, "fig1 needs a finite nonzero wave speed, not c = 0.0"),
 }
 
 
