@@ -14,7 +14,9 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
+import tempfile
 import time
 from fractions import Fraction
 
@@ -178,6 +180,12 @@ def _c_arg(text: str, command: str = ""):
         raise ValueError(f"--c must be 'c' or a rational, got {text!r}") from None
 
 
+def _speed_error(exc: ArithmeticError, text: str, where: str) -> ValueError:
+    """The error of a `--c` at which `where` overflows or is singular."""
+    kind = "an overflowing" if isinstance(exc, OverflowError) else "a degenerate"
+    return ValueError(f"--c {text} is {kind} wave speed for {where}: {exc}")
+
+
 def _float_c(c: Fraction, text: str) -> float:
     """The float of a rational `--c`, or a ValueError naming the flag."""
     try:
@@ -240,9 +248,7 @@ def cmd_verify_solution(args) -> tuple[dict, int]:
     except (ZeroDivisionError, PoleError, OverflowError) as exc:  # singular or huge at c
         if args.c == "c":
             raise
-        kind = "an overflowing" if isinstance(exc, OverflowError) else "a degenerate"
-        raise ValueError(f"--c {args.c} is {kind} wave speed for --solution "
-                         f"{args.solution}: {exc}") from None
+        raise _speed_error(exc, args.c, f"--solution {args.solution}") from None
     out = {"system": S.label, "solution": cand.name,
            "mode": mode, "status": rep.statuses}
     if rep.max_residual is not None:  # null when not finite: JSON has no inf
@@ -316,6 +322,16 @@ def cmd_integrate(args) -> tuple[dict, int]:
 MAX_FIG1_SERIES = 100
 
 
+def _temp_beside(path: str) -> str:
+    """A new empty file in the directory of path, with the mode `open` gives."""
+    fd, tmp = tempfile.mkstemp(".tmp", os.path.basename(path) + ".",
+                               os.path.dirname(path) or ".")
+    os.close(fd)
+    os.umask(mask := os.umask(0o22))
+    os.chmod(tmp, 0o666 & ~mask)
+    return tmp
+
+
 def cmd_fig1(args) -> tuple[dict, int]:
     c = _float_c(_c_arg(args.c, "fig1"), args.c)
     if c == 0:
@@ -328,25 +344,36 @@ def cmd_fig1(args) -> tuple[dict, int]:
         f1_values = [float(Fraction(x)) for x in f1_texts]
     except (ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"--F1 takes comma-separated rationals, got {args.F1!r}") from None
-    reports = []
+    paths = [args.csv] * len(f1_values)
+    if args.csv and len(f1_values) > 1:
+        stem, dot, ext = args.csv.rpartition(".")
+        paths = [f"{stem or ext}_F1_{f1:g}.{ext}" if dot else f"{args.csv}_F1_{f1:g}"
+                 for f1 in f1_values]
+        first = {}
+        for k, path in enumerate(paths):
+            if (j := first.setdefault(path, k)) != k:
+                raise ValueError(f"--F1 {f1_texts[j]} and {f1_texts[k]} would both write {path}")
+    # each series is written beside its target, and moved there once all are
+    reports, temps = [], []
     try:
-        for text, f1 in zip(f1_texts, f1_values):
+        for text, f1, path in zip(f1_texts, f1_values, paths):
             rows = red.fig1_rows(c, f1, n=args.n)
-            path = args.csv
-            if path and len(f1_values) > 1:
-                stem, dot, ext = path.rpartition(".")
-                path = f"{stem or ext}_F1_{f1:g}.{ext}" if dot else f"{path}_F1_{f1:g}"
             if path:
-                red.emit_series_csv(rows, path)
+                temps.append(_temp_beside(path))
+                red.emit_series_csv(rows, temps[-1])
             feats = red.fig1_features(c, f1)
             reports.append({"F1": f1, "csv": path or None,
                             "periodicity_error": feats["periodicity_error"],
                             "dFre_sign_changes_per_period":
                                 feats["dFre_sign_changes_per_period"]})
-    except (PoleError, OverflowError) as exc:  # the profile is singular or huge at c, F1
-        kind = "an overflowing" if isinstance(exc, OverflowError) else "a degenerate"
-        raise ValueError(f"--c {args.c} is {kind} wave speed for fig1 at --F1 {text}: "
-                         f"{exc}") from None
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    except BaseException as exc:
+        for tmp in filter(os.path.exists, temps):  # those not moved to their target
+            os.remove(tmp)
+        if isinstance(exc, (PoleError, OverflowError)):  # singular or huge at c, F1
+            raise _speed_error(exc, args.c, f"fig1 at --F1 {text}") from None
+        raise
     return {"c": c, "series": reports}, 0
 
 

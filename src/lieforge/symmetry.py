@@ -278,30 +278,26 @@ class _ResidualMap:
     of H, not on H: the process-wide memo keeps it."""
 
     def __init__(self, system, unknowns=()):
-        equations = system.equations()
+        # a kept map holds its system once, packed on `ring`: per equation `partials`
+        # (J, dH/du_J, denominator), the lead first ({0: 1} packs 1), and R_{d_j,()} = dH/dx_j
+        equations, self.ring = system.equations(), _Ring(getattr(system, "label", ""))
         self.jet, self.independents = system.jet, system.jet.independents
         self.reducer = Reducer(equations + list(unknowns))
-        # a dict, not a set: jets in order of first occurrence, not of address
-        self.needed = dict.fromkeys(
-            [lead for lead, _ in equations] +
-            [a for _, rhs in equations for a in atoms_of(rhs) if isinstance(a, Jet)])
-        # unknown-function content of rhs is not acted on: generators carry
-        # unknown functions only in their own coefficients; one sweep per rhs
-        # differentiates it by the independents and by its jets
-        self.syms, self.parts = [sym(i) for i in self.independents], []
+        # one sweep per rhs differentiates it by the independents and its jets; its
+        # unknown-function content is not acted on: generators carry their own
+        self.syms, self.partials, dx = [sym(i) for i in self.independents], [], []
         for lead, rhs in equations:
             jets = [a for a in atoms_of(rhs) if isinstance(a, Jet)]
             dH = [self.reducer.reduce(-d) for d in gradient(rhs, self.syms + jets)]
-            self.parts.append((lead, dH[:len(self.syms)], list(zip(jets, dH[len(self.syms):]))))
+            dx.append(dH[:len(self.syms)])
+            self.partials.append([(lead, {0: 1}, 1)] + [
+                (a, *self.ring.terms(h)) for a, h in zip(jets, dH[len(self.syms):])])
+        self.needed = dict.fromkeys(  # a dict, not a set: jets by first occurrence
+            [p[0][0] for p in self.partials] + [J for p in self.partials for J, *_ in p[1:]])
         self.top = {s: max(J.idx.count(s.name) for J in self.needed) for s in self.syms}
-        self.zero = (0,) * len(self.syms)  # K = () as counts per independent
         self.tables, self.splits, self.belows = {}, {}, {}  # D_L(Q_Y); (C(J,K), J-K); jets
-        self.ring = _Ring(getattr(system, "label", ""))
-        # per equation (J, packed dH/du_J, denominator), the lead first, {0: 1} packing 1
-        self.partials = [[(lead, {0: 1}, 1)] + [(a, *self.ring.terms(h)) for a, h in djet]
-                         for lead, _, djet in self.parts]
-        # R_{Y,K} by (kind, var, g, K), seeded with R_{d_j,()} = dH/dx_j
-        self.pieces = {("xi", i, (), self.zero): [self.ring.terms(dx[k]) for _, dx, _ in self.parts]
+        # R_{Y,K} by (kind, var, g, K), K as counts per independent
+        self.pieces = {("xi", i, (), (0,) * len(self.syms)): [self.ring.terms(d[k]) for d in dx]
                        for k, i in enumerate(self.independents)}
 
     def table(self, kind: str, var: str, g: tuple) -> dict[tuple, tuple]:
@@ -392,7 +388,7 @@ class _Rows(Sequence):
     def __init__(self, rmap: _ResidualMap, entries):
         res, self.shift = [rmap.column(key, e) for key, e in entries], rmap.ring.shift
         self.scale = [lcm(*{d * r[i][1] for col in res for _, _, d, r in col if r[i][0]})
-                      for i in range(len(rmap.parts))]
+                      for i in range(len(rmap.partials))]
         self.ints = ints = {}
         for k, col in enumerate(res):
             for i, s in enumerate(self.scale):

@@ -54,25 +54,34 @@ if len(sys.argv) > 2:
 
 
 # argv: padding seed; prints a hash of the term lists of the reduced rhs
-# partials and the needed jets of member 2's residual map
+# gradients, recomputed through the reducer of member 2's residual map, with
+# the map's packed partials, seeded pieces, ring shifts and needed jets
 PARTS = """
 import hashlib, random, sys
 rng = random.Random(int(sys.argv[1]))
 padding = [[0] * rng.randint(0, 6) for _ in range(rng.randint(0, 400))]
-from lieforge.expr_core import sym
+from lieforge.expr_core import Jet, atoms_of, gradient, sym
 for name in rng.sample([f"p{i}" for i in range(40)], 40):
     padding.append([0] * rng.randint(0, 5))
     sym(name)
 from lieforge.hierarchy import catalogue_member
 from lieforge.symmetry import _ResidualMap
-rmap = _ResidualMap(catalogue_member(2))
+S = catalogue_member(2)
+rmap = _ResidualMap(S)
 
 def terms(e):
     return [(tuple((a.key, k) for a, k in m), str(q)) for m, q in e._terms.items()]
 
-parts = [(lead.key, [terms(e) for e in dxi], [(a.key, terms(e)) for a, e in djet])
-         for lead, dxi, djet in rmap.parts]
-print(hashlib.sha256(repr((parts, [J.key for J in rmap.needed])).encode()).hexdigest())
+syms, grads = [sym(i) for i in S.jet.independents], []
+for lead, rhs in S.equations():
+    jets = [a for a in atoms_of(rhs) if isinstance(a, Jet)]
+    grads.append((lead.key, [a.key for a in jets],
+                  [terms(rmap.reducer.reduce(-d)) for d in gradient(rhs, syms + jets)]))
+partials = [[(J.key, list(h.items()), d) for J, h, d in p] for p in rmap.partials]
+pieces = [(k, [(list(t.items()), d) for t, d in v]) for k, v in rmap.pieces.items()]
+shift = sorted((a.key, s) for a, s in rmap.ring.shift.items())
+print(hashlib.sha256(repr((grads, partials, pieces, shift,
+                           [J.key for J in rmap.needed])).encode()).hexdigest())
 """
 
 

@@ -283,6 +283,45 @@ def test_fig1_csv(tmp_path, capsys):
         doc["series"][0]["dFre_sign_changes_per_period"]
 
 
+def test_failed_fig1_writes_no_csv(tmp_path, capsys):
+    """A run that fails at its second --F1 value leaves its directory as it
+    was: no CSV of the first series, no temporary, a file at a target kept."""
+    argv = ["fig1", "--c", "1", "--F1", "0,1e200", "--n", "10", "--csv", str(tmp_path / "f.csv")]
+    kept = tmp_path / "f_F1_0.csv"
+    kept.write_text("kept\n")
+    assert main(argv) == 1 and "at --F1 1e200" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [kept] and kept.read_text() == "kept\n"
+    kept.unlink()
+    assert main(argv) == 1 and list(tmp_path.iterdir()) == []
+    # a target that cannot be replaced fails the run after the samples: no temporary stays
+    (tmp_path / "f_F1_2.csv").mkdir()
+    assert main(argv[:4] + ["0,2"] + argv[5:]) == 1 and "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f_F1_0.csv", "f_F1_2.csv"]
+
+
+def test_fig1_replaces_its_targets_once_all_series_are_written(tmp_path, capsys):
+    (tmp_path / "fig1_F1_0.csv").write_text("old\n")
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    code, out = run(capsys, "fig1", "--c", "1", "--F1", "0,2", "--n", "10",
+                    "--csv", str(tmp_path / "fig1.csv"))
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig1_F1_0.csv", "fig1_F1_2.csv",
+                                                          "plain"]
+    for name in ("fig1_F1_0.csv", "fig1_F1_2.csv"):
+        path = tmp_path / name
+        assert path.read_text().startswith("s,F_re,F_im,G_re,G_im\n")
+        assert path.stat().st_mode == plain.stat().st_mode  # as `open` creates a file
+
+
+def test_colliding_fig1_csv_names_refused_before_sampling(tmp_path, capsys, monkeypatch):
+    from lieforge import cli
+    monkeypatch.setattr(cli.red, "fig1_rows", lambda *a, **k: pytest.fail("sampled"))
+    assert main(["fig1", "--F1", "2,0,2.0", "--csv", str(tmp_path / "f.csv")]) == 1
+    assert "--F1 2 and 2.0 would both write" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["nonsense-command"]) == 1
     assert main(["member"]) == 1  # missing --n
@@ -485,6 +524,9 @@ def test_symmetries_find_rejects_bad_dictionary(capsys, flags, message):
     (["fig1", "--n", "-5"], "fig1 sample count -5 outside"),
     (["fig1", "--n", "2", "--F1", ",".join(map(str, range(2001)))],
      "fig1 takes at most 100 --F1 values, got 2001"),
+    # both series would be named f_F1_1.csv, in a directory that does not exist
+    (["fig1", "--F1", "1,1.0000001", "--n", "10", "--csv", "no-such-dir/f.csv"],
+     "--F1 1 and 1.0000001 would both write no-such-dir/f_F1_1.csv"),
     (["verify-solution", "--system", "3.3", "--solution", "tan", "--tol", "-1"],
      "--tol must be positive"),
     (["verify-solution", "--system", "3.3", "--solution", "tan", "--tol", "nan"],
@@ -492,8 +534,8 @@ def test_symmetries_find_rejects_bad_dictionary(capsys, flags, message):
     (["verify-solution", "--system", "3.3", "--solution", "s11", "--tol", "inf"],
      "--tol must be positive and finite, got inf"),
 ], ids=["rk4-h-1e-9", "rk4-h-nan", "rk4-range-inf", "fig1-n-1e7", "fig1-n-1",
-        "fig1-n-0", "fig1-n-negative", "fig1-F1-2001", "tol-negative", "tol-nan",
-        "tol-inf"])
+        "fig1-n-0", "fig1-n-negative", "fig1-F1-2001", "fig1-F1-same-csv", "tol-negative",
+        "tol-nan", "tol-inf"])
 def test_numeric_inputs_checked_before_work(capsys, argv, message):
     got = main(argv)
     captured = capsys.readouterr()

@@ -54,7 +54,7 @@ def test_columns_with_p_one_are_their_pieces():
     p != 1 one summand per K.
     Their sums are the reference residuals, in value and in type."""
     for S in (catalogue_member(3), reduced_system(2)):
-        rmap = _ResidualMap(S)
+        rmap, zero = _ResidualMap(S), (0,) * len(S.jet.independents)
         indeps = {sym(i) for i in S.jet.independents}
         for key, _, e in ansatz_dictionary(S.jet, 1, 1, 1).columns():
             col = rmap.column(key, e)
@@ -63,7 +63,7 @@ def test_columns_with_p_one_are_their_pieces():
             if indeps.isdisjoint(atoms_of(e)):
                 (c, mono, d, r), = col
                 assert (c, mono, d) == (1, 0, 1), (S.label, key, e)
-                assert r is rmap.pieces[(*key, m, rmap.zero)], (S.label, key, e)
+                assert r is rmap.pieces[(*key, m, zero)], (S.label, key, e)
             else:
                 assert len(col) > 1, (S.label, key, e)
             ref = reference_residual(S, VectorField(S.jet, **{key[0]: {key[1]: e}}))

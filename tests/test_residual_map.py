@@ -125,7 +125,7 @@ def leibniz_sums(rmap, column):
     summands (c, mono, d, R) of a column of the map, entries that cancel
     kept as zeros; c and d are ints, d > 0, and each R[i] holds nonzero
     integer terms over a positive int denominator."""
-    sums = [{} for _ in rmap.parts]
+    sums = [{} for _ in rmap.partials]
     for c, mono, d, r in column:
         assert c.__class__ is d.__class__ is int and c and d > 0, (c, d)
         for acc, (terms, den) in zip(sums, r, strict=True):
@@ -471,6 +471,18 @@ def test_reducible_unknowns_in_coefficients_match_reference(name):
         assert symmetry_residual(S, X) == reference_residual(S, X), (name, X)
 
 
+def test_a_map_keeps_its_system_packed_once():
+    """A map keeps the reduced partials of its system packed, with no expression
+    copy; its needed jets are the leads, then each rhs's jets in equation order."""
+    S = catalogue_member(2)
+    rmap = symmetry._ResidualMap(S)
+    assert not hasattr(rmap, "parts") and not hasattr(rmap, "zero")
+    equations = S.equations()
+    assert list(rmap.needed) == list(dict.fromkeys(
+        [lead for lead, _ in equations] +
+        [a for _, rhs in equations for a in atoms_of(rhs) if isinstance(a, Jet)]))
+
+
 # ---------------------------------------------------------------------------
 # the monomial ring of a map: signed exponents, the non-plain boundary and
 # the exponent bound
@@ -548,3 +560,4 @@ def test_exponent_past_the_ring_bound_names_the_system():
     for slot, entry in [(("eta", "v"), f"v^{bound + 1}"), (("xi", "x"), f"x^-{bound + 1}")]:
         with pytest.raises(DomainError, match=r"exceeds \d+ in 'v_x over x'"):
             determining_system(S, AnsatzBasis(REAL_JET, {slot: [P(entry)]}))
+
