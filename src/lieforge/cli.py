@@ -318,7 +318,7 @@ def cmd_integrate(args) -> tuple[dict, int]:
 
 
 # Most `--F1` values `fig1` takes: each one samples `--n` points for its
-# series and about 2,100 more for its features.
+# CSV series and about 2,100 more for its features.
 MAX_FIG1_SERIES = 100
 
 
@@ -353,12 +353,15 @@ def cmd_fig1(args) -> tuple[dict, int]:
         for k, path in enumerate(paths):
             if (j := first.setdefault(path, k)) != k:
                 raise ValueError(f"--F1 {f1_texts[j]} and {f1_texts[k]} would both write {path}")
-    # each series is written beside its target, and moved there once all are
+    for path in filter(os.path.isdir, paths if args.csv else ()):
+        raise ValueError(f"--csv target {path} is a directory")
+    red._fig1_profile(c, args.n)  # refuses --n and c once, with or without --csv
+    # a series is sampled only for its CSV, written beside its target, moved once all are
     reports, temps = [], []
     try:
         for text, f1, path in zip(f1_texts, f1_values, paths):
-            rows = red.fig1_rows(c, f1, n=args.n)
             if path:
+                rows = red.fig1_rows(c, f1, n=args.n)
                 temps.append(_temp_beside(path))
                 red.emit_series_csv(rows, temps[-1])
             feats = red.fig1_features(c, f1)

@@ -391,12 +391,7 @@ class Expr:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other) -> "Expr":
-        other = _coerce(other)
-        if not self._terms:
-            return other
-        if not other._terms:
-            return self
-        return Expr(_add_into(dict(self._terms), other._terms.items()))
+        return Expr(_add_into(dict(self._terms), _coerce(other)._terms.items()))
 
     __radd__ = __add__
 

@@ -39,16 +39,15 @@ def _read(F: VectorField) -> tuple:
     """(F, its slots, their term dicts, its Jacobian rows dF^i/dz^j as term dicts,
     den) in `coeff_vector_atoms` order.  The slot dicts are ints, times den, the
     lcm of their denominators, doubled when sin or cos puts product-to-sum
-    halves; at den 1 they are the field's own.  The Jacobian is one sweep per
-    component of those ints, so it is den times the field's; a fractional
-    trig or exp argument's chain rule can leave a Fraction in it."""
+    halves.  The Jacobian is one sweep per component of those ints, so it is
+    den times the field's; a fractional trig or exp argument's chain rule can
+    leave a Fraction in it."""
     slots = list(F.coeff_vector_atoms())
     coords = [sym(var) if kind == "xi" else jet(var) for kind, var, _ in slots]
     terms = [c._terms for _, _, c in slots]
     trig = any(a.__class__ is Trig and a.fn != "tan" for t in terms for m in t for a, _ in m)
     den = (1 + trig) * lcm(*[q.denominator for t in terms for q in t.values()])
-    if den > 1:
-        terms = [{m: q.numerator * (den // q.denominator) for m, q in t.items()} for t in terms]
+    terms = [{m: q.numerator * (den // q.denominator) for m, q in t.items()} for t in terms]
     jac = [[d._terms for d in gradient(Expr(t), coords)] for t in terms]
     return F, slots, terms, jac, den
 

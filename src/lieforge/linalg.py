@@ -43,12 +43,11 @@ def primitive(row: dict, lead) -> dict:
 
 def _eliminate(row: dict, prow: dict, pc) -> dict:
     """The primitive multiple of a*row - v*prow, a = prow[pc], v = row[pc],
-    which is zero in column pc.  row is consumed; keys keep its order, with
-    prow's new keys after them, as a Fraction axpy would leave them."""
+    which is zero in column pc.  Keys keep row's order, with prow's new keys
+    after them, as a Fraction axpy would leave them."""
     g = gcd(prow[pc], row[pc])
     a, v = prow[pc] // g, row[pc] // g
-    if a != 1:
-        row = {c: a * w for c, w in row.items()}
+    row = {c: a * w for c, w in row.items()}
     for c, w in prow.items():
         s = row.get(c, 0) - v * w
         if s:
@@ -69,8 +68,7 @@ def echelon(rows: Iterable[dict]):
     units = {c: None for row in rows if len(row) == 1 for c in row}
     todo, seen = {}, set()
     for row in sorted((row for row in rows if len(row) > 1), key=len):
-        if not units.keys().isdisjoint(row):
-            row = {c: v for c, v in row.items() if c not in units}
+        row = {c: v for c, v in row.items() if c not in units}
         if not row or (key := frozenset(row.items())) in seen:
             continue
         seen.add(key)

@@ -340,12 +340,13 @@ def s11_solution() -> SolutionCandidate:
     Direct substitution shows the printed F does not satisfy the pair (the
     residual of the G-equation is O(1)); the candidate is kept verbatim so
     the verifier reports the actual residual."""
-    D = "F0*(exp(-2*I*c*s) - F1*c)^2 - 16*c^2"
-    F = PROFILE_JET.parse(f"1/2*c*({D} - 8*c*F0*exp(-I*c*s))/({D})")
+    P = PROFILE_JET.parse
+    D = P("F0*(exp(-2*I*c*s) - F1*c)^2 - 16*c^2")
+    F = P("1/2*c") * (D - P("8*c*F0*exp(-I*c*s)")) / D
     return SolutionCandidate(
         name="s11", exprs={"F": F, "G": reconstruct_G(F, sym("c").as_expr())},
         params={"c": 1.0, "F0": 1.0, "F1": 0.0},
-        pole_denoms=[PROFILE_JET.parse(D)],
+        pole_denoms=[D],
         notes=["printed closed form; fails the reduced pair by O(1)"])
 
 

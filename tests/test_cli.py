@@ -293,10 +293,23 @@ def test_failed_fig1_writes_no_csv(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [kept] and kept.read_text() == "kept\n"
     kept.unlink()
     assert main(argv) == 1 and list(tmp_path.iterdir()) == []
-    # a target that cannot be replaced fails the run after the samples: no temporary stays
+    # a directory at a target is refused before any sampling: nothing is written
     (tmp_path / "f_F1_2.csv").mkdir()
-    assert main(argv[:4] + ["0,2"] + argv[5:]) == 1 and "Is a directory" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["f_F1_0.csv", "f_F1_2.csv"]
+    assert main(argv[:4] + ["0,2"] + argv[5:]) == 1
+    assert "--csv target " in (err := capsys.readouterr().err) and "f_F1_2.csv is a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["f_F1_2.csv"]
+
+
+def test_fig1_samples_a_series_only_to_write_it(tmp_path, capsys, monkeypatch):
+    from lieforge import cli
+    monkeypatch.setattr(cli.red, "fig1_rows", lambda *a, **k: pytest.fail("sampled"))
+    code, out = run(capsys, "fig1", "--c", "1", "--F1", "0,2", "--n", "100000")
+    assert code == 0 and [r["csv"] for r in json.loads(out)["series"]] == [None, None]
+    # the sample count is still checked, and a directory target refused, before any series
+    assert main(["fig1", "--n", "0"]) == 1
+    assert "fig1 sample count 0 outside 2..100000" in capsys.readouterr().err
+    assert main(["fig1", "--F1", "0", "--csv", str(tmp_path)]) == 1
+    assert f"--csv target {tmp_path} is a directory" in capsys.readouterr().err
 
 
 def test_fig1_replaces_its_targets_once_all_series_are_written(tmp_path, capsys):
