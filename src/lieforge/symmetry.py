@@ -15,6 +15,9 @@ terms over one denominator per equation on monomials packed into ints, where a
 product is an addition unless both sides hold trig or exp.  One loop writes
 summands into integer rows, one scale per equation: a determining system's
 stay integer into the nullspace; a verdict sums a field's columns and decodes them.
+On-shell values live on the same ring: the map's `Reducer` keeps them as packed
+int terms, takes a consequence by `_Ring.derive`, and substitutes them into a
+prolongation, or into a consequence, by one `combine`.
 """
 
 from __future__ import annotations
@@ -23,16 +26,16 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import combinations, product
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 
 from .expr_core import (
-    _INTERN, DomainError, Expr, Func, Jet, _accumulate, _add_into, _is_plain, _memo,
-    atoms_of, cos_e, exp_e, func, gradient, jet,
+    _INTERN, _PLAIN, DomainError, ExpAtom, Expr, Func, Jet, Recip, Trig, _accumulate,
+    _add_into, _is_plain, _memo, atoms_of, cos_e, exp_e, func, gradient, jet,
     sin_e, sym, verdict, ZeroStatus,
 )
 from .linalg import cleared, divided, nullspace, rank
 from .parser import combo_text, expr_text, parse_expr
-from .systems import JetSpec, Reducer, total_derivative
+from .systems import JetSpec, Reducer, raised, total_derivative
 
 __all__ = [
     "VectorField", "AnsatzBasis",
@@ -202,18 +205,85 @@ class _Ring:
     & Pearce, CASC 2007): atom a holds e_a as a balanced digit at bit shift[a]."""
 
     def __init__(self, label: str):
-        # monos: the monomial of each packed key whose products need _accumulate
-        self.label, self.shift, self.monos = label, {}, {}
+        # atoms by field; bias: _HALF in every field, np: _MASK in the fields of
+        # non-plain atoms; monos: per non-plain key kept, a monomial whose
+        # non-plain factors are the key's; up: the key step of D_i per field and i
+        self.label, self.shift, self.atoms, self.monos, self.up = label, {}, [], {}, {}
+        self.bias = self.np = 0
+
+    def field(self, a) -> int:
+        """The shift of atom a's field, a new field for a new atom."""
+        s = self.shift.get(a)
+        if s is None:
+            s = self.shift[a] = _FIELD * len(self.atoms)
+            self.atoms.append(a)
+            self.bias += _HALF << s
+            self.np += 0 if a.__class__ in _PLAIN else _MASK << s
+        return s
 
     def pack(self, m: tuple) -> int:
-        k = 0
+        k, shift = 0, self.shift
         for a, e in m:
             if not -_BOUND <= e <= _BOUND:
                 raise DomainError(f"exponent {e} of {a!r} exceeds {_BOUND} in {self.label!r}")
-            k += e << self.shift.setdefault(a, _FIELD * len(self.shift))
+            s = shift.get(a)
+            k += e << (self.field(a) if s is None else s)
         if not _is_plain(m):
             self.monos[k] = m
         return k
+
+    def keep(self, k: int) -> int:
+        """k, refused as `pack` refuses an exponent past the bound, and kept in
+        `monos` by its non-plain part."""
+        bias, np = self.bias, self.np
+        if any(not -_BOUND <= e <= _BOUND for _, e in self.digits(k)):
+            self.decode(k)
+        if np and k not in self.monos and (n := (k + bias & np) - (bias & np)):
+            self.monos[k] = self.monos[n] if n in self.monos else self.decode(n)
+        return k
+
+    def digits(self, k: int):
+        """(shift, e) of each nonzero exponent e of key k, lowest field first."""
+        u = k + self.bias
+        x = u ^ self.bias  # zero in the fields of e = 0
+        while x:
+            s = ((x & -x).bit_length() - 1) // _FIELD * _FIELD
+            x &= ~(_MASK << s)
+            yield s, (u >> s & _MASK) - _HALF
+
+    def decode(self, k: int) -> tuple:
+        """The monomial of key k, packed again: bounded, and kept as `pack` keeps it."""
+        m = tuple(sorted(((self.atoms[s // _FIELD], e) for s, e in self.digits(k)),
+                         key=lambda f: f[0].key))
+        self.pack(m)
+        return m
+
+    def derive(self, terms: dict, i: str) -> dict:
+        """D_i of packed terms: a plain monomial m is the sum of e*(m - shift(a) +
+        shift(a_i)) over its jet and function factors a^e, a_i registered as it
+        is raised, and e*(m - shift(i)) for i^e; a non-plain one goes through
+        the kernel's total derivative.  Every key is decoded once an exponent at
+        the bound could pass it."""
+        out, up, edge, np, bias = {}, self.up, False, self.np, self.bias
+        for k, q in terms.items():
+            if k + bias & np != bias & np:  # a non-plain field is not 0
+                for m, c in total_derivative(Expr({self.decode(k): q}), i)._terms.items():
+                    k2 = self.pack(m)
+                    out[k2] = out.get(k2, 0) + c
+                continue
+            for s, e in self.digits(k):
+                step, edge = up.get((s, i)), edge or not -_BOUND < e < _BOUND
+                if step is None:
+                    a = self.atoms[s // _FIELD]
+                    b = raised(a, i)
+                    step = up[s, i] = (1 << self.field(b)) - (1 << s) if b else \
+                        -(1 << s) if a is sym(i) else 0
+                if step:
+                    out[k + step] = out.get(k + step, 0) + e * q
+        out = {k: q for k, q in out.items() if q}
+        for k in out if edge else ():
+            self.decode(k)
+        return out
 
     def terms(self, e: Expr) -> tuple[dict, int]:
         """(packed terms of e cleared, denominator)."""
@@ -223,26 +293,30 @@ class _Ring:
     def combine(self, summands) -> tuple[dict, int]:
         """(terms, denominator) of the sum of c*A*B/d over the summands (c, A,
         B, d) of packed terms with no empty side, over the lcm of their d; a
-        lone one with B the unit {0: 1} is c*A over d as it stands.  A product
-        with one non-plain side is not registered in `monos`, `terms` registers."""
+        lone one with B the unit {0: 1} is c*A over d as it stands.  Two keys
+        kept in `monos` multiply their non-plain parts through _accumulate and
+        add their plain parts; a product with a plain side is not kept."""
         summands = [s for s in summands if s[1] and s[2]]
         if len(summands) == 1 and summands[0][2] == {0: 1}:
             c, A, _, d = summands[0]
             return {m: c * q for m, q in A.items()}, d
-        out, den, acc, monos = {}, lcm(*(d for *_, d in summands)), {}, self.monos
+        out, den, monos = {}, lcm(*(d for *_, d in summands)), self.monos
         get = out.get
         for c, A, B, d in summands:
             c *= den // d
             for m1, q1 in A.items():
-                q1, o1 = q1 * c, m1 in monos
+                q1, o1 = q1 * c, monos.get(m1)
                 for m2, q2 in B.items():
-                    if o1 and m2 in monos:
-                        _accumulate(acc, monos[m1] + monos[m2], q1 * q2)
+                    if o1 and (o2 := monos.get(m2)):
+                        n = [f for f in o1 + o2 if f[0].__class__ not in _PLAIN]
+                        _accumulate(acc := {}, n, q1 * q2)
+                        p = m1 + m2 - sum(e << self.shift[a] for a, e in n)  # the plain parts
+                        for m, q in zip(map(self.pack, acc), acc.values()):
+                            m = self.keep(m + p)
+                            out[m] = get(m, 0) + q
                     else:
                         m = m1 + m2
                         out[m] = get(m, 0) + q1 * q2
-        for m, q in zip(map(self.pack, acc), acc.values()):
-            out[m] = get(m, 0) + q
         return {m: q for m, q in out.items() if q}, den
 
     @staticmethod
@@ -256,6 +330,81 @@ class _Ring:
                  for m in set(ms) for u in (m + bias,)}
         return {m: (r, tuple((atoms[c >> _FIELD].key, (c & _MASK) - _HALF) for c in codes[m]))
                 for r, m in enumerate(sorted(codes, key=codes.__getitem__))}
+
+
+class _OnShell(Reducer):
+    """The `Reducer` of a residual map, its values on the map's ring: int terms
+    over one denominator, a consequence `_Ring.derive` of the value below it,
+    each substitution one `combine`.  `reduce` is the kernel's, and so is
+    `on_shell` for a term whose reducible factor has a negative power, or whose
+    non-plain atom holds one in its argument."""
+
+    def __init__(self, kernel: Reducer, ring: _Ring):
+        # the kernel's rules, checked when it was built, and a store of its own
+        self.kernel, self.ring, self._rules, self._memo = kernel, ring, kernel._rules, {}
+        # per ring atom 1 if a rule reduces it, 2 if its argument holds one,
+        # else 0; mask: the fields of the atoms of kind > 0
+        self.kinds, self.mask = {}, 0
+
+    def reduce(self, e: Expr) -> Expr:
+        return self.kernel.reduce(e)
+
+    def _step(self, e, den: int, i: str | None = None) -> tuple[dict, int]:
+        terms, d = self.ring.terms(e) if i is None else cleared(self.ring.derive(e, i))
+        return self.on_shell(terms, den * d)
+
+    def on_shell(self, terms: dict, den: int = 1) -> tuple[dict, int]:
+        """(terms, denominator) of int terms over den on solutions: each term's
+        reducible factors make way for the product of their values, in one
+        `combine`; terms with no field in `mask` are returned as they are."""
+        ring, kinds = self.ring, self.kinds
+        for a in ring.atoms[len(kinds):]:  # the atoms registered since the last call
+            kinds[a] = 1 if self.rule(a) else 2 if isinstance(a, (Trig, ExpAtom, Recip)) \
+                and any(map(self.rule, atoms_of(a.arg))) else 0
+            self.mask |= _MASK << ring.shift[a] if kinds[a] else 0
+        bias, mask = ring.bias, self.mask
+        groups, summands = {(): {}}, []
+        for k, q in terms.items():
+            if not (k + bias ^ bias) & mask:
+                groups[()][k] = q
+                continue
+            m = ring.decode(k)
+            red = tuple(f for f in m if kinds[f[0]] == 1)
+            if any(e < 0 for _, e in red) or any(kinds[a] == 2 for a, _ in m):
+                f, d = ring.terms(self.kernel.reduce(Expr({m: q})))
+                summands.append((1, f, {0: 1}, den * d))
+            else:
+                groups.setdefault(red, {})[ring.pack(tuple(f for f in m if f not in red))] = q
+        fixed = groups.pop(())  # the terms with nothing to reduce
+        if len(fixed) == len(terms):
+            return terms, den
+        for red, A in groups.items():
+            v, vd = self.product(red)
+            summands.append((1, A, v, den * vd))
+        terms, d = self.closed(summands)
+        return self.ring.combine([(1, fixed, {0: 1}, den), (1, terms, {0: 1}, d)])
+
+    def product(self, red: tuple) -> tuple[dict, int]:
+        """The product of the values of the factors a^e, e > 0, of red, each
+        power by square-and-multiply, as `expr_core._power` forms it."""
+        out = None
+        for a, e in red:
+            v = self.value(a)
+            while e:
+                if e & 1:
+                    out = v if out is None else self.closed([(1, out[0], v[0], out[1] * v[1])])
+                if e := e >> 1:
+                    v = self.closed([(1, v[0], v[0], v[1] * v[1])])
+        return out
+
+    def closed(self, summands) -> tuple[dict, int]:
+        """`combine` of the summands over its least denominator, every key kept."""
+        terms, den = self.ring.combine(summands)
+        terms, d = cleared(terms)  # two non-plain sides may put halves
+        for k in terms:
+            self.ring.keep(k)
+        g = gcd(den := den * d, *terms.values())
+        return {k: q // g for k, q in terms.items()}, den // g
 
 
 class _ResidualMap:
@@ -282,7 +431,7 @@ class _ResidualMap:
         # (J, dH/du_J, denominator), the lead first ({0: 1} packs 1), and R_{d_j,()} = dH/dx_j
         equations, self.ring = system.equations(), _Ring(getattr(system, "label", ""))
         self.jet, self.independents = system.jet, system.jet.independents
-        self.reducer = Reducer(equations + list(unknowns))
+        self.reducer = _OnShell(Reducer(equations + list(unknowns)), self.ring)
         # one sweep per rhs differentiates it by the independents and its jets; its
         # unknown-function content is not acted on: generators carry their own
         self.syms, self.partials, dx = [sym(i) for i in self.independents], [], []
@@ -320,14 +469,15 @@ class _ResidualMap:
                 for r in range(J.order + 1 - plain) for L in combinations(J.idx, r)))
         pr = {} if plain else _memo(("prolong", self.jet, kind, slot, g, below), lambda: (
             prolong_generator(VectorField(self.jet, **{kind: {slot: ge}}), below)))
-        table, rg = {}, self.reducer.reduce(ge) if g and not eta else None
+        table, on = {}, self.reducer
+        rg, rd = self.ring.terms(on.reduce(ge)) if g and not eta else ({0: 1}, 1)
         for A in below:
-            f, d = self.ring.terms(self.reducer.reduce(pr[A])) if A in pr else ({}, 1)
-            if not eta:  # g on solutions times the Reducer's value of u^A_{L var},
-                u = jet(A.dep, A.idx + (var,))  # canonical, packed as `piece` multiplies it
-                num, den = self.reducer.value(u) or (u.as_expr(), 1)
-                gu, gd = self.ring.terms(rg * num if g else num)
-                f, d = self.ring.combine([(1, f, {0: 1}, d), (-1, gu, {0: 1}, gd * den)])
+            f, d = on.on_shell(*self.ring.terms(pr[A])) if A in pr else ({}, 1)
+            if not eta:  # g on solutions times the value of u^A_{L var}, or u
+                u = jet(A.dep, A.idx + (var,))
+                v, vd = on.value(u) or ({self.ring.pack(((u, 1),)): 1}, 1)
+                f, d = (on.closed if g else self.ring.combine)(
+                    [(1, f, {0: 1}, d), (-1, v, rg, rd * vd)])
             table[A.dep, A.idx] = f, d
         self.tables[key] = table
         return table

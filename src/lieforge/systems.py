@@ -9,7 +9,10 @@ from a system and from the rules a generator carries for its unknown
 functions (a_t = b_xx), and rewrites every derivative reachable from a lead
 (mixed t-derivatives, higher s-derivatives) down to the free coordinates, which
 is what "evaluate on solutions" means throughout.  It keeps one store of
-values, integer numerators over one denominator, which `reduce` binds divided.
+values, integer numerators over one denominator, which `reduce` binds divided;
+a value is the rhs at a rule's lead, else one index above the value it peels
+to (`_step`).  A residual map's `Reducer` keeps its values on the map's ring
+of packed monomials instead (`symmetry._OnShell`).
 """
 
 from __future__ import annotations
@@ -59,16 +62,22 @@ class JetSpec:
                        self.functions)
 
 
+def raised(atom: Atom, indep: str) -> Atom | None:
+    """The jet or unknown function differentiated once more by indep; None for
+    any other atom, and for a function that does not take indep."""
+    if isinstance(atom, Jet):
+        return jet(atom.dep, atom.idx + (indep,))
+    return func(atom.name, atom.args, atom.idx + (indep,)) \
+        if isinstance(atom, Func) and indep in atom.args else None
+
+
 def total_derivative(e: Expr, indep: str) -> Expr:
     """Total derivative D_indep: the partial derivative by indep, plus one
     sweep of the kernel's derivation sending every jet and every unknown
     function of indep to its raised derivative (chain rule included)."""
     def raise_atom(atom: Atom) -> tuple | None:
-        if isinstance(atom, Jet):
-            return ((0, jet(atom.dep, atom.idx + (indep,)).as_expr()._terms),)
-        if isinstance(atom, Func) and indep in atom.args:
-            return ((0, func(atom.name, atom.args, atom.idx + (indep,)).as_expr()._terms),)
-        return None
+        up = raised(atom, indep)
+        return None if up is None else ((0, {((up, 1),): 1}),)
 
     out = dict(derive(e, sym(indep))._terms)
     return Expr(_add_into(out, _derivation(e, raise_atom, [{}])[0].items()))
@@ -171,11 +180,14 @@ class Reducer:
         # `value`s by (name, idx), None while in progress, so that cyclic rules raise
         self._memo: dict[tuple[str, tuple[str, ...]], tuple[Expr, int] | None] = {}
 
+    def rule(self, atom: Atom) -> tuple[str, int, Expr] | None:
+        """(var, m, rhs) of the rule that reduces the atom; None if none does."""
+        rule = self._rules.get(_name(atom)) if isinstance(atom, (Jet, Func)) else None
+        return rule if rule is not None and atom.idx.count(rule[0]) >= rule[1] else None
+
     def value(self, atom: Jet | Func) -> tuple[Expr, int] | None:
         """The atom's normal form as (int numerator, denominator); None if no rule reduces it."""
-        rule = self._rules.get(_name(atom))
-        return self._value(_name(atom), atom.idx) \
-            if rule is not None and atom.idx.count(rule[0]) >= rule[1] else None
+        return None if self.rule(atom) is None else self._value(_name(atom), atom.idx)
 
     def _value(self, name: str, idx: tuple[str, ...]) -> tuple[Expr, int]:
         """`value` of the atom `name` differentiated by `idx`: peel a surplus lead
@@ -192,19 +204,24 @@ class Reducer:
         var, m, rhs = self._rules[name]
         try:
             if len(idx) == m:
-                val, den = self.reduce(rhs), 1
+                got = self._step(rhs, 1)
             else:
                 i = var if idx.count(var) > m else \
                     next(v for v in reversed(idx) if v != var)
                 k = idx.index(i)
-                num, den = self._value(name, idx[:k] + idx[k + 1:])
-                val = self.reduce(total_derivative(num, i))
+                got = self._step(*self._value(name, idx[:k] + idx[k + 1:]), i)
         except BaseException:  # a kept Reducer refuses the same way again
             del self._memo[key]
             raise
-        terms, d = cleared(val._terms)
-        got = self._memo[key] = (val if d == 1 else Expr(terms), den * d)
+        self._memo[key] = got
         return got
+
+    def _step(self, e: Expr, den: int, i: str | None = None) -> tuple[Expr, int]:
+        """The value of a rule's rhs e (den 1), or, given i, the value one index
+        i above the value e/den: D_i(e) reduced, over den."""
+        val = self.reduce(e if i is None else total_derivative(e, i))
+        terms, d = cleared(val._terms)
+        return (val if d == 1 else Expr(terms)), den * d
 
     def reduce(self, e: Expr) -> Expr:
         """Substitute every reducible atom, inside trig/exp/reciprocal

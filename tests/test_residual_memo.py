@@ -91,8 +91,9 @@ def test_exact_decks_build_nine_maps_and_evict_none(built, monkeypatch):
 
 def test_a_refusal_leaves_the_kept_map_whole(built):
     """A refusal raised while a kept map builds a table, a piece or an
-    on-shell value keeps no part of it: the same field is refused the same
-    way again, and other fields verify on the same map."""
+    on-shell value, in the kernel or on the map's ring, keeps no part of it:
+    the same field is refused the same way again, and other fields verify on
+    the same map."""
     S, bound = catalogue_member(2), symmetry._BOUND
     # the w partial v*sin(v) times the table of v^bound*cos(v), which keeps
     # within the bound, passes it in the second piece of the map
@@ -100,18 +101,25 @@ def test_a_refusal_leaves_the_kept_map_whole(built):
         "v": REAL_JET.parse("v_xx"), "w": REAL_JET.parse("w_xx + v*sin(v)*v_x")})
     rules = "unknown a(t,x): a_t = sin(b_x)\nunknown b(x,t): b_x = exp(t)\n"
     bad, good = (parse_field(rules + slot, REAL_JET) for slot in ("eta_v = a_t", "eta_v = b"))
+    # the table of t d_t takes D_x of the value of w_t, on the ring, where
+    # v_x^bound raises past the bound
+    U = PDESystem(jet=REAL_JET, label="v v_x^bound transport", rhs={
+        "v": REAL_JET.parse("v_xx"), "w": REAL_JET.parse(f"w_xx + v*v_x^{bound}")})
     past = rf"exponent {bound + 1} of v exceeds {bound}"
     for system, X, message in [
             (S, parse_field(f"eta_v = x*v^{bound + 1}", REAL_JET), past),  # table
             (T, parse_field(f"eta_v = v^{bound}*cos(v)", REAL_JET), past),  # piece
-            (S, bad, "sin argument contains a transcendental factor")]:  # Reducer
+            (S, bad, "sin argument contains a transcendental factor"),  # Reducer
+            (U, parse_field("xi_t = t", REAL_JET),  # a consequence on the ring
+             rf"exponent {bound + 1} of v_x exceeds {bound} in 'v v_x\^bound transport'")]:
         for _ in range(2):
             with pytest.raises(DomainError, match=message):
                 verify_generator(system, X)
     assert verify_generator(S, catalog.fields_member2()[0]).zero
     assert not verify_generator(S, good).zero
     assert verify_generator(T, parse_field("xi_x = 1", REAL_JET)).zero
-    assert len(built) == 3
+    assert verify_generator(U, parse_field("xi_x = 1", REAL_JET)).zero
+    assert len(built) == 4
     # the same equations under another name: the refusal names that system
     renamed = PDESystem(jet=S.jet, rhs=S.rhs, label="member 2, renamed")
     with pytest.raises(DomainError, match=f"{past} in 'member 2, renamed'"):
